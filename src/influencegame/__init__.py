@@ -29,10 +29,8 @@ from .opinion_dynamics import (
 )
 from .game_model import (
     BudgetPlan,
-    DampingMatrix,
     GameSpec,
     StageUtility,
-    damping_matrix,
     opinions_at_campaigns,
     opinions_at_campaigns_closed_form,
     payoff_gradient,
@@ -49,7 +47,6 @@ from .single_player_solver import (
     solve_single,
 )
 from .equilibrium_solver import (
-    BudgetSimplexSet,
     EquilibriumResult,
     LearningTrace,
     StepSchedule,

@@ -142,8 +142,11 @@ def scenario_from_dict(document: dict) -> Scenario:
             seed = int(env_seed)
         except ValueError as exc:
             raise ScenarioError(f"{SEED_ENV_VAR} must be an integer") from exc
+    T = int(solver_doc.get("T", 100))
+    if T < 1:
+        raise ScenarioError("solver.T must be at least 1")
     settings = SolverSettings(
-        T=int(solver_doc.get("T", 100)),
+        T=T,
         step=step,
         seed=seed,
         tolerances={k: float(v) for k, v in tolerances.items()},

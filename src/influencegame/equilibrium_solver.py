@@ -28,15 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisCheckError
-from .fileio import atomic_write_text
 from .game_model import (
     GameSpec,
-    payoff_gradient,
     plans_from_array,
     profile_array,
     total_payoff,
+    _objective_for_player,
+    _player_pass,
 )
-from .opinion_dynamics import interval_propagators, _readonly
+from .opinion_dynamics import _readonly
 from .single_player_solver import build_region, project_feasible
 
 
@@ -61,21 +61,6 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
     rho = int(np.count_nonzero(feasible))
     theta = cumulative[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
-
-
-@dataclass(frozen=True)
-class BudgetSimplexSet:
-    """The constraint set of one player: nonnegative spend totalling at most ``cap``."""
-
-    dimension: int
-    cap: float
-
-    def contains(self, b: np.ndarray, tol: float = 1e-9) -> bool:
-        b = np.asarray(b, dtype=float).ravel()
-        return b.size == self.dimension and b.min() >= -tol and b.sum() <= self.cap + tol
-
-    def project(self, b: np.ndarray) -> np.ndarray:
-        return project_budget_set(b, self.cap)
 
 
 @dataclass(frozen=True)
@@ -221,17 +206,14 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> 
         iterates[tau - 1] = current
         running_sum += current
         averages[tau - 1] = running_sum / tau
-        plans = plans_from_array(spec, current)
-        for j in range(m):
-            payoffs[tau - 1, j] = total_payoff(spec, plans, j)
         eta = step_schedule.eta(tau) if hasattr(step_schedule, "eta") else step_schedule(tau)
         if eta <= 0:
             raise ValueError("step schedule produced a nonpositive stepsize")
         stepsizes[tau - 1] = eta
-        gradients = [payoff_gradient(spec, plans, j) for j in range(m)]
         updated = np.empty_like(current)
         for j in range(m):
-            stepped = (current[j] + eta * gradients[j]).ravel()
+            _, _, payoffs[tau - 1, j], gradient = _player_pass(spec, j, current)
+            stepped = (current[j] + eta * gradient).ravel()
             updated[j] = projections[j](stepped).reshape(K, n)
         current = updated
 
@@ -245,16 +227,17 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> 
     )
 
 
-def _maximize_concave(value_fn, grad_fn, project, start, max_iters=50_000, tol=1e-9):
+def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9):
     """Monotone projected gradient ascent with backtracking line search.
 
-    The step is halved until the candidate clears the quadratic ascent model
-    (so every accepted move is an ascent up to round-off) and grown again
-    after acceptance.  Returns (point, residual, converged) where the
-    residual is the projected-gradient-step norm at a unit-capped probe step.
+    ``evaluate`` maps a point to its (value, gradient).  The step is halved
+    until the candidate clears the quadratic ascent model (so every accepted
+    move is an ascent up to round-off) and grown again after acceptance.
+    Returns (point, value, residual, converged) where the residual is the
+    projected-gradient-step norm at a unit-capped probe step.
     """
     x = project(np.asarray(start, dtype=float).ravel())
-    fx = value_fn(x)
+    fx, g = evaluate(x)
     step = 1.0
     noise = 1e-13 * max(1.0, abs(fx))
 
@@ -263,37 +246,21 @@ def _maximize_concave(value_fn, grad_fn, project, start, max_iters=50_000, tol=1
         move = project(point + probe * gradient) - point
         return float(np.linalg.norm(move)) / probe
 
-    g = grad_fn(x)
     for _ in range(max_iters):
-        candidate = None
         for _ in range(80):
             candidate = project(x + step * g)
+            f_candidate, g_candidate = evaluate(candidate)
             delta = candidate - x
             model = float(g @ delta) - float(delta @ delta) / (2.0 * step)
-            if value_fn(candidate) >= fx + model - noise:
+            if f_candidate >= fx + model - noise:
                 break
             step *= 0.5
-        x, fx = candidate, value_fn(candidate)
-        g = grad_fn(x)
+        x, fx, g = candidate, f_candidate, g_candidate
         residual = residual_at(x, g)
         if residual <= tol:
-            return x, residual, True
+            return x, fx, residual, True
         step *= 1.5
-    return x, residual_at(x, grad_fn(x)), False
-
-
-def _objective_for_player(spec: GameSpec, entries: np.ndarray, j: int):
-    """Value and gradient of player j's payoff as a function of its own flat plan."""
-    K, n = spec.K, spec.n
-
-    def assemble(flat):
-        profile = entries.copy()
-        profile[j] = flat.reshape(K, n)
-        return plans_from_array(spec, profile)
-
-    value = lambda flat: total_payoff(spec, assemble(flat), j)
-    grad = lambda flat: payoff_gradient(spec, assemble(flat), j).ravel()
-    return value, grad
+    return x, fx, residual_at(x, g), False
 
 
 def best_response(
@@ -306,16 +273,16 @@ def best_response(
     """
     _require_own_concave(spec, j)
     entries = profile_array(plans)
-    value, grad = _objective_for_player(spec, entries, j)
+    evaluate = _objective_for_player(spec, entries, j)
     project = _projections(spec)[j if spec.m > 1 else 0]
-    point, residual, converged = _maximize_concave(
-        value, grad, project, entries[j].ravel(), max_iters=max_iters, tol=tol
+    point, value, residual, converged = _maximize_concave(
+        evaluate, project, entries[j].ravel(), max_iters=max_iters, tol=tol
     )
     if not converged:
         raise ConvergenceError(
             "best-response ascent did not converge", residual=residual
         )
-    return point.reshape(spec.K, spec.n), value(point)
+    return point.reshape(spec.K, spec.n), value
 
 
 def exploitability(spec: GameSpec, profile) -> float:
@@ -338,89 +305,27 @@ def _hindsight_objective(spec: GameSpec, trace: LearningTrace, j: int, horizon: 
     """Sum over the first ``horizon`` iterations of player j's payoff against the
     opponents' played strategies, as a function of one fixed own plan.
 
-    Linear utilities admit a batched evaluation: opponents influence player
-    j's opinion column only through the per-individual budget row sums, so
-    all iterations propagate together as one stacked state array.
+    Returns ``evaluate(flat) -> (value, gradient)``.  The played profiles, with
+    the own plan substituted, form the batch axis of one kernel pass.  A single
+    player has no opponents, so every term equals the first.
     """
-    K, n, m = spec.K, spec.n, spec.m
-    utility = spec.utilities[j]
+    if spec.m == 1:
+        evaluate_one = _objective_for_player(spec, trace.iterates[0], j)
 
-    if m == 1:
-        value_one, grad_one = _objective_for_player(spec, trace.iterates[0].copy(), j)
-        return (
-            lambda flat: horizon * value_one(flat),
-            lambda flat: horizon * grad_one(flat),
-        )
+        def evaluate(flat):
+            value, gradient = evaluate_one(flat)
+            return horizon * value, horizon * gradient
 
-    if not utility.is_linear:
-        snapshots = [trace.iterates[tau].copy() for tau in range(horizon)]
+        return evaluate
 
-        def value(flat):
-            total = 0.0
-            for entries in snapshots:
-                v, _ = _objective_for_player(spec, entries, j)
-                total += v(flat)
-            return total
+    profiles = np.array(trace.iterates[:horizon])
 
-        def grad(flat):
-            total = np.zeros(flat.size)
-            for entries in snapshots:
-                _, g = _objective_for_player(spec, entries, j)
-                total += g(flat)
-            return total
+    def evaluate(flat):
+        profiles[:, j] = flat.reshape(spec.K, spec.n)
+        _, _, payoffs, gradients = _player_pass(spec, j, profiles)
+        return float(payoffs.sum()), gradients.sum(axis=0).ravel()
 
-        return value, grad
-
-    others = [ell for ell in range(m) if ell != j]
-    opp_sigma = trace.iterates[:horizon, others].sum(axis=1)  # (horizon, K, n)
-    gaps = interval_propagators(spec.network, spec.schedule)
-    rho = utility.rho
-    sign = 1.0 if utility.kind == "linear-favor" else -1.0
-    lam = utility.cost_coefficient
-    x0col = spec.x0.values[:, j]
-    scale = 1.0 / (K + 1)
-
-    def forward(own):
-        pre = np.empty((K + 1, horizon, n))
-        post = np.empty((K, horizon, n))
-        sig = np.empty((K, horizon, n))
-        state = np.broadcast_to(x0col, (horizon, n)).copy()
-        for k in range(1, K + 2):
-            state = state @ gaps[k - 1].T
-            pre[k - 1] = state
-            if k <= K:
-                sig[k - 1] = opp_sigma[:, k - 1, :] + own[k - 1]
-                state = (state + own[k - 1]) / (1.0 + sig[k - 1])
-                post[k - 1] = state
-        return pre, post, sig
-
-    def value(flat):
-        own = flat.reshape(K, n)
-        pre, _, _ = forward(own)
-        total = 0.0
-        for k in range(1, K + 2):
-            opinion_term = sign * float((pre[k - 1] @ rho[k - 1]).sum())
-            if utility.kind == "linear-complement":
-                opinion_term += horizon * float(rho[k - 1].sum())
-            total += opinion_term
-            if k <= K:
-                total -= horizon * lam * float(own[k - 1].sum())
-        return scale * total
-
-    def grad(flat):
-        own = flat.reshape(K, n)
-        _, post, sig = forward(own)
-        out = np.zeros((K, n))
-        v = np.broadcast_to(scale * sign * rho[K], (horizon, n)).copy()
-        for k in range(K, 0, -1):
-            w = v @ gaps[k]
-            damp = 1.0 / (1.0 + sig[k - 1])
-            sensitivity = damp * (1.0 - post[k - 1])
-            out[k - 1] = -scale * lam * horizon + (sensitivity * w).sum(axis=0)
-            v = scale * sign * np.broadcast_to(rho[k - 1], (horizon, n)) + damp * w
-        return out.ravel()
-
-    return value, grad
+    return evaluate
 
 
 def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
@@ -431,18 +336,18 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     if not 1 <= T <= trace.iterations:
         raise ValueError("horizon must lie within the recorded iterations")
     _require_own_concave(spec, j)
-    value, grad = _hindsight_objective(spec, trace, j, T)
+    evaluate = _hindsight_objective(spec, trace, j, T)
     project = _projections(spec)[j if spec.m > 1 else 0]
     start = trace.averages[T - 1, j].ravel()
-    point, residual, converged = _maximize_concave(
-        value, grad, project, start, max_iters=30_000, tol=1e-9 * T
+    _, value, residual, converged = _maximize_concave(
+        evaluate, project, start, max_iters=30_000, tol=1e-9 * T
     )
     if not converged:
         raise ConvergenceError(
             "hindsight optimization did not converge", residual=residual
         )
     played = float(trace.payoffs[:T, j].sum())
-    return float(value(point) - played)
+    return float(value - played)
 
 
 def solve_equilibrium(spec: GameSpec, T: int, step_schedule=None, seed: int = 0):
@@ -486,10 +391,6 @@ def trace_to_csv(trace: LearningTrace) -> str:
     return buffer.getvalue()
 
 
-def write_trace_csv(trace: LearningTrace, path):
-    atomic_write_text(path, trace_to_csv(trace))
-
-
 def result_to_json(result: EquilibriumResult) -> str:
     document = {
         "iterations": result.iterations,
@@ -500,7 +401,3 @@ def result_to_json(result: EquilibriumResult) -> str:
         ],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def write_result_json(result: EquilibriumResult, path):
-    atomic_write_text(path, result_to_json(result))

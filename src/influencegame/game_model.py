@@ -5,17 +5,23 @@ stage-utility/budget pair per player.  Player j's payoff is the average of its
 stage utilities evaluated at the pre-jump campaign-time opinions of its own
 opinion column, with the terminal stage charged no investment.
 
-Campaign-time opinions admit a closed form: with adjacent-gap propagators
-A_k and damping matrices D(k) = diag(1 / (1 + total budget on individual i)),
-the pre-jump state at t_k is the sum over earlier stages s of
-(A_k D(k-1) ... A_{s+1} D(s)) B(s), seeded with D(0) = I and B(0) = x0.
-Both the stage recursion and that summation are implemented; they agree to
-round-off and the recursion is the default evaluation path.
+Every payoff, gradient and opinion state comes from one kernel,
+``_player_pass``: a forward pass of the stage recursion (diffuse across a gap
+by the propagator A_k, then jump) over player j's column, followed by its
+reverse-mode sweep for the exact own-investment gradient.  The adjacent-gap
+propagators are built once per game and cached on the ``GameSpec``.
+
+Campaign-time opinions also admit a closed form: with damping matrices
+D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
+t_k is the sum over earlier stages s of (A_k D(k-1) ... A_{s+1} D(s)) B(s),
+seeded with D(0) = I and B(0) = x0.  That summation is kept separate from the
+kernel as an independent check; the two agree to round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,7 +33,6 @@ from .opinion_dynamics import (
     Network,
     OpinionState,
     interval_propagators,
-    jump_multi,
     jump_single,
     _readonly,
 )
@@ -58,6 +63,8 @@ class StageUtility:
     def __post_init__(self):
         if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown stage-utility kind {self.kind!r}")
+        if not np.isfinite(self.cost_coefficient):
+            raise ValueError("cost coefficient must be finite")
         if self.cost_coefficient < 0:
             raise ValueError("cost coefficient must be nonnegative")
         if self.kind == "custom":
@@ -68,6 +75,8 @@ class StageUtility:
             if self.rho is None:
                 raise ValueError("linear utilities need per-stage weights rho")
             rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
+            if not np.all(np.isfinite(rho)):
+                raise ValueError("stage weights rho must be finite")
             if np.any(rho < 0):
                 raise ValueError("stage weights rho must be nonnegative")
             object.__setattr__(self, "rho", _readonly(rho))
@@ -76,24 +85,33 @@ class StageUtility:
     def is_linear(self) -> bool:
         return self.kind in ("linear-favor", "linear-complement")
 
-    def value(self, x: np.ndarray, b: np.ndarray, k: int) -> float:
+    # x and b are length-n vectors, or (batch, n) arrays scored row by row.
+
+    def value(self, x: np.ndarray, b: np.ndarray, k: int):
         if self.kind == "linear-favor":
-            return float(self.rho[k - 1] @ x - self.cost_coefficient * b.sum())
+            return x @ self.rho[k - 1] - self.cost_coefficient * b.sum(axis=-1)
         if self.kind == "linear-complement":
-            return float(self.rho[k - 1] @ (1.0 - x) - self.cost_coefficient * b.sum())
-        return float(self.value_fn(x, b, k))
+            return (1.0 - x) @ self.rho[k - 1] - self.cost_coefficient * b.sum(axis=-1)
+        return _rowwise(self.value_fn, x, b, k)
 
     def opinion_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
         if self.kind == "linear-favor":
             return self.rho[k - 1]
         if self.kind == "linear-complement":
             return -self.rho[k - 1]
-        return np.asarray(self.opinion_grad_fn(x, b, k), dtype=float)
+        return _rowwise(self.opinion_grad_fn, x, b, k)
 
     def budget_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
         if self.is_linear:
             return np.full(x.shape, -self.cost_coefficient)
-        return np.asarray(self.budget_grad_fn(x, b, k), dtype=float)
+        return _rowwise(self.budget_grad_fn, x, b, k)
+
+
+def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Apply a custom per-vector callable to one vector or to each batch row."""
+    if x.ndim == 1:
+        return np.asarray(fn(x, b, k), dtype=float)
+    return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -132,27 +150,6 @@ class BudgetPlan:
 
 
 @dataclass(frozen=True)
-class DampingMatrix:
-    """Diagonal of the multiplayer normalization: entry i is 1/(1 + budget on i)."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", _readonly(self.diagonal))
-        d = self.diagonal
-        if np.any(d <= 0) or np.any(d > 1 + 1e-12):
-            raise ValueError("damping entries must lie in (0, 1]")
-
-
-def damping_matrix(budgets: np.ndarray) -> DampingMatrix:
-    """Damping diagonal for one campaign's n x m joint budget matrix."""
-    budgets = np.atleast_2d(np.asarray(budgets, dtype=float))
-    if np.min(budgets) < 0:
-        raise InfeasiblePlanError("negative budget entry")
-    return DampingMatrix(diagonal=1.0 / (1.0 + budgets.sum(axis=1)))
-
-
-@dataclass(frozen=True)
 class GameSpec:
     """Immutable description of one game instance."""
 
@@ -170,6 +167,8 @@ class GameSpec:
         m = self.x0.m
         if len(self.budgets) != m or len(self.utilities) != m:
             raise ValueError("budgets, utilities and opinion columns must all count m")
+        if not np.all(np.isfinite(self.budgets)):
+            raise ValueError("budgets must be finite")
         if np.any(self.budgets < 0):
             raise ValueError("budgets must be nonnegative")
         stages = self.schedule.K + 1
@@ -194,6 +193,12 @@ class GameSpec:
     @property
     def K(self) -> int:
         return self.schedule.K
+
+    @cached_property
+    def gap_propagators(self) -> tuple[np.ndarray, ...]:
+        """Read-only adjacent-gap propagators, built on first use and kept for
+        the game's life (not a field: equality and ``replace`` ignore it)."""
+        return tuple(interval_propagators(self.network, self.schedule))
 
     @property
     def has_simplex_rows(self) -> bool:
@@ -274,27 +279,73 @@ def _stage_matrix(entries: list[np.ndarray], k: int) -> np.ndarray:
     return np.column_stack([e[k - 1] for e in entries])
 
 
-def _forward_states(spec: GameSpec, entries: list[np.ndarray]):
-    """Run the stage recursion; returns pre-jump states, post-jump states and
-    per-stage budget row sums."""
-    gaps = interval_propagators(spec.network, spec.schedule)
-    K, n, m = spec.K, spec.n, spec.m
-    pre = np.empty((K + 1, n, m))
-    post = np.empty((K, n, m))
-    sigma = np.empty((K, n))
-    state = np.array(spec.x0.values)
+def _player_pass(spec: GameSpec, j: int, profile: np.ndarray):
+    """Forward pass and adjoint sweep for player j over an (..., m, K, n) profile.
+
+    Only player j's opinion column is carried: the opponents reach it solely
+    through the per-individual total investment, whose damping 1/(1 + sigma)
+    scales the multiplayer jump (x + b) / (1 + sigma).  A single player
+    jumps additively, with ``jump_single``'s headroom check, and cannot be
+    batched.  The sweep runs the recursion backwards (reverse mode), so the
+    gradient is exact: own investments enter both linearly and through every
+    damping denominator they touch.
+
+    Returns player j's pre-jump opinions (..., K+1, n), post-jump opinions
+    (..., K, n), payoff (...) and own-investment gradient (..., K, n).
+    """
+    gaps = spec.gap_propagators
+    utility = spec.utilities[j]
+    K, n, single = spec.K, spec.n, spec.m == 1
+    own = profile[..., j, :, :]
+    batch = own.shape[:-2]
+    if not single:
+        denominators = 1.0 + profile.sum(axis=-3)
+    zero = np.zeros(batch + (n,))
+    pre = np.empty(batch + (K + 1, n))
+    post = np.empty(own.shape)
+
+    state = np.broadcast_to(spec.x0.values[:, j], batch + (n,))
+    payoff = 0.0
     for k in range(1, K + 2):
-        state = gaps[k - 1] @ state
-        pre[k - 1] = state
+        state = state @ gaps[k - 1].T
+        pre[..., k - 1, :] = state
+        b_k = own[..., k - 1, :] if k <= K else zero
+        payoff = payoff + utility.value(state, b_k, k)
         if k <= K:
-            stage = _stage_matrix(entries, k)
-            sigma[k - 1] = stage.sum(axis=1)
-            if m == 1:
-                state = jump_single(state[:, 0], stage[:, 0])[:, None]
+            if single:
+                state = jump_single(state, b_k)
             else:
-                state = jump_multi(state, stage)
-            post[k - 1] = state
-    return pre, post, sigma
+                state = (state + b_k) / denominators[..., k - 1, :]
+            post[..., k - 1, :] = state
+    payoff = payoff / (K + 1)
+
+    scale = 1.0 / (K + 1)
+    gradient = np.empty(own.shape)
+    v = scale * utility.opinion_gradient(pre[..., K, :], zero, K + 1)
+    for k in range(K, 0, -1):
+        w = v @ gaps[k]
+        x_k, b_k = pre[..., k - 1, :], own[..., k - 1, :]
+        if single:
+            damp = sensitivity = 1.0
+        else:
+            damp = 1.0 / denominators[..., k - 1, :]
+            sensitivity = damp * (1.0 - post[..., k - 1, :])
+        gradient[..., k - 1, :] = scale * utility.budget_gradient(x_k, b_k, k) + sensitivity * w
+        v = scale * utility.opinion_gradient(x_k, b_k, k) + damp * w
+    return pre, post, payoff, gradient
+
+
+def _objective_for_player(spec: GameSpec, profile: np.ndarray, j: int):
+    """Player j's payoff and gradient as a function of its own flat plan, the
+    other players' plans fixed at ``profile``; the plan is not validated."""
+    profile = np.array(profile, dtype=float)
+
+    def evaluate(flat: np.ndarray):
+        profile[j] = flat.reshape(spec.K, spec.n)
+        _, _, payoff, gradient = _player_pass(spec, j, profile)
+        return float(payoff), gradient.ravel()
+
+    return evaluate
 
 
 def opinions_at_campaigns(spec: GameSpec, plans) -> np.ndarray:
@@ -302,10 +353,8 @@ def opinions_at_campaigns(spec: GameSpec, plans) -> np.ndarray:
 
     Evaluated by the stage recursion: diffuse across each gap, then apply the
     jump for the budgets invested at that campaign."""
-    plans = validate_plans(spec, plans)
-    entries = [plan.entries for plan in plans]
-    pre, _, _ = _forward_states(spec, entries)
-    return pre
+    profile = profile_array(validate_plans(spec, plans))
+    return np.stack([_player_pass(spec, j, profile)[0] for j in range(spec.m)], axis=-1)
 
 
 def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:
@@ -316,7 +365,7 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:
     identity there."""
     plans = validate_plans(spec, plans)
     entries = [plan.entries for plan in plans]
-    gaps = interval_propagators(spec.network, spec.schedule)
+    gaps = spec.gap_propagators
     K, n, m = spec.K, spec.n, spec.m
 
     def damping_diag(r: int) -> np.ndarray:
@@ -342,45 +391,11 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:
 
 def total_payoff(spec: GameSpec, plans, j: int) -> float:
     """Average of player j's stage utilities over t_1..t_{K+1}."""
-    plans = validate_plans(spec, plans)
-    pre = opinions_at_campaigns(spec, plans)
-    utility = spec.utilities[j]
-    K, n = spec.K, spec.n
-    total = 0.0
-    for k in range(1, K + 2):
-        b_k = plans[j].entries[k - 1] if k <= K else np.zeros(n)
-        total += utility.value(pre[k - 1][:, j], b_k, k)
-    return total / (K + 1)
+    profile = profile_array(validate_plans(spec, plans))
+    return float(_player_pass(spec, j, profile)[2])
 
 
 def payoff_gradient(spec: GameSpec, plans, j: int) -> np.ndarray:
-    """Exact gradient of total_payoff with respect to player j's own entries.
-
-    Own investments enter the campaign-time opinions both linearly and
-    through the damping denominators of every stage they touch; the gradient
-    propagates stage sensitivities through the same recursion used by the
-    payoff, so it is exact rather than approximate.
-    """
-    plans = validate_plans(spec, plans)
-    entries = [plan.entries for plan in plans]
-    pre, post, sigma = _forward_states(spec, entries)
-    gaps = interval_propagators(spec.network, spec.schedule)
-    utility = spec.utilities[j]
-    K, n, m = spec.K, spec.n, spec.m
-    scale = 1.0 / (K + 1)
-
-    own = entries[j]
-    grad = np.empty((K, n))
-    v = scale * utility.opinion_gradient(pre[K][:, j], np.zeros(n), K + 1)
-    for k in range(K, 0, -1):
-        w = gaps[k].T @ v
-        if m == 1:
-            damp = np.ones(n)
-            sensitivity = np.ones(n)
-        else:
-            damp = 1.0 / (1.0 + sigma[k - 1])
-            sensitivity = damp * (1.0 - post[k - 1][:, j])
-        x_k = pre[k - 1][:, j]
-        grad[k - 1] = scale * utility.budget_gradient(x_k, own[k - 1], k) + sensitivity * w
-        v = scale * utility.opinion_gradient(x_k, own[k - 1], k) + damp * w
-    return grad
+    """Exact gradient of total_payoff with respect to player j's own entries."""
+    profile = profile_array(validate_plans(spec, plans))
+    return _player_pass(spec, j, profile)[3]

@@ -45,6 +45,8 @@ class Network:
         a, lap = self.adjacency, self.laplacian
         if a.shape != (self.n, self.n) or lap.shape != (self.n, self.n):
             raise ValueError("adjacency and laplacian must be n x n")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(lap))):
+            raise ValueError("network weights must be finite")
         if np.any(a < 0):
             raise ValueError("adjacency entries must be nonnegative")
         if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
@@ -99,6 +101,8 @@ class OpinionState:
             v = v[:, None]
         if v.ndim != 2:
             raise ValueError("opinions must form an n x m matrix")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("opinions must be finite")
         if np.any(v < -1e-10) or np.any(v > 1 + 1e-10):
             raise ValueError("opinions must lie in [0, 1]")
         object.__setattr__(self, "values", _readonly(np.clip(v, 0.0, 1.0)))
@@ -114,14 +118,9 @@ class OpinionState:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Row-stochastic flow matrix exp(-L dt) for one campaign-free interval.
-
-    ``interval`` optionally records the (source, target) schedule indices
-    (s, r) when the propagator carries opinions from t_s to t_r.
-    """
+    """Row-stochastic flow matrix exp(-L dt) for one campaign-free interval."""
 
     matrix: np.ndarray
-    interval: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(self.matrix))
@@ -176,20 +175,20 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def propagator(network: Network, dt: float, interval=None) -> Propagator:
+def propagator(network: Network, dt: float) -> Propagator:
     """Flow matrix exp(-L dt) carrying opinions across a campaign-free gap."""
     if dt < 0:
         raise ValueError("propagation time must be nonnegative")
     matrix = matrix_exponential(-network.laplacian * dt)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("propagator computation produced non-finite entries")
-    return Propagator(matrix=matrix, interval=interval)
+    return Propagator(matrix=matrix)
 
 
 def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[np.ndarray]:
     """Adjacent-gap propagators: entry k-1 carries opinions from t_{k-1}^+ to t_k."""
     return [
-        propagator(network, schedule.gap(k), interval=(k - 1, k)).matrix
+        propagator(network, schedule.gap(k)).matrix
         for k in range(1, schedule.K + 2)
     ]
 
@@ -198,7 +197,7 @@ def pair_propagator(network: Network, schedule: CampaignSchedule, r: int, s: int
     """Propagator exp(-L (t_r - t_s)) between two schedule indices s <= r."""
     if not 0 <= s <= r <= schedule.K + 1:
         raise ValueError("indices must satisfy 0 <= s <= r <= K+1")
-    return propagator(network, float(schedule.times[r] - schedule.times[s]), interval=(s, r))
+    return propagator(network, float(schedule.times[r] - schedule.times[s]))
 
 
 def jump_single(x: np.ndarray, b: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:

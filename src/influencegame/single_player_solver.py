@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisCheckError
-from .game_model import (
-    BudgetPlan,
-    GameSpec,
-    payoff_gradient,
-    plans_from_array,
-    total_payoff,
-)
+from .game_model import BudgetPlan, GameSpec, _objective_for_player
 from .opinion_dynamics import pair_propagator, _readonly
 
 DEFAULT_PROJECTION_TOL = 1e-10
@@ -201,37 +195,32 @@ def solve_single(
     K, n = spec.K, spec.n
     d = K * n
 
-    def grad_at(flat: np.ndarray) -> np.ndarray:
-        return payoff_gradient(spec, plans_from_array(spec, flat.reshape(1, K, n)), 0).ravel()
-
-    def value_at(flat: np.ndarray) -> float:
-        return total_payoff(spec, plans_from_array(spec, flat.reshape(1, K, n)), 0)
-
+    evaluate = _objective_for_player(spec, np.zeros((1, K, n)), 0)
+    b = np.zeros(d)
+    objective, g = evaluate(b)
     if step_schedule is None:
-        bound = np.linalg.norm(grad_at(np.zeros(d)))
-        eta0 = 1.0 / max(bound, 1e-8)
+        eta0 = 1.0 / max(np.linalg.norm(g), 1e-8)
         step_schedule = lambda t: eta0 / np.sqrt(t)
 
-    b = np.zeros(d)
-    objectives = [value_at(b)] if keep_objectives else None
+    objectives = [objective] if keep_objectives else None
     step_norm = np.inf
     iterations = 0
     for t in range(1, max_iters + 1):
         iterations = t
-        g = grad_at(b)
         candidate = project_feasible(
             b + step_schedule(t) * g, region, tol=projection_tol
         )
         step_norm = float(np.linalg.norm(candidate - b))
         b = candidate
+        objective, g = evaluate(b)
         if keep_objectives:
-            objectives.append(value_at(b))
+            objectives.append(objective)
         if step_norm < tol:
             break
 
     probe = 1e-3
     projected_gradient = (
-        project_feasible(b + probe * grad_at(b), region, tol=projection_tol) - b
+        project_feasible(b + probe * g, region, tol=projection_tol) - b
     ) / probe
     kkt_residual = float(max(0.0, projected_gradient.max()))
 
@@ -239,7 +228,7 @@ def solve_single(
     assert region.contains(b, tol=1e-8)
     return SolveReport(
         plan=plan,
-        objective=value_at(b),
+        objective=objective,
         iterations=iterations,
         final_step_norm=step_norm,
         kkt_residual=kkt_residual,

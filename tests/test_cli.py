@@ -172,6 +172,26 @@ class TestEquilibrateCommand:
         scenario = write_scenario(tmp_path / "s.json", single_player_document())
         assert main(["equilibrate", scenario, "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("players", 0, "utility", "rho", 0, 0), float("nan"), id="nan-rho"),
+        pytest.param(("players", 0, "budget"), float("nan"), id="nan-budget"),
+        pytest.param(("players", 0, "utility", "lambda"), float("nan"), id="nan-lambda"),
+        pytest.param(("x0", 0, 0), float("nan"), id="nan-x0"),
+        pytest.param(("players", 1, "budget"), float("inf"), id="inf-budget"),
+        pytest.param(("network", 0, 1), float("nan"), id="nan-network"),
+        pytest.param(("solver", "T"), 0, id="zero-T"),
+    ])
+    def test_bad_scenario_values_exit_2(self, tmp_path, capsys, path, value):
+        document = scenario_to_dict(reference_scenario())
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = write_scenario(tmp_path / "s.json", document)
+        assert main(["equilibrate", scenario, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
+
     def test_complement_utilities_exit_5(self, tmp_path, capsys):
         document = scenario_to_dict(reference_scenario())
         document["players"][1]["utility"]["kind"] = "linear-complement"

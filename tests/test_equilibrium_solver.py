@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from influencegame import (
-    BudgetSimplexSet,
     CampaignSchedule,
     EquilibriumResult,
     GameSpec,
@@ -12,6 +11,7 @@ from influencegame import (
     StepSchedule,
     best_response,
     exploitability,
+    payoff_gradient,
     plans_from_array,
     project_budget_set,
     regret,
@@ -20,8 +20,14 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame.equilibrium_solver import result_to_json, trace_to_csv
-from influencegame.verification import random_linear_game
+from influencegame import opinion_dynamics
+from influencegame.equilibrium_solver import (
+    LearningTrace,
+    _hindsight_objective,
+    result_to_json,
+    trace_to_csv,
+)
+from influencegame.verification import random_feasible_profile, random_linear_game
 
 
 def reference_variant(spec, cost):
@@ -79,13 +85,6 @@ class TestProjectBudgetSet:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             project_budget_set(np.array([1.0]), -0.5)
-
-    def test_budget_simplex_set(self):
-        budget_set = BudgetSimplexSet(dimension=3, cap=1.0)
-        assert budget_set.contains(np.array([0.2, 0.3, 0.4]))
-        assert not budget_set.contains(np.array([0.5, 0.5, 0.5]))
-        np.testing.assert_allclose(budget_set.project(np.array([2.0, 0.0, 0.0])),
-                                   [1.0, 0.0, 0.0])
 
 
 class TestRunNoRegret:
@@ -196,6 +195,65 @@ class TestRegret:
             assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
+def utility_of_kind(kind, rho, cost):
+    if kind != "custom":
+        return StageUtility(kind=kind, rho=rho, cost_coefficient=cost)
+    # increasing and convex in opinions on [0, 1]: rho'x + |x|^2 / 2 - cost 1'b
+    return StageUtility(
+        kind="custom",
+        value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
+        opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
+        budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
+        declared_increasing_convex=True,
+    )
+
+
+class TestHindsightObjective:
+    @pytest.mark.parametrize("horizon", [1, 7])
+    @pytest.mark.parametrize("kind", ["linear-favor", "linear-complement", "custom"])
+    def test_batched_pass_equals_sum_over_played_profiles(self, horizon, kind):
+        rng = np.random.default_rng(101)
+        game = random_linear_game(rng, 3, 4, 3)
+        spec = GameSpec(
+            network=game.network, schedule=game.schedule, x0=game.x0, budgets=game.budgets,
+            utilities=tuple(utility_of_kind(kind, u.rho, u.cost_coefficient)
+                            for u in game.utilities),
+        )
+        iterates = np.stack([random_feasible_profile(rng, spec) for _ in range(horizon)])
+        trace = LearningTrace(spec=spec, iterates=iterates, averages=iterates,
+                              payoffs=np.zeros((horizon, spec.m)), stepsizes=np.ones(horizon),
+                              seed=0)
+        own = random_feasible_profile(rng, spec)
+        for j in range(spec.m):
+            value, gradient = _hindsight_objective(spec, trace, j, horizon)(own[j].ravel())
+            expected_value, expected_gradient = 0.0, np.zeros((spec.K, spec.n))
+            for played in iterates:
+                profile = played.copy()
+                profile[j] = own[j]
+                plans = plans_from_array(spec, profile)
+                expected_value += total_payoff(spec, plans, j)
+                expected_gradient += payoff_gradient(spec, plans, j)
+            assert value == pytest.approx(expected_value, abs=1e-12)
+            np.testing.assert_allclose(gradient, expected_gradient.ravel(), rtol=0, atol=1e-12)
+
+
+class TestPropagatorBuilds:
+    def test_reference_run_builds_each_gap_once(self, two_player_spec, monkeypatch):
+        builds = []
+        original = opinion_dynamics.matrix_exponential
+
+        def counting(a):
+            builds.append(a)
+            return original(a)
+
+        monkeypatch.setattr(opinion_dynamics, "matrix_exponential", counting)
+        trace = run_no_regret(two_player_spec, 20)
+        exploitability(two_player_spec, trace.averages[-1])
+        for j in range(two_player_spec.m):
+            regret(trace, j)
+        assert len(builds) == two_player_spec.K + 1
+
+
 class TestExploitability:
     def test_zero_profile_is_equilibrium_at_unit_cost(self, two_player_spec):
         # at cost 1 the stage-1 gradient at the origin vanishes exactly and
@@ -206,8 +264,6 @@ class TestExploitability:
     def test_zero_profile_exploitable_at_lower_cost(self, two_player_spec):
         spec = reference_variant(two_player_spec, cost=0.8)
         zero = np.zeros((2, 2, 3))
-        from influencegame import payoff_gradient
-
         gradient = payoff_gradient(spec, plans_from_array(spec, zero), 0)
         assert gradient[0].max() > 0  # investing at the first campaign pays
         assert exploitability(spec, zero) > 1e-4

@@ -10,7 +10,6 @@ from influencegame import (
     OpinionState,
     StageUtility,
     build_network,
-    damping_matrix,
     opinions_at_campaigns,
     opinions_at_campaigns_closed_form,
     pair_propagator,
@@ -38,24 +37,6 @@ def full_spend_profile(rng, spec):
         raw = rng.random((spec.K, spec.n)) + 0.05
         profile[j] = raw / raw.sum() * float(spec.budgets[j])
     return profile
-
-
-class TestDampingMatrix:
-    def test_zero_budget_is_identity(self):
-        np.testing.assert_array_equal(damping_matrix(np.zeros((3, 2))).diagonal,
-                                      np.ones(3))
-
-    def test_direct_evaluation(self):
-        budgets = np.array([[1.0, 0.0], [1.0, 2.0]])
-        np.testing.assert_allclose(damping_matrix(budgets).diagonal, [0.5, 0.25])
-
-    def test_single_individual_two_players(self):
-        np.testing.assert_allclose(damping_matrix(np.array([[0.5, 0.5]])).diagonal,
-                                   [0.5])
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(InfeasiblePlanError):
-            damping_matrix(np.array([[-0.1, 0.2]]))
 
 
 class TestOpinionsAtCampaigns:
