@@ -7,7 +7,8 @@ Subcommands
     verify       property suites (stochasticity, convexity, gradients, oracles)
 
 Exit codes: 0 ok, 1 verify failure, 2 parse error, 3 infeasible plans,
-4 wrong mode (single- vs multi-player), 5 hypothesis-check failure.
+4 wrong mode (single- vs multi-player), 5 hypothesis-check failure,
+6 a solver ran out of its iteration budget.
 All files are written atomically; a failed run never leaves partial output.
 The environment variable INFLUENCE_GAME_SEED overrides the scenario seed.
 """
@@ -49,6 +50,7 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_WRONG_MODE = 4
 EXIT_HYPOTHESIS = 5
+EXIT_CONVERGENCE = 6
 
 SEED_ENV_VAR = "INFLUENCE_GAME_SEED"
 
@@ -386,8 +388,8 @@ def main(argv=None) -> int:
         print(f"hypothesis check failed: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILURE
+        print(f"error: did not converge: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

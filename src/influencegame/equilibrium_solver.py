@@ -227,17 +227,22 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> 
     )
 
 
-def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9):
+def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, values=None):
     """Monotone projected gradient ascent with backtracking line search.
 
     ``evaluate`` maps a point to its (value, gradient).  The step is halved
     until the candidate clears the quadratic ascent model (so every accepted
-    move is an ascent up to round-off) and grown again after acceptance.
-    Returns (point, value, residual, converged) where the residual is the
-    projected-gradient-step norm at a unit-capped probe step.
+    move is an ascent up to round-off) and grown again after acceptance; if
+    80 halvings find no such candidate, ConvergenceError carries the current
+    point.  Returns (point, value, residual, converged) where the residual is
+    the projected-gradient-step norm at a unit-capped probe step.  A list
+    passed as ``values`` receives the value at the start and after every
+    accepted step.
     """
     x = project(np.asarray(start, dtype=float).ravel())
     fx, g = evaluate(x)
+    if values is not None:
+        values.append(fx)
     step = 1.0
     noise = 1e-13 * max(1.0, abs(fx))
 
@@ -255,7 +260,15 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9):
             if f_candidate >= fx + model - noise:
                 break
             step *= 0.5
+        else:
+            raise ConvergenceError(
+                "line search found no ascent step in 80 halvings",
+                last_iterate=x,
+                residual=residual_at(x, g),
+            )
         x, fx, g = candidate, f_candidate, g_candidate
+        if values is not None:
+            values.append(fx)
         residual = residual_at(x, g)
         if residual <= tol:
             return x, fx, residual, True

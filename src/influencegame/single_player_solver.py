@@ -1,13 +1,15 @@
-"""Single-player optimal investment by projected gradient ascent.
+"""Single-player optimal investment by monotone projected gradient ascent.
 
 With one player the jump is additive and the campaign-time opinions are
 linear in the investment variables, so the problem of maximizing the average
 stage utility is a concave program over a polytope: Kn cap constraints
 (investment plus already-accumulated opinion must stay at most 1, rowwise),
 one total-budget constraint, and Kn sign constraints -- 2Kn + 1 halfspaces in
-Kn variables, all with closed-form single-halfspace projections.  The solver
-is plain projected gradient ascent with a diminishing step, using Dykstra's
-cyclic algorithm to compute exact Euclidean projections onto the polytope.
+Kn variables.  The solver is the package's one concave-ascent routine
+(projected gradient with a backtracking line search, shared with the
+best-response and hindsight subproblems), and every Euclidean projection
+onto the polytope is computed exactly, in finitely many steps, by a primal
+active-set method.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, HypothesisCheckError
 from .game_model import BudgetPlan, GameSpec, _objective_for_player
-from .opinion_dynamics import pair_propagator, _readonly
+from .opinion_dynamics import _readonly
 
 DEFAULT_PROJECTION_TOL = 1e-10
 DEFAULT_PROJECTION_CYCLES = 10_000
@@ -58,26 +60,28 @@ class FeasibleRegion:
 def build_region(spec: GameSpec) -> FeasibleRegion:
     """Assemble the single-player constraint polytope.
 
-    The pairwise propagators are computed once up front; the diffusion of the
-    initial opinions is folded into the cap offsets, so every constraint is
-    affine in the flattened (stage-major) investment vector.
+    The pairwise propagators exp(-L (t_k - t_s)) are products of the game's
+    cached adjacent-gap propagators; the diffusion of the initial opinions is
+    folded into the cap offsets, so every constraint is affine in the
+    flattened (stage-major) investment vector.
     """
     if spec.m != 1:
         raise ValueError("the constraint polytope is defined for single-player games")
     K, n = spec.K, spec.n
     d = K * n
     x0 = spec.x0.values[:, 0]
+    gaps = spec.gap_propagators
 
     normals = []
     offsets = []
+    flows = []  # flows[s] carries opinions from t_s to t_k, s = 0, ..., k-1
     for k in range(1, K + 1):
+        flows = [gaps[k - 1] @ flow for flow in flows] + [gaps[k - 1]]
         block = np.zeros((n, d))
         block[:, (k - 1) * n : k * n] = np.eye(n)
         for s in range(1, k):
-            block[:, (s - 1) * n : s * n] = pair_propagator(
-                spec.network, spec.schedule, k, s
-            ).matrix
-        reach = pair_propagator(spec.network, spec.schedule, k, 0).matrix @ x0
+            block[:, (s - 1) * n : s * n] = flows[s]
+        reach = flows[0] @ x0
         normals.append(block)
         offsets.append(1.0 - reach)
     normals.append(np.ones((1, d)))
@@ -99,36 +103,67 @@ def project_feasible(
     tol: float = DEFAULT_PROJECTION_TOL,
     max_cycles: int = DEFAULT_PROJECTION_CYCLES,
 ) -> np.ndarray:
-    """Euclidean projection onto the region by Dykstra's cyclic algorithm.
+    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c.
 
-    Plain cyclic projection only finds a feasible point; Dykstra's correction
-    vectors make the iterates converge to the exact projection.  Raises
-    ConvergenceError (carrying the last iterate) if the cycle budget runs out.
+    Primal active-set method for a quadratic program with identity Hessian
+    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3), started at the
+    origin with an empty working set W.  Precondition: the origin lies in the
+    region (every offset is nonnegative), as ``build_region`` guarantees.
+
+    Each iteration projects the point onto the affine set {A_W y = c_W} with
+    one linear solve, y = point - A_W' lam where (A_W A_W') lam = A_W point -
+    c_W.  If y exceeds a constraint outside W by more than ``tol``, the
+    iterate walks towards y up to the first constraint the walk would cross,
+    which joins W.  Otherwise the iterate becomes y; it is returned once
+    every multiplier lam is at least -tol, else the most negative one leaves
+    W.  That is the certificate: the result meets W's constraints as
+    equalities and all others to ``tol``, and the multipliers satisfy the KKT
+    conditions to ``tol``.  A point already feasible to ``tol`` comes back
+    unchanged.
+
+    ``max_cycles`` bounds the active-set iterations (one linear solve each);
+    when it runs out, ConvergenceError carries the last iterate.
     """
-    x = np.asarray(point, dtype=float).copy()
-    if x.shape != (region.dim,):
+    p = np.asarray(point, dtype=float)
+    if p.shape != (region.dim,):
         raise ValueError(f"point must live in R^{region.dim}")
     normals, offsets = region.normals, region.offsets
-    norms_sq = np.einsum("ij,ij->i", normals, normals)
-    corrections = np.zeros((region.count, region.dim))
-
+    if np.min(offsets) < 0.0:
+        raise ValueError("the active-set projection starts at the origin, "
+                         "which must lie in the region")
+    x = np.zeros(region.dim)
+    working: list[int] = []
+    gap = np.inf
     for _ in range(max_cycles):
-        previous = x.copy()
-        for i in range(region.count):
-            u = x + corrections[i]
-            violation = normals[i] @ u - offsets[i]
-            if violation > 0.0:
-                x = u - (violation / norms_sq[i]) * normals[i]
-            else:
-                x = u
-            corrections[i] = u - x
-        if region.max_violation(x) <= tol and np.max(np.abs(x - previous)) <= tol:
+        rows = normals[working]
+        multipliers = np.linalg.solve(rows @ rows.T, rows @ p - offsets[working])
+        y = p - rows.T @ multipliers
+        excess = normals @ y - offsets
+        excess[working] = -np.inf
+        if excess.max() > tol:
+            # A constraint the full step moves by at most tol cannot end more
+            # than tol past its bound; skipping those keeps round-off copies
+            # of W's rows out of W.
+            step = y - x
+            rate = normals @ step
+            rate[working] = 0.0
+            candidates = np.flatnonzero((rate > tol) | (excess > tol))
+            ratios = (offsets[candidates] - normals[candidates] @ x) / rate[candidates]
+            block = int(np.argmin(ratios))
+            x = x + max(0.0, float(ratios[block])) * step
+            working.append(int(candidates[block]))
+            gap = float(excess.max())
+            continue
+        x = y
+        if not working or multipliers.min() >= -tol:
             return x
+        gap = float(-multipliers.min())
+        del working[int(np.argmin(multipliers))]
     raise ConvergenceError(
-        f"Dykstra projection did not reach tolerance {tol:g} "
-        f"within {max_cycles} cycles",
+        f"active-set projection did not reach tolerance {tol:g} "
+        f"within {max_cycles} iterations",
         last_iterate=x,
-        residual=region.max_violation(x),
+        residual=gap,
     )
 
 
@@ -136,9 +171,13 @@ def project_feasible(
 class SolveReport:
     """Solution summary: the plan, its objective, and first-order diagnostics.
 
+    ``iterations`` counts the accepted ascent steps.  ``final_step_norm`` is
+    the stopping residual ||P(b + s g) - b|| / s at the returned plan b, with
+    g the gradient, P the projection and s = min(line-search step, 1).
     ``kkt_residual`` is the largest positive component of the projected
     gradient at the returned plan (zero at an exact maximizer).
-    ``objectives`` records the objective value at every iterate.
+    ``objectives`` records the objective value at the zero plan and after
+    every accepted step.
     """
 
     plan: BudgetPlan
@@ -175,7 +214,6 @@ def _check_concave_stages(spec: GameSpec):
 
 def solve_single(
     spec: GameSpec,
-    step_schedule=None,
     max_iters: int = 100_000,
     tol: float = 1e-8,
     projection_tol: float = 1e-12,
@@ -183,45 +221,41 @@ def solve_single(
 ) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
-    Projected gradient ascent from the zero plan (always feasible) with the
-    step schedule eta_t = eta0 / sqrt(t), where eta0 is the reciprocal of the
-    gradient norm at the start; terminates when the projected step shrinks
-    below ``tol``.  ``step_schedule`` may override with any callable t -> eta.
+    Monotone projected gradient ascent with a backtracking line search
+    (``equilibrium_solver._maximize_concave``) from the zero plan, which is
+    always feasible.  It stops once the projected-gradient step norm
+    ``final_step_norm`` is at most ``tol`` (the scenario key
+    ``solver.tolerances.step_norm``) and raises ConvergenceError, carrying
+    the last plan, if ``max_iters`` accepted steps do not get there.  Every
+    projection is exact to ``projection_tol`` (``solver.tolerances.projection``),
+    the feasibility and multiplier tolerance of ``project_feasible``.
     """
+    from .equilibrium_solver import _maximize_concave
+
     if spec.m != 1:
         raise ValueError("solve_single handles single-player games only")
     _check_concave_stages(spec)
     region = build_region(spec)
     K, n = spec.K, spec.n
-    d = K * n
 
     evaluate = _objective_for_player(spec, np.zeros((1, K, n)), 0)
-    b = np.zeros(d)
-    objective, g = evaluate(b)
-    if step_schedule is None:
-        eta0 = 1.0 / max(np.linalg.norm(g), 1e-8)
-        step_schedule = lambda t: eta0 / np.sqrt(t)
-
-    objectives = [objective] if keep_objectives else None
-    step_norm = np.inf
-    iterations = 0
-    for t in range(1, max_iters + 1):
-        iterations = t
-        candidate = project_feasible(
-            b + step_schedule(t) * g, region, tol=projection_tol
+    project = lambda v: project_feasible(v, region, tol=projection_tol)
+    objectives = []
+    b, objective, step_norm, converged = _maximize_concave(
+        evaluate, project, np.zeros(K * n), max_iters=max_iters, tol=tol,
+        values=objectives,
+    )
+    if not converged:
+        raise ConvergenceError(
+            f"single-player ascent did not reach step norm {tol:g} "
+            f"within {max_iters} iterations",
+            last_iterate=b,
+            residual=step_norm,
         )
-        step_norm = float(np.linalg.norm(candidate - b))
-        b = candidate
-        objective, g = evaluate(b)
-        if keep_objectives:
-            objectives.append(objective)
-        if step_norm < tol:
-            break
 
+    g = evaluate(b)[1]
     probe = 1e-3
-    projected_gradient = (
-        project_feasible(b + probe * g, region, tol=projection_tol) - b
-    ) / probe
+    projected_gradient = (project(b + probe * g) - b) / probe
     kkt_residual = float(max(0.0, projected_gradient.max()))
 
     plan = BudgetPlan(player=0, entries=b.reshape(K, n), budget_cap=float(spec.budgets[0]))
@@ -229,7 +263,7 @@ def solve_single(
     return SolveReport(
         plan=plan,
         objective=objective,
-        iterations=iterations,
+        iterations=len(objectives) - 1,
         final_step_norm=step_norm,
         kkt_residual=kkt_residual,
         objectives=np.asarray(objectives) if keep_objectives else None,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from influencegame import ScenarioError
+from influencegame import ConvergenceError, ScenarioError, cli
 from influencegame.cli import (
     main,
     reference_scenario,
@@ -124,6 +124,19 @@ class TestSolveCommand:
         assert main(["solve", scenario, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["plan"] == [[0.0]]
+
+    def test_convergence_failure_exits_6(self, tmp_path, capsys, monkeypatch):
+        def stalled(spec, **kwargs):
+            raise ConvergenceError("ascent stalled", last_iterate=np.zeros(1))
+
+        monkeypatch.setattr(cli, "solve_single", stalled)
+        scenario = write_scenario(tmp_path / "s.json", single_player_document())
+        out = tmp_path / "report.json"
+        assert main(["solve", scenario, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ascent stalled" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_multiplayer_scenario_exits_4(self, tmp_path, capsys):
         scenario = write_scenario(

@@ -3,6 +3,7 @@ import pytest
 
 from influencegame import (
     CampaignSchedule,
+    ConvergenceError,
     EquilibriumResult,
     GameSpec,
     HypothesisCheckError,
@@ -24,6 +25,7 @@ from influencegame import opinion_dynamics
 from influencegame.equilibrium_solver import (
     LearningTrace,
     _hindsight_objective,
+    _maximize_concave,
     result_to_json,
     trace_to_csv,
 )
@@ -252,6 +254,34 @@ class TestPropagatorBuilds:
         for j in range(two_player_spec.m):
             regret(trace, j)
         assert len(builds) == two_player_spec.K + 1
+
+    def test_single_player_solve_builds_each_gap_once(self, monkeypatch):
+        spec = random_linear_game(np.random.default_rng(5), 1, 4, 3)
+        builds = []
+        original = opinion_dynamics.matrix_exponential
+
+        def counting(a):
+            builds.append(a)
+            return original(a)
+
+        monkeypatch.setattr(opinion_dynamics, "matrix_exponential", counting)
+        solve_single(spec)
+        assert len(builds) == spec.K + 1 == 4
+
+
+class TestMaximizeConcave:
+    def test_wrong_sign_gradient_raises_instead_of_descending(self):
+        # value -1e10 (x1 + x2) reported with the opposite gradient: every
+        # step along it descends, by far more than the line search's
+        # round-off allowance even after 80 halvings
+        slope = np.full(2, 1e10)
+
+        def evaluate(x):
+            return float(-slope @ x), slope.copy()
+
+        with pytest.raises(ConvergenceError) as excinfo:
+            _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=3)
+        np.testing.assert_array_equal(excinfo.value.last_iterate, np.zeros(2))
 
 
 class TestExploitability:

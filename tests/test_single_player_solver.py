@@ -1,9 +1,17 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from influencegame import (
+    CampaignSchedule,
     ConvergenceError,
     FeasibleRegion,
+    GameSpec,
+    OpinionState,
+    StageUtility,
+    build_network,
     build_region,
     pair_propagator,
     payoff_gradient,
@@ -107,6 +115,81 @@ class TestProjectFeasible:
         assert excinfo.value.last_iterate is not None
 
 
+def enumerated_projections(points, region):
+    """Row-wise nearest feasible point among the projections onto every
+    affine set {A_S x = c_S} with |S| <= dim: the exact projection's active
+    set has an independent subset of at most dim rows, so it is a candidate."""
+    d = region.dim
+    candidates = []
+    for size in range(d + 1):
+        for subset in itertools.combinations(range(region.count), size):
+            rows = region.normals[list(subset)]
+            kkt = np.block([[np.eye(d), rows.T], [rows, np.zeros((size, size))]])
+            offsets = np.broadcast_to(region.offsets[list(subset), None], (size, len(points)))
+            try:
+                solution = np.linalg.solve(kkt, np.vstack([points.T, offsets]))
+            except np.linalg.LinAlgError:
+                continue  # dependent rows: a smaller subset spans the same set
+            candidates.append(solution[:d].T)
+    candidates = np.stack(candidates, axis=1)  # (point, subset, coordinate)
+    excess = (candidates @ region.normals.T - region.offsets).max(axis=2)
+    distance = np.linalg.norm(candidates - points[:, None, :], axis=2)
+    nearest = np.where(excess <= 1e-12, distance, np.inf).argmin(axis=1)
+    return candidates[np.arange(len(points)), nearest]
+
+
+def _oracle_regions():
+    rng = np.random.default_rng(89)
+    for n, K in ((1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (1, 4)):
+        yield pytest.param(build_region(random_linear_game(rng, 1, n, K)),
+                           id=f"random-n{n}-K{K}")
+    # at budget 1.5 the budget and the caps bind together, and some points
+    # need a working-set row dropped on the way
+    tight = random_linear_game(np.random.default_rng(6), 1, 2, 2)
+    for budget, name in ((1.5, "binding-caps"), (0.0, "zero-budget")):
+        yield pytest.param(
+            build_region(dataclasses.replace(tight, budgets=np.array([budget]))), id=name
+        )
+    # isolated individuals; individual 0 starts at x0 = 1, so both its cap
+    # rows are active at the origin, opposite to its stage-1 sign row
+    saturated = GameSpec(
+        network=build_network(np.eye(2)),
+        schedule=CampaignSchedule(times=np.arange(4.0)),
+        x0=OpinionState(np.array([[1.0], [0.3]])),
+        budgets=np.array([1.0]),
+        utilities=(StageUtility(kind="linear-favor", rho=np.ones((3, 2)),
+                                cost_coefficient=0.4),),
+    )
+    yield pytest.param(build_region(saturated), id="saturated-individual")
+
+
+class TestProjectionOracle:
+    @pytest.mark.parametrize("region", list(_oracle_regions()))
+    def test_matches_enumerated_active_sets(self, region):
+        assert region.dim <= 4
+        rng = np.random.default_rng(101)
+        scales = np.repeat([0.3, 1.0, 3.0, 10.0], 50)[:, None]
+        points = scales * (rng.standard_normal((scales.size, region.dim)) + 0.5)
+        expected = enumerated_projections(points, region)
+        for point, nearest in zip(points, expected):
+            np.testing.assert_allclose(project_feasible(point, region), nearest,
+                                       rtol=0, atol=1e-10)
+
+    def test_zero_budget_projects_to_origin(self):
+        spec = random_linear_game(np.random.default_rng(97), 1, 2, 2)
+        region = build_region(dataclasses.replace(spec, budgets=np.array([0.0])))
+        point = np.array([0.7, -0.2, 0.7, 1.5])
+        np.testing.assert_allclose(project_feasible(point, region), 0.0, atol=1e-15)
+
+    def test_feasible_point_returned_byte_for_byte(self):
+        region = build_region(random_linear_game(np.random.default_rng(89), 1, 2, 2))
+        point = np.array([0.01, 0.02, 0.03, 1e-17])
+        assert region.max_violation(point) == 0.0
+        projected = project_feasible(point, region)
+        assert projected is not point
+        assert projected.tobytes() == point.tobytes()
+
+
 class TestSolveSingle:
     def test_hand_derived_scalar_instance(self):
         # u = x - 0.4 b at both stages, cap 1 - x0 = 0.5 binds
@@ -188,3 +271,16 @@ class TestSolveSingle:
             midpoint = objective((a + b) / 2.0)
             chord = (objective(a) + objective(b)) / 2.0
             assert chord <= midpoint + 1e-9
+
+    def test_iteration_budget_exhaustion_raises(self):
+        spec = random_linear_game(np.random.default_rng(0), 1, 10, 3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_single(spec, max_iters=1)
+        assert build_region(spec).contains(excinfo.value.last_iterate)
+
+    def test_twenty_individuals_three_campaigns(self):
+        # the largest single-player size in the suite: 60 variables, 121 halfspaces
+        spec = random_linear_game(np.random.default_rng(0), 1, 20, 3)
+        report = solve_single(spec)
+        assert build_region(spec).contains(report.plan.entries.ravel(), tol=1e-8)
+        assert report.kkt_residual <= 1e-8
