@@ -72,6 +72,8 @@ class Scenario:
 
 
 def _strict_keys(mapping: dict, allowed, required, context: str):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ScenarioError(f"unknown keys {unknown} in {context}")
@@ -80,10 +82,15 @@ def _strict_keys(mapping: dict, allowed, required, context: str):
         raise ScenarioError(f"missing keys {missing} in {context}")
 
 
+def _convert(value, convert, context: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{context}: {exc}") from exc
+
+
 def scenario_from_dict(document: dict) -> Scenario:
     """Parse a scenario document; unknown keys are rejected to surface typos."""
-    if not isinstance(document, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _strict_keys(document, ("network", "schedule", "players", "x0", "solver"),
                  ("network", "schedule", "players", "x0"), "scenario")
     try:
@@ -126,32 +133,40 @@ def scenario_from_dict(document: dict) -> Scenario:
         _strict_keys(step_doc, ("kind", "c"), ("kind", "c"), "solver.step")
         try:
             step = StepSchedule(kind=step_doc["kind"], c=float(step_doc["c"]))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
-    tolerances = dict(solver_doc.get("tolerances", {}))
+    tolerances = solver_doc.get("tolerances", {})
     _strict_keys(tolerances, _TOLERANCE_KEYS, (), "solver.tolerances")
+    tolerances = {
+        key: _convert(value, float, f"solver.tolerances.{key}")
+        for key, value in tolerances.items()
+    }
+    for key, value in tolerances.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ScenarioError(f"solver.tolerances.{key} must be positive and finite")
 
     try:
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
+        spec.gap_propagators  # a gap too long for the propagator fails here
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    seed = int(solver_doc.get("seed", 0))
+    seed = _convert(solver_doc.get("seed", 0), int, "solver.seed")
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError as exc:
             raise ScenarioError(f"{SEED_ENV_VAR} must be an integer") from exc
-    T = int(solver_doc.get("T", 100))
+    T = _convert(solver_doc.get("T", 100), int, "solver.T")
     if T < 1:
         raise ScenarioError("solver.T must be at least 1")
     settings = SolverSettings(
         T=T,
         step=step,
         seed=seed,
-        tolerances={k: float(v) for k, v in tolerances.items()},
+        tolerances=tolerances,
     )
     return Scenario(spec=spec, solver=settings)
 
@@ -308,8 +323,10 @@ def cmd_equilibrate(args) -> int:
         return EXIT_WRONG_MODE
     T = args.T if args.T is not None else scenario.solver.T
     step = scenario.solver.step or default_step_schedule(spec)
-    trace, result = solve_equilibrium(spec, T, step_schedule=step,
-                                      seed=scenario.solver.seed)
+    trace, result = solve_equilibrium(
+        spec, T, step_schedule=step, seed=scenario.solver.seed,
+        best_response_tol=scenario.solver.tolerances.get("best_response", 1e-9),
+    )
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     atomic_write_text(trace_path, trace_to_csv(trace))

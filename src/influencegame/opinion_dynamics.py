@@ -65,6 +65,8 @@ class CampaignSchedule:
         object.__setattr__(self, "times", _readonly(np.atleast_1d(self.times)))
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("schedule needs at least initial and terminal times")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("schedule times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must be strictly increasing")
 

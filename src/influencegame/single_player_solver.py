@@ -223,12 +223,15 @@ def solve_single(
 
     Monotone projected gradient ascent with a backtracking line search
     (``equilibrium_solver._maximize_concave``) from the zero plan, which is
-    always feasible.  It stops once the projected-gradient step norm
-    ``final_step_norm`` is at most ``tol`` (the scenario key
-    ``solver.tolerances.step_norm``) and raises ConvergenceError, carrying
-    the last plan, if ``max_iters`` accepted steps do not get there.  Every
-    projection is exact to ``projection_tol`` (``solver.tolerances.projection``),
-    the feasibility and multiplier tolerance of ``project_feasible``.
+    always feasible.  The trial step is the Barzilai-Borwein step of the
+    last move; a linear utility makes the gradient constant, so its steps
+    grow by 1.5 after each acceptance instead.  It stops once the
+    projected-gradient step norm ``final_step_norm`` is at most ``tol`` (the
+    scenario key ``solver.tolerances.step_norm``) and raises
+    ConvergenceError, carrying the last plan, if ``max_iters`` accepted steps
+    do not get there.  Every projection is exact to ``projection_tol``
+    (``solver.tolerances.projection``), the feasibility and multiplier
+    tolerance of ``project_feasible``.
     """
     from .equilibrium_solver import _maximize_concave
 

@@ -1,10 +1,11 @@
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
 
-from influencegame import ConvergenceError, ScenarioError, cli
+from influencegame import ConvergenceError, ScenarioError, cli, equilibrium_solver
 from influencegame.cli import (
     main,
     reference_scenario,
@@ -193,6 +194,14 @@ class TestEquilibrateCommand:
         pytest.param(("players", 1, "budget"), float("inf"), id="inf-budget"),
         pytest.param(("network", 0, 1), float("nan"), id="nan-network"),
         pytest.param(("solver", "T"), 0, id="zero-T"),
+        pytest.param(("schedule", 1), float("nan"), id="nan-schedule"),
+        pytest.param(("solver", "seed"), float("inf"), id="inf-seed"),
+        pytest.param(("solver", "tolerances", "best_response"), -1e-9,
+                     id="negative-best-response-tol"),
+        pytest.param(("solver", "tolerances", "best_response"), None,
+                     id="null-best-response-tol"),
+        pytest.param(("solver", "step", "c"), float("nan"), id="nan-step"),
+        pytest.param(("players", 1), 3.0, id="player-not-object"),
     ])
     def test_bad_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         document = scenario_to_dict(reference_scenario())
@@ -205,6 +214,26 @@ class TestEquilibrateCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
 
+    def test_best_response_tolerance_reaches_best_response(self, tmp_path, monkeypatch):
+        seen = []
+        original = equilibrium_solver.best_response
+
+        def recording(*args, tol, **kwargs):
+            seen.append(tol)
+            return original(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(equilibrium_solver, "best_response", recording)
+        document = scenario_to_dict(reference_scenario())
+        outputs = []
+        for tolerances in ({}, {"best_response": 1e-9}, {"best_response": 1e-6}):
+            document["solver"]["tolerances"] = tolerances
+            scenario = write_scenario(tmp_path / "s.json", document)
+            prefix = tmp_path / "run"
+            assert main(["equilibrate", scenario, "--T", "5", "--out", str(prefix)]) == 0
+            outputs.append((tmp_path / "run_result.json").read_bytes())
+        assert seen == [1e-9, 1e-9, 1e-9, 1e-9, 1e-6, 1e-6]
+        assert outputs[0] == outputs[1]
+
     def test_complement_utilities_exit_5(self, tmp_path, capsys):
         document = scenario_to_dict(reference_scenario())
         document["players"][1]["utility"]["kind"] = "linear-complement"
@@ -212,6 +241,80 @@ class TestEquilibrateCommand:
         code = main(["equilibrate", scenario, "--T", "3", "--out", str(tmp_path / "x")])
         assert code == 5
         assert "hypothesis" in capsys.readouterr().err
+
+
+def _paths(node, path=()):
+    """Every key path into a JSON document, containers and leaves alike."""
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+_REPLACEMENTS = (float("nan"), float("inf"), float("-inf"), -1.0, -3, 0, 1e300,
+                 "x", None, True, [], {}, [[1.0]])
+
+
+def _mutated(document, rng):
+    """One seeded malformation of a scenario document and its description."""
+    document = copy.deepcopy(document)
+    paths = list(_paths(document))
+    path = paths[rng.integers(len(paths))]
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = rng.integers(5)
+    if kind == 0:
+        parent[key] = _REPLACEMENTS[rng.integers(len(_REPLACEMENTS))]
+        return document, f"{path} = {parent[key]!r}"
+    if kind == 1:
+        value = parent[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[key] = -value
+        return document, f"{path} negated"
+    if kind == 2:
+        if isinstance(parent, dict):
+            del parent[key]
+            return document, f"{path} deleted"
+        parent.pop()
+        return document, f"{path[:-1]} shortened"
+    if kind == 3:
+        target = document if isinstance(parent, list) else parent
+        target["extra"] = 1
+        return document, f"extra key next to {path}"
+    document["solver"]["T"] = int(rng.integers(-3, 1))
+    return document, f"solver.T = {document['solver']['T']}"
+
+
+class TestMalformedScenarios:
+    def test_seeded_mutations_exit_cleanly(self, tmp_path, capsys):
+        multi = scenario_to_dict(reference_scenario())
+        multi["solver"].update(T=5, tolerances={"best_response": 1e-9})
+        single = single_player_document()
+        single["network"] = [[1.0, 0.0], [0.5, 0.5]]
+        single["x0"] = [[0.5], [0.2]]
+        single["players"][0]["utility"]["rho"] = [[1.0, 1.0], [1.0, 1.0]]
+        single["solver"].update(T=5, tolerances={"step_norm": 1e-8, "projection": 1e-12})
+        rng = np.random.default_rng(20211)
+        problems = []
+        for i in range(240):
+            command, base = (("equilibrate", multi), ("solve", single))[i % 2]
+            document, what = _mutated(base, rng)
+            if i % 3 == 0:
+                document, again = _mutated(document, rng)
+                what = f"{what}; {again}"
+            scenario = write_scenario(tmp_path / "s.json", document)
+            try:
+                code = main([command, scenario, "--out", str(tmp_path / "out")])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3, 4, 5, 6) or "Traceback" in err:
+                problems.append(f"{command} with {what}: {code}")
+        assert problems == []
 
 
 class TestVerifyCommand:

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import opinion_dynamics
+from influencegame import equilibrium_solver, game_model, opinion_dynamics
 from influencegame.equilibrium_solver import (
     LearningTrace,
     _hindsight_objective,
@@ -29,6 +32,7 @@ from influencegame.equilibrium_solver import (
     result_to_json,
     trace_to_csv,
 )
+from influencegame.single_player_solver import build_region, project_feasible
 from influencegame.verification import random_feasible_profile, random_linear_game
 
 
@@ -282,6 +286,106 @@ class TestMaximizeConcave:
         with pytest.raises(ConvergenceError) as excinfo:
             _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=3)
         np.testing.assert_array_equal(excinfo.value.last_iterate, np.zeros(2))
+
+    def test_ill_conditioned_quadratic_reaches_enumerated_optimum(self):
+        # c'b - b'Qb/2 with cond(Q) = 1e4 over {b >= 0, sum(b) <= cap}; the
+        # gradients are of order one, like the game payoffs', so the 1e-9
+        # stopping bound sits well above round-off
+        d, cap = 6, 4.0
+        rng = np.random.default_rng(0)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        Q = basis @ np.diag(np.logspace(-4, 0, d)) @ basis.T
+        c = rng.uniform(-1, 1, d)
+        # independent route: the one support and cap state whose KKT system
+        # gives a feasible point with nonnegative multipliers
+        optima = []
+        for size in range(1, d + 1):
+            for support in map(list, itertools.combinations(range(d), size)):
+                for cap_binds in (False, True):
+                    b = np.zeros(d)
+                    if cap_binds:
+                        kkt = np.block([[Q[np.ix_(support, support)], np.ones((size, 1))],
+                                        [np.ones((1, size)), np.zeros((1, 1))]])
+                        solution = np.linalg.solve(kkt, np.append(c[support], cap))
+                        b[support], price = solution[:-1], solution[-1]
+                    else:
+                        b[support] = np.linalg.solve(Q[np.ix_(support, support)], c[support])
+                        price = 0.0
+                    slack = np.delete(Q @ b - c + price, support)
+                    if (b[support].min() > 0 and b.sum() <= cap and price >= 0
+                            and np.all(slack >= 0)):
+                        optima.append(b)
+        assert len(optima) == 1
+        optimum = optima[0]
+        assert 0 < np.count_nonzero(optimum) < d  # zero and free coordinates
+
+        evaluations = []
+
+        def evaluate(x):
+            evaluations.append(x)
+            return float(c @ x - 0.5 * x @ Q @ x), c - Q @ x
+
+        values = []
+        point, value, residual, converged = _maximize_concave(
+            evaluate, lambda v: project_budget_set(v, cap), np.zeros(d), tol=1e-9,
+            values=values,
+        )
+        assert converged and residual <= 1e-9
+        np.testing.assert_allclose(point, optimum, rtol=0, atol=1e-9)
+        assert value == pytest.approx(c @ optimum - 0.5 * optimum @ Q @ optimum, abs=1e-12)
+        assert np.diff(values).min() >= -1e-13 * max(1.0, abs(values[0]))
+        assert len(evaluations) < 200
+
+    def test_linear_objective_grows_the_step_by_half_up_to_the_clamp(self):
+        # a constant gradient gives s'y = 0, so no Barzilai-Borwein step; on
+        # this unbounded objective the growth stops at 1e12 instead of inf
+        slope = np.array([1.0, 2.0])
+        points = []
+
+        def evaluate(x):
+            points.append(x)
+            return float(slope @ x), slope.copy()
+
+        _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=100)
+        steps = [(b - a)[0] / slope[0] for a, b in zip(points, points[1:])]
+        assert steps[:5] == [1.0, 1.5, 2.25, 3.375, 5.0625]
+        assert max(steps) == pytest.approx(1e12) == steps[-1]
+
+    @pytest.mark.parametrize("seed, n, K, budget", [
+        (0, 10, 3, None), (1, 10, 3, None), (2, 10, 3, None), (0, 5, 3, 3.0), (0, 6, 2, 3.0),
+    ])
+    def test_linear_single_player_gradient_is_constant(self, seed, n, K, budget):
+        # bit-equal gradients keep solve_single on the x1.5 path, so its
+        # reports on these games do not change with the trial-step rule
+        spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
+        if budget is not None:
+            spec = dataclasses.replace(spec, budgets=np.array([budget]))
+        evaluate = game_model._objective_for_player(spec, np.zeros((1, K, n)), 0)
+        plan = project_feasible(np.random.default_rng(seed).random(K * n), build_region(spec))
+        np.testing.assert_array_equal(evaluate(np.zeros(K * n))[1], evaluate(plan)[1])
+
+
+class TestAscentPasses:
+    @pytest.mark.parametrize("n, K, T", [(10, 3, 100), (50, 4, 50)])
+    def test_diagnostics_kernel_passes(self, monkeypatch, n, K, T):
+        # exploitability plus three hindsight regrets: 4 757 kernel passes on
+        # the n = 10 game and 13 635 on the n = 50 game with the x1.5 step rule
+        spec = random_linear_game(np.random.default_rng(0), m=3, n=n, K=K)
+        trace = run_no_regret(spec, T)
+        passes = []
+        original = game_model._player_pass
+
+        def counting(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(game_model, "_player_pass", counting)
+        monkeypatch.setattr(equilibrium_solver, "_player_pass", counting)
+        gap = exploitability(spec, trace.averages[-1])
+        regrets = [regret(trace, j) for j in range(spec.m)]
+        assert gap >= -1e-8
+        assert np.all(np.isfinite(regrets))
+        assert len(passes) <= 300
 
 
 class TestExploitability:
