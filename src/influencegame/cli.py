@@ -54,7 +54,7 @@ EXIT_CONVERGENCE = 6
 
 SEED_ENV_VAR = "INFLUENCE_GAME_SEED"
 
-_TOLERANCE_KEYS = ("step_norm", "projection", "best_response")
+_TOLERANCE_KEYS = ("step_norm", "projection")
 
 
 @dataclass(frozen=True)
@@ -323,10 +323,8 @@ def cmd_equilibrate(args) -> int:
         return EXIT_WRONG_MODE
     T = args.T if args.T is not None else scenario.solver.T
     step = scenario.solver.step or default_step_schedule(spec)
-    trace, result = solve_equilibrium(
-        spec, T, step_schedule=step, seed=scenario.solver.seed,
-        best_response_tol=scenario.solver.tolerances.get("best_response", 1e-9),
-    )
+    trace, result = solve_equilibrium(spec, T, step_schedule=step,
+                                      seed=scenario.solver.seed)
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     atomic_write_text(trace_path, trace_to_csv(trace))

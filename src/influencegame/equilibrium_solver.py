@@ -238,12 +238,13 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
     move is an ascent up to round-off); if 80 halvings find no such
     candidate, ConvergenceError carries the current point.  After each
     accepted move s = x_new - x_old, with gradient change y = g_old - g_new,
-    the next trial step is the Barzilai-Borwein step s's / s'y; where s'y
-    is not positive (a linear objective gives s'y = 0) or the ratio is not
-    finite, the accepted step grows by 1.5 instead.  Either is clamped to
-    [1e-12, 1e12], so 80 halvings still reach below 1e-12 and an unbounded
-    objective cannot push the step to inf.  Returns (point, value, residual, converged) where the residual
-    is the projected-gradient-step norm at a unit-capped probe step.  A list
+    the next trial step is the Barzilai-Borwein step s's / s'y; where that
+    is not a positive finite number (a linear objective gives s'y = 0), the
+    accepted step grows by 1.5 instead.  Either is clamped to [1e-12, 1e12],
+    so 80 halvings still reach below 1e-12 and an unbounded objective cannot
+    push the step to inf.  Returns (point, value, residual, converged) where
+    the residual is the projected-gradient-step norm at a unit-capped probe
+    step.  A list
     passed as ``values`` receives the value at the start and after every
     accepted step.
     """
@@ -281,8 +282,8 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
         residual = residual_at(x, g)
         if residual <= tol:
             return x, fx, residual, True
-        spectral = float(delta @ delta) / curvature if curvature > 0.0 else np.inf
-        step = min(max(spectral if np.isfinite(spectral) else 1.5 * step, 1e-12), 1e12)
+        spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
+        step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e12)
     return x, fx, residual_at(x, g), False
 
 
@@ -308,19 +309,18 @@ def best_response(
     return point.reshape(spec.K, spec.n), value
 
 
-def exploitability(spec: GameSpec, profile, tol: float = 1e-9) -> float:
+def exploitability(spec: GameSpec, profile) -> float:
     """Largest unilateral payoff improvement available at the profile.
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
-    distance from equilibrium in payoff terms.  ``tol`` is each best
-    response's stopping bound on the projected-gradient step norm.
+    distance from equilibrium in payoff terms.
     """
     arr = profile if isinstance(profile, np.ndarray) else profile_array(profile)
     plans = plans_from_array(spec, arr)
     gaps = []
     for j in range(spec.m):
         base = total_payoff(spec, plans, j)
-        _, improved = best_response(spec, plans, j, tol=tol)
+        _, improved = best_response(spec, plans, j)
         gaps.append(improved - base)
     return float(max(gaps))
 
@@ -374,18 +374,14 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     return float(value - played)
 
 
-def solve_equilibrium(
-    spec: GameSpec, T: int, step_schedule=None, seed: int = 0,
-    best_response_tol: float = 1e-9,
-):
+def solve_equilibrium(spec: GameSpec, T: int, step_schedule=None, seed: int = 0):
     """Run the learning dynamics and package the averaged profile with its
-    diagnostics; returns (trace, result).  ``best_response_tol`` is passed to
-    ``exploitability`` as the best responses' stopping bound."""
+    diagnostics; returns (trace, result)."""
     trace = run_no_regret(spec, T, step_schedule=step_schedule, seed=seed)
     averaged = trace.averages[-1]
     result = EquilibriumResult(
         profile=averaged,
-        exploitability=exploitability(spec, averaged, tol=best_response_tol),
+        exploitability=exploitability(spec, averaged),
         regrets=np.array([regret(trace, j) for j in range(spec.m)]),
         iterations=T,
     )

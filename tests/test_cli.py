@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from influencegame import ConvergenceError, ScenarioError, cli, equilibrium_solver
+from influencegame import ConvergenceError, ScenarioError, cli
 from influencegame.cli import (
     main,
     reference_scenario,
@@ -196,10 +196,12 @@ class TestEquilibrateCommand:
         pytest.param(("solver", "T"), 0, id="zero-T"),
         pytest.param(("schedule", 1), float("nan"), id="nan-schedule"),
         pytest.param(("solver", "seed"), float("inf"), id="inf-seed"),
-        pytest.param(("solver", "tolerances", "best_response"), -1e-9,
-                     id="negative-best-response-tol"),
-        pytest.param(("solver", "tolerances", "best_response"), None,
-                     id="null-best-response-tol"),
+        pytest.param(("solver", "tolerances", "step_norm"), -1e-9,
+                     id="negative-step-norm-tol"),
+        pytest.param(("solver", "tolerances", "projection"), None,
+                     id="null-projection-tol"),
+        pytest.param(("solver", "tolerances", "best_response"), 1e-9,
+                     id="unknown-best-response-tol"),
         pytest.param(("solver", "step", "c"), float("nan"), id="nan-step"),
         pytest.param(("players", 1), 3.0, id="player-not-object"),
     ])
@@ -213,26 +215,6 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", scenario, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
-
-    def test_best_response_tolerance_reaches_best_response(self, tmp_path, monkeypatch):
-        seen = []
-        original = equilibrium_solver.best_response
-
-        def recording(*args, tol, **kwargs):
-            seen.append(tol)
-            return original(*args, tol=tol, **kwargs)
-
-        monkeypatch.setattr(equilibrium_solver, "best_response", recording)
-        document = scenario_to_dict(reference_scenario())
-        outputs = []
-        for tolerances in ({}, {"best_response": 1e-9}, {"best_response": 1e-6}):
-            document["solver"]["tolerances"] = tolerances
-            scenario = write_scenario(tmp_path / "s.json", document)
-            prefix = tmp_path / "run"
-            assert main(["equilibrate", scenario, "--T", "5", "--out", str(prefix)]) == 0
-            outputs.append((tmp_path / "run_result.json").read_bytes())
-        assert seen == [1e-9, 1e-9, 1e-9, 1e-9, 1e-6, 1e-6]
-        assert outputs[0] == outputs[1]
 
     def test_complement_utilities_exit_5(self, tmp_path, capsys):
         document = scenario_to_dict(reference_scenario())
@@ -292,7 +274,7 @@ def _mutated(document, rng):
 class TestMalformedScenarios:
     def test_seeded_mutations_exit_cleanly(self, tmp_path, capsys):
         multi = scenario_to_dict(reference_scenario())
-        multi["solver"].update(T=5, tolerances={"best_response": 1e-9})
+        multi["solver"].update(T=5, tolerances={"step_norm": 1e-8})
         single = single_player_document()
         single["network"] = [[1.0, 0.0], [0.5, 0.5]]
         single["x0"] = [[0.5], [0.2]]
