@@ -10,7 +10,8 @@ Exit codes: 0 ok, 1 verify failure, 2 parse error, 3 infeasible plans,
 4 wrong mode (single- vs multi-player), 5 hypothesis-check failure,
 6 a solver ran out of its iteration budget.
 All files are written atomically; a failed run never leaves partial output.
-The environment variable INFLUENCE_GAME_SEED overrides the scenario seed.
+The no-regret run draws no random numbers, so equal scenarios give
+byte-identical outputs; only ``verify --seed`` seeds a random draw.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -52,8 +52,6 @@ EXIT_WRONG_MODE = 4
 EXIT_HYPOTHESIS = 5
 EXIT_CONVERGENCE = 6
 
-SEED_ENV_VAR = "INFLUENCE_GAME_SEED"
-
 _TOLERANCE_KEYS = ("step_norm", "projection")
 
 
@@ -61,7 +59,6 @@ _TOLERANCE_KEYS = ("step_norm", "projection")
 class SolverSettings:
     T: int = 100
     step: StepSchedule | None = None
-    seed: int = 0
     tolerances: dict = field(default_factory=dict)
 
 
@@ -126,7 +123,7 @@ def scenario_from_dict(document: dict) -> Scenario:
             raise ScenarioError(f"players[{idx}]: {exc}") from exc
 
     solver_doc = document.get("solver", {})
-    _strict_keys(solver_doc, ("T", "step", "seed", "tolerances"), (), "solver")
+    _strict_keys(solver_doc, ("T", "step", "tolerances"), (), "solver")
     step = None
     if "step" in solver_doc:
         step_doc = solver_doc["step"]
@@ -152,23 +149,10 @@ def scenario_from_dict(document: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    seed = _convert(solver_doc.get("seed", 0), int, "solver.seed")
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ScenarioError(f"{SEED_ENV_VAR} must be an integer") from exc
     T = _convert(solver_doc.get("T", 100), int, "solver.T")
     if T < 1:
         raise ScenarioError("solver.T must be at least 1")
-    settings = SolverSettings(
-        T=T,
-        step=step,
-        seed=seed,
-        tolerances=tolerances,
-    )
-    return Scenario(spec=spec, solver=settings)
+    return Scenario(spec=spec, solver=SolverSettings(T=T, step=step, tolerances=tolerances))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -194,7 +178,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "solver": {
             "T": scenario.solver.T,
             "step": {"kind": step.kind, "c": step.c},
-            "seed": scenario.solver.seed,
             "tolerances": dict(scenario.solver.tolerances),
         },
     }
@@ -231,10 +214,8 @@ def reference_scenario() -> Scenario:
             StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
         ),
     )
-    seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     return Scenario(
-        spec=spec,
-        solver=SolverSettings(T=100, step=StepSchedule(kind="c_over_tau", c=10.0), seed=seed),
+        spec=spec, solver=SolverSettings(T=100, step=StepSchedule(kind="c_over_tau", c=10.0))
     )
 
 
@@ -323,8 +304,7 @@ def cmd_equilibrate(args) -> int:
         return EXIT_WRONG_MODE
     T = args.T if args.T is not None else scenario.solver.T
     step = scenario.solver.step or default_step_schedule(spec)
-    trace, result = solve_equilibrium(spec, T, step_schedule=step,
-                                      seed=scenario.solver.seed)
+    trace, result = solve_equilibrium(spec, T, step_schedule=step)
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     atomic_write_text(trace_path, trace_to_csv(trace))

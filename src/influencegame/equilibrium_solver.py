@@ -3,9 +3,9 @@
 Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
-equilibrium.  The trace records iterates, running averages, per-iteration
-payoffs and stepsizes, and the diagnostics below quantify how close the
-averaged profile is to equilibrium:
+equilibrium.  The trace records the iterates and the per-iteration payoffs
+(the running averages are derived from the iterates), and the diagnostics
+below quantify how close the averaged profile is to equilibrium:
 
 * regret -- gap between the best fixed strategy in hindsight and the payoff
   actually accumulated,
@@ -27,6 +27,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,27 +96,32 @@ def default_step_schedule(spec: GameSpec) -> StepSchedule:
 
 @dataclass(frozen=True)
 class LearningTrace:
-    """Everything one no-regret run produced.
+    """Everything one no-regret run computed.
 
     ``iterates[tau-1]`` is the joint profile played at iteration tau (shape
-    (m, K, n)), ``averages[tau-1]`` the running average over the first tau
-    iterates, ``payoffs[tau-1, j]`` player j's payoff at that iterate.
+    (m, K, n)) and ``payoffs[tau-1, j]`` player j's payoff at that iterate.
     """
 
     spec: GameSpec
     iterates: np.ndarray
-    averages: np.ndarray
     payoffs: np.ndarray
-    stepsizes: np.ndarray
-    seed: int
 
     def __post_init__(self):
-        for name in ("iterates", "averages", "payoffs", "stepsizes"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "iterates", _readonly(self.iterates))
+        object.__setattr__(self, "payoffs", _readonly(self.payoffs))
 
     @property
     def iterations(self) -> int:
         return self.iterates.shape[0]
+
+    @cached_property
+    def averages(self) -> np.ndarray:
+        """Read-only running averages: ``averages[tau-1]`` is the mean of the
+        first tau iterates, computed on first access."""
+        taus = np.arange(1, self.iterations + 1).reshape(-1, 1, 1, 1)
+        averages = np.cumsum(self.iterates, axis=0) / taus
+        averages.flags.writeable = False
+        return averages
 
 
 @dataclass(frozen=True)
@@ -178,12 +184,13 @@ def _projections(spec: GameSpec):
     ]
 
 
-def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> LearningTrace:
+def run_no_regret(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None) -> LearningTrace:
     """Simultaneous projected gradient ascent for all players, T iterations.
 
     Players start from the interior half-budget spread (each entry
-    beta_j / (2 K n)) and update together from the same joint iterate.  The
-    run is deterministic given the spec, schedule and seed.
+    beta_j / (2 K n)) and update together from the same joint iterate with
+    stepsize ``step_schedule.eta(tau)`` (``default_step_schedule`` when None).
+    The run draws no random numbers: the spec and schedule determine it.
     """
     if T < 1:
         raise ValueError("iteration count must be at least 1")
@@ -200,19 +207,11 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> 
         current[0] = projections[0](current[0].ravel()).reshape(K, n)
 
     iterates = np.empty((T, m, K, n))
-    averages = np.empty((T, m, K, n))
     payoffs = np.empty((T, m))
-    stepsizes = np.empty(T)
-    running_sum = np.zeros((m, K, n))
 
     for tau in range(1, T + 1):
         iterates[tau - 1] = current
-        running_sum += current
-        averages[tau - 1] = running_sum / tau
-        eta = step_schedule.eta(tau) if hasattr(step_schedule, "eta") else step_schedule(tau)
-        if eta <= 0:
-            raise ValueError("step schedule produced a nonpositive stepsize")
-        stepsizes[tau - 1] = eta
+        eta = step_schedule.eta(tau)
         updated = np.empty_like(current)
         for j in range(m):
             _, _, payoffs[tau - 1, j], gradient = _player_pass(spec, j, current)
@@ -220,14 +219,7 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule=None, seed: int = 0) -> 
             updated[j] = projections[j](stepped).reshape(K, n)
         current = updated
 
-    return LearningTrace(
-        spec=spec,
-        iterates=iterates,
-        averages=averages,
-        payoffs=payoffs,
-        stepsizes=stepsizes,
-        seed=seed,
-    )
+    return LearningTrace(spec=spec, iterates=iterates, payoffs=payoffs)
 
 
 def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, values=None):
@@ -240,13 +232,13 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
     accepted move s = x_new - x_old, with gradient change y = g_old - g_new,
     the next trial step is the Barzilai-Borwein step s's / s'y; where that
     is not a positive finite number (a linear objective gives s'y = 0), the
-    accepted step grows by 1.5 instead.  Either is clamped to [1e-12, 1e12],
-    so 80 halvings still reach below 1e-12 and an unbounded objective cannot
-    push the step to inf.  Returns (point, value, residual, converged) where
-    the residual is the projected-gradient-step norm at a unit-capped probe
-    step.  A list
-    passed as ``values`` receives the value at the start and after every
-    accepted step.
+    accepted step grows by 1.5 instead.  Either is clamped to [1e-12, 1e6],
+    so 80 halvings still reach below 1e-12, and an unbounded objective cannot
+    push the candidate so far out that the projection's round-off (about eps
+    times the candidate's norm) leaves it infeasible.  Returns (point, value,
+    residual, converged) where the residual is the projected-gradient-step
+    norm at a unit-capped probe step.  A list passed as ``values`` receives
+    the value at the start and after every accepted step.
     """
     x = project(np.asarray(start, dtype=float).ravel())
     fx, g = evaluate(x)
@@ -283,7 +275,7 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
         if residual <= tol:
             return x, fx, residual, True
         spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
-        step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e12)
+        step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
     return x, fx, residual_at(x, g), False
 
 
@@ -374,10 +366,10 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     return float(value - played)
 
 
-def solve_equilibrium(spec: GameSpec, T: int, step_schedule=None, seed: int = 0):
+def solve_equilibrium(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None):
     """Run the learning dynamics and package the averaged profile with its
     diagnostics; returns (trace, result)."""
-    trace = run_no_regret(spec, T, step_schedule=step_schedule, seed=seed)
+    trace = run_no_regret(spec, T, step_schedule=step_schedule)
     averaged = trace.averages[-1]
     result = EquilibriumResult(
         profile=averaged,

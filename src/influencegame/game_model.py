@@ -151,7 +151,12 @@ class BudgetPlan:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Immutable description of one game instance."""
+    """Immutable description of one game instance.
+
+    With m >= 2 players every row of ``x0`` must sum to 1 (within 1e-9): the
+    players' opinions of each individual form a distribution, which the
+    constant-sum identity and ``jump_multi`` keep along the trajectory.
+    """
 
     network: Network
     schedule: CampaignSchedule
@@ -167,6 +172,8 @@ class GameSpec:
         m = self.x0.m
         if len(self.budgets) != m or len(self.utilities) != m:
             raise ValueError("budgets, utilities and opinion columns must all count m")
+        if m >= 2 and np.max(np.abs(self.x0.values.sum(axis=1) - 1.0)) > 1e-9:
+            raise ValueError("initial opinions of each individual must sum to 1 across players")
         if not np.all(np.isfinite(self.budgets)):
             raise ValueError("budgets must be finite")
         if np.any(self.budgets < 0):
@@ -199,10 +206,6 @@ class GameSpec:
         """Read-only adjacent-gap propagators, built on first use and kept for
         the game's life (not a field: equality and ``replace`` ignore it)."""
         return tuple(interval_propagators(self.network, self.schedule))
-
-    @property
-    def has_simplex_rows(self) -> bool:
-        return bool(np.max(np.abs(self.x0.values.sum(axis=1) - 1.0)) <= 1e-9)
 
 
 def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):

@@ -225,7 +225,7 @@ def solve_single(
     (``equilibrium_solver._maximize_concave``) from the zero plan, which is
     always feasible.  The trial step is the Barzilai-Borwein step of the
     last move; a linear utility makes the gradient constant, so its steps
-    grow by 1.5 after each acceptance instead.  It stops once the
+    grow by 1.5 after each acceptance instead, up to 1e6.  It stops once the
     projected-gradient step norm ``final_step_norm`` is at most ``tol`` (the
     scenario key ``solver.tolerances.step_norm``) and raises
     ConvergenceError, carrying the last plan, if ``max_iters`` accepted steps

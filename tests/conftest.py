@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,19 @@ from influencegame import (
     StageUtility,
     build_network,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on
+    PYTHONPATH, so child interpreters import the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
 
 # Path network used by the reference two-player configuration.
 PATH_LAPLACIAN = np.array([

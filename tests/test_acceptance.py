@@ -33,6 +33,7 @@ from influencegame.verification import (
     random_linear_game,
     random_network,
 )
+from conftest import subprocess_env
 
 HORIZONS = (25, 50, 100, 200, 400)
 
@@ -62,7 +63,7 @@ def test_criterion_1_reference_reproduction(tmp_path):
     completed = subprocess.run(
         [sys.executable, "-m", "influencegame.cli", "equilibrate",
          "--paper-example", "--T", "100", "--out", prefix],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     elapsed = time.perf_counter() - start
     ok = completed.returncode == 0 and elapsed < 10.0
@@ -272,7 +273,7 @@ def test_criterion_9_determinism(tmp_path):
         completed = subprocess.run(
             [sys.executable, "-m", "influencegame.cli", "equilibrate",
              "--paper-example", "--T", "25", "--out", prefix],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert completed.returncode == 0, completed.stderr
         outputs.append((
@@ -280,5 +281,5 @@ def test_criterion_9_determinism(tmp_path):
             (tmp_path / f"{name}_result.json").read_bytes(),
         ))
     identical = outputs[0] == outputs[1]
-    report(9, identical, "two identically seeded runs produced byte-identical "
+    report(9, identical, "two identical runs produced byte-identical "
                          "trace and result files")

@@ -1,6 +1,5 @@
 import copy
 import json
-import os
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ def single_player_document(cost=0.4, budget=1.0):
              "utility": {"kind": "linear-favor", "rho": [[1.0], [1.0]], "lambda": cost}}
         ],
         "x0": [[0.5]],
-        "solver": {"T": 50, "seed": 0},
+        "solver": {"T": 50},
     }
 
 
@@ -48,7 +47,6 @@ class TestScenarioRoundTrip:
             assert left.cost_coefficient == right.cost_coefficient
             assert np.array_equal(left.rho, right.rho)
         assert parsed.solver.T == scenario.solver.T
-        assert parsed.solver.seed == scenario.solver.seed
         assert parsed.solver.step == scenario.solver.step
 
     def test_unknown_keys_rejected(self):
@@ -68,11 +66,6 @@ class TestScenarioRoundTrip:
         document["x0"] = [[0.5], [0.5]]
         with pytest.raises(ScenarioError):
             scenario_from_dict(document)
-
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("INFLUENCE_GAME_SEED", "17")
-        assert scenario_from_dict(single_player_document()).solver.seed == 17
-        assert reference_scenario().solver.seed == 17
 
 
 class TestSimulateCommand:
@@ -195,7 +188,8 @@ class TestEquilibrateCommand:
         pytest.param(("network", 0, 1), float("nan"), id="nan-network"),
         pytest.param(("solver", "T"), 0, id="zero-T"),
         pytest.param(("schedule", 1), float("nan"), id="nan-schedule"),
-        pytest.param(("solver", "seed"), float("inf"), id="inf-seed"),
+        pytest.param(("solver", "seed"), 0, id="unknown-seed"),
+        pytest.param(("x0", 0, 0), 0.6, id="x0-row-off-simplex"),
         pytest.param(("solver", "tolerances", "step_norm"), -1e-9,
                      id="negative-step-norm-tol"),
         pytest.param(("solver", "tolerances", "projection"), None,

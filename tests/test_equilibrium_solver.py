@@ -132,8 +132,8 @@ class TestRunNoRegret:
         np.testing.assert_array_equal(trace.iterates[1:], 0.0)
 
     def test_deterministic(self, two_player_spec):
-        first = run_no_regret(two_player_spec, 30, seed=5)
-        second = run_no_regret(two_player_spec, 30, seed=5)
+        first = run_no_regret(two_player_spec, 30)
+        second = run_no_regret(two_player_spec, 30)
         assert np.array_equal(first.iterates, second.iterates)
         assert trace_to_csv(first) == trace_to_csv(second)
 
@@ -162,8 +162,18 @@ class TestRunNoRegret:
     def test_bad_step_schedule_rejected(self, two_player_spec):
         with pytest.raises(ValueError):
             StepSchedule("c_over_tau", 0.0)
+
+    def test_averages_are_the_running_mean_of_the_iterates(self, two_player_spec):
+        trace = run_no_regret(two_player_spec, 50)
+        running_sum = np.zeros(trace.iterates.shape[1:])
+        for tau, iterate in enumerate(trace.iterates, start=1):
+            running_sum += iterate
+            assert np.array_equal(trace.averages[tau - 1], running_sum / tau)
+        assert trace.averages is trace.averages
         with pytest.raises(ValueError):
-            run_no_regret(two_player_spec, 3, step_schedule=lambda tau: -1.0)
+            trace.averages[0, 0, 0, 0] = 1.0
+        assert [f.name for f in dataclasses.fields(LearningTrace)] == [
+            "spec", "iterates", "payoffs"]
 
 
 class TestRegret:
@@ -226,9 +236,8 @@ class TestHindsightObjective:
                             for u in game.utilities),
         )
         iterates = np.stack([random_feasible_profile(rng, spec) for _ in range(horizon)])
-        trace = LearningTrace(spec=spec, iterates=iterates, averages=iterates,
-                              payoffs=np.zeros((horizon, spec.m)), stepsizes=np.ones(horizon),
-                              seed=0)
+        trace = LearningTrace(spec=spec, iterates=iterates,
+                              payoffs=np.zeros((horizon, spec.m)))
         own = random_feasible_profile(rng, spec)
         for j in range(spec.m):
             value, gradient = _hindsight_objective(spec, trace, j, horizon)(own[j].ravel())
@@ -341,7 +350,7 @@ class TestMaximizeConcave:
 
     def test_linear_objective_grows_the_step_by_half_up_to_the_clamp(self):
         # a constant gradient gives s'y = 0, so no Barzilai-Borwein step; on
-        # this unbounded objective the growth stops at 1e12 instead of inf
+        # this unbounded objective the growth stops at 1e6 instead of inf
         slope = np.array([1.0, 2.0])
         points = []
 
@@ -352,7 +361,7 @@ class TestMaximizeConcave:
         _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=100)
         steps = [(b - a)[0] / slope[0] for a, b in zip(points, points[1:])]
         assert steps[:5] == [1.0, 1.5, 2.25, 3.375, 5.0625]
-        assert max(steps) == pytest.approx(1e12) == steps[-1]
+        assert max(steps) == pytest.approx(1e6) == steps[-1]
 
     @pytest.mark.parametrize("seed, n, K, budget", [
         (0, 10, 3, None), (1, 10, 3, None), (2, 10, 3, None), (0, 5, 3, 3.0), (0, 6, 2, 3.0),

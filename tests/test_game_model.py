@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,20 @@ class TestStageUtility:
                 budgets=np.array([1.0, 1.0]),
                 utilities=(custom, favor),
             )
+
+
+class TestGameSpec:
+    @pytest.mark.parametrize("first_row, accepted", [
+        ([0.5 + 5e-10, 0.5], True),
+        ([0.5 + 2e-9, 0.5], False),
+        ([0.2, 0.2], False),
+    ])
+    def test_multiplayer_x0_rows_must_sum_to_one(self, two_player_spec, first_row, accepted):
+        values = np.full((3, 2), 0.5)
+        values[0] = first_row
+        make = lambda: dataclasses.replace(two_player_spec, x0=OpinionState(values))
+        if accepted:
+            assert make().x0.values[0, 0] == first_row[0]
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                make()

@@ -278,6 +278,14 @@ class TestSolveSingle:
             solve_single(spec, max_iters=1)
         assert build_region(spec).contains(excinfo.value.last_iterate)
 
+    def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self):
+        # a linear objective grows the step by 1.5 per acceptance; past about
+        # 1e10 the projection's round-off would leave the plan infeasible
+        spec = random_linear_game(np.random.default_rng(1), 1, 10, 3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_single(spec, tol=1e-300, max_iters=100)
+        assert build_region(spec).contains(excinfo.value.last_iterate)
+
     def test_twenty_individuals_three_campaigns(self):
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
         spec = random_linear_game(np.random.default_rng(0), 1, 20, 3)
