@@ -23,7 +23,6 @@ from .opinion_dynamics import (
     jump_multi,
     jump_single,
     matrix_exponential,
-    pair_propagator,
     propagator,
     simulate_trajectory,
 )

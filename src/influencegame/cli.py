@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +52,11 @@ EXIT_WRONG_MODE = 4
 EXIT_HYPOTHESIS = 5
 EXIT_CONVERGENCE = 6
 
-_TOLERANCE_KEYS = ("step_norm", "projection")
-
 
 @dataclass(frozen=True)
 class SolverSettings:
     T: int = 100
     step: StepSchedule | None = None
-    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def scenario_from_dict(document: dict) -> Scenario:
             raise ScenarioError(f"players[{idx}]: {exc}") from exc
 
     solver_doc = document.get("solver", {})
-    _strict_keys(solver_doc, ("T", "step", "tolerances"), (), "solver")
+    _strict_keys(solver_doc, ("T", "step"), (), "solver")
     step = None
     if "step" in solver_doc:
         step_doc = solver_doc["step"]
@@ -132,16 +129,6 @@ def scenario_from_dict(document: dict) -> Scenario:
             step = StepSchedule(kind=step_doc["kind"], c=float(step_doc["c"]))
         except (ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
-    tolerances = solver_doc.get("tolerances", {})
-    _strict_keys(tolerances, _TOLERANCE_KEYS, (), "solver.tolerances")
-    tolerances = {
-        key: _convert(value, float, f"solver.tolerances.{key}")
-        for key, value in tolerances.items()
-    }
-    for key, value in tolerances.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ScenarioError(f"solver.tolerances.{key} must be positive and finite")
-
     try:
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
@@ -152,7 +139,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     T = _convert(solver_doc.get("T", 100), int, "solver.T")
     if T < 1:
         raise ScenarioError("solver.T must be at least 1")
-    return Scenario(spec=spec, solver=SolverSettings(T=T, step=step, tolerances=tolerances))
+    return Scenario(spec=spec, solver=SolverSettings(T=T, step=step))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -178,7 +165,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "solver": {
             "T": scenario.solver.T,
             "step": {"kind": step.kind, "c": step.c},
-            "tolerances": dict(scenario.solver.tolerances),
         },
     }
 
@@ -235,12 +221,15 @@ def load_plans(path, spec: GameSpec) -> list[BudgetPlan]:
         raise ScenarioError(f"plans file must list one K x n matrix per player ({spec.m})")
     plans = []
     for j, matrix in enumerate(entries):
-        arr = np.asarray(matrix, dtype=float)
+        arr = _convert(matrix, lambda v: np.asarray(v, dtype=float), f"plan {j}")
         if arr.shape != (spec.K, spec.n):
             raise ScenarioError(
                 f"plan {j} must be shaped ({spec.K}, {spec.n}), got {arr.shape}"
             )
-        plans.append(BudgetPlan(player=j, entries=arr, budget_cap=float(spec.budgets[j])))
+        try:
+            plans.append(BudgetPlan(player=j, entries=arr, budget_cap=float(spec.budgets[j])))
+        except ValueError as exc:
+            raise ScenarioError(f"plan {j}: {exc}") from exc
     return plans
 
 
@@ -257,6 +246,8 @@ def _trajectory_csv(points) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.samples < 0:
+        raise ScenarioError("--samples must be nonnegative")
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     plans = load_plans(args.plans, spec)
@@ -274,12 +265,7 @@ def cmd_solve(args) -> int:
         print("solve handles single-player scenarios; use `equilibrate` for "
               f"this {spec.m}-player game", file=sys.stderr)
         return EXIT_WRONG_MODE
-    tolerances = scenario.solver.tolerances
-    report = solve_single(
-        spec,
-        tol=tolerances.get("step_norm", 1e-8),
-        projection_tol=tolerances.get("projection", 1e-12),
-    )
+    report = solve_single(spec)
     document = {
         "plan": report.plan.entries.tolist(),
         "objective": report.objective,
@@ -303,6 +289,8 @@ def cmd_equilibrate(args) -> int:
               "single-player games", file=sys.stderr)
         return EXIT_WRONG_MODE
     T = args.T if args.T is not None else scenario.solver.T
+    if T < 1:
+        raise ScenarioError("--T must be at least 1")
     step = scenario.solver.step or default_step_schedule(spec)
     trace, result = solve_equilibrium(spec, T, step_schedule=step)
     trace_path = f"{args.out}_trace.csv"
@@ -319,6 +307,8 @@ def cmd_equilibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ScenarioError("--seed must be nonnegative")
     report = run_suite(args.suite, seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -12,13 +12,14 @@ below quantify how close the averaged profile is to equilibrium:
 * exploitability -- the largest unilateral improvement any player can still
   find against the averaged profile.
 
-Best-response and hindsight subproblems are themselves concave maximizations
-over the budget set (or the single-player polytope), solved by one monotone
-projected gradient ascent (``_maximize_concave``): a backtracking line search
-whose trial step after each accepted move is the Barzilai-Borwein step, the
-spectral projected gradient method of Birgin, Martinez and Raydan (SIAM J.
-Optim., 2000), which reaches the tight tolerances the diagnostics need in a
-few dozen kernel passes.
+The diagnostics need two or more players; a single player's optimum is
+``single_player_solver.solve_single``.  Best-response and hindsight
+subproblems are themselves concave maximizations over the budget set,
+solved by one monotone projected gradient ascent (``_maximize_concave``): a
+backtracking line search whose trial step after each accepted move is the
+Barzilai-Borwein step, the spectral projected gradient method of Birgin,
+Martinez and Raydan (SIAM J. Optim., 2000), which reaches the tight
+tolerances the diagnostics need in a few dozen kernel passes.
 """
 
 from __future__ import annotations
@@ -155,16 +156,18 @@ def _require_convergence_hypotheses(spec: GameSpec):
         )
 
 
+def _require_multiplayer(spec: GameSpec):
+    """Best responses, exploitability and regret are multiplayer diagnostics."""
+    if spec.m < 2:
+        raise ValueError(
+            "the equilibrium diagnostics need two or more players; "
+            "a single player's optimum is solve_single"
+        )
+
+
 def _require_own_concave(spec: GameSpec, j: int):
     """Best-response subproblems must be concave maximizations."""
     utility = spec.utilities[j]
-    if spec.m == 1:
-        if utility.is_linear:
-            return  # opinions are linear in own investments: linear objective
-        from .single_player_solver import _check_concave_stages
-
-        _check_concave_stages(spec)
-        return
     if utility.kind == "linear-favor":
         return
     if utility.kind == "custom" and utility.declared_own_concave:
@@ -174,14 +177,14 @@ def _require_own_concave(spec: GameSpec, j: int):
     )
 
 
-def _projections(spec: GameSpec):
+def _projection(spec: GameSpec, j: int):
+    """Euclidean projection onto player j's strategy set: the single-player
+    polytope when j plays alone, its budget set otherwise."""
     if spec.m == 1:
         region = build_region(spec)
-        return [lambda v: project_feasible(v, region)]
-    return [
-        (lambda v, cap=float(spec.budgets[j]): project_budget_set(v, cap))
-        for j in range(spec.m)
-    ]
+        return lambda v: project_feasible(v, region)
+    cap = float(spec.budgets[j])
+    return lambda v: project_budget_set(v, cap)
 
 
 def run_no_regret(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None) -> LearningTrace:
@@ -198,7 +201,7 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule: StepSchedule | None = N
     if step_schedule is None:
         step_schedule = default_step_schedule(spec)
     m, K, n = spec.m, spec.K, spec.n
-    projections = _projections(spec)
+    projections = [_projection(spec, j) for j in range(m)]
 
     current = np.stack(
         [np.full((K, n), float(spec.budgets[j]) / (2 * K * n)) for j in range(m)]
@@ -235,10 +238,14 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
     accepted step grows by 1.5 instead.  Either is clamped to [1e-12, 1e6],
     so 80 halvings still reach below 1e-12, and an unbounded objective cannot
     push the candidate so far out that the projection's round-off (about eps
-    times the candidate's norm) leaves it infeasible.  Returns (point, value,
-    residual, converged) where the residual is the projected-gradient-step
-    norm at a unit-capped probe step.  A list passed as ``values`` receives
-    the value at the start and after every accepted step.
+    times the candidate's norm) leaves it infeasible.
+
+    The residual is the projected-gradient step norm ||P(x + s g) - x|| / s
+    at the probe step s = min(step, 1).  Returns (point, value, residual) at
+    the first accepted point whose residual is at most ``tol``; if
+    ``max_iters`` accepted steps do not get there, ConvergenceError carries
+    the last accepted point and its residual.  A list passed as ``values``
+    receives the value at the start and after every accepted step.
     """
     x = project(np.asarray(start, dtype=float).ravel())
     fx, g = evaluate(x)
@@ -273,31 +280,30 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
             values.append(fx)
         residual = residual_at(x, g)
         if residual <= tol:
-            return x, fx, residual, True
+            return x, fx, residual
         spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
         step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
-    return x, fx, residual_at(x, g), False
+    raise ConvergenceError(
+        f"projected gradient ascent did not reach step norm {tol:g} "
+        f"within {max_iters} accepted steps",
+        last_iterate=x,
+        residual=residual_at(x, g),
+    )
 
 
-def best_response(
-    spec: GameSpec, plans, j: int, max_iters: int = 50_000, tol: float = 1e-9
-):
+def best_response(spec: GameSpec, plans, j: int):
     """Best response of player j to the others' plans; returns (entries, payoff).
 
     Warm-started at player j's current plan, so the returned payoff is never
-    below the played one.
+    below the played one.  The ascent stops at step norm 1e-9 and raises
+    ConvergenceError if ``_maximize_concave``'s step budget runs out first;
+    a one-player game raises ValueError.
     """
+    _require_multiplayer(spec)
     _require_own_concave(spec, j)
     entries = profile_array(plans)
     evaluate = _objective_for_player(spec, entries, j)
-    project = _projections(spec)[j if spec.m > 1 else 0]
-    point, value, residual, converged = _maximize_concave(
-        evaluate, project, entries[j].ravel(), max_iters=max_iters, tol=tol
-    )
-    if not converged:
-        raise ConvergenceError(
-            "best-response ascent did not converge", residual=residual
-        )
+    point, value, _ = _maximize_concave(evaluate, _projection(spec, j), entries[j].ravel())
     return point.reshape(spec.K, spec.n), value
 
 
@@ -305,8 +311,10 @@ def exploitability(spec: GameSpec, profile) -> float:
     """Largest unilateral payoff improvement available at the profile.
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
-    distance from equilibrium in payoff terms.
+    distance from equilibrium in payoff terms.  A one-player game raises
+    ValueError.
     """
+    _require_multiplayer(spec)
     arr = profile if isinstance(profile, np.ndarray) else profile_array(profile)
     plans = plans_from_array(spec, arr)
     gaps = []
@@ -322,18 +330,8 @@ def _hindsight_objective(spec: GameSpec, trace: LearningTrace, j: int, horizon: 
     opponents' played strategies, as a function of one fixed own plan.
 
     Returns ``evaluate(flat) -> (value, gradient)``.  The played profiles, with
-    the own plan substituted, form the batch axis of one kernel pass.  A single
-    player has no opponents, so every term equals the first.
+    the own plan substituted, form the batch axis of one kernel pass.
     """
-    if spec.m == 1:
-        evaluate_one = _objective_for_player(spec, trace.iterates[0], j)
-
-        def evaluate(flat):
-            value, gradient = evaluate_one(flat)
-            return horizon * value, horizon * gradient
-
-        return evaluate
-
     profiles = np.array(trace.iterates[:horizon])
 
     def evaluate(flat):
@@ -346,29 +344,31 @@ def _hindsight_objective(spec: GameSpec, trace: LearningTrace, j: int, horizon: 
 
 def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     """Realized regret of player j: best fixed strategy in hindsight versus the
-    payoffs actually collected over the first ``horizon`` iterations."""
+    payoffs actually collected over the first ``horizon`` iterations.
+
+    The hindsight ascent starts at the average played plan and stops at step
+    norm 1e-9 times the horizon, since its objective sums that many payoffs;
+    it raises ConvergenceError if ``_maximize_concave``'s step budget runs
+    out first.  A one-player game raises ValueError.
+    """
     spec = trace.spec
+    _require_multiplayer(spec)
     T = trace.iterations if horizon is None else int(horizon)
     if not 1 <= T <= trace.iterations:
         raise ValueError("horizon must lie within the recorded iterations")
     _require_own_concave(spec, j)
     evaluate = _hindsight_objective(spec, trace, j, T)
-    project = _projections(spec)[j if spec.m > 1 else 0]
     start = trace.averages[T - 1, j].ravel()
-    _, value, residual, converged = _maximize_concave(
-        evaluate, project, start, max_iters=30_000, tol=1e-9 * T
-    )
-    if not converged:
-        raise ConvergenceError(
-            "hindsight optimization did not converge", residual=residual
-        )
+    _, value, _ = _maximize_concave(evaluate, _projection(spec, j), start, tol=1e-9 * T)
     played = float(trace.payoffs[:T, j].sum())
     return float(value - played)
 
 
 def solve_equilibrium(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None):
     """Run the learning dynamics and package the averaged profile with its
-    diagnostics; returns (trace, result)."""
+    diagnostics; returns (trace, result).  A one-player game raises
+    ValueError before the run starts."""
+    _require_multiplayer(spec)
     trace = run_no_regret(spec, T, step_schedule=step_schedule)
     averaged = trace.averages[-1]
     result = EquilibriumResult(

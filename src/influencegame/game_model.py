@@ -128,7 +128,9 @@ class BudgetPlan:
 
     def __post_init__(self):
         entries = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if np.min(entries) < -FEASIBILITY_TOL:
+        if not np.isfinite(entries).all():
+            raise ValueError(f"plan for player {self.player} has non-finite investments")
+        if entries.min() < -FEASIBILITY_TOL:
             raise InfeasiblePlanError(
                 f"plan for player {self.player} has a negative investment"
             )
@@ -140,10 +142,6 @@ class BudgetPlan:
             )
         object.__setattr__(self, "entries", _readonly(entries))
 
-    @classmethod
-    def zero(cls, player: int, K: int, n: int, budget_cap: float) -> "BudgetPlan":
-        return cls(player=player, entries=np.zeros((K, n)), budget_cap=budget_cap)
-
     @property
     def total_spend(self) -> float:
         return float(self.entries.sum())
@@ -153,9 +151,10 @@ class BudgetPlan:
 class GameSpec:
     """Immutable description of one game instance.
 
-    With m >= 2 players every row of ``x0`` must sum to 1 (within 1e-9): the
-    players' opinions of each individual form a distribution, which the
-    constant-sum identity and ``jump_multi`` keep along the trajectory.
+    The schedule must hold at least one campaign time (K >= 1).  With m >= 2
+    players every row of ``x0`` must sum to 1 (within 1e-9): the players'
+    opinions of each individual form a distribution, which the constant-sum
+    identity and ``jump_multi`` keep along the trajectory.
     """
 
     network: Network
@@ -167,6 +166,8 @@ class GameSpec:
     def __post_init__(self):
         object.__setattr__(self, "budgets", _readonly(np.atleast_1d(self.budgets)))
         object.__setattr__(self, "utilities", tuple(self.utilities))
+        if self.schedule.K < 1:
+            raise ValueError("a game needs at least one campaign time")
         if self.x0.n != self.network.n:
             raise ValueError("initial opinions and network disagree on n")
         m = self.x0.m

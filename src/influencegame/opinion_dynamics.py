@@ -82,10 +82,6 @@ class CampaignSchedule:
     def tf(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def campaign_times(self) -> np.ndarray:
-        return self.times[1:-1]
-
     def gap(self, k: int) -> float:
         """Length of the interval (t_{k-1}, t_k], for k = 1..K+1."""
         return float(self.times[k] - self.times[k - 1])
@@ -193,13 +189,6 @@ def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[n
         propagator(network, schedule.gap(k)).matrix
         for k in range(1, schedule.K + 2)
     ]
-
-
-def pair_propagator(network: Network, schedule: CampaignSchedule, r: int, s: int) -> Propagator:
-    """Propagator exp(-L (t_r - t_s)) between two schedule indices s <= r."""
-    if not 0 <= s <= r <= schedule.K + 1:
-        raise ValueError("indices must satisfy 0 <= s <= r <= K+1")
-    return propagator(network, float(schedule.times[r] - schedule.times[s]))
 
 
 def jump_single(x: np.ndarray, b: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:

@@ -378,6 +378,7 @@ def _suite_gradients(seed: int) -> list[dict]:
 
 
 def _suite_oracles(seed: int) -> list[dict]:
+    from .game_model import payoff_gradient
     from .single_player_solver import solve_single
 
     rng = np.random.default_rng(seed)
@@ -392,8 +393,8 @@ def _suite_oracles(seed: int) -> list[dict]:
         _, grid_value = brute_force_best_response(
             spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
         )
-        zero_grad = payoff_gradient_at_zero(spec)
-        lipschitz = float(np.linalg.norm(zero_grad))
+        zero = plans_from_array(spec, np.zeros((1, spec.K, spec.n)))
+        lipschitz = float(np.linalg.norm(payoff_gradient(spec, zero, 0)))
         margin = lipschitz * 0.01 * np.sqrt(spec.K * spec.n)
         gap_worst = max(gap_worst, grid_value - report.objective)
         checks.append(_check(
@@ -423,13 +424,6 @@ def _suite_oracles(seed: int) -> list[dict]:
     checks.append(_check("projection-vs-grid", worst_excess <= 1e-9,
                          worst_distance_excess=worst_excess))
     return checks
-
-
-def payoff_gradient_at_zero(spec) -> np.ndarray:
-    from .game_model import payoff_gradient
-
-    zero = np.zeros((spec.m, spec.K, spec.n))
-    return payoff_gradient(spec, plans_from_array(spec, zero), 0)
 
 
 def run_suite(name: str, seed: int = 0) -> dict:

@@ -190,12 +190,7 @@ class TestEquilibrateCommand:
         pytest.param(("schedule", 1), float("nan"), id="nan-schedule"),
         pytest.param(("solver", "seed"), 0, id="unknown-seed"),
         pytest.param(("x0", 0, 0), 0.6, id="x0-row-off-simplex"),
-        pytest.param(("solver", "tolerances", "step_norm"), -1e-9,
-                     id="negative-step-norm-tol"),
-        pytest.param(("solver", "tolerances", "projection"), None,
-                     id="null-projection-tol"),
-        pytest.param(("solver", "tolerances", "best_response"), 1e-9,
-                     id="unknown-best-response-tol"),
+        pytest.param(("solver", "tolerances"), {}, id="unknown-tolerances"),
         pytest.param(("solver", "step", "c"), float("nan"), id="nan-step"),
         pytest.param(("players", 1), 3.0, id="player-not-object"),
     ])
@@ -268,12 +263,12 @@ def _mutated(document, rng):
 class TestMalformedScenarios:
     def test_seeded_mutations_exit_cleanly(self, tmp_path, capsys):
         multi = scenario_to_dict(reference_scenario())
-        multi["solver"].update(T=5, tolerances={"step_norm": 1e-8})
+        multi["solver"].update(T=5)
         single = single_player_document()
         single["network"] = [[1.0, 0.0], [0.5, 0.5]]
         single["x0"] = [[0.5], [0.2]]
         single["players"][0]["utility"]["rho"] = [[1.0, 1.0], [1.0, 1.0]]
-        single["solver"].update(T=5, tolerances={"step_norm": 1e-8, "projection": 1e-12})
+        single["solver"].update(T=5)
         rng = np.random.default_rng(20211)
         problems = []
         for i in range(240):
@@ -291,6 +286,54 @@ class TestMalformedScenarios:
             if code not in (0, 2, 3, 4, 5, 6) or "Traceback" in err:
                 problems.append(f"{command} with {what}: {code}")
         assert problems == []
+
+
+def without_campaigns(document):
+    """The scenario with its campaign times removed (K = 0)."""
+    document = copy.deepcopy(document)
+    document["schedule"] = [document["schedule"][0], document["schedule"][-1]]
+    for player in document["players"]:
+        player["utility"]["rho"] = player["utility"]["rho"][-1:]
+    return document
+
+
+class TestBadCommandInputs:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["equilibrate", "{no_campaign_multi}", "--out", "{out}"],
+                     id="equilibrate-no-campaign"),
+        pytest.param(["solve", "{no_campaign_single}", "--out", "{out}"],
+                     id="solve-no-campaign"),
+        pytest.param(["equilibrate", "--paper-example", "--T", "0", "--out", "{out}"],
+                     id="zero-T-flag"),
+        pytest.param(["equilibrate", "--paper-example", "--T", "-3", "--out", "{out}"],
+                     id="negative-T-flag"),
+        pytest.param(["verify", "--seed", "-1", "--out", "{out}"], id="negative-seed"),
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", "-2",
+                      "--out", "{out}"], id="negative-samples"),
+        pytest.param(["simulate", "{reference}", "{string_plans}", "--out", "{out}"],
+                     id="string-plan"),
+        pytest.param(["simulate", "{reference}", "{nan_plans}", "--out", "{out}"],
+                     id="nan-plan-entry"),
+    ])
+    def test_exit_2_without_traceback_or_output(self, tmp_path, capsys, argv):
+        reference = scenario_to_dict(reference_scenario())
+        zero = [[0.0] * 3] * 2
+        inputs = {
+            "reference": reference,
+            "no_campaign_multi": without_campaigns(reference),
+            "no_campaign_single": without_campaigns(single_player_document()),
+            "zero_plans": {"plans": [zero, zero]},
+            "string_plans": {"plans": ["a", zero]},
+            "nan_plans": {"plans": [[[float("nan"), 0.0, 0.0], [0.0] * 3], zero]},
+        }
+        paths = {name: write_scenario(tmp_path / f"{name}.json", document)
+                 for name, document in inputs.items()}
+        before = set(tmp_path.iterdir())
+        code = main([token.format(out=tmp_path / "out", **paths) for token in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestVerifyCommand:

@@ -335,11 +335,11 @@ class TestMaximizeConcave:
             return float(c @ x - 0.5 * x @ Q @ x), c - Q @ x
 
         values = []
-        point, value, residual, converged = _maximize_concave(
+        point, value, residual = _maximize_concave(
             evaluate, lambda v: project_budget_set(v, cap), np.zeros(d), tol=1e-9,
             values=values,
         )
-        assert converged and residual <= 1e-9
+        assert residual <= 1e-9
         # with curvature between mu = 1e-4 and L = 1 and a probe step s <= 1,
         # the certificate bounds the distance to the optimum by (1 + s L) / mu
         # times the residual
@@ -350,7 +350,8 @@ class TestMaximizeConcave:
 
     def test_linear_objective_grows_the_step_by_half_up_to_the_clamp(self):
         # a constant gradient gives s'y = 0, so no Barzilai-Borwein step; on
-        # this unbounded objective the growth stops at 1e6 instead of inf
+        # this unbounded objective the growth stops at 1e6 instead of inf,
+        # and the step budget runs out
         slope = np.array([1.0, 2.0])
         points = []
 
@@ -358,7 +359,11 @@ class TestMaximizeConcave:
             points.append(x)
             return float(slope @ x), slope.copy()
 
-        _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=100)
+        with pytest.raises(ConvergenceError) as excinfo:
+            _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=100)
+        # every candidate ascends, so the last one evaluated was accepted
+        assert len(points) == 101
+        np.testing.assert_array_equal(excinfo.value.last_iterate, points[-1])
         steps = [(b - a)[0] / slope[0] for a, b in zip(points, points[1:])]
         assert steps[:5] == [1.0, 1.5, 2.25, 3.375, 5.0625]
         assert max(steps) == pytest.approx(1e6) == steps[-1]
@@ -425,6 +430,23 @@ class TestExploitability:
         with pytest.raises(ValueError):
             EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=-1.0,
                               regrets=np.zeros(2), iterations=1)
+
+
+class TestOnePlayerGames:
+    @pytest.mark.parametrize("diagnostic", [
+        pytest.param(lambda spec, trace: best_response(
+            spec, plans_from_array(spec, trace.iterates[-1]), 0), id="best-response"),
+        pytest.param(lambda spec, trace: exploitability(spec, trace.iterates[-1]),
+                     id="exploitability"),
+        pytest.param(lambda spec, trace: regret(trace, 0), id="regret"),
+        pytest.param(lambda spec, trace: solve_equilibrium(spec, 5), id="solve-equilibrium"),
+    ])
+    def test_multiplayer_diagnostics_refuse_one_player(self, diagnostic):
+        # a single player's optimum is solve_single's job
+        spec = random_linear_game(np.random.default_rng(0), 1, 3, 2)
+        trace = run_no_regret(spec, 5)
+        with pytest.raises(ValueError, match="two or more players"):
+            diagnostic(spec, trace)
 
 
 class TestSolveEquilibrium:

@@ -14,9 +14,9 @@ from influencegame import (
     build_network,
     opinions_at_campaigns,
     opinions_at_campaigns_closed_form,
-    pair_propagator,
     payoff_gradient,
     plans_from_array,
+    propagator,
     total_payoff,
 )
 from influencegame.verification import (
@@ -156,11 +156,12 @@ class TestPayoffGradient:
         gradient = payoff_gradient(spec, plans, 0)
         utility = spec.utilities[0]
         K = spec.K
+        times = spec.schedule.times
         expected = np.empty((K, spec.n))
         for k in range(1, K + 1):
             acc = np.full(spec.n, -utility.cost_coefficient)
             for k_later in range(k + 1, K + 2):
-                flow = pair_propagator(spec.network, spec.schedule, k_later, k).matrix
+                flow = propagator(spec.network, times[k_later] - times[k]).matrix
                 acc = acc + flow.T @ utility.rho[k_later - 1]
             expected[k - 1] = acc / (K + 1)
         np.testing.assert_allclose(gradient, expected, atol=1e-10)
