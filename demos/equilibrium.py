@@ -1,7 +1,7 @@
 """Open-loop equilibria via no-regret learning.
 
-Both players repeatedly play projected gradient ascent against each other;
-the running average of their joint strategies converges to an open-loop
+Both players repeatedly play projected gradient ascent against each other,
+with the stepsize 10 / tau that linear utilities fix; the running average of their joint strategies converges to an open-loop
 equilibrium.  The built-in reference game (budgets 3 and 5, unit advertising
 cost) sits exactly at the profitability knife edge, so we also run a variant
 with cheaper advertising where both players invest at equilibrium.
@@ -14,7 +14,6 @@ import numpy as np
 from influencegame import (
     GameSpec,
     StageUtility,
-    StepSchedule,
     exploitability,
     regret,
     run_no_regret,
@@ -26,7 +25,7 @@ def describe(spec, label, T=200):
     print("=" * 64)
     print(label)
     print("=" * 64)
-    trace = run_no_regret(spec, T, step_schedule=StepSchedule("c_over_tau", 10.0))
+    trace = run_no_regret(spec, T)
     averaged = trace.averages[-1]
     for j in range(spec.m):
         print(f"player {j}: averaged strategy (rows = campaigns)")

@@ -48,9 +48,7 @@ from .single_player_solver import (
 from .equilibrium_solver import (
     EquilibriumResult,
     LearningTrace,
-    StepSchedule,
     best_response,
-    default_step_schedule,
     exploitability,
     project_budget_set,
     regret,

@@ -6,12 +6,16 @@ Subcommands
     equilibrate  multiplayer no-regret run (writes trace CSV + result JSON)
     verify       property suites (stochasticity, convexity, gradients, oracles)
 
-Exit codes: 0 ok, 1 verify failure, 2 parse error, 3 infeasible plans,
-4 wrong mode (single- vs multi-player), 5 hypothesis-check failure,
-6 a solver ran out of its iteration budget.
-All files are written atomically; a failed run never leaves partial output.
-The no-regret run draws no random numbers, so equal scenarios give
-byte-identical outputs; only ``verify --seed`` seeds a random draw.
+Exit codes: 0 ok, 1 verify failure, 2 bad input (a scenario, plans file or
+option that does not parse, or a path that cannot be read or written),
+3 infeasible plans, 4 wrong mode (single- vs multi-player),
+5 hypothesis-check failure, 6 a solver ran out of its iteration budget.
+All files are written atomically, and ``equilibrate`` writes both of its
+files or neither, so a failed run never leaves partial output.  The
+scenario's ``solver`` section sets only the iteration count ``T``; the
+no-regret stepsize follows from the game.  The run draws no random numbers,
+so equal scenarios give byte-identical outputs; only ``verify --seed`` seeds
+a random draw.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -31,13 +36,7 @@ from .errors import (
     InfeasiblePlanError,
     ScenarioError,
 )
-from .equilibrium_solver import (
-    StepSchedule,
-    default_step_schedule,
-    result_to_json,
-    solve_equilibrium,
-    trace_to_csv,
-)
+from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv
 from .fileio import atomic_write_text
 from .game_model import BudgetPlan, GameSpec, StageUtility
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network, simulate_trajectory
@@ -56,7 +55,6 @@ EXIT_CONVERGENCE = 6
 @dataclass(frozen=True)
 class SolverSettings:
     T: int = 100
-    step: StepSchedule | None = None
 
 
 @dataclass(frozen=True)
@@ -120,15 +118,7 @@ def scenario_from_dict(document: dict) -> Scenario:
             raise ScenarioError(f"players[{idx}]: {exc}") from exc
 
     solver_doc = document.get("solver", {})
-    _strict_keys(solver_doc, ("T", "step"), (), "solver")
-    step = None
-    if "step" in solver_doc:
-        step_doc = solver_doc["step"]
-        _strict_keys(step_doc, ("kind", "c"), ("kind", "c"), "solver.step")
-        try:
-            step = StepSchedule(kind=step_doc["kind"], c=float(step_doc["c"]))
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(str(exc)) from exc
+    _strict_keys(solver_doc, ("T",), (), "solver")
     try:
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
@@ -139,7 +129,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     T = _convert(solver_doc.get("T", 100), int, "solver.T")
     if T < 1:
         raise ScenarioError("solver.T must be at least 1")
-    return Scenario(spec=spec, solver=SolverSettings(T=T, step=step))
+    return Scenario(spec=spec, solver=SolverSettings(T=T))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -156,16 +146,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "lambda": float(utility.cost_coefficient),
             },
         })
-    step = scenario.solver.step or default_step_schedule(spec)
     return {
         "network": spec.network.adjacency.tolist(),
         "schedule": spec.schedule.times.tolist(),
         "players": players,
         "x0": spec.x0.values.tolist(),
-        "solver": {
-            "T": scenario.solver.T,
-            "step": {"kind": step.kind, "c": step.c},
-        },
+        "solver": {"T": scenario.solver.T},
     }
 
 
@@ -200,9 +186,7 @@ def reference_scenario() -> Scenario:
             StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
         ),
     )
-    return Scenario(
-        spec=spec, solver=SolverSettings(T=100, step=StepSchedule(kind="c_over_tau", c=10.0))
-    )
+    return Scenario(spec=spec, solver=SolverSettings(T=100))
 
 
 def load_plans(path, spec: GameSpec) -> list[BudgetPlan]:
@@ -291,12 +275,16 @@ def cmd_equilibrate(args) -> int:
     T = args.T if args.T is not None else scenario.solver.T
     if T < 1:
         raise ScenarioError("--T must be at least 1")
-    step = scenario.solver.step or default_step_schedule(spec)
-    trace, result = solve_equilibrium(spec, T, step_schedule=step)
+    trace, result = solve_equilibrium(spec, T)
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
-    atomic_write_text(trace_path, trace_to_csv(trace))
-    atomic_write_text(result_path, result_to_json(result))
+    trace_text, result_text = trace_to_csv(trace), result_to_json(result)
+    atomic_write_text(trace_path, trace_text)
+    try:
+        atomic_write_text(result_path, result_text)
+    except BaseException:
+        os.remove(trace_path)
+        raise
     print(f"exploitability of averaged profile: {result.exploitability:.6e}")
     for j in range(spec.m):
         regret_value = float(result.regrets[j])
@@ -375,6 +363,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
-equilibrium.  The trace records the iterates and the per-iteration payoffs
-(the running averages are derived from the iterates), and the diagnostics
-below quantify how close the averaged profile is to equilibrium:
+equilibrium.  No stepsize is configured: the game fixes it, 10 / tau when
+every utility is linear and 1 / sqrt(tau), the general online-gradient
+rate, otherwise.  The trace records the iterates and the per-iteration
+payoffs (the running averages are derived from the iterates), and the
+diagnostics below quantify how close the averaged profile is to equilibrium:
 
 * regret -- gap between the best fixed strategy in hindsight and the payoff
   actually accumulated,
@@ -63,36 +65,11 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
     cumulative = np.cumsum(u) - cap
     ranks = np.arange(1, flat.size + 1)
     feasible = u - cumulative / ranks > 0
-    rho = int(np.count_nonzero(feasible))
+    # the top entry is always in the support, but the strict test drops it
+    # when the cap is zero or lost in round-off (u[0] above about cap / eps)
+    rho = max(1, int(np.count_nonzero(feasible)))
     theta = cumulative[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Diminishing stepsize eta_tau = c / tau or c / sqrt(tau)."""
-
-    kind: str
-    c: float
-
-    def __post_init__(self):
-        if self.kind not in ("c_over_tau", "c_over_sqrt_tau"):
-            raise ValueError(f"unknown step schedule kind {self.kind!r}")
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError("step schedule constant must be positive and finite")
-
-    def eta(self, tau: int) -> float:
-        if self.kind == "c_over_tau":
-            return self.c / tau
-        return self.c / np.sqrt(tau)
-
-
-def default_step_schedule(spec: GameSpec) -> StepSchedule:
-    """c/tau when every utility is linear (attested concave per player),
-    c/sqrt(tau) otherwise."""
-    if all(u.is_linear for u in spec.utilities):
-        return StepSchedule(kind="c_over_tau", c=10.0)
-    return StepSchedule(kind="c_over_sqrt_tau", c=1.0)
 
 
 @dataclass(frozen=True)
@@ -187,19 +164,19 @@ def _projection(spec: GameSpec, j: int):
     return lambda v: project_budget_set(v, cap)
 
 
-def run_no_regret(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None) -> LearningTrace:
+def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     """Simultaneous projected gradient ascent for all players, T iterations.
 
     Players start from the interior half-budget spread (each entry
-    beta_j / (2 K n)) and update together from the same joint iterate with
-    stepsize ``step_schedule.eta(tau)`` (``default_step_schedule`` when None).
-    The run draws no random numbers: the spec and schedule determine it.
+    beta_j / (2 K n)) and update together from the same joint iterate.  The
+    stepsize follows from the game: eta_tau = 10 / tau when every utility is
+    linear, 1 / sqrt(tau) otherwise.  The run draws no random numbers: the
+    spec and T determine it.
     """
     if T < 1:
         raise ValueError("iteration count must be at least 1")
     _require_convergence_hypotheses(spec)
-    if step_schedule is None:
-        step_schedule = default_step_schedule(spec)
+    linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
     projections = [_projection(spec, j) for j in range(m)]
 
@@ -214,7 +191,7 @@ def run_no_regret(spec: GameSpec, T: int, step_schedule: StepSchedule | None = N
 
     for tau in range(1, T + 1):
         iterates[tau - 1] = current
-        eta = step_schedule.eta(tau)
+        eta = 10.0 / tau if linear else 1.0 / np.sqrt(tau)
         updated = np.empty_like(current)
         for j in range(m):
             _, _, payoffs[tau - 1, j], gradient = _player_pass(spec, j, current)
@@ -325,29 +302,15 @@ def exploitability(spec: GameSpec, profile) -> float:
     return float(max(gaps))
 
 
-def _hindsight_objective(spec: GameSpec, trace: LearningTrace, j: int, horizon: int):
-    """Sum over the first ``horizon`` iterations of player j's payoff against the
-    opponents' played strategies, as a function of one fixed own plan.
-
-    Returns ``evaluate(flat) -> (value, gradient)``.  The played profiles, with
-    the own plan substituted, form the batch axis of one kernel pass.
-    """
-    profiles = np.array(trace.iterates[:horizon])
-
-    def evaluate(flat):
-        profiles[:, j] = flat.reshape(spec.K, spec.n)
-        _, _, payoffs, gradients = _player_pass(spec, j, profiles)
-        return float(payoffs.sum()), gradients.sum(axis=0).ravel()
-
-    return evaluate
-
-
 def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     """Realized regret of player j: best fixed strategy in hindsight versus the
     payoffs actually collected over the first ``horizon`` iterations.
 
-    The hindsight ascent starts at the average played plan and stops at step
-    norm 1e-9 times the horizon, since its objective sums that many payoffs;
+    The hindsight objective is player j's payoff summed over the played
+    profiles with one fixed own plan substituted, ``_objective_for_player``
+    on the batch of the first ``horizon`` iterates.  Its ascent starts at the
+    average played plan and stops at step norm 1e-9 times the horizon, since
+    the objective sums that many payoffs;
     it raises ConvergenceError if ``_maximize_concave``'s step budget runs
     out first.  A one-player game raises ValueError.
     """
@@ -357,19 +320,19 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     if not 1 <= T <= trace.iterations:
         raise ValueError("horizon must lie within the recorded iterations")
     _require_own_concave(spec, j)
-    evaluate = _hindsight_objective(spec, trace, j, T)
+    evaluate = _objective_for_player(spec, trace.iterates[:T], j)
     start = trace.averages[T - 1, j].ravel()
     _, value, _ = _maximize_concave(evaluate, _projection(spec, j), start, tol=1e-9 * T)
     played = float(trace.payoffs[:T, j].sum())
     return float(value - played)
 
 
-def solve_equilibrium(spec: GameSpec, T: int, step_schedule: StepSchedule | None = None):
-    """Run the learning dynamics and package the averaged profile with its
-    diagnostics; returns (trace, result).  A one-player game raises
-    ValueError before the run starts."""
+def solve_equilibrium(spec: GameSpec, T: int):
+    """Run T iterations of the learning dynamics (``run_no_regret``) and
+    package the averaged profile with its diagnostics; returns (trace,
+    result).  A one-player game raises ValueError before the run starts."""
     _require_multiplayer(spec)
-    trace = run_no_regret(spec, T, step_schedule=step_schedule)
+    trace = run_no_regret(spec, T)
     averaged = trace.averages[-1]
     result = EquilibriumResult(
         profile=averaged,

@@ -7,12 +7,20 @@ import tempfile
 
 
 def atomic_write_text(path, text: str):
-    """Write ``text`` to ``path`` via a temp file in the same directory plus rename."""
+    """Write ``text`` to ``path`` via a temp file in the same directory plus rename.
+
+    The file gets the mode ``open`` would give it, 0666 less the umask, rather
+    than the temp file's 0600.  Reading the umask sets it for an instant, so
+    other threads should not create files meanwhile.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.chmod(tmp_path, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

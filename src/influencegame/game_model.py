@@ -339,15 +339,21 @@ def _player_pass(spec: GameSpec, j: int, profile: np.ndarray):
     return pre, post, payoff, gradient
 
 
-def _objective_for_player(spec: GameSpec, profile: np.ndarray, j: int):
+def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
     """Player j's payoff and gradient as a function of its own flat plan, the
-    other players' plans fixed at ``profile``; the plan is not validated."""
-    profile = np.array(profile, dtype=float)
+    other players' plans fixed at ``profiles``; the plan is not validated.
+
+    ``profiles`` is one (m, K, n) profile or a batch (..., m, K, n) of them.
+    The own plan is substituted into every profile and the payoffs and
+    gradients are summed over the batch in one kernel pass: the hindsight
+    objective of ``regret`` is this sum over the played iterates.
+    """
+    profiles = np.array(profiles, dtype=float)
 
     def evaluate(flat: np.ndarray):
-        profile[j] = flat.reshape(spec.K, spec.n)
-        _, _, payoff, gradient = _player_pass(spec, j, profile)
-        return float(payoff), gradient.ravel()
+        profiles[..., j, :, :] = flat.reshape(spec.K, spec.n)
+        _, _, payoff, gradient = _player_pass(spec, j, profiles)
+        return float(np.sum(payoff)), gradient.reshape(-1, flat.size).sum(axis=0)
 
     return evaluate
 

@@ -176,8 +176,9 @@ class SolveReport:
     g the gradient, P the projection and s = min(line-search step, 1).
     ``kkt_residual`` is the largest positive component of the projected
     gradient at the returned plan (zero at an exact maximizer).
-    ``objectives`` records the objective value at the zero plan and after
-    every accepted step.
+    ``objectives`` holds the objective value at the zero plan and after
+    every accepted step, so it has ``iterations + 1`` entries and never
+    decreases beyond round-off.
     """
 
     plan: BudgetPlan
@@ -185,7 +186,7 @@ class SolveReport:
     iterations: int
     final_step_norm: float
     kkt_residual: float
-    objectives: np.ndarray | None = None
+    objectives: np.ndarray
 
 
 def _check_concave_stages(spec: GameSpec):
@@ -216,7 +217,6 @@ def solve_single(
     spec: GameSpec,
     max_iters: int = 100_000,
     tol: float = 1e-8,
-    keep_objectives: bool = False,
 ) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
@@ -261,5 +261,5 @@ def solve_single(
         iterations=len(objectives) - 1,
         final_step_norm=step_norm,
         kkt_residual=kkt_residual,
-        objectives=np.asarray(objectives) if keep_objectives else None,
+        objectives=np.asarray(objectives),
     )

@@ -182,8 +182,7 @@ def random_network(rng: np.random.Generator, n: int):
     return build_network(weights)
 
 
-def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int,
-                       budget_scale: float = 1.0):
+def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
     """Random game with linear-favor utilities and simplex initial opinions
     for multiplayer instances.
 
@@ -203,7 +202,7 @@ def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int,
     else:
         raw = rng.random((n, m)) + 0.2
         x0 = OpinionState(raw / raw.sum(axis=1, keepdims=True))
-        budgets = rng.random(m) * budget_scale + 0.3
+        budgets = rng.random(m) + 0.3
     utilities = tuple(
         StageUtility(
             kind="linear-favor",

@@ -22,7 +22,6 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import StepSchedule
 from influencegame.cli import reference_scenario
 from influencegame.verification import (
     ConvexityProbe,
@@ -53,8 +52,7 @@ def reference_spec():
 def long_trace(reference_spec):
     """One T=400 reference run; its running averages at T' < 400 coincide with
     what a T' run would produce, since the stepsizes depend only on tau."""
-    return run_no_regret(reference_spec, 400,
-                         step_schedule=StepSchedule("c_over_tau", 10.0))
+    return run_no_regret(reference_spec, 400)
 
 
 def test_criterion_1_reference_reproduction(tmp_path):
@@ -114,8 +112,7 @@ def test_criterion_2_convergence_rate(reference_spec, long_trace):
 def test_criterion_3_constant_sum(reference_spec, long_trace):
     worst = 0.0
     for trace in (long_trace,
-                  run_no_regret(reference_spec, 100,
-                                step_schedule=StepSchedule("c_over_tau", 10.0))):
+                  run_no_regret(reference_spec, 100)):
         spend = trace.iterates.sum(axis=(1, 2, 3))
         total = trace.payoffs.sum(axis=1)
         worst = max(worst, float(np.max(np.abs(total - (3.0 - spend / 3.0)))))

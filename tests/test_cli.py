@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -46,8 +48,8 @@ class TestScenarioRoundTrip:
             assert left.kind == right.kind
             assert left.cost_coefficient == right.cost_coefficient
             assert np.array_equal(left.rho, right.rho)
-        assert parsed.solver.T == scenario.solver.T
-        assert parsed.solver.step == scenario.solver.step
+        assert parsed.solver == scenario.solver
+        assert document["solver"] == {"T": 100}
 
     def test_unknown_keys_rejected(self):
         document = single_player_document()
@@ -191,7 +193,7 @@ class TestEquilibrateCommand:
         pytest.param(("solver", "seed"), 0, id="unknown-seed"),
         pytest.param(("x0", 0, 0), 0.6, id="x0-row-off-simplex"),
         pytest.param(("solver", "tolerances"), {}, id="unknown-tolerances"),
-        pytest.param(("solver", "step", "c"), float("nan"), id="nan-step"),
+        pytest.param(("solver", "step"), {"kind": "c_over_tau", "c": 10.0}, id="unknown-step"),
         pytest.param(("players", 1), 3.0, id="player-not-object"),
     ])
     def test_bad_scenario_values_exit_2(self, tmp_path, capsys, path, value):
@@ -204,6 +206,15 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", scenario, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
+
+    def test_failed_second_write_leaves_neither_file(self, tmp_path, capsys):
+        (tmp_path / "half_result.json").mkdir()
+        code = main(["equilibrate", "--paper-example", "--T", "2",
+                     "--out", str(tmp_path / "half")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["half_result.json"]
 
     def test_complement_utilities_exit_5(self, tmp_path, capsys):
         document = scenario_to_dict(reference_scenario())
@@ -314,6 +325,12 @@ class TestBadCommandInputs:
                      id="string-plan"),
         pytest.param(["simulate", "{reference}", "{nan_plans}", "--out", "{out}"],
                      id="nan-plan-entry"),
+        pytest.param(["equilibrate", "--paper-example", "--T", "2", "--out", "{missing}/x"],
+                     id="out-prefix-in-missing-directory"),
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--out", "{missing}/o.csv"],
+                     id="out-in-missing-directory"),
+        pytest.param(["solve", "{single}", "--out", "{directory}"], id="out-is-directory"),
+        pytest.param(["solve", "{directory}", "--out", "{out}"], id="scenario-is-directory"),
     ])
     def test_exit_2_without_traceback_or_output(self, tmp_path, capsys, argv):
         reference = scenario_to_dict(reference_scenario())
@@ -325,11 +342,15 @@ class TestBadCommandInputs:
             "zero_plans": {"plans": [zero, zero]},
             "string_plans": {"plans": ["a", zero]},
             "nan_plans": {"plans": [[[float("nan"), 0.0, 0.0], [0.0] * 3], zero]},
+            "single": single_player_document(),
         }
         paths = {name: write_scenario(tmp_path / f"{name}.json", document)
                  for name, document in inputs.items()}
+        (tmp_path / "directory").mkdir()
         before = set(tmp_path.iterdir())
-        code = main([token.format(out=tmp_path / "out", **paths) for token in argv])
+        code = main([token.format(out=tmp_path / "out", missing=tmp_path / "missing",
+                                  directory=tmp_path / "directory", **paths)
+                     for token in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -369,3 +390,16 @@ class TestAtomicWrites:
             atomic_write_text(target, "contents")
         assert target.is_dir()
         assert [p.name for p in tmp_path.iterdir()] == ["dir-in-the-way"]
+
+    @pytest.mark.parametrize("umask, mode", [
+        pytest.param(0o022, 0o644, id="umask-022"),
+        pytest.param(0o077, 0o600, id="umask-077"),
+    ])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(target, "contents")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == mode

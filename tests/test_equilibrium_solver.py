@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from influencegame import (
     HypothesisCheckError,
     OpinionState,
     StageUtility,
-    StepSchedule,
     best_response,
     exploitability,
     payoff_gradient,
@@ -27,7 +27,6 @@ from influencegame import (
 from influencegame import equilibrium_solver, game_model, opinion_dynamics
 from influencegame.equilibrium_solver import (
     LearningTrace,
-    _hindsight_objective,
     _maximize_concave,
     result_to_json,
     trace_to_csv,
@@ -92,11 +91,24 @@ class TestProjectBudgetSet:
         with pytest.raises(ValueError):
             project_budget_set(np.array([1.0]), -0.5)
 
+    @pytest.mark.parametrize("point, cap", [
+        (np.array([1e300, 0.0]), 1.0),
+        (np.array([1e17, 3.0, -2.0]), 1.0),
+        (np.array([2.0, 1.0]), 0.0),
+    ])
+    def test_far_points_and_zero_cap_stay_feasible(self, point, cap):
+        # the water-filling count must keep the top entry when the cap is
+        # lost to round-off in cumsum(u) - cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projected = project_budget_set(point, cap)
+        assert np.all(np.isfinite(projected))
+        assert projected.min() >= 0.0 and projected.sum() <= cap
+
 
 class TestRunNoRegret:
     def test_reference_game_per_individual_symmetry(self, two_player_spec):
-        trace = run_no_regret(two_player_spec, 100,
-                              step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(two_player_spec, 100)
         averaged = trace.averages[-1]
         for j in range(2):
             for k in range(2):
@@ -104,8 +116,7 @@ class TestRunNoRegret:
                 assert stage.max() - stage.min() <= 1e-2
 
     def test_averages_settle(self, two_player_spec):
-        trace = run_no_regret(two_player_spec, 100,
-                              step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(two_player_spec, 100)
         assert np.max(np.abs(trace.averages[99] - trace.averages[49])) < 0.1
 
     def test_iterates_stay_feasible(self, two_player_spec):
@@ -127,7 +138,7 @@ class TestRunNoRegret:
 
     def test_prohibitive_cost_pins_iterates_at_zero(self, two_player_spec):
         spec = reference_variant(two_player_spec, cost=50.0)
-        trace = run_no_regret(spec, 10, step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(spec, 10)
         # the first update projects to the zero profile, which the dynamics fix
         np.testing.assert_array_equal(trace.iterates[1:], 0.0)
 
@@ -138,8 +149,7 @@ class TestRunNoRegret:
         assert trace_to_csv(first) == trace_to_csv(second)
 
     def test_constant_sum_identity_along_trace(self, two_player_spec):
-        trace = run_no_regret(two_player_spec, 60,
-                              step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(two_player_spec, 60)
         spend = trace.iterates.sum(axis=(1, 2, 3))
         total = trace.payoffs.sum(axis=1)
         np.testing.assert_allclose(total, 3.0 - spend / 3.0, atol=1e-10)
@@ -159,9 +169,21 @@ class TestRunNoRegret:
         with pytest.raises(HypothesisCheckError):
             run_no_regret(spec, 5)
 
-    def test_bad_step_schedule_rejected(self, two_player_spec):
-        with pytest.raises(ValueError):
-            StepSchedule("c_over_tau", 0.0)
+    @pytest.mark.parametrize("kind, etas", [
+        ("linear-favor", (10.0, 5.0)),
+        ("custom", (1.0, 1.0 / np.sqrt(2.0))),
+    ])
+    def test_stepsize_follows_from_the_utilities(self, two_player_spec, kind, etas):
+        # 10 / tau when every utility is linear, 1 / sqrt(tau) otherwise
+        spec = dataclasses.replace(two_player_spec, utilities=tuple(
+            utility_of_kind(kind, np.ones((3, 3)), 0.5) for _ in range(2)))
+        trace = run_no_regret(spec, 3)
+        for tau, eta in enumerate(etas, start=1):
+            plans = plans_from_array(spec, trace.iterates[tau - 1])
+            for j in range(2):
+                stepped = trace.iterates[tau - 1, j] + eta * payoff_gradient(spec, plans, j)
+                expected = project_budget_set(stepped, float(spec.budgets[j]))
+                np.testing.assert_allclose(trace.iterates[tau, j], expected, rtol=0, atol=1e-14)
 
     def test_averages_are_the_running_mean_of_the_iterates(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 50)
@@ -204,8 +226,7 @@ class TestRegret:
         assert regret(trace, 0) == pytest.approx(0.0, abs=1e-10)
 
     def test_time_average_decreases(self, two_player_spec):
-        trace = run_no_regret(two_player_spec, 80,
-                              step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(two_player_spec, 80)
         for j in range(2):
             ratios = [regret(trace, j, horizon=T) / T for T in (10, 20, 40, 80)]
             assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -236,11 +257,10 @@ class TestHindsightObjective:
                             for u in game.utilities),
         )
         iterates = np.stack([random_feasible_profile(rng, spec) for _ in range(horizon)])
-        trace = LearningTrace(spec=spec, iterates=iterates,
-                              payoffs=np.zeros((horizon, spec.m)))
         own = random_feasible_profile(rng, spec)
         for j in range(spec.m):
-            value, gradient = _hindsight_objective(spec, trace, j, horizon)(own[j].ravel())
+            evaluate = game_model._objective_for_player(spec, iterates, j)
+            value, gradient = evaluate(own[j].ravel())
             expected_value, expected_gradient = 0.0, np.zeros((spec.K, spec.n))
             for played in iterates:
                 profile = played.copy()
@@ -420,8 +440,7 @@ class TestExploitability:
         assert exploitability(spec, zero) > 1e-4
 
     def test_decreases_along_averaging(self, two_player_spec):
-        trace = run_no_regret(two_player_spec, 400,
-                              step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace = run_no_regret(two_player_spec, 400)
         early = exploitability(two_player_spec, trace.averages[99])
         late = exploitability(two_player_spec, trace.averages[399])
         assert late < early
@@ -451,8 +470,7 @@ class TestOnePlayerGames:
 
 class TestSolveEquilibrium:
     def test_end_to_end_outputs(self, two_player_spec):
-        trace, result = solve_equilibrium(two_player_spec, 40,
-                                          step_schedule=StepSchedule("c_over_tau", 10.0))
+        trace, result = solve_equilibrium(two_player_spec, 40)
         assert result.iterations == 40
         assert result.exploitability >= -1e-8
         assert result.regrets.shape == (2,)

@@ -227,7 +227,8 @@ class TestSolveSingle:
     def test_monotone_ascent(self):
         rng = np.random.default_rng(67)
         spec = random_linear_game(rng, 1, 2, 2)
-        report = solve_single(spec, keep_objectives=True)
+        report = solve_single(spec)
+        assert len(report.objectives) == report.iterations + 1
         diffs = np.diff(report.objectives)
         assert diffs.min() >= -1e-12
 
