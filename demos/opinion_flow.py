@@ -1,8 +1,9 @@
 """Opinion flow on a small social network.
 
 Walk through the building blocks: normalize a weighted graph, carry opinions
-across campaign-free intervals with the row-stochastic propagator, and apply
-budget jumps at campaign times.
+across campaign-free intervals with the row-stochastic propagator, and sample
+a two-player game's trajectory, whose budget jumps at campaign times show as
+a pre-jump and a post-jump record.
 
 Usage: python demos/opinion_flow.py
 """
@@ -11,9 +12,11 @@ import numpy as np
 
 from influencegame import (
     CampaignSchedule,
+    GameSpec,
     OpinionState,
+    StageUtility,
     build_network,
-    jump_multi,
+    plans_from_array,
     propagator,
     simulate_trajectory,
 )
@@ -37,38 +40,41 @@ def main():
     print("2. Propagators exp(-L dt) are row-stochastic at every horizon")
     print("=" * 64)
     for dt in (0.5, 1.0, 5.0, 50.0):
-        matrix = propagator(network, dt).matrix
+        matrix = propagator(network, dt)
         print(f"dt = {dt:5.1f}: row sums {matrix.sum(axis=1)}, "
               f"min entry {matrix.min():.3e}")
     print("long-run rows converge to the uniform stationary weights:")
-    print(propagator(network, 200.0).matrix.round(6))
+    print(propagator(network, 200.0).round(6))
 
     print()
     print("=" * 64)
     print("3. A normalized two-player jump keeps opinion rows on the simplex")
     print("=" * 64)
-    x = np.array([[0.5, 0.5], [0.8, 0.2], [0.3, 0.7]])
-    budgets = np.array([[1.0, 0.0], [0.0, 0.5], [2.0, 2.0]])
-    post = jump_multi(x, budgets)
-    print("pre-jump rows: ", x.tolist())
-    print("investments:   ", budgets.tolist())
-    print("post-jump rows:", post.round(4).tolist())
-    print("row sums stay exactly 1:", post.sum(axis=1))
+    spec = GameSpec(
+        network=network,
+        schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0])),
+        x0=OpinionState(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])),
+        budgets=np.array([3.0, 1.0]),
+        utilities=tuple(StageUtility(kind="linear-favor", rho=np.ones((3, 3)),
+                                     cost_coefficient=1.0) for _ in range(2)),
+    )
+    profile = np.stack([np.full((2, 3), 0.4), np.full((2, 3), 0.1)])
+    plans = plans_from_array(spec, profile)
+    pre, post = simulate_trajectory(spec, plans, [1.0])
+    print("pre-jump rows at t = 1: ", pre.state.values.round(4).tolist())
+    print("investments at t = 1:   ", profile[:, 0].T.tolist())
+    print("post-jump rows at t = 1:", post.state.values.round(4).tolist())
+    print("row sums stay 1:", post.state.values.sum(axis=1))
 
     print()
     print("=" * 64)
     print("4. A full hybrid trajectory: drift, jump, drift, jump, drift")
     print("=" * 64)
-    schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0]))
-    x0 = OpinionState(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))
-    plans = [np.full((2, 3), 0.4), np.full((2, 3), 0.1)]
-    samples = np.linspace(0.0, 3.0, 13)
-    for point in simulate_trajectory(network, schedule, x0, plans, samples):
+    for point in simulate_trajectory(spec, plans, np.linspace(0.0, 3.0, 13)):
         tag = "post-jump" if point.post_jump else ""
         first_opinions = point.state.values[:, 0]
         print(f"t = {point.time:5.2f} {tag:>9}  opinions of player 0: "
               f"{np.array2string(first_opinions, precision=4)}")
-
 
 if __name__ == "__main__":
     main()

@@ -17,14 +17,11 @@ from .opinion_dynamics import (
     CampaignSchedule,
     Network,
     OpinionState,
-    Propagator,
     TrajectoryPoint,
     build_network,
-    jump_multi,
     jump_single,
     matrix_exponential,
     propagator,
-    simulate_trajectory,
 )
 from .game_model import (
     BudgetPlan,
@@ -35,6 +32,7 @@ from .game_model import (
     payoff_gradient,
     plans_from_array,
     profile_array,
+    simulate_trajectory,
     total_payoff,
     validate_plans,
 )

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv
 from .fileio import atomic_write_text
-from .game_model import BudgetPlan, GameSpec, StageUtility
-from .opinion_dynamics import CampaignSchedule, OpinionState, build_network, simulate_trajectory
+from .game_model import BudgetPlan, GameSpec, StageUtility, simulate_trajectory
+from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
 from .single_player_solver import solve_single
 from .verification import SUITES, run_suite
 
@@ -159,8 +159,6 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as handle:
             document = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(document)
@@ -193,8 +191,6 @@ def load_plans(path, spec: GameSpec) -> list[BudgetPlan]:
     try:
         with open(path) as handle:
             document = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ScenarioError(f"plans file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):
@@ -236,7 +232,7 @@ def cmd_simulate(args) -> int:
     spec = scenario.spec
     plans = load_plans(args.plans, spec)
     samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
-    points = simulate_trajectory(spec.network, spec.schedule, spec.x0, plans, samples)
+    points = simulate_trajectory(spec, plans, samples)
     atomic_write_text(args.out, _trajectory_csv(points))
     print(f"wrote {len(points)} trajectory records to {args.out}")
     return EXIT_OK

@@ -52,7 +52,10 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
 
     Clamping negatives suffices when the clamped sum fits under the cap;
     otherwise the usual water-filling threshold projects onto the face
-    {b >= 0, sum(b) = cap}.  Exact in finitely many operations.
+    {b >= 0, sum(b) = cap}.  That projection does not change when the same
+    constant is added to every entry, so the point is first shifted to a
+    top entry of 0, where the cap cannot be lost to round-off.  Exact in
+    finitely many operations.
     """
     if cap < 0:
         raise ValueError("budget cap must be nonnegative")
@@ -60,13 +63,13 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
     clamped = np.maximum(v, 0.0)
     if clamped.sum() <= cap:
         return clamped
-    flat = v.ravel()
-    u = np.sort(flat)[::-1]
+    v = v - v.max()
+    u = np.sort(v.ravel())[::-1]
     cumulative = np.cumsum(u) - cap
-    ranks = np.arange(1, flat.size + 1)
+    ranks = np.arange(1, u.size + 1)
     feasible = u - cumulative / ranks > 0
     # the top entry is always in the support, but the strict test drops it
-    # when the cap is zero or lost in round-off (u[0] above about cap / eps)
+    # when the cap is zero
     rho = max(1, int(np.count_nonzero(feasible)))
     theta = cumulative[rho - 1] / rho
     return np.maximum(v - theta, 0.0)

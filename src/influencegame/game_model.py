@@ -10,6 +10,8 @@ Every payoff, gradient and opinion state comes from one kernel,
 by the propagator A_k, then jump) over player j's column, followed by its
 reverse-mode sweep for the exact own-investment gradient.  The adjacent-gap
 propagators are built once per game and cached on the ``GameSpec``.
+``simulate_trajectory`` samples the hybrid process from the kernel's
+campaign-time states, carrying each state into the gap that follows it.
 
 Campaign-time opinions also admit a closed form: with damping matrices
 D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
@@ -32,8 +34,10 @@ from .opinion_dynamics import (
     CampaignSchedule,
     Network,
     OpinionState,
+    TrajectoryPoint,
     interval_propagators,
     jump_single,
+    propagator,
     _readonly,
 )
 
@@ -154,7 +158,7 @@ class GameSpec:
     The schedule must hold at least one campaign time (K >= 1).  With m >= 2
     players every row of ``x0`` must sum to 1 (within 1e-9): the players'
     opinions of each individual form a distribution, which the constant-sum
-    identity and ``jump_multi`` keep along the trajectory.
+    identity and the normalized jump keep along the trajectory.
     """
 
     network: Network
@@ -365,6 +369,50 @@ def opinions_at_campaigns(spec: GameSpec, plans) -> np.ndarray:
     jump for the budgets invested at that campaign."""
     profile = profile_array(validate_plans(spec, plans))
     return np.stack([_player_pass(spec, j, profile)[0] for j in range(spec.m)], axis=-1)
+
+
+def simulate_trajectory(spec: GameSpec, plans, sample_times) -> list[TrajectoryPoint]:
+    """Sample the hybrid opinion process of the game at sorted times.
+
+    The pre-jump and post-jump states at campaign times come from the
+    kernel; a sample inside the gap after t_{k-1} is carried there from the
+    post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})).  A
+    sample landing on a campaign time (within relative tolerance 1e-9)
+    produces two records, the pre-jump state and then the post-jump state;
+    one on the terminal time produces only the pre-jump record.
+    """
+    times = spec.schedule.times
+    samples = np.asarray(sample_times, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError("sample times must form a flat list")
+    if samples.size and np.any(np.diff(samples) < 0):
+        raise ValueError("sample times must be sorted")
+    if samples.size and (samples[0] < times[0] - 1e-12 or samples[-1] > times[-1] + 1e-12):
+        raise ValueError("sample times must lie within the schedule horizon")
+
+    profile = profile_array(validate_plans(spec, plans))
+    passes = [_player_pass(spec, j, profile) for j in range(spec.m)]
+    pre = np.stack([p[0] for p in passes], axis=-1)
+    # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
+    leaving = np.concatenate([spec.x0.values[None], np.stack([p[1] for p in passes], axis=-1)])
+
+    points: list[TrajectoryPoint] = []
+    si = 0
+    for k in range(1, spec.K + 2):
+        t_start, t_end = float(times[k - 1]), float(times[k])
+        match_tol = 1e-9 * max(1.0, abs(t_end))
+        while si < samples.size and samples[si] < t_end - match_tol:
+            t = float(samples[si])
+            # the horizon check lets a sample sit up to 1e-12 before t_0
+            state = propagator(spec.network, max(t - t_start, 0.0)) @ leaving[k - 1]
+            points.append(TrajectoryPoint(t, OpinionState(state)))
+            si += 1
+        while si < samples.size and samples[si] <= t_end + match_tol:
+            points.append(TrajectoryPoint(t_end, OpinionState(pre[k - 1])))
+            if k <= spec.K:
+                points.append(TrajectoryPoint(t_end, OpinionState(leaving[k]), post_jump=True))
+            si += 1
+    return points
 
 
 def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:

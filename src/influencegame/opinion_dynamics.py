@@ -1,12 +1,13 @@
-"""Opinion flow on a social network: smooth averaging drift punctuated by budget jumps.
+"""Opinion flow on a social network: the building blocks of the hybrid process.
 
 The network carries a row-stochastic weight matrix A and Laplacian L = I - A.
 Between campaign times opinions follow the continuous averaging dynamics
 x'(t) = -L x(t), so carrying opinions across a gap of length dt amounts to
-multiplying by the propagator exp(-L dt), which is itself row-stochastic.
-At a campaign time each player's budget allocation moves opinions
-discontinuously: additively when there is a single player, normalized across
-players otherwise so that each individual's opinion row stays in the simplex.
+multiplying by the propagator exp(-L dt), which is itself row-stochastic and
+checked to be so when it is built.  At a campaign time a single player's
+budget moves opinions additively (``jump_single``); the normalized
+multiplayer jump and the forward recursion that strings gaps and jumps
+together live in ``game_model``, whose kernel also samples trajectories.
 """
 
 from __future__ import annotations
@@ -114,25 +115,6 @@ class OpinionState:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Row-stochastic flow matrix exp(-L dt) for one campaign-free interval."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("propagator must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("propagator has non-finite entries")
-        if np.max(np.abs(m.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise ValueError("propagator rows must sum to 1")
-        if np.min(m) < -_NEGATIVITY_TOL:
-            raise ValueError("propagator entries must be nonnegative")
-
-
 def build_network(adjacency) -> Network:
     """Normalize a nonnegative weight matrix into a Network.
 
@@ -173,22 +155,24 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def propagator(network: Network, dt: float) -> Propagator:
-    """Flow matrix exp(-L dt) carrying opinions across a campaign-free gap."""
+def propagator(network: Network, dt: float) -> np.ndarray:
+    """Read-only flow matrix exp(-L dt) carrying opinions across a
+    campaign-free gap, checked to be row-stochastic."""
     if dt < 0:
         raise ValueError("propagation time must be nonnegative")
-    matrix = matrix_exponential(-network.laplacian * dt)
+    matrix = _readonly(matrix_exponential(-network.laplacian * dt))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("propagator computation produced non-finite entries")
-    return Propagator(matrix=matrix)
+    if np.max(np.abs(matrix.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+        raise ValueError("propagator rows must sum to 1")
+    if np.min(matrix) < -_NEGATIVITY_TOL:
+        raise ValueError("propagator entries must be nonnegative")
+    return matrix
 
 
 def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[np.ndarray]:
     """Adjacent-gap propagators: entry k-1 carries opinions from t_{k-1}^+ to t_k."""
-    return [
-        propagator(network, schedule.gap(k)).matrix
-        for k in range(1, schedule.K + 2)
-    ]
+    return [propagator(network, schedule.gap(k)) for k in range(1, schedule.K + 2)]
 
 
 def jump_single(x: np.ndarray, b: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
@@ -207,21 +191,6 @@ def jump_single(x: np.ndarray, b: np.ndarray, tol: float = FEASIBILITY_TOL) -> n
     return np.clip(x + b, 0.0, 1.0)
 
 
-def jump_multi(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Normalized multiplayer jump: entry (i, j) becomes (x_ij + b_ij) / (1 + sum_l b_il).
-
-    Rows that start on the probability simplex stay on it.
-    """
-    x = np.asarray(x, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
-    if x.shape != budgets.shape:
-        raise ValueError("opinion and budget matrices must have matching shape")
-    if np.min(budgets) < -1e-12:
-        raise InfeasiblePlanError("negative budget entry in multiplayer jump")
-    denom = 1.0 + np.maximum(budgets, 0.0).sum(axis=1)
-    return (x + np.maximum(budgets, 0.0)) / denom[:, None]
-
-
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """One sampled opinion state; ``post_jump`` marks the record taken just after
@@ -230,93 +199,3 @@ class TrajectoryPoint:
     time: float
     state: OpinionState
     post_jump: bool = False
-
-
-def _plan_entries(plans) -> list[np.ndarray]:
-    entries = []
-    for plan in plans:
-        raw = getattr(plan, "entries", plan)
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("each plan must be a K x n matrix of investments")
-        entries.append(arr)
-    return entries
-
-
-def simulate_trajectory(
-    network: Network,
-    schedule: CampaignSchedule,
-    x0: OpinionState,
-    plans,
-    sample_times,
-) -> list[TrajectoryPoint]:
-    """Simulate the hybrid opinion process and sample it at the requested times.
-
-    Opinions diffuse by exp(-L dt) between campaign times; at each campaign
-    time the joint budget matrix is applied through the single-player jump
-    when there is one plan and the normalized jump otherwise.  A sample
-    landing on a campaign time (within relative tolerance 1e-9) produces two
-    records: the pre-jump state and the post-jump state.
-    """
-    samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1:
-        raise ValueError("sample times must form a flat list")
-    if samples.size and np.any(np.diff(samples) < 0):
-        raise ValueError("sample times must be sorted")
-    if samples.size and (
-        samples[0] < schedule.t0 - 1e-12 or samples[-1] > schedule.tf + 1e-12
-    ):
-        raise ValueError("sample times must lie within the schedule horizon")
-
-    entries = _plan_entries(plans)
-    m = x0.m
-    K = schedule.K
-    if len(entries) != m:
-        raise ValueError(f"expected {m} plans, got {len(entries)}")
-    for arr in entries:
-        if arr.shape != (K, x0.n):
-            raise ValueError("each plan must be shaped (campaign count, individuals)")
-        if arr.size and np.min(arr) < -FEASIBILITY_TOL:
-            raise InfeasiblePlanError("negative investment in plan")
-    for plan, arr in zip(plans, entries):
-        cap = getattr(plan, "budget_cap", None)
-        if cap is not None and arr.sum() > cap + FEASIBILITY_TOL:
-            raise InfeasiblePlanError("plan total exceeds its budget cap")
-
-    def flow(state, dt):
-        if dt <= 1e-15:
-            return state
-        return matrix_exponential(-network.laplacian * dt) @ state
-
-    points: list[TrajectoryPoint] = []
-    state = np.array(x0.values, dtype=float)
-    t_cur = schedule.t0
-    si = 0
-
-    for k in range(1, K + 2):
-        t_end = float(schedule.times[k])
-        match_tol = 1e-9 * max(1.0, abs(t_end))
-        while si < samples.size and samples[si] < t_end - match_tol:
-            t_s = float(samples[si])
-            state = flow(state, t_s - t_cur)
-            t_cur = t_s
-            points.append(TrajectoryPoint(t_s, OpinionState(state), post_jump=False))
-            si += 1
-        state = flow(state, t_end - t_cur)
-        t_cur = t_end
-        sampled_here = si < samples.size and abs(samples[si] - t_end) <= match_tol
-        if k <= K:
-            if sampled_here:
-                points.append(TrajectoryPoint(t_end, OpinionState(state), post_jump=False))
-            stage = np.column_stack([arr[k - 1] for arr in entries])
-            if m == 1:
-                state = jump_single(state[:, 0], stage[:, 0])[:, None]
-            else:
-                state = jump_multi(state, stage)
-            if sampled_here:
-                points.append(TrajectoryPoint(t_end, OpinionState(state), post_jump=True))
-        elif sampled_here:
-            points.append(TrajectoryPoint(t_end, OpinionState(state), post_jump=False))
-        if sampled_here:
-            si += 1
-    return points

@@ -249,7 +249,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
     for _ in range(500):
         network = random_network(rng, int(rng.integers(2, 9)))
         t = float(rng.random() * 100.0)
-        matrix = propagator(network, t).matrix
+        matrix = propagator(network, t)
         worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
         worst_neg = max(worst_neg, float(max(0.0, -np.min(matrix))))
     checks.append(_check(

@@ -17,11 +17,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def subprocess_env() -> dict:
     """This process's environment with the checkout's ``src`` first on
-    PYTHONPATH, so child interpreters import the package under test."""
+    PYTHONPATH, so child interpreters import the package under test, and
+    with warnings turned into errors there as they are in this process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    env["PYTHONWARNINGS"] = "error"
     return env
 
 

@@ -138,7 +138,7 @@ def test_criterion_4_stochastic_propagators():
     worst_row, worst_neg = 0.0, 0.0
     for _ in range(500):
         network = random_network(rng, int(rng.integers(2, 9)))
-        matrix = propagator(network, float(rng.random() * 100.0)).matrix
+        matrix = propagator(network, float(rng.random() * 100.0))
         worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
         worst_neg = max(worst_neg, float(max(0.0, -np.min(matrix))))
     elapsed = time.perf_counter() - start

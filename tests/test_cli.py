@@ -354,6 +354,7 @@ class TestBadCommandInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert ".tmp-" not in err
         assert set(tmp_path.iterdir()) == before
 
 

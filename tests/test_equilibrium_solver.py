@@ -91,19 +91,20 @@ class TestProjectBudgetSet:
         with pytest.raises(ValueError):
             project_budget_set(np.array([1.0]), -0.5)
 
-    @pytest.mark.parametrize("point, cap", [
-        (np.array([1e300, 0.0]), 1.0),
-        (np.array([1e17, 3.0, -2.0]), 1.0),
-        (np.array([2.0, 1.0]), 0.0),
+    @pytest.mark.parametrize("point, cap, nearest", [
+        (np.array([1e300, 0.0]), 1.0, [1.0, 0.0]),
+        (np.array([1e17, 3.0, -2.0]), 1.0, [1.0, 0.0, 0.0]),
+        (np.array([2.0, 1.0]), 0.0, [0.0, 0.0]),
     ])
-    def test_far_points_and_zero_cap_stay_feasible(self, point, cap):
-        # the water-filling count must keep the top entry when the cap is
-        # lost to round-off in cumsum(u) - cap
+    def test_far_points_and_zero_cap_stay_feasible(self, point, cap, nearest):
+        # the cap must not be lost to round-off next to a far-out top entry,
+        # and the water-filling count must keep the top entry at cap zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             projected = project_budget_set(point, cap)
         assert np.all(np.isfinite(projected))
         assert projected.min() >= 0.0 and projected.sum() <= cap
+        np.testing.assert_array_equal(projected, nearest)
 
 
 class TestRunNoRegret:

@@ -17,6 +17,7 @@ from influencegame import (
     payoff_gradient,
     plans_from_array,
     propagator,
+    simulate_trajectory,
     total_payoff,
 )
 from influencegame.verification import (
@@ -100,6 +101,117 @@ class TestOpinionsAtCampaigns:
             plans_from_array(two_player_spec, overspend)
 
 
+def unit_linear_game(network, times, x0, budgets):
+    """Linear-favor game with unit opinion weights and unit costs."""
+    return GameSpec(
+        network=network,
+        schedule=CampaignSchedule(times=np.asarray(times, dtype=float)),
+        x0=OpinionState(np.asarray(x0, dtype=float)),
+        budgets=np.asarray(budgets, dtype=float),
+        utilities=tuple(
+            StageUtility(kind="linear-favor", rho=np.ones((len(times) - 1, network.n)),
+                         cost_coefficient=1.0)
+            for _ in budgets
+        ),
+    )
+
+
+class TestSimulateTrajectory:
+    def test_zero_plans_match_pure_diffusion(self, path_network):
+        rng = np.random.default_rng(23)
+        raw = rng.random((3, 2))
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0, 3.0],
+                                raw / raw.sum(axis=1, keepdims=True), [3.0, 5.0])
+        plans = plans_from_array(spec, np.zeros((2, 2, 3)))
+        samples = np.linspace(0.0, 3.0, 17)
+        points = [p for p in simulate_trajectory(spec, plans, samples) if not p.post_jump]
+        assert len(points) == 17
+        for point in points:
+            direct = eig_expm(path_network.laplacian, point.time) @ spec.x0.values
+            assert np.max(np.abs(point.state.values - direct)) <= 1e-10
+
+    def test_consensus_on_connected_graph(self, path_network):
+        rng = np.random.default_rng(29)
+        spec = unit_linear_game(path_network, [0.0, 50.0, 100.0], rng.random((3, 1)), [1.0])
+        points = simulate_trajectory(spec, plans_from_array(spec, np.zeros((1, 1, 3))),
+                                     [100.0])
+        final = points[-1].state.values
+        assert final.max() - final.min() < 1e-4
+
+    def test_saturating_single_player_jump(self, path_network):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
+        pre = eig_expm(path_network.laplacian, 1.0) @ spec.x0.values
+        plan = BudgetPlan(player=0, entries=(1.0 - pre[:, 0])[None, :], budget_cap=3.0)
+        points = simulate_trajectory(spec, [plan], [1.0, 2.0])
+        post = [p for p in points if p.post_jump][0]
+        np.testing.assert_allclose(post.state.values, 1.0, atol=1e-12)
+        np.testing.assert_allclose(points[-1].state.values, 1.0, atol=1e-10)
+
+    def test_campaign_time_sample_reports_pre_and_post(self, path_network):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),
+                                [3.0, 5.0])
+        plans = plans_from_array(spec, np.stack([np.full((1, 3), 0.2), np.full((1, 3), 0.4)]))
+        points = simulate_trajectory(spec, plans, [0.0, 1.0, 2.0])
+        at_campaign = [p for p in points if p.time == 1.0]
+        assert [p.post_jump for p in at_campaign] == [False, True]
+        assert not np.allclose(at_campaign[0].state.values, at_campaign[1].state.values)
+
+    def test_boundary_and_repeated_samples(self, path_network):
+        # a sample within the horizon slack before t_0 records x0; every copy
+        # of a campaign-time sample gives a pre and a post record; the
+        # terminal time has no jump, so only a pre-jump record
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
+        plans = plans_from_array(spec, np.full((1, 1, 3), 0.1))
+        first, *points = simulate_trajectory(spec, plans, [-1e-13, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(first.state.values, spec.x0.values)
+        assert [(p.time, p.post_jump) for p in points] == [
+            (1.0, False), (1.0, True), (1.0, False), (1.0, True), (2.0, False)]
+        np.testing.assert_array_equal(points[0].state.values, points[2].state.values)
+        np.testing.assert_array_equal(points[1].state.values, points[3].state.values)
+
+    def test_multiplayer_jump_direct_evaluation(self):
+        # one isolated individual: the post-jump row is (x + b) / (1 + sum b)
+        network = build_network(np.array([[1.0]]))
+        for x0, budgets, expected in [
+            ([[0.5, 0.5]], [1.0, 0.0], [[0.75, 0.25]]),
+            ([[0.3, 0.7]], [2.0, 2.0], [[0.46, 0.54]]),
+        ]:
+            spec = unit_linear_game(network, [0.0, 1.0, 2.0], x0, [3.0, 3.0])
+            plans = plans_from_array(spec, np.reshape(budgets, (2, 1, 1)))
+            pre, post = simulate_trajectory(spec, plans, [1.0])
+            np.testing.assert_allclose(pre.state.values, x0, atol=1e-15)
+            np.testing.assert_allclose(post.state.values, expected, atol=1e-15)
+
+    def test_unsorted_samples_rejected(self, path_network):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.5), [1.0])
+        with pytest.raises(ValueError):
+            simulate_trajectory(spec, plans_from_array(spec, np.zeros((1, 1, 3))),
+                                [1.5, 0.5])
+
+    def test_infeasible_plan_rejected(self, path_network):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.9), [3.0])
+        with pytest.raises(InfeasiblePlanError):
+            simulate_trajectory(spec, plans_from_array(spec, np.full((1, 1, 3), 0.5)),
+                                [2.0])
+
+    def test_matches_campaign_time_closed_form(self, two_player_spec):
+        # pre-jump samples at the campaign times must agree with the
+        # closed-form summation, and post-jump rows stay on the simplex
+        spec = two_player_spec
+        profile = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.8)])
+        plans = plans_from_array(spec, profile)
+        closed_form = opinions_at_campaigns_closed_form(spec, plans)
+        points = simulate_trajectory(spec, plans, [1.0, 2.0, 3.0])
+        pre = [p for p in points if not p.post_jump]
+        assert [p.time for p in pre] == [1.0, 2.0, 3.0]
+        for k, point in enumerate(pre):
+            assert np.max(np.abs(point.state.values - closed_form[k])) <= 1e-8
+        post = [p for p in points if p.post_jump]
+        assert [p.time for p in post] == [1.0, 2.0]
+        for point in post:
+            assert np.max(np.abs(point.state.values.sum(axis=1) - 1.0)) <= 1e-12
+
+
 class TestTotalPayoff:
     def test_reference_game_constant_sum_at_full_spend(self, two_player_spec):
         # with both budgets fully spent: (1/3)(9 - 3 - 5) = 1/3
@@ -161,7 +273,7 @@ class TestPayoffGradient:
         for k in range(1, K + 1):
             acc = np.full(spec.n, -utility.cost_coefficient)
             for k_later in range(k + 1, K + 2):
-                flow = propagator(spec.network, times[k_later] - times[k]).matrix
+                flow = propagator(spec.network, times[k_later] - times[k])
                 acc = acc + flow.T @ utility.rho[k_later - 1]
             expected[k - 1] = acc / (K + 1)
         np.testing.assert_allclose(gradient, expected, atol=1e-10)

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from influencegame import (
-    BudgetPlan,
-    CampaignSchedule,
     InfeasiblePlanError,
     OpinionState,
     build_network,
-    jump_multi,
     jump_single,
     matrix_exponential,
     propagator,
-    simulate_trajectory,
 )
 from conftest import PATH_ADJACENCY, PATH_LAPLACIAN
 
@@ -58,16 +54,16 @@ class TestBuildNetwork:
 
 class TestPropagator:
     def test_zero_time_is_identity(self, path_network):
-        np.testing.assert_allclose(propagator(path_network, 0.0).matrix, np.eye(3),
+        np.testing.assert_allclose(propagator(path_network, 0.0), np.eye(3),
                                    atol=1e-15)
 
     def test_path_network_unit_time_matches_eigendecomposition(self, path_network):
-        np.testing.assert_allclose(propagator(path_network, 1.0).matrix,
+        np.testing.assert_allclose(propagator(path_network, 1.0),
                                    PATH_PROPAGATOR_DT1, atol=1e-12)
 
     def test_long_time_reaches_stationary_rows(self, path_network):
         # doubly stochastic adjacency: the stationary distribution is uniform
-        matrix = propagator(path_network, 1000.0).matrix
+        matrix = propagator(path_network, 1000.0)
         assert np.max(np.abs(matrix - 1.0 / 3.0)) < 1e-6
 
     def test_negative_time_rejected(self, path_network):
@@ -78,7 +74,7 @@ class TestPropagator:
         rng = np.random.default_rng(7)
         for _ in range(50):
             net = random_network(rng, int(rng.integers(2, 7)))
-            matrix = propagator(net, float(rng.random() * 100)).matrix
+            matrix = propagator(net, float(rng.random() * 100))
             assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-10
             assert matrix.min() >= -1e-12
 
@@ -87,8 +83,8 @@ class TestPropagator:
         for _ in range(20):
             net = random_network(rng, int(rng.integers(2, 6)))
             dt1, dt2 = rng.random(2) * 5.0
-            combined = propagator(net, dt1).matrix @ propagator(net, dt2).matrix
-            direct = propagator(net, dt1 + dt2).matrix
+            combined = propagator(net, dt1) @ propagator(net, dt2)
+            direct = propagator(net, dt1 + dt2)
             assert np.max(np.abs(combined - direct)) <= 1e-8
 
     def test_matrix_exponential_against_series(self):
@@ -122,111 +118,6 @@ class TestJumps:
             x = rng.random(4)
             b = rng.random(4) * (1.0 - x)
             assert np.all(jump_single(x, b) >= x - 1e-15)
-
-    def test_multi_zero_budget_is_identity(self):
-        x = np.array([[0.3, 0.7], [0.5, 0.5]])
-        np.testing.assert_array_equal(jump_multi(x, np.zeros((2, 2))), x)
-
-    def test_multi_direct_evaluation(self):
-        out = jump_multi(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(out, [[0.75, 0.25]])
-        out = jump_multi(np.array([[0.3, 0.7]]), np.array([[2.0, 2.0]]))
-        np.testing.assert_allclose(out, [[0.46, 0.54]])
-
-    def test_multi_rejects_negative_budget(self):
-        with pytest.raises(InfeasiblePlanError):
-            jump_multi(np.array([[0.5, 0.5]]), np.array([[-0.1, 0.2]]))
-
-    def test_multi_row_sum_law(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            x = rng.random((3, 3))
-            budgets = rng.random((3, 3)) * 2.0
-            out = jump_multi(x, budgets)
-            expected = (x.sum(axis=1) + budgets.sum(axis=1)) / (1.0 + budgets.sum(axis=1))
-            np.testing.assert_allclose(out.sum(axis=1), expected, atol=1e-12)
-
-    def test_multi_preserves_simplex_exactly(self):
-        rng = np.random.default_rng(17)
-        raw = rng.random((4, 3))
-        x = raw / raw.sum(axis=1, keepdims=True)
-        out = jump_multi(x, rng.random((4, 3)) * 3.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestSimulateTrajectory:
-    def test_zero_plans_match_pure_diffusion(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0]))
-        rng = np.random.default_rng(23)
-        x0 = OpinionState(rng.random((3, 2)))
-        plans = [np.zeros((2, 3)), np.zeros((2, 3))]
-        samples = np.linspace(0.0, 3.0, 17)
-        points = [
-            p for p in simulate_trajectory(path_network, schedule, x0, plans, samples)
-            if not p.post_jump
-        ]
-        assert len(points) == 17
-        for point in points:
-            direct = matrix_exponential(-path_network.laplacian * point.time) @ x0.values
-            assert np.max(np.abs(point.state.values - direct)) <= 1e-10
-
-    def test_consensus_on_connected_graph(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 100.0]))
-        rng = np.random.default_rng(29)
-        x0 = OpinionState(rng.random((3, 1)))
-        points = simulate_trajectory(path_network, schedule, x0, [np.zeros((0, 3))],
-                                     [100.0])
-        final = points[-1].state.values
-        assert final.max() - final.min() < 1e-4
-
-    def test_saturating_single_player_jump(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0]))
-        x0 = OpinionState(np.full((3, 1), 0.25))
-        pre = matrix_exponential(-path_network.laplacian * 1.0) @ x0.values
-        plan = BudgetPlan(player=0, entries=(1.0 - pre[:, 0])[None, :], budget_cap=3.0)
-        points = simulate_trajectory(path_network, schedule, x0, [plan], [1.0, 2.0])
-        post = [p for p in points if p.post_jump][0]
-        np.testing.assert_allclose(post.state.values, 1.0, atol=1e-12)
-        np.testing.assert_allclose(points[-1].state.values, 1.0, atol=1e-10)
-
-    def test_campaign_time_sample_reports_pre_and_post(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0]))
-        x0 = OpinionState(np.full((3, 2), 0.5))
-        plans = [np.full((1, 3), 0.2), np.full((1, 3), 0.4)]
-        points = simulate_trajectory(path_network, schedule, x0, plans, [0.0, 1.0, 2.0])
-        at_campaign = [p for p in points if p.time == 1.0]
-        assert [p.post_jump for p in at_campaign] == [False, True]
-        assert not np.allclose(at_campaign[0].state.values, at_campaign[1].state.values)
-
-    def test_unsorted_samples_rejected(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0]))
-        x0 = OpinionState(np.full((3, 1), 0.5))
-        with pytest.raises(ValueError):
-            simulate_trajectory(path_network, schedule, x0, [np.zeros((1, 3))],
-                                [1.5, 0.5])
-
-    def test_infeasible_plan_rejected(self, path_network):
-        schedule = CampaignSchedule(times=np.array([0.0, 1.0, 2.0]))
-        x0 = OpinionState(np.full((3, 1), 0.9))
-        with pytest.raises(InfeasiblePlanError):
-            simulate_trajectory(path_network, schedule, x0, [np.full((1, 3), 0.5)],
-                                [2.0])
-
-    def test_matches_campaign_time_closed_form(self, two_player_spec):
-        # pre-jump samples at the campaign times must agree with the
-        # closed-form campaign-time opinion evaluation
-        from influencegame import opinions_at_campaigns, plans_from_array
-
-        spec = two_player_spec
-        profile = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.8)])
-        plans = plans_from_array(spec, profile)
-        closed_form = opinions_at_campaigns(spec, plans)
-        points = simulate_trajectory(spec.network, spec.schedule, spec.x0, plans,
-                                     [1.0, 2.0, 3.0])
-        pre = [p for p in points if not p.post_jump]
-        assert [p.time for p in pre] == [1.0, 2.0, 3.0]
-        for k, point in enumerate(pre):
-            assert np.max(np.abs(point.state.values - closed_form[k])) <= 1e-8
 
 
 class TestOpinionState:

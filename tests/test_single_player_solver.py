@@ -55,11 +55,11 @@ class TestBuildRegion:
         region = build_region(spec)
         times = spec.schedule.times
         for k in (1, 2):
-            reach = propagator(spec.network, times[k] - times[0]).matrix @ spec.x0.values[:, 0]
+            reach = propagator(spec.network, times[k] - times[0]) @ spec.x0.values[:, 0]
             np.testing.assert_allclose(region.offsets[(k - 1) * 3 : k * 3],
                                        1.0 - reach, atol=1e-12)
         # cross-stage coupling: the stage-2 cap rows carry the 1-step propagator
-        flow = propagator(spec.network, times[2] - times[1]).matrix
+        flow = propagator(spec.network, times[2] - times[1])
         np.testing.assert_allclose(region.normals[3:6, 0:3], flow, atol=1e-12)
 
     def test_zero_plan_always_feasible(self):

@@ -118,7 +118,7 @@ class TestCheckStochastic:
         rng = np.random.default_rng(101)
         for _ in range(50):
             report = check_stochastic(
-                propagator(path_network, float(rng.random() * 100)).matrix, tol=1e-10
+                propagator(path_network, float(rng.random() * 100)), tol=1e-10
             )
             assert report.passed
 
