@@ -182,6 +182,48 @@ class TestSimulateTrajectory:
             np.testing.assert_allclose(pre.state.values, x0, atol=1e-15)
             np.testing.assert_allclose(post.state.values, expected, atol=1e-15)
 
+    def test_multiplayer_zero_budget_jump_is_identity(self, path_network):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0],
+                                [[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]], [1.0, 1.0])
+        pre, post = simulate_trajectory(spec, plans_from_array(spec, np.zeros((2, 1, 3))),
+                                        [1.0])
+        assert (pre.post_jump, post.post_jump) == (False, True)
+        np.testing.assert_array_equal(post.state.values, pre.state.values)
+
+    def test_multiplayer_negative_budget_rejected(self):
+        network = build_network(np.array([[1.0]]))
+        spec = unit_linear_game(network, [0.0, 1.0, 2.0], [[0.5, 0.5]], [1.0, 1.0])
+        with pytest.raises(InfeasiblePlanError):
+            plans_from_array(spec, np.array([[[-0.1]], [[0.2]]]))
+
+    def test_multiplayer_jump_law_on_random_games(self, path_network):
+        # at every campaign time the post-jump rows equal (pre + b) / (1 + sum b)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            raw = rng.random((3, 3))
+            spec = unit_linear_game(path_network, [0.0, 0.5, 1.5, 2.0],
+                                    raw / raw.sum(axis=1, keepdims=True), [6.0, 6.0, 6.0])
+            profile = rng.random((3, 2, 3))
+            points = simulate_trajectory(spec, plans_from_array(spec, profile), [0.5, 1.5])
+            for k in range(2):
+                pre, post = points[2 * k], points[2 * k + 1]
+                b = profile[:, k, :].T
+                expected = (pre.state.values + b) / (1.0 + b.sum(axis=1, keepdims=True))
+                np.testing.assert_allclose(post.state.values, expected, atol=1e-12)
+
+    def test_multiplayer_jump_preserves_simplex(self):
+        rng = np.random.default_rng(17)
+        adjacency = np.diag(np.ones(3), 1)
+        network = build_network(adjacency + adjacency.T)
+        raw = rng.random((4, 3))
+        spec = unit_linear_game(network, [0.0, 1.0, 2.0], raw / raw.sum(axis=1, keepdims=True),
+                                [12.0, 12.0, 12.0])
+        plans = plans_from_array(spec, rng.random((3, 1, 4)) * 3.0)
+        points = simulate_trajectory(spec, plans, np.linspace(0.0, 2.0, 9))
+        assert any(p.post_jump for p in points)
+        for point in points:
+            np.testing.assert_allclose(point.state.values.sum(axis=1), 1.0, atol=1e-12)
+
     def test_unsorted_samples_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.5), [1.0])
         with pytest.raises(ValueError):
