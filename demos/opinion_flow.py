@@ -16,7 +16,6 @@ from influencegame import (
     OpinionState,
     StageUtility,
     build_network,
-    plans_from_array,
     propagator,
     simulate_trajectory,
 )
@@ -59,8 +58,7 @@ def main():
                                      cost_coefficient=1.0) for _ in range(2)),
     )
     profile = np.stack([np.full((2, 3), 0.4), np.full((2, 3), 0.1)])
-    plans = plans_from_array(spec, profile)
-    pre, post = simulate_trajectory(spec, plans, [1.0])
+    pre, post = simulate_trajectory(spec, profile, [1.0])
     print("pre-jump rows at t = 1: ", pre.state.values.round(4).tolist())
     print("investments at t = 1:   ", profile[:, 0].T.tolist())
     print("post-jump rows at t = 1:", post.state.values.round(4).tolist())
@@ -70,7 +68,7 @@ def main():
     print("=" * 64)
     print("4. A full hybrid trajectory: drift, jump, drift, jump, drift")
     print("=" * 64)
-    for point in simulate_trajectory(spec, plans, np.linspace(0.0, 3.0, 13)):
+    for point in simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13)):
         tag = "post-jump" if point.post_jump else ""
         first_opinions = point.state.values[:, 0]
         print(f"t = {point.time:5.2f} {tag:>9}  opinions of player 0: "

@@ -37,7 +37,7 @@ def scalar_story():
                                 cost_coefficient=0.4),),
     )
     report = solve_single(spec)
-    print(f"optimal investment: {report.plan.entries.ravel()}  (hand value: 0.5)")
+    print(f"optimal investment: {report.plan.ravel()}  (hand value: 0.5)")
     print(f"objective:          {report.objective:.6f}      (hand value: 0.65)")
     print(f"iterations: {report.iterations}, first-order residual: "
           f"{report.kkt_residual:.2e}")
@@ -70,8 +70,8 @@ def network_story():
     print(f"constraint polytope: {region.count} halfspaces in R^{region.dim}")
     report = solve_single(spec)
     print("optimal plan (rows = campaigns, columns = individuals):")
-    print(report.plan.entries.round(4))
-    print(f"spent {report.plan.total_spend:.4f} of budget "
+    print(report.plan.round(4))
+    print(f"spent {report.plan.sum():.4f} of budget "
           f"{spec.budgets[0]:.1f}, objective {report.objective:.6f}")
 
 

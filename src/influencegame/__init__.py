@@ -24,14 +24,11 @@ from .opinion_dynamics import (
     propagator,
 )
 from .game_model import (
-    BudgetPlan,
     GameSpec,
     StageUtility,
     opinions_at_campaigns,
     opinions_at_campaigns_closed_form,
     payoff_gradient,
-    plans_from_array,
-    profile_array,
     simulate_trajectory,
     total_payoff,
     validate_plans,

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv
 from .fileio import atomic_write_text
-from .game_model import BudgetPlan, GameSpec, StageUtility, simulate_trajectory
+from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
 from .single_player_solver import solve_single
 from .verification import SUITES, run_suite
@@ -155,13 +155,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path):
+    """Parse a UTF-8 JSON file; undecodable bytes and bad JSON are ScenarioErrors."""
     try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(document)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path))
 
 
 def reference_scenario() -> Scenario:
@@ -187,30 +191,27 @@ def reference_scenario() -> Scenario:
     return Scenario(spec=spec, solver=SolverSettings(T=100))
 
 
-def load_plans(path, spec: GameSpec) -> list[BudgetPlan]:
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ScenarioError("plans file must be a JSON object")
+def load_plans(path, spec: GameSpec) -> np.ndarray:
+    """Read a plans file, one K x n matrix per player, as the (m, K, n)
+    profile ``validate_plans`` returns.  A malformed file or a non-finite
+    entry is a ScenarioError; an infeasible plan an InfeasiblePlanError."""
+    document = _read_json(path)
     _strict_keys(document, ("plans",), ("plans",), "plans file")
     entries = document["plans"]
     if not isinstance(entries, list) or len(entries) != spec.m:
         raise ScenarioError(f"plans file must list one K x n matrix per player ({spec.m})")
-    plans = []
+    matrices = []
     for j, matrix in enumerate(entries):
         arr = _convert(matrix, lambda v: np.asarray(v, dtype=float), f"plan {j}")
         if arr.shape != (spec.K, spec.n):
             raise ScenarioError(
                 f"plan {j} must be shaped ({spec.K}, {spec.n}), got {arr.shape}"
             )
-        try:
-            plans.append(BudgetPlan(player=j, entries=arr, budget_cap=float(spec.budgets[j])))
-        except ValueError as exc:
-            raise ScenarioError(f"plan {j}: {exc}") from exc
-    return plans
+        matrices.append(arr)
+    try:
+        return validate_plans(spec, matrices)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _trajectory_csv(points) -> str:
@@ -230,9 +231,9 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("--samples must be nonnegative")
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
-    plans = load_plans(args.plans, spec)
+    profile = load_plans(args.plans, spec)
     samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
-    points = simulate_trajectory(spec, plans, samples)
+    points = simulate_trajectory(spec, profile, samples)
     atomic_write_text(args.out, _trajectory_csv(points))
     print(f"wrote {len(points)} trajectory records to {args.out}")
     return EXIT_OK
@@ -247,7 +248,7 @@ def cmd_solve(args) -> int:
         return EXIT_WRONG_MODE
     report = solve_single(spec)
     document = {
-        "plan": report.plan.entries.tolist(),
+        "plan": report.plan.tolist(),
         "objective": report.objective,
         "iterations": report.iterations,
         "final_step_norm": report.final_step_norm,

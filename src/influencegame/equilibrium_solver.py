@@ -26,8 +26,6 @@ tolerances the diagnostics need in a few dozen kernel passes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,9 +35,8 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisCheckError
 from .game_model import (
     GameSpec,
-    plans_from_array,
-    profile_array,
     total_payoff,
+    validate_plans,
     _objective_for_player,
     _player_pass,
 )
@@ -271,19 +268,21 @@ def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, valu
     )
 
 
-def best_response(spec: GameSpec, plans, j: int):
-    """Best response of player j to the others' plans; returns (entries, payoff).
+def best_response(spec: GameSpec, profile, j: int):
+    """Best response of player j to the others' plans in the (m, K, n)
+    ``profile``; returns (entries, payoff).
 
     Warm-started at player j's current plan, so the returned payoff is never
     below the played one.  The ascent stops at step norm 1e-9 and raises
     ConvergenceError if ``_maximize_concave``'s step budget runs out first;
-    a one-player game raises ValueError.
+    a one-player game raises ValueError, and a profile ``validate_plans``
+    refuses raises its error.
     """
     _require_multiplayer(spec)
     _require_own_concave(spec, j)
-    entries = profile_array(plans)
-    evaluate = _objective_for_player(spec, entries, j)
-    point, value, _ = _maximize_concave(evaluate, _projection(spec, j), entries[j].ravel())
+    profile = validate_plans(spec, profile)
+    evaluate = _objective_for_player(spec, profile, j)
+    point, value, _ = _maximize_concave(evaluate, _projection(spec, j), profile[j].ravel())
     return point.reshape(spec.K, spec.n), value
 
 
@@ -292,15 +291,14 @@ def exploitability(spec: GameSpec, profile) -> float:
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
     distance from equilibrium in payoff terms.  A one-player game raises
-    ValueError.
+    ValueError, and a profile ``validate_plans`` refuses raises its error.
     """
     _require_multiplayer(spec)
-    arr = profile if isinstance(profile, np.ndarray) else profile_array(profile)
-    plans = plans_from_array(spec, arr)
+    profile = validate_plans(spec, profile)
     gaps = []
     for j in range(spec.m):
-        base = total_payoff(spec, plans, j)
-        _, improved = best_response(spec, plans, j)
+        base = total_payoff(spec, profile, j)
+        _, improved = best_response(spec, profile, j)
         gaps.append(improved - base)
     return float(max(gaps))
 
@@ -348,29 +346,14 @@ def solve_equilibrium(spec: GameSpec, T: int):
 
 def trace_to_csv(trace: LearningTrace) -> str:
     """Render a trace as CSV with one row per (iteration, player, stage, individual)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["iteration", "player", "stage", "individual", "iterate_value", "average_value", "payoff"]
-    )
-    T, m, K, n = trace.iterates.shape
-    for tau in range(T):
-        for j in range(m):
-            payoff = repr(float(trace.payoffs[tau, j]))
-            for k in range(K):
-                for i in range(n):
-                    writer.writerow(
-                        [
-                            tau + 1,
-                            j,
-                            k + 1,
-                            i,
-                            repr(float(trace.iterates[tau, j, k, i])),
-                            repr(float(trace.averages[tau, j, k, i])),
-                            payoff,
-                        ]
-                    )
-    return buffer.getvalue()
+    lines = ["iteration,player,stage,individual,iterate_value,average_value,payoff"]
+    rows = zip(trace.iterates.tolist(), trace.averages.tolist(), trace.payoffs.tolist())
+    for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
+        for j, (plan, mean, payoff) in enumerate(zip(iterate, average, payoffs)):
+            for k, (stage, stage_mean) in enumerate(zip(plan, mean), start=1):
+                for i, (x, y) in enumerate(zip(stage, stage_mean)):
+                    lines.append(f"{tau},{j},{k},{i},{x!r},{y!r},{payoff!r}")
+    return "\n".join(lines) + "\n"
 
 
 def result_to_json(result: EquilibriumResult) -> str:

@@ -1,9 +1,12 @@
-"""Game data model: budget plans, stage utilities, payoffs, and exact payoff gradients.
+"""Game data model: stage utilities, strategy profiles, payoffs, and exact payoff gradients.
 
 A game couples a network, a campaign schedule, initial opinions, and one
-stage-utility/budget pair per player.  Player j's payoff is the average of its
-stage utilities evaluated at the pre-jump campaign-time opinions of its own
-opinion column, with the terminal stage charged no investment.
+stage-utility/budget pair per player.  A strategy profile is one (m, K, n)
+float array, the stack of the players' K x n open-loop investment plans;
+every function here takes that array and checks it once, with
+``validate_plans``.  Player j's payoff is the average of its stage utilities
+evaluated at the pre-jump campaign-time opinions of its own opinion column,
+with the terminal stage charged no investment.
 
 Every payoff, gradient and opinion state comes from one kernel,
 ``_player_pass``: a forward pass of the stage recursion (diffuse across a gap
@@ -119,39 +122,6 @@ def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BudgetPlan:
-    """One player's K x n investment matrix under a total-budget cap.
-
-    Row k holds the per-individual investments at campaign time t_k; the
-    implicit terminal-stage action is zero.
-    """
-
-    player: int
-    entries: np.ndarray
-    budget_cap: float
-
-    def __post_init__(self):
-        entries = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if not np.isfinite(entries).all():
-            raise ValueError(f"plan for player {self.player} has non-finite investments")
-        if entries.min() < -FEASIBILITY_TOL:
-            raise InfeasiblePlanError(
-                f"plan for player {self.player} has a negative investment"
-            )
-        entries = np.maximum(entries, 0.0)
-        if entries.sum() > self.budget_cap + FEASIBILITY_TOL:
-            raise InfeasiblePlanError(
-                f"plan for player {self.player} spends {entries.sum():.6g} "
-                f"over its cap {self.budget_cap:.6g}"
-            )
-        object.__setattr__(self, "entries", _readonly(entries))
-
-    @property
-    def total_spend(self) -> float:
-        return float(self.entries.sum())
-
-
-@dataclass(frozen=True)
 class GameSpec:
     """Immutable description of one game instance.
 
@@ -248,43 +218,33 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
                 )
 
 
-def validate_plans(spec: GameSpec, plans) -> list[BudgetPlan]:
-    """Check a joint plan list against the spec; returns it for chaining."""
-    plans = list(plans)
-    if len(plans) != spec.m:
-        raise InfeasiblePlanError(f"expected {spec.m} plans, got {len(plans)}")
-    for j, plan in enumerate(plans):
-        if plan.player != j:
-            raise InfeasiblePlanError(f"plan at position {j} is labeled player {plan.player}")
-        if plan.entries.shape != (spec.K, spec.n):
-            raise InfeasiblePlanError(
-                f"plan for player {j} must be shaped ({spec.K}, {spec.n})"
-            )
-        if plan.total_spend > spec.budgets[j] + FEASIBILITY_TOL:
-            raise InfeasiblePlanError(
-                f"player {j} spends {plan.total_spend:.6g} over budget {spec.budgets[j]:.6g}"
-            )
-    return plans
+def validate_plans(spec: GameSpec, profile) -> np.ndarray:
+    """Check a strategy profile against the game; returns it clamped at zero.
 
-
-def plans_from_array(spec: GameSpec, profile: np.ndarray) -> list[BudgetPlan]:
-    """Wrap an (m, K, n) array as a validated plan list."""
+    A profile is an (m, K, n) array: ``profile[j]`` is player j's open-loop
+    plan, whose row k holds its per-individual investments at campaign time
+    t_k (the terminal stage invests nothing).  Raises InfeasiblePlanError for
+    a wrong shape, an entry below -FEASIBILITY_TOL or a player spending more
+    than its budget plus FEASIBILITY_TOL, and ValueError for non-finite
+    entries.  Returns ``np.maximum(profile, 0.0)``, a new float array.
+    """
     profile = np.asarray(profile, dtype=float)
-    plans = [
-        BudgetPlan(player=j, entries=profile[j], budget_cap=float(spec.budgets[j]))
-        for j in range(spec.m)
-    ]
-    return validate_plans(spec, plans)
-
-
-def profile_array(plans) -> np.ndarray:
-    """Stack a plan list into an (m, K, n) array."""
-    return np.stack([plan.entries for plan in plans])
-
-
-def _stage_matrix(entries: list[np.ndarray], k: int) -> np.ndarray:
-    """Joint n x m budget matrix invested at campaign k (1-based)."""
-    return np.column_stack([e[k - 1] for e in entries])
+    if profile.shape != (spec.m, spec.K, spec.n):
+        raise InfeasiblePlanError(
+            f"profile must be shaped ({spec.m}, {spec.K}, {spec.n}), got {profile.shape}"
+        )
+    clamped = np.maximum(profile, 0.0)
+    for j in range(spec.m):
+        if not np.isfinite(profile[j]).all():
+            raise ValueError(f"plan for player {j} has non-finite investments")
+        if profile[j].min() < -FEASIBILITY_TOL:
+            raise InfeasiblePlanError(f"plan for player {j} has a negative investment")
+        spend = clamped[j].sum()
+        if spend > spec.budgets[j] + FEASIBILITY_TOL:
+            raise InfeasiblePlanError(
+                f"player {j} spends {spend:.6g} over budget {spec.budgets[j]:.6g}"
+            )
+    return clamped
 
 
 def _player_pass(spec: GameSpec, j: int, profile: np.ndarray):
@@ -362,16 +322,16 @@ def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
     return evaluate
 
 
-def opinions_at_campaigns(spec: GameSpec, plans) -> np.ndarray:
+def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
     """Pre-jump opinion states at t_1..t_{K+1}, shaped (K+1, n, m).
 
     Evaluated by the stage recursion: diffuse across each gap, then apply the
     jump for the budgets invested at that campaign."""
-    profile = profile_array(validate_plans(spec, plans))
+    profile = validate_plans(spec, profile)
     return np.stack([_player_pass(spec, j, profile)[0] for j in range(spec.m)], axis=-1)
 
 
-def simulate_trajectory(spec: GameSpec, plans, sample_times) -> list[TrajectoryPoint]:
+def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[TrajectoryPoint]:
     """Sample the hybrid opinion process of the game at sorted times.
 
     The pre-jump and post-jump states at campaign times come from the
@@ -390,7 +350,7 @@ def simulate_trajectory(spec: GameSpec, plans, sample_times) -> list[TrajectoryP
     if samples.size and (samples[0] < times[0] - 1e-12 or samples[-1] > times[-1] + 1e-12):
         raise ValueError("sample times must lie within the schedule horizon")
 
-    profile = profile_array(validate_plans(spec, plans))
+    profile = validate_plans(spec, profile)
     passes = [_player_pass(spec, j, profile) for j in range(spec.m)]
     pre = np.stack([p[0] for p in passes], axis=-1)
     # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
@@ -415,27 +375,26 @@ def simulate_trajectory(spec: GameSpec, plans, sample_times) -> list[TrajectoryP
     return points
 
 
-def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:
+def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
     """Same states via the explicit summation over investment stages.
 
     Exists as an independent evaluation route; agrees with the recursion to
     round-off.  Single-player games have no damping, so every D(r) is the
     identity there."""
-    plans = validate_plans(spec, plans)
-    entries = [plan.entries for plan in plans]
+    profile = validate_plans(spec, profile)
     gaps = spec.gap_propagators
     K, n, m = spec.K, spec.n, spec.m
 
     def damping_diag(r: int) -> np.ndarray:
         if r == 0 or m == 1:
             return np.ones(n)
-        return 1.0 / (1.0 + _stage_matrix(entries, r).sum(axis=1))
+        return 1.0 / (1.0 + profile[:, r - 1].sum(axis=0))
 
     out = np.zeros((K + 1, n, m))
     for k in range(1, K + 2):
         total = np.zeros((n, m))
         for s in range(0, k):
-            block = _stage_matrix(entries, s) if s >= 1 else np.array(spec.x0.values)
+            block = profile[:, s - 1].T if s >= 1 else np.array(spec.x0.values)
             # apply A_{r+1} D(r) factors from the inside out, leftmost last
             term = damping_diag(s)[:, None] * block
             for r in range(s, k):
@@ -447,13 +406,13 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, plans) -> np.ndarray:
     return out
 
 
-def total_payoff(spec: GameSpec, plans, j: int) -> float:
+def total_payoff(spec: GameSpec, profile, j: int) -> float:
     """Average of player j's stage utilities over t_1..t_{K+1}."""
-    profile = profile_array(validate_plans(spec, plans))
+    profile = validate_plans(spec, profile)
     return float(_player_pass(spec, j, profile)[2])
 
 
-def payoff_gradient(spec: GameSpec, plans, j: int) -> np.ndarray:
+def payoff_gradient(spec: GameSpec, profile, j: int) -> np.ndarray:
     """Exact gradient of total_payoff with respect to player j's own entries."""
-    profile = profile_array(validate_plans(spec, plans))
+    profile = validate_plans(spec, profile)
     return _player_pass(spec, j, profile)[3]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisCheckError
-from .game_model import BudgetPlan, GameSpec, _objective_for_player
+from .game_model import GameSpec, validate_plans, _objective_for_player
 from .opinion_dynamics import _readonly
 
 DEFAULT_PROJECTION_TOL = 1e-12
@@ -171,7 +171,9 @@ def project_feasible(
 class SolveReport:
     """Solution summary: the plan, its objective, and first-order diagnostics.
 
-    ``iterations`` counts the accepted ascent steps.  ``final_step_norm`` is
+    ``plan`` is the read-only K x n investment matrix that ``validate_plans``
+    returns for the solved plan.  ``iterations`` counts the accepted ascent
+    steps.  ``final_step_norm`` is
     the stopping residual ||P(b + s g) - b|| / s at the returned plan b, with
     g the gradient, P the projection and s = min(line-search step, 1).
     ``kkt_residual`` is the largest positive component of the projected
@@ -181,7 +183,7 @@ class SolveReport:
     decreases beyond round-off.
     """
 
-    plan: BudgetPlan
+    plan: np.ndarray
     objective: float
     iterations: int
     final_step_norm: float
@@ -253,7 +255,7 @@ def solve_single(
     projected_gradient = (project(b + probe * g) - b) / probe
     kkt_residual = float(max(0.0, projected_gradient.max()))
 
-    plan = BudgetPlan(player=0, entries=b.reshape(K, n), budget_cap=float(spec.budgets[0]))
+    plan = _readonly(validate_plans(spec, b.reshape(1, K, n))[0])
     assert region.contains(b, tol=1e-8)
     return SolveReport(
         plan=plan,

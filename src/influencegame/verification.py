@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game_model import plans_from_array, profile_array, total_payoff
+from .game_model import total_payoff, validate_plans
 from .single_player_solver import build_region
 
 
@@ -131,7 +131,8 @@ def _grid_candidates(cap: float, dims: int, grid_step: float) -> np.ndarray:
 
 
 def brute_force_best_response(spec, profile, j: int, grid_step: float):
-    """Exhaustive grid search for player j's best response; returns (entries, payoff).
+    """Exhaustive grid search for player j's best response to the others'
+    plans in the (m, K, n) ``profile``; returns (entries, payoff).
 
     Candidates are enumerated lexicographically and ties keep the earliest
     (lexicographically smallest) point, so the result is deterministic.
@@ -141,10 +142,8 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     if K * n > 4:
         raise ValueError("grid search is limited to K*n <= 4 variables")
     cap = float(spec.budgets[j])
+    entries = validate_plans(spec, profile)
     candidates = _grid_candidates(cap, K * n, grid_step)
-
-    entries = profile if isinstance(profile, np.ndarray) else profile_array(profile)
-    entries = np.array(entries, dtype=float)
 
     if spec.m == 1 and spec.utilities[0].is_linear:
         best_index, best_value = _batched_single_player_search(spec, candidates)
@@ -157,7 +156,7 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
         for idx, candidate in enumerate(candidates):
             entries[j] = candidate.reshape(K, n)
             try:
-                value = total_payoff(spec, plans_from_array(spec, entries), j)
+                value = total_payoff(spec, entries, j)
             except Exception:
                 continue
             if value > best_value:
@@ -297,7 +296,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
             profile[j] = own
             for pos, ell in enumerate(others):
                 profile[ell] = flat.reshape(len(others), spec.K, spec.n)[pos]
-            return total_payoff(spec, plans_from_array(spec, profile), j)
+            return total_payoff(spec, profile, j)
 
         def coordinate_of_opinions(flat, spec=spec, j=j, own=own, others=others,
                                    k=int(rng.integers(1, K + 2)), i=int(rng.integers(n))):
@@ -307,9 +306,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
             profile[j] = own
             for pos, ell in enumerate(others):
                 profile[ell] = flat.reshape(len(others), spec.K, spec.n)[pos]
-            return float(
-                opinions_at_campaigns(spec, plans_from_array(spec, profile))[k - 1][i, j]
-            )
+            return float(opinions_at_campaigns(spec, profile)[k - 1][i, j])
 
         for _ in range(5):
             opp_a = np.concatenate(
@@ -337,9 +334,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
         spec = random_linear_game(rng, 1, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
 
         def objective(flat, spec=spec):
-            return total_payoff(
-                spec, plans_from_array(spec, flat.reshape(1, spec.K, spec.n)), 0
-            )
+            return total_payoff(spec, flat.reshape(1, spec.K, spec.n), 0)
 
         plan_a = random_feasible_profile(rng, spec).ravel()
         plan_b = random_feasible_profile(rng, spec).ravel()
@@ -362,12 +357,12 @@ def _suite_gradients(seed: int) -> list[dict]:
         for _ in range(20):
             profile = random_feasible_profile(rng, spec)
             j = int(rng.integers(m))
-            analytic = payoff_gradient(spec, plans_from_array(spec, profile), j)
+            analytic = payoff_gradient(spec, profile, j)
 
             def payoff_of_own(own, spec=spec, profile=profile, j=j):
                 candidate = profile.copy()
                 candidate[j] = own
-                return total_payoff(spec, plans_from_array(spec, candidate), j)
+                return total_payoff(spec, candidate, j)
 
             numeric = fd_gradient(payoff_of_own, profile[j], h=1e-5).gradient
             scale = max(float(np.max(np.abs(numeric))), 1e-12)
@@ -389,10 +384,8 @@ def _suite_oracles(seed: int) -> list[dict]:
         K = 1 if n == 2 else int(rng.integers(1, 4))
         spec = random_linear_game(rng, 1, n, K)
         report = solve_single(spec)
-        _, grid_value = brute_force_best_response(
-            spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
-        )
-        zero = plans_from_array(spec, np.zeros((1, spec.K, spec.n)))
+        zero = np.zeros((1, spec.K, spec.n))
+        _, grid_value = brute_force_best_response(spec, zero, 0, grid_step=0.01)
         lipschitz = float(np.linalg.norm(payoff_gradient(spec, zero, 0)))
         margin = lipschitz * 0.01 * np.sqrt(spec.K * spec.n)
         gap_worst = max(gap_worst, grid_value - report.objective)

@@ -15,7 +15,6 @@ import pytest
 from influencegame import (
     exploitability,
     payoff_gradient,
-    plans_from_array,
     propagator,
     regret,
     run_no_regret,
@@ -124,7 +123,7 @@ def test_criterion_3_constant_sum(reference_spec, long_trace):
         for j in range(2):
             raw = rng.random((2, 3)) + 0.05
             profile[j] = raw / raw.sum() * float(reference_spec.budgets[j])
-        plans = plans_from_array(reference_spec, profile)
+        plans = profile
         total = sum(total_payoff(reference_spec, plans, j) for j in range(2))
         worst_full = max(worst_full, abs(total - 1.0 / 3.0))
     ok = worst <= 1e-10 and worst_full <= 1e-10
@@ -180,7 +179,7 @@ def test_criterion_5_convexity_properties():
             profile[j] = own
             for pos, ell in enumerate(others):
                 profile[ell] = flat.reshape(len(others), spec.K, spec.n)[pos]
-            return total_payoff(spec, plans_from_array(spec, profile), j)
+            return total_payoff(spec, profile, j)
 
         for _ in range(5):
             a = np.concatenate([random_feasible_profile(rng, spec)[l].ravel() for l in others])
@@ -204,12 +203,12 @@ def test_criterion_6_gradient_oracle():
         for _ in range(20):
             profile = random_feasible_profile(rng, spec)
             j = int(rng.integers(m))
-            analytic = payoff_gradient(spec, plans_from_array(spec, profile), j)
+            analytic = payoff_gradient(spec, profile, j)
 
             def payoff_of_own(own, spec=spec, profile=profile, j=j):
                 candidate = profile.copy()
                 candidate[j] = own
-                return total_payoff(spec, plans_from_array(spec, candidate), j)
+                return total_payoff(spec, candidate, j)
 
             numeric = fd_gradient(payoff_of_own, profile[j]).gradient
             scale = max(float(np.max(np.abs(numeric))), 1e-12)
@@ -229,14 +228,12 @@ def test_criterion_7_solver_vs_brute_force():
         _, grid_value = brute_force_best_response(
             spec, np.zeros((1, K, n)), 0, grid_step=0.01
         )
-        gradient = payoff_gradient(
-            spec, plans_from_array(spec, np.zeros((1, K, n))), 0
-        )
+        gradient = payoff_gradient(spec, np.zeros((1, K, n)), 0)
         margin = float(np.linalg.norm(gradient)) * 0.01 * np.sqrt(K * n)
         worst_gap = max(worst_gap, grid_value - margin - result.objective)
 
         def objective(flat, spec=spec, K=K, n=n):
-            return total_payoff(spec, plans_from_array(spec, flat.reshape(1, K, n)), 0)
+            return total_payoff(spec, flat.reshape(1, K, n), 0)
 
         for _ in range(10):
             a = random_feasible_profile(rng, spec).ravel()
@@ -255,9 +252,7 @@ def test_criterion_8_cross_module_equivalence():
         spec = random_linear_game(rng, 1, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
         solver_objective = solve_single(spec).objective
         trace = run_no_regret(spec, 400)
-        loop_objective = total_payoff(
-            spec, plans_from_array(spec, trace.iterates[-1]), 0
-        )
+        loop_objective = total_payoff(spec, trace.iterates[-1], 0)
         worst = max(worst, abs(solver_objective - loop_objective))
     report(8, worst <= 1e-4,
            f"|single-player loop - solver| objective gap {worst:.2e} (<=1e-4)")

@@ -331,6 +331,9 @@ class TestBadCommandInputs:
                      id="out-in-missing-directory"),
         pytest.param(["solve", "{single}", "--out", "{directory}"], id="out-is-directory"),
         pytest.param(["solve", "{directory}", "--out", "{out}"], id="scenario-is-directory"),
+        pytest.param(["solve", "{binary}", "--out", "{out}"], id="non-utf8-scenario"),
+        pytest.param(["simulate", "{reference}", "{binary}", "--out", "{out}"],
+                     id="non-utf8-plans"),
     ])
     def test_exit_2_without_traceback_or_output(self, tmp_path, capsys, argv):
         reference = scenario_to_dict(reference_scenario())
@@ -347,9 +350,12 @@ class TestBadCommandInputs:
         paths = {name: write_scenario(tmp_path / f"{name}.json", document)
                  for name, document in inputs.items()}
         (tmp_path / "directory").mkdir()
+        # a UTF-16 byte-order mark followed by ASCII: not UTF-8
+        (tmp_path / "binary.json").write_bytes(bytes.fromhex("fffe00626164"))
         before = set(tmp_path.iterdir())
         code = main([token.format(out=tmp_path / "out", missing=tmp_path / "missing",
-                                  directory=tmp_path / "directory", **paths)
+                                  directory=tmp_path / "directory",
+                                  binary=tmp_path / "binary.json", **paths)
                      for token in argv])
         err = capsys.readouterr().err
         assert code == 2

@@ -16,7 +16,6 @@ from influencegame import (
     best_response,
     exploitability,
     payoff_gradient,
-    plans_from_array,
     project_budget_set,
     regret,
     run_no_regret,
@@ -134,7 +133,7 @@ class TestRunNoRegret:
                                       int(rng.integers(1, 3)))
             report = solve_single(spec)
             trace = run_no_regret(spec, 400)
-            last = total_payoff(spec, plans_from_array(spec, trace.iterates[-1]), 0)
+            last = total_payoff(spec, trace.iterates[-1], 0)
             assert abs(last - report.objective) <= 1e-4
 
     def test_prohibitive_cost_pins_iterates_at_zero(self, two_player_spec):
@@ -180,7 +179,7 @@ class TestRunNoRegret:
             utility_of_kind(kind, np.ones((3, 3)), 0.5) for _ in range(2)))
         trace = run_no_regret(spec, 3)
         for tau, eta in enumerate(etas, start=1):
-            plans = plans_from_array(spec, trace.iterates[tau - 1])
+            plans = trace.iterates[tau - 1]
             for j in range(2):
                 stepped = trace.iterates[tau - 1, j] + eta * payoff_gradient(spec, plans, j)
                 expected = project_budget_set(stepped, float(spec.budgets[j]))
@@ -204,9 +203,7 @@ class TestRegret:
         trace = run_no_regret(two_player_spec, 1)
         for j in range(2):
             value = regret(trace, j, horizon=1)
-            _, br_payoff = best_response(
-                two_player_spec, plans_from_array(two_player_spec, trace.iterates[0]), j
-            )
+            _, br_payoff = best_response(two_player_spec, trace.iterates[0], j)
             assert value == pytest.approx(br_payoff - trace.payoffs[0, j], abs=1e-8)
             assert value >= -1e-9
 
@@ -266,7 +263,7 @@ class TestHindsightObjective:
             for played in iterates:
                 profile = played.copy()
                 profile[j] = own[j]
-                plans = plans_from_array(spec, profile)
+                plans = profile
                 expected_value += total_payoff(spec, plans, j)
                 expected_gradient += payoff_gradient(spec, plans, j)
             assert value == pytest.approx(expected_value, abs=1e-12)
@@ -436,7 +433,7 @@ class TestExploitability:
     def test_zero_profile_exploitable_at_lower_cost(self, two_player_spec):
         spec = reference_variant(two_player_spec, cost=0.8)
         zero = np.zeros((2, 2, 3))
-        gradient = payoff_gradient(spec, plans_from_array(spec, zero), 0)
+        gradient = payoff_gradient(spec, zero, 0)
         assert gradient[0].max() > 0  # investing at the first campaign pays
         assert exploitability(spec, zero) > 1e-4
 
@@ -455,7 +452,7 @@ class TestExploitability:
 class TestOnePlayerGames:
     @pytest.mark.parametrize("diagnostic", [
         pytest.param(lambda spec, trace: best_response(
-            spec, plans_from_array(spec, trace.iterates[-1]), 0), id="best-response"),
+            spec, trace.iterates[-1], 0), id="best-response"),
         pytest.param(lambda spec, trace: exploitability(spec, trace.iterates[-1]),
                      id="exploitability"),
         pytest.param(lambda spec, trace: regret(trace, 0), id="regret"),

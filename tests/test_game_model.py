@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 
 from influencegame import (
-    BudgetPlan,
     CampaignSchedule,
     GameSpec,
     HypothesisCheckError,
     InfeasiblePlanError,
     OpinionState,
     StageUtility,
+    best_response,
     build_network,
+    exploitability,
     opinions_at_campaigns,
     opinions_at_campaigns_closed_form,
     payoff_gradient,
-    plans_from_array,
     propagator,
     simulate_trajectory,
     total_payoff,
+    validate_plans,
 )
 from influencegame.verification import (
+    brute_force_best_response,
     fd_gradient,
     random_feasible_profile,
     random_linear_game,
@@ -45,7 +47,7 @@ def full_spend_profile(rng, spec):
 class TestOpinionsAtCampaigns:
     def test_zero_plans_are_pure_diffusion(self, two_player_spec):
         spec = two_player_spec
-        plans = plans_from_array(spec, np.zeros((2, 2, 3)))
+        plans = np.zeros((2, 2, 3))
         states = opinions_at_campaigns(spec, plans)
         for k in range(1, spec.K + 2):
             direct = eig_expm(spec.network.laplacian, spec.schedule.times[k]) @ spec.x0.values
@@ -53,8 +55,7 @@ class TestOpinionsAtCampaigns:
 
     def test_static_network_single_jump(self):
         spec = single_player_spec(n=2, K=1, x0=0.4, budget=1.0)
-        plan = BudgetPlan(player=0, entries=np.array([[0.3, 0.1]]), budget_cap=1.0)
-        states = opinions_at_campaigns(spec, [plan])
+        states = opinions_at_campaigns(spec, np.array([[[0.3, 0.1]]]))
         np.testing.assert_allclose(states[0][:, 0], [0.4, 0.4])
         np.testing.assert_allclose(states[1][:, 0], [0.7, 0.5])
 
@@ -62,7 +63,7 @@ class TestOpinionsAtCampaigns:
         # uniform plans: 0.5 and 0.8 per stage per individual
         spec = two_player_spec
         profile = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.8)])
-        states = opinions_at_campaigns(spec, plans_from_array(spec, profile))
+        states = opinions_at_campaigns(spec, profile)
 
         # independent step-by-step simulation via the eigendecomposition oracle
         state = np.full((3, 2), 0.5)
@@ -81,7 +82,7 @@ class TestOpinionsAtCampaigns:
         for _ in range(10):
             spec = random_linear_game(rng, int(rng.integers(1, 4)),
                                       int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-            plans = plans_from_array(spec, random_feasible_profile(rng, spec))
+            plans = random_feasible_profile(rng, spec)
             recursion = opinions_at_campaigns(spec, plans)
             summation = opinions_at_campaigns_closed_form(spec, plans)
             assert np.max(np.abs(recursion - summation)) <= 1e-10
@@ -91,14 +92,14 @@ class TestOpinionsAtCampaigns:
         for _ in range(10):
             spec = random_linear_game(rng, int(rng.integers(2, 4)),
                                       int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-            plans = plans_from_array(spec, random_feasible_profile(rng, spec))
+            plans = random_feasible_profile(rng, spec)
             states = opinions_at_campaigns(spec, plans)
             np.testing.assert_allclose(states.sum(axis=2), 1.0, atol=1e-9)
 
     def test_infeasible_plans_rejected(self, two_player_spec):
         overspend = np.stack([np.full((2, 3), 1.0), np.zeros((2, 3))])
         with pytest.raises(InfeasiblePlanError):
-            plans_from_array(two_player_spec, overspend)
+            validate_plans(two_player_spec, overspend)
 
 
 def unit_linear_game(network, times, x0, budgets):
@@ -122,7 +123,7 @@ class TestSimulateTrajectory:
         raw = rng.random((3, 2))
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0, 3.0],
                                 raw / raw.sum(axis=1, keepdims=True), [3.0, 5.0])
-        plans = plans_from_array(spec, np.zeros((2, 2, 3)))
+        plans = np.zeros((2, 2, 3))
         samples = np.linspace(0.0, 3.0, 17)
         points = [p for p in simulate_trajectory(spec, plans, samples) if not p.post_jump]
         assert len(points) == 17
@@ -133,7 +134,7 @@ class TestSimulateTrajectory:
     def test_consensus_on_connected_graph(self, path_network):
         rng = np.random.default_rng(29)
         spec = unit_linear_game(path_network, [0.0, 50.0, 100.0], rng.random((3, 1)), [1.0])
-        points = simulate_trajectory(spec, plans_from_array(spec, np.zeros((1, 1, 3))),
+        points = simulate_trajectory(spec, np.zeros((1, 1, 3)),
                                      [100.0])
         final = points[-1].state.values
         assert final.max() - final.min() < 1e-4
@@ -141,8 +142,7 @@ class TestSimulateTrajectory:
     def test_saturating_single_player_jump(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
         pre = eig_expm(path_network.laplacian, 1.0) @ spec.x0.values
-        plan = BudgetPlan(player=0, entries=(1.0 - pre[:, 0])[None, :], budget_cap=3.0)
-        points = simulate_trajectory(spec, [plan], [1.0, 2.0])
+        points = simulate_trajectory(spec, (1.0 - pre[:, 0])[None, None, :], [1.0, 2.0])
         post = [p for p in points if p.post_jump][0]
         np.testing.assert_allclose(post.state.values, 1.0, atol=1e-12)
         np.testing.assert_allclose(points[-1].state.values, 1.0, atol=1e-10)
@@ -150,7 +150,7 @@ class TestSimulateTrajectory:
     def test_campaign_time_sample_reports_pre_and_post(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),
                                 [3.0, 5.0])
-        plans = plans_from_array(spec, np.stack([np.full((1, 3), 0.2), np.full((1, 3), 0.4)]))
+        plans = np.stack([np.full((1, 3), 0.2), np.full((1, 3), 0.4)])
         points = simulate_trajectory(spec, plans, [0.0, 1.0, 2.0])
         at_campaign = [p for p in points if p.time == 1.0]
         assert [p.post_jump for p in at_campaign] == [False, True]
@@ -161,7 +161,7 @@ class TestSimulateTrajectory:
         # of a campaign-time sample gives a pre and a post record; the
         # terminal time has no jump, so only a pre-jump record
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
-        plans = plans_from_array(spec, np.full((1, 1, 3), 0.1))
+        plans = np.full((1, 1, 3), 0.1)
         first, *points = simulate_trajectory(spec, plans, [-1e-13, 1.0, 1.0, 2.0])
         np.testing.assert_array_equal(first.state.values, spec.x0.values)
         assert [(p.time, p.post_jump) for p in points] == [
@@ -177,7 +177,7 @@ class TestSimulateTrajectory:
             ([[0.3, 0.7]], [2.0, 2.0], [[0.46, 0.54]]),
         ]:
             spec = unit_linear_game(network, [0.0, 1.0, 2.0], x0, [3.0, 3.0])
-            plans = plans_from_array(spec, np.reshape(budgets, (2, 1, 1)))
+            plans = np.reshape(budgets, (2, 1, 1))
             pre, post = simulate_trajectory(spec, plans, [1.0])
             np.testing.assert_allclose(pre.state.values, x0, atol=1e-15)
             np.testing.assert_allclose(post.state.values, expected, atol=1e-15)
@@ -185,7 +185,7 @@ class TestSimulateTrajectory:
     def test_multiplayer_zero_budget_jump_is_identity(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0],
                                 [[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]], [1.0, 1.0])
-        pre, post = simulate_trajectory(spec, plans_from_array(spec, np.zeros((2, 1, 3))),
+        pre, post = simulate_trajectory(spec, np.zeros((2, 1, 3)),
                                         [1.0])
         assert (pre.post_jump, post.post_jump) == (False, True)
         np.testing.assert_array_equal(post.state.values, pre.state.values)
@@ -194,7 +194,7 @@ class TestSimulateTrajectory:
         network = build_network(np.array([[1.0]]))
         spec = unit_linear_game(network, [0.0, 1.0, 2.0], [[0.5, 0.5]], [1.0, 1.0])
         with pytest.raises(InfeasiblePlanError):
-            plans_from_array(spec, np.array([[[-0.1]], [[0.2]]]))
+            validate_plans(spec, np.array([[[-0.1]], [[0.2]]]))
 
     def test_multiplayer_jump_law_on_random_games(self, path_network):
         # at every campaign time the post-jump rows equal (pre + b) / (1 + sum b)
@@ -204,7 +204,7 @@ class TestSimulateTrajectory:
             spec = unit_linear_game(path_network, [0.0, 0.5, 1.5, 2.0],
                                     raw / raw.sum(axis=1, keepdims=True), [6.0, 6.0, 6.0])
             profile = rng.random((3, 2, 3))
-            points = simulate_trajectory(spec, plans_from_array(spec, profile), [0.5, 1.5])
+            points = simulate_trajectory(spec, profile, [0.5, 1.5])
             for k in range(2):
                 pre, post = points[2 * k], points[2 * k + 1]
                 b = profile[:, k, :].T
@@ -218,7 +218,7 @@ class TestSimulateTrajectory:
         raw = rng.random((4, 3))
         spec = unit_linear_game(network, [0.0, 1.0, 2.0], raw / raw.sum(axis=1, keepdims=True),
                                 [12.0, 12.0, 12.0])
-        plans = plans_from_array(spec, rng.random((3, 1, 4)) * 3.0)
+        plans = rng.random((3, 1, 4)) * 3.0
         points = simulate_trajectory(spec, plans, np.linspace(0.0, 2.0, 9))
         assert any(p.post_jump for p in points)
         for point in points:
@@ -227,13 +227,13 @@ class TestSimulateTrajectory:
     def test_unsorted_samples_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.5), [1.0])
         with pytest.raises(ValueError):
-            simulate_trajectory(spec, plans_from_array(spec, np.zeros((1, 1, 3))),
+            simulate_trajectory(spec, np.zeros((1, 1, 3)),
                                 [1.5, 0.5])
 
     def test_infeasible_plan_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.9), [3.0])
         with pytest.raises(InfeasiblePlanError):
-            simulate_trajectory(spec, plans_from_array(spec, np.full((1, 1, 3), 0.5)),
+            simulate_trajectory(spec, np.full((1, 1, 3), 0.5),
                                 [2.0])
 
     def test_matches_campaign_time_closed_form(self, two_player_spec):
@@ -241,7 +241,7 @@ class TestSimulateTrajectory:
         # closed-form summation, and post-jump rows stay on the simplex
         spec = two_player_spec
         profile = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.8)])
-        plans = plans_from_array(spec, profile)
+        plans = profile
         closed_form = opinions_at_campaigns_closed_form(spec, plans)
         points = simulate_trajectory(spec, plans, [1.0, 2.0, 3.0])
         pre = [p for p in points if not p.post_jump]
@@ -254,13 +254,63 @@ class TestSimulateTrajectory:
             assert np.max(np.abs(point.state.values.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def profile_with_entry(value):
+    """Zero reference-game profile with player 1's last first-stage entry set."""
+    profile = np.zeros((2, 2, 3))
+    profile[1, 0, 2] = value
+    return profile
+
+
+class TestValidatePlans:
+    @pytest.mark.parametrize("profile, error", [
+        pytest.param(np.zeros((3, 2, 3)), InfeasiblePlanError, id="wrong-m"),
+        pytest.param(np.zeros((2, 1, 3)), InfeasiblePlanError, id="wrong-K"),
+        pytest.param(np.zeros((2, 2, 4)), InfeasiblePlanError, id="wrong-n"),
+        pytest.param(profile_with_entry(np.nan), ValueError, id="nan"),
+        pytest.param(profile_with_entry(-2e-9), InfeasiblePlanError, id="negative"),
+        pytest.param(profile_with_entry(-5e-10), None, id="negative-within-tolerance"),
+        pytest.param(profile_with_entry(5.0 + 2e-9), InfeasiblePlanError, id="over-budget"),
+        pytest.param(profile_with_entry(5.0 + 5e-10), None, id="budget-within-tolerance"),
+    ])
+    def test_checks_and_clamps(self, two_player_spec, profile, error):
+        if error is not None:
+            with pytest.raises(error, match="player 1|shaped"):
+                validate_plans(two_player_spec, profile)
+            return
+        validated = validate_plans(two_player_spec, profile)
+        np.testing.assert_array_equal(validated, np.maximum(profile, 0.0))
+        assert validated is not profile
+        if profile[1, 0, 2] < 0:
+            assert validated[1, 0, 2] == 0.0 and not np.signbit(validated[1, 0, 2])
+
+    @pytest.mark.parametrize("entry_point", [
+        pytest.param(lambda spec, p: opinions_at_campaigns(spec, p), id="opinions"),
+        pytest.param(lambda spec, p: opinions_at_campaigns_closed_form(spec, p),
+                     id="closed-form"),
+        pytest.param(lambda spec, p: simulate_trajectory(spec, p, [1.0]), id="simulate"),
+        pytest.param(lambda spec, p: total_payoff(spec, p, 0), id="payoff"),
+        pytest.param(lambda spec, p: payoff_gradient(spec, p, 0), id="gradient"),
+        pytest.param(lambda spec, p: best_response(spec, p, 0), id="best-response"),
+        pytest.param(lambda spec, p: exploitability(spec, p), id="exploitability"),
+        pytest.param(lambda spec, p: brute_force_best_response(spec, p, 0, grid_step=1.0),
+                     id="grid-search"),
+    ])
+    def test_entry_points_refuse_over_budget_opponent(self, path_network, entry_point):
+        # player 1 spends 12 from a budget of 5; K * n = 3 keeps the grid search legal
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),
+                                [3.0, 5.0])
+        profile = np.stack([np.zeros((1, 3)), np.full((1, 3), 4.0)])
+        with pytest.raises(InfeasiblePlanError, match="player 1"):
+            entry_point(spec, profile)
+
+
 class TestTotalPayoff:
     def test_reference_game_constant_sum_at_full_spend(self, two_player_spec):
         # with both budgets fully spent: (1/3)(9 - 3 - 5) = 1/3
         rng = np.random.default_rng(41)
         for _ in range(10):
             profile = full_spend_profile(rng, two_player_spec)
-            plans = plans_from_array(two_player_spec, profile)
+            plans = profile
             u1 = total_payoff(two_player_spec, plans, 0)
             u2 = total_payoff(two_player_spec, plans, 1)
             assert abs(u1 + u2 - 1.0 / 3.0) <= 1e-10
@@ -269,14 +319,14 @@ class TestTotalPayoff:
         rng = np.random.default_rng(43)
         for _ in range(5):
             profile = random_feasible_profile(rng, two_player_spec)
-            plans = plans_from_array(two_player_spec, profile)
+            plans = profile
             total = sum(total_payoff(two_player_spec, plans, j) for j in range(2))
             expected = 3.0 - profile.sum() / 3.0
             assert abs(total - expected) <= 1e-10
 
     def test_static_zero_plan_payoff(self):
         spec = single_player_spec(n=3, K=2, x0=0.5, budget=1.0, rho=1.0, cost=1.0)
-        plans = plans_from_array(spec, np.zeros((1, 2, 3)))
+        plans = np.zeros((1, 2, 3))
         assert total_payoff(spec, plans, 0) == pytest.approx(1.5, abs=1e-12)
 
     def test_saturation_reaches_consensus_value(self, path_network):
@@ -292,7 +342,7 @@ class TestTotalPayoff:
         pre = eig_expm(path_network.laplacian, 1.0) @ x0.values
         entries = np.zeros((2, 3))
         entries[0] = 1.0 - pre[:, 0]
-        plans = [BudgetPlan(player=0, entries=entries, budget_cap=3.0)]
+        plans = entries[None]
         states = opinions_at_campaigns(spec, plans)
         np.testing.assert_allclose(states[1], 1.0, atol=1e-12)
         np.testing.assert_allclose(states[2], 1.0, atol=1e-12)
@@ -306,7 +356,7 @@ class TestPayoffGradient:
         # sum_{k'>k} (A_{k',k}' rho(k'))_i minus the cost coefficient
         rng = np.random.default_rng(47)
         spec = random_linear_game(rng, 1, 3, 2)
-        plans = plans_from_array(spec, random_feasible_profile(rng, spec))
+        plans = random_feasible_profile(rng, spec)
         gradient = payoff_gradient(spec, plans, 0)
         utility = spec.utilities[0]
         K = spec.K
@@ -333,7 +383,7 @@ class TestPayoffGradient:
                 StageUtility(kind="linear-favor", rho=np.ones((2, 1)), cost_coefficient=0.0),
             ),
         )
-        plans = plans_from_array(spec, np.zeros((2, 1, 1)))
+        plans = np.zeros((2, 1, 1))
         gradient = payoff_gradient(spec, plans, 0)
         assert gradient[0, 0] == pytest.approx(0.25, abs=1e-12)
 
@@ -346,12 +396,12 @@ class TestPayoffGradient:
             for _ in range(5):
                 profile = random_feasible_profile(rng, spec)
                 j = int(rng.integers(spec.m))
-                analytic = payoff_gradient(spec, plans_from_array(spec, profile), j)
+                analytic = payoff_gradient(spec, profile, j)
 
                 def payoff_of_own(own, profile=profile, j=j, spec=spec):
                     candidate = profile.copy()
                     candidate[j] = own
-                    return total_payoff(spec, plans_from_array(spec, candidate), j)
+                    return total_payoff(spec, candidate, j)
 
                 numeric = fd_gradient(payoff_of_own, profile[j]).gradient
                 scale = max(np.max(np.abs(numeric)), 1e-12)
@@ -368,7 +418,7 @@ class TestConvexityInOpponents:
 
             def payoff(opponent):
                 profile = np.stack([own, opponent.reshape(spec.K, spec.n)])
-                return total_payoff(spec, plans_from_array(spec, profile), 0)
+                return total_payoff(spec, profile, 0)
 
             for _ in range(5):
                 a = random_feasible_profile(rng, spec)[1].ravel()

@@ -14,7 +14,6 @@ from influencegame import (
     build_network,
     build_region,
     payoff_gradient,
-    plans_from_array,
     project_feasible,
     propagator,
     solve_single,
@@ -196,24 +195,24 @@ class TestSolveSingle:
         # u = x - 0.4 b at both stages, cap 1 - x0 = 0.5 binds
         spec = single_player_spec(n=1, K=1, x0=0.5, budget=1.0, cost=0.4)
         report = solve_single(spec)
-        assert report.plan.entries[0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert report.plan[0, 0] == pytest.approx(0.5, abs=1e-8)
         assert report.objective == pytest.approx(0.65, abs=1e-10)
         assert report.kkt_residual <= 1e-6
 
     def test_free_budget_saturates_earliest_campaign(self):
         spec = single_player_spec(n=1, K=2, x0=0.3, budget=5.0, cost=0.0)
         report = solve_single(spec)
-        np.testing.assert_allclose(report.plan.entries[0], [0.7], atol=1e-8)
-        np.testing.assert_allclose(report.plan.entries[1], [0.0], atol=1e-8)
+        np.testing.assert_allclose(report.plan[0], [0.7], atol=1e-8)
+        np.testing.assert_allclose(report.plan[1], [0.0], atol=1e-8)
 
     def test_prohibitive_cost_keeps_zero_plan(self):
         # marginal opinion value per unit is at most K stages of unit mass;
         # a cost above that makes the zero-plan gradient componentwise <= 0
         spec = single_player_spec(n=2, K=2, x0=0.2, budget=1.0, cost=5.0)
-        gradient = payoff_gradient(spec, plans_from_array(spec, np.zeros((1, 2, 2))), 0)
+        gradient = payoff_gradient(spec, np.zeros((1, 2, 2)), 0)
         assert np.all(gradient <= 0)
         report = solve_single(spec)
-        np.testing.assert_allclose(report.plan.entries, 0.0, atol=1e-10)
+        np.testing.assert_allclose(report.plan, 0.0, atol=1e-10)
 
     def test_report_plan_is_feasible(self):
         rng = np.random.default_rng(61)
@@ -222,7 +221,7 @@ class TestSolveSingle:
                                       int(rng.integers(1, 3)))
             report = solve_single(spec)
             region = build_region(spec)
-            assert region.contains(report.plan.entries.ravel(), tol=1e-8)
+            assert region.contains(report.plan.ravel(), tol=1e-8)
 
     def test_monotone_ascent(self):
         rng = np.random.default_rng(67)
@@ -236,7 +235,7 @@ class TestSolveSingle:
         rng = np.random.default_rng(71)
         spec = random_linear_game(rng, 1, 2, 1)
         report = solve_single(spec)
-        b = report.plan.entries.ravel()
+        b = report.plan.ravel()
         g = payoff_gradient(spec, [report.plan], 0).ravel()
         region = build_region(spec)
         for _ in range(50):
@@ -256,7 +255,7 @@ class TestSolveSingle:
                 spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
             )
             margin = np.linalg.norm(
-                payoff_gradient(spec, plans_from_array(spec, np.zeros((1, spec.K, spec.n))), 0)
+                payoff_gradient(spec, np.zeros((1, spec.K, spec.n)), 0)
             ) * 0.01 * np.sqrt(spec.K * spec.n)
             assert report.objective >= grid_value - margin
 
@@ -265,7 +264,7 @@ class TestSolveSingle:
         spec = random_linear_game(rng, 1, 3, 2)
 
         def objective(flat):
-            return total_payoff(spec, plans_from_array(spec, flat.reshape(1, 2, 3)), 0)
+            return total_payoff(spec, flat.reshape(1, 2, 3), 0)
 
         for _ in range(20):
             a = random_feasible_profile(rng, spec).ravel()
@@ -292,5 +291,5 @@ class TestSolveSingle:
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
         spec = random_linear_game(np.random.default_rng(0), 1, 20, 3)
         report = solve_single(spec)
-        assert build_region(spec).contains(report.plan.entries.ravel(), tol=1e-8)
+        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
         assert report.kkt_residual <= 1e-8

@@ -12,7 +12,6 @@ from influencegame import (
     check_stochastic,
     fd_gradient,
     midpoint_convexity_check,
-    plans_from_array,
     propagator,
     solve_single,
     total_payoff,
@@ -49,7 +48,7 @@ class TestFdGradient:
         def payoff(own):
             profile = np.zeros((2, 1, 1))
             profile[0] = own.reshape(1, 1)
-            return total_payoff(spec, plans_from_array(spec, profile), 0)
+            return total_payoff(spec, profile, 0)
 
         result = fd_gradient(payoff, np.zeros((1, 1)))
         assert result.gradient[0, 0] == pytest.approx(0.25, abs=1e-7)
@@ -106,7 +105,7 @@ class TestBruteForce:
             ),
         )
         plan, value = brute_force_best_response(spec, np.zeros((2, 1, 3)), 0, 0.25)
-        base = total_payoff(spec, plans_from_array(spec, np.zeros((2, 1, 3))), 0)
+        base = total_payoff(spec, np.zeros((2, 1, 3)), 0)
         assert value >= base
 
 
