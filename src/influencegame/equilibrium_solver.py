@@ -16,12 +16,10 @@ diagnostics below quantify how close the averaged profile is to equilibrium:
 
 The diagnostics need two or more players; a single player's optimum is
 ``single_player_solver.solve_single``.  Best-response and hindsight
-subproblems are themselves concave maximizations over the budget set,
-solved by one monotone projected gradient ascent (``_maximize_concave``): a
-backtracking line search whose trial step after each accepted move is the
-Barzilai-Borwein step, the spectral projected gradient method of Birgin,
-Martinez and Raydan (SIAM J. Optim., 2000), which reaches the tight
-tolerances the diagnostics need in a few dozen kernel passes.
+subproblems are themselves concave maximizations over the budget set, solved
+by the package's one ascent, ``single_player_solver._maximize_concave``.  Its
+stopping residual bounds the value gap, so exploitability and regret carry an
+absolute error bound; each subproblem takes a few dozen kernel passes.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisCheckError
+from .errors import HypothesisCheckError
 from .game_model import (
     GameSpec,
     total_payoff,
@@ -41,7 +39,7 @@ from .game_model import (
     _player_pass,
 )
 from .opinion_dynamics import _readonly
-from .single_player_solver import build_region, project_feasible
+from .single_player_solver import _maximize_concave, build_region, project_feasible
 
 
 def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
@@ -202,81 +200,16 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     return LearningTrace(spec=spec, iterates=iterates, payoffs=payoffs)
 
 
-def _maximize_concave(evaluate, project, start, max_iters=50_000, tol=1e-9, values=None):
-    """Monotone projected gradient ascent with backtracking line search.
-
-    ``evaluate`` maps a point to its (value, gradient).  The step is halved
-    until the candidate clears the quadratic ascent model (so every accepted
-    move is an ascent up to round-off); if 80 halvings find no such
-    candidate, ConvergenceError carries the current point.  After each
-    accepted move s = x_new - x_old, with gradient change y = g_old - g_new,
-    the next trial step is the Barzilai-Borwein step s's / s'y; where that
-    is not a positive finite number (a linear objective gives s'y = 0), the
-    accepted step grows by 1.5 instead.  Either is clamped to [1e-12, 1e6],
-    so 80 halvings still reach below 1e-12, and an unbounded objective cannot
-    push the candidate so far out that the projection's round-off (about eps
-    times the candidate's norm) leaves it infeasible.
-
-    The residual is the projected-gradient step norm ||P(x + s g) - x|| / s
-    at the probe step s = min(step, 1).  Returns (point, value, residual) at
-    the first accepted point whose residual is at most ``tol``; if
-    ``max_iters`` accepted steps do not get there, ConvergenceError carries
-    the last accepted point and its residual.  A list passed as ``values``
-    receives the value at the start and after every accepted step.
-    """
-    x = project(np.asarray(start, dtype=float).ravel())
-    fx, g = evaluate(x)
-    if values is not None:
-        values.append(fx)
-    step = 1.0
-    noise = 1e-13 * max(1.0, abs(fx))
-
-    def residual_at(point, gradient):
-        probe = min(step, 1.0)
-        move = project(point + probe * gradient) - point
-        return float(np.linalg.norm(move)) / probe
-
-    for _ in range(max_iters):
-        for _ in range(80):
-            candidate = project(x + step * g)
-            f_candidate, g_candidate = evaluate(candidate)
-            delta = candidate - x
-            model = float(g @ delta) - float(delta @ delta) / (2.0 * step)
-            if f_candidate >= fx + model - noise:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                "line search found no ascent step in 80 halvings",
-                last_iterate=x,
-                residual=residual_at(x, g),
-            )
-        curvature = float(delta @ (g - g_candidate))
-        x, fx, g = candidate, f_candidate, g_candidate
-        if values is not None:
-            values.append(fx)
-        residual = residual_at(x, g)
-        if residual <= tol:
-            return x, fx, residual
-        spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
-        step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
-    raise ConvergenceError(
-        f"projected gradient ascent did not reach step norm {tol:g} "
-        f"within {max_iters} accepted steps",
-        last_iterate=x,
-        residual=residual_at(x, g),
-    )
-
-
 def best_response(spec: GameSpec, profile, j: int):
     """Best response of player j to the others' plans in the (m, K, n)
     ``profile``; returns (entries, payoff).
 
     Warm-started at player j's current plan, so the returned payoff is never
-    below the played one.  The ascent stops at step norm 1e-9 and raises
-    ConvergenceError if ``_maximize_concave``'s step budget runs out first;
-    a one-player game raises ValueError, and a profile ``validate_plans``
-    refuses raises its error.
+    below the played one.  ``_maximize_concave`` stops by its scale-free rule,
+    which bounds the payoff's shortfall from the best, and raises
+    ConvergenceError if its step budget runs out first; a one-player game
+    raises ValueError, and a profile ``validate_plans`` refuses raises its
+    error.
     """
     _require_multiplayer(spec)
     _require_own_concave(spec, j)
@@ -309,11 +242,11 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
 
     The hindsight objective is player j's payoff summed over the played
     profiles with one fixed own plan substituted, ``_objective_for_player``
-    on the batch of the first ``horizon`` iterates.  Its ascent starts at the
-    average played plan and stops at step norm 1e-9 times the horizon, since
-    the objective sums that many payoffs;
-    it raises ConvergenceError if ``_maximize_concave``'s step budget runs
-    out first.  A one-player game raises ValueError.
+    on the batch of the first ``horizon`` iterates.  ``_maximize_concave``
+    climbs it from the average played plan; its stopping rule scales with
+    the starting gradient, which sums ``horizon`` payoff gradients.  It raises
+    ConvergenceError if the step budget runs out first.  A one-player game
+    raises ValueError.
     """
     spec = trace.spec
     _require_multiplayer(spec)
@@ -323,7 +256,7 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     _require_own_concave(spec, j)
     evaluate = _objective_for_player(spec, trace.iterates[:T], j)
     start = trace.averages[T - 1, j].ravel()
-    _, value, _ = _maximize_concave(evaluate, _projection(spec, j), start, tol=1e-9 * T)
+    _, value, _ = _maximize_concave(evaluate, _projection(spec, j), start)
     played = float(trace.payoffs[:T, j].sum())
     return float(value - played)
 

@@ -345,6 +345,8 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1:
         raise ValueError("sample times must form a flat list")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample times must be finite")
     if samples.size and np.any(np.diff(samples) < 0):
         raise ValueError("sample times must be sorted")
     if samples.size and (samples[0] < times[0] - 1e-12 or samples[-1] > times[-1] + 1e-12):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,26 +35,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Network:
-    """Weighted social graph with row-stochastic adjacency and Laplacian L = I - A."""
+    """Weighted social graph given by its row-stochastic adjacency A alone;
+    ``n`` and the read-only Laplacian L = I - A, built once, derive from it."""
 
-    n: int
     adjacency: np.ndarray
-    laplacian: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", _readonly(self.adjacency))
-        object.__setattr__(self, "laplacian", _readonly(self.laplacian))
-        a, lap = self.adjacency, self.laplacian
-        if a.shape != (self.n, self.n) or lap.shape != (self.n, self.n):
-            raise ValueError("adjacency and laplacian must be n x n")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(lap))):
+        a = self.adjacency
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("adjacency must be a square matrix")
+        if not np.all(np.isfinite(a)):
             raise ValueError("network weights must be finite")
         if np.any(a < 0):
             raise ValueError("adjacency entries must be nonnegative")
         if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("adjacency rows must sum to 1")
-        if np.max(np.abs(lap.sum(axis=1))) > 1e-12:
-            raise ValueError("laplacian rows must sum to 0")
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return _readonly(np.eye(self.n) - self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,7 @@ def build_network(adjacency) -> Network:
     row_sums = a.sum(axis=1)
     if np.any(row_sums <= 0):
         raise ValueError("every adjacency row needs positive total weight")
-    a = a / row_sums[:, None]
-    n = a.shape[0]
-    return Network(n=n, adjacency=a, laplacian=np.eye(n) - a)
+    return Network(adjacency=a / row_sums[:, None])
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -158,8 +161,8 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
 def propagator(network: Network, dt: float) -> np.ndarray:
     """Read-only flow matrix exp(-L dt) carrying opinions across a
     campaign-free gap, checked to be row-stochastic."""
-    if dt < 0:
-        raise ValueError("propagation time must be nonnegative")
+    if not 0 <= dt < np.inf:
+        raise ValueError("propagation time must be finite and nonnegative")
     matrix = _readonly(matrix_exponential(-network.laplacian * dt))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("propagator computation produced non-finite entries")
@@ -175,16 +178,16 @@ def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[n
     return [propagator(network, schedule.gap(k)) for k in range(1, schedule.K + 2)]
 
 
-def jump_single(x: np.ndarray, b: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-    """Additive single-player jump x + b, requiring b <= 1 - x componentwise."""
+def jump_single(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Additive single-player jump x + b, requiring 0 <= b <= 1 - x to ``FEASIBILITY_TOL``."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != b.shape:
         raise ValueError("opinion and budget vectors must have matching shape")
-    if np.min(b) < -tol:
+    if np.min(b) < -FEASIBILITY_TOL:
         raise InfeasiblePlanError("negative budget entry in single-player jump")
     excess = np.max(b - (1.0 - x))
-    if excess > tol:
+    if excess > FEASIBILITY_TOL:
         raise InfeasiblePlanError(
             f"infeasible jump: investment exceeds remaining opinion headroom by {excess:.3e}"
         )

@@ -5,11 +5,10 @@ linear in the investment variables, so the problem of maximizing the average
 stage utility is a concave program over a polytope: Kn cap constraints
 (investment plus already-accumulated opinion must stay at most 1, rowwise),
 one total-budget constraint, and Kn sign constraints -- 2Kn + 1 halfspaces in
-Kn variables.  The solver is the package's one concave-ascent routine
-(projected gradient with a backtracking line search, shared with the
-best-response and hindsight subproblems), and every Euclidean projection
-onto the polytope is computed exactly, in finitely many steps, by a primal
-active-set method.
+Kn variables.  The solver is ``_maximize_concave``, the package's one
+concave ascent (shared with the best-response and hindsight subproblems),
+and every Euclidean projection onto the polytope is computed exactly, in
+finitely many steps, by a primal active-set method.
 """
 
 from __future__ import annotations
@@ -22,8 +21,12 @@ from .errors import ConvergenceError, HypothesisCheckError
 from .game_model import GameSpec, validate_plans, _objective_for_player
 from .opinion_dynamics import _readonly
 
-DEFAULT_PROJECTION_TOL = 1e-12
-DEFAULT_PROJECTION_CYCLES = 10_000
+# Fixed stopping rules, read at call time: the projections' tolerance and
+# iteration budget, the ascent's relative residual tolerance and step budget.
+PROJECTION_TOL = 1e-12
+PROJECTION_MAX_CYCLES = 10_000
+ASCENT_TOL = 1e-9
+ASCENT_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,7 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     return region
 
 
-def project_feasible(
-    point: np.ndarray,
-    region: FeasibleRegion,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    max_cycles: int = DEFAULT_PROJECTION_CYCLES,
-) -> np.ndarray:
+def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
     """Exact Euclidean projection argmin ||x - point|| subject to A x <= c.
 
     Primal active-set method for a quadratic program with identity Hessian
@@ -112,17 +110,16 @@ def project_feasible(
 
     Each iteration projects the point onto the affine set {A_W y = c_W} with
     one linear solve, y = point - A_W' lam where (A_W A_W') lam = A_W point -
-    c_W.  If y exceeds a constraint outside W by more than ``tol``, the
+    c_W.  If y exceeds a constraint outside W by more than tol, the
     iterate walks towards y up to the first constraint the walk would cross,
     which joins W.  Otherwise the iterate becomes y; it is returned once
     every multiplier lam is at least -tol, else the most negative one leaves
     W.  That is the certificate: the result meets W's constraints as
-    equalities and all others to ``tol``, and the multipliers satisfy the KKT
-    conditions to ``tol``.  A point already feasible to ``tol`` comes back
-    unchanged.
-
-    ``max_cycles`` bounds the active-set iterations (one linear solve each);
-    when it runs out, ConvergenceError carries the last iterate.
+    equalities and all others to tol, and the multipliers satisfy the KKT
+    conditions to tol.  A point already feasible to tol comes back
+    unchanged.  Here tol is ``PROJECTION_TOL``; ``PROJECTION_MAX_CYCLES``
+    bounds the active-set iterations (one linear solve each), and when it
+    runs out, ConvergenceError carries the last iterate.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,):
@@ -134,20 +131,20 @@ def project_feasible(
     x = np.zeros(region.dim)
     working: list[int] = []
     gap = np.inf
-    for _ in range(max_cycles):
+    for _ in range(PROJECTION_MAX_CYCLES):
         rows = normals[working]
         multipliers = np.linalg.solve(rows @ rows.T, rows @ p - offsets[working])
         y = p - rows.T @ multipliers
         excess = normals @ y - offsets
         excess[working] = -np.inf
-        if excess.max() > tol:
+        if excess.max() > PROJECTION_TOL:
             # A constraint the full step moves by at most tol cannot end more
             # than tol past its bound; skipping those keeps round-off copies
             # of W's rows out of W.
             step = y - x
             rate = normals @ step
             rate[working] = 0.0
-            candidates = np.flatnonzero((rate > tol) | (excess > tol))
+            candidates = np.flatnonzero((rate > PROJECTION_TOL) | (excess > PROJECTION_TOL))
             ratios = (offsets[candidates] - normals[candidates] @ x) / rate[candidates]
             block = int(np.argmin(ratios))
             x = x + max(0.0, float(ratios[block])) * step
@@ -155,15 +152,89 @@ def project_feasible(
             gap = float(excess.max())
             continue
         x = y
-        if not working or multipliers.min() >= -tol:
+        if not working or multipliers.min() >= -PROJECTION_TOL:
             return x
         gap = float(-multipliers.min())
         del working[int(np.argmin(multipliers))]
     raise ConvergenceError(
-        f"active-set projection did not reach tolerance {tol:g} "
-        f"within {max_cycles} iterations",
+        f"active-set projection did not reach tolerance {PROJECTION_TOL:g} "
+        f"within {PROJECTION_MAX_CYCLES} iterations",
         last_iterate=x,
         residual=gap,
+    )
+
+
+def _maximize_concave(evaluate, project, start, values=None):
+    """Monotone projected gradient ascent with backtracking line search.
+
+    ``evaluate`` maps a point to its (value, gradient).  The step is halved
+    until the candidate clears the quadratic ascent model (so every accepted
+    move is an ascent up to round-off); if 80 halvings find no such
+    candidate, ConvergenceError carries the current point.  After each
+    accepted move s = x_new - x_old, with gradient change y = g_old - g_new,
+    the next trial step is the Barzilai-Borwein step s's / s'y (the spectral
+    projected gradient of Birgin, Martinez and Raydan, SIAM J. Optim., 2000);
+    where that is not a positive finite number (a linear objective gives
+    s'y = 0), the accepted step grows by 1.5 instead.  Either is clamped to
+    [1e-12, 1e6], so 80 halvings still reach below 1e-12, and an unbounded
+    objective cannot push the candidate so far out that the projection's
+    round-off (about eps times the candidate's norm) leaves it infeasible.
+
+    The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
+    at the probe step s = min(step, 1).  Returns (point, value, residual) at
+    the first accepted point with r <= ``ASCENT_TOL`` max(1, max|g(x0)|), g(x0)
+    the gradient at the projected start, a rule free of the objective's scale;
+    if ``ASCENT_MAX_STEPS`` accepted steps do not get there, ConvergenceError
+    carries the last accepted point and its residual.  A list passed as
+    ``values`` receives the value at the start and after every accepted step.
+
+    The residual certifies the value: for a concave objective over a feasible
+    set of diameter D, f* - f(x) <= r (D + s ||g(x)||), since the projection
+    gives g'(y - P) <= r D for every feasible y.  D = sqrt(2) cap for a budget
+    set, so exploitability and regret are exact to that absolute error.
+    """
+    x = project(np.asarray(start, dtype=float).ravel())
+    fx, g = evaluate(x)
+    if values is not None:
+        values.append(fx)
+    tol = ASCENT_TOL * max(1.0, float(np.max(np.abs(g))))
+    step = 1.0
+    noise = 1e-13 * max(1.0, abs(fx))
+
+    def residual_at(point, gradient):
+        probe = min(step, 1.0)
+        move = project(point + probe * gradient) - point
+        return float(np.linalg.norm(move)) / probe
+
+    for _ in range(ASCENT_MAX_STEPS):
+        for _ in range(80):
+            candidate = project(x + step * g)
+            f_candidate, g_candidate = evaluate(candidate)
+            delta = candidate - x
+            model = float(g @ delta) - float(delta @ delta) / (2.0 * step)
+            if f_candidate >= fx + model - noise:
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError(
+                "line search found no ascent step in 80 halvings",
+                last_iterate=x,
+                residual=residual_at(x, g),
+            )
+        curvature = float(delta @ (g - g_candidate))
+        x, fx, g = candidate, f_candidate, g_candidate
+        if values is not None:
+            values.append(fx)
+        residual = residual_at(x, g)
+        if residual <= tol:
+            return x, fx, residual
+        spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
+        step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
+    raise ConvergenceError(
+        f"projected gradient ascent did not reach step norm {tol:g} "
+        f"within {ASCENT_MAX_STEPS} accepted steps",
+        last_iterate=x,
+        residual=residual_at(x, g),
     )
 
 
@@ -173,9 +244,9 @@ class SolveReport:
 
     ``plan`` is the read-only K x n investment matrix that ``validate_plans``
     returns for the solved plan.  ``iterations`` counts the accepted ascent
-    steps.  ``final_step_norm`` is
-    the stopping residual ||P(b + s g) - b|| / s at the returned plan b, with
-    g the gradient, P the projection and s = min(line-search step, 1).
+    steps.  ``final_step_norm`` is the stopping residual ||P(b + s g) - b|| / s
+    at the returned plan b, with g the gradient, P the projection and
+    s = min(line-search step, 1).
     ``kkt_residual`` is the largest positive component of the projected
     gradient at the returned plan (zero at an exact maximizer).
     ``objectives`` holds the objective value at the zero plan and after
@@ -215,27 +286,18 @@ def _check_concave_stages(spec: GameSpec):
             )
 
 
-def solve_single(
-    spec: GameSpec,
-    max_iters: int = 100_000,
-    tol: float = 1e-8,
-) -> SolveReport:
+def solve_single(spec: GameSpec) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
-    Monotone projected gradient ascent with a backtracking line search
-    (``equilibrium_solver._maximize_concave``) from the zero plan, which is
-    always feasible.  The trial step is the Barzilai-Borwein step of the
-    last move; a linear utility makes the gradient constant, so its steps
-    grow by 1.5 after each acceptance instead, up to 1e6.  It stops once the
-    projected-gradient step norm ``final_step_norm`` is at most ``tol``;
-    ``_maximize_concave`` raises ConvergenceError, carrying the last plan,
-    if ``max_iters`` accepted steps do not get there.  Every projection is
-    exact to ``DEFAULT_PROJECTION_TOL``, the feasibility and multiplier
-    tolerance of ``project_feasible``.  A game with other than one player
-    raises ValueError.
+    Runs ``_maximize_concave`` from the zero plan, which is always feasible.  A
+    linear utility makes the gradient constant, so the trial steps grow by
+    1.5 after each acceptance, up to 1e6, instead of taking the
+    Barzilai-Borwein step.  It stops once ``final_step_norm`` is at most
+    ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan, and
+    raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
+    accepted steps do not get there.  Every projection is exact to
+    ``PROJECTION_TOL``.  A game with other than one player raises ValueError.
     """
-    from .equilibrium_solver import _maximize_concave
-
     if spec.m != 1:
         raise ValueError("solve_single handles single-player games only")
     _check_concave_stages(spec)
@@ -246,8 +308,7 @@ def solve_single(
     project = lambda v: project_feasible(v, region)
     objectives = []
     b, objective, step_norm = _maximize_concave(
-        evaluate, project, np.zeros(K * n), max_iters=max_iters, tol=tol,
-        values=objectives,
+        evaluate, project, np.zeros(K * n), values=objectives
     )
 
     g = evaluate(b)[1]

@@ -23,14 +23,9 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import equilibrium_solver, game_model, opinion_dynamics
-from influencegame.equilibrium_solver import (
-    LearningTrace,
-    _maximize_concave,
-    result_to_json,
-    trace_to_csv,
-)
-from influencegame.single_player_solver import build_region, project_feasible
+from influencegame import equilibrium_solver, game_model, opinion_dynamics, single_player_solver
+from influencegame.equilibrium_solver import LearningTrace, result_to_json, trace_to_csv
+from influencegame.single_player_solver import _maximize_concave, build_region, project_feasible
 from influencegame.verification import random_feasible_profile, random_linear_game
 
 
@@ -301,7 +296,7 @@ class TestPropagatorBuilds:
 
 
 class TestMaximizeConcave:
-    def test_wrong_sign_gradient_raises_instead_of_descending(self):
+    def test_wrong_sign_gradient_raises_instead_of_descending(self, monkeypatch):
         # value -1e10 (x1 + x2) reported with the opposite gradient: every
         # step along it descends, by far more than the line search's
         # round-off allowance even after 80 halvings
@@ -310,11 +305,12 @@ class TestMaximizeConcave:
         def evaluate(x):
             return float(-slope @ x), slope.copy()
 
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError) as excinfo:
-            _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=3)
+            _maximize_concave(evaluate, lambda v: v, np.zeros(2))
         np.testing.assert_array_equal(excinfo.value.last_iterate, np.zeros(2))
 
-    def test_ill_conditioned_quadratic_reaches_enumerated_optimum(self):
+    def test_ill_conditioned_quadratic_reaches_enumerated_optimum(self, monkeypatch):
         # c'b - b'Qb/2 with cond(Q) = 1e4 over {b >= 0, sum(b) <= cap}; the
         # gradients are of order one, like the game payoffs', so the 1e-9
         # stopping bound sits well above round-off
@@ -353,9 +349,9 @@ class TestMaximizeConcave:
             return float(c @ x - 0.5 * x @ Q @ x), c - Q @ x
 
         values = []
+        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-9)
         point, value, residual = _maximize_concave(
-            evaluate, lambda v: project_budget_set(v, cap), np.zeros(d), tol=1e-9,
-            values=values,
+            evaluate, lambda v: project_budget_set(v, cap), np.zeros(d), values=values
         )
         assert residual <= 1e-9
         # with curvature between mu = 1e-4 and L = 1 and a probe step s <= 1,
@@ -366,7 +362,7 @@ class TestMaximizeConcave:
         assert np.diff(values).min() >= -1e-13 * max(1.0, abs(values[0]))
         assert len(evaluations) < 200
 
-    def test_linear_objective_grows_the_step_by_half_up_to_the_clamp(self):
+    def test_linear_objective_grows_the_step_by_half_up_to_the_clamp(self, monkeypatch):
         # a constant gradient gives s'y = 0, so no Barzilai-Borwein step; on
         # this unbounded objective the growth stops at 1e6 instead of inf,
         # and the step budget runs out
@@ -377,8 +373,9 @@ class TestMaximizeConcave:
             points.append(x)
             return float(slope @ x), slope.copy()
 
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 100)
         with pytest.raises(ConvergenceError) as excinfo:
-            _maximize_concave(evaluate, lambda v: v, np.zeros(2), max_iters=100)
+            _maximize_concave(evaluate, lambda v: v, np.zeros(2))
         # every candidate ascends, so the last one evaluated was accepted
         assert len(points) == 101
         np.testing.assert_array_equal(excinfo.value.last_iterate, points[-1])
@@ -421,6 +418,63 @@ class TestAscentPasses:
         assert gap >= -1e-8
         assert np.all(np.isfinite(regrets))
         assert len(passes) <= 300
+
+
+class TestBestResponseCertificate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_bounds_the_value_gap(self, monkeypatch, seed):
+        # f* - f(x) <= r (D + s ||g(x)||) with probe step s <= 1 and
+        # D = sqrt(2) cap, the diameter of the budget set
+        spec = random_linear_game(np.random.default_rng(seed), 3, 10, 3)
+        profile = run_no_regret(spec, 20).averages[-1]
+        ascent = single_player_solver._maximize_concave
+        residuals = []
+
+        def recording(*args):
+            point, value, residual = ascent(*args)
+            residuals.append(residual)
+            return point, value, residual
+
+        monkeypatch.setattr(equilibrium_solver, "_maximize_concave", recording)
+        for j in range(spec.m):
+            monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-13)
+            _, reference = best_response(spec, profile, j)
+            monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-3)
+            plan, value = best_response(spec, profile, j)
+            played = profile.copy()
+            played[j] = plan
+            gradient = payoff_gradient(spec, played, j)
+            diameter = np.sqrt(2.0) * spec.budgets[j]
+            bound = residuals[-1] * (diameter + np.linalg.norm(gradient))
+            assert 0.0 <= reference - value <= bound
+
+
+class TestCustomUtilities:
+    @staticmethod
+    def custom_game(two_player_spec, declared_own_concave):
+        # increasing and convex in opinions, linear in the own budget
+        utility = StageUtility(
+            kind="custom",
+            value_fn=lambda x, b, k: float(x.sum() + 0.25 * x @ x - 0.5 * b.sum()),
+            opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
+            budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
+            declared_increasing_convex=True,
+            declared_own_concave=declared_own_concave,
+        )
+        favor = two_player_spec.utilities[1]
+        return dataclasses.replace(two_player_spec, utilities=(utility, favor))
+
+    def test_declared_own_concave_best_response_never_below_played(self, two_player_spec):
+        spec = self.custom_game(two_player_spec, declared_own_concave=True)
+        profile = random_feasible_profile(np.random.default_rng(3), spec)
+        plan, value = best_response(spec, profile, 0)
+        assert plan.sum() <= spec.budgets[0] + 1e-9
+        assert value >= total_payoff(spec, profile, 0)
+
+    def test_undeclared_own_concavity_refused(self, two_player_spec):
+        spec = self.custom_game(two_player_spec, declared_own_concave=False)
+        with pytest.raises(HypothesisCheckError, match="not attested concave"):
+            best_response(spec, np.zeros((2, 2, 3)), 0)
 
 
 class TestExploitability:

@@ -230,6 +230,18 @@ class TestSimulateTrajectory:
             simulate_trajectory(spec, np.zeros((1, 1, 3)),
                                 [1.5, 0.5])
 
+    @pytest.mark.parametrize("call", [
+        lambda spec: simulate_trajectory(spec, np.zeros((2, 2, 3)), [0.5, np.nan, 2.5]),
+        lambda spec: simulate_trajectory(spec, np.zeros((2, 2, 3)), [np.nan]),
+        lambda spec: propagator(spec.network, np.inf),
+        lambda spec: propagator(spec.network, np.nan),
+    ], ids=["simulate-nan-inside", "simulate-nan-alone", "propagator-inf", "propagator-nan"])
+    def test_non_finite_times_refused(self, two_player_spec, call):
+        # a NaN sample used to drop itself and every later sample, and a
+        # non-finite gap used to fail inside the matrix exponential
+        with pytest.raises(ValueError, match="finite"):
+            call(two_player_spec)
+
     def test_infeasible_plan_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.9), [3.0])
         with pytest.raises(InfeasiblePlanError):
@@ -471,6 +483,25 @@ class TestStageUtility:
         favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
                              cost_coefficient=1.0)
         with pytest.raises(HypothesisCheckError):
+            GameSpec(
+                network=path_network,
+                schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
+                x0=OpinionState(np.full((3, 2), 0.5)),
+                budgets=np.array([1.0, 1.0]),
+                utilities=(custom, favor),
+            )
+
+
+    def test_decreasing_custom_fails_registration_check(self, path_network):
+        # declared increasing+convex and linear, so convex, but decreasing
+        value = lambda x, b, k: float(-x.sum())
+        grad = lambda x, b, k: -np.ones_like(x)
+        zeros = lambda x, b, k: np.zeros_like(x)
+        custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
+                              budget_grad_fn=zeros, declared_increasing_convex=True)
+        favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
+                             cost_coefficient=1.0)
+        with pytest.raises(HypothesisCheckError, match="not increasing"):
             GameSpec(
                 network=path_network,
                 schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),

@@ -3,6 +3,7 @@ import pytest
 
 from influencegame import (
     InfeasiblePlanError,
+    Network,
     OpinionState,
     build_network,
     jump_single,
@@ -37,6 +38,15 @@ class TestBuildNetwork:
     def test_two_cycle(self):
         net = build_network(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(net.laplacian, [[1, -1], [-1, 1]], atol=1e-15)
+
+    def test_laplacian_is_derived_from_the_adjacency(self):
+        # the adjacency is the only field, so a network cannot carry a
+        # Laplacian of some other graph
+        a = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])
+        net = Network(adjacency=a)
+        assert net.n == 3
+        np.testing.assert_array_equal(net.laplacian, np.eye(3) - a)
+        assert not net.laplacian.flags.writeable
 
     def test_rows_are_normalized(self):
         net = build_network(np.array([[2.0, 6.0], [1.0, 3.0]]))

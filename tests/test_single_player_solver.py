@@ -9,6 +9,7 @@ from influencegame import (
     ConvergenceError,
     FeasibleRegion,
     GameSpec,
+    HypothesisCheckError,
     OpinionState,
     StageUtility,
     build_network,
@@ -24,6 +25,7 @@ from influencegame.verification import (
     random_feasible_profile,
     random_linear_game,
 )
+from influencegame import single_player_solver
 from conftest import single_player_spec
 
 
@@ -105,13 +107,15 @@ class TestProjectFeasible:
         # at the corner: KKT solution is (1.0, 0.0)
         np.testing.assert_allclose(projected, [1.0, 0.0], atol=1e-9)
 
-    def test_cycle_budget_exhaustion_reports_last_iterate(self):
+    def test_cycle_budget_exhaustion_reports_last_iterate(self, monkeypatch):
         region = FeasibleRegion(
             normals=np.vstack([np.ones((1, 2)), -np.eye(2)]),
             offsets=np.array([1.0, 0.0, 0.0]),
         )
+        monkeypatch.setattr(single_player_solver, "PROJECTION_TOL", 1e-15)
+        monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            project_feasible(np.array([5.0, 5.0]), region, tol=1e-15, max_cycles=1)
+            project_feasible(np.array([5.0, 5.0]), region)
         assert excinfo.value.last_iterate is not None
 
 
@@ -273,19 +277,58 @@ class TestSolveSingle:
             chord = (objective(a) + objective(b)) / 2.0
             assert chord <= midpoint + 1e-9
 
-    def test_iteration_budget_exhaustion_raises(self):
+    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
         spec = random_linear_game(np.random.default_rng(0), 1, 10, 3)
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_single(spec, max_iters=1)
+            solve_single(spec)
         assert build_region(spec).contains(excinfo.value.last_iterate)
 
-    def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self):
+    def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self, monkeypatch):
         # a linear objective grows the step by 1.5 per acceptance; past about
         # 1e10 the projection's round-off would leave the plan infeasible
         spec = random_linear_game(np.random.default_rng(1), 1, 10, 3)
+        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-300)
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 100)
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_single(spec, tol=1e-300, max_iters=100)
+            solve_single(spec)
         assert build_region(spec).contains(excinfo.value.last_iterate)
+
+    @staticmethod
+    def with_custom_utility(spec, value, opinion_gradient):
+        """The game with its utility replaced by a custom one whose budget
+        gradient is the linear utility's cost per unit."""
+        cost = spec.utilities[0].cost_coefficient
+        utility = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=opinion_gradient,
+                               budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost))
+        return dataclasses.replace(spec, utilities=(utility,))
+
+    def test_concave_custom_utility_reaches_grid_optimum(self):
+        # rho'x - |x|^2 / 2 - lambda 1'b, with the linear game's rho and lambda
+        spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
+        rho, cost = spec.utilities[0].rho, spec.utilities[0].cost_coefficient
+        spec = self.with_custom_utility(
+            spec,
+            lambda x, b, k: rho[k - 1] @ x - 0.5 * x @ x - cost * b.sum(),
+            lambda x, b, k: rho[k - 1] - x,
+        )
+        report = solve_single(spec)
+        _, grid_value = brute_force_best_response(
+            spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
+        )
+        assert report.objective >= grid_value
+        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
+
+    def test_convex_custom_utility_refused(self):
+        spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
+        cost = spec.utilities[0].cost_coefficient
+        spec = self.with_custom_utility(
+            spec, lambda x, b, k: x @ x - cost * b.sum(), lambda x, b, k: 2.0 * x
+        )
+        with pytest.raises(HypothesisCheckError, match="concavity") as excinfo:
+            solve_single(spec)
+        assert excinfo.value.report is not None
+        assert not excinfo.value.report.passed
 
     def test_twenty_individuals_three_campaigns(self):
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
