@@ -81,6 +81,15 @@ def _convert(value, convert, context: str):
         raise ScenarioError(f"{context}: {exc}") from exc
 
 
+def _json_number(value, kind: type, context: str):
+    """Convert a JSON number to ``kind``; with ``kind`` int only a JSON integer
+    is a number.  Bools and strings are refused, not coerced."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ScenarioError(f"{context} must be a JSON {'integer' if kind is int else 'number'}")
+    return _convert(value, kind, context)
+
+
 def scenario_from_dict(document: dict) -> Scenario:
     """Parse a scenario document; unknown keys are rejected to surface typos."""
     _strict_keys(document, ("network", "schedule", "players", "x0", "solver"),
@@ -102,18 +111,17 @@ def scenario_from_dict(document: dict) -> Scenario:
         utility_doc = player["utility"]
         _strict_keys(utility_doc, ("kind", "rho", "lambda"), ("kind", "rho", "lambda"),
                      f"players[{idx}].utility")
-        kind = utility_doc["kind"]
-        if kind not in ("linear-favor", "linear-complement"):
-            raise ScenarioError(
-                f"players[{idx}].utility.kind must be linear-favor or linear-complement"
-            )
+        if utility_doc["kind"] != "linear-favor":
+            raise ScenarioError(f"unknown utility kind {utility_doc['kind']!r} in "
+                                f"players[{idx}]; the scenario kind is linear-favor")
+        cost = _json_number(utility_doc["lambda"], float, f"players[{idx}].utility.lambda")
+        budgets.append(_json_number(player["budget"], float, f"players[{idx}].budget"))
         try:
             utilities.append(StageUtility(
-                kind=kind,
+                kind="linear-favor",
                 rho=np.asarray(utility_doc["rho"], dtype=float),
-                cost_coefficient=float(utility_doc["lambda"]),
+                cost_coefficient=cost,
             ))
-            budgets.append(float(player["budget"]))
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"players[{idx}]: {exc}") from exc
 
@@ -126,7 +134,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    T = _convert(solver_doc.get("T", 100), int, "solver.T")
+    T = _json_number(solver_doc.get("T", 100), int, "solver.T")
     if T < 1:
         raise ScenarioError("solver.T must be at least 1")
     return Scenario(spec=spec, solver=SolverSettings(T=T))

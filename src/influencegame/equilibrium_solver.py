@@ -50,11 +50,14 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
     {b >= 0, sum(b) = cap}.  That projection does not change when the same
     constant is added to every entry, so the point is first shifted to a
     top entry of 0, where the cap cannot be lost to round-off.  Exact in
-    finitely many operations.
+    finitely many operations.  A NaN or negative cap, or a point with a
+    non-finite entry, raises ValueError.
     """
-    if cap < 0:
+    if not cap >= 0:
         raise ValueError("budget cap must be nonnegative")
     v = np.asarray(point, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("the point to project must be finite")
     clamped = np.maximum(v, 0.0)
     if clamped.sum() <= cap:
         return clamped
@@ -70,7 +73,7 @@ def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearningTrace:
     """Everything one no-regret run computed.
 
@@ -100,7 +103,7 @@ class LearningTrace:
         return averages
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Averaged profile plus closeness-to-equilibrium diagnostics."""
 
@@ -116,21 +119,6 @@ class EquilibriumResult:
             raise ValueError("exploitability cannot be materially negative")
 
 
-def _require_convergence_hypotheses(spec: GameSpec):
-    """Multiplayer convergence rests on utilities increasing and convex in opinions."""
-    if spec.m == 1:
-        return
-    for j, utility in enumerate(spec.utilities):
-        if utility.kind == "linear-favor":
-            continue
-        if utility.kind == "custom" and utility.declared_increasing_convex:
-            continue
-        raise HypothesisCheckError(
-            f"player {j}'s utility is not attested increasing and convex in "
-            "opinions, which the no-regret convergence guarantee needs"
-        )
-
-
 def _require_multiplayer(spec: GameSpec):
     """Best responses, exploitability and regret are multiplayer diagnostics."""
     if spec.m < 2:
@@ -143,13 +131,10 @@ def _require_multiplayer(spec: GameSpec):
 def _require_own_concave(spec: GameSpec, j: int):
     """Best-response subproblems must be concave maximizations."""
     utility = spec.utilities[j]
-    if utility.kind == "linear-favor":
-        return
-    if utility.kind == "custom" and utility.declared_own_concave:
-        return
-    raise HypothesisCheckError(
-        f"player {j}'s best-response subproblem is not attested concave"
-    )
+    if not (utility.is_linear or utility.declared_own_concave):
+        raise HypothesisCheckError(
+            f"player {j}'s best-response subproblem is not attested concave"
+        )
 
 
 def _projection(spec: GameSpec, j: int):
@@ -173,7 +158,6 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     """
     if T < 1:
         raise ValueError("iteration count must be at least 1")
-    _require_convergence_hypotheses(spec)
     linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
     projections = [_projection(spec, j) for j in range(m)]

@@ -44,18 +44,18 @@ from .opinion_dynamics import (
     _readonly,
 )
 
-UTILITY_KINDS = ("linear-favor", "linear-complement", "custom")
+UTILITY_KINDS = ("linear-favor", "custom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageUtility:
     """Per-stage utility u(x, b, k) of one player.
 
-    ``linear-favor`` scores rho(k)'x - lambda 1'b, ``linear-complement``
-    scores rho(k)'(1 - x) - lambda 1'b.  Custom utilities supply a value and
-    both partial gradients; to participate in a multiplayer game they must
-    additionally be declared increasing and convex in the opinion argument,
-    and to act as a best-response objective, concave in the own budget.
+    ``linear-favor`` scores rho(k)'x - lambda 1'b.  Custom utilities supply a
+    value and both partial gradients; to participate in a multiplayer game
+    they must additionally be declared increasing and convex in the opinion
+    argument, and to act as a best-response objective, concave in the own
+    budget.
     """
 
     kind: str
@@ -90,22 +90,18 @@ class StageUtility:
 
     @property
     def is_linear(self) -> bool:
-        return self.kind in ("linear-favor", "linear-complement")
+        return self.kind == "linear-favor"
 
     # x and b are length-n vectors, or (batch, n) arrays scored row by row.
 
     def value(self, x: np.ndarray, b: np.ndarray, k: int):
-        if self.kind == "linear-favor":
+        if self.is_linear:
             return x @ self.rho[k - 1] - self.cost_coefficient * b.sum(axis=-1)
-        if self.kind == "linear-complement":
-            return (1.0 - x) @ self.rho[k - 1] - self.cost_coefficient * b.sum(axis=-1)
         return _rowwise(self.value_fn, x, b, k)
 
     def opinion_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        if self.kind == "linear-favor":
+        if self.is_linear:
             return self.rho[k - 1]
-        if self.kind == "linear-complement":
-            return -self.rho[k - 1]
         return _rowwise(self.opinion_grad_fn, x, b, k)
 
     def budget_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -121,7 +117,7 @@ def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
     """Immutable description of one game instance.
 
@@ -179,7 +175,7 @@ class GameSpec:
     @cached_property
     def gap_propagators(self) -> tuple[np.ndarray, ...]:
         """Read-only adjacent-gap propagators, built on first use and kept for
-        the game's life (not a field: equality and ``replace`` ignore it)."""
+        the game's life (not a field: ``replace`` returns a game without them)."""
         return tuple(interval_propagators(self.network, self.schedule))
 
 

@@ -33,7 +33,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Weighted social graph given by its row-stochastic adjacency A alone;
     ``n`` and the read-only Laplacian L = I - A, built once, derive from it."""
@@ -61,7 +61,7 @@ class Network:
         return _readonly(np.eye(self.n) - self.adjacency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignSchedule:
     """Ordered times t_0 < t_1 < ... < t_K < t_{K+1} bracketing the K campaigns."""
 
@@ -93,7 +93,7 @@ class CampaignSchedule:
         return float(self.times[k] - self.times[k - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpinionState:
     """Opinion matrix: entry (i, j) is individual i's opinion of player j, in [0, 1]."""
 

@@ -29,7 +29,7 @@ ASCENT_TOL = 1e-9
 ASCENT_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleRegion:
     """Intersection of halfspaces normal'x <= offset in R^{Kn}."""
 
@@ -119,11 +119,12 @@ def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
     conditions to tol.  A point already feasible to tol comes back
     unchanged.  Here tol is ``PROJECTION_TOL``; ``PROJECTION_MAX_CYCLES``
     bounds the active-set iterations (one linear solve each), and when it
-    runs out, ConvergenceError carries the last iterate.
+    runs out, ConvergenceError carries the last iterate.  A point of the
+    wrong shape or with a non-finite entry raises ValueError.
     """
     p = np.asarray(point, dtype=float)
-    if p.shape != (region.dim,):
-        raise ValueError(f"point must live in R^{region.dim}")
+    if p.shape != (region.dim,) or not np.isfinite(p).all():
+        raise ValueError(f"point must be a finite vector in R^{region.dim}")
     normals, offsets = region.normals, region.offsets
     if np.min(offsets) < 0.0:
         raise ValueError("the active-set projection starts at the origin, "
@@ -238,7 +239,7 @@ def _maximize_concave(evaluate, project, start, values=None):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution summary: the plan, its objective, and first-order diagnostics.
 

@@ -70,7 +70,7 @@ def midpoint_convexity_check(probe: ConvexityProbe, seed: int = 0) -> ConvexityR
     return ConvexityReport(passed=worst <= probe.tolerance, worst_violation=worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDifferenceResult:
     """Central-difference gradient; ``one_sided`` lists coordinates where a
     perturbed evaluation failed and a one-sided difference was used instead."""
@@ -447,7 +447,6 @@ def _batched_single_player_search(spec, candidates: np.ndarray):
     K, n = spec.K, spec.n
     utility = spec.utilities[0]
     rho, lam = utility.rho, utility.cost_coefficient
-    sign = 1.0 if utility.kind == "linear-favor" else -1.0
     gaps = interval_propagators(spec.network, spec.schedule)
     count = candidates.shape[0]
     states = np.broadcast_to(spec.x0.values[:, 0], (count, n)).copy()
@@ -456,9 +455,7 @@ def _batched_single_player_search(spec, candidates: np.ndarray):
     for k in range(1, K + 2):
         states = states @ gaps[k - 1].T
         stage = candidates[:, (k - 1) * n : k * n] if k <= K else np.zeros((count, n))
-        values += sign * states @ rho[k - 1] - lam * stage.sum(axis=1)
-        if utility.kind == "linear-complement":
-            values += float(rho[k - 1].sum())
+        values += states @ rho[k - 1] - lam * stage.sum(axis=1)
         if k <= K:
             alive &= np.all(stage <= 1.0 - states + 1e-9, axis=1)
             states = states + stage

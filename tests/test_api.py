@@ -2,6 +2,7 @@
 every exported callable.  A new export, keyword or default is a new setting,
 so it shows up here as a diff to review."""
 
+import dataclasses
 import inspect
 
 import influencegame
@@ -155,3 +156,15 @@ def test_one_concave_ascent_with_fixed_stopping_rules():
     for name, value in STOPPING_RULES.items():
         assert getattr(single_player_solver, name) == value
 
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ over an array field raises instead of answering,
+    # and a generated __hash__ cannot hash the array
+    holding_arrays = {
+        name for name in influencegame.__all__
+        if dataclasses.is_dataclass(getattr(influencegame, name))
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(getattr(influencegame, name)))
+    }
+    assert {"Network", "GameSpec", "SolveReport", "LearningTrace"} <= holding_arrays
+    for name in sorted(holding_arrays):
+        assert not getattr(influencegame, name).__dataclass_params__.eq, name

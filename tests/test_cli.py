@@ -195,6 +195,14 @@ class TestEquilibrateCommand:
         pytest.param(("solver", "tolerances"), {}, id="unknown-tolerances"),
         pytest.param(("solver", "step"), {"kind": "c_over_tau", "c": 10.0}, id="unknown-step"),
         pytest.param(("players", 1), 3.0, id="player-not-object"),
+        pytest.param(("players", 1, "utility", "kind"), "linear-complement", id="complement-kind"),
+        pytest.param(("solver", "T"), 2.7, id="fractional-T"),
+        pytest.param(("solver", "T"), True, id="bool-T"),
+        pytest.param(("solver", "T"), "5", id="string-T"),
+        pytest.param(("players", 0, "budget"), True, id="bool-budget"),
+        pytest.param(("players", 0, "budget"), "3", id="string-budget"),
+        pytest.param(("players", 0, "utility", "lambda"), True, id="bool-lambda"),
+        pytest.param(("players", 0, "utility", "lambda"), "3", id="string-lambda"),
     ])
     def test_bad_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         document = scenario_to_dict(reference_scenario())
@@ -215,14 +223,6 @@ class TestEquilibrateCommand:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["half_result.json"]
-
-    def test_complement_utilities_exit_5(self, tmp_path, capsys):
-        document = scenario_to_dict(reference_scenario())
-        document["players"][1]["utility"]["kind"] = "linear-complement"
-        scenario = write_scenario(tmp_path / "s.json", document)
-        code = main(["equilibrate", scenario, "--T", "3", "--out", str(tmp_path / "x")])
-        assert code == 5
-        assert "hypothesis" in capsys.readouterr().err
 
 
 def _paths(node, path=()):

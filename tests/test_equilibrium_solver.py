@@ -9,6 +9,7 @@ from influencegame import (
     CampaignSchedule,
     ConvergenceError,
     EquilibriumResult,
+    FeasibleRegion,
     GameSpec,
     HypothesisCheckError,
     OpinionState,
@@ -101,6 +102,25 @@ class TestProjectBudgetSet:
         np.testing.assert_array_equal(projected, nearest)
 
 
+UNIT_BUDGET_REGION = FeasibleRegion(
+    normals=np.vstack([np.ones((1, 2)), -np.eye(2)]), offsets=np.array([1.0, 0.0, 0.0])
+)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: project_budget_set(np.array([np.nan, 1.0]), 1.0), id="budget-nan"),
+    pytest.param(lambda: project_budget_set(np.array([np.inf, 0.2]), 1.0), id="budget-inf"),
+    pytest.param(lambda: project_budget_set(np.array([0.5, 0.2]), np.nan), id="budget-nan-cap"),
+    pytest.param(lambda: project_feasible(np.array([np.nan, 0.2]), UNIT_BUDGET_REGION),
+                 id="polytope-nan"),
+    pytest.param(lambda: project_feasible(np.array([-np.inf, 0.2]), UNIT_BUDGET_REGION),
+                 id="polytope-inf"),
+])
+def test_projections_refuse_non_finite_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestRunNoRegret:
     def test_reference_game_per_individual_symmetry(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 100)
@@ -148,21 +168,6 @@ class TestRunNoRegret:
         spend = trace.iterates.sum(axis=(1, 2, 3))
         total = trace.payoffs.sum(axis=1)
         np.testing.assert_allclose(total, 3.0 - spend / 3.0, atol=1e-10)
-
-    def test_linear_complement_rejected_in_multiplayer(self, two_player_spec):
-        rho = np.ones((3, 3))
-        spec = GameSpec(
-            network=two_player_spec.network,
-            schedule=two_player_spec.schedule,
-            x0=two_player_spec.x0,
-            budgets=two_player_spec.budgets,
-            utilities=(
-                StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
-                StageUtility(kind="linear-complement", rho=rho, cost_coefficient=1.0),
-            ),
-        )
-        with pytest.raises(HypothesisCheckError):
-            run_no_regret(spec, 5)
 
     @pytest.mark.parametrize("kind, etas", [
         ("linear-favor", (10.0, 5.0)),
@@ -240,7 +245,7 @@ def utility_of_kind(kind, rho, cost):
 
 class TestHindsightObjective:
     @pytest.mark.parametrize("horizon", [1, 7])
-    @pytest.mark.parametrize("kind", ["linear-favor", "linear-complement", "custom"])
+    @pytest.mark.parametrize("kind", ["linear-favor", "custom"])
     def test_batched_pass_equals_sum_over_played_profiles(self, horizon, kind):
         rng = np.random.default_rng(101)
         game = random_linear_game(rng, 3, 4, 3)

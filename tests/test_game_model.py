@@ -441,12 +441,9 @@ class TestConvexityInOpponents:
 
 
 class TestStageUtility:
-    def test_linear_complement_value(self):
-        utility = StageUtility(kind="linear-complement", rho=np.ones((2, 2)),
-                               cost_coefficient=0.5)
-        x = np.array([0.3, 0.4])
-        b = np.array([0.2, 0.0])
-        assert utility.value(x, b, 1) == pytest.approx((0.7 + 0.6) - 0.5 * 0.2)
+    def test_complement_kind_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown stage-utility kind"):
+            StageUtility(kind="linear-complement", rho=np.ones((2, 2)), cost_coefficient=0.5)
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
@@ -512,6 +509,12 @@ class TestStageUtility:
 
 
 class TestGameSpec:
+    def test_game_objects_compare_and_hash_by_identity(self, two_player_spec):
+        assert (build_network(np.ones((2, 2))) == build_network(np.ones((2, 2)))) is False
+        assert two_player_spec == two_player_spec
+        assert hash(two_player_spec) == hash(two_player_spec)
+        assert two_player_spec != dataclasses.replace(two_player_spec)
+
     @pytest.mark.parametrize("first_row, accepted", [
         ([0.5 + 5e-10, 0.5], True),
         ([0.5 + 2e-9, 0.5], False),
