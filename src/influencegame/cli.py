@@ -9,7 +9,7 @@ Subcommands
 Exit codes: 0 ok, 1 verify failure, 2 bad input (a scenario, plans file or
 option that does not parse, or a path that cannot be read or written),
 3 infeasible plans, 4 wrong mode (single- vs multi-player),
-5 hypothesis-check failure, 6 a solver ran out of its iteration budget.
+6 a solver ran out of its iteration budget.
 All files are written atomically, and ``equilibrate`` writes both of its
 files or neither, so a failed run never leaves partial output.  The
 scenario's ``solver`` section sets only the iteration count ``T``; the
@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    HypothesisCheckError,
-    InfeasiblePlanError,
-    ScenarioError,
-)
+from .errors import ConvergenceError, InfeasiblePlanError, ScenarioError
 from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv
 from .fileio import atomic_write_text
 from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
@@ -48,7 +43,6 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_WRONG_MODE = 4
-EXIT_HYPOTHESIS = 5
 EXIT_CONVERGENCE = 6
 
 
@@ -90,14 +84,29 @@ def _json_number(value, kind: type, context: str):
     return _convert(value, kind, context)
 
 
+def _json_array(value, context: str) -> np.ndarray:
+    """Convert a JSON number, or nested lists of them, to a float array.
+    Every entry goes through ``_json_number``, so bools and strings are
+    refused; ragged lists are refused too.  The walk keeps its own stack,
+    so deep nesting cannot exhaust Python's."""
+    pending = [value]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):
+            pending.extend(node)
+        else:
+            _json_number(node, float, f"each entry of {context}")
+    return _convert(value, lambda v: np.asarray(v, dtype=float), context)
+
+
 def scenario_from_dict(document: dict) -> Scenario:
     """Parse a scenario document; unknown keys are rejected to surface typos."""
     _strict_keys(document, ("network", "schedule", "players", "x0", "solver"),
                  ("network", "schedule", "players", "x0"), "scenario")
     try:
-        network = build_network(np.asarray(document["network"], dtype=float))
-        schedule = CampaignSchedule(times=np.asarray(document["schedule"], dtype=float))
-        x0 = OpinionState(np.asarray(document["x0"], dtype=float))
+        network = build_network(_json_array(document["network"], "network"))
+        schedule = CampaignSchedule(times=_json_array(document["schedule"], "schedule"))
+        x0 = OpinionState(_json_array(document["x0"], "x0"))
     except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -119,7 +128,7 @@ def scenario_from_dict(document: dict) -> Scenario:
         try:
             utilities.append(StageUtility(
                 kind="linear-favor",
-                rho=np.asarray(utility_doc["rho"], dtype=float),
+                rho=_json_array(utility_doc["rho"], f"players[{idx}].utility.rho"),
                 cost_coefficient=cost,
             ))
         except (ValueError, TypeError) as exc:
@@ -201,8 +210,9 @@ def reference_scenario() -> Scenario:
 
 def load_plans(path, spec: GameSpec) -> np.ndarray:
     """Read a plans file, one K x n matrix per player, as the (m, K, n)
-    profile ``validate_plans`` returns.  A malformed file or a non-finite
-    entry is a ScenarioError; an infeasible plan an InfeasiblePlanError."""
+    profile ``validate_plans`` returns.  A malformed file, an entry that is
+    not a JSON number or a non-finite entry is a ScenarioError; an
+    infeasible plan an InfeasiblePlanError."""
     document = _read_json(path)
     _strict_keys(document, ("plans",), ("plans",), "plans file")
     entries = document["plans"]
@@ -210,7 +220,7 @@ def load_plans(path, spec: GameSpec) -> np.ndarray:
         raise ScenarioError(f"plans file must list one K x n matrix per player ({spec.m})")
     matrices = []
     for j, matrix in enumerate(entries):
-        arr = _convert(matrix, lambda v: np.asarray(v, dtype=float), f"plan {j}")
+        arr = _json_array(matrix, f"plan {j}")
         if arr.shape != (spec.K, spec.n):
             raise ScenarioError(
                 f"plan {j} must be shaped ({spec.K}, {spec.n}), got {arr.shape}"
@@ -362,9 +372,6 @@ def main(argv=None) -> int:
     except InfeasiblePlanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except HypothesisCheckError as exc:
-        print(f"hypothesis check failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except ConvergenceError as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

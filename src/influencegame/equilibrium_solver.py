@@ -34,8 +34,8 @@ from .errors import HypothesisCheckError
 from .game_model import (
     GameSpec,
     total_payoff,
-    validate_plans,
     _objective_for_player,
+    _one_profile,
     _player_pass,
 )
 from .opinion_dynamics import _readonly
@@ -197,7 +197,7 @@ def best_response(spec: GameSpec, profile, j: int):
     """
     _require_multiplayer(spec)
     _require_own_concave(spec, j)
-    profile = validate_plans(spec, profile)
+    profile = _one_profile(spec, profile)
     evaluate = _objective_for_player(spec, profile, j)
     point, value, _ = _maximize_concave(evaluate, _projection(spec, j), profile[j].ravel())
     return point.reshape(spec.K, spec.n), value
@@ -211,7 +211,7 @@ def exploitability(spec: GameSpec, profile) -> float:
     ValueError, and a profile ``validate_plans`` refuses raises its error.
     """
     _require_multiplayer(spec)
-    profile = validate_plans(spec, profile)
+    profile = _one_profile(spec, profile)
     gaps = []
     for j in range(spec.m):
         base = total_payoff(spec, profile, j)

@@ -192,7 +192,7 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
     for k in (1, stages):
         b = rng.random(n) * 0.5
         probe = ConvexityProbe(
-            function=lambda x, b=b, k=k: utility.value(x, b, k),
+            function=lambda x, b=b, k=k: utility.value(x, np.broadcast_to(b, x.shape), k),
             sampler=lambda r: r.random(n),
             samples=32,
             tolerance=1e-9,
@@ -215,32 +215,52 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
 
 
 def validate_plans(spec: GameSpec, profile) -> np.ndarray:
-    """Check a strategy profile against the game; returns it clamped at zero.
+    """Check a strategy profile, or a stack of them, against the game; returns
+    it clamped at zero.
 
     A profile is an (m, K, n) array: ``profile[j]`` is player j's open-loop
     plan, whose row k holds its per-individual investments at campaign time
-    t_k (the terminal stage invests nothing).  Raises InfeasiblePlanError for
-    a wrong shape, an entry below -FEASIBILITY_TOL or a player spending more
-    than its budget plus FEASIBILITY_TOL, and ValueError for non-finite
-    entries.  Returns ``np.maximum(profile, 0.0)``, a new float array.
+    t_k (the terminal stage invests nothing).  A stack (..., m, K, n) gets
+    the same checks on every profile at once.  Raises InfeasiblePlanError
+    for a wrong shape, an entry below -FEASIBILITY_TOL or a player spending
+    more than its budget plus FEASIBILITY_TOL, and ValueError for non-finite
+    entries; the message names the first player with a bad plan and that
+    plan's first failed check.  Returns ``np.maximum(profile, 0.0)``, a new
+    float array.
     """
     profile = np.asarray(profile, dtype=float)
-    if profile.shape != (spec.m, spec.K, spec.n):
+    if profile.shape[-3:] != (spec.m, spec.K, spec.n):
         raise InfeasiblePlanError(
             f"profile must be shaped ({spec.m}, {spec.K}, {spec.n}), got {profile.shape}"
         )
     clamped = np.maximum(profile, 0.0)
-    for j in range(spec.m):
-        if not np.isfinite(profile[j]).all():
+    plans = (-1, spec.m, spec.K * spec.n)
+    non_finite = ~np.isfinite(profile).reshape(plans).all(axis=-1)
+    negative = profile.reshape(plans).min(axis=-1) < -FEASIBILITY_TOL
+    spend = clamped.reshape(plans).sum(axis=-1)
+    over_budget = spend > spec.budgets + FEASIBILITY_TOL
+    bad = non_finite | negative | over_budget
+    if bad.any():
+        j = int(np.flatnonzero(bad.any(axis=0))[0])
+        row = int(np.flatnonzero(bad[:, j])[0])
+        if non_finite[row, j]:
             raise ValueError(f"plan for player {j} has non-finite investments")
-        if profile[j].min() < -FEASIBILITY_TOL:
+        if negative[row, j]:
             raise InfeasiblePlanError(f"plan for player {j} has a negative investment")
-        spend = clamped[j].sum()
-        if spend > spec.budgets[j] + FEASIBILITY_TOL:
-            raise InfeasiblePlanError(
-                f"player {j} spends {spend:.6g} over budget {spec.budgets[j]:.6g}"
-            )
+        raise InfeasiblePlanError(
+            f"player {j} spends {spend[row, j]:.6g} over budget {spec.budgets[j]:.6g}"
+        )
     return clamped
+
+
+def _one_profile(spec: GameSpec, profile) -> np.ndarray:
+    """``validate_plans`` for the entry points that take one (m, K, n) profile."""
+    profile = validate_plans(spec, profile)
+    if profile.ndim != 3:
+        raise InfeasiblePlanError(
+            f"profile must be shaped ({spec.m}, {spec.K}, {spec.n}), got {profile.shape}"
+        )
+    return profile
 
 
 def _player_pass(spec: GameSpec, j: int, profile: np.ndarray):
@@ -319,7 +339,8 @@ def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
 
 
 def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
-    """Pre-jump opinion states at t_1..t_{K+1}, shaped (K+1, n, m).
+    """Pre-jump opinion states at t_1..t_{K+1}, shaped (K+1, n, m), or
+    (..., K+1, n, m) for a stack (..., m, K, n) of profiles.
 
     Evaluated by the stage recursion: diffuse across each gap, then apply the
     jump for the budgets invested at that campaign."""
@@ -348,7 +369,7 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
     if samples.size and (samples[0] < times[0] - 1e-12 or samples[-1] > times[-1] + 1e-12):
         raise ValueError("sample times must lie within the schedule horizon")
 
-    profile = validate_plans(spec, profile)
+    profile = _one_profile(spec, profile)
     passes = [_player_pass(spec, j, profile) for j in range(spec.m)]
     pre = np.stack([p[0] for p in passes], axis=-1)
     # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
@@ -379,7 +400,7 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
     Exists as an independent evaluation route; agrees with the recursion to
     round-off.  Single-player games have no damping, so every D(r) is the
     identity there."""
-    profile = validate_plans(spec, profile)
+    profile = _one_profile(spec, profile)
     gaps = spec.gap_propagators
     K, n, m = spec.K, spec.n, spec.m
 
@@ -404,13 +425,17 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
     return out
 
 
-def total_payoff(spec: GameSpec, profile, j: int) -> float:
-    """Average of player j's stage utilities over t_1..t_{K+1}."""
+def total_payoff(spec: GameSpec, profile, j: int):
+    """Average of player j's stage utilities over t_1..t_{K+1}: a float for
+    one (m, K, n) profile, an array of shape (...) for a stack (..., m, K, n)
+    of them, evaluated in one kernel pass."""
     profile = validate_plans(spec, profile)
-    return float(_player_pass(spec, j, profile)[2])
+    payoff = _player_pass(spec, j, profile)[2]
+    return float(payoff) if profile.ndim == 3 else payoff
 
 
 def payoff_gradient(spec: GameSpec, profile, j: int) -> np.ndarray:
-    """Exact gradient of total_payoff with respect to player j's own entries."""
+    """Exact gradient of total_payoff with respect to player j's own entries,
+    shaped like ``profile[..., j, :, :]``."""
     profile = validate_plans(spec, profile)
     return _player_pass(spec, j, profile)[3]

@@ -31,7 +31,8 @@ ASCENT_MAX_STEPS = 100_000
 
 @dataclass(frozen=True, eq=False)
 class FeasibleRegion:
-    """Intersection of halfspaces normal'x <= offset in R^{Kn}."""
+    """Intersection of halfspaces normal'x <= offset in R^{Kn}; every normal
+    and offset must be finite (ValueError otherwise)."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -41,6 +42,8 @@ class FeasibleRegion:
         object.__setattr__(self, "offsets", _readonly(np.atleast_1d(self.offsets)))
         if self.normals.shape[0] != self.offsets.shape[0]:
             raise ValueError("each halfspace needs a normal and an offset")
+        if not (np.isfinite(self.normals).all() and np.isfinite(self.offsets).all()):
+            raise ValueError("halfspace normals and offsets must be finite")
 
     @property
     def dim(self) -> int:
@@ -273,7 +276,7 @@ def _check_concave_stages(spec: GameSpec):
     n, stages = spec.n, spec.K + 1
     for k in (1, stages):
         probe = ConvexityProbe(
-            function=lambda z, k=k: -utility.value(z[:n], z[n:], k),
+            function=lambda z, k=k: -utility.value(z[:, :n], z[:, n:], k),
             sampler=lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]),
             samples=64,
             tolerance=1e-9,

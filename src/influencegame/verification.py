@@ -6,6 +6,12 @@ grid search validates the solvers on tiny instances, and the midpoint
 samplers turn the structural facts the algorithms rely on (propagators are
 stochastic, payoffs are convex in opponents' strategies, the single-player
 objective is concave) into executable checks.
+
+Every point-wise oracle evaluates all its points in one call.  The function
+handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
+points shaped (B, *shape) and returns B values, so a game payoff goes
+through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
+profiles.  A NaN value fails every check it reaches.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game_model import total_payoff, validate_plans
+from .game_model import opinions_at_campaigns, payoff_gradient, total_payoff, _one_profile
 from .single_player_solver import build_region
 
 
@@ -39,12 +45,21 @@ def check_stochastic(matrix: np.ndarray, tol: float = 1e-10) -> StochasticityRep
 
 @dataclass(frozen=True)
 class ConvexityProbe:
-    """A function, a sampler for points of its convex domain, and a tolerance."""
+    """A function, a sampler for points of its convex domain, and a tolerance.
+
+    ``sampler(rng)`` draws one point; ``function`` takes a stack (B, *shape)
+    of such points and returns their B values.  A probe draws at least one
+    pair (ValueError otherwise): a check on no points would pass vacuously.
+    """
 
     function: Callable
     sampler: Callable
     samples: int = 100
     tolerance: float = 1e-9
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("a convexity probe needs at least one sample")
 
 
 @dataclass(frozen=True)
@@ -53,20 +68,32 @@ class ConvexityReport:
     worst_violation: float
 
 
+def _midpoint_violations(function: Callable, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """f((y + y_hat) / 2) - (f(y) + f(y_hat)) / 2 for each row of the stacks y
+    and y_hat, from one call of the stacked ``function`` on all 3B points."""
+    values = np.asarray(function(np.concatenate([(y + y_hat) / 2.0, y, y_hat])), dtype=float)
+    midpoint, left, right = values.reshape(3, len(y))
+    return midpoint - (left + right) / 2.0
+
+
+def _worst(values) -> float:
+    """Largest of the values; a NaN among them makes it NaN, which fails any
+    ``worst <= bound`` check."""
+    return float(np.max(np.hstack(values), initial=-np.inf))
+
+
 def midpoint_convexity_check(probe: ConvexityProbe, seed: int = 0) -> ConvexityReport:
     """Sample point pairs and assert f(midpoint) <= mean of endpoint values.
 
-    Returns the worst signed violation; positive values beyond the tolerance
-    mean the function bulged above a chord somewhere.
+    The sampler draws y, then y_hat, for each sample in turn; the midpoints
+    and both endpoints of all pairs are then evaluated in one call.  Returns
+    the worst signed violation; positive values beyond the tolerance mean
+    the function bulged above a chord somewhere, and a NaN value fails.
     """
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(probe.samples):
-        y = np.asarray(probe.sampler(rng), dtype=float)
-        y_hat = np.asarray(probe.sampler(rng), dtype=float)
-        midpoint = probe.function((y + y_hat) / 2.0)
-        chord = (probe.function(y) + probe.function(y_hat)) / 2.0
-        worst = max(worst, float(midpoint - chord))
+    draws = [np.asarray(probe.sampler(rng), dtype=float) for _ in range(2 * probe.samples)]
+    worst = _worst(_midpoint_violations(probe.function, np.array(draws[0::2]),
+                                        np.array(draws[1::2])))
     return ConvexityReport(passed=worst <= probe.tolerance, worst_violation=worst)
 
 
@@ -80,22 +107,38 @@ class FiniteDifferenceResult:
 
 
 def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> FiniteDifferenceResult:
-    """Finite-difference gradient of a scalar function, coordinate by coordinate.
+    """Finite-difference gradient of a scalar function.
 
-    Central differences by default; when a perturbed evaluation fails (for
-    instance at a feasibility boundary) the coordinate falls back to a
+    ``evaluator`` takes a stack of points shaped (B, *point.shape) and
+    returns their B values.  All 2d central-difference points go in one
+    call.  When that call raises (for instance because a perturbed point
+    leaves the feasible set), the gradient is rebuilt coordinate by
+    coordinate from 1-row stacks: central where both sides evaluate, else a
     second-order one-sided stencil on the side that works, degrading to the
     plain one-sided quotient when even the two-step point is out of reach.
     """
     point = np.asarray(point, dtype=float)
-    gradient = np.empty(point.size)
-    one_sided = []
     flat = point.ravel()
+
+    def evaluate(rows):
+        return np.asarray(evaluator(rows.reshape((-1,) + point.shape)), dtype=float)
+
+    steps = h * np.eye(flat.size)
+    try:
+        values = evaluate(np.concatenate([flat + steps, flat - steps]))
+    except Exception:
+        pass
+    else:
+        gradient = (values[: flat.size] - values[flat.size :]) / (2.0 * h)
+        return FiniteDifferenceResult(gradient=gradient.reshape(point.shape))
+
+    gradient = np.empty(flat.size)
+    one_sided = []
 
     def at(offset_index, delta):
         shifted = flat.copy()
         shifted[offset_index] += delta
-        return evaluator(shifted.reshape(point.shape))
+        return evaluate(shifted)[0]
 
     for i in range(flat.size):
         try:
@@ -103,7 +146,7 @@ def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> Fini
             continue
         except Exception:
             pass
-        center = evaluator(point)
+        center = evaluate(flat)[0]
         for sign in (1.0, -1.0):
             try:
                 near = at(i, sign * h)
@@ -142,7 +185,7 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     if K * n > 4:
         raise ValueError("grid search is limited to K*n <= 4 variables")
     cap = float(spec.budgets[j])
-    entries = validate_plans(spec, profile)
+    entries = _one_profile(spec, profile)
     candidates = _grid_candidates(cap, K * n, grid_step)
 
     if spec.m == 1 and spec.utilities[0].is_linear:
@@ -258,7 +301,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
         worst_negativity=worst_neg,
     ))
 
-    worst = -np.inf
+    violations = []
     for _ in range(200):
         d = int(rng.integers(1, 6))
         width = int(rng.integers(1, 5))
@@ -266,8 +309,8 @@ def _suite_lemmas(seed: int) -> list[dict]:
         w = rng.random((d, width)) * 2.0
 
         def product_of_reciprocals(y, a=a, w=w, d=d, width=width):
-            y = y.reshape(d, width)
-            return float(np.prod(1.0 / (a + np.einsum("ij,ij->i", w, y))))
+            y = y.reshape(-1, d, width)
+            return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
 
         probe = ConvexityProbe(
             function=product_of_reciprocals,
@@ -276,13 +319,13 @@ def _suite_lemmas(seed: int) -> list[dict]:
             tolerance=1e-9,
         )
         report = midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30)))
-        worst = max(worst, report.worst_violation)
+        violations.append(report.worst_violation)
+    worst = _worst(violations)
     checks.append(_check("reciprocal-product-convexity", worst <= 1e-9,
                          worst_violation=worst))
 
-    worst_u, worst_coord = -np.inf, -np.inf
-    pairs_done = 0
-    while pairs_done < 100:
+    payoff_violations, opinion_violations = [], []
+    for _ in range(20):
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 6))
         K = int(rng.integers(1, 4))
@@ -290,67 +333,49 @@ def _suite_lemmas(seed: int) -> list[dict]:
         j = int(rng.integers(m))
         own = random_feasible_profile(rng, spec)[j]
         others = [ell for ell in range(m) if ell != j]
+        k, i = int(rng.integers(1, K + 2)), int(rng.integers(n))
+        # five opponent pairs, each drawn as (a, b); all 15 points go in one stack
+        draws = [
+            np.concatenate([random_feasible_profile(rng, spec)[ell].ravel() for ell in others])
+            for _ in range(10)
+        ]
+        opp_a, opp_b = np.array(draws[0::2]), np.array(draws[1::2])
 
-        def payoff_of_opponents(flat, spec=spec, j=j, own=own, others=others):
-            profile = np.empty((spec.m, spec.K, spec.n))
-            profile[j] = own
-            for pos, ell in enumerate(others):
-                profile[ell] = flat.reshape(len(others), spec.K, spec.n)[pos]
-            return total_payoff(spec, profile, j)
+        def profiles(flat):
+            stack = np.empty((len(flat), m, K, n))
+            stack[:, j] = own
+            stack[:, others] = flat.reshape(len(flat), len(others), K, n)
+            return stack
 
-        def coordinate_of_opinions(flat, spec=spec, j=j, own=own, others=others,
-                                   k=int(rng.integers(1, K + 2)), i=int(rng.integers(n))):
-            from .game_model import opinions_at_campaigns
-
-            profile = np.empty((spec.m, spec.K, spec.n))
-            profile[j] = own
-            for pos, ell in enumerate(others):
-                profile[ell] = flat.reshape(len(others), spec.K, spec.n)[pos]
-            return float(opinions_at_campaigns(spec, profile)[k - 1][i, j])
-
-        for _ in range(5):
-            opp_a = np.concatenate(
-                [random_feasible_profile(rng, spec)[ell].ravel() for ell in others]
-            )
-            opp_b = np.concatenate(
-                [random_feasible_profile(rng, spec)[ell].ravel() for ell in others]
-            )
-            for function in (payoff_of_opponents, coordinate_of_opinions):
-                mid = function((opp_a + opp_b) / 2.0)
-                chord = (function(opp_a) + function(opp_b)) / 2.0
-                violation = mid - chord
-                if function is payoff_of_opponents:
-                    worst_u = max(worst_u, violation)
-                else:
-                    worst_coord = max(worst_coord, violation)
-            pairs_done += 1
+        payoff_violations.append(_midpoint_violations(
+            lambda flat: total_payoff(spec, profiles(flat), j), opp_a, opp_b))
+        opinion_violations.append(_midpoint_violations(
+            lambda flat: opinions_at_campaigns(spec, profiles(flat))[:, k - 1, i, j],
+            opp_a, opp_b))
+    worst_u, worst_coord = _worst(payoff_violations), _worst(opinion_violations)
     checks.append(_check("payoff-convex-in-opponents", worst_u <= 1e-9,
                          worst_violation=worst_u))
     checks.append(_check("opinions-convex-in-opponents", worst_coord <= 1e-9,
                          worst_violation=worst_coord))
 
-    worst = -np.inf
+    violations = []
     for _ in range(40):
         spec = random_linear_game(rng, 1, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
-
-        def objective(flat, spec=spec):
-            return total_payoff(spec, flat.reshape(1, spec.K, spec.n), 0)
-
-        plan_a = random_feasible_profile(rng, spec).ravel()
-        plan_b = random_feasible_profile(rng, spec).ravel()
-        mid = objective((plan_a + plan_b) / 2.0)
-        chord = (objective(plan_a) + objective(plan_b)) / 2.0
-        worst = max(worst, chord - mid)  # concavity: chord must not exceed midpoint
+        plan_a = random_feasible_profile(rng, spec).reshape(1, -1)
+        plan_b = random_feasible_profile(rng, spec).reshape(1, -1)
+        # concavity: the chord must not exceed the midpoint
+        violations.append(-_midpoint_violations(
+            lambda flat: total_payoff(spec, flat.reshape(-1, 1, spec.K, spec.n), 0),
+            plan_a, plan_b))
+    worst = _worst(violations)
     checks.append(_check("single-player-objective-concavity", worst <= 1e-9,
                          worst_violation=worst))
     return checks
 
 
 def _suite_gradients(seed: int) -> list[dict]:
-    from .game_model import payoff_gradient
-
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for scenario in range(10):
         m = int(rng.integers(1, 4))
         spec = random_linear_game(rng, m, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
@@ -360,25 +385,24 @@ def _suite_gradients(seed: int) -> list[dict]:
             analytic = payoff_gradient(spec, profile, j)
 
             def payoff_of_own(own, spec=spec, profile=profile, j=j):
-                candidate = profile.copy()
-                candidate[j] = own
-                return total_payoff(spec, candidate, j)
+                candidates = np.repeat(profile[None], len(own), axis=0)
+                candidates[:, j] = own
+                return total_payoff(spec, candidates, j)
 
             numeric = fd_gradient(payoff_of_own, profile[j], h=1e-5).gradient
             scale = max(float(np.max(np.abs(numeric))), 1e-12)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
+            errors.append(float(np.max(np.abs(analytic - numeric))) / scale)
+    worst = _worst(errors)
     return [_check("analytic-vs-finite-difference", worst < 1e-6,
                    max_relative_error=worst)]
 
 
 def _suite_oracles(seed: int) -> list[dict]:
-    from .game_model import payoff_gradient
     from .single_player_solver import solve_single
 
     rng = np.random.default_rng(seed)
     checks = []
 
-    gap_worst = -np.inf
     for _ in range(3):
         n = int(rng.integers(1, 3))
         K = 1 if n == 2 else int(rng.integers(1, 4))
@@ -388,7 +412,6 @@ def _suite_oracles(seed: int) -> list[dict]:
         _, grid_value = brute_force_best_response(spec, zero, 0, grid_step=0.01)
         lipschitz = float(np.linalg.norm(payoff_gradient(spec, zero, 0)))
         margin = lipschitz * 0.01 * np.sqrt(spec.K * spec.n)
-        gap_worst = max(gap_worst, grid_value - report.objective)
         checks.append(_check(
             f"solver-vs-grid-{n}x{K}",
             report.objective >= grid_value - margin,
@@ -399,7 +422,7 @@ def _suite_oracles(seed: int) -> list[dict]:
 
     from .equilibrium_solver import project_budget_set
 
-    worst_excess = -np.inf
+    excesses = []
     for _ in range(20):
         dims = int(rng.integers(1, 4))
         cap = float(rng.random() * 1.2 + 0.2)
@@ -407,12 +430,12 @@ def _suite_oracles(seed: int) -> list[dict]:
         projected = project_budget_set(v, cap)
         grid = _grid_candidates(cap, dims, 0.05)
         grid_best = float(np.min(np.linalg.norm(grid - v, axis=1)))
-        excess = float(np.linalg.norm(projected - v)) - grid_best
-        worst_excess = max(worst_excess, excess)
+        excesses.append(float(np.linalg.norm(projected - v)) - grid_best)
         feasible = projected.min() >= -1e-12 and projected.sum() <= cap + 1e-9
         if not feasible:
             checks.append(_check("projection-feasibility", False))
             break
+    worst_excess = _worst(excesses)
     checks.append(_check("projection-vs-grid", worst_excess <= 1e-9,
                          worst_distance_excess=worst_excess))
     return checks

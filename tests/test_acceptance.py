@@ -156,8 +156,8 @@ def test_criterion_5_convexity_properties():
         w = rng.random((d, width)) * 2.0
 
         def product_of_reciprocals(y, a=a, w=w, d=d, width=width):
-            y = y.reshape(d, width)
-            return float(np.prod(1.0 / (a + np.einsum("ij,ij->i", w, y))))
+            y = y.reshape(-1, d, width)
+            return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
 
         probe = ConvexityProbe(function=product_of_reciprocals,
                                sampler=lambda r, d=d, width=width: r.random(d * width) * 3.0,
@@ -206,9 +206,9 @@ def test_criterion_6_gradient_oracle():
             analytic = payoff_gradient(spec, profile, j)
 
             def payoff_of_own(own, spec=spec, profile=profile, j=j):
-                candidate = profile.copy()
-                candidate[j] = own
-                return total_payoff(spec, candidate, j)
+                candidates = np.repeat(profile[None], len(own), axis=0)
+                candidates[:, j] = own
+                return total_payoff(spec, candidates, j)
 
             numeric = fd_gradient(payoff_of_own, profile[j]).gradient
             scale = max(float(np.max(np.abs(numeric))), 1e-12)

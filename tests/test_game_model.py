@@ -315,6 +315,35 @@ class TestValidatePlans:
         with pytest.raises(InfeasiblePlanError, match="player 1"):
             entry_point(spec, profile)
 
+    @pytest.mark.parametrize("player, entry, error, match", [
+        pytest.param(1, 5.0 + 2e-9, InfeasiblePlanError, "player 1 spends", id="over-budget"),
+        pytest.param(0, -2e-9, InfeasiblePlanError, "player 0 has a negative", id="negative"),
+        pytest.param(1, np.nan, ValueError, "player 1 has non-finite", id="nan"),
+    ])
+    def test_stack_with_one_bad_row_names_its_player(self, two_player_spec, player,
+                                                     entry, error, match):
+        stack = np.full((4, 2, 2, 3), 0.1)
+        stack[2, player, 0, 2] = entry
+        with pytest.raises(error, match=match):
+            validate_plans(two_player_spec, stack)
+        stack[2, player, 0, 2] = 0.1
+        np.testing.assert_array_equal(validate_plans(two_player_spec, stack), stack)
+
+    @pytest.mark.parametrize("entry_point", [
+        pytest.param(lambda spec, p: opinions_at_campaigns_closed_form(spec, p),
+                     id="closed-form"),
+        pytest.param(lambda spec, p: simulate_trajectory(spec, p, [1.0]), id="simulate"),
+        pytest.param(lambda spec, p: best_response(spec, p, 0), id="best-response"),
+        pytest.param(lambda spec, p: exploitability(spec, p), id="exploitability"),
+        pytest.param(lambda spec, p: brute_force_best_response(spec, p, 0, grid_step=1.0),
+                     id="grid-search"),
+    ])
+    def test_single_profile_entry_points_refuse_a_stack(self, path_network, entry_point):
+        spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),
+                                [3.0, 5.0])
+        with pytest.raises(InfeasiblePlanError, match="shaped"):
+            entry_point(spec, np.zeros((2, 2, 1, 3)))
+
 
 class TestTotalPayoff:
     def test_reference_game_constant_sum_at_full_spend(self, two_player_spec):
@@ -335,6 +364,22 @@ class TestTotalPayoff:
             total = sum(total_payoff(two_player_spec, plans, j) for j in range(2))
             expected = 3.0 - profile.sum() / 3.0
             assert abs(total - expected) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stack_evaluates_each_profile(self, m):
+        rng = np.random.default_rng(47)
+        spec = random_linear_game(rng, m, 4, 2)
+        stack = np.array([random_feasible_profile(rng, spec) for _ in range(6)]).reshape(
+            2, 3, m, 2, 4)
+        payoffs = total_payoff(spec, stack, m - 1)
+        opinions = opinions_at_campaigns(spec, stack)
+        assert payoffs.shape == (2, 3) and opinions.shape == (2, 3, 3, 4, m)
+        for index in np.ndindex(2, 3):
+            single = total_payoff(spec, stack[index], m - 1)
+            assert isinstance(single, float)
+            assert abs(payoffs[index] - single) <= 1e-14
+            np.testing.assert_allclose(opinions[index], opinions_at_campaigns(spec, stack[index]),
+                                       rtol=0, atol=1e-14)
 
     def test_static_zero_plan_payoff(self):
         spec = single_player_spec(n=3, K=2, x0=0.5, budget=1.0, rho=1.0, cost=1.0)
@@ -411,9 +456,9 @@ class TestPayoffGradient:
                 analytic = payoff_gradient(spec, profile, j)
 
                 def payoff_of_own(own, profile=profile, j=j, spec=spec):
-                    candidate = profile.copy()
-                    candidate[j] = own
-                    return total_payoff(spec, candidate, j)
+                    candidates = np.repeat(profile[None], len(own), axis=0)
+                    candidates[:, j] = own
+                    return total_payoff(spec, candidates, j)
 
                 numeric = fd_gradient(payoff_of_own, profile[j]).gradient
                 scale = max(np.max(np.abs(numeric)), 1e-12)

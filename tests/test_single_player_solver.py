@@ -118,6 +118,20 @@ class TestProjectFeasible:
             project_feasible(np.array([5.0, 5.0]), region)
         assert excinfo.value.last_iterate is not None
 
+    @pytest.mark.parametrize("normals, offsets", [
+        pytest.param(np.vstack([np.ones((1, 2)), -np.eye(2)]), [np.nan, 0.0, 0.0],
+                     id="nan-offset"),
+        pytest.param(np.vstack([np.ones((1, 2)), -np.eye(2)]), [np.inf, 0.0, 0.0],
+                     id="inf-offset"),
+        pytest.param(np.vstack([[np.nan, 1.0], -np.eye(2)]), [1.0, 0.0, 0.0],
+                     id="nan-normal"),
+    ])
+    def test_non_finite_halfspaces_refused(self, normals, offsets):
+        # a NaN offset never counts as exceeded, so the projection of (2, 2)
+        # onto the unit budget set would come back as the infeasible (2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            FeasibleRegion(normals=normals, offsets=np.array(offsets))
+
 
 def enumerated_projections(points, region):
     """Row-wise nearest feasible point among the projections onto every

@@ -16,19 +16,20 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame.verification import run_suite
+from influencegame import verification
+from influencegame.verification import random_linear_game, run_suite
 from conftest import single_player_spec
 
 
 class TestFdGradient:
     def test_quadratic(self):
-        result = fd_gradient(lambda x: float(x[0] ** 2), np.array([3.0]))
+        result = fd_gradient(lambda x: x[:, 0] ** 2, np.array([3.0]))
         assert result.gradient[0] == pytest.approx(6.0, abs=1e-9)
         assert result.one_sided == ()
 
     def test_linear_is_exact(self):
         c = np.array([2.0, -1.5, 0.25])
-        result = fd_gradient(lambda x: float(c @ x), np.array([0.3, 0.7, 0.1]))
+        result = fd_gradient(lambda x: x @ c, np.array([0.3, 0.7, 0.1]))
         np.testing.assert_allclose(result.gradient, c, atol=1e-9)
 
     def test_game_payoff_hand_value(self):
@@ -46,22 +47,55 @@ class TestFdGradient:
         )
 
         def payoff(own):
-            profile = np.zeros((2, 1, 1))
-            profile[0] = own.reshape(1, 1)
-            return total_payoff(spec, profile, 0)
+            profiles = np.zeros((len(own), 2, 1, 1))
+            profiles[:, 0] = own.reshape(-1, 1, 1)
+            return total_payoff(spec, profiles, 0)
 
         result = fd_gradient(payoff, np.zeros((1, 1)))
         assert result.gradient[0, 0] == pytest.approx(0.25, abs=1e-7)
 
     def test_one_sided_fallback_recorded(self):
         def half_line(x):
-            if x[0] < 1.0:
+            if np.any(x[:, 0] < 1.0):
                 raise ValueError("outside domain")
-            return float(x[0] ** 2)
+            return x[:, 0] ** 2
 
         result = fd_gradient(half_line, np.array([1.0]), h=1e-6)
         assert result.one_sided == (0,)
         assert result.gradient[0] == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_stack_matches_a_per_coordinate_loop(self, at_zero):
+        # h = 1e-2 keeps round-off (about eps / h) far below the 1e-12 bound;
+        # with player 0's last entry at zero its backward point is infeasible,
+        # so the stacked call raises and that coordinate goes one-sided
+        spec = random_linear_game(np.random.default_rng(29), 2, 3, 2)
+        profile = np.full((2, 2, 3), 0.03)
+        if at_zero:
+            profile[0, 1, 2] = 0.0
+        h = 1e-2
+
+        def stacked(own):
+            candidates = np.repeat(profile[None], len(own), axis=0)
+            candidates[:, 0] = own
+            return total_payoff(spec, candidates, 0)
+
+        def one(flat):
+            candidate = profile.copy()
+            candidate[0] = flat.reshape(2, 3)
+            return total_payoff(spec, candidate, 0)
+
+        flat = profile[0].ravel()
+        expected = []
+        for step, entry in zip(h * np.eye(6), flat):
+            if entry >= h:
+                expected.append((one(flat + step) - one(flat - step)) / (2.0 * h))
+            else:
+                expected.append((-3.0 * one(flat) + 4.0 * one(flat + step)
+                                 - one(flat + 2.0 * step)) / (2.0 * h))
+        result = fd_gradient(stacked, profile[0], h=h)
+        assert result.one_sided == ((5,) if at_zero else ())
+        np.testing.assert_allclose(result.gradient.ravel(), expected, rtol=0, atol=1e-12)
 
 
 class TestBruteForce:
@@ -130,7 +164,7 @@ class TestCheckStochastic:
 
 class TestMidpointConvexity:
     def test_reciprocal_is_convex(self):
-        probe = ConvexityProbe(function=lambda y: 1.0 / (1.0 + y[0]),
+        probe = ConvexityProbe(function=lambda y: 1.0 / (1.0 + y[:, 0]),
                                sampler=lambda rng: rng.random(1) * 5.0,
                                samples=100)
         assert midpoint_convexity_check(probe).passed
@@ -139,19 +173,58 @@ class TestMidpointConvexity:
         # h(y) = 1 / ((1 + y1)(2 + y2)): Hessian determinant is
         # 3 / ((1+y1)^4 (2+y2)^4) > 0 with positive diagonal, so h is convex
         probe = ConvexityProbe(
-            function=lambda y: 1.0 / ((1.0 + y[0]) * (2.0 + y[1])),
+            function=lambda y: 1.0 / ((1.0 + y[:, 0]) * (2.0 + y[:, 1])),
             sampler=lambda rng: rng.random(2) * 4.0,
             samples=200,
         )
         assert midpoint_convexity_check(probe).passed
 
     def test_concave_function_fails(self):
-        probe = ConvexityProbe(function=lambda y: -float(y[0] ** 2),
+        probe = ConvexityProbe(function=lambda y: -(y[:, 0] ** 2),
                                sampler=lambda rng: rng.random(1) * 2.0 + 0.5,
                                samples=50)
         report = midpoint_convexity_check(probe)
         assert not report.passed
         assert report.worst_violation > 0
+
+    @pytest.mark.parametrize("function", [
+        pytest.param(lambda y: np.full(len(y), np.nan), id="all-nan"),
+        pytest.param(lambda y: np.where(np.arange(len(y)) == 7, np.nan, y[:, 0] ** 2),
+                     id="one-nan"),
+    ])
+    def test_nan_value_fails(self, function):
+        probe = ConvexityProbe(function=function, sampler=lambda rng: rng.random(1),
+                               samples=10)
+        report = midpoint_convexity_check(probe)
+        assert not report.passed
+        assert np.isnan(report.worst_violation)
+
+    def test_probe_without_samples_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            ConvexityProbe(function=lambda y: y[:, 0], sampler=lambda rng: rng.random(1),
+                           samples=0)
+
+    def test_sampler_draws_each_pair_in_turn(self):
+        drawn, stacks = [], []
+
+        def sampler(rng):
+            drawn.append(rng.random(2))
+            return drawn[-1]
+
+        def function(y):
+            stacks.append(y.copy())
+            return 1.0 / (1.0 + y[:, 0] * y[:, 1])
+
+        report = midpoint_convexity_check(
+            ConvexityProbe(function=function, sampler=sampler, samples=5), seed=3)
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(drawn, [rng.random(2) for _ in range(10)])
+        # sample s pairs draw 2s with draw 2s + 1, as the one-pair-at-a-time loop did
+        scalar = lambda y: 1.0 / (1.0 + y[0] * y[1])
+        worst = max(scalar((y + y_hat) / 2.0) - (scalar(y) + scalar(y_hat)) / 2.0
+                    for y, y_hat in zip(drawn[0::2], drawn[1::2]))
+        assert report.worst_violation == pytest.approx(worst, abs=1e-15)
+        assert len(stacks) == 1 and stacks[0].shape == (15, 2)
 
 
 class TestSuites:
@@ -163,3 +236,30 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize("target, replacement, suite, check, value", [
+        pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
+                     "gradients", "analytic-vs-finite-difference", "max_relative_error",
+                     id="finite-difference-error"),
+        pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
+                     "lemmas", "payoff-convex-in-opponents", "worst_violation",
+                     id="payoff-convexity"),
+        pytest.param("opinions_at_campaigns",
+                     lambda spec, profile: np.full(profile.shape[:-3] + (spec.K + 1, spec.n,
+                                                                         spec.m), np.nan),
+                     "lemmas", "opinions-convex-in-opponents", "worst_violation",
+                     id="opinion-convexity"),
+        pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
+                     "lemmas", "single-player-objective-concavity", "worst_violation",
+                     id="single-player-concavity"),
+        pytest.param("midpoint_convexity_check",
+                     lambda probe, seed: verification.ConvexityReport(False, float("nan")),
+                     "lemmas", "reciprocal-product-convexity", "worst_violation",
+                     id="reciprocal-product-convexity"),
+    ])
+    def test_nan_fails_the_check(self, monkeypatch, target, replacement, suite, check, value):
+        monkeypatch.setattr(verification, target, replacement)
+        report = run_suite(suite, seed=0)
+        record = next(c for c in report["checks"] if c["name"] == check)
+        assert record["passed"] is False and report["passed"] is False
+        assert np.isnan(record[value])
