@@ -173,11 +173,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _read_json(path):
-    """Parse a UTF-8 JSON file; undecodable bytes and bad JSON are ScenarioErrors."""
+    """Parse a UTF-8 JSON file; undecodable bytes, bad JSON and nesting too
+    deep for the parser are ScenarioErrors."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
 
 

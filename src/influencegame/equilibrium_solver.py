@@ -3,11 +3,14 @@
 Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
-equilibrium.  No stepsize is configured: the game fixes it, 10 / tau when
-every utility is linear and 1 / sqrt(tau), the general online-gradient
-rate, otherwise.  The trace records the iterates and the per-iteration
-payoffs (the running averages are derived from the iterates), and the
-diagnostics below quantify how close the averaged profile is to equilibrium:
+equilibrium.  One iteration is one game-kernel pass that carries every
+player's opinion column and yields every payoff and gradient, then one
+projection of the m stepped plans, stacked, onto their budget sets.  No
+stepsize is configured: the game fixes it, 10 / tau when every utility is
+linear and 1 / sqrt(tau), the general online-gradient rate, otherwise.  The
+trace records the iterates and the per-iteration payoffs (the running
+averages are derived from the iterates), and the diagnostics below quantify
+how close the averaged profile is to equilibrium:
 
 * regret -- gap between the best fixed strategy in hindsight and the payoff
   actually accumulated,
@@ -35,42 +38,49 @@ from .game_model import (
     GameSpec,
     total_payoff,
     _objective_for_player,
+    _columns_pass,
     _one_profile,
-    _player_pass,
 )
 from .opinion_dynamics import _readonly
 from .single_player_solver import _maximize_concave, build_region, project_feasible
 
 
-def project_budget_set(point: np.ndarray, cap: float) -> np.ndarray:
-    """Exact Euclidean projection onto {b >= 0, sum(b) <= cap}.
+def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection onto {b >= 0, sum(b) <= cap}, row by row.
 
-    Clamping negatives suffices when the clamped sum fits under the cap;
-    otherwise the usual water-filling threshold projects onto the face
-    {b >= 0, sum(b) = cap}.  That projection does not change when the same
-    constant is added to every entry, so the point is first shifted to a
-    top entry of 0, where the cap cannot be lost to round-off.  Exact in
-    finitely many operations.  A NaN or negative cap, or a point with a
-    non-finite entry, raises ValueError.
+    ``point`` is one vector (d,) or a stack (..., d) of them; ``cap`` is one
+    cap for every row or one per row, shaped like the stack.  Each row comes
+    out bit-for-bit as if projected alone.  Clamping negatives suffices when
+    the clamped sum fits under the cap; otherwise the usual water-filling
+    threshold projects onto the face {b >= 0, sum(b) = cap}.  That
+    projection does not change when the same constant is added to every
+    entry, so such a row is first shifted to a top entry of 0, where the cap
+    cannot be lost to round-off.  Exact in finitely many operations.  A NaN
+    or negative cap, or a point with a non-finite entry, raises ValueError.
     """
-    if not cap >= 0:
-        raise ValueError("budget cap must be nonnegative")
     v = np.asarray(point, dtype=float)
+    shape, d = v.shape, v.shape[-1]
+    caps = np.empty(shape[:-1])
+    caps[...] = cap
+    if not (caps >= 0).all():
+        raise ValueError("budget cap must be nonnegative")
     if not np.isfinite(v).all():
         raise ValueError("the point to project must be finite")
-    clamped = np.maximum(v, 0.0)
-    if clamped.sum() <= cap:
-        return clamped
-    v = v - v.max()
-    u = np.sort(v.ravel())[::-1]
-    cumulative = np.cumsum(u) - cap
-    ranks = np.arange(1, u.size + 1)
-    feasible = u - cumulative / ranks > 0
-    # the top entry is always in the support, but the strict test drops it
-    # when the cap is zero
-    rho = max(1, int(np.count_nonzero(feasible)))
-    theta = cumulative[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    rows, caps = v.reshape(caps.size, d), caps.reshape(-1)
+    projected = np.maximum(rows, 0.0)
+    over = projected.sum(axis=-1) > caps
+    if over.any():
+        v, caps = rows[over], caps[over]
+        v = v - v.max(axis=-1, keepdims=True)
+        u = np.sort(v, axis=-1)[:, ::-1]
+        cumulative = u.cumsum(axis=-1) - caps[:, None]
+        feasible = u - cumulative / np.arange(1, d + 1) > 0
+        # the top entry is always in the support, but the strict test drops
+        # it when the cap is zero
+        rho = np.maximum(1, feasible.sum(axis=-1))
+        theta = cumulative[np.arange(len(v)), rho - 1] / rho
+        projected[over] = np.maximum(v - theta[:, None], 0.0)
+    return projected.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,20 +163,23 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     Players start from the interior half-budget spread (each entry
     beta_j / (2 K n)) and update together from the same joint iterate.  The
     stepsize follows from the game: eta_tau = 10 / tau when every utility is
-    linear, 1 / sqrt(tau) otherwise.  The run draws no random numbers: the
-    spec and T determine it.
+    linear, 1 / sqrt(tau) otherwise.  Each iteration makes one kernel pass
+    over all players' columns and one projection of the (m, K n) stack of
+    stepped plans.  The run draws no random numbers: the spec and T
+    determine it.
     """
     if T < 1:
         raise ValueError("iteration count must be at least 1")
     linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
-    projections = [_projection(spec, j) for j in range(m)]
-
-    current = np.stack(
-        [np.full((K, n), float(spec.budgets[j]) / (2 * K * n)) for j in range(m)]
-    )
+    current = np.broadcast_to(spec.budgets[:, None] / (2 * K * n), (m, K * n))
     if m == 1:
-        current[0] = projections[0](current[0].ravel()).reshape(K, n)
+        alone = _projection(spec, 0)
+        project = lambda rows: alone(rows[0])[None]
+        current = project(current)
+    else:
+        project = lambda rows: project_budget_set(rows, spec.budgets)
+    current = current.reshape(m, K, n)
 
     iterates = np.empty((T, m, K, n))
     payoffs = np.empty((T, m))
@@ -174,12 +187,8 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     for tau in range(1, T + 1):
         iterates[tau - 1] = current
         eta = 10.0 / tau if linear else 1.0 / np.sqrt(tau)
-        updated = np.empty_like(current)
-        for j in range(m):
-            _, _, payoffs[tau - 1, j], gradient = _player_pass(spec, j, current)
-            stepped = (current[j] + eta * gradient).ravel()
-            updated[j] = projections[j](stepped).reshape(K, n)
-        current = updated
+        _, _, payoffs[tau - 1], gradient = _columns_pass(spec, current)
+        current = project((current + eta * gradient).reshape(m, K * n)).reshape(m, K, n)
 
     return LearningTrace(spec=spec, iterates=iterates, payoffs=payoffs)
 

@@ -9,12 +9,16 @@ evaluated at the pre-jump campaign-time opinions of its own opinion column,
 with the terminal stage charged no investment.
 
 Every payoff, gradient and opinion state comes from one kernel,
-``_player_pass``: a forward pass of the stage recursion (diffuse across a gap
-by the propagator A_k, then jump) over player j's column, followed by its
-reverse-mode sweep for the exact own-investment gradient.  The adjacent-gap
-propagators are built once per game and cached on the ``GameSpec``.
-``simulate_trajectory`` samples the hybrid process from the kernel's
-campaign-time states, carrying each state into the gap that follows it.
+``_columns_pass``: a forward pass of the stage recursion (diffuse across a
+gap by the propagator A_k, then jump) that carries a set of players' opinion
+columns as one state, followed by its reverse-mode sweep for each column's
+exact own-investment gradient.  The learning dynamics pass every column at
+once; a payoff, gradient or best-response objective of one player passes
+that player's column.  The adjacent-gap propagators and the linear
+utilities' weight stack are built once per game and cached on the
+``GameSpec``.  ``simulate_trajectory`` samples the hybrid process from the
+kernel's campaign-time states, carrying each state into the gap that follows
+it.
 
 Campaign-time opinions also admit a closed form: with damping matrices
 D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
@@ -51,11 +55,13 @@ UTILITY_KINDS = ("linear-favor", "custom")
 class StageUtility:
     """Per-stage utility u(x, b, k) of one player.
 
-    ``linear-favor`` scores rho(k)'x - lambda 1'b.  Custom utilities supply a
-    value and both partial gradients; to participate in a multiplayer game
-    they must additionally be declared increasing and convex in the opinion
-    argument, and to act as a best-response objective, concave in the own
-    budget.
+    ``linear-favor`` scores rho(k)'x - lambda 1'b; the game kernel reads its
+    weights from the game's stack, ``GameSpec.linear_weights``.  Custom
+    utilities supply a value and both partial gradients as callables of one
+    length-n opinion vector x, budget vector b and stage k, which the kernel
+    applies column by column; to participate in a multiplayer game they must
+    additionally be declared increasing and convex in the opinion argument,
+    and to act as a best-response objective, concave in the own budget.
     """
 
     kind: str
@@ -92,26 +98,10 @@ class StageUtility:
     def is_linear(self) -> bool:
         return self.kind == "linear-favor"
 
-    # x and b are length-n vectors, or (batch, n) arrays scored row by row.
-
-    def value(self, x: np.ndarray, b: np.ndarray, k: int):
-        if self.is_linear:
-            return x @ self.rho[k - 1] - self.cost_coefficient * b.sum(axis=-1)
-        return _rowwise(self.value_fn, x, b, k)
-
-    def opinion_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        if self.is_linear:
-            return self.rho[k - 1]
-        return _rowwise(self.opinion_grad_fn, x, b, k)
-
-    def budget_gradient(self, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        if self.is_linear:
-            return np.full(x.shape, -self.cost_coefficient)
-        return _rowwise(self.budget_grad_fn, x, b, k)
-
 
 def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Apply a custom per-vector callable to one vector or to each batch row."""
+    """Apply a custom utility's per-vector callable fn(x, b, k) to one
+    length-n vector or to each row of a (batch, n) array."""
     if x.ndim == 1:
         return np.asarray(fn(x, b, k), dtype=float)
     return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
@@ -178,6 +168,18 @@ class GameSpec:
         the game's life (not a field: ``replace`` returns a game without them)."""
         return tuple(interval_propagators(self.network, self.schedule))
 
+    @cached_property
+    def linear_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, K+1, n) stack of the linear utilities' stage weights
+        rho and (m,) vector of their advertising costs, zero for custom
+        utilities; built on first use like ``gap_propagators``."""
+        rho = np.zeros((self.m, self.K + 1, self.n))
+        cost = np.zeros(self.m)
+        for j, utility in enumerate(self.utilities):
+            if utility.is_linear:
+                rho[j], cost[j] = utility.rho, utility.cost_coefficient
+        return _readonly(rho), _readonly(cost)
+
 
 def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
     """Spot-check a custom utility's declared shape on registration."""
@@ -192,7 +194,8 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
     for k in (1, stages):
         b = rng.random(n) * 0.5
         probe = ConvexityProbe(
-            function=lambda x, b=b, k=k: utility.value(x, np.broadcast_to(b, x.shape), k),
+            function=lambda x, b=b, k=k: _rowwise(
+                utility.value_fn, x, np.broadcast_to(b, x.shape), k),
             sampler=lambda r: r.random(n),
             samples=32,
             tolerance=1e-9,
@@ -206,9 +209,9 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
             )
         x = rng.random(n) * 0.8
         step = 0.1 * np.eye(n)
-        base = utility.value(x, b, k)
+        base = _rowwise(utility.value_fn, x, b, k)
         for i in range(n):
-            if utility.value(x + step[i], b, k) < base - 1e-9:
+            if _rowwise(utility.value_fn, x + step[i], b, k) < base - 1e-9:
                 raise HypothesisCheckError(
                     f"custom utility of player {player} is not increasing in opinions"
                 )
@@ -263,60 +266,107 @@ def _one_profile(spec: GameSpec, profile) -> np.ndarray:
     return profile
 
 
-def _player_pass(spec: GameSpec, j: int, profile: np.ndarray):
-    """Forward pass and adjoint sweep for player j over an (..., m, K, n) profile.
+def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(None)):
+    """Forward pass and adjoint sweep of the opinion columns of ``players``
+    (a slice of range(m), every player by default) over an (..., m, K, n)
+    profile or stack of profiles.
 
-    Only player j's opinion column is carried: the opponents reach it solely
-    through the per-individual total investment, whose damping 1/(1 + sigma)
-    scales the multiplayer jump (x + b) / (1 + sigma).  A single player
-    jumps additively, with ``jump_single``'s headroom check, and cannot be
-    batched.  The sweep runs the recursion backwards (reverse mode), so the
-    gradient is exact: own investments enter both linearly and through every
-    damping denominator they touch.
+    The p selected columns travel as one (..., p, n) state: per stage one
+    product with the gap propagator, one jump and, in reverse, one adjoint
+    product, whatever p and the stack.  Other players reach a column solely
+    through the per-individual total investment, whose damping
+    1/(1 + sigma) scales the multiplayer jump (x + b) / (1 + sigma).  A
+    single player jumps additively, with ``jump_single``'s headroom check
+    over the whole stack.  The sweep runs the recursion backwards (reverse
+    mode), so each gradient is exact: own investments enter both linearly
+    and through every damping denominator they touch.
 
-    Returns player j's pre-jump opinions (..., K+1, n), post-jump opinions
-    (..., K, n), payoff (...) and own-investment gradient (..., K, n).
+    Returns the columns' pre-jump opinions (..., p, K+1, n), post-jump
+    opinions (..., p, K, n), payoffs (..., p) and own-investment gradients
+    (..., p, K, n).
     """
     gaps = spec.gap_propagators
-    utility = spec.utilities[j]
     K, n, single = spec.K, spec.n, spec.m == 1
-    own = profile[..., j, :, :]
-    batch = own.shape[:-2]
+    own = profile[..., players, :, :]
     if not single:
-        denominators = 1.0 + profile.sum(axis=-3)
-    zero = np.zeros(batch + (n,))
-    pre = np.empty(batch + (K + 1, n))
+        # (..., 1, K, n): every column of a profile shares its damping
+        denominators = 1.0 + profile.sum(axis=-3)[..., None, :, :]
+    pre = np.empty(own.shape[:-2] + (K + 1, n))
     post = np.empty(own.shape)
 
-    state = np.broadcast_to(spec.x0.values[:, j], batch + (n,))
-    payoff = 0.0
+    def product(x, matrix):
+        # one (rows, n) matrix product for the whole stack of columns
+        return (x.reshape(-1, n) @ matrix).reshape(x.shape)
+
+    state = spec.x0.values[:, players].T + np.zeros(post.shape[:-2] + (n,))
     for k in range(1, K + 2):
-        state = state @ gaps[k - 1].T
+        state = product(state, gaps[k - 1].T)
         pre[..., k - 1, :] = state
-        b_k = own[..., k - 1, :] if k <= K else zero
-        payoff = payoff + utility.value(state, b_k, k)
         if k <= K:
+            b_k = own[..., k - 1, :]
             if single:
                 state = jump_single(state, b_k)
             else:
                 state = (state + b_k) / denominators[..., k - 1, :]
             post[..., k - 1, :] = state
-    payoff = payoff / (K + 1)
 
+    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own)
     scale = 1.0 / (K + 1)
+    # summed stage after stage, in the order the recursion visits them
+    payoff = values.cumsum(axis=-1)[..., K] / (K + 1)
+    opinion_gradients = scale * opinion_gradients
+    if single:
+        # the additive jump passes both opinions and investments through 1:1
+        damp = sensitivity = np.ones((K, n))
+    else:
+        damp = 1.0 / denominators
+        sensitivity = damp * (1.0 - post)
+
     gradient = np.empty(own.shape)
-    v = scale * utility.opinion_gradient(pre[..., K, :], zero, K + 1)
+    v = opinion_gradients[..., K, :]
     for k in range(K, 0, -1):
-        w = v @ gaps[k]
-        x_k, b_k = pre[..., k - 1, :], own[..., k - 1, :]
-        if single:
-            damp = sensitivity = 1.0
-        else:
-            damp = 1.0 / denominators[..., k - 1, :]
-            sensitivity = damp * (1.0 - post[..., k - 1, :])
-        gradient[..., k - 1, :] = scale * utility.budget_gradient(x_k, b_k, k) + sensitivity * w
-        v = scale * utility.opinion_gradient(x_k, b_k, k) + damp * w
+        w = product(v, gaps[k])
+        gradient[..., k - 1, :] = sensitivity[..., k - 1, :] * w
+        v = opinion_gradients[..., k - 1, :] + damp[..., k - 1, :] * w
+    gradient += scale * budget_gradients
     return pre, post, payoff, gradient
+
+
+def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray):
+    """Stage utilities of the columns ``players`` at the kernel's states.
+
+    Returns values (..., p, K+1), opinion gradients (..., p, K+1, n) and
+    budget gradients (..., p, K, n); the terminal stage invests nothing.
+    Linear columns are scored at once through the game's weight stack, and
+    their gradients, which do not depend on the state, come back as (p, K+1,
+    n) and (p, 1, 1) arrays that broadcast over the stack.  Custom utilities
+    apply their callables column by column.
+    """
+    K = spec.K
+    rho, cost = spec.linear_weights
+    rho, cost = rho[players], cost[players, None]
+    values = (pre * rho).sum(axis=-1)
+    values[..., :K] -= cost * own.sum(axis=-1)
+    opinion, budget = rho, -cost[..., None]
+    custom = [(c, spec.utilities[j]) for c, j in enumerate(range(spec.m)[players])
+              if not spec.utilities[j].is_linear]
+    if custom:
+        opinion, budget = opinion + np.zeros(pre.shape), budget + np.zeros(own.shape)
+    for c, utility in custom:
+        for k in range(1, K + 2):
+            x = pre[..., c, k - 1, :]
+            b = own[..., c, k - 1, :] if k <= K else np.zeros(x.shape)
+            values[..., c, k - 1] = _rowwise(utility.value_fn, x, b, k)
+            opinion[..., c, k - 1, :] = _rowwise(utility.opinion_grad_fn, x, b, k)
+            if k <= K:
+                budget[..., c, k - 1, :] = _rowwise(utility.budget_grad_fn, x, b, k)
+    return values, opinion, budget
+
+
+def _column(spec: GameSpec, j: int) -> slice:
+    """Player j's opinion column as the one-player slice ``_columns_pass`` takes."""
+    j = range(spec.m)[j]
+    return slice(j, j + 1)
 
 
 def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
@@ -329,10 +379,11 @@ def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
     objective of ``regret`` is this sum over the played iterates.
     """
     profiles = np.array(profiles, dtype=float)
+    column = _column(spec, j)
 
     def evaluate(flat: np.ndarray):
         profiles[..., j, :, :] = flat.reshape(spec.K, spec.n)
-        _, _, payoff, gradient = _player_pass(spec, j, profiles)
+        _, _, payoff, gradient = _columns_pass(spec, profiles, column)
         return float(np.sum(payoff)), gradient.reshape(-1, flat.size).sum(axis=0)
 
     return evaluate
@@ -345,7 +396,7 @@ def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
     Evaluated by the stage recursion: diffuse across each gap, then apply the
     jump for the budgets invested at that campaign."""
     profile = validate_plans(spec, profile)
-    return np.stack([_player_pass(spec, j, profile)[0] for j in range(spec.m)], axis=-1)
+    return np.moveaxis(_columns_pass(spec, profile)[0], -3, -1)
 
 
 def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[TrajectoryPoint]:
@@ -370,10 +421,10 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
         raise ValueError("sample times must lie within the schedule horizon")
 
     profile = _one_profile(spec, profile)
-    passes = [_player_pass(spec, j, profile) for j in range(spec.m)]
-    pre = np.stack([p[0] for p in passes], axis=-1)
+    pre, post, _, _ = _columns_pass(spec, profile)
+    pre = np.moveaxis(pre, 0, -1)
     # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
-    leaving = np.concatenate([spec.x0.values[None], np.stack([p[1] for p in passes], axis=-1)])
+    leaving = np.concatenate([spec.x0.values[None], np.moveaxis(post, 0, -1)])
 
     points: list[TrajectoryPoint] = []
     si = 0
@@ -430,7 +481,7 @@ def total_payoff(spec: GameSpec, profile, j: int):
     one (m, K, n) profile, an array of shape (...) for a stack (..., m, K, n)
     of them, evaluated in one kernel pass."""
     profile = validate_plans(spec, profile)
-    payoff = _player_pass(spec, j, profile)[2]
+    payoff = _columns_pass(spec, profile, _column(spec, j))[2][..., 0]
     return float(payoff) if profile.ndim == 3 else payoff
 
 
@@ -438,4 +489,4 @@ def payoff_gradient(spec: GameSpec, profile, j: int) -> np.ndarray:
     """Exact gradient of total_payoff with respect to player j's own entries,
     shaped like ``profile[..., j, :, :]``."""
     profile = validate_plans(spec, profile)
-    return _player_pass(spec, j, profile)[3]
+    return _columns_pass(spec, profile, _column(spec, j))[3][..., 0, :, :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisCheckError
-from .game_model import GameSpec, validate_plans, _objective_for_player
+from .game_model import GameSpec, validate_plans, _objective_for_player, _rowwise
 from .opinion_dynamics import _readonly
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
@@ -276,7 +276,7 @@ def _check_concave_stages(spec: GameSpec):
     n, stages = spec.n, spec.K + 1
     for k in (1, stages):
         probe = ConvexityProbe(
-            function=lambda z, k=k: -utility.value(z[:, :n], z[:, n:], k),
+            function=lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
             sampler=lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]),
             samples=64,
             tolerance=1e-9,

@@ -344,6 +344,9 @@ class TestBadCommandInputs:
         pytest.param(["solve", "{binary}", "--out", "{out}"], id="non-utf8-scenario"),
         pytest.param(["simulate", "{reference}", "{binary}", "--out", "{out}"],
                      id="non-utf8-plans"),
+        pytest.param(["solve", "{deep}", "--out", "{out}"], id="deeply-nested-scenario"),
+        pytest.param(["simulate", "{reference}", "{deep}", "--out", "{out}"],
+                     id="deeply-nested-plans"),
     ])
     def test_exit_2_without_traceback_or_output(self, tmp_path, capsys, argv):
         reference = scenario_to_dict(reference_scenario())
@@ -363,10 +366,13 @@ class TestBadCommandInputs:
         (tmp_path / "directory").mkdir()
         # a UTF-16 byte-order mark followed by ASCII: not UTF-8
         (tmp_path / "binary.json").write_bytes(bytes.fromhex("fffe00626164"))
+        # nested far deeper than the parser's recursion limit
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         before = set(tmp_path.iterdir())
         code = main([token.format(out=tmp_path / "out", missing=tmp_path / "missing",
                                   directory=tmp_path / "directory",
-                                  binary=tmp_path / "binary.json", **paths)
+                                  binary=tmp_path / "binary.json",
+                                  deep=tmp_path / "deep.json", **paths)
                      for token in argv])
         err = capsys.readouterr().err
         assert code == 2

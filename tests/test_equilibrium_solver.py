@@ -101,6 +101,26 @@ class TestProjectBudgetSet:
         assert projected.min() >= 0.0 and projected.sum() <= cap
         np.testing.assert_array_equal(projected, nearest)
 
+    def test_stack_equals_row_by_row(self):
+        rng = np.random.default_rng(97)
+        points = rng.standard_normal((8, 5)) * 2.0
+        caps = rng.random(8) * 2.0
+        caps[:3] = np.maximum(points[:3], 0.0).sum(axis=1) + rng.random(3)
+        caps[-1] = 0.0
+        over = np.maximum(points, 0.0).sum(axis=1) > caps
+        assert 0 < over.sum() < len(points)
+        rows = np.stack([project_budget_set(p, c) for p, c in zip(points, caps)])
+        assert np.array_equal(project_budget_set(points, caps), rows)
+        nested = project_budget_set(points.reshape(2, 4, 5), caps.reshape(2, 4))
+        assert np.array_equal(nested, rows.reshape(2, 4, 5))
+        shared = np.stack([project_budget_set(p, 1.5) for p in points])
+        assert np.array_equal(project_budget_set(points, 1.5), shared)
+
+    @pytest.mark.parametrize("caps", [[1.0, np.nan], [1.0, -0.5]], ids=["nan", "negative"])
+    def test_one_bad_row_cap_rejected(self, caps):
+        with pytest.raises(ValueError, match="cap"):
+            project_budget_set(np.ones((2, 3)), np.array(caps))
+
 
 UNIT_BUDGET_REGION = FeasibleRegion(
     normals=np.vstack([np.ones((1, 2)), -np.eye(2)]), offsets=np.array([1.0, 0.0, 0.0])
@@ -111,6 +131,8 @@ UNIT_BUDGET_REGION = FeasibleRegion(
     pytest.param(lambda: project_budget_set(np.array([np.nan, 1.0]), 1.0), id="budget-nan"),
     pytest.param(lambda: project_budget_set(np.array([np.inf, 0.2]), 1.0), id="budget-inf"),
     pytest.param(lambda: project_budget_set(np.array([0.5, 0.2]), np.nan), id="budget-nan-cap"),
+    pytest.param(lambda: project_budget_set(np.array([[0.5, 0.2], [np.inf, 0.0]]), [1.0, 2.0]),
+                 id="budget-inf-in-stack"),
     pytest.param(lambda: project_feasible(np.array([np.nan, 0.2]), UNIT_BUDGET_REGION),
                  id="polytope-nan"),
     pytest.param(lambda: project_feasible(np.array([-np.inf, 0.2]), UNIT_BUDGET_REGION),
@@ -184,6 +206,24 @@ class TestRunNoRegret:
                 stepped = trace.iterates[tau - 1, j] + eta * payoff_gradient(spec, plans, j)
                 expected = project_budget_set(stepped, float(spec.budgets[j]))
                 np.testing.assert_allclose(trace.iterates[tau, j], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_kernel_call_and_one_projection_per_iteration(self, monkeypatch, m):
+        spec = random_linear_game(np.random.default_rng(5), m=m, n=4, K=3)
+        calls = {"kernel": 0, "projection": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(equilibrium_solver, "_columns_pass",
+                            counted("kernel", game_model._columns_pass))
+        monkeypatch.setattr(equilibrium_solver, "project_budget_set",
+                            counted("projection", project_budget_set))
+        run_no_regret(spec, 17)
+        assert calls == {"kernel": 17, "projection": 17}
 
     def test_averages_are_the_running_mean_of_the_iterates(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 50)
@@ -410,14 +450,14 @@ class TestAscentPasses:
         spec = random_linear_game(np.random.default_rng(0), m=3, n=n, K=K)
         trace = run_no_regret(spec, T)
         passes = []
-        original = game_model._player_pass
+        original = game_model._columns_pass
 
         def counting(*args):
             passes.append(1)
             return original(*args)
 
-        monkeypatch.setattr(game_model, "_player_pass", counting)
-        monkeypatch.setattr(equilibrium_solver, "_player_pass", counting)
+        monkeypatch.setattr(game_model, "_columns_pass", counting)
+        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
         gap = exploitability(spec, trace.averages[-1])
         regrets = [regret(trace, j) for j in range(spec.m)]
         assert gap >= -1e-8

@@ -21,6 +21,7 @@ from influencegame import (
     total_payoff,
     validate_plans,
 )
+from influencegame import game_model
 from influencegame.verification import (
     brute_force_best_response,
     fd_gradient,
@@ -115,6 +116,91 @@ def unit_linear_game(network, times, x0, budgets):
             for _ in budgets
         ),
     )
+
+
+def mixed_game(rng):
+    """A random three-player game whose middle player has a custom utility,
+    increasing and convex in opinions: rho'x + x'x / 2 - cost 1'b."""
+    game = random_linear_game(rng, 3, 4, 3)
+    rho, cost = game.utilities[1].rho, game.utilities[1].cost_coefficient
+    custom = StageUtility(
+        kind="custom",
+        value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
+        opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
+        budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
+        declared_increasing_convex=True,
+    )
+    utilities = (game.utilities[0], custom, game.utilities[2])
+    return dataclasses.replace(game, utilities=utilities)
+
+
+KERNEL_GAMES = [
+    pytest.param(lambda rng: random_linear_game(rng, 2, 4, 3), id="two-player"),
+    pytest.param(lambda rng: random_linear_game(rng, 3, 5, 2), id="three-player"),
+    pytest.param(mixed_game, id="linear-and-custom"),
+]
+
+
+def closed_form_payoff(spec, profile, j):
+    """Player j's payoff scored stage by stage from the closed-form states."""
+    states = opinions_at_campaigns_closed_form(spec, profile)
+    utility, total = spec.utilities[j], 0.0
+    for k in range(1, spec.K + 2):
+        x = states[k - 1][:, j]
+        b = profile[j, k - 1] if k <= spec.K else np.zeros(spec.n)
+        if utility.is_linear:
+            total += x @ utility.rho[k - 1] - utility.cost_coefficient * b.sum()
+        else:
+            total += utility.value_fn(x, b, k)
+    return total / (spec.K + 1)
+
+
+class TestColumnsPass:
+    """The one kernel carries every player's column at once."""
+
+    @pytest.mark.parametrize("game", KERNEL_GAMES)
+    def test_every_column_matches_the_closed_form(self, game):
+        rng = np.random.default_rng(59)
+        for _ in range(3):
+            spec = game(rng)
+            profile = random_feasible_profile(rng, spec)
+            pre, _, payoffs, _ = game_model._columns_pass(spec, profile)
+            closed = opinions_at_campaigns_closed_form(spec, profile)
+            for j in range(spec.m):
+                np.testing.assert_allclose(pre[j], closed[..., j], rtol=0, atol=1e-12)
+                expected = closed_form_payoff(spec, profile, j)
+                assert payoffs[j] == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("game", KERNEL_GAMES)
+    def test_every_column_gradient_matches_finite_differences(self, game):
+        rng = np.random.default_rng(61)
+        spec = game(rng)
+        profile = random_feasible_profile(rng, spec)
+        _, _, payoffs, gradients = game_model._columns_pass(spec, profile)
+        for j in range(spec.m):
+            def payoff_of_own(own, j=j):
+                candidates = np.repeat(profile[None], len(own), axis=0)
+                candidates[:, j] = own
+                return total_payoff(spec, candidates, j)
+
+            numeric = fd_gradient(payoff_of_own, profile[j]).gradient
+            scale = max(np.max(np.abs(numeric)), 1e-12)
+            assert np.max(np.abs(gradients[j] - numeric)) / scale < 1e-6
+            assert payoffs[j] == pytest.approx(total_payoff(spec, profile, j), abs=1e-14)
+
+    @pytest.mark.parametrize("game", KERNEL_GAMES)
+    def test_one_column_and_stacks_agree_with_the_all_column_pass(self, game):
+        rng = np.random.default_rng(67)
+        spec = game(rng)
+        stack = np.stack([random_feasible_profile(rng, spec) for _ in range(4)])
+        together = game_model._columns_pass(spec, stack)
+        for j in range(spec.m):
+            alone = game_model._columns_pass(spec, stack, slice(j, j + 1))
+            for joint, single in zip(together, alone):
+                np.testing.assert_allclose(single[:, 0], joint[:, j], rtol=0, atol=1e-14)
+        for b, profile in enumerate(stack):
+            for joint, single in zip(together, game_model._columns_pass(spec, profile)):
+                np.testing.assert_allclose(single, joint[b], rtol=0, atol=1e-14)
 
 
 class TestSimulateTrajectory:
