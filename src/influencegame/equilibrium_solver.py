@@ -42,7 +42,7 @@ from .game_model import (
     _one_profile,
 )
 from .opinion_dynamics import _readonly
-from .single_player_solver import _maximize_concave, build_region, project_feasible
+from .single_player_solver import _maximize_concave, _warm_projection, build_region
 
 
 def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray:
@@ -55,8 +55,11 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     threshold projects onto the face {b >= 0, sum(b) = cap}.  That
     projection does not change when the same constant is added to every
     entry, so such a row is first shifted to a top entry of 0, where the cap
-    cannot be lost to round-off.  Exact in finitely many operations.  A NaN
-    or negative cap, or a point with a non-finite entry, raises ValueError.
+    cannot be lost to round-off.  The threshold then lies in [-cap, 0], so an
+    entry at or below -cap never enters the support; it is held at -cap in
+    the sorted sums, which therefore cannot overflow however far down the
+    row reaches.  Exact in finitely many operations.  A NaN or negative cap,
+    or a point with a non-finite entry, raises ValueError.
     """
     v = np.asarray(point, dtype=float)
     shape, d = v.shape, v.shape[-1]
@@ -68,18 +71,21 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
         raise ValueError("the point to project must be finite")
     rows, caps = v.reshape(caps.size, d), caps.reshape(-1)
     projected = np.maximum(rows, 0.0)
-    over = projected.sum(axis=-1) > caps
-    if over.any():
-        v, caps = rows[over], caps[over]
-        v = v - v.max(axis=-1, keepdims=True)
-        u = np.sort(v, axis=-1)[:, ::-1]
-        cumulative = u.cumsum(axis=-1) - caps[:, None]
-        feasible = u - cumulative / np.arange(1, d + 1) > 0
-        # the top entry is always in the support, but the strict test drops
-        # it when the cap is zero
-        rho = np.maximum(1, feasible.sum(axis=-1))
-        theta = cumulative[np.arange(len(v)), rho - 1] / rho
-        projected[over] = np.maximum(v - theta[:, None], 0.0)
+    # Overflow is harmless here: a clamped sum past the largest float is over
+    # any finite cap, and a shift past it is an entry far below -cap.
+    with np.errstate(over="ignore"):
+        over = projected.sum(axis=-1) > caps
+        if over.any():
+            v, caps = rows[over], caps[over, None]
+            v = v - v.max(axis=-1, keepdims=True)
+            u = np.maximum(np.sort(v, axis=-1)[:, ::-1], -caps)
+            cumulative = u.cumsum(axis=-1) - caps
+            feasible = (u > -caps) & (u - cumulative / np.arange(1, d + 1) > 0)
+            # the top entry is always in the support, but the strict tests
+            # drop it when the cap is zero
+            rho = np.maximum(1, feasible.sum(axis=-1))
+            theta = cumulative[np.arange(len(v)), rho - 1] / rho
+            projected[over] = np.maximum(v - theta[:, None], 0.0)
     return projected.reshape(shape)
 
 
@@ -149,10 +155,10 @@ def _require_own_concave(spec: GameSpec, j: int):
 
 def _projection(spec: GameSpec, j: int):
     """Euclidean projection onto player j's strategy set: the single-player
-    polytope when j plays alone, its budget set otherwise."""
+    polytope when j plays alone, each call warm-started from the previous
+    one, and its budget set otherwise."""
     if spec.m == 1:
-        region = build_region(spec)
-        return lambda v: project_feasible(v, region)
+        return _warm_projection(build_region(spec))
     cap = float(spec.budgets[j])
     return lambda v: project_budget_set(v, cap)
 
@@ -270,16 +276,25 @@ def solve_equilibrium(spec: GameSpec, T: int):
     return trace, result
 
 
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every float in ``values``, in C order, from one call."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
 def trace_to_csv(trace: LearningTrace) -> str:
     """Render a trace as CSV with one row per (iteration, player, stage, individual)."""
-    lines = ["iteration,player,stage,individual,iterate_value,average_value,payoff"]
-    rows = zip(trace.iterates.tolist(), trace.averages.tolist(), trace.payoffs.tolist())
+    m, K, n = trace.iterates.shape[1:]
+    keys = [f"{j},{k},{i}" for j in range(m) for k in range(1, K + 1) for i in range(n)]
+    owners = np.repeat(np.arange(m), K * n).tolist()
+    chunks = ["iteration,player,stage,individual,iterate_value,average_value,payoff\n"]
+    rows = zip(trace.iterates, trace.averages, trace.payoffs)
     for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
-        for j, (plan, mean, payoff) in enumerate(zip(iterate, average, payoffs)):
-            for k, (stage, stage_mean) in enumerate(zip(plan, mean), start=1):
-                for i, (x, y) in enumerate(zip(stage, stage_mean)):
-                    lines.append(f"{tau},{j},{k},{i},{x!r},{y!r},{payoff!r}")
-    return "\n".join(lines) + "\n"
+        payoff = _float_reprs(payoffs)
+        chunks.append("".join([
+            f"{tau},{key},{x},{y},{payoff[j]}\n"
+            for key, j, x, y in zip(keys, owners, _float_reprs(iterate), _float_reprs(average))
+        ]))
+    return "".join(chunks)
 
 
 def result_to_json(result: EquilibriumResult) -> str:

@@ -8,7 +8,11 @@ one total-budget constraint, and Kn sign constraints -- 2Kn + 1 halfspaces in
 Kn variables.  The solver is ``_maximize_concave``, the package's one
 concave ascent (shared with the best-response and hindsight subproblems),
 and every Euclidean projection onto the polytope is computed exactly, in
-finitely many steps, by a primal active-set method.
+finitely many steps, by a primal active-set method.  The public
+``project_feasible`` starts that method cold at the origin.  Within one
+``solve_single`` call each projection starts warm from the previous one's
+point and working set instead, since successive points of the ascent mostly
+share their active constraints.
 """
 
 from __future__ import annotations
@@ -103,37 +107,30 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     return region
 
 
-def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
-    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c.
+def _cold_start(region: FeasibleRegion):
+    """The origin and an empty working set, where a cold projection starts.
+    The origin must lie in the region (every offset nonnegative, as
+    ``build_region`` guarantees); ValueError otherwise."""
+    if np.min(region.offsets) < 0.0:
+        raise ValueError("the active-set projection starts at the origin, "
+                         "which must lie in the region")
+    return np.zeros(region.dim), []
 
-    Primal active-set method for a quadratic program with identity Hessian
-    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3), started at the
-    origin with an empty working set W.  Precondition: the origin lies in the
-    region (every offset is nonnegative), as ``build_region`` guarantees.
 
-    Each iteration projects the point onto the affine set {A_W y = c_W} with
-    one linear solve, y = point - A_W' lam where (A_W A_W') lam = A_W point -
-    c_W.  If y exceeds a constraint outside W by more than tol, the
-    iterate walks towards y up to the first constraint the walk would cross,
-    which joins W.  Otherwise the iterate becomes y; it is returned once
-    every multiplier lam is at least -tol, else the most negative one leaves
-    W.  That is the certificate: the result meets W's constraints as
-    equalities and all others to tol, and the multipliers satisfy the KKT
-    conditions to tol.  A point already feasible to tol comes back
-    unchanged.  Here tol is ``PROJECTION_TOL``; ``PROJECTION_MAX_CYCLES``
-    bounds the active-set iterations (one linear solve each), and when it
-    runs out, ConvergenceError carries the last iterate.  A point of the
-    wrong shape or with a non-finite entry raises ValueError.
+def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: list[int]):
+    """The active-set loop of ``project_feasible`` from the start ``x`` and
+    working set ``working``; returns the projection and its final working set.
+
+    Precondition: ``x`` is feasible to ``PROJECTION_TOL`` and the rows in
+    ``working`` are linearly independent and tight at ``x``.  The returned
+    pair meets it, so it may start the next projection.  ``working`` is not
+    modified.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
     normals, offsets = region.normals, region.offsets
-    if np.min(offsets) < 0.0:
-        raise ValueError("the active-set projection starts at the origin, "
-                         "which must lie in the region")
-    x = np.zeros(region.dim)
-    working: list[int] = []
+    working = list(working)
     gap = np.inf
     for _ in range(PROJECTION_MAX_CYCLES):
         rows = normals[working]
@@ -157,7 +154,7 @@ def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
             continue
         x = y
         if not working or multipliers.min() >= -PROJECTION_TOL:
-            return x
+            return x, working
         gap = float(-multipliers.min())
         del working[int(np.argmin(multipliers))]
     raise ConvergenceError(
@@ -166,6 +163,49 @@ def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
         last_iterate=x,
         residual=gap,
     )
+
+
+def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
+    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c.
+
+    Primal active-set method for a quadratic program with identity Hessian
+    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3), started cold at
+    the origin with an empty working set W, so each call is independent of
+    every other.  Precondition: the origin lies in the region (every offset
+    is nonnegative), as ``build_region`` guarantees.
+
+    Each iteration projects the point onto the affine set {A_W y = c_W} with
+    one linear solve, y = point - A_W' lam where (A_W A_W') lam = A_W point -
+    c_W.  If y exceeds a constraint outside W by more than tol, the
+    iterate walks towards y up to the first constraint the walk would cross,
+    which joins W.  Otherwise the iterate becomes y; it is returned once
+    every multiplier lam is at least -tol, else the most negative one leaves
+    W.  That is the certificate: the result meets W's constraints as
+    equalities and all others to tol, and the multipliers satisfy the KKT
+    conditions to tol.  A point already feasible to tol comes back
+    unchanged.  Here tol is ``PROJECTION_TOL``; ``PROJECTION_MAX_CYCLES``
+    bounds the active-set iterations (one linear solve each), and when it
+    runs out, ConvergenceError carries the last iterate.  A point of the
+    wrong shape or with a non-finite entry raises ValueError.
+    """
+    return _active_set(point, region, *_cold_start(region))[0]
+
+
+def _warm_projection(region: FeasibleRegion):
+    """The projection of ``project_feasible`` as a closure that starts each
+    call from the previous call's result and final working set (the first
+    call from the origin).  Successive points of one ascent lie close
+    together, so a call adds or drops only a few rows where a cold start
+    adds every active one.  The state changes only when a call returns, so
+    a ConvergenceError leaves the next call's start as it was."""
+    state = _cold_start(region)
+
+    def project(point):
+        nonlocal state
+        state = _active_set(point, region, *state)
+        return state[0]
+
+    return project
 
 
 def _maximize_concave(evaluate, project, start, values=None):
@@ -300,7 +340,10 @@ def solve_single(spec: GameSpec) -> SolveReport:
     ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan, and
     raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
     accepted steps do not get there.  Every projection is exact to
-    ``PROJECTION_TOL``.  A game with other than one player raises ValueError.
+    ``PROJECTION_TOL``; each starts the active-set method from the previous
+    projection's point and final working set, a state held by this call
+    alone, so two calls on one game return the same report.  A game with
+    other than one player raises ValueError.
     """
     if spec.m != 1:
         raise ValueError("solve_single handles single-player games only")
@@ -309,7 +352,7 @@ def solve_single(spec: GameSpec) -> SolveReport:
     K, n = spec.K, spec.n
 
     evaluate = _objective_for_player(spec, np.zeros((1, K, n)), 0)
-    project = lambda v: project_feasible(v, region)
+    project = _warm_projection(region)
     objectives = []
     b, objective, step_norm = _maximize_concave(
         evaluate, project, np.zeros(K * n), values=objectives

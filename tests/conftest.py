@@ -1,4 +1,5 @@
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,30 @@ def subprocess_env() -> dict:
     )
     env["PYTHONWARNINGS"] = "error"
     return env
+
+
+def load_bench_workloads():
+    """``bench/workloads.py`` as a module, compiled from its source so that no
+    bytecode cache is written next to it."""
+    path = ROOT / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def count_linear_solves(monkeypatch) -> list:
+    """A list that grows by one entry per ``np.linalg.solve`` call until the
+    monkeypatch is undone."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
 
 
 # Path network used by the reference two-player configuration.

@@ -9,27 +9,15 @@ would fail the benchmark's output check fails here first.  Nothing under
 ``bench/`` is written.
 """
 
-import types
-
 import pytest
 
 import influencegame
 import influencegame.cli
 import influencegame.verification
-from conftest import ROOT
+from conftest import load_bench_workloads
 
 
-def load_workloads():
-    """``bench/workloads.py`` as a module, compiled from its source so that no
-    bytecode cache is written next to it."""
-    path = ROOT / "bench" / "workloads.py"
-    module = types.ModuleType("bench_workloads")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
-workloads = load_workloads()
+workloads = load_bench_workloads()
 
 
 @pytest.mark.parametrize("name", ["paper-equilibrium", "network-equilibrium"])

@@ -25,9 +25,11 @@ from influencegame import (
     total_payoff,
 )
 from influencegame import equilibrium_solver, game_model, opinion_dynamics, single_player_solver
+from influencegame.cli import reference_scenario
 from influencegame.equilibrium_solver import LearningTrace, result_to_json, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region, project_feasible
 from influencegame.verification import random_feasible_profile, random_linear_game
+from conftest import count_linear_solves
 
 
 def reference_variant(spec, cost):
@@ -90,10 +92,15 @@ class TestProjectBudgetSet:
         (np.array([1e300, 0.0]), 1.0, [1.0, 0.0]),
         (np.array([1e17, 3.0, -2.0]), 1.0, [1.0, 0.0, 0.0]),
         (np.array([2.0, 1.0]), 0.0, [0.0, 0.0]),
+        (np.array([-1e308, -1e308, 5.0]), 1.0, [0.0, 0.0, 1.0]),
+        (np.array([-1e308, -1e308, 5.0, 3.0]), 1.0, [0.0, 0.0, 1.0, 0.0]),
+        (np.array([-1e308, 1e308]), 1.0, [0.0, 1.0]),
+        (np.array([1e308, 1e308, -1e308]), 1.0, [0.5, 0.5, 0.0]),
     ])
     def test_far_points_and_zero_cap_stay_feasible(self, point, cap, nearest):
         # the cap must not be lost to round-off next to a far-out top entry,
-        # and the water-filling count must keep the top entry at cap zero
+        # the water-filling count must keep the top entry at cap zero, and
+        # entries far below the top must not overflow the sorted sums
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             projected = project_budget_set(point, cap)
@@ -224,6 +231,23 @@ class TestRunNoRegret:
                             counted("projection", project_budget_set))
         run_no_regret(spec, 17)
         assert calls == {"kernel": 17, "projection": 17}
+
+    def test_one_player_steps_are_exact_projections(self, monkeypatch):
+        # each of the 31 projections starts warm from the one before, so they
+        # take far fewer linear solves than 211 cold starts, and each gives
+        # the cold projection's point
+        spec = random_linear_game(np.random.default_rng(0), 1, 3, 2)
+        region = build_region(spec)
+        solves = count_linear_solves(monkeypatch)
+        trace = run_no_regret(spec, 30)
+        monkeypatch.undo()
+        assert len(solves) <= 60
+        for tau in range(1, 30):
+            plan = trace.iterates[tau - 1]
+            stepped = plan[0] + 10.0 / tau * payoff_gradient(spec, plan, 0)
+            np.testing.assert_allclose(trace.iterates[tau, 0].ravel(),
+                                       project_feasible(stepped.ravel(), region),
+                                       rtol=0, atol=1e-10)
 
     def test_averages_are_the_running_mean_of_the_iterates(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 50)
@@ -578,3 +602,33 @@ class TestSolveEquilibrium:
         header, first = csv_text.splitlines()[:2]
         assert header == "iteration,player,stage,individual,iterate_value,average_value,payoff"
         assert first.startswith("1,0,1,0,")
+
+
+def nested_loop_csv(trace):
+    """``trace_to_csv``'s rendering, one f-string per row in nested loops:
+    the reference the per-iteration rendering must match byte for byte."""
+    lines = ["iteration,player,stage,individual,iterate_value,average_value,payoff"]
+    rows = zip(trace.iterates.tolist(), trace.averages.tolist(), trace.payoffs.tolist())
+    for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
+        for j, (plan, mean, payoff) in enumerate(zip(iterate, average, payoffs)):
+            for k, (stage, stage_mean) in enumerate(zip(plan, mean), start=1):
+                for i, (x, y) in enumerate(zip(stage, stage_mean)):
+                    lines.append(f"{tau},{j},{k},{i},{x!r},{y!r},{payoff!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceToCsv:
+    @pytest.mark.parametrize("T", [1, 9])
+    @pytest.mark.parametrize("game", ["paper", "three-player"])
+    def test_matches_nested_loop_rendering(self, game, T):
+        spec = (reference_scenario().spec if game == "paper"
+                else random_linear_game(np.random.default_rng(3), 3, 4, 2))
+        trace = run_no_regret(spec, T)
+        assert trace_to_csv(trace) == nested_loop_csv(trace)
+
+    def test_unusual_floats_render_as_their_repr(self, two_player_spec):
+        iterates = run_no_regret(two_player_spec, 2).iterates.copy()
+        iterates.flat[:7] = [-0.0, 5e-324, 1e300, 0.1 + 0.2, -1e-17, 2.0**60, 1 / 3]
+        payoffs = np.array([[np.nan, -np.inf], [1e-310, -2.5]])
+        trace = LearningTrace(spec=two_player_spec, iterates=iterates, payoffs=payoffs)
+        assert trace_to_csv(trace) == nested_loop_csv(trace)

@@ -25,8 +25,14 @@ from influencegame.verification import (
     random_feasible_profile,
     random_linear_game,
 )
+import influencegame
 from influencegame import single_player_solver
-from conftest import single_player_spec
+from influencegame.single_player_solver import _maximize_concave, _warm_projection
+from conftest import count_linear_solves, load_bench_workloads, single_player_spec
+
+# The benchmark's five single-player games; in games 3 and 4 the opinion caps
+# bind as well as the budget.
+BENCH_GAMES = load_bench_workloads().single_player_specs(influencegame)
 
 
 class TestBuildRegion:
@@ -206,6 +212,119 @@ class TestProjectionOracle:
         projected = project_feasible(point, region)
         assert projected is not point
         assert projected.tobytes() == point.tobytes()
+
+
+def linear_ascent_path(region, rng):
+    """The points a linear ascent over the region hands to its projection,
+    in order."""
+    path = []
+
+    def project(point):
+        path.append(point)
+        return project_feasible(point, region)
+
+    direction = rng.standard_normal(region.dim) + 0.5
+    _maximize_concave(lambda x: (float(direction @ x), direction), project,
+                      np.zeros(region.dim))
+    return path
+
+
+def solve_single_path(spec):
+    """The points ``solve_single`` hands to its projection, in order."""
+    path = []
+
+    def recording(region):
+        project = _warm_projection(region)
+
+        def record(point):
+            path.append(point)
+            return project(point)
+
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(single_player_solver, "_warm_projection", recording)
+        solve_single(spec)
+    return path
+
+
+def warm_sequence(region, path, rng, count=50):
+    """About ``count`` points that move the warm start around: far-out points
+    and points already feasible around an ascent's path, which keeps its
+    order."""
+    def far():
+        return 10.0 * (rng.standard_normal(region.dim) + 0.5)
+
+    randoms = [far() if rng.random() < 0.5 else rng.random() * project_feasible(far(), region)
+               for _ in range(max(count - len(path), 20))]
+    half = len(randoms) // 2
+    return randoms[:half] + list(path) + randoms[half:]
+
+
+class TestWarmProjection:
+    """Each warm call must give the cold projection's point; only the start
+    of the active-set method differs."""
+
+    @staticmethod
+    def check_sequence(region, points):
+        warm = _warm_projection(region)
+        results = np.array([warm(point) for point in points])
+        cold = np.array([project_feasible(point, region) for point in points])
+        np.testing.assert_allclose(results, cold, rtol=0, atol=1e-10)
+        assert max(region.max_violation(result) for result in results) <= 1e-10
+        return results
+
+    @pytest.mark.parametrize("region", list(_oracle_regions()))
+    def test_sequence_matches_cold_projection_and_oracle(self, region):
+        rng = np.random.default_rng(103)
+        points = warm_sequence(region, linear_ascent_path(region, rng), rng)
+        results = self.check_sequence(region, points)
+        np.testing.assert_allclose(results, enumerated_projections(np.array(points), region),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("game", [3, 4])
+    def test_sequence_on_cap_binding_bench_games(self, game):
+        spec = BENCH_GAMES[game]
+        region = build_region(spec)
+        path = solve_single_path(spec)
+        self.check_sequence(region, warm_sequence(region, path, np.random.default_rng(game)))
+
+    def test_convergence_error_leaves_the_start_intact(self, monkeypatch):
+        # a closure whose call failed must go on exactly as its twin that
+        # never made that call, linear solve for linear solve
+        region = build_region(BENCH_GAMES[3])
+        rng = np.random.default_rng(107)
+        points = warm_sequence(region, solve_single_path(BENCH_GAMES[3])[:30], rng)
+        failed, twin = _warm_projection(region), _warm_projection(region)
+        for point in points[:25]:
+            failed(point)
+            twin(point)
+        far = 10.0 * (rng.standard_normal(region.dim) + 0.5)
+        monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
+        with pytest.raises(ConvergenceError):
+            failed(far)
+        monkeypatch.undo()
+        solves = count_linear_solves(monkeypatch)
+        for point in [far] + points[25:]:
+            solves.clear()
+            result, failed_solves = failed(point), len(solves)
+            assert result.tobytes() == twin(point).tobytes()
+            assert len(solves) == 2 * failed_solves
+            np.testing.assert_allclose(result, project_feasible(point, region),
+                                       rtol=0, atol=1e-10)
+
+    def test_repeated_solves_are_identical(self):
+        first, second = solve_single(BENCH_GAMES[4]), solve_single(BENCH_GAMES[4])
+        for field in dataclasses.fields(first):
+            a, b = getattr(first, field.name), getattr(second, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    def test_bench_games_linear_solve_count(self, monkeypatch):
+        # a cold start at every projection took 809
+        solves = count_linear_solves(monkeypatch)
+        for spec in BENCH_GAMES:
+            solve_single(spec)
+        assert len(solves) <= 250
 
 
 class TestSolveSingle:
