@@ -21,8 +21,6 @@ a random draw.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasiblePlanError, ScenarioError
-from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv
+from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv, _float_reprs
 from .fileio import atomic_write_text
 from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
@@ -234,15 +232,13 @@ def load_plans(path, spec: GameSpec) -> np.ndarray:
 
 
 def _trajectory_csv(points) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time", "individual", "player", "opinion"])
+    rows = ["time,individual,player,opinion\n"]
     for point in points:
-        values = point.state.values
-        for i in range(values.shape[0]):
-            for j in range(values.shape[1]):
-                writer.writerow([repr(point.time), i, j, repr(float(values[i, j]))])
-    return buffer.getvalue()
+        n, m = point.state.values.shape
+        keys = [f"{i},{j}" for i in range(n) for j in range(m)]
+        opinions = _float_reprs(point.state.values)
+        rows.extend(f"{point.time!r},{key},{x}\n" for key, x in zip(keys, opinions))
+    return "".join(rows)
 
 
 def cmd_simulate(args) -> int:

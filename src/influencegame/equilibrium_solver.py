@@ -223,9 +223,12 @@ def exploitability(spec: GameSpec, profile) -> float:
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
     distance from equilibrium in payoff terms.  A one-player game raises
-    ValueError, and a profile ``validate_plans`` refuses raises its error.
+    ValueError and an unattested player's subproblem HypothesisCheckError,
+    before any work; a profile ``validate_plans`` refuses raises its error.
     """
     _require_multiplayer(spec)
+    for j in range(spec.m):
+        _require_own_concave(spec, j)
     profile = _one_profile(spec, profile)
     gaps = []
     for j in range(spec.m):
@@ -263,8 +266,11 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
 def solve_equilibrium(spec: GameSpec, T: int):
     """Run T iterations of the learning dynamics (``run_no_regret``) and
     package the averaged profile with its diagnostics; returns (trace,
-    result).  A one-player game raises ValueError before the run starts."""
+    result).  A one-player game raises ValueError and an unattested player's
+    subproblem HypothesisCheckError, before the run starts."""
     _require_multiplayer(spec)
+    for j in range(spec.m):
+        _require_own_concave(spec, j)
     trace = run_no_regret(spec, T)
     averaged = trace.averages[-1]
     result = EquilibriumResult(
@@ -301,9 +307,7 @@ def result_to_json(result: EquilibriumResult) -> str:
     document = {
         "iterations": result.iterations,
         "exploitability": result.exploitability,
-        "regrets": [float(r) for r in result.regrets],
-        "profile": [
-            [[float(v) for v in stage] for stage in player] for player in result.profile
-        ],
+        "regrets": result.regrets.tolist(),
+        "profile": result.profile.tolist(),
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"

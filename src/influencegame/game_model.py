@@ -50,6 +50,13 @@ from .opinion_dynamics import (
 
 UTILITY_KINDS = ("linear-favor", "custom")
 
+# Bound on (sum(rho) + lambda) / (K + 1), which bounds a linear utility's
+# payoff gradient entries.  No solver steps further than 1e6 along a gradient
+# (the ascent's clamp; the no-regret stepsize is at most 10) and a hindsight
+# objective sums one gradient per iteration, so over even 1e12 iterations a
+# step stays below 1e6 * 1e12 * 1e288 = 1e306 and cannot overflow a plan.
+_MAX_GRADIENT = 1e288
+
 
 @dataclass(frozen=True, eq=False)
 class StageUtility:
@@ -114,7 +121,9 @@ class GameSpec:
     The schedule must hold at least one campaign time (K >= 1).  With m >= 2
     players every row of ``x0`` must sum to 1 (within 1e-9): the players'
     opinions of each individual form a distribution, which the constant-sum
-    identity and the normalized jump keep along the trajectory.
+    identity and the normalized jump keep along the trajectory.  A linear
+    utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
+    ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.
     """
 
     network: Network
@@ -145,6 +154,11 @@ class GameSpec:
                 raise ValueError(
                     f"rho must supply all {stages} stages for {self.network.n} individuals"
                 )
+            # scaled before summing, so that the sum cannot overflow
+            if utility.is_linear and (np.sum(utility.rho / _MAX_GRADIENT)
+                                      + utility.cost_coefficient / _MAX_GRADIENT) > stages:
+                raise ValueError(f"(sum(rho) + lambda) / (K + 1) above {_MAX_GRADIENT:g}: "
+                                 "a solver step may overflow")
         if m >= 2:
             for j, utility in enumerate(self.utilities):
                 if utility.kind == "custom":
@@ -181,10 +195,21 @@ class GameSpec:
         return _readonly(rho), _readonly(cost)
 
 
-def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
-    """Spot-check a custom utility's declared shape on registration."""
+def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
+                             seed: int, message: str):
+    """Midpoint-convexity spot check at tolerance 1e-9; a failure raises
+    HypothesisCheckError carrying the report, after ``message``."""
     from .verification import ConvexityProbe, midpoint_convexity_check
 
+    probe = ConvexityProbe(function=function, sampler=sampler, samples=samples, tolerance=1e-9)
+    report = midpoint_convexity_check(probe, seed=seed)
+    if not report.passed:
+        raise HypothesisCheckError(
+            f"{message} (worst violation {report.worst_violation:.3e})", report=report)
+
+
+def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
+    """Spot-check a custom utility's declared shape on registration."""
     if not utility.declared_increasing_convex:
         raise HypothesisCheckError(
             f"custom utility of player {player} must be declared increasing and "
@@ -193,28 +218,17 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
     rng = np.random.default_rng(0)
     for k in (1, stages):
         b = rng.random(n) * 0.5
-        probe = ConvexityProbe(
-            function=lambda x, b=b, k=k: _rowwise(
-                utility.value_fn, x, np.broadcast_to(b, x.shape), k),
-            sampler=lambda r: r.random(n),
-            samples=32,
-            tolerance=1e-9,
-        )
-        report = midpoint_convexity_check(probe, seed=7)
-        if not report.passed:
+        _require_midpoint_convex(
+            lambda x, b=b, k=k: _rowwise(utility.value_fn, x, np.broadcast_to(b, x.shape), k),
+            lambda r: r.random(n), samples=32, seed=7,
+            message=f"custom utility of player {player} failed the convexity midpoint check")
+        # the point itself, then one step of 0.1 up each opinion, in one stack
+        x = rng.random(n) * 0.8 + np.vstack([np.zeros(n), 0.1 * np.eye(n)])
+        values = _rowwise(utility.value_fn, x, np.broadcast_to(b, x.shape), k)
+        if np.any(values[1:] < values[0] - 1e-9):
             raise HypothesisCheckError(
-                f"custom utility of player {player} failed the convexity midpoint "
-                f"check (worst violation {report.worst_violation:.3e})",
-                report=report,
+                f"custom utility of player {player} is not increasing in opinions"
             )
-        x = rng.random(n) * 0.8
-        step = 0.1 * np.eye(n)
-        base = _rowwise(utility.value_fn, x, b, k)
-        for i in range(n):
-            if _rowwise(utility.value_fn, x + step[i], b, k) < base - 1e-9:
-                raise HypothesisCheckError(
-                    f"custom utility of player {player} is not increasing in opinions"
-                )
 
 
 def validate_plans(spec: GameSpec, profile) -> np.ndarray:

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisCheckError
-from .game_model import GameSpec, validate_plans, _objective_for_player, _rowwise
+from .errors import ConvergenceError
+from .game_model import (GameSpec, validate_plans, _objective_for_player,
+                         _require_midpoint_convex, _rowwise)
 from .opinion_dynamics import _readonly
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
@@ -308,26 +309,15 @@ class SolveReport:
 
 def _check_concave_stages(spec: GameSpec):
     """Midpoint-concavity spot check for custom stage utilities."""
-    from .verification import ConvexityProbe, midpoint_convexity_check
-
     utility = spec.utilities[0]
     if utility.is_linear:
         return
     n, stages = spec.n, spec.K + 1
     for k in (1, stages):
-        probe = ConvexityProbe(
-            function=lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
-            sampler=lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]),
-            samples=64,
-            tolerance=1e-9,
-        )
-        report = midpoint_convexity_check(probe, seed=11)
-        if not report.passed:
-            raise HypothesisCheckError(
-                "custom stage utility failed the concavity midpoint check "
-                f"(worst violation {report.worst_violation:.3e})",
-                report=report,
-            )
+        _require_midpoint_convex(
+            lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
+            lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]), samples=64, seed=11,
+            message="custom stage utility failed the concavity midpoint check")
 
 
 def solve_single(spec: GameSpec) -> SolveReport:

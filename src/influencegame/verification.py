@@ -11,7 +11,9 @@ Every point-wise oracle evaluates all its points in one call.  The function
 handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
 points shaped (B, *shape) and returns B values, so a game payoff goes
 through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
-profiles.  A NaN value fails every check it reaches.
+profiles, as do a grid search's candidates.  A check reports its own
+failure: the stochasticity check measures exp(-L t) itself, where
+``propagator`` would raise first, and a NaN value fails every check.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .game_model import opinions_at_campaigns, payoff_gradient, total_payoff, _one_profile
+from .opinion_dynamics import matrix_exponential
 from .single_player_solver import build_region
 
 
@@ -113,9 +116,11 @@ def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> Fini
     returns their B values.  All 2d central-difference points go in one
     call.  When that call raises (for instance because a perturbed point
     leaves the feasible set), the gradient is rebuilt coordinate by
-    coordinate from 1-row stacks: central where both sides evaluate, else a
-    second-order one-sided stencil on the side that works, degrading to the
-    plain one-sided quotient when even the two-step point is out of reach.
+    coordinate from 1-row stacks, each perturbed point evaluated at most
+    once and a raising evaluation read as a missing value: central where
+    both sides evaluate, else a second-order one-sided stencil on the side
+    that does (the + side first), degrading to the plain one-sided quotient
+    when the two-step point is missing too.
     """
     point = np.asarray(point, dtype=float)
     flat = point.ravel()
@@ -132,34 +137,28 @@ def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> Fini
         gradient = (values[: flat.size] - values[flat.size :]) / (2.0 * h)
         return FiniteDifferenceResult(gradient=gradient.reshape(point.shape))
 
-    gradient = np.empty(flat.size)
-    one_sided = []
-
-    def at(offset_index, delta):
-        shifted = flat.copy()
-        shifted[offset_index] += delta
-        return evaluate(shifted)[0]
-
-    for i in range(flat.size):
+    def value_at(row):
         try:
-            gradient[i] = (at(i, h) - at(i, -h)) / (2.0 * h)
-            continue
+            return evaluate(row)[0]
         except Exception:
-            pass
-        center = evaluate(flat)[0]
-        for sign in (1.0, -1.0):
-            try:
-                near = at(i, sign * h)
-            except Exception:
-                continue
-            try:
-                far = at(i, sign * 2.0 * h)
-                gradient[i] = sign * (-3.0 * center + 4.0 * near - far) / (2.0 * h)
-            except Exception:
-                gradient[i] = sign * (near - center) / h
-            break
-        else:
+            return None
+
+    gradient, one_sided, center = np.empty(flat.size), [], None
+    for i, step in enumerate(steps):
+        plus, minus = value_at(flat + step), value_at(flat - step)
+        if plus is not None and minus is not None:
+            gradient[i] = (plus - minus) / (2.0 * h)
+            continue
+        if plus is None and minus is None:
             raise ValueError(f"evaluator failed on both sides of coordinate {i}")
+        sign, near = (1.0, plus) if plus is not None else (-1.0, minus)
+        if center is None:
+            center = evaluate(flat)[0]
+        far = value_at(flat + 2.0 * sign * step)
+        if far is None:
+            gradient[i] = sign * (near - center) / h
+        else:
+            gradient[i] = sign * (-3.0 * center + 4.0 * near - far) / (2.0 * h)
         one_sided.append(i)
     return FiniteDifferenceResult(gradient=gradient.reshape(point.shape),
                                   one_sided=tuple(one_sided))
@@ -177,9 +176,12 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     """Exhaustive grid search for player j's best response to the others'
     plans in the (m, K, n) ``profile``; returns (entries, payoff).
 
-    Candidates are enumerated lexicographically and ties keep the earliest
-    (lexicographically smallest) point, so the result is deterministic.
-    Guarded to K*n <= 4 variables.
+    A lone linear player is scored by ``_batched_single_player_search``;
+    otherwise one ``total_payoff`` call scores the (C, m, K, n) stack of all
+    candidates, a lone player's first kept within ``build_region``'s rows
+    to 1e-9.  Candidates are enumerated lexicographically and ties keep the
+    earliest (lexicographically smallest) point, so the result is
+    deterministic.  Guarded to K*n <= 4 variables.
     """
     K, n = spec.K, spec.n
     if K * n > 4:
@@ -189,24 +191,17 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     candidates = _grid_candidates(cap, K * n, grid_step)
 
     if spec.m == 1 and spec.utilities[0].is_linear:
-        best_index, best_value = _batched_single_player_search(spec, candidates)
+        values = _batched_single_player_search(spec, candidates)
     else:
         if spec.m == 1:
             region = build_region(spec)
-            keep = np.array([region.contains(c, tol=1e-9) for c in candidates])
-            candidates = candidates[keep]
-        best_index, best_value = -1, -np.inf
-        for idx, candidate in enumerate(candidates):
-            entries[j] = candidate.reshape(K, n)
-            try:
-                value = total_payoff(spec, entries, j)
-            except Exception:
-                continue
-            if value > best_value:
-                best_index, best_value = idx, value
-    if best_index < 0:
-        raise ValueError("no feasible grid point found")
-    return candidates[best_index].reshape(K, n), float(best_value)
+            excess = candidates @ region.normals.T - region.offsets
+            candidates = candidates[excess.max(axis=1) <= 1e-9]
+        stack = np.repeat(entries[None], len(candidates), axis=0)
+        stack[:, j] = candidates.reshape(-1, K, n)
+        values = total_payoff(spec, stack, j)
+    best_index = int(np.argmax(values))  # argmax keeps the first (lex smallest) tie
+    return candidates[best_index].reshape(K, n), float(values[best_index])
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +277,16 @@ def _check(name: str, passed: bool, **details) -> dict:
 
 
 def _suite_lemmas(seed: int) -> list[dict]:
-    from .opinion_dynamics import propagator
-
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst_row, worst_neg = 0.0, 0.0
+    reports = []
     for _ in range(500):
         network = random_network(rng, int(rng.integers(2, 9)))
         t = float(rng.random() * 100.0)
-        matrix = propagator(network, t)
-        worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
-        worst_neg = max(worst_neg, float(max(0.0, -np.min(matrix))))
+        reports.append(check_stochastic(matrix_exponential(-network.laplacian * t)))
+    worst_row = _worst([report.row_sum_violation for report in reports])
+    worst_neg = _worst([report.negativity_violation for report in reports])
     checks.append(_check(
         "propagator-stochasticity",
         worst_row <= 1e-10 and worst_neg <= 1e-12,
@@ -457,20 +450,18 @@ def run_suite(name: str, seed: int = 0) -> dict:
             "checks": checks}
 
 
-def _batched_single_player_search(spec, candidates: np.ndarray):
-    """Evaluate all single-player linear-utility candidates in one stacked pass.
+def _batched_single_player_search(spec, candidates: np.ndarray) -> np.ndarray:
+    """Values of all single-player linear-utility candidates from one stacked pass.
 
     Re-derives the payoff from the flow matrices directly (independent of the
     game-model evaluation path): diffuse the stacked states across each gap,
-    add the stage investments, and drop candidates whose investment overruns
-    the remaining opinion headroom anywhere along the way.
+    add the stage investments, and score -inf a candidate whose investment
+    overruns the remaining opinion headroom anywhere along the way.
     """
-    from .opinion_dynamics import interval_propagators
-
     K, n = spec.K, spec.n
     utility = spec.utilities[0]
     rho, lam = utility.rho, utility.cost_coefficient
-    gaps = interval_propagators(spec.network, spec.schedule)
+    gaps = spec.gap_propagators
     count = candidates.shape[0]
     states = np.broadcast_to(spec.x0.values[:, 0], (count, n)).copy()
     values = np.zeros(count)
@@ -486,5 +477,4 @@ def _batched_single_player_search(spec, candidates: np.ndarray):
     values[~alive] = -np.inf
     if not alive.any():
         raise ValueError("no feasible grid point found")
-    best_index = int(np.argmax(values))  # argmax keeps the first (lex smallest) tie
-    return best_index, float(values[best_index])
+    return values

@@ -1,5 +1,8 @@
 import copy
+import csv
+import dataclasses
 import functools
+import io
 import json
 import os
 import stat
@@ -7,13 +10,23 @@ import stat
 import numpy as np
 import pytest
 
-from influencegame import ConvergenceError, ScenarioError, cli
+from influencegame import (
+    ConvergenceError,
+    HypothesisCheckError,
+    ScenarioError,
+    StageUtility,
+    cli,
+    equilibrium_solver,
+    game_model,
+    simulate_trajectory,
+)
 from influencegame.cli import (
     main,
     reference_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from influencegame.verification import run_suite
 from influencegame.fileio import atomic_write_text
 
 
@@ -86,6 +99,28 @@ class TestSimulateCommand:
         assert rows[0] == "time,individual,player,opinion"
         opinions = np.array([float(r.split(",")[3]) for r in rows[1:]])
         np.testing.assert_allclose(opinions, 0.5, atol=1e-12)
+
+    def test_rows_match_the_csv_writer_rendering(self, tmp_path):
+        # samples on both campaign times give pre- and post-jump records
+        spec = reference_scenario().spec
+        profile = np.array([[[0.5, 0.25, 0.5], [0.3, 0.5, 0.5]],
+                            [[1.0, 1.0, 1.0], [0.5, 0.25, 0.5]]])
+        plans = tmp_path / "p.json"
+        plans.write_text(json.dumps({"plans": profile.tolist()}))
+        scenario = write_scenario(tmp_path / "s.json", scenario_to_dict(reference_scenario()))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", scenario, str(plans), "--samples", "13",
+                     "--out", str(out)]) == 0
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["time", "individual", "player", "opinion"])
+        for point in simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13)):
+            values = point.state.values
+            for i in range(values.shape[0]):
+                for j in range(values.shape[1]):
+                    writer.writerow([repr(point.time), i, j, repr(float(values[i, j]))])
+        assert out.read_text() == buffer.getvalue()
+        assert len(buffer.getvalue().splitlines()) == 1 + 6 * (13 + 2)
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.json"),
@@ -211,6 +246,7 @@ class TestEquilibrateCommand:
         pytest.param(("network", 1), [0.5, 0.5], id="ragged-network"),
         pytest.param(("network", 0), functools.reduce(lambda v, _: [v], range(900), 1.0),
                      id="deeply-nested-network"),
+        pytest.param(("players", 0, "utility", "lambda"), 1e308, id="step-overflowing-lambda"),
     ])
     def test_bad_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         document = scenario_to_dict(reference_scenario())
@@ -222,6 +258,42 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", scenario, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
+
+    def test_budgets_at_the_float_scale_still_run(self, tmp_path):
+        document = scenario_to_dict(reference_scenario())
+        for player in document["players"]:
+            player["budget"] = 1e308
+        scenario = write_scenario(tmp_path / "s.json", document)
+        assert main(["equilibrate", scenario, "--T", "3", "--out", str(tmp_path / "x")]) == 0
+        assert (tmp_path / "x_result.json").exists()
+
+    def test_unattested_player_refused_before_the_run(self, tmp_path, monkeypatch):
+        # player 0 declared increasing-convex but not own-concave
+        utility = StageUtility(
+            kind="custom",
+            value_fn=lambda x, b, k: float(x.sum() + 0.25 * x @ x - 0.5 * b.sum()),
+            opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
+            budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
+            declared_increasing_convex=True,
+        )
+        scenario = reference_scenario()
+        spec = dataclasses.replace(scenario.spec,
+                                   utilities=(utility, scenario.spec.utilities[1]))
+        monkeypatch.setattr(cli, "reference_scenario",
+                            lambda: dataclasses.replace(scenario, spec=spec))
+        passes = []
+        original = game_model._columns_pass
+
+        def counting(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(game_model, "_columns_pass", counting)
+        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
+        with pytest.raises(HypothesisCheckError, match="player 0's best-response subproblem"):
+            main(["equilibrate", "--paper-example", "--T", "2000",
+                  "--out", str(tmp_path / "x")])
+        assert passes == [] and list(tmp_path.iterdir()) == []
 
     def test_failed_second_write_leaves_neither_file(self, tmp_path, capsys):
         (tmp_path / "half_result.json").mkdir()
@@ -392,6 +464,14 @@ class TestVerifyCommand:
         assert report["suite"] == "gradients"
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
+
+    def test_all_suite_is_the_three_suites_in_order(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True and report["suite"] == "all"
+        parts = [run_suite(name, seed=0)["checks"] for name in ("lemmas", "gradients", "oracles")]
+        assert report["checks"] == parts[0] + parts[1] + parts[2]
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -249,6 +249,11 @@ class TestRunNoRegret:
                                        project_feasible(stepped.ravel(), region),
                                        rtol=0, atol=1e-10)
 
+    def test_budgets_at_the_float_scale_still_run(self, two_player_spec):
+        spec = dataclasses.replace(two_player_spec, budgets=np.array([1e308, 1e308]))
+        trace, result = solve_equilibrium(spec, 3)
+        assert np.all(np.isfinite(trace.iterates)) and np.isfinite(result.exploitability)
+
     def test_averages_are_the_running_mean_of_the_iterates(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 50)
         running_sum = np.zeros(trace.iterates.shape[1:])
@@ -544,6 +549,30 @@ class TestCustomUtilities:
         spec = self.custom_game(two_player_spec, declared_own_concave=False)
         with pytest.raises(HypothesisCheckError, match="not attested concave"):
             best_response(spec, np.zeros((2, 2, 3)), 0)
+
+    @pytest.mark.parametrize("call, unattested", [
+        pytest.param(lambda spec: solve_equilibrium(spec, 2000), 0, id="solve_equilibrium"),
+        pytest.param(lambda spec: exploitability(spec, np.zeros((2, 2, 3))), 1,
+                     id="exploitability"),
+    ])
+    def test_unattested_player_refused_before_any_kernel_pass(self, two_player_spec,
+                                                              monkeypatch, call, unattested):
+        spec = self.custom_game(two_player_spec, declared_own_concave=False)
+        if unattested == 1:
+            spec = dataclasses.replace(spec, utilities=spec.utilities[::-1])
+        passes = []
+        original = game_model._columns_pass
+
+        def counting(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(game_model, "_columns_pass", counting)
+        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
+        with pytest.raises(HypothesisCheckError,
+                           match=f"player {unattested}'s best-response subproblem"):
+            call(spec)
+        assert passes == []
 
 
 class TestExploitability:

@@ -530,6 +530,16 @@ class TestPayoffGradient:
         gradient = payoff_gradient(spec, plans, 0)
         assert gradient[0, 0] == pytest.approx(0.25, abs=1e-12)
 
+    def test_entries_bounded_by_the_weights(self):
+        # the bound GameSpec keeps under 1e288 for linear utilities
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3):
+            spec = random_linear_game(rng, m, 4, 3)
+            profiles = np.array([random_feasible_profile(rng, spec) for _ in range(20)])
+            for j, utility in enumerate(spec.utilities):
+                bound = (utility.rho.sum() + utility.cost_coefficient) / (spec.K + 1)
+                assert np.abs(payoff_gradient(spec, profiles, j)).max() <= bound
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(53)
         worst = 0.0
@@ -645,6 +655,25 @@ class TestGameSpec:
         assert two_player_spec == two_player_spec
         assert hash(two_player_spec) == hash(two_player_spec)
         assert two_player_spec != dataclasses.replace(two_player_spec)
+
+    @pytest.mark.parametrize("rho, cost, accepted", [
+        pytest.param(1e308, 1e308, False, id="every-weight-at-the-float-scale"),
+        pytest.param(0.0, 3.1e288, False, id="cost-alone-over"),
+        pytest.param(1e287, 1e287, True, id="just-under"),
+        pytest.param(1.0, 1.0, True, id="reference"),
+    ])
+    def test_weights_that_could_overflow_a_solver_step_refused(self, two_player_spec, rho,
+                                                               cost, accepted):
+        # (sum(rho) + lambda) / (K + 1) bounds every gradient entry; over 1e288
+        # a solver step may overflow
+        utility = StageUtility(kind="linear-favor", rho=np.full((3, 3), rho),
+                               cost_coefficient=cost)
+        make = lambda: dataclasses.replace(two_player_spec, utilities=(utility, utility))
+        if accepted:
+            assert make().utilities[0] is utility
+        else:
+            with pytest.raises(ValueError, match="solver step may overflow"):
+                make()
 
     @pytest.mark.parametrize("first_row, accepted", [
         ([0.5 + 5e-10, 0.5], True),

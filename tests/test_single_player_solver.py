@@ -101,8 +101,9 @@ class TestProjectFeasible:
                                    [1.5, 1.5], atol=1e-10)
 
     def test_projection_is_exact_not_merely_feasible(self):
-        # plain cyclic projection would land elsewhere; Dykstra must match the
-        # true projection, computed here by dense search over the active face
+        # plain cyclic projection would land elsewhere; the active-set method
+        # must match the true projection, computed here by dense search over
+        # the active face
         region = FeasibleRegion(
             normals=np.vstack([np.array([[1.0, 1.0]]), -np.eye(2)]),
             offsets=np.array([1.0, 0.0, 0.0]),

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from influencegame import (
     StageUtility,
     brute_force_best_response,
     build_network,
+    build_region,
     check_stochastic,
     fd_gradient,
     midpoint_convexity_check,
@@ -17,7 +21,7 @@ from influencegame import (
     total_payoff,
 )
 from influencegame import verification
-from influencegame.verification import random_linear_game, run_suite
+from influencegame.verification import random_feasible_profile, random_linear_game, run_suite
 from conftest import single_player_spec
 
 
@@ -98,7 +102,82 @@ class TestFdGradient:
         np.testing.assert_allclose(result.gradient.ravel(), expected, rtol=0, atol=1e-12)
 
 
+    def test_fallback_evaluates_each_point_at_most_once(self):
+        # coordinate 0 sits on the lower edge of the domain, coordinate 1 on
+        # the upper one, coordinate 2 inside: the stacked call raises and the
+        # fallback needs 4 + 3 + 2 one-row evaluations, the centre only once
+        rows = []
+
+        def boxed(x):
+            if len(x) == 1:
+                rows.append(tuple(x[0]))
+            if np.any(x[:, 0] < 1.0) or np.any(x[:, 1] > 2.0):
+                raise ValueError("outside domain")
+            return x[:, 0] ** 2 + x[:, 1] ** 3 + x[:, 2]
+
+        result = fd_gradient(boxed, np.array([1.0, 2.0, 0.5]), h=1e-6)
+        assert result.one_sided == (0, 1)
+        np.testing.assert_allclose(result.gradient, [2.0, 12.0, 1.0], atol=1e-5)
+        assert len(rows) == 9 and len(set(rows)) == 9
+
+    def test_both_sides_failing_is_refused(self):
+        def nowhere_but_the_point(x):
+            if np.any(x[:, 0] != 1.0):
+                raise ValueError("outside domain")
+            return x[:, 0]
+
+        with pytest.raises(ValueError, match="both sides of coordinate 0"):
+            fd_gradient(nowhere_but_the_point, np.array([1.0]))
+
+
+def per_candidate_search(spec, profile, j, grid_step):
+    """The grid search one candidate at a time: the lexicographic grid of
+    [0, cap]^(K n) under the cap, a single player's points kept inside its
+    polytope, the first strictly best value winning."""
+    cap = float(spec.budgets[j])
+    axis = np.arange(0.0, cap + grid_step / 2.0, grid_step)
+    region = build_region(spec) if spec.m == 1 else None
+    best_plan, best_value = None, -np.inf
+    for point in itertools.product(axis, repeat=spec.K * spec.n):
+        point = np.array(point)
+        if point.sum() > cap + 1e-12 or (region and not region.contains(point, tol=1e-9)):
+            continue
+        candidate = np.array(profile, dtype=float)
+        candidate[j] = point.reshape(spec.K, spec.n)
+        value = total_payoff(spec, candidate, j)
+        if value > best_value:
+            best_plan, best_value = candidate[j], value
+    return best_plan, best_value
+
+
+def custom_single_player_game():
+    # concave in the opinions, budgets up to 1.5 so the opinion caps bind
+    spec = random_linear_game(np.random.default_rng(4), 1, 2, 2)
+    utility = StageUtility(
+        kind="custom",
+        value_fn=lambda x, b, k: float(np.sqrt(x).sum() - 0.3 * b.sum()),
+        opinion_grad_fn=lambda x, b, k: 0.5 / np.sqrt(x),
+        budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.3),
+    )
+    return dataclasses.replace(spec, budgets=np.array([1.5]), utilities=(utility,))
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("game, j, grid_step", [
+        pytest.param(lambda: random_linear_game(np.random.default_rng(5), 2, 2, 2), 1, 0.1,
+                     id="two-players"),
+        pytest.param(lambda: random_linear_game(np.random.default_rng(6), 3, 3, 1), 2, 0.1,
+                     id="three-players"),
+        pytest.param(custom_single_player_game, 0, 0.1, id="custom-one-player"),
+    ])
+    def test_stacked_search_matches_a_per_candidate_loop(self, game, j, grid_step):
+        spec = game()
+        profile = random_feasible_profile(np.random.default_rng(7), spec)
+        plan, value = brute_force_best_response(spec, profile, j, grid_step)
+        expected_plan, expected_value = per_candidate_search(spec, profile, j, grid_step)
+        np.testing.assert_array_equal(plan, expected_plan)
+        assert value == pytest.approx(expected_value, rel=0, abs=1e-15)
+
     def test_matches_solver_on_scalar_example(self):
         spec = single_player_spec(n=1, K=1, x0=0.5, budget=1.0, cost=0.4)
         plan, value = brute_force_best_response(spec, np.zeros((1, 1, 1)), 0, 0.01)
@@ -252,6 +331,9 @@ class TestSuites:
         pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
                      "lemmas", "single-player-objective-concavity", "worst_violation",
                      id="single-player-concavity"),
+        pytest.param("matrix_exponential", lambda a: np.full(np.shape(a), np.nan),
+                     "lemmas", "propagator-stochasticity", "worst_row_sum_violation",
+                     id="propagator-stochasticity"),
         pytest.param("midpoint_convexity_check",
                      lambda probe, seed: verification.ConvexityReport(False, float("nan")),
                      "lemmas", "reciprocal-product-convexity", "worst_violation",
@@ -263,3 +345,21 @@ class TestSuites:
         record = next(c for c in report["checks"] if c["name"] == check)
         assert record["passed"] is False and report["passed"] is False
         assert np.isnan(record[value])
+
+    @pytest.mark.parametrize("replacement, failed, held", [
+        pytest.param(lambda a: 0.9 * np.eye(len(a)),
+                     "worst_row_sum_violation", "worst_negativity", id="row-sums"),
+        pytest.param(lambda a: (1.0 + 1e-9) * np.eye(len(a))
+                     - 1e-9 * np.roll(np.eye(len(a)), 1, axis=1),
+                     "worst_negativity", "worst_row_sum_violation", id="negative-entry"),
+    ])
+    def test_non_stochastic_sample_fails_the_check(self, monkeypatch, replacement, failed, held):
+        # the check measures exp(-L t) itself, so a bad matrix is reported
+        # as a failed check instead of ending the suite in a ValueError
+        monkeypatch.setattr(verification, "matrix_exponential", replacement)
+        report = run_suite("lemmas", seed=0)
+        record = report["checks"][0]
+        assert record["name"] == "propagator-stochasticity"
+        assert record["passed"] is False and report["passed"] is False
+        assert record[failed] >= 1e-9 and record[held] <= 1e-12
+        assert all(c["passed"] for c in report["checks"][1:])
