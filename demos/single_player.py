@@ -67,7 +67,7 @@ def network_story():
                                 cost_coefficient=0.3),),
     )
     region = build_region(spec)
-    print(f"constraint polytope: {region.count} halfspaces in R^{region.dim}")
+    print(f"constraint polytope: nonnegative R^{region.dim} within {region.count} halfspaces")
     report = solve_single(spec)
     print("optimal plan (rows = campaigns, columns = individuals):")
     print(report.plan.round(4))

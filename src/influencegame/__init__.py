@@ -37,7 +37,6 @@ from .single_player_solver import (
     FeasibleRegion,
     SolveReport,
     build_region,
-    project_feasible,
     solve_single,
 )
 from .equilibrium_solver import (

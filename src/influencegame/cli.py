@@ -7,8 +7,9 @@ Subcommands
     verify       property suites (stochasticity, convexity, gradients, oracles)
 
 Exit codes: 0 ok, 1 verify failure, 2 bad input (a scenario, plans file or
-option that does not parse, or a path that cannot be read or written),
-3 infeasible plans, 4 wrong mode (single- vs multi-player),
+option that does not parse, a path that cannot be read or written, or values
+that overflow into a NaN output), 3 infeasible plans, 4 wrong mode (single-
+vs multi-player),
 6 a solver ran out of its iteration budget.
 All files are written atomically, and ``equilibrate`` writes both of its
 files or neither, so a failed run never leaves partial output.  The
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasiblePlanError, ScenarioError
-from .equilibrium_solver import result_to_json, solve_equilibrium, trace_to_csv, _float_reprs
+from .equilibrium_solver import (result_to_json, solve_equilibrium, trace_to_csv, _float_reprs,
+                                 _json_text)
 from .fileio import atomic_write_text
 from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
@@ -262,14 +264,13 @@ def cmd_solve(args) -> int:
               f"this {spec.m}-player game", file=sys.stderr)
         return EXIT_WRONG_MODE
     report = solve_single(spec)
-    document = {
+    atomic_write_text(args.out, _json_text({
         "plan": report.plan.tolist(),
         "objective": report.objective,
         "iterations": report.iterations,
         "final_step_norm": report.final_step_norm,
         "kkt_residual": report.kkt_residual,
-    }
-    atomic_write_text(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    }))
     print(f"objective {report.objective!r} after {report.iterations} iterations "
           f"(kkt residual {report.kkt_residual:.3e})")
     return EXIT_OK
@@ -310,7 +311,7 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ScenarioError("--seed must be nonnegative")
     report = run_suite(args.suite, seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report)
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisCheckError
+from .errors import HypothesisCheckError, ScenarioError
 from .game_model import (
     GameSpec,
     total_payoff,
@@ -112,9 +112,11 @@ class LearningTrace:
     @cached_property
     def averages(self) -> np.ndarray:
         """Read-only running averages: ``averages[tau-1]`` is the mean of the
-        first tau iterates, computed on first access."""
+        first tau iterates, computed on first access and summed scaled by the
+        power of two 2^-e that brings every budget below 1 (exact, no overflow)."""
         taus = np.arange(1, self.iterations + 1).reshape(-1, 1, 1, 1)
-        averages = np.cumsum(self.iterates, axis=0) / taus
+        e = max(0, int(np.frexp(np.max(self.spec.budgets))[1]))
+        averages = np.ldexp(np.cumsum(np.ldexp(self.iterates, -e), axis=0) / taus, e)
         averages.flags.writeable = False
         return averages
 
@@ -303,11 +305,18 @@ def trace_to_csv(trace: LearningTrace) -> str:
     return "".join(chunks)
 
 
+def _json_text(document) -> str:
+    """Indented, key-sorted standard JSON; a NaN or inf raises ScenarioError."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ScenarioError(f"{exc}: the scenario's values overflow the float range") from exc
+
+
 def result_to_json(result: EquilibriumResult) -> str:
-    document = {
+    return _json_text({
         "iterations": result.iterations,
         "exploitability": result.exploitability,
         "regrets": result.regrets.tolist(),
         "profile": result.profile.tolist(),
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    })

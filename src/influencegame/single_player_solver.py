@@ -4,15 +4,13 @@ With one player the jump is additive and the campaign-time opinions are
 linear in the investment variables, so the problem of maximizing the average
 stage utility is a concave program over a polytope: Kn cap constraints
 (investment plus already-accumulated opinion must stay at most 1, rowwise),
-one total-budget constraint, and Kn sign constraints -- 2Kn + 1 halfspaces in
-Kn variables.  The solver is ``_maximize_concave``, the package's one
+one total-budget constraint, and Kn sign constraints, implied rather than
+stored.  The solver is ``_maximize_concave``, the package's one
 concave ascent (shared with the best-response and hindsight subproblems),
 and every Euclidean projection onto the polytope is computed exactly, in
-finitely many steps, by a primal active-set method.  The public
-``project_feasible`` starts that method cold at the origin.  Within one
+finitely many steps, by a primal active-set method.  Within one
 ``solve_single`` call each projection starts warm from the previous one's
-point and working set instead, since successive points of the ascent mostly
-share their active constraints.
+point and working set, as successive ascent points share most active rows.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ ASCENT_MAX_STEPS = 100_000
 
 @dataclass(frozen=True, eq=False)
 class FeasibleRegion:
-    """Intersection of halfspaces normal'x <= offset in R^{Kn}; every normal
-    and offset must be finite (ValueError otherwise)."""
+    """Nonnegative x in R^{Kn} with normal'x <= offset, sign constraints last in
+    ``violations``; every normal and offset must be finite (ValueError otherwise)."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -59,7 +57,7 @@ class FeasibleRegion:
         return self.normals.shape[0]
 
     def violations(self, x: np.ndarray) -> np.ndarray:
-        return self.normals @ x - self.offsets
+        return np.concatenate([self.normals @ x - self.offsets, -x])
 
     def max_violation(self, x: np.ndarray) -> float:
         return float(max(0.0, np.max(self.violations(x))))
@@ -94,112 +92,104 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
             block[:, (s - 1) * n : s * n] = flows[s]
         reach = flows[0] @ x0
         normals.append(block)
-        offsets.append(1.0 - reach)
+        offsets.append(np.maximum(1.0 - reach, 0.0))  # reach <= 1 up to round-off
     normals.append(np.ones((1, d)))
     offsets.append(np.array([float(spec.budgets[0])]))
-    normals.append(-np.eye(d))
-    offsets.append(np.zeros(d))
-
-    region = FeasibleRegion(
-        normals=np.vstack(normals), offsets=np.concatenate(offsets)
-    )
-    assert region.count == 2 * K * n + 1
-    assert region.contains(np.zeros(d)), "zero plan must always be feasible"
-    return region
+    return FeasibleRegion(normals=np.vstack(normals), offsets=np.concatenate(offsets))
 
 
-def _cold_start(region: FeasibleRegion):
-    """The origin and an empty working set, where a cold projection starts.
-    The origin must lie in the region (every offset nonnegative, as
-    ``build_region`` guarantees); ValueError otherwise."""
-    if np.min(region.offsets) < 0.0:
-        raise ValueError("the active-set projection starts at the origin, "
-                         "which must lie in the region")
-    return np.zeros(region.dim), []
-
-
-def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: list[int]):
-    """The active-set loop of ``project_feasible`` from the start ``x`` and
+def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: np.ndarray):
+    """The active-set loop of ``_warm_projection`` from the start ``x`` and
     working set ``working``; returns the projection and its final working set.
 
-    Precondition: ``x`` is feasible to ``PROJECTION_TOL`` and the rows in
-    ``working`` are linearly independent and tight at ``x``.  The returned
-    pair meets it, so it may start the next projection.  ``working`` is not
-    modified.
+    Precondition: ``x`` is feasible to ``PROJECTION_TOL`` and the constraints
+    in ``working`` are tight at ``x`` and linearly independent over its free
+    columns.  The returned pair meets it, so it may start the next
+    projection.  ``working`` is not modified.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
     normals, offsets = region.normals, region.offsets
-    working = list(working)
+    working = working.copy()
+    held, fixed = working[: region.count], working[region.count :]
     gap = np.inf
     for _ in range(PROJECTION_MAX_CYCLES):
-        rows = normals[working]
-        multipliers = np.linalg.solve(rows @ rows.T, rows @ p - offsets[working])
-        y = p - rows.T @ multipliers
-        excess = normals @ y - offsets
+        rows = normals[held]
+        free = rows[:, ~fixed]
+        try:
+            multipliers = np.linalg.solve(free @ free.T, free @ p[~fixed] - offsets[held])
+        except np.linalg.LinAlgError:
+            break
+        pull = rows.T @ multipliers
+        y = np.where(fixed, 0.0, p - pull)
+        excess = np.concatenate([normals @ y - offsets, -y])
         excess[working] = -np.inf
         if excess.max() > PROJECTION_TOL:
-            # A constraint the full step moves by at most tol cannot end more
-            # than tol past its bound; skipping those keeps round-off copies
-            # of W's rows out of W.
+            # W's constraints do not move along the step; one that moves by at
+            # most tol or 1e-9 |step| (build_region's normals have norm >= 1)
+            # is as unmoved up to round-off, and would make W dependent.  Stop
+            # if only such constraints are exceeded, none blocking by y.
             step = y - x
-            rate = normals @ step
+            rate = np.concatenate([normals @ step, -step])
             rate[working] = 0.0
-            candidates = np.flatnonzero((rate > PROJECTION_TOL) | (excess > PROJECTION_TOL))
-            ratios = (offsets[candidates] - normals[candidates] @ x) / rate[candidates]
-            block = int(np.argmin(ratios))
-            x = x + max(0.0, float(ratios[block])) * step
-            working.append(int(candidates[block]))
+            candidates = np.flatnonzero(rate > max(PROJECTION_TOL, 1e-9 * np.linalg.norm(step)))
+            ratios = np.concatenate([offsets - normals @ x, x])[candidates] / rate[candidates]
+            if not (ratios <= 1.0).any():
+                break
+            first = ratios.min()
+            x = x + max(0.0, float(first)) * step
+            working[candidates[np.argmax(ratios <= first + PROJECTION_TOL)]] = True
             gap = float(excess.max())
             continue
         x = y
-        if not working or multipliers.min() >= -PROJECTION_TOL:
+        multipliers = np.concatenate([multipliers, (pull - p)[fixed]])
+        if not working.any() or multipliers.min() >= -PROJECTION_TOL:
             return x, working
         gap = float(-multipliers.min())
-        del working[int(np.argmin(multipliers))]
+        working[np.flatnonzero(working)[np.argmax(multipliers < -PROJECTION_TOL)]] = False
     raise ConvergenceError(
-        f"active-set projection did not reach tolerance {PROJECTION_TOL:g} "
-        f"within {PROJECTION_MAX_CYCLES} iterations",
+        f"active-set projection did not reach tolerance {PROJECTION_TOL:g} within "
+        f"{PROJECTION_MAX_CYCLES} iterations on independent working constraints",
         last_iterate=x,
         residual=gap,
     )
 
 
-def project_feasible(point: np.ndarray, region: FeasibleRegion) -> np.ndarray:
-    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c.
+def _warm_projection(region: FeasibleRegion):
+    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
+    and x >= 0, as a closure whose first call starts cold at the origin with
+    an empty working set W, and is thus independent of every other, and
+    whose later calls start from the previous call's result and final W.
+    Successive points of one ascent lie close together, so a call adds or
+    drops only a few constraints where a cold start adds every active one.
+    The state changes only when a call returns, so a ConvergenceError leaves
+    the next call's start as it was.  The origin must lie in the region
+    (every offset nonnegative, as ``build_region`` guarantees); ValueError
+    otherwise.
 
     Primal active-set method for a quadratic program with identity Hessian
-    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3), started cold at
-    the origin with an empty working set W, so each call is independent of
-    every other.  Precondition: the origin lies in the region (every offset
-    is nonnegative), as ``build_region`` guarantees.
-
-    Each iteration projects the point onto the affine set {A_W y = c_W} with
-    one linear solve, y = point - A_W' lam where (A_W A_W') lam = A_W point -
-    c_W.  If y exceeds a constraint outside W by more than tol, the
-    iterate walks towards y up to the first constraint the walk would cross,
-    which joins W.  Otherwise the iterate becomes y; it is returned once
-    every multiplier lam is at least -tol, else the most negative one leaves
-    W.  That is the certificate: the result meets W's constraints as
-    equalities and all others to tol, and the multipliers satisfy the KKT
-    conditions to tol.  A point already feasible to tol comes back
-    unchanged.  Here tol is ``PROJECTION_TOL``; ``PROJECTION_MAX_CYCLES``
-    bounds the active-set iterations (one linear solve each), and when it
-    runs out, ConvergenceError carries the last iterate.  A point of the
-    wrong shape or with a non-finite entry raises ValueError.
-    """
-    return _active_set(point, region, *_cold_start(region))[0]
-
-
-def _warm_projection(region: FeasibleRegion):
-    """The projection of ``project_feasible`` as a closure that starts each
-    call from the previous call's result and final working set (the first
-    call from the origin).  Successive points of one ascent lie close
-    together, so a call adds or drops only a few rows where a cold start
-    adds every active one.  The state changes only when a call returns, so
-    a ConvergenceError leaves the next call's start as it was."""
-    state = _cold_start(region)
+    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3, in the bound
+    form of Sec. 16.7): W holds halfspaces as equalities and variables at 0.
+    Each iteration projects the point onto that affine set with one linear
+    solve over the free variables F, y_F = point_F - A_F' lam where
+    (A_F A_F') lam = A_F point_F - c_W; a held variable's multiplier is
+    (A' lam - point)_i.  If y exceeds a constraint outside W by more than
+    tol, the iterate walks towards y up to the first constraint the walk
+    would cross, which joins W.  Otherwise the iterate becomes y; it is
+    returned once every multiplier is at least -tol, else one below -tol
+    leaves W.  Both choices take the lowest index among ties (Bland's rule
+    against cycling, 1977).  The result meets W's constraints as equalities
+    and all others to tol, with KKT multipliers to tol; a point already
+    feasible to tol comes back unchanged.  Here tol is ``PROJECTION_TOL``;
+    ``PROJECTION_MAX_CYCLES`` bounds the active-set iterations (one linear
+    solve each), and when it runs out, or W would become numerically
+    dependent, ConvergenceError carries the last iterate.  A point of the
+    wrong shape or with a non-finite entry raises ValueError."""
+    if np.min(region.offsets) < 0.0:
+        raise ValueError("the active-set projection starts at the origin, "
+                         "which must lie in the region")
+    state = np.zeros(region.dim), np.zeros(region.count + region.dim, dtype=bool)
 
     def project(point):
         nonlocal state

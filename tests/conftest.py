@@ -12,6 +12,7 @@ from influencegame import (
     StageUtility,
     build_network,
 )
+from influencegame.single_player_solver import _warm_projection
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +37,12 @@ def load_bench_workloads():
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def cold_projection(point, region):
+    """The projection onto ``region`` as a fresh closure's first call, which
+    starts the active-set method cold at the origin."""
+    return _warm_projection(region)(point)
 
 
 def count_linear_solves(monkeypatch) -> list:

@@ -46,7 +46,6 @@ EXPORTS = [
     "opinions_at_campaigns_closed_form",
     "payoff_gradient",
     "project_budget_set",
-    "project_feasible",
     "propagator",
     "regret",
     "run_no_regret",
@@ -99,7 +98,6 @@ SIGNATURES = {
     "opinions_at_campaigns_closed_form": "spec, profile",
     "payoff_gradient": "spec, profile, j",
     "project_budget_set": "point, cap",
-    "project_feasible": "point, region",
     "propagator": "network, dt",
     "regret": "trace, j, horizon=None",
     "run_no_regret": "spec, T",

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from influencegame import (
+    CampaignSchedule,
     ConvergenceError,
     HypothesisCheckError,
+    OpinionState,
     ScenarioError,
     StageUtility,
     cli,
@@ -26,7 +28,7 @@ from influencegame.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from influencegame.verification import run_suite
+from influencegame.verification import random_linear_game, run_suite
 from influencegame.fileio import atomic_write_text
 
 
@@ -170,6 +172,31 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def solve_game(tmp_path, spec, **changes):
+        spec = dataclasses.replace(spec, **changes)
+        document = scenario_to_dict(cli.Scenario(spec=spec, solver=cli.SolverSettings()))
+        scenario = write_scenario(tmp_path / "s.json", document)
+        return main(["solve", scenario, "--out", str(tmp_path / "report.json")])
+
+    def test_individuals_starting_fully_convinced(self, tmp_path):
+        # reach 1 leaves a cap offset of 1 - reach = -2.2e-16 unless clamped
+        spec = random_linear_game(np.random.default_rng(0), 1, 6, 3)
+        assert self.solve_game(tmp_path, spec, x0=OpinionState(np.ones((6, 1)))) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["kkt_residual"] <= 1e-8
+
+    def test_nearly_dependent_constraints_end_cleanly(self, tmp_path):
+        # a 1e-9 gap makes the stage-2 caps nearly the stage-1 caps plus a
+        # sign row, so a working set can become numerically singular
+        spec = random_linear_game(np.random.default_rng(0), 1, 5, 3)
+        code = self.solve_game(
+            tmp_path, spec,
+            schedule=CampaignSchedule(np.cumsum([0.0, 50.0, 1e-9, 1000.0, 1000.0])),
+            x0=OpinionState(np.array([[1.0], [0.3], [0.3], [1.0], [0.0]])),
+            budgets=np.array([3.0]),
+        )
+        assert code in (0, 6)
+
     def test_multiplayer_scenario_exits_4(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path / "s.json", scenario_to_dict(reference_scenario())
@@ -266,6 +293,24 @@ class TestEquilibrateCommand:
         scenario = write_scenario(tmp_path / "s.json", document)
         assert main(["equilibrate", scenario, "--T", "3", "--out", str(tmp_path / "x")]) == 0
         assert (tmp_path / "x_result.json").exists()
+
+    @pytest.mark.parametrize("T, cost", [(50, None), (3, 10.0)],
+                             ids=["hindsight-sum", "cost-times-budget"])
+    def test_float_scale_values_exit_2_not_nan(self, tmp_path, capsys, T, cost):
+        # budgets of 1e308 overflow the hindsight payoff sums over 50
+        # iterations, and lambda = 10 the payoff value itself; numpy warns,
+        # and no NaN may reach a JSON file
+        document = scenario_to_dict(reference_scenario())
+        for player in document["players"]:
+            player["budget"] = 1e308
+            if cost is not None:
+                player["utility"]["lambda"] = cost
+        scenario = write_scenario(tmp_path / "s.json", document)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["equilibrate", scenario, "--T", str(T), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
 
     def test_unattested_player_refused_before_the_run(self, tmp_path, monkeypatch):
         # player 0 declared increasing-convex but not own-concave

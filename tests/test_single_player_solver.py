@@ -15,7 +15,6 @@ from influencegame import (
     build_network,
     build_region,
     payoff_gradient,
-    project_feasible,
     propagator,
     solve_single,
     total_payoff,
@@ -28,7 +27,8 @@ from influencegame.verification import (
 import influencegame
 from influencegame import single_player_solver
 from influencegame.single_player_solver import _maximize_concave, _warm_projection
-from conftest import count_linear_solves, load_bench_workloads, single_player_spec
+from conftest import (cold_projection, count_linear_solves, load_bench_workloads,
+                      single_player_spec)
 
 # The benchmark's five single-player games; in games 3 and 4 the opinion caps
 # bind as well as the budget.
@@ -39,14 +39,17 @@ class TestBuildRegion:
     def test_static_one_variable_region(self):
         spec = single_player_spec(n=1, K=1, x0=0.5, budget=2.0)
         region = build_region(spec)
-        assert region.count == 3
-        # cap b <= 1 - x0, budget b <= 2, sign -b <= 0
-        np.testing.assert_allclose(region.normals, [[1.0], [1.0], [-1.0]])
-        np.testing.assert_allclose(region.offsets, [0.5, 2.0, 0.0], atol=1e-12)
+        assert region.count == 2
+        # cap b <= 1 - x0, budget b <= 2; the sign b >= 0 is implied
+        np.testing.assert_allclose(region.normals, [[1.0], [1.0]])
+        np.testing.assert_allclose(region.offsets, [0.5, 2.0], atol=1e-12)
+        np.testing.assert_allclose(region.violations(np.array([-0.25])), [-0.75, -2.25, 0.25])
+        assert not region.contains(np.array([-0.25]))
 
     def test_halfspace_count(self):
+        # Kn cap rows and the budget row
         spec = single_player_spec(n=3, K=2, x0=0.2, budget=1.0)
-        assert build_region(spec).count == 13
+        assert build_region(spec).count == 7
 
     def test_reference_network_offsets_use_propagated_opinions(self, path_network):
         from influencegame import CampaignSchedule, GameSpec, OpinionState, StageUtility
@@ -84,54 +87,42 @@ class TestProjectFeasible:
         spec = single_player_spec(n=1, K=1, x0=0.0, budget=1.0)
         region = build_region(spec)
         point = np.array([0.25])
-        np.testing.assert_array_equal(project_feasible(point, region), point)
+        np.testing.assert_array_equal(cold_projection(point, region), point)
 
     def test_scalar_clamp(self):
         spec = single_player_spec(n=1, K=1, x0=0.0, budget=1.0)
         region = build_region(spec)
-        np.testing.assert_allclose(project_feasible(np.array([2.5]), region), [1.0],
+        np.testing.assert_allclose(cold_projection(np.array([2.5]), region), [1.0],
                                    atol=1e-10)
 
     def test_symmetric_budget_split(self):
-        region = FeasibleRegion(
-            normals=np.vstack([np.ones((1, 2)), -np.eye(2)]),
-            offsets=np.array([3.0, 0.0, 0.0]),
-        )
-        np.testing.assert_allclose(project_feasible(np.array([2.0, 2.0]), region),
+        region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([3.0]))
+        np.testing.assert_allclose(cold_projection(np.array([2.0, 2.0]), region),
                                    [1.5, 1.5], atol=1e-10)
 
     def test_projection_is_exact_not_merely_feasible(self):
         # plain cyclic projection would land elsewhere; the active-set method
         # must match the true projection, computed here by dense search over
         # the active face
-        region = FeasibleRegion(
-            normals=np.vstack([np.array([[1.0, 1.0]]), -np.eye(2)]),
-            offsets=np.array([1.0, 0.0, 0.0]),
-        )
+        region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
         point = np.array([1.7, 0.3])
-        projected = project_feasible(point, region)
+        projected = cold_projection(point, region)
         # true projection onto the face x+y=1 from (1.7, 0.3): (1.2, -0.2) -> clip
         # at the corner: KKT solution is (1.0, 0.0)
         np.testing.assert_allclose(projected, [1.0, 0.0], atol=1e-9)
 
     def test_cycle_budget_exhaustion_reports_last_iterate(self, monkeypatch):
-        region = FeasibleRegion(
-            normals=np.vstack([np.ones((1, 2)), -np.eye(2)]),
-            offsets=np.array([1.0, 0.0, 0.0]),
-        )
+        region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
         monkeypatch.setattr(single_player_solver, "PROJECTION_TOL", 1e-15)
         monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            project_feasible(np.array([5.0, 5.0]), region)
+            cold_projection(np.array([5.0, 5.0]), region)
         assert excinfo.value.last_iterate is not None
 
     @pytest.mark.parametrize("normals, offsets", [
-        pytest.param(np.vstack([np.ones((1, 2)), -np.eye(2)]), [np.nan, 0.0, 0.0],
-                     id="nan-offset"),
-        pytest.param(np.vstack([np.ones((1, 2)), -np.eye(2)]), [np.inf, 0.0, 0.0],
-                     id="inf-offset"),
-        pytest.param(np.vstack([[np.nan, 1.0], -np.eye(2)]), [1.0, 0.0, 0.0],
-                     id="nan-normal"),
+        pytest.param(np.ones((1, 2)), [np.nan], id="nan-offset"),
+        pytest.param(np.ones((1, 2)), [np.inf], id="inf-offset"),
+        pytest.param(np.array([[np.nan, 1.0]]), [1.0], id="nan-normal"),
     ])
     def test_non_finite_halfspaces_refused(self, normals, offsets):
         # a NaN offset never counts as exceeded, so the projection of (2, 2)
@@ -142,22 +133,25 @@ class TestProjectFeasible:
 
 def enumerated_projections(points, region):
     """Row-wise nearest feasible point among the projections onto every
-    affine set {A_S x = c_S} with |S| <= dim: the exact projection's active
-    set has an independent subset of at most dim rows, so it is a candidate."""
+    affine set {A_S x = c_S} with |S| <= dim, A and c the region's halfspaces
+    stacked over the sign rows -x <= 0: the exact projection's active set has
+    an independent subset of at most dim rows, so it is a candidate."""
     d = region.dim
+    normals = np.vstack([region.normals, -np.eye(d)])
+    offsets_all = np.concatenate([region.offsets, np.zeros(d)])
     candidates = []
     for size in range(d + 1):
-        for subset in itertools.combinations(range(region.count), size):
-            rows = region.normals[list(subset)]
+        for subset in itertools.combinations(range(len(offsets_all)), size):
+            rows = normals[list(subset)]
             kkt = np.block([[np.eye(d), rows.T], [rows, np.zeros((size, size))]])
-            offsets = np.broadcast_to(region.offsets[list(subset), None], (size, len(points)))
+            offsets = np.broadcast_to(offsets_all[list(subset), None], (size, len(points)))
             try:
                 solution = np.linalg.solve(kkt, np.vstack([points.T, offsets]))
             except np.linalg.LinAlgError:
                 continue  # dependent rows: a smaller subset spans the same set
             candidates.append(solution[:d].T)
     candidates = np.stack(candidates, axis=1)  # (point, subset, coordinate)
-    excess = (candidates @ region.normals.T - region.offsets).max(axis=2)
+    excess = (candidates @ normals.T - offsets_all).max(axis=2)
     distance = np.linalg.norm(candidates - points[:, None, :], axis=2)
     nearest = np.where(excess <= 1e-12, distance, np.inf).argmin(axis=1)
     return candidates[np.arange(len(points)), nearest]
@@ -197,20 +191,20 @@ class TestProjectionOracle:
         points = scales * (rng.standard_normal((scales.size, region.dim)) + 0.5)
         expected = enumerated_projections(points, region)
         for point, nearest in zip(points, expected):
-            np.testing.assert_allclose(project_feasible(point, region), nearest,
+            np.testing.assert_allclose(cold_projection(point, region), nearest,
                                        rtol=0, atol=1e-10)
 
     def test_zero_budget_projects_to_origin(self):
         spec = random_linear_game(np.random.default_rng(97), 1, 2, 2)
         region = build_region(dataclasses.replace(spec, budgets=np.array([0.0])))
         point = np.array([0.7, -0.2, 0.7, 1.5])
-        np.testing.assert_allclose(project_feasible(point, region), 0.0, atol=1e-15)
+        np.testing.assert_allclose(cold_projection(point, region), 0.0, atol=1e-15)
 
     def test_feasible_point_returned_byte_for_byte(self):
         region = build_region(random_linear_game(np.random.default_rng(89), 1, 2, 2))
         point = np.array([0.01, 0.02, 0.03, 1e-17])
         assert region.max_violation(point) == 0.0
-        projected = project_feasible(point, region)
+        projected = cold_projection(point, region)
         assert projected is not point
         assert projected.tobytes() == point.tobytes()
 
@@ -222,7 +216,7 @@ def linear_ascent_path(region, rng):
 
     def project(point):
         path.append(point)
-        return project_feasible(point, region)
+        return cold_projection(point, region)
 
     direction = rng.standard_normal(region.dim) + 0.5
     _maximize_concave(lambda x: (float(direction @ x), direction), project,
@@ -256,7 +250,7 @@ def warm_sequence(region, path, rng, count=50):
     def far():
         return 10.0 * (rng.standard_normal(region.dim) + 0.5)
 
-    randoms = [far() if rng.random() < 0.5 else rng.random() * project_feasible(far(), region)
+    randoms = [far() if rng.random() < 0.5 else rng.random() * cold_projection(far(), region)
                for _ in range(max(count - len(path), 20))]
     half = len(randoms) // 2
     return randoms[:half] + list(path) + randoms[half:]
@@ -270,7 +264,7 @@ class TestWarmProjection:
     def check_sequence(region, points):
         warm = _warm_projection(region)
         results = np.array([warm(point) for point in points])
-        cold = np.array([project_feasible(point, region) for point in points])
+        cold = np.array([cold_projection(point, region) for point in points])
         np.testing.assert_allclose(results, cold, rtol=0, atol=1e-10)
         assert max(region.max_violation(result) for result in results) <= 1e-10
         return results
@@ -311,7 +305,7 @@ class TestWarmProjection:
             result, failed_solves = failed(point), len(solves)
             assert result.tobytes() == twin(point).tobytes()
             assert len(solves) == 2 * failed_solves
-            np.testing.assert_allclose(result, project_feasible(point, region),
+            np.testing.assert_allclose(result, cold_projection(point, region),
                                        rtol=0, atol=1e-10)
 
     def test_repeated_solves_are_identical(self):
@@ -377,7 +371,7 @@ class TestSolveSingle:
         g = payoff_gradient(spec, [report.plan], 0).ravel()
         region = build_region(spec)
         for _ in range(50):
-            target = project_feasible(rng.standard_normal(b.size), region)
+            target = cold_projection(rng.standard_normal(b.size), region)
             direction = target - b
             norm = np.linalg.norm(direction)
             if norm < 1e-12:
@@ -420,9 +414,10 @@ class TestSolveSingle:
 
     def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self, monkeypatch):
         # a linear objective grows the step by 1.5 per acceptance; past about
-        # 1e10 the projection's round-off would leave the plan infeasible
+        # 1e10 the projection's round-off would leave the plan infeasible.  A
+        # negative tolerance is never met, not even by the exact residual 0
         spec = random_linear_game(np.random.default_rng(1), 1, 10, 3)
-        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-300)
+        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", -1.0)
         monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 100)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_single(spec)
@@ -463,6 +458,16 @@ class TestSolveSingle:
             solve_single(spec)
         assert excinfo.value.report is not None
         assert not excinfo.value.report.passed
+
+    @pytest.mark.parametrize("seed", [13, 124, 181, 193, 197, 248])
+    def test_degenerate_vertices_do_not_cycle(self, seed):
+        # many constraints tight at one point: without the lowest-index rules
+        # the active-set projection repeats its working sets
+        rng = np.random.default_rng(seed)
+        n, K, budget = rng.integers(2, 9), rng.integers(1, 5), rng.choice([0.5, 1, 3, 10])
+        spec = random_linear_game(np.random.default_rng(seed), 1, int(n), int(K))
+        report = solve_single(dataclasses.replace(spec, budgets=np.array([budget])))
+        assert report.kkt_residual <= 1e-8
 
     def test_twenty_individuals_three_campaigns(self):
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
