@@ -17,8 +17,10 @@ from .opinion_dynamics import (
     CampaignSchedule,
     Network,
     OpinionState,
+    StochasticityReport,
     TrajectoryPoint,
     build_network,
+    check_stochastic,
     jump_single,
     matrix_exponential,
     propagator,
@@ -53,9 +55,7 @@ from .verification import (
     ConvexityProbe,
     ConvexityReport,
     FiniteDifferenceResult,
-    StochasticityReport,
     brute_force_best_response,
-    check_stochastic,
     fd_gradient,
     midpoint_convexity_check,
     run_suite,

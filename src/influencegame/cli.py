@@ -8,7 +8,7 @@ Subcommands
 
 Exit codes: 0 ok, 1 verify failure, 2 bad input (a scenario, plans file or
 option that does not parse, a path that cannot be read or written, or values
-that overflow into a NaN output), 3 infeasible plans, 4 wrong mode (single-
+that overflow the float range), 3 infeasible plans, 4 wrong mode (single-
 vs multi-player),
 6 a solver ran out of its iteration budget.
 All files are written atomically, and ``equilibrate`` writes both of its
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasiblePlanError, ScenarioError
-from .equilibrium_solver import (result_to_json, solve_equilibrium, trace_to_csv, _float_reprs,
-                                 _json_text)
+from .equilibrium_solver import solve_equilibrium, trace_to_csv, _float_reprs
 from .fileio import atomic_write_text
 from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
@@ -233,6 +232,14 @@ def load_plans(path, spec: GameSpec) -> np.ndarray:
         raise ScenarioError(str(exc)) from exc
 
 
+def _json_text(document) -> str:
+    """Indented, key-sorted standard JSON; a NaN or inf raises ScenarioError."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ScenarioError(f"{exc}: the scenario's values overflow the float range") from exc
+
+
 def _trajectory_csv(points) -> str:
     rows = ["time,individual,player,opinion\n"]
     for point in points:
@@ -291,7 +298,13 @@ def cmd_equilibrate(args) -> int:
     trace, result = solve_equilibrium(spec, T)
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
-    trace_text, result_text = trace_to_csv(trace), result_to_json(result)
+    trace_text = trace_to_csv(trace)
+    result_text = _json_text({
+        "iterations": result.iterations,
+        "exploitability": result.exploitability,
+        "regrets": result.regrets.tolist(),
+        "profile": result.profile.tolist(),
+    })
     atomic_write_text(trace_path, trace_text)
     try:
         atomic_write_text(result_path, result_text)
@@ -363,8 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ScenarioError as exc:
+        # values at the float scale overflow inside the solvers: bad input,
+        # reported as an error rather than as a numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except (ScenarioError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InfeasiblePlanError as exc:

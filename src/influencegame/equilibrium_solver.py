@@ -27,13 +27,12 @@ absolute error bound; each subproblem takes a few dozen kernel passes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisCheckError, ScenarioError
+from .errors import HypothesisCheckError
 from .game_model import (
     GameSpec,
     total_payoff,
@@ -304,19 +303,3 @@ def trace_to_csv(trace: LearningTrace) -> str:
         ]))
     return "".join(chunks)
 
-
-def _json_text(document) -> str:
-    """Indented, key-sorted standard JSON; a NaN or inf raises ScenarioError."""
-    try:
-        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ScenarioError(f"{exc}: the scenario's values overflow the float range") from exc
-
-
-def result_to_json(result: EquilibriumResult) -> str:
-    return _json_text({
-        "iterations": result.iterations,
-        "exploitability": result.exploitability,
-        "regrets": result.regrets.tolist(),
-        "profile": result.profile.tolist(),
-    })

@@ -197,11 +197,11 @@ class GameSpec:
 
 def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
                              seed: int, message: str):
-    """Midpoint-convexity spot check at tolerance 1e-9; a failure raises
-    HypothesisCheckError carrying the report, after ``message``."""
+    """Midpoint-convexity spot check by ``midpoint_convexity_check``; a failure
+    raises HypothesisCheckError carrying the report, after ``message``."""
     from .verification import ConvexityProbe, midpoint_convexity_check
 
-    probe = ConvexityProbe(function=function, sampler=sampler, samples=samples, tolerance=1e-9)
+    probe = ConvexityProbe(function=function, sampler=sampler, samples=samples)
     report = midpoint_convexity_check(probe, seed=seed)
     if not report.passed:
         raise HypothesisCheckError(

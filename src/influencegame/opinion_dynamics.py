@@ -3,8 +3,9 @@
 The network carries a row-stochastic weight matrix A and Laplacian L = I - A.
 Between campaign times opinions follow the continuous averaging dynamics
 x'(t) = -L x(t), so carrying opinions across a gap of length dt amounts to
-multiplying by the propagator exp(-L dt), which is itself row-stochastic and
-checked to be so when it is built.  At a campaign time a single player's
+multiplying by the propagator exp(-L dt), which is itself row-stochastic:
+``propagator`` refuses what ``check_stochastic`` fails, and the lemma suite
+measures the same builder with the same rule.  At a campaign time a single player's
 budget moves opinions additively (``jump_single``); the normalized
 multiplayer jump and the forward recursion that strings gaps and jumps
 together live in ``game_model``, whose kernel also samples trajectories.
@@ -22,9 +23,6 @@ from .errors import InfeasiblePlanError
 
 # Slack allowed when checking jump feasibility (absorbs projection round-off).
 FEASIBILITY_TOL = 1e-9
-
-_ROW_SUM_TOL = 1e-10
-_NEGATIVITY_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -158,18 +156,42 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return result
 
 
+@dataclass(frozen=True)
+class StochasticityReport:
+    passed: bool
+    row_sum_violation: float
+    negativity_violation: float
+
+
+def check_stochastic(matrix: np.ndarray) -> StochasticityReport:
+    """Row-stochasticity of a square matrix: it passes iff every row sums to 1
+    within 1e-10 and no entry lies below -1e-12.  A NaN entry makes its row
+    sum NaN, which fails.  A matrix that is not square raises ValueError."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("stochasticity check needs a square matrix")
+    row_sum_violation = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
+    negativity_violation = float(max(0.0, -np.min(matrix)))
+    passed = row_sum_violation <= 1e-10 and negativity_violation <= 1e-12
+    return StochasticityReport(passed, row_sum_violation, negativity_violation)
+
+
+def _flow(network: Network, dt: float) -> np.ndarray:
+    """exp(-L dt), unchecked: the matrix ``propagator`` gates and the lemma
+    suite measures."""
+    return matrix_exponential(-network.laplacian * dt)
+
+
 def propagator(network: Network, dt: float) -> np.ndarray:
     """Read-only flow matrix exp(-L dt) carrying opinions across a
-    campaign-free gap, checked to be row-stochastic."""
+    campaign-free gap; a matrix ``check_stochastic`` fails raises ValueError,
+    as does a negative or non-finite ``dt``."""
     if not 0 <= dt < np.inf:
         raise ValueError("propagation time must be finite and nonnegative")
-    matrix = _readonly(matrix_exponential(-network.laplacian * dt))
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("propagator computation produced non-finite entries")
-    if np.max(np.abs(matrix.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-        raise ValueError("propagator rows must sum to 1")
-    if np.min(matrix) < -_NEGATIVITY_TOL:
-        raise ValueError("propagator entries must be nonnegative")
+    matrix = _readonly(_flow(network, dt))
+    report = check_stochastic(matrix)
+    if not report.passed:
+        raise ValueError(f"propagator is not row-stochastic: {report}")
     return matrix
 
 

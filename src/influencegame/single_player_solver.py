@@ -123,7 +123,7 @@ def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: np.ndarra
             break
         pull = rows.T @ multipliers
         y = np.where(fixed, 0.0, p - pull)
-        excess = np.concatenate([normals @ y - offsets, -y])
+        excess = region.violations(y)
         excess[working] = -np.inf
         if excess.max() > PROJECTION_TOL:
             # W's constraints do not move along the step; one that moves by at
@@ -134,7 +134,7 @@ def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: np.ndarra
             rate = np.concatenate([normals @ step, -step])
             rate[working] = 0.0
             candidates = np.flatnonzero(rate > max(PROJECTION_TOL, 1e-9 * np.linalg.norm(step)))
-            ratios = np.concatenate([offsets - normals @ x, x])[candidates] / rate[candidates]
+            ratios = -region.violations(x)[candidates] / rate[candidates]
             if not (ratios <= 1.0).any():
                 break
             first = ratios.min()

@@ -3,17 +3,18 @@
 These routines deliberately avoid the analytic code paths they are used to
 check.  Finite differences validate the exact payoff gradients, exhaustive
 grid search validates the solvers on tiny instances, and the midpoint
-samplers turn the structural facts the algorithms rely on (propagators are
-stochastic, payoffs are convex in opponents' strategies, the single-player
-objective is concave) into executable checks.
+samplers turn the structural facts the algorithms rely on (payoffs are
+convex in opponents' strategies, the single-player objective is concave)
+into executable checks.  The midpoint bound is ``midpoint_convexity_check``'s
+alone, and propagators are judged by ``propagator``'s rule, ``check_stochastic``.
 
 Every point-wise oracle evaluates all its points in one call.  The function
 handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
 points shaped (B, *shape) and returns B values, so a game payoff goes
 through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
 profiles, as do a grid search's candidates.  A check reports its own
-failure: the stochasticity check measures exp(-L t) itself, where
-``propagator`` would raise first, and a NaN value fails every check.
+failure: the stochasticity check measures ``_flow``, the matrix
+``propagator`` builds and would refuse, and a NaN value fails every check.
 """
 
 from __future__ import annotations
@@ -23,32 +24,21 @@ from typing import Callable
 
 import numpy as np
 
-from .game_model import opinions_at_campaigns, payoff_gradient, total_payoff, _one_profile
-from .opinion_dynamics import matrix_exponential
-from .single_player_solver import build_region
+from .equilibrium_solver import project_budget_set
+from .game_model import (GameSpec, StageUtility, opinions_at_campaigns, payoff_gradient,
+                         total_payoff, _one_profile)
+from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
+                               check_stochastic, _flow)
+from .single_player_solver import build_region, solve_single
 
-
-@dataclass(frozen=True)
-class StochasticityReport:
-    passed: bool
-    row_sum_violation: float
-    negativity_violation: float
-
-
-def check_stochastic(matrix: np.ndarray, tol: float = 1e-10) -> StochasticityReport:
-    """Pass iff every row sums to 1 within tol and no entry dips below -tol."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("stochasticity check needs a square matrix")
-    row_sum_violation = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
-    negativity_violation = float(max(0.0, -np.min(matrix)))
-    passed = row_sum_violation <= tol and negativity_violation <= tol
-    return StochasticityReport(passed, row_sum_violation, negativity_violation)
+# How far f(midpoint) may exceed the mean of the endpoint values.
+_MIDPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ConvexityProbe:
-    """A function, a sampler for points of its convex domain, and a tolerance.
+    """A function and a sampler for points of its convex domain, judged by
+    ``midpoint_convexity_check``'s one bound.
 
     ``sampler(rng)`` draws one point; ``function`` takes a stack (B, *shape)
     of such points and returns their B values.  A probe draws at least one
@@ -58,7 +48,6 @@ class ConvexityProbe:
     function: Callable
     sampler: Callable
     samples: int = 100
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.samples < 1:
@@ -86,18 +75,18 @@ def _worst(values) -> float:
 
 
 def midpoint_convexity_check(probe: ConvexityProbe, seed: int = 0) -> ConvexityReport:
-    """Sample point pairs and assert f(midpoint) <= mean of endpoint values.
+    """Sample point pairs and check f(midpoint) <= mean of endpoint values.
 
     The sampler draws y, then y_hat, for each sample in turn; the midpoints
     and both endpoints of all pairs are then evaluated in one call.  Returns
-    the worst signed violation; positive values beyond the tolerance mean
-    the function bulged above a chord somewhere, and a NaN value fails.
+    the worst signed violation; the check fails when it exceeds 1e-9 (the
+    function bulged above a chord somewhere) or is NaN.
     """
     rng = np.random.default_rng(seed)
     draws = [np.asarray(probe.sampler(rng), dtype=float) for _ in range(2 * probe.samples)]
     worst = _worst(_midpoint_violations(probe.function, np.array(draws[0::2]),
                                         np.array(draws[1::2])))
-    return ConvexityReport(passed=worst <= probe.tolerance, worst_violation=worst)
+    return ConvexityReport(passed=worst <= _MIDPOINT_TOL, worst_violation=worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +200,6 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
 
 def random_network(rng: np.random.Generator, n: int):
     """Random dense weighted graph with guaranteed positive row sums."""
-    from .opinion_dynamics import build_network
-
     weights = rng.random((n, n)) + 0.05
     mask = rng.random((n, n)) < 0.75
     weights = weights * mask + np.eye(n)  # self-loops keep every row alive
@@ -227,9 +214,6 @@ def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
     respects the opinion caps along the trajectory, so random profiles are
     feasible without rejection sampling.
     """
-    from .game_model import GameSpec, StageUtility
-    from .opinion_dynamics import CampaignSchedule, OpinionState
-
     network = random_network(rng, n)
     times = np.concatenate([[0.0], np.cumsum(rng.random(K + 1) * 1.5 + 0.25)])
     schedule = CampaignSchedule(times=times)
@@ -266,9 +250,6 @@ def random_feasible_profile(rng: np.random.Generator, spec, margin: float = 1e-3
 # Property suites (exposed through the CLI verify command)
 # ---------------------------------------------------------------------------
 
-SUITES = ("lemmas", "gradients", "oracles", "all")
-
-
 def _check(name: str, passed: bool, **details) -> dict:
     record = {"name": name, "passed": bool(passed)}
     record.update({k: (float(v) if isinstance(v, (np.floating, float)) else v)
@@ -284,17 +265,17 @@ def _suite_lemmas(seed: int) -> list[dict]:
     for _ in range(500):
         network = random_network(rng, int(rng.integers(2, 9)))
         t = float(rng.random() * 100.0)
-        reports.append(check_stochastic(matrix_exponential(-network.laplacian * t)))
+        reports.append(check_stochastic(_flow(network, t)))
     worst_row = _worst([report.row_sum_violation for report in reports])
     worst_neg = _worst([report.negativity_violation for report in reports])
     checks.append(_check(
         "propagator-stochasticity",
-        worst_row <= 1e-10 and worst_neg <= 1e-12,
+        all(report.passed for report in reports),
         worst_row_sum_violation=worst_row,
         worst_negativity=worst_neg,
     ))
 
-    violations = []
+    reports = []
     for _ in range(200):
         d = int(rng.integers(1, 6))
         width = int(rng.integers(1, 5))
@@ -309,12 +290,10 @@ def _suite_lemmas(seed: int) -> list[dict]:
             function=product_of_reciprocals,
             sampler=lambda r, d=d, width=width: r.random(d * width) * 3.0,
             samples=20,
-            tolerance=1e-9,
         )
-        report = midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30)))
-        violations.append(report.worst_violation)
-    worst = _worst(violations)
-    checks.append(_check("reciprocal-product-convexity", worst <= 1e-9,
+        reports.append(midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30))))
+    worst = _worst([report.worst_violation for report in reports])
+    checks.append(_check("reciprocal-product-convexity", all(report.passed for report in reports),
                          worst_violation=worst))
 
     payoff_violations, opinion_violations = [], []
@@ -346,9 +325,9 @@ def _suite_lemmas(seed: int) -> list[dict]:
             lambda flat: opinions_at_campaigns(spec, profiles(flat))[:, k - 1, i, j],
             opp_a, opp_b))
     worst_u, worst_coord = _worst(payoff_violations), _worst(opinion_violations)
-    checks.append(_check("payoff-convex-in-opponents", worst_u <= 1e-9,
+    checks.append(_check("payoff-convex-in-opponents", worst_u <= _MIDPOINT_TOL,
                          worst_violation=worst_u))
-    checks.append(_check("opinions-convex-in-opponents", worst_coord <= 1e-9,
+    checks.append(_check("opinions-convex-in-opponents", worst_coord <= _MIDPOINT_TOL,
                          worst_violation=worst_coord))
 
     violations = []
@@ -361,7 +340,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
             lambda flat: total_payoff(spec, flat.reshape(-1, 1, spec.K, spec.n), 0),
             plan_a, plan_b))
     worst = _worst(violations)
-    checks.append(_check("single-player-objective-concavity", worst <= 1e-9,
+    checks.append(_check("single-player-objective-concavity", worst <= _MIDPOINT_TOL,
                          worst_violation=worst))
     return checks
 
@@ -391,8 +370,6 @@ def _suite_gradients(seed: int) -> list[dict]:
 
 
 def _suite_oracles(seed: int) -> list[dict]:
-    from .single_player_solver import solve_single
-
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -413,9 +390,7 @@ def _suite_oracles(seed: int) -> list[dict]:
             allowed_margin=margin,
         ))
 
-    from .equilibrium_solver import project_budget_set
-
-    excesses = []
+    excesses, feasible = [], True
     for _ in range(20):
         dims = int(rng.integers(1, 4))
         cap = float(rng.random() * 1.2 + 0.2)
@@ -424,28 +399,28 @@ def _suite_oracles(seed: int) -> list[dict]:
         grid = _grid_candidates(cap, dims, 0.05)
         grid_best = float(np.min(np.linalg.norm(grid - v, axis=1)))
         excesses.append(float(np.linalg.norm(projected - v)) - grid_best)
-        feasible = projected.min() >= -1e-12 and projected.sum() <= cap + 1e-9
-        if not feasible:
-            checks.append(_check("projection-feasibility", False))
-            break
+        feasible = feasible and bool(projected.min() >= -1e-12
+                                     and projected.sum() <= cap + 1e-9)
     worst_excess = _worst(excesses)
-    checks.append(_check("projection-vs-grid", worst_excess <= 1e-9,
+    checks.append(_check("projection-vs-grid", feasible and worst_excess <= 1e-9,
                          worst_distance_excess=worst_excess))
     return checks
 
 
+_SUITE_PARTS = {
+    "lemmas": (_suite_lemmas,),
+    "gradients": (_suite_gradients,),
+    "oracles": (_suite_oracles,),
+    "all": (_suite_lemmas, _suite_gradients, _suite_oracles),
+}
+SUITES = tuple(_SUITE_PARTS)
+
+
 def run_suite(name: str, seed: int = 0) -> dict:
     """Run a named property suite; returns a JSON-ready report."""
-    if name == "all":
-        checks = _suite_lemmas(seed) + _suite_gradients(seed) + _suite_oracles(seed)
-    elif name == "lemmas":
-        checks = _suite_lemmas(seed)
-    elif name == "gradients":
-        checks = _suite_gradients(seed)
-    elif name == "oracles":
-        checks = _suite_oracles(seed)
-    else:
+    if name not in _SUITE_PARTS:
         raise ValueError(f"unknown suite {name!r}")
+    checks = [check for suite in _SUITE_PARTS[name] for check in suite(seed)]
     return {"suite": name, "seed": seed, "passed": all(c["passed"] for c in checks),
             "checks": checks}
 

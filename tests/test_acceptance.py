@@ -161,7 +161,7 @@ def test_criterion_5_convexity_properties():
 
         probe = ConvexityProbe(function=product_of_reciprocals,
                                sampler=lambda r, d=d, width=width: r.random(d * width) * 3.0,
-                               samples=16, tolerance=1e-9)
+                               samples=16)
         result = midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30)))
         worst_product = max(worst_product, result.worst_violation)
 

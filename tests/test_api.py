@@ -64,7 +64,7 @@ EXPORTS = [
 SIGNATURES = {
     "CampaignSchedule": "times",
     "ConvergenceError": "message, last_iterate=None, residual=None",
-    "ConvexityProbe": "function, sampler, samples=100, tolerance=1e-09",
+    "ConvexityProbe": "function, sampler, samples=100",
     "ConvexityReport": "passed, worst_violation",
     "EquilibriumResult": "profile, exploitability, regrets, iterations",
     "FeasibleRegion": "normals, offsets",
@@ -88,7 +88,7 @@ SIGNATURES = {
     "brute_force_best_response": "spec, profile, j, grid_step",
     "build_network": "adjacency",
     "build_region": "spec",
-    "check_stochastic": "matrix, tol=1e-10",
+    "check_stochastic": "matrix",
     "exploitability": "spec, profile",
     "fd_gradient": "evaluator, point, h=1e-05",
     "jump_single": "x, b",

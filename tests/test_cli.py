@@ -6,6 +6,9 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from influencegame.cli import (
 )
 from influencegame.verification import random_linear_game, run_suite
 from influencegame.fileio import atomic_write_text
+from conftest import subprocess_env
 
 
 def write_scenario(path, document):
@@ -294,22 +298,41 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", scenario, "--T", "3", "--out", str(tmp_path / "x")]) == 0
         assert (tmp_path / "x_result.json").exists()
 
-    @pytest.mark.parametrize("T, cost", [(50, None), (3, 10.0)],
-                             ids=["hindsight-sum", "cost-times-budget"])
-    def test_float_scale_values_exit_2_not_nan(self, tmp_path, capsys, T, cost):
-        # budgets of 1e308 overflow the hindsight payoff sums over 50
-        # iterations, and lambda = 10 the payoff value itself; numpy warns,
-        # and no NaN may reach a JSON file
+    @staticmethod
+    def float_scale_scenario(tmp_path, cost):
         document = scenario_to_dict(reference_scenario())
         for player in document["players"]:
             player["budget"] = 1e308
             if cost is not None:
                 player["utility"]["lambda"] = cost
-        scenario = write_scenario(tmp_path / "s.json", document)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        return write_scenario(tmp_path / "s.json", document)
+
+    @pytest.mark.parametrize("T, cost", [(50, None), (3, 10.0)],
+                             ids=["hindsight-sum", "cost-times-budget"])
+    def test_float_scale_values_exit_2_not_nan(self, tmp_path, capsys, T, cost):
+        # budgets of 1e308 overflow the hindsight payoff sums over 50
+        # iterations, and lambda = 10 the payoff value itself; the overflow
+        # is an error message, not a numpy warning, and no NaN may reach a
+        # JSON file
+        scenario = self.float_scale_scenario(tmp_path, cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["equilibrate", scenario, "--T", str(T), "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
+
+    @pytest.mark.parametrize("T, cost", [(50, None), (3, 10.0)],
+                             ids=["hindsight-sum", "cost-times-budget"])
+    def test_float_scale_values_exit_2_under_warnings_as_errors(self, tmp_path, T, cost):
+        scenario = self.float_scale_scenario(tmp_path, cost)
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "influencegame.cli", "equilibrate", scenario,
+             "--T", str(T), "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: ") and "Traceback" not in completed.stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
 
     def test_unattested_player_refused_before_the_run(self, tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from influencegame import (
 )
 from influencegame import equilibrium_solver, game_model, opinion_dynamics, single_player_solver
 from influencegame.cli import reference_scenario
-from influencegame.equilibrium_solver import LearningTrace, result_to_json, trace_to_csv
+from influencegame.equilibrium_solver import LearningTrace, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region
 from influencegame.verification import random_feasible_profile, random_linear_game
 from conftest import cold_projection, count_linear_solves
@@ -623,8 +623,6 @@ class TestSolveEquilibrium:
         assert result.exploitability >= -1e-8
         assert result.regrets.shape == (2,)
         np.testing.assert_allclose(result.profile, trace.averages[-1])
-        text = result_to_json(result)
-        assert '"exploitability"' in text
         csv_text = trace_to_csv(trace)
         header, first = csv_text.splitlines()[:2]
         assert header == "iteration,player,stage,individual,iterate_value,average_value,payoff"

@@ -20,7 +20,7 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import verification
+from influencegame import opinion_dynamics, verification
 from influencegame.verification import random_feasible_profile, random_linear_game, run_suite
 from conftest import single_player_spec
 
@@ -230,7 +230,7 @@ class TestCheckStochastic:
         rng = np.random.default_rng(101)
         for _ in range(50):
             report = check_stochastic(
-                propagator(path_network, float(rng.random() * 100)), tol=1e-10
+                propagator(path_network, float(rng.random() * 100))
             )
             assert report.passed
 
@@ -239,6 +239,37 @@ class TestCheckStochastic:
         report = check_stochastic(matrix)
         assert not report.passed
         assert report.row_sum_violation == pytest.approx(0.1)
+
+    def test_entry_below_the_negativity_bound_refused(self):
+        matrix = (1.0 + 5e-11) * np.eye(3) - 5e-11 * np.roll(np.eye(3), 1, axis=1)
+        report = check_stochastic(matrix)
+        assert not report.passed
+        assert report.negativity_violation == pytest.approx(5e-11)
+
+    @pytest.mark.parametrize("flow", [
+        pytest.param(lambda network, dt: np.full((network.n, network.n), np.nan), id="nan"),
+        pytest.param(lambda network, dt: np.diag(np.r_[0.9, np.ones(network.n - 1)]),
+                     id="short-row"),
+        pytest.param(lambda network, dt: (1.0 + 5e-11) * np.eye(network.n)
+                     - 5e-11 * np.roll(np.eye(network.n), 1, axis=1), id="negative-5e-11"),
+        pytest.param(opinion_dynamics._flow, id="propagator"),
+    ])
+    def test_one_verdict_for_propagator_and_suite(self, monkeypatch, path_network, flow):
+        # the same builder output is refused by ``propagator`` and failed by
+        # the lemma suite exactly when ``check_stochastic`` fails it
+        passed = check_stochastic(flow(path_network, 0.7)).passed
+        with monkeypatch.context() as patch:
+            patch.setattr(opinion_dynamics, "_flow", flow)
+            if passed:
+                propagator(path_network, 0.7)
+            else:
+                with pytest.raises(ValueError, match="row-stochastic"):
+                    propagator(path_network, 0.7)
+        # the suite's random games need working propagators of their own
+        monkeypatch.setattr(verification, "_flow", flow)
+        record = run_suite("lemmas", seed=0)["checks"][0]
+        assert record["name"] == "propagator-stochasticity"
+        assert record["passed"] is passed
 
 
 class TestMidpointConvexity:
@@ -316,6 +347,15 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
+    def test_over_budget_projection_fails_projection_vs_grid(self, monkeypatch):
+        # clamping alone is never farther from the point than the projection,
+        # so only the feasibility half of the verdict can fail it
+        monkeypatch.setattr(verification, "project_budget_set", lambda v, cap: np.maximum(v, 0.0))
+        report = run_suite("oracles", seed=0)
+        record = next(c for c in report["checks"] if c["name"] == "projection-vs-grid")
+        assert record["passed"] is False and report["passed"] is False
+        assert record["worst_distance_excess"] <= 1e-9
+
     @pytest.mark.parametrize("target, replacement, suite, check, value", [
         pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
                      "gradients", "analytic-vs-finite-difference", "max_relative_error",
@@ -331,7 +371,7 @@ class TestSuites:
         pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
                      "lemmas", "single-player-objective-concavity", "worst_violation",
                      id="single-player-concavity"),
-        pytest.param("matrix_exponential", lambda a: np.full(np.shape(a), np.nan),
+        pytest.param("_flow", lambda network, dt: np.full((network.n, network.n), np.nan),
                      "lemmas", "propagator-stochasticity", "worst_row_sum_violation",
                      id="propagator-stochasticity"),
         pytest.param("midpoint_convexity_check",
@@ -347,16 +387,16 @@ class TestSuites:
         assert np.isnan(record[value])
 
     @pytest.mark.parametrize("replacement, failed, held", [
-        pytest.param(lambda a: 0.9 * np.eye(len(a)),
+        pytest.param(lambda network, dt: 0.9 * np.eye(network.n),
                      "worst_row_sum_violation", "worst_negativity", id="row-sums"),
-        pytest.param(lambda a: (1.0 + 1e-9) * np.eye(len(a))
-                     - 1e-9 * np.roll(np.eye(len(a)), 1, axis=1),
+        pytest.param(lambda network, dt: (1.0 + 1e-9) * np.eye(network.n)
+                     - 1e-9 * np.roll(np.eye(network.n), 1, axis=1),
                      "worst_negativity", "worst_row_sum_violation", id="negative-entry"),
     ])
     def test_non_stochastic_sample_fails_the_check(self, monkeypatch, replacement, failed, held):
-        # the check measures exp(-L t) itself, so a bad matrix is reported
-        # as a failed check instead of ending the suite in a ValueError
-        monkeypatch.setattr(verification, "matrix_exponential", replacement)
+        # the check measures the propagator's builder itself, so a bad matrix
+        # is reported as a failed check instead of ending the suite in a ValueError
+        monkeypatch.setattr(verification, "_flow", replacement)
         report = run_suite("lemmas", seed=0)
         record = report["checks"][0]
         assert record["name"] == "propagator-stochasticity"
