@@ -22,7 +22,6 @@ from .opinion_dynamics import (
     build_network,
     check_stochastic,
     jump_single,
-    matrix_exponential,
     propagator,
 )
 from .game_model import (

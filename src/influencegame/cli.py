@@ -7,10 +7,10 @@ Subcommands
     verify       property suites (stochasticity, convexity, gradients, oracles)
 
 Exit codes: 0 ok, 1 verify failure, 2 bad input (a scenario, plans file or
-option that does not parse, a path that cannot be read or written, or values
-that overflow the float range), 3 infeasible plans, 4 wrong mode (single-
-vs multi-player),
-6 a solver ran out of its iteration budget.
+option that does not parse, a path that cannot be read or written, values
+that overflow the float range, or an iteration or sample count too large to
+allocate), 3 infeasible plans, 4 wrong mode (single- vs multi-player), 6 a
+solver ran out of its iteration budget.
 All files are written atomically, and ``equilibrate`` writes both of its
 files or neither, so a failed run never leaves partial output.  The
 scenario's ``solver`` section sets only the iteration count ``T``; the
@@ -138,7 +138,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     try:
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
-        spec.gap_propagators  # a gap too long for the propagator fails here
+        spec.gap_propagators  # the propagators' stochasticity gate runs here
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -256,7 +256,10 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     profile = load_plans(args.plans, spec)
-    samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
+    try:  # numpy refuses too large an array with MemoryError or ValueError
+        samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
+    except (MemoryError, ValueError) as exc:
+        raise ScenarioError(f"--samples {args.samples} is too large: {exc}") from exc
     points = simulate_trajectory(spec, profile, samples)
     atomic_write_text(args.out, _trajectory_csv(points))
     print(f"wrote {len(points)} trajectory records to {args.out}")
@@ -295,7 +298,10 @@ def cmd_equilibrate(args) -> int:
     T = args.T if args.T is not None else scenario.solver.T
     if T < 1:
         raise ScenarioError("--T must be at least 1")
-    trace, result = solve_equilibrium(spec, T)
+    try:  # as for --samples: the (T, m, K, n) iterates may be too large
+        trace, result = solve_equilibrium(spec, T)
+    except (MemoryError, ValueError) as exc:
+        raise ScenarioError(f"iteration count {T} is too large: {exc}") from exc
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     trace_text = trace_to_csv(trace)

@@ -68,6 +68,16 @@ PATH_LAPLACIAN = np.array([
 PATH_ADJACENCY = np.eye(3) - PATH_LAPLACIAN
 
 
+def star_adjacency(n):
+    """A hub (individual 0) listening equally to n - 1 leaves, each leaf
+    listening to the hub alone.  Its stationary row puts 1/2 on the hub and
+    1/(2(n-1)) on each leaf, and every row of exp(-L dt) tends to it."""
+    adjacency = np.zeros((n, n))
+    adjacency[0, 1:] = 1.0
+    adjacency[1:, 0] = 1.0
+    return adjacency
+
+
 @pytest.fixture
 def path_network():
     return build_network(PATH_ADJACENCY)

@@ -39,7 +39,6 @@ EXPORTS = [
     "fd_gradient",
     "game_model",
     "jump_single",
-    "matrix_exponential",
     "midpoint_convexity_check",
     "opinion_dynamics",
     "opinions_at_campaigns",
@@ -92,7 +91,6 @@ SIGNATURES = {
     "exploitability": "spec, profile",
     "fd_gradient": "evaluator, point, h=1e-05",
     "jump_single": "x, b",
-    "matrix_exponential": "a",
     "midpoint_convexity_check": "probe, seed=0",
     "opinions_at_campaigns": "spec, profile",
     "opinions_at_campaigns_closed_form": "spec, profile",

@@ -33,7 +33,7 @@ from influencegame.cli import (
 )
 from influencegame.verification import random_linear_game, run_suite
 from influencegame.fileio import atomic_write_text
-from conftest import subprocess_env
+from conftest import star_adjacency, subprocess_env
 
 
 def write_scenario(path, document):
@@ -236,6 +236,22 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", "--paper-example", "--T", "8", "--out", second]) == 0
         assert (tmp_path / "a_trace.csv").read_bytes() == (tmp_path / "b_trace.csv").read_bytes()
         assert (tmp_path / "a_result.json").read_bytes() == (tmp_path / "b_result.json").read_bytes()
+
+    def test_star_with_long_gaps_runs(self, tmp_path):
+        # the propagators of a 200-individual star across gaps of 1e4 pass
+        # the stochasticity gate, so the game runs
+        n = 200
+        player = {"utility": {"kind": "linear-favor", "rho": [[1.0] * n] * 3, "lambda": 1.0}}
+        document = {
+            "network": star_adjacency(n).tolist(),
+            "schedule": [0.0, 1e4, 2e4, 3e4],
+            "players": [{"budget": 3.0, **player}, {"budget": 5.0, **player}],
+            "x0": [[0.5, 0.5]] * n,
+            "solver": {"T": 5},
+        }
+        scenario = write_scenario(tmp_path / "star.json", document)
+        assert main(["equilibrate", scenario, "--out", str(tmp_path / "star")]) == 0
+        assert json.loads((tmp_path / "star_result.json").read_text())["iterations"] == 5
 
     def test_scenario_and_flag_conflict(self, tmp_path):
         scenario = write_scenario(
@@ -484,6 +500,17 @@ class TestBadCommandInputs:
         pytest.param(["solve", "{binary}", "--out", "{out}"], id="non-utf8-scenario"),
         pytest.param(["simulate", "{reference}", "{binary}", "--out", "{out}"],
                      id="non-utf8-plans"),
+        pytest.param(["equilibrate", "--paper-example", "--T", str(10**15), "--out", "{out}"],
+                     id="T-too-large-to-allocate"),
+        pytest.param(["equilibrate", "--paper-example", "--T", str(10**18), "--out", "{out}"],
+                     id="T-past-the-address-space"),
+        pytest.param(["equilibrate", "--paper-example", "--T", str(10**20), "--out", "{out}"],
+                     id="T-past-the-dimension-limit"),
+        pytest.param(["equilibrate", "{huge_T}", "--out", "{out}"], id="scenario-T-too-large"),
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", str(10**15),
+                      "--out", "{out}"], id="samples-too-large-to-allocate"),
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", str(10**20),
+                      "--out", "{out}"], id="samples-past-the-size-limit"),
         pytest.param(["solve", "{deep}", "--out", "{out}"], id="deeply-nested-scenario"),
         pytest.param(["simulate", "{reference}", "{deep}", "--out", "{out}"],
                      id="deeply-nested-plans"),
@@ -500,6 +527,7 @@ class TestBadCommandInputs:
             "nan_plans": {"plans": [[[float("nan"), 0.0, 0.0], [0.0] * 3], zero]},
             "bool_plans": {"plans": [[[True, 0.0, 0.0], [0.0] * 3], zero]},
             "single": single_player_document(),
+            "huge_T": {**reference, "solver": {"T": 10**15}},
         }
         paths = {name: write_scenario(tmp_path / f"{name}.json", document)
                  for name, document in inputs.items()}

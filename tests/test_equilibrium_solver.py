@@ -340,13 +340,13 @@ class TestHindsightObjective:
 class TestPropagatorBuilds:
     def test_reference_run_builds_each_gap_once(self, two_player_spec, monkeypatch):
         builds = []
-        original = opinion_dynamics.matrix_exponential
+        original = opinion_dynamics._flow
 
-        def counting(a):
-            builds.append(a)
-            return original(a)
+        def counting(network, dt):
+            builds.append(dt)
+            return original(network, dt)
 
-        monkeypatch.setattr(opinion_dynamics, "matrix_exponential", counting)
+        monkeypatch.setattr(opinion_dynamics, "_flow", counting)
         trace = run_no_regret(two_player_spec, 20)
         exploitability(two_player_spec, trace.averages[-1])
         for j in range(two_player_spec.m):
@@ -356,13 +356,13 @@ class TestPropagatorBuilds:
     def test_single_player_solve_builds_each_gap_once(self, monkeypatch):
         spec = random_linear_game(np.random.default_rng(5), 1, 4, 3)
         builds = []
-        original = opinion_dynamics.matrix_exponential
+        original = opinion_dynamics._flow
 
-        def counting(a):
-            builds.append(a)
-            return original(a)
+        def counting(network, dt):
+            builds.append(dt)
+            return original(network, dt)
 
-        monkeypatch.setattr(opinion_dynamics, "matrix_exponential", counting)
+        monkeypatch.setattr(opinion_dynamics, "_flow", counting)
         solve_single(spec)
         assert len(builds) == spec.K + 1 == 4
 

@@ -6,11 +6,12 @@ from influencegame import (
     Network,
     OpinionState,
     build_network,
+    check_stochastic,
     jump_single,
-    matrix_exponential,
     propagator,
 )
-from conftest import PATH_ADJACENCY, PATH_LAPLACIAN
+from influencegame.opinion_dynamics import _flow
+from conftest import PATH_ADJACENCY, PATH_LAPLACIAN, star_adjacency
 
 # exp(-L * 1) for the path Laplacian, computed ahead of time by
 # eigendecomposition (eigenvalues 0, 1/3, 1 of the symmetric L).
@@ -98,14 +99,32 @@ class TestPropagator:
             assert np.max(np.abs(combined - direct)) <= 1e-8
 
     def test_matrix_exponential_against_series(self):
+        # the builder against the plain series of exp(-L t), which converges
+        # fast at these times (||L t|| <= 2)
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) * 0.3
-        series = np.eye(4)
-        term = np.eye(4)
-        for k in range(1, 30):
-            term = term @ a / k
-            series = series + term
-        np.testing.assert_allclose(matrix_exponential(a), series, atol=1e-13)
+        for t in (0.05, 0.3, 1.0):
+            network = random_network(rng, 4)
+            a = -network.laplacian * t
+            series = np.eye(4)
+            term = np.eye(4)
+            for k in range(1, 30):
+                term = term @ a / k
+                series = series + term
+            np.testing.assert_allclose(_flow(network, t), series, rtol=0, atol=1e-13)
+
+    def test_star_rows_reach_the_stationary_row_at_every_gap_length(self):
+        # a builder whose row-sum round-off doubles with each squaring fails
+        # the check on the n = 200 star from dt = 1e4 and overflows from 1e19
+        for n, gaps in ((200, (1e2, 1e4, 1e6)), (50, (1e19, 1e300))):
+            network = build_network(star_adjacency(n))
+            stationary = np.full(n, 1.0 / (2 * (n - 1)))
+            stationary[0] = 0.5
+            for dt in gaps:
+                with np.errstate(over="raise", invalid="raise"):
+                    matrix = propagator(network, dt)
+                assert check_stochastic(matrix).passed
+                np.testing.assert_allclose(matrix, np.broadcast_to(stationary, (n, n)),
+                                           rtol=0, atol=1e-12)
 
 
 class TestJumps:
