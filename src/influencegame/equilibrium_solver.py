@@ -27,6 +27,7 @@ absolute error bound; each subproblem takes a few dozen kernel passes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,14 +62,19 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     or a point with a non-finite entry, raises ValueError.
     """
     v = np.asarray(point, dtype=float)
-    shape, d = v.shape, v.shape[-1]
-    caps = np.empty(shape[:-1])
+    caps = np.empty(v.shape[:-1])
     caps[...] = cap
     if not (caps >= 0).all():
         raise ValueError("budget cap must be nonnegative")
-    if not np.isfinite(v).all():
+    return _project_rows(v.reshape(caps.size, v.shape[-1]), caps.reshape(-1)).reshape(v.shape)
+
+
+def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """``project_budget_set`` of (r, d) rows onto r caps known to be
+    nonnegative; a non-finite entry raises ValueError."""
+    if not np.isfinite(rows).all():
         raise ValueError("the point to project must be finite")
-    rows, caps = v.reshape(caps.size, d), caps.reshape(-1)
+    d = rows.shape[-1]
     projected = np.maximum(rows, 0.0)
     # Overflow is harmless here: a clamped sum past the largest float is over
     # any finite cap, and a shift past it is an entry far below -cap.
@@ -85,7 +91,7 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
             rho = np.maximum(1, feasible.sum(axis=-1))
             theta = cumulative[np.arange(len(v)), rho - 1] / rho
             projected[over] = np.maximum(v - theta[:, None], 0.0)
-    return projected.reshape(shape)
+    return projected
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +151,11 @@ def _require_multiplayer(spec: GameSpec):
         )
 
 
+def _is_count(value) -> bool:
+    """An iteration count is an integer, and a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_own_concave(spec: GameSpec, j: int):
     """Best-response subproblems must be concave maximizations."""
     utility = spec.utilities[j]
@@ -172,11 +183,12 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     stepsize follows from the game: eta_tau = 10 / tau when every utility is
     linear, 1 / sqrt(tau) otherwise.  Each iteration makes one kernel pass
     over all players' columns and one projection of the (m, K n) stack of
-    stepped plans.  The run draws no random numbers: the spec and T
-    determine it.
+    stepped plans, by ``_project_rows`` on the caps ``GameSpec`` checked.
+    The run draws no random numbers: the spec and T determine it.  T must be
+    an integer (not a bool) of at least 1, else ValueError before any pass.
     """
-    if T < 1:
-        raise ValueError("iteration count must be at least 1")
+    if not (_is_count(T) and T >= 1):
+        raise ValueError(f"iteration count must be an integer of at least 1, got {T!r}")
     linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
     current = np.broadcast_to(spec.budgets[:, None] / (2 * K * n), (m, K * n))
@@ -185,7 +197,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
         project = lambda rows: alone(rows[0])[None]
         current = project(current)
     else:
-        project = lambda rows: project_budget_set(rows, spec.budgets)
+        project = lambda rows: _project_rows(rows, spec.budgets)
     current = current.reshape(m, K, n)
 
     iterates = np.empty((T, m, K, n))
@@ -248,14 +260,16 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     on the batch of the first ``horizon`` iterates.  ``_maximize_concave``
     climbs it from the average played plan; its stopping rule scales with
     the starting gradient, which sums ``horizon`` payoff gradients.  It raises
-    ConvergenceError if the step budget runs out first.  A one-player game
-    raises ValueError.
+    ConvergenceError if the step budget runs out first.  A one-player game or
+    a horizon that is not an integer (a bool is not one) within the recorded
+    iterations raises ValueError.
     """
     spec = trace.spec
     _require_multiplayer(spec)
-    T = trace.iterations if horizon is None else int(horizon)
-    if not 1 <= T <= trace.iterations:
-        raise ValueError("horizon must lie within the recorded iterations")
+    T = trace.iterations if horizon is None else horizon
+    if not (_is_count(T) and 1 <= T <= trace.iterations):
+        raise ValueError(f"horizon must be an integer within the {trace.iterations} "
+                         f"recorded iterations, got {T!r}")
     _require_own_concave(spec, j)
     evaluate = _objective_for_player(spec, trace.iterates[:T], j)
     start = trace.averages[T - 1, j].ravel()
@@ -267,8 +281,8 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
 def solve_equilibrium(spec: GameSpec, T: int):
     """Run T iterations of the learning dynamics (``run_no_regret``) and
     package the averaged profile with its diagnostics; returns (trace,
-    result).  A one-player game raises ValueError and an unattested player's
-    subproblem HypothesisCheckError, before the run starts."""
+    result).  A one-player game or a bad T raises ValueError and an
+    unattested player's subproblem HypothesisCheckError, before the run."""
     _require_multiplayer(spec)
     for j in range(spec.m):
         _require_own_concave(spec, j)
@@ -283,6 +297,9 @@ def solve_equilibrium(spec: GameSpec, T: int):
     return trace, result
 
 
+TRACE_BLOCK = 32  # iterations whose floats ``trace_to_csv`` converts in one call
+
+
 def _float_reprs(values: np.ndarray) -> list[str]:
     """``repr`` of every float in ``values``, in C order, from one call."""
     return repr(values.ravel().tolist())[1:-1].split(", ")
@@ -290,16 +307,18 @@ def _float_reprs(values: np.ndarray) -> list[str]:
 
 def trace_to_csv(trace: LearningTrace) -> str:
     """Render a trace as CSV with one row per (iteration, player, stage, individual)."""
-    m, K, n = trace.iterates.shape[1:]
+    T, m, K, n = trace.iterates.shape
     keys = [f"{j},{k},{i}" for j in range(m) for k in range(1, K + 1) for i in range(n)]
     owners = np.repeat(np.arange(m), K * n).tolist()
     chunks = ["iteration,player,stage,individual,iterate_value,average_value,payoff\n"]
-    rows = zip(trace.iterates, trace.averages, trace.payoffs)
-    for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
-        payoff = _float_reprs(payoffs)
+    for first in range(0, T, TRACE_BLOCK):
+        block = slice(first, first + TRACE_BLOCK)
+        xs = iter(_float_reprs(trace.iterates[block]))
+        ys = iter(_float_reprs(trace.averages[block]))
+        payoffs = _float_reprs(trace.payoffs[block])
         chunks.append("".join([
-            f"{tau},{key},{x},{y},{payoff[j]}\n"
-            for key, j, x, y in zip(keys, owners, _float_reprs(iterate), _float_reprs(average))
+            f"{tau},{key},{next(xs)},{next(ys)},{payoffs[b * m + j]}\n"
+            for b, tau in enumerate(range(first + 1, min(first + TRACE_BLOCK, T) + 1))
+            for key, j in zip(keys, owners)
         ]))
     return "".join(chunks)
-

@@ -14,11 +14,12 @@ gap by the propagator A_k, then jump) that carries a set of players' opinion
 columns as one state, followed by its reverse-mode sweep for each column's
 exact own-investment gradient.  The learning dynamics pass every column at
 once; a payoff, gradient or best-response objective of one player passes
-that player's column.  The adjacent-gap propagators and the linear
-utilities' weight stack are built once per game and cached on the
-``GameSpec``.  ``simulate_trajectory`` samples the hybrid process from the
-kernel's campaign-time states, carrying each state into the gap that follows
-it.
+that player's column.  What the kernel reads of the game (the gap
+propagators and their transposes, x0's columns, the linear utilities'
+weights and scaled gradients) is built once per game and cached read-only
+on the ``GameSpec``.  ``simulate_trajectory`` samples the hybrid process
+from the kernel's campaign-time states, carrying each state into the gap
+that follows it.
 
 Campaign-time opinions also admit a closed form: with damping matrices
 D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
@@ -29,6 +30,7 @@ kernel as an independent check; the two agree to round-off.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -114,6 +116,10 @@ def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
 
 
+_KernelConstants = namedtuple(  # see GameSpec.linear_weights
+    "_KernelConstants", "rho cost opinion_gradient budget_gradient x0 gaps_transposed")
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Immutable description of one game instance.
@@ -183,16 +189,20 @@ class GameSpec:
         return tuple(interval_propagators(self.network, self.schedule))
 
     @cached_property
-    def linear_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (m, K+1, n) stack of the linear utilities' stage weights
-        rho and (m,) vector of their advertising costs, zero for custom
-        utilities; built on first use like ``gap_propagators``."""
+    def linear_weights(self) -> _KernelConstants:
+        """Read-only kernel constants, built on first use like ``gap_propagators``:
+        the linear utilities' (m, K+1, n) weights rho and (m, 1) costs lambda
+        (zero for custom utilities), their gradients rho / (K+1) and
+        -lambda / (K+1) (m, 1, 1), x0 as (m, n) columns and the transposed gaps."""
         rho = np.zeros((self.m, self.K + 1, self.n))
-        cost = np.zeros(self.m)
+        cost = np.zeros((self.m, 1))
         for j, utility in enumerate(self.utilities):
             if utility.is_linear:
                 rho[j], cost[j] = utility.rho, utility.cost_coefficient
-        return _readonly(rho), _readonly(cost)
+        scale = 1.0 / (self.K + 1)
+        x0 = np.ascontiguousarray(self.x0.values.T) + 0.0  # a -0.0 opinion becomes 0.0
+        arrays = map(_readonly, (rho, cost, scale * rho, scale * -cost[:, :, None], x0))
+        return _KernelConstants(*arrays, tuple(gap.T for gap in self.gap_propagators))
 
 
 def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
@@ -287,19 +297,21 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
 
     The p selected columns travel as one (..., p, n) state: per stage one
     product with the gap propagator, one jump and, in reverse, one adjoint
-    product, whatever p and the stack.  Other players reach a column solely
-    through the per-individual total investment, whose damping
-    1/(1 + sigma) scales the multiplayer jump (x + b) / (1 + sigma).  A
-    single player jumps additively, with ``jump_single``'s headroom check
-    over the whole stack.  The sweep runs the recursion backwards (reverse
-    mode), so each gradient is exact: own investments enter both linearly
-    and through every damping denominator they touch.
+    product, whatever p and the stack.  x0's columns, the transposed
+    propagators and the linear gradients come from the per-game cache
+    ``GameSpec.linear_weights``; only a stack is reshaped for a product.
+    Other players reach a column solely through the per-individual total
+    investment, whose damping 1/(1 + sigma) scales the multiplayer jump
+    (x + b) / (1 + sigma).  A single player jumps additively, with
+    ``jump_single``'s headroom check over the whole stack.  The sweep runs
+    the recursion backwards (reverse mode), so each gradient is exact: own
+    investments enter both linearly and through every damping denominator.
 
     Returns the columns' pre-jump opinions (..., p, K+1, n), post-jump
     opinions (..., p, K, n), payoffs (..., p) and own-investment gradients
     (..., p, K, n).
     """
-    gaps = spec.gap_propagators
+    constants, gaps = spec.linear_weights, spec.gap_propagators
     K, n, single = spec.K, spec.n, spec.m == 1
     own = profile[..., players, :, :]
     if not single:
@@ -309,12 +321,14 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
     post = np.empty(own.shape)
 
     def product(x, matrix):
-        # one (rows, n) matrix product for the whole stack of columns
-        return (x.reshape(-1, n) @ matrix).reshape(x.shape)
+        # ndarray.dot: the same BLAS product as @ at a third of the call cost
+        return x.dot(matrix) if x.ndim == 2 else x.reshape(-1, n).dot(matrix).reshape(x.shape)
 
-    state = spec.x0.values[:, players].T + np.zeros(post.shape[:-2] + (n,))
+    state = constants.x0[players]
+    if own.ndim > 3:
+        state = state + np.zeros(own.shape[:-2] + (n,))
     for k in range(1, K + 2):
-        state = product(state, gaps[k - 1].T)
+        state = product(state, constants.gaps_transposed[k - 1])
         pre[..., k - 1, :] = state
         if k <= K:
             b_k = own[..., k - 1, :]
@@ -325,14 +339,9 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
             post[..., k - 1, :] = state
 
     values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own)
-    scale = 1.0 / (K + 1)
     # summed stage after stage, in the order the recursion visits them
     payoff = values.cumsum(axis=-1)[..., K] / (K + 1)
-    opinion_gradients = scale * opinion_gradients
-    if single:
-        # the additive jump passes both opinions and investments through 1:1
-        damp = sensitivity = np.ones((K, n))
-    else:
+    if not single:
         damp = 1.0 / denominators
         sensitivity = damp * (1.0 - post)
 
@@ -340,9 +349,10 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
     v = opinion_gradients[..., K, :]
     for k in range(K, 0, -1):
         w = product(v, gaps[k])
-        gradient[..., k - 1, :] = sensitivity[..., k - 1, :] * w
-        v = opinion_gradients[..., k - 1, :] + damp[..., k - 1, :] * w
-    gradient += scale * budget_gradients
+        # the additive single-player jump passes opinions and investments 1:1
+        gradient[..., k - 1, :] = w if single else sensitivity[..., k - 1, :] * w
+        v = opinion_gradients[..., k - 1, :] + (w if single else damp[..., k - 1, :] * w)
+    gradient += budget_gradients
     return pre, post, payoff, gradient
 
 
@@ -350,22 +360,21 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
     """Stage utilities of the columns ``players`` at the kernel's states.
 
     Returns values (..., p, K+1), opinion gradients (..., p, K+1, n) and
-    budget gradients (..., p, K, n); the terminal stage invests nothing.
-    Linear columns are scored at once through the game's weight stack, and
-    their gradients, which do not depend on the state, come back as (p, K+1,
-    n) and (p, 1, 1) arrays that broadcast over the stack.  Custom utilities
-    apply their callables column by column.
+    budget gradients (..., p, K, n), both scaled by 1/(K+1); the terminal
+    stage invests nothing.  Linear columns are scored at once through the
+    game's weights; their gradients do not depend on the state and come
+    cached as (p, K+1, n) and (p, 1, 1) arrays that broadcast over the stack.
+    Custom utilities apply their callables column by column.
     """
     K = spec.K
-    rho, cost = spec.linear_weights
-    rho, cost = rho[players], cost[players, None]
-    values = (pre * rho).sum(axis=-1)
-    values[..., :K] -= cost * own.sum(axis=-1)
-    opinion, budget = rho, -cost[..., None]
-    custom = [(c, spec.utilities[j]) for c, j in enumerate(range(spec.m)[players])
-              if not spec.utilities[j].is_linear]
-    if custom:
-        opinion, budget = opinion + np.zeros(pre.shape), budget + np.zeros(own.shape)
+    constants = spec.linear_weights
+    values = (pre * constants.rho[players]).sum(axis=-1)
+    values[..., :K] -= constants.cost[players] * own.sum(axis=-1)
+    custom = [(c, u) for c, u in enumerate(spec.utilities[players]) if not u.is_linear]
+    if not custom:
+        return values, constants.opinion_gradient[players], constants.budget_gradient[players]
+    opinion = constants.rho[players] + np.zeros(pre.shape)
+    budget = -constants.cost[players, :, None] + np.zeros(own.shape)
     for c, utility in custom:
         for k in range(1, K + 2):
             x = pre[..., c, k - 1, :]
@@ -374,7 +383,8 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
             opinion[..., c, k - 1, :] = _rowwise(utility.opinion_grad_fn, x, b, k)
             if k <= K:
                 budget[..., c, k - 1, :] = _rowwise(utility.budget_grad_fn, x, b, k)
-    return values, opinion, budget
+    scale = 1.0 / (K + 1)
+    return values, scale * opinion, scale * budget
 
 
 def _column(spec: GameSpec, j: int) -> slice:

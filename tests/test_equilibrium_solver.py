@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import warnings
 
@@ -225,8 +226,8 @@ class TestRunNoRegret:
 
         monkeypatch.setattr(equilibrium_solver, "_columns_pass",
                             counted("kernel", game_model._columns_pass))
-        monkeypatch.setattr(equilibrium_solver, "project_budget_set",
-                            counted("projection", project_budget_set))
+        monkeypatch.setattr(equilibrium_solver, "_project_rows",
+                            counted("projection", equilibrium_solver._project_rows))
         run_no_regret(spec, 17)
         assert calls == {"kernel": 17, "projection": 17}
 
@@ -365,6 +366,66 @@ class TestPropagatorBuilds:
         monkeypatch.setattr(opinion_dynamics, "_flow", counting)
         solve_single(spec)
         assert len(builds) == spec.K + 1 == 4
+
+
+class TestKernelConstants:
+    def test_constants_are_read_only(self, two_player_spec):
+        constants = two_player_spec.linear_weights
+        arrays = [*constants[:5], *constants.gaps_transposed]
+        assert all(not array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            constants.opinion_gradient[0, 0, 0] = 1.0
+
+    def test_reference_run_builds_them_once(self, two_player_spec, monkeypatch):
+        builds = []
+        original = game_model.GameSpec.linear_weights.func
+
+        def counting(spec):
+            builds.append(spec)
+            return original(spec)
+
+        cached = functools.cached_property(counting)
+        cached.__set_name__(game_model.GameSpec, "linear_weights")
+        monkeypatch.setattr(game_model.GameSpec, "linear_weights", cached)
+        trace = run_no_regret(two_player_spec, 20)
+        exploitability(two_player_spec, trace.averages[-1])
+        for j in range(two_player_spec.m):
+            regret(trace, j)
+        assert builds == [two_player_spec]
+
+    def test_two_runs_on_one_game_agree_exactly(self, two_player_spec):
+        # a write into a shared cached array would make the second run differ
+        first_trace, first = solve_equilibrium(two_player_spec, 30)
+        second_trace, second = solve_equilibrium(two_player_spec, 30)
+        assert np.array_equal(first_trace.iterates, second_trace.iterates)
+        assert np.array_equal(first_trace.payoffs, second_trace.payoffs)
+        assert np.array_equal(first.profile, second.profile)
+        assert first.exploitability == second.exploitability
+        assert np.array_equal(first.regrets, second.regrets)
+
+
+class TestIterationCounts:
+    @pytest.mark.parametrize("T", [2.0, True, np.float64(3.0), "3", None])
+    @pytest.mark.parametrize("entry", [run_no_regret, solve_equilibrium])
+    def test_non_integer_counts_refused_before_any_kernel_pass(self, two_player_spec,
+                                                               monkeypatch, entry, T):
+        passes = []
+        monkeypatch.setattr(equilibrium_solver, "_columns_pass",
+                            lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match="iteration count must be an integer"):
+            entry(two_player_spec, T)
+        assert passes == []
+
+    @pytest.mark.parametrize("horizon", [2.7, 2.0, True, np.float64(1.0)])
+    def test_non_integer_horizon_refused(self, two_player_spec, horizon):
+        trace = run_no_regret(two_player_spec, 4)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            regret(trace, 0, horizon)
+
+    def test_numpy_integers_accepted(self, two_player_spec):
+        trace = run_no_regret(two_player_spec, np.int64(4))
+        assert trace.iterations == 4
+        assert regret(trace, 0, np.int32(3)) == regret(trace, 0, 3)
 
 
 class TestMaximizeConcave:
@@ -643,7 +704,8 @@ def nested_loop_csv(trace):
 
 
 class TestTraceToCsv:
-    @pytest.mark.parametrize("T", [1, 9])
+    # one past the block size, so a block edge is rendered too
+    @pytest.mark.parametrize("T", [1, 9, equilibrium_solver.TRACE_BLOCK + 1])
     @pytest.mark.parametrize("game", ["paper", "three-player"])
     def test_matches_nested_loop_rendering(self, game, T):
         spec = (reference_scenario().spec if game == "paper"
