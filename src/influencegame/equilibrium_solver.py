@@ -58,10 +58,12 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     cannot be lost to round-off.  The threshold then lies in [-cap, 0], so an
     entry at or below -cap never enters the support; it is held at -cap in
     the sorted sums, which therefore cannot overflow however far down the
-    row reaches.  Exact in finitely many operations.  A NaN or negative cap,
-    or a point with a non-finite entry, raises ValueError.
+    row reaches.  Exact in finitely many operations.  A scalar point, a NaN
+    or negative cap, or a point with a non-finite entry raises ValueError.
     """
     v = np.asarray(point, dtype=float)
+    if v.ndim == 0:
+        raise ValueError("the point to project must be a vector or a stack of them")
     caps = np.empty(v.shape[:-1])
     caps[...] = cap
     if not (caps >= 0).all():

@@ -59,6 +59,11 @@ UTILITY_KINDS = ("linear-favor", "custom")
 # step stays below 1e6 * 1e12 * 1e288 = 1e306 and cannot overflow a plan.
 _MAX_GRADIENT = 1e288
 
+# Matrix entries in one stack of ``simulate_trajectory``'s in-gap propagators
+# (1 MiB of floats): the builder holds a few arrays of the stack's size, so a
+# block keeps a long sampling at a few MiB however many samples a gap holds.
+_SAMPLE_BLOCK = 2 ** 17
+
 
 @dataclass(frozen=True, eq=False)
 class StageUtility:
@@ -428,10 +433,12 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
 
     The pre-jump and post-jump states at campaign times come from the
     kernel; a sample inside the gap after t_{k-1} is carried there from the
-    post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})).  A
-    sample landing on a campaign time (within relative tolerance 1e-9)
-    produces two records, the pre-jump state and then the post-jump state;
-    one on the terminal time produces only the pre-jump record.
+    post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})), the
+    gap's samples sharing stacked ``propagator`` calls of at most
+    ``_SAMPLE_BLOCK`` matrix entries each.  A sample landing on a campaign
+    time (within relative tolerance 1e-9) produces two records, the pre-jump
+    state and then the post-jump state; one on the terminal time produces
+    only the pre-jump record.
     """
     times = spec.schedule.times
     samples = np.asarray(sample_times, dtype=float)
@@ -451,16 +458,20 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
     leaving = np.concatenate([spec.x0.values[None], np.moveaxis(post, 0, -1)])
 
     points: list[TrajectoryPoint] = []
+    block = max(1, _SAMPLE_BLOCK // spec.n ** 2)  # samples per propagator stack
     si = 0
     for k in range(1, spec.K + 2):
         t_start, t_end = float(times[k - 1]), float(times[k])
         match_tol = 1e-9 * max(1.0, abs(t_end))
+        first = si
         while si < samples.size and samples[si] < t_end - match_tol:
-            t = float(samples[si])
-            # the horizon check lets a sample sit up to 1e-12 before t_0
-            state = propagator(spec.network, max(t - t_start, 0.0)) @ leaving[k - 1]
-            points.append(TrajectoryPoint(t, OpinionState(state)))
             si += 1
+        # the horizon check lets a sample sit up to 1e-12 before t_0
+        for lo in range(first, si, block):
+            inside = samples[lo:min(si, lo + block)]
+            flows = propagator(spec.network, np.maximum(inside - t_start, 0.0))
+            points.extend(TrajectoryPoint(float(t), OpinionState(flow @ leaving[k - 1]))
+                          for t, flow in zip(inside, flows))
         while si < samples.size and samples[si] <= t_end + match_tol:
             points.append(TrajectoryPoint(t_end, OpinionState(pre[k - 1])))
             if k <= spec.K:

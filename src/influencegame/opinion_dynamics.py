@@ -5,11 +5,14 @@ Between campaign times opinions follow the continuous averaging dynamics
 x'(t) = -L x(t), so carrying opinions across a gap of length dt amounts to
 multiplying by the propagator exp(-L dt).  Its one builder, ``_flow``, keeps
 it row-stochastic at any finite dt (a series of nonnegative terms, rows
-renormalized as it squares); ``propagator`` refuses what ``check_stochastic``
-fails, and the lemma suite measures the same builder.  At a campaign time a
-single player's budget moves opinions additively (``jump_single``); the
-normalized multiplayer jump and the forward recursion that strings gaps and
-jumps together live in ``game_model``, whose kernel also samples trajectories.
+renormalized as it squares) and builds a whole stack (..., n, n) in one
+call, each matrix bit for bit as if built alone; ``propagator`` takes one
+gap or an array of them and refuses what ``check_stochastic`` fails, and the
+lemma suite measures the same builder, one stack per network size.  At a
+campaign time a single player's budget moves opinions additively
+(``jump_single``); the normalized multiplayer jump and the forward recursion
+that strings gaps and jumps together live in ``game_model``, whose kernel
+also samples trajectories.
 """
 
 from __future__ import annotations
@@ -144,45 +147,70 @@ class StochasticityReport:
 
 
 def check_stochastic(matrix: np.ndarray) -> StochasticityReport:
-    """Row-stochasticity of a square matrix: it passes iff every row sums to 1
-    within 1e-10 and no entry lies below -1e-12.  A NaN entry makes its row
-    sum NaN, which fails.  A matrix that is not square raises ValueError."""
+    """Row-stochasticity of a square matrix, or of a stack (..., n, n) of
+    them: it passes iff every row sums to 1 within 1e-10 and no entry lies
+    below -1e-12, and reports the worst row sum and the worst entry over the
+    stack.  A NaN entry makes its row sum NaN, which fails; as for one
+    matrix, a matrix holding NaN adds no negativity of its own.  A shape
+    whose last two axes are not square raises ValueError."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("stochasticity check needs a square matrix")
-    row_sum_violation = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
-    negativity_violation = float(max(0.0, -np.min(matrix)))
+    row_sum_violation = float(np.abs(matrix.sum(axis=-1) - 1.0).max(initial=0.0))
+    lowest = matrix.min(axis=(-2, -1))  # NaN for a matrix holding NaN
+    negativity_violation = float((-lowest[lowest < 0]).max(initial=0.0))
     passed = row_sum_violation <= 1e-10 and negativity_violation <= 1e-12
     return StochasticityReport(passed, row_sum_violation, negativity_violation)
 
 
-def _flow(network: Network, dt: float) -> np.ndarray:
-    """exp(-L dt), unchecked: the matrix ``propagator`` gates and the lemma
-    suite measures.  As L = I - A, exp(-L tau) = e^-tau exp(A tau), whose
-    degree-13 series at tau = dt / 2**s <= 1/4 has nonnegative terms; dividing
-    its rows by their sums (exp(-L tau) 1 = 1) drops e^tau and round-off.  Of
-    the s squarings, which double that round-off, every 32nd and the last are
-    followed by the same renormalization, so nothing overflows."""
-    squarings = max(0, math.ceil(math.log2(dt)) + 2) if dt > 0 else 0
-    scaled = network.adjacency * math.ldexp(dt, -squarings)
-    result = eye = np.eye(network.n)
+def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
+    """exp(-L dt) for L = I - A, unchecked, for a stack of adjacencies
+    (..., n, n) and gap lengths ``dt`` broadcasting to (...): the matrices
+    ``propagator`` gates and the lemma suite measures, all built in one call.
+    As exp(-L tau) = e^-tau exp(A tau), the degree-13 series at
+    tau = dt / 2**s <= 1/4 has nonnegative terms; dividing its rows by their
+    sums (exp(-L tau) 1 = 1) drops e^-tau and round-off.  Of an item's s
+    squarings, which double that round-off, every 32nd and its last are
+    followed by the same renormalization, so nothing overflows.  Items are
+    squared in order of falling s, so the ones still squaring are a prefix."""
+    adjacency = np.asarray(adjacency, dtype=float)
+    n = adjacency.shape[-1]
+    shape = np.broadcast(adjacency[..., 0, 0], dt).shape
+    times = np.broadcast_to(np.asarray(dt, dtype=float), shape).ravel().tolist()
+    squarings = [max(0, math.ceil(math.log2(t)) + 2) if t > 0 else 0 for t in times]
+    scales = np.array([math.ldexp(t, -s) for t, s in zip(times, squarings)])
+    scaled = adjacency * scales.reshape(shape + (1, 1))
+    result = eye = np.eye(n)
     for k in range(13, 0, -1):
         result = eye + (scaled @ result) / k
-    result /= result.sum(axis=1, keepdims=True)
-    for count in range(1, squarings + 1):
-        result = result @ result
-        if count % 32 == 0 or count == squarings:
-            result /= result.sum(axis=1, keepdims=True)
-    return result
+    result /= result.sum(axis=-1, keepdims=True)
+    order = sorted(range(len(times)), key=squarings.__getitem__, reverse=True)
+    counts = [squarings[i] for i in order]
+    result = result.reshape(-1, n, n)[order]
+    # at_least[c]: how many items take c squarings or more; they lead the stack
+    at_least = np.cumsum(np.bincount(counts, minlength=1)[::-1])[::-1].tolist() + [0]
+    for count in range(1, len(at_least) - 1):
+        active, staying = at_least[count], at_least[count + 1]
+        head = result[:active] @ result[:active]
+        done = head if count % 32 == 0 else head[staying:]
+        done /= done.sum(axis=-1, keepdims=True)
+        result[:active] = head
+    out = np.empty(shape + (n, n))
+    out.reshape(-1, n, n)[order] = result
+    return out
 
 
-def propagator(network: Network, dt: float) -> np.ndarray:
+def propagator(network: Network, dt) -> np.ndarray:
     """Read-only flow matrix exp(-L dt) carrying opinions across a
-    campaign-free gap; a matrix ``check_stochastic`` fails raises ValueError,
-    as does a negative or non-finite ``dt``."""
-    if not 0 <= dt < np.inf:
+    campaign-free gap, or for an array of gap lengths the read-only stack
+    (..., n, n) of them, built in one ``_flow`` call.  A stack
+    ``check_stochastic`` fails raises ValueError, as does a negative or
+    non-finite gap anywhere in ``dt``."""
+    dt = np.asarray(dt, dtype=float)
+    if not ((dt >= 0) & (dt < np.inf)).all():
         raise ValueError("propagation time must be finite and nonnegative")
-    matrix = _readonly(_flow(network, dt))
+    matrix = _flow(network.adjacency, dt)
+    matrix.flags.writeable = False
     report = check_stochastic(matrix)
     if not report.passed:
         raise ValueError(f"propagator is not row-stochastic: {report}")

@@ -13,12 +13,14 @@ handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
 points shaped (B, *shape) and returns B values, so a game payoff goes
 through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
 profiles, as do a grid search's candidates.  A check reports its own
-failure: the stochasticity check measures ``_flow``, the matrix
-``propagator`` builds and would refuse, and a NaN value fails every check.
+failure: the stochasticity check measures ``_flow``, the matrices
+``propagator`` builds and would refuse, as one stack per network size, and a
+NaN value fails every check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -261,11 +263,14 @@ def _suite_lemmas(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    reports = []
+    by_size = defaultdict(lambda: ([], []))  # n -> (adjacencies, times)
     for _ in range(500):
         network = random_network(rng, int(rng.integers(2, 9)))
-        t = float(rng.random() * 100.0)
-        reports.append(check_stochastic(_flow(network, t)))
+        adjacencies, times = by_size[network.n]
+        adjacencies.append(network.adjacency)
+        times.append(float(rng.random() * 100.0))
+    reports = [check_stochastic(_flow(np.stack(adjacencies), np.array(times)))
+               for adjacencies, times in by_size.values()]
     worst_row = _worst([report.row_sum_violation for report in reports])
     worst_neg = _worst([report.negativity_violation for report in reports])
     checks.append(_check(

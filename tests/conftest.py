@@ -12,6 +12,7 @@ from influencegame import (
     StageUtility,
     build_network,
 )
+from influencegame import opinion_dynamics
 from influencegame.single_player_solver import _warm_projection
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +58,21 @@ def count_linear_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     return solves
+
+
+def count_flow_builds(monkeypatch) -> list:
+    """A list that gains the shape of every stack ``opinion_dynamics._flow``
+    builds until the monkeypatch is undone."""
+    builds = []
+    original = opinion_dynamics._flow
+
+    def counting(adjacency, dt):
+        stack = original(adjacency, dt)
+        builds.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(opinion_dynamics, "_flow", counting)
+    return builds
 
 
 # Path network used by the reference two-player configuration.

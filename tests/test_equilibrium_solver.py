@@ -25,12 +25,12 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import equilibrium_solver, game_model, opinion_dynamics, single_player_solver
+from influencegame import equilibrium_solver, game_model, single_player_solver
 from influencegame.cli import reference_scenario
 from influencegame.equilibrium_solver import LearningTrace, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region
 from influencegame.verification import random_feasible_profile, random_linear_game
-from conftest import cold_projection, count_linear_solves
+from conftest import cold_projection, count_flow_builds, count_linear_solves
 
 
 def reference_variant(spec, cost):
@@ -88,6 +88,11 @@ class TestProjectBudgetSet:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             project_budget_set(np.array([1.0]), -0.5)
+
+    def test_scalar_point_rejected(self):
+        # a 0-d point has no row to project; it once raised IndexError
+        with pytest.raises(ValueError, match="vector"):
+            project_budget_set(np.float64(2.0), 1.0)
 
     @pytest.mark.parametrize("point, cap, nearest", [
         (np.array([1e300, 0.0]), 1.0, [1.0, 0.0]),
@@ -340,32 +345,19 @@ class TestHindsightObjective:
 
 class TestPropagatorBuilds:
     def test_reference_run_builds_each_gap_once(self, two_player_spec, monkeypatch):
-        builds = []
-        original = opinion_dynamics._flow
-
-        def counting(network, dt):
-            builds.append(dt)
-            return original(network, dt)
-
-        monkeypatch.setattr(opinion_dynamics, "_flow", counting)
+        builds = count_flow_builds(monkeypatch)
         trace = run_no_regret(two_player_spec, 20)
         exploitability(two_player_spec, trace.averages[-1])
         for j in range(two_player_spec.m):
             regret(trace, j)
-        assert len(builds) == two_player_spec.K + 1
+        # one builder call and one matrix per gap, for the whole game
+        assert builds == [(two_player_spec.n, two_player_spec.n)] * (two_player_spec.K + 1)
 
     def test_single_player_solve_builds_each_gap_once(self, monkeypatch):
         spec = random_linear_game(np.random.default_rng(5), 1, 4, 3)
-        builds = []
-        original = opinion_dynamics._flow
-
-        def counting(network, dt):
-            builds.append(dt)
-            return original(network, dt)
-
-        monkeypatch.setattr(opinion_dynamics, "_flow", counting)
+        builds = count_flow_builds(monkeypatch)
         solve_single(spec)
-        assert len(builds) == spec.K + 1 == 4
+        assert builds == [(spec.n, spec.n)] * (spec.K + 1) == [(4, 4)] * 4
 
 
 class TestKernelConstants:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from influencegame.verification import (
     random_feasible_profile,
     random_linear_game,
 )
-from conftest import single_player_spec
+from conftest import count_flow_builds, single_player_spec
 
 
 def eig_expm(sym: np.ndarray, t: float) -> np.ndarray:
@@ -232,6 +233,53 @@ class TestSimulateTrajectory:
         post = [p for p in points if p.post_jump][0]
         np.testing.assert_allclose(post.state.values, 1.0, atol=1e-12)
         np.testing.assert_allclose(points[-1].state.values, 1.0, atol=1e-10)
+
+    def test_samples_in_a_gap_share_one_build(self, two_player_spec, monkeypatch):
+        spec = two_player_spec
+        plans = np.stack([np.full((2, 3), 0.3), np.full((2, 3), 0.5)])
+        times = spec.schedule.times
+        leaving = [spec.x0.values] + [
+            p.state.values for p in simulate_trajectory(spec, plans, times[1:-1]) if p.post_jump
+        ]
+        builds = count_flow_builds(monkeypatch)
+        points = simulate_trajectory(spec, plans, np.linspace(0.0, 3.0, 200))
+        inside = [p for p in points if p.time not in times[1:]]  # t = 0 opens the first gap
+        assert len(builds) <= spec.K + 1
+        assert sum(shape[0] for shape in builds) == len(inside) == 199
+        for point in inside:
+            k = int(np.searchsorted(times, point.time, side="right"))
+            flow = propagator(spec.network, point.time - times[k - 1])
+            expected = OpinionState(flow @ leaving[k - 1]).values
+            assert np.array_equal(point.state.values, expected)
+
+    def test_a_gap_builds_in_blocks_of_bounded_size(self, two_player_spec, monkeypatch):
+        spec = two_player_spec
+        plans = np.stack([np.full((2, 3), 0.3), np.full((2, 3), 0.5)])
+        samples = np.linspace(0.0, 3.0, 200)
+        whole = simulate_trajectory(spec, plans, samples)
+        monkeypatch.setattr(game_model, "_SAMPLE_BLOCK", 5 * spec.n ** 2)
+        builds = count_flow_builds(monkeypatch)
+        blocked = simulate_trajectory(spec, plans, samples)
+        assert max(shape[0] for shape in builds) == 5
+        assert sum(shape[0] for shape in builds) == 199
+        assert [(p.time, p.post_jump) for p in blocked] == [(p.time, p.post_jump) for p in whole]
+        for one, other in zip(blocked, whole):
+            assert np.array_equal(one.state.values, other.state.values)
+
+    def test_many_samples_in_a_gap_keep_memory_bounded(self):
+        # 500 samples per gap at n = 60 would be stacks of 14 MB each if a
+        # gap were built in one call
+        spec = random_linear_game(np.random.default_rng(0), 1, 60, 1)
+        samples = np.linspace(spec.schedule.t0, spec.schedule.tf, 1000)
+        spec.gap_propagators  # built before tracing: only the samples' stacks count
+        tracemalloc.start()
+        try:
+            points = simulate_trajectory(spec, np.zeros((1, 1, 60)), samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 1000
+        assert peak < 16 * 2 ** 20
 
     def test_campaign_time_sample_reports_pre_and_post(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),

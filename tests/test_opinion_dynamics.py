@@ -81,6 +81,18 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator(path_network, -0.1)
 
+    @pytest.mark.parametrize("bad", [-0.1, np.inf, np.nan])
+    def test_one_bad_gap_in_an_array_rejected(self, path_network, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagator(path_network, np.array([0.5, 2.0, bad, 1.0]))
+
+    def test_array_of_gaps_gives_a_read_only_stack(self, path_network):
+        gaps = np.array([[0.0, 1.0], [0.25, 1000.0]])
+        stack = propagator(path_network, gaps)
+        assert stack.shape == (2, 2, 3, 3) and not stack.flags.writeable
+        for index in np.ndindex(gaps.shape):
+            assert np.array_equal(stack[index], propagator(path_network, gaps[index]))
+
     def test_stochasticity_over_random_networks(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -110,7 +122,7 @@ class TestPropagator:
             for k in range(1, 30):
                 term = term @ a / k
                 series = series + term
-            np.testing.assert_allclose(_flow(network, t), series, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(_flow(network.adjacency, t), series, rtol=0, atol=1e-13)
 
     def test_star_rows_reach_the_stationary_row_at_every_gap_length(self):
         # a builder whose row-sum round-off doubles with each squaring fails
@@ -125,6 +137,33 @@ class TestPropagator:
                 assert check_stochastic(matrix).passed
                 np.testing.assert_allclose(matrix, np.broadcast_to(stationary, (n, n)),
                                            rtol=0, atol=1e-12)
+
+
+class TestStackedFlow:
+    GAPS = np.array([0.0, 1e-300, 0.25, 1.0, 1e4, 1e300])
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 50, 200])
+    def test_stack_matches_one_item_builds_bit_for_bit(self, n):
+        # every item keeps its own squaring count, scale and renormalizations
+        rng = np.random.default_rng(n)
+        adjacency = np.stack([random_network(rng, n).adjacency for _ in self.GAPS])
+        with np.errstate(over="raise", invalid="raise"):
+            stack = _flow(adjacency, self.GAPS)
+            shared = _flow(adjacency[0], self.GAPS)  # one adjacency broadcast over dt
+            for i, dt in enumerate(self.GAPS):
+                assert np.array_equal(stack[i], _flow(adjacency[i], dt))
+                assert np.array_equal(shared[i], _flow(adjacency[0], dt))
+        assert stack.shape == shared.shape == (len(self.GAPS), n, n)
+
+    def test_stack_shape_broadcasts(self):
+        rng = np.random.default_rng(0)
+        adjacency = np.stack([random_network(rng, 3).adjacency for _ in range(2)])
+        gaps = np.array([[0.5], [2.0], [7.0]])
+        stack = _flow(adjacency, gaps)
+        assert stack.shape == (3, 2, 3, 3)
+        for row, column in np.ndindex(3, 2):
+            assert np.array_equal(stack[row, column], _flow(adjacency[column], gaps[row, 0]))
+        assert _flow(adjacency[0], np.zeros(0)).shape == (0, 3, 3)
 
 
 class TestJumps:

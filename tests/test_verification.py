@@ -25,6 +25,15 @@ from influencegame.verification import random_feasible_profile, random_linear_ga
 from conftest import single_player_spec
 
 
+def stacked(matrix):
+    """A replacement for ``_flow`` whose every item is ``matrix(n)``, shaped
+    like the stack the builder would return."""
+    def flow(adjacency, dt):
+        shape = np.broadcast_shapes(adjacency.shape[:-2], np.shape(dt))
+        return np.broadcast_to(matrix(adjacency.shape[-1]), shape + adjacency.shape[-2:]).copy()
+    return flow
+
+
 class TestFdGradient:
     def test_quadratic(self):
         result = fd_gradient(lambda x: x[:, 0] ** 2, np.array([3.0]))
@@ -246,18 +255,55 @@ class TestCheckStochastic:
         assert not report.passed
         assert report.negativity_violation == pytest.approx(5e-11)
 
+    def test_stack_reports_the_worst_of_its_matrices(self, path_network):
+        good = propagator(path_network, 0.7)
+        matrices = {
+            "good": good,
+            "nan": np.full((3, 3), np.nan),
+            "short-row": np.diag([0.9, 1.0, 1.0]),
+            "negative": (1.0 + 5e-11) * np.eye(3) - 5e-11 * np.roll(np.eye(3), 1, axis=1),
+            "nan-and-negative": np.where(np.eye(3) > 0, np.nan, -0.5),
+        }
+        for size in range(1, len(matrices) + 1):
+            for names in itertools.permutations(matrices, size):
+                reports = [check_stochastic(matrices[name]) for name in names]
+                stack = check_stochastic(np.stack([matrices[name] for name in names]))
+                assert stack.passed is all(report.passed for report in reports)
+                for field in ("row_sum_violation", "negativity_violation"):
+                    worst = np.max([getattr(report, field) for report in reports])
+                    np.testing.assert_equal(getattr(stack, field), worst)
+        nested = np.stack([good, matrices["negative"], good, matrices["short-row"]])
+        assert check_stochastic(nested.reshape(2, 2, 3, 3)) == check_stochastic(nested)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lemma_record_equals_the_per_matrix_reports(self, seed):
+        # the suite builds one stack per size; its record must equal checking
+        # the same 500 draws one matrix at a time
+        rng = np.random.default_rng(seed)
+        reports = []
+        for _ in range(500):
+            network = verification.random_network(rng, int(rng.integers(2, 9)))
+            t = float(rng.random() * 100.0)
+            reports.append(check_stochastic(opinion_dynamics._flow(network.adjacency, t)))
+        record = run_suite("lemmas", seed=seed)["checks"][0]
+        assert record == {
+            "name": "propagator-stochasticity",
+            "passed": all(report.passed for report in reports),
+            "worst_row_sum_violation": max(r.row_sum_violation for r in reports),
+            "worst_negativity": max(r.negativity_violation for r in reports),
+        }
+
     @pytest.mark.parametrize("flow", [
-        pytest.param(lambda network, dt: np.full((network.n, network.n), np.nan), id="nan"),
-        pytest.param(lambda network, dt: np.diag(np.r_[0.9, np.ones(network.n - 1)]),
-                     id="short-row"),
-        pytest.param(lambda network, dt: (1.0 + 5e-11) * np.eye(network.n)
-                     - 5e-11 * np.roll(np.eye(network.n), 1, axis=1), id="negative-5e-11"),
+        pytest.param(stacked(lambda n: np.full((n, n), np.nan)), id="nan"),
+        pytest.param(stacked(lambda n: np.diag(np.r_[0.9, np.ones(n - 1)])), id="short-row"),
+        pytest.param(stacked(lambda n: (1.0 + 5e-11) * np.eye(n)
+                             - 5e-11 * np.roll(np.eye(n), 1, axis=1)), id="negative-5e-11"),
         pytest.param(opinion_dynamics._flow, id="propagator"),
     ])
     def test_one_verdict_for_propagator_and_suite(self, monkeypatch, path_network, flow):
         # the same builder output is refused by ``propagator`` and failed by
         # the lemma suite exactly when ``check_stochastic`` fails it
-        passed = check_stochastic(flow(path_network, 0.7)).passed
+        passed = check_stochastic(flow(path_network.adjacency, 0.7)).passed
         with monkeypatch.context() as patch:
             patch.setattr(opinion_dynamics, "_flow", flow)
             if passed:
@@ -371,7 +417,7 @@ class TestSuites:
         pytest.param("total_payoff", lambda spec, profile, j: np.full(profile.shape[:-3], np.nan),
                      "lemmas", "single-player-objective-concavity", "worst_violation",
                      id="single-player-concavity"),
-        pytest.param("_flow", lambda network, dt: np.full((network.n, network.n), np.nan),
+        pytest.param("_flow", stacked(lambda n: np.full((n, n), np.nan)),
                      "lemmas", "propagator-stochasticity", "worst_row_sum_violation",
                      id="propagator-stochasticity"),
         pytest.param("midpoint_convexity_check",
@@ -387,10 +433,10 @@ class TestSuites:
         assert np.isnan(record[value])
 
     @pytest.mark.parametrize("replacement, failed, held", [
-        pytest.param(lambda network, dt: 0.9 * np.eye(network.n),
+        pytest.param(stacked(lambda n: 0.9 * np.eye(n)),
                      "worst_row_sum_violation", "worst_negativity", id="row-sums"),
-        pytest.param(lambda network, dt: (1.0 + 1e-9) * np.eye(network.n)
-                     - 1e-9 * np.roll(np.eye(network.n), 1, axis=1),
+        pytest.param(stacked(lambda n: (1.0 + 1e-9) * np.eye(n)
+                             - 1e-9 * np.roll(np.eye(n), 1, axis=1)),
                      "worst_negativity", "worst_row_sum_violation", id="negative-entry"),
     ])
     def test_non_stochastic_sample_fails_the_check(self, monkeypatch, replacement, failed, held):
