@@ -18,11 +18,19 @@ how close the averaged profile is to equilibrium:
   find against the averaged profile.
 
 The diagnostics need two or more players; a single player's optimum is
-``single_player_solver.solve_single``.  Best-response and hindsight
-subproblems are themselves concave maximizations over the budget set, solved
-by the package's one ascent, ``single_player_solver._maximize_concave``.  Its
-stopping residual bounds the value gap, so exploitability and regret carry an
-absolute error bound; each subproblem takes a few dozen kernel passes.
+``single_player_solver.solve_single``.  A best response, exploitability and
+regret all solve one subproblem, ``_best_fixed_plan``: player j's best fixed
+plan against a batch of the others' profiles (one profile for a best
+response and for exploitability, the played iterates for regret), a concave
+maximization over j's budget set by the package's one ascent,
+``single_player_solver._maximize_concave``.  Its stopping residual bounds
+the value gap, so exploitability and regret carry an absolute error bound;
+each subproblem takes a few dozen kernel passes.
+
+``solve_equilibrium``, ``best_response``, ``exploitability`` and ``regret``
+run under ``np.errstate(over="raise", invalid="raise")``: a float-scale game
+(budgets near 1e308, say) whose payoffs or hindsight sums overflow raises
+FloatingPointError instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -140,6 +148,8 @@ class EquilibriumResult:
     def __post_init__(self):
         object.__setattr__(self, "profile", _readonly(self.profile))
         object.__setattr__(self, "regrets", _readonly(np.atleast_1d(self.regrets)))
+        if not (np.isfinite(self.exploitability) and np.isfinite(self.regrets).all()):
+            raise ValueError("exploitability and regrets must be finite")
         if self.exploitability < -1e-8:
             raise ValueError("exploitability cannot be materially negative")
 
@@ -158,23 +168,28 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _require_own_concave(spec: GameSpec, j: int):
-    """Best-response subproblems must be concave maximizations."""
-    utility = spec.utilities[j]
-    if not (utility.is_linear or utility.declared_own_concave):
-        raise HypothesisCheckError(
-            f"player {j}'s best-response subproblem is not attested concave"
-        )
+def _require_own_concave(spec: GameSpec, *players: int):
+    """The listed players' best-response subproblems must be concave maximizations."""
+    for j in players:
+        utility = spec.utilities[j]
+        if not (utility.is_linear or utility.declared_own_concave):
+            raise HypothesisCheckError(
+                f"player {j}'s best-response subproblem is not attested concave"
+            )
 
 
-def _projection(spec: GameSpec, j: int):
-    """Euclidean projection onto player j's strategy set: the single-player
-    polytope when j plays alone, each call warm-started from the previous
-    one, and its budget set otherwise."""
-    if spec.m == 1:
-        return _warm_projection(build_region(spec))
-    cap = float(spec.budgets[j])
-    return lambda v: project_budget_set(v, cap)
+# Float-scale overflow inside the diagnostics is an error, not a NaN result.
+_RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
+
+
+def _best_fixed_plan(spec: GameSpec, profiles: np.ndarray, j: int, start):
+    """Player j's best fixed plan against ``profiles`` (one (m, K, n) profile
+    or a batch of them) and its payoff summed over the batch, by
+    ``_maximize_concave`` from ``start`` over j's budget set; returns the flat
+    plan and the value."""
+    cap = spec.budgets[[j]]  # a list index keeps a negative j on its player
+    evaluate = _objective_for_player(spec, profiles, j)
+    return _maximize_concave(evaluate, lambda v: _project_rows(v[None], cap)[0], start)[:2]
 
 
 def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
@@ -195,7 +210,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     m, K, n = spec.m, spec.K, spec.n
     current = np.broadcast_to(spec.budgets[:, None] / (2 * K * n), (m, K * n))
     if m == 1:
-        alone = _projection(spec, 0)
+        alone = _warm_projection(build_region(spec))
         project = lambda rows: alone(rows[0])[None]
         current = project(current)
     else:
@@ -214,6 +229,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     return LearningTrace(spec=spec, iterates=iterates, payoffs=payoffs)
 
 
+@_RAISE_ON_OVERFLOW
 def best_response(spec: GameSpec, profile, j: int):
     """Best response of player j to the others' plans in the (m, K, n)
     ``profile``; returns (entries, payoff).
@@ -228,11 +244,11 @@ def best_response(spec: GameSpec, profile, j: int):
     _require_multiplayer(spec)
     _require_own_concave(spec, j)
     profile = _one_profile(spec, profile)
-    evaluate = _objective_for_player(spec, profile, j)
-    point, value, _ = _maximize_concave(evaluate, _projection(spec, j), profile[j].ravel())
+    point, value = _best_fixed_plan(spec, profile, j, profile[j])
     return point.reshape(spec.K, spec.n), value
 
 
+@_RAISE_ON_OVERFLOW
 def exploitability(spec: GameSpec, profile) -> float:
     """Largest unilateral payoff improvement available at the profile.
 
@@ -242,17 +258,15 @@ def exploitability(spec: GameSpec, profile) -> float:
     before any work; a profile ``validate_plans`` refuses raises its error.
     """
     _require_multiplayer(spec)
-    for j in range(spec.m):
-        _require_own_concave(spec, j)
+    _require_own_concave(spec, *range(spec.m))
     profile = _one_profile(spec, profile)
-    gaps = []
-    for j in range(spec.m):
-        base = total_payoff(spec, profile, j)
-        _, improved = best_response(spec, profile, j)
-        gaps.append(improved - base)
-    return float(max(gaps))
+    return float(max(
+        _best_fixed_plan(spec, profile, j, profile[j])[1] - total_payoff(spec, profile, j)
+        for j in range(spec.m)
+    ))
 
 
+@_RAISE_ON_OVERFLOW
 def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     """Realized regret of player j: best fixed strategy in hindsight versus the
     payoffs actually collected over the first ``horizon`` iterations.
@@ -273,21 +287,18 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "
                          f"recorded iterations, got {T!r}")
     _require_own_concave(spec, j)
-    evaluate = _objective_for_player(spec, trace.iterates[:T], j)
-    start = trace.averages[T - 1, j].ravel()
-    _, value, _ = _maximize_concave(evaluate, _projection(spec, j), start)
-    played = float(trace.payoffs[:T, j].sum())
-    return float(value - played)
+    _, value = _best_fixed_plan(spec, trace.iterates[:T], j, trace.averages[T - 1, j])
+    return float(value - trace.payoffs[:T, j].sum())
 
 
+@_RAISE_ON_OVERFLOW
 def solve_equilibrium(spec: GameSpec, T: int):
     """Run T iterations of the learning dynamics (``run_no_regret``) and
     package the averaged profile with its diagnostics; returns (trace,
     result).  A one-player game or a bad T raises ValueError and an
     unattested player's subproblem HypothesisCheckError, before the run."""
     _require_multiplayer(spec)
-    for j in range(spec.m):
-        _require_own_concave(spec, j)
+    _require_own_concave(spec, *range(spec.m))
     trace = run_no_regret(spec, T)
     averaged = trace.averages[-1]
     result = EquilibriumResult(

@@ -90,10 +90,6 @@ class CampaignSchedule:
     def tf(self) -> float:
         return float(self.times[-1])
 
-    def gap(self, k: int) -> float:
-        """Length of the interval (t_{k-1}, t_k], for k = 1..K+1."""
-        return float(self.times[k] - self.times[k - 1])
-
 
 @dataclass(frozen=True, eq=False)
 class OpinionState:
@@ -219,7 +215,7 @@ def propagator(network: Network, dt) -> np.ndarray:
 
 def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[np.ndarray]:
     """Adjacent-gap propagators: entry k-1 carries opinions from t_{k-1}^+ to t_k."""
-    return [propagator(network, schedule.gap(k)) for k in range(1, schedule.K + 2)]
+    return [propagator(network, dt) for dt in np.diff(schedule.times)]
 
 
 def jump_single(x: np.ndarray, b: np.ndarray) -> np.ndarray:

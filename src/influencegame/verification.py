@@ -35,6 +35,8 @@ from .single_player_solver import build_region, solve_single
 
 # How far f(midpoint) may exceed the mean of the endpoint values.
 _MIDPOINT_TOL = 1e-9
+# Added to every raw weight of ``random_feasible_profile``, so that no entry is 0.
+_PROFILE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,11 @@ def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
                     budgets=budgets, utilities=utilities)
 
 
-def random_feasible_profile(rng: np.random.Generator, spec, margin: float = 1e-3):
+def random_feasible_profile(rng: np.random.Generator, spec):
     """Strictly feasible joint profile with entries bounded away from zero."""
     profile = np.empty((spec.m, spec.K, spec.n))
     for j in range(spec.m):
-        raw = rng.random((spec.K, spec.n)) + margin
+        raw = rng.random((spec.K, spec.n)) + _PROFILE_MARGIN
         target = float(spec.budgets[j]) * (0.3 + 0.5 * rng.random())
         profile[j] = raw / raw.sum() * target
     return profile

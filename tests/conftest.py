@@ -30,11 +30,11 @@ def subprocess_env() -> dict:
     return env
 
 
-def load_bench_workloads():
-    """``bench/workloads.py`` as a module, compiled from its source so that no
+def load_bench_module(stem):
+    """``bench/<stem>.py`` as a module, compiled from its source so that no
     bytecode cache is written next to it."""
-    path = ROOT / "bench" / "workloads.py"
-    module = types.ModuleType("bench_workloads")
+    path = ROOT / "bench" / f"{stem}.py"
+    module = types.ModuleType(f"bench_{stem}")
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module

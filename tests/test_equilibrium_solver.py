@@ -651,6 +651,63 @@ class TestExploitability:
             EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=-1.0,
                               regrets=np.zeros(2), iterations=1)
 
+    @pytest.mark.parametrize("gap, regrets", [
+        (np.nan, [0.0, 0.0]), (np.inf, [0.0, 0.0]), (0.0, [0.0, np.nan]), (0.0, [-np.inf, 0.0]),
+    ])
+    def test_result_refuses_non_finite_diagnostics(self, gap, regrets):
+        with pytest.raises(ValueError, match="must be finite"):
+            EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=gap,
+                              regrets=np.array(regrets), iterations=1)
+
+    def test_does_not_go_through_best_response(self, two_player_spec, monkeypatch):
+        profile = run_no_regret(two_player_spec, 50).averages[-1]
+        expected = exploitability(two_player_spec, profile)
+
+        def refuse(*args):
+            raise AssertionError("exploitability called best_response")
+
+        monkeypatch.setattr(equilibrium_solver, "best_response", refuse)
+        assert exploitability(two_player_spec, profile) == expected
+
+
+class TestBestFixedPlan:
+    """Best response, exploitability and regret solve one subproblem."""
+
+    @pytest.mark.parametrize("game", ["reference", "three-player"])
+    def test_exploitability_is_the_largest_one_iterate_regret(self, two_player_spec, game):
+        spec = (two_player_spec if game == "reference"
+                else random_linear_game(np.random.default_rng(0), 3, 10, 3))
+        profile = run_no_regret(spec, 50).averages[-1]
+        payoffs = np.array([[total_payoff(spec, profile, j) for j in range(spec.m)]])
+        trace = LearningTrace(spec=spec, iterates=profile[None], payoffs=payoffs)
+        assert exploitability(spec, profile) == max(regret(trace, j) for j in range(spec.m))
+
+    def test_negative_player_index_counts_from_the_last(self):
+        spec = random_linear_game(np.random.default_rng(0), 3, 10, 3)
+        trace = run_no_regret(spec, 20)
+        profile = trace.averages[-1]
+        plan, value = best_response(spec, profile, -1)
+        last_plan, last_value = best_response(spec, profile, spec.m - 1)
+        assert np.array_equal(plan, last_plan) and value == last_value
+        assert regret(trace, -1) == regret(trace, spec.m - 1)
+
+
+class TestFloatScale:
+    """Float-scale games raise FloatingPointError from the library itself,
+    without a numpy warning and without a NaN in the result."""
+
+    @pytest.mark.parametrize("T, cost", [(3, 10.0), (50, 1.0)],
+                             ids=["cost-times-budget", "hindsight-sum"])
+    def test_overflow_raises_without_a_warning(self, two_player_spec, T, cost):
+        # lambda = 10 overflows the payoff value in the run, and at T = 50
+        # the hindsight payoff sum overflows in regret
+        spec = reference_variant(
+            dataclasses.replace(two_player_spec, budgets=np.array([1e308, 1e308])), cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                solve_equilibrium(spec, T)
+
 
 class TestOnePlayerGames:
     @pytest.mark.parametrize("diagnostic", [

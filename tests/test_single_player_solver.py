@@ -27,12 +27,12 @@ from influencegame.verification import (
 import influencegame
 from influencegame import single_player_solver
 from influencegame.single_player_solver import _maximize_concave, _warm_projection
-from conftest import (cold_projection, count_linear_solves, load_bench_workloads,
+from conftest import (cold_projection, count_linear_solves, load_bench_module,
                       single_player_spec)
 
 # The benchmark's five single-player games; in games 3 and 4 the opinion caps
 # bind as well as the budget.
-BENCH_GAMES = load_bench_workloads().single_player_specs(influencegame)
+BENCH_GAMES = load_bench_module("workloads").single_player_specs(influencegame)
 
 
 class TestBuildRegion:
