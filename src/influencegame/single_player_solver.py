@@ -8,9 +8,10 @@ one total-budget constraint, and Kn sign constraints, implied rather than
 stored.  The solver is ``_maximize_concave``, the package's one
 concave ascent (shared with the best-response and hindsight subproblems),
 and every Euclidean projection onto the polytope is computed exactly, in
-finitely many steps, by a primal active-set method.  Within one
-``solve_single`` call each projection starts warm from the previous one's
-point and working set, as successive ascent points share most active rows.
+finitely many steps, by a dual active-set method whose working set stays
+linearly independent.  Within one ``solve_single`` call each projection
+starts warm from the previous one's working set, as successive ascent points
+share most active rows.
 """
 
 from __future__ import annotations
@@ -98,105 +99,107 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     return FeasibleRegion(normals=np.vstack(normals), offsets=np.concatenate(offsets))
 
 
-def _active_set(point, region: FeasibleRegion, x: np.ndarray, working: np.ndarray):
-    """The active-set loop of ``_warm_projection`` from the start ``x`` and
-    working set ``working``; returns the projection and its final working set.
-
-    Precondition: ``x`` is feasible to ``PROJECTION_TOL`` and the constraints
-    in ``working`` are tight at ``x`` and linearly independent over its free
-    columns.  The returned pair meets it, so it may start the next
-    projection.  ``working`` is not modified.
+def _active_set(point, region: FeasibleRegion, working: np.ndarray):
+    """The dual active-set loop of ``_warm_projection``: returns the
+    projection of ``point`` and only then stores its final working set in
+    ``working``, a boolean mask over the halfspaces and then the variables.
+    The constraints it holds must be linearly independent over the free
+    columns; the stored set is, so it may start the next call.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
-    normals, offsets = region.normals, region.offsets
-    working = working.copy()
-    held, fixed = working[: region.count], working[region.count :]
-    gap = np.inf
+    trial = working.copy()
+    held, fixed = trial[: region.count], trial[region.count :]
+    # row 0: the point less the entering row's normal times that row's
+    # multiplier so far; row 1: the entering row's normal
+    pair = np.array([p, np.zeros(region.dim)])
+    entering = None
     for _ in range(PROJECTION_MAX_CYCLES):
-        rows = normals[held]
-        free = rows[:, ~fixed]
-        try:
-            multipliers = np.linalg.solve(free @ free.T, free @ p[~fixed] - offsets[held])
-        except np.linalg.LinAlgError:
-            break
-        pull = rows.T @ multipliers
-        y = np.where(fixed, 0.0, p - pull)
-        excess = region.violations(y)
-        excess[working] = -np.inf
-        if excess.max() > PROJECTION_TOL:
-            # W's constraints do not move along the step; one that moves by at
-            # most tol or 1e-9 |step| (build_region's normals have norm >= 1)
-            # is as unmoved up to round-off, and would make W dependent.  Stop
-            # if only such constraints are exceeded, none blocking by y.
-            step = y - x
-            rate = np.concatenate([normals @ step, -step])
-            rate[working] = 0.0
-            candidates = np.flatnonzero(rate > max(PROJECTION_TOL, 1e-9 * np.linalg.norm(step)))
-            ratios = -region.violations(x)[candidates] / rate[candidates]
-            if not (ratios <= 1.0).any():
-                break
-            first = ratios.min()
-            x = x + max(0.0, float(first)) * step
-            working[candidates[np.argmax(ratios <= first + PROJECTION_TOL)]] = True
-            gap = float(excess.max())
+        rows = region.normals[held]
+        free = rows * ~fixed
+        targets = free @ pair.T
+        targets[:, 0] -= region.offsets[held]
+        solution = np.linalg.solve(free @ free.T, targets)
+        gaps = pair - solution.T @ rows
+        multipliers, rates = np.concatenate([solution.T, -gaps[:, fixed]], axis=1)
+        x, residual = np.where(fixed, 0.0, gaps)
+        if multipliers.min(initial=0.0) < -PROJECTION_TOL:
+            trial[trial.nonzero()[0][multipliers < -PROJECTION_TOL]] = False
             continue
-        x = y
-        multipliers = np.concatenate([multipliers, (pull - p)[fixed]])
-        if not working.any() or multipliers.min() >= -PROJECTION_TOL:
-            return x, working
-        gap = float(-multipliers.min())
-        working[np.flatnonzero(working)[np.argmax(multipliers < -PROJECTION_TOL)]] = False
+        if entering is not None:
+            with np.errstate(all="ignore"):  # a ratio past the float range is no block
+                ratios = np.where(rates > 0.0, multipliers / rates, np.inf)
+            partial = ratios.min(initial=np.inf)
+            squared = float(residual @ residual)
+            independent = squared > PROJECTION_TOL * float(pair[1] @ pair[1])
+            full = violation / squared if independent else np.inf
+            if partial == full == np.inf:
+                break
+            step = max(0.0, min(partial, full))
+            if partial < full:
+                pair[0] -= step * pair[1]
+                violation -= step * squared
+                trial[trial.nonzero()[0][ratios.argmin()]] = False
+                continue
+            trial[entering] = True
+            x = np.where(fixed, 0.0, x - step * residual)
+            pair[0] = p
+        excess = np.where(trial, -np.inf, region.violations(x))
+        entering = int(excess.argmax())
+        violation = excess[entering]
+        if violation <= PROJECTION_TOL:
+            working[:] = trial
+            return x
+        pair[1] = region.normals[entering] if entering < region.count else 0.0
+        if entering >= region.count:
+            pair[1, entering - region.count] = -1.0
     raise ConvergenceError(
-        f"active-set projection did not reach tolerance {PROJECTION_TOL:g} within "
+        f"dual active-set projection did not reach tolerance {PROJECTION_TOL:g} within "
         f"{PROJECTION_MAX_CYCLES} iterations on independent working constraints",
-        last_iterate=x,
-        residual=gap,
-    )
+        last_iterate=x, residual=region.max_violation(x))
 
 
 def _warm_projection(region: FeasibleRegion):
     """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
-    and x >= 0, as a closure whose first call starts cold at the origin with
-    an empty working set W, and is thus independent of every other, and
-    whose later calls start from the previous call's result and final W.
-    Successive points of one ascent lie close together, so a call adds or
-    drops only a few constraints where a cold start adds every active one.
-    The state changes only when a call returns, so a ConvergenceError leaves
-    the next call's start as it was.  The origin must lie in the region
-    (every offset nonnegative, as ``build_region`` guarantees); ValueError
-    otherwise.
+    and x >= 0, as a closure whose first call starts cold with an empty
+    working set W, and is thus independent of every other, and whose later
+    calls start from the previous call's final W.  Successive points of one
+    ascent lie close together, so a call adds or drops only a few
+    constraints where a cold start adds every active one.  W changes only
+    when a call returns, so a ConvergenceError leaves the next call's start
+    as it was.
 
-    Primal active-set method for a quadratic program with identity Hessian
-    (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3, in the bound
-    form of Sec. 16.7): W holds halfspaces as equalities and variables at 0.
-    Each iteration projects the point onto that affine set with one linear
-    solve over the free variables F, y_F = point_F - A_F' lam where
-    (A_F A_F') lam = A_F point_F - c_W; a held variable's multiplier is
-    (A' lam - point)_i.  If y exceeds a constraint outside W by more than
-    tol, the iterate walks towards y up to the first constraint the walk
-    would cross, which joins W.  Otherwise the iterate becomes y; it is
-    returned once every multiplier is at least -tol, else one below -tol
-    leaves W.  Both choices take the lowest index among ties (Bland's rule
-    against cycling, 1977).  The result meets W's constraints as equalities
-    and all others to tol, with KKT multipliers to tol; a point already
-    feasible to tol comes back unchanged.  Here tol is ``PROJECTION_TOL``;
-    ``PROJECTION_MAX_CYCLES`` bounds the active-set iterations (one linear
-    solve each), and when it runs out, or W would become numerically
-    dependent, ConvergenceError carries the last iterate.  A point of the
+    Dual active-set method for a quadratic program with identity Hessian
+    (Goldfarb & Idnani, Math. Programming 27, 1983): W holds halfspaces as
+    equalities and variables at 0.  The iterate is the projection onto W's
+    affine set of the point less t n, where n is the normal of the entering
+    row q and t its multiplier so far, and every multiplier is at least
+    -tol.  Held variables are eliminated, so each iteration is one linear
+    solve over the free variables F with two right-hand sides:
+    (A_F A_F') lam = A_F y_F - c_W gives the multipliers (a held variable's
+    is (A' lam - y)_i), y the shifted point, and (A_F A_F') r = A_F n_F gives
+    the rates r at which they fall as t grows and the residual z = n - A' r
+    of n against W.  Each iteration first drops every row of W whose
+    multiplier is below -tol, which makes a warm start's W dual feasible;
+    then, with no q yet, it adds the most violated row as q.  When
+    ||z||^2 <= tol ||n||^2, q counts as dependent on W: the step is dual
+    only, and the row of W whose multiplier reaches 0 first leaves.
+    Otherwise the iterate takes the full step that meets q, after which q
+    joins W, unless a multiplier reaches 0 first: then the step is partial
+    and that row leaves.  So W stays linearly independent by construction.
+    A ratio past the float range blocks nothing.
+
+    The result meets W's constraints as equalities and all others to tol,
+    with KKT multipliers to tol; from a cold start, a point already feasible
+    to tol comes back unchanged.  Here tol is ``PROJECTION_TOL``, and
+    ``PROJECTION_MAX_CYCLES`` bounds the iterations (one linear solve each).
+    When they run out, or a dependent q has no row of W to drop (an empty
+    region, up to round-off), ConvergenceError carries the last dual iterate,
+    which need not be feasible, and its largest violation.  A point of the
     wrong shape or with a non-finite entry raises ValueError."""
-    if np.min(region.offsets) < 0.0:
-        raise ValueError("the active-set projection starts at the origin, "
-                         "which must lie in the region")
-    state = np.zeros(region.dim), np.zeros(region.count + region.dim, dtype=bool)
-
-    def project(point):
-        nonlocal state
-        state = _active_set(point, region, *state)
-        return state[0]
-
-    return project
+    working = np.zeros(region.count + region.dim, dtype=bool)
+    return lambda point: _active_set(point, region, working)
 
 
 def _maximize_concave(evaluate, project, start, values=None):
@@ -320,8 +323,8 @@ def solve_single(spec: GameSpec) -> SolveReport:
     ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan, and
     raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
     accepted steps do not get there.  Every projection is exact to
-    ``PROJECTION_TOL``; each starts the active-set method from the previous
-    projection's point and final working set, a state held by this call
+    ``PROJECTION_TOL``; each starts the dual active-set method from the
+    previous projection's final working set, a state held by this call
     alone, so two calls on one game return the same report.  A game with
     other than one player raises ValueError.
     """

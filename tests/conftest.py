@@ -42,7 +42,7 @@ def load_bench_module(stem):
 
 def cold_projection(point, region):
     """The projection onto ``region`` as a fresh closure's first call, which
-    starts the active-set method cold at the origin."""
+    starts the dual active-set method cold with an empty working set."""
     return _warm_projection(region)(point)
 
 

@@ -201,6 +201,22 @@ class TestSolveCommand:
         )
         assert code in (0, 6)
 
+    def test_nearly_dependent_working_set_exits_0(self, tmp_path):
+        # recipe B (budget 10) at n = 5, K = 3, generator seed 28: a primal
+        # active-set projection cycled here and the command exited 6
+        spec = random_linear_game(np.random.default_rng(28), 1, 5, 3)
+        assert self.solve_game(tmp_path, spec, budgets=np.array([10.0])) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["kkt_residual"] <= 1e-8
+
+    def test_float_scale_budget_exits_0_under_warnings_as_errors(self, tmp_path):
+        spec = random_linear_game(np.random.default_rng(0), 1, 3, 2)
+        utility = dataclasses.replace(spec.utilities[0], cost_coefficient=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.solve_game(tmp_path, spec, budgets=np.array([1e308]),
+                                   utilities=(utility,))
+        assert code == 0
+
     def test_multiplayer_scenario_exits_4(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path / "s.json", scenario_to_dict(reference_scenario())

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ from conftest import (cold_projection, count_linear_solves, load_bench_module,
 # The benchmark's five single-player games; in games 3 and 4 the opinion caps
 # bind as well as the budget.
 BENCH_GAMES = load_bench_module("workloads").single_player_specs(influencegame)
+
+# Recipe B games (budget 10) on which a primal active-set projection let its
+# working set become numerically dependent and cycled: (n, K, generator seed).
+RECIPE_B_CYCLING = [(5, 3, 28), (5, 3, 30), (6, 4, 9), (6, 4, 32), (8, 4, 5),
+                    (8, 4, 6), (8, 4, 19), (8, 4, 20), (8, 4, 38)]
+
+
+def recipe_b_game(n, K, seed):
+    spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
+    return dataclasses.replace(spec, budgets=np.array([10.0]))
 
 
 class TestBuildRegion:
@@ -110,6 +121,14 @@ class TestProjectFeasible:
         # true projection onto the face x+y=1 from (1.7, 0.3): (1.2, -0.2) -> clip
         # at the corner: KKT solution is (1.0, 0.0)
         np.testing.assert_allclose(projected, [1.0, 0.0], atol=1e-9)
+
+    def test_empty_region_raises_convergence_error(self):
+        # x <= -1 and x >= 0: the sign row depends on the cap row, and no
+        # working row can leave to make room for it
+        region = FeasibleRegion(normals=np.ones((1, 1)), offsets=np.array([-1.0]))
+        with pytest.raises(ConvergenceError) as excinfo:
+            cold_projection(np.array([5.0]), region)
+        np.testing.assert_allclose(excinfo.value.last_iterate, [-1.0])
 
     def test_cycle_budget_exhaustion_reports_last_iterate(self, monkeypatch):
         region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
@@ -277,12 +296,15 @@ class TestWarmProjection:
         np.testing.assert_allclose(results, enumerated_projections(np.array(points), region),
                                    rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("game", [3, 4])
-    def test_sequence_on_cap_binding_bench_games(self, game):
-        spec = BENCH_GAMES[game]
+    @pytest.mark.parametrize("spec, seed", [
+        pytest.param(BENCH_GAMES[3], 3, id="3"),
+        pytest.param(BENCH_GAMES[4], 4, id="4"),
+        pytest.param(recipe_b_game(5, 3, 28), 28, id="recipe-b-n5-K3-s28"),
+    ])
+    def test_sequence_on_cap_binding_bench_games(self, spec, seed):
         region = build_region(spec)
         path = solve_single_path(spec)
-        self.check_sequence(region, warm_sequence(region, path, np.random.default_rng(game)))
+        self.check_sequence(region, warm_sequence(region, path, np.random.default_rng(seed)))
 
     def test_convergence_error_leaves_the_start_intact(self, monkeypatch):
         # a closure whose call failed must go on exactly as its twin that
@@ -461,12 +483,31 @@ class TestSolveSingle:
 
     @pytest.mark.parametrize("seed", [13, 124, 181, 193, 197, 248])
     def test_degenerate_vertices_do_not_cycle(self, seed):
-        # many constraints tight at one point: without the lowest-index rules
-        # the active-set projection repeats its working sets
+        # many constraints tight at one point: unless the working set stays
+        # linearly independent, the projection can repeat its working sets
         rng = np.random.default_rng(seed)
         n, K, budget = rng.integers(2, 9), rng.integers(1, 5), rng.choice([0.5, 1, 3, 10])
         spec = random_linear_game(np.random.default_rng(seed), 1, int(n), int(K))
         report = solve_single(dataclasses.replace(spec, budgets=np.array([budget])))
+        assert report.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("n, K, seed", RECIPE_B_CYCLING)
+    def test_nearly_dependent_working_sets_converge(self, n, K, seed):
+        # a cap row comes within round-off of the working set's span; the
+        # projection must still end, at the optimum
+        report = solve_single(recipe_b_game(n, K, seed))
+        assert report.kkt_residual <= 1e-8
+
+    def test_float_scale_budget_raises_no_warning(self):
+        # budget 1e308: the budget row's slack is near the float range, so a
+        # ratio test that divided it by a small rate overflowed
+        spec = random_linear_game(np.random.default_rng(0), 1, 3, 2)
+        utility = dataclasses.replace(spec.utilities[0], cost_coefficient=1.0)
+        spec = dataclasses.replace(spec, budgets=np.array([1e308]), utilities=(utility,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_single(spec)
+        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
         assert report.kkt_residual <= 1e-8
 
     def test_twenty_individuals_three_campaigns(self):
