@@ -138,7 +138,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     try:
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
-        spec.gap_propagators  # the propagators' stochasticity gate runs here
+        spec.kernel  # the propagators' stochasticity gate runs here
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -330,7 +330,10 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ScenarioError("--seed must be nonnegative")
     report = run_suite(args.suite, seed=args.seed)
-    text = _json_text(report)
+    # a NaN or inf value has failed its check; standard JSON writes it as null
+    checks = [{key: None if isinstance(value, float) and not np.isfinite(value) else value
+               for key, value in check.items()} for check in report["checks"]]
+    text = _json_text({**report, "checks": checks})
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")
@@ -386,7 +389,7 @@ def main(argv=None) -> int:
         # reported as an error rather than as a numpy warning
         with np.errstate(over="raise", invalid="raise"):
             return args.handler(args)
-    except (ScenarioError, FloatingPointError) as exc:
+    except (ScenarioError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InfeasiblePlanError as exc:
@@ -395,9 +398,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

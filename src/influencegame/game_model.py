@@ -16,10 +16,10 @@ exact own-investment gradient.  The learning dynamics pass every column at
 once; a payoff, gradient or best-response objective of one player passes
 that player's column.  What the kernel reads of the game (the gap
 propagators and their transposes, x0's columns, the linear utilities'
-weights and scaled gradients) is built once per game and cached read-only
-on the ``GameSpec``.  ``simulate_trajectory`` samples the hybrid process
-from the kernel's campaign-time states, carrying each state into the gap
-that follows it.
+weights and scaled gradients) is built once per game into one read-only
+bundle, ``GameSpec.kernel``.  ``simulate_trajectory`` samples the hybrid
+process from the kernel's campaign-time states, carrying each state into
+the gap that follows it.
 
 Campaign-time opinions also admit a closed form: with damping matrices
 D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
@@ -70,7 +70,7 @@ class StageUtility:
     """Per-stage utility u(x, b, k) of one player.
 
     ``linear-favor`` scores rho(k)'x - lambda 1'b; the game kernel reads its
-    weights from the game's stack, ``GameSpec.linear_weights``.  Custom
+    weights from the game's stack in the bundle ``GameSpec.kernel``.  Custom
     utilities supply a value and both partial gradients as callables of one
     length-n opinion vector x, budget vector b and stage k, which the kernel
     applies column by column; to participate in a multiplayer game they must
@@ -121,8 +121,8 @@ def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
 
 
-_KernelConstants = namedtuple(  # see GameSpec.linear_weights
-    "_KernelConstants", "rho cost opinion_gradient budget_gradient x0 gaps_transposed")
+_KernelConstants = namedtuple(  # see GameSpec.kernel
+    "_KernelConstants", "rho cost opinion_gradient budget_gradient x0 gaps gaps_transposed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,17 +188,14 @@ class GameSpec:
         return self.schedule.K
 
     @cached_property
-    def gap_propagators(self) -> tuple[np.ndarray, ...]:
-        """Read-only adjacent-gap propagators, built on first use and kept for
-        the game's life (not a field: ``replace`` returns a game without them)."""
-        return tuple(interval_propagators(self.network, self.schedule))
-
-    @cached_property
-    def linear_weights(self) -> _KernelConstants:
-        """Read-only kernel constants, built on first use like ``gap_propagators``:
-        the linear utilities' (m, K+1, n) weights rho and (m, 1) costs lambda
-        (zero for custom utilities), their gradients rho / (K+1) and
-        -lambda / (K+1) (m, 1, 1), x0 as (m, n) columns and the transposed gaps."""
+    def kernel(self) -> _KernelConstants:
+        """What the kernel reads of the game, read-only, built on first use and
+        kept for the game's life (not a field: ``replace`` returns a game
+        without it): the linear utilities' (m, K+1, n) weights rho and (m, 1)
+        costs lambda (zero for custom utilities), their gradients rho / (K+1)
+        and -lambda / (K+1) (m, 1, 1), x0 as (m, n) columns, and the
+        adjacent-gap propagators, one ``propagator`` call per gap, with their
+        transposes.  Building it runs the propagators' stochasticity gate."""
         rho = np.zeros((self.m, self.K + 1, self.n))
         cost = np.zeros((self.m, 1))
         for j, utility in enumerate(self.utilities):
@@ -207,7 +204,8 @@ class GameSpec:
         scale = 1.0 / (self.K + 1)
         x0 = np.ascontiguousarray(self.x0.values.T) + 0.0  # a -0.0 opinion becomes 0.0
         arrays = map(_readonly, (rho, cost, scale * rho, scale * -cost[:, :, None], x0))
-        return _KernelConstants(*arrays, tuple(gap.T for gap in self.gap_propagators))
+        gaps = tuple(interval_propagators(self.network, self.schedule))
+        return _KernelConstants(*arrays, gaps, tuple(gap.T for gap in gaps))
 
 
 def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
@@ -302,9 +300,9 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
 
     The p selected columns travel as one (..., p, n) state: per stage one
     product with the gap propagator, one jump and, in reverse, one adjoint
-    product, whatever p and the stack.  x0's columns, the transposed
-    propagators and the linear gradients come from the per-game cache
-    ``GameSpec.linear_weights``; only a stack is reshaped for a product.
+    product, whatever p and the stack.  x0's columns, the propagators and
+    their transposes and the linear gradients come from the per-game bundle
+    ``GameSpec.kernel``; only a stack is reshaped for a product.
     Other players reach a column solely through the per-individual total
     investment, whose damping 1/(1 + sigma) scales the multiplayer jump
     (x + b) / (1 + sigma).  A single player jumps additively, with
@@ -316,7 +314,7 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
     opinions (..., p, K, n), payoffs (..., p) and own-investment gradients
     (..., p, K, n).
     """
-    constants, gaps = spec.linear_weights, spec.gap_propagators
+    constants = spec.kernel
     K, n, single = spec.K, spec.n, spec.m == 1
     own = profile[..., players, :, :]
     if not single:
@@ -353,7 +351,7 @@ def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(No
     gradient = np.empty(own.shape)
     v = opinion_gradients[..., K, :]
     for k in range(K, 0, -1):
-        w = product(v, gaps[k])
+        w = product(v, constants.gaps[k])
         # the additive single-player jump passes opinions and investments 1:1
         gradient[..., k - 1, :] = w if single else sensitivity[..., k - 1, :] * w
         v = opinion_gradients[..., k - 1, :] + (w if single else damp[..., k - 1, :] * w)
@@ -372,7 +370,7 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
     Custom utilities apply their callables column by column.
     """
     K = spec.K
-    constants = spec.linear_weights
+    constants = spec.kernel
     values = (pre * constants.rho[players]).sum(axis=-1)
     values[..., :K] -= constants.cost[players] * own.sum(axis=-1)
     custom = [(c, u) for c, u in enumerate(spec.utilities[players]) if not u.is_linear]
@@ -487,7 +485,7 @@ def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
     round-off.  Single-player games have no damping, so every D(r) is the
     identity there."""
     profile = _one_profile(spec, profile)
-    gaps = spec.gap_propagators
+    gaps = spec.kernel.gaps
     K, n, m = spec.K, spec.n, spec.m
 
     def damping_diag(r: int) -> np.ndarray:

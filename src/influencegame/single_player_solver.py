@@ -63,24 +63,25 @@ class FeasibleRegion:
     def max_violation(self, x: np.ndarray) -> float:
         return float(max(0.0, np.max(self.violations(x))))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.max_violation(x) <= tol
+    def contains(self, x: np.ndarray) -> bool:
+        return self.max_violation(x) <= 1e-8
 
 
 def build_region(spec: GameSpec) -> FeasibleRegion:
     """Assemble the single-player constraint polytope.
 
-    The pairwise propagators exp(-L (t_k - t_s)) are products of the game's
-    cached adjacent-gap propagators; the diffusion of the initial opinions is
-    folded into the cap offsets, so every constraint is affine in the
-    flattened (stage-major) investment vector.
+    The pairwise propagators exp(-L (t_k - t_s)) are products of the
+    adjacent-gap propagators in the game's bundle ``GameSpec.kernel``; the
+    diffusion of the initial opinions is folded into the cap offsets, so
+    every constraint is affine in the flattened (stage-major) investment
+    vector.
     """
     if spec.m != 1:
         raise ValueError("the constraint polytope is defined for single-player games")
     K, n = spec.K, spec.n
     d = K * n
     x0 = spec.x0.values[:, 0]
-    gaps = spec.gap_propagators
+    gaps = spec.kernel.gaps
 
     normals = []
     offsets = []
@@ -190,10 +191,13 @@ def _warm_projection(region: FeasibleRegion):
     and that row leaves.  So W stays linearly independent by construction.
     A ratio past the float range blocks nothing.
 
-    The result meets W's constraints as equalities and all others to tol,
-    with KKT multipliers to tol; from a cold start, a point already feasible
-    to tol comes back unchanged.  Here tol is ``PROJECTION_TOL``, and
-    ``PROJECTION_MAX_CYCLES`` bounds the iterations (one linear solve each).
+    The result meets the constraints outside W to tol and W's as equalities
+    up to round-off at the point's scale: every row to tol max(1, max|p|)
+    for a point p, so a point of scale 1e8 may exceed a row of W by about
+    1e-6.  Its KKT multipliers are met to tol, and from a cold start a point
+    already feasible to tol comes back unchanged.  Here tol is
+    ``PROJECTION_TOL``, and ``PROJECTION_MAX_CYCLES`` bounds the iterations
+    (one linear solve each).
     When they run out, or a dependent q has no row of W to drop (an empty
     region, up to round-off), ConvergenceError carries the last dual iterate,
     which need not be feasible, and its largest violation.  A point of the
@@ -202,7 +206,7 @@ def _warm_projection(region: FeasibleRegion):
     return lambda point: _active_set(point, region, working)
 
 
-def _maximize_concave(evaluate, project, start, values=None):
+def _maximize_concave(evaluate, project, start):
     """Monotone projected gradient ascent with backtracking line search.
 
     ``evaluate`` maps a point to its (value, gradient).  The step is halved
@@ -219,12 +223,13 @@ def _maximize_concave(evaluate, project, start, values=None):
     round-off (about eps times the candidate's norm) leaves it infeasible.
 
     The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
-    at the probe step s = min(step, 1).  Returns (point, value, residual) at
-    the first accepted point with r <= ``ASCENT_TOL`` max(1, max|g(x0)|), g(x0)
-    the gradient at the projected start, a rule free of the objective's scale;
-    if ``ASCENT_MAX_STEPS`` accepted steps do not get there, ConvergenceError
-    carries the last accepted point and its residual.  A list passed as
-    ``values`` receives the value at the start and after every accepted step.
+    at the probe step s = min(step, 1).  Returns (point, value, residual,
+    gradient, values) at the first accepted point with r <= ``ASCENT_TOL``
+    max(1, max|g(x0)|), g(x0) the gradient at the projected start, a rule free
+    of the objective's scale: the gradient is the one ``evaluate`` gave at
+    that point, and ``values`` lists the value at the start and after every
+    accepted step.  If ``ASCENT_MAX_STEPS`` accepted steps do not get there,
+    ConvergenceError carries the last accepted point and its residual.
 
     The residual certifies the value: for a concave objective over a feasible
     set of diameter D, f* - f(x) <= r (D + s ||g(x)||), since the projection
@@ -233,8 +238,7 @@ def _maximize_concave(evaluate, project, start, values=None):
     """
     x = project(np.asarray(start, dtype=float).ravel())
     fx, g = evaluate(x)
-    if values is not None:
-        values.append(fx)
+    values = [fx]
     tol = ASCENT_TOL * max(1.0, float(np.max(np.abs(g))))
     step = 1.0
     noise = 1e-13 * max(1.0, abs(fx))
@@ -261,11 +265,10 @@ def _maximize_concave(evaluate, project, start, values=None):
             )
         curvature = float(delta @ (g - g_candidate))
         x, fx, g = candidate, f_candidate, g_candidate
-        if values is not None:
-            values.append(fx)
+        values.append(fx)
         residual = residual_at(x, g)
         if residual <= tol:
-            return x, fx, residual
+            return x, fx, residual, g, values
         spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
         step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
     raise ConvergenceError(
@@ -322,11 +325,13 @@ def solve_single(spec: GameSpec) -> SolveReport:
     Barzilai-Borwein step.  It stops once ``final_step_norm`` is at most
     ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan, and
     raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
-    accepted steps do not get there.  Every projection is exact to
-    ``PROJECTION_TOL``; each starts the dual active-set method from the
-    previous projection's final working set, a state held by this call
-    alone, so two calls on one game return the same report.  A game with
-    other than one player raises ValueError.
+    accepted steps do not get there.  Every projection meets the polytope's
+    rows to ``PROJECTION_TOL`` times max(1, max|p|), p the projected point;
+    each starts the dual active-set method from the previous projection's
+    final working set, a state held by this call alone, so two calls on one
+    game return the same report.  The ascent returns the gradient it
+    measured at the plan, which the KKT probe reuses.  A game with other
+    than one player raises ValueError.
     """
     if spec.m != 1:
         raise ValueError("solve_single handles single-player games only")
@@ -336,18 +341,15 @@ def solve_single(spec: GameSpec) -> SolveReport:
 
     evaluate = _objective_for_player(spec, np.zeros((1, K, n)), 0)
     project = _warm_projection(region)
-    objectives = []
-    b, objective, step_norm = _maximize_concave(
-        evaluate, project, np.zeros(K * n), values=objectives
-    )
+    b, objective, step_norm, g, objectives = _maximize_concave(
+        evaluate, project, np.zeros(K * n))
 
-    g = evaluate(b)[1]
     probe = 1e-3
     projected_gradient = (project(b + probe * g) - b) / probe
     kkt_residual = float(max(0.0, projected_gradient.max()))
 
     plan = _readonly(validate_plans(spec, b.reshape(1, K, n))[0])
-    assert region.contains(b, tol=1e-8)
+    assert region.contains(b)
     return SolveReport(
         plan=plan,
         objective=objective,

@@ -438,12 +438,13 @@ def _batched_single_player_search(spec, candidates: np.ndarray) -> np.ndarray:
     Re-derives the payoff from the flow matrices directly (independent of the
     game-model evaluation path): diffuse the stacked states across each gap,
     add the stage investments, and score -inf a candidate whose investment
-    overruns the remaining opinion headroom anywhere along the way.
+    overruns the remaining opinion headroom anywhere along the way.  The
+    zero plan, the grid's first point, is always scored finite.
     """
     K, n = spec.K, spec.n
     utility = spec.utilities[0]
     rho, lam = utility.rho, utility.cost_coefficient
-    gaps = spec.gap_propagators
+    gaps = spec.kernel.gaps
     count = candidates.shape[0]
     states = np.broadcast_to(spec.x0.values[:, 0], (count, n)).copy()
     values = np.zeros(count)
@@ -457,6 +458,4 @@ def _batched_single_player_search(spec, candidates: np.ndarray) -> np.ndarray:
             states = states + stage
     values /= K + 1
     values[~alive] = -np.inf
-    if not alive.any():
-        raise ValueError("no feasible grid point found")
     return values

@@ -148,7 +148,7 @@ def test_exported_signatures():
 def test_one_concave_ascent_with_fixed_stopping_rules():
     ascent = single_player_solver._maximize_concave
     assert ascent.__module__ == "influencegame.single_player_solver"
-    assert parameters(ascent) == "evaluate, project, start, values=None"
+    assert parameters(ascent) == "evaluate, project, start"
     for name, value in STOPPING_RULES.items():
         assert getattr(single_player_solver, name) == value
 

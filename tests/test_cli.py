@@ -24,6 +24,7 @@ from influencegame import (
     equilibrium_solver,
     game_model,
     simulate_trajectory,
+    verification,
 )
 from influencegame.cli import (
     main,
@@ -70,6 +71,15 @@ class TestScenarioRoundTrip:
             assert np.array_equal(left.rho, right.rho)
         assert parsed.solver == scenario.solver
         assert document["solver"] == {"T": 100}
+
+    def test_custom_utility_not_serialized(self):
+        spec = random_linear_game(np.random.default_rng(0), 1, 2, 1)
+        custom = StageUtility(kind="custom", value_fn=lambda x, b, k: 0.0,
+                              opinion_grad_fn=lambda x, b, k: np.zeros(2),
+                              budget_grad_fn=lambda x, b, k: np.zeros(2))
+        spec = dataclasses.replace(spec, utilities=(custom,))
+        with pytest.raises(ScenarioError, match="custom utilities"):
+            scenario_to_dict(cli.Scenario(spec=spec, solver=cli.SolverSettings()))
 
     def test_unknown_keys_rejected(self):
         document = single_player_document()
@@ -507,6 +517,10 @@ class TestBadCommandInputs:
                      id="nan-plan-entry"),
         pytest.param(["simulate", "{reference}", "{bool_plans}", "--out", "{out}"],
                      id="bool-plan-entry"),
+        pytest.param(["simulate", "{reference}", "{one_plan}", "--out", "{out}"],
+                     id="one-plan-for-two-players"),
+        pytest.param(["simulate", "{reference}", "{misshaped_plans}", "--out", "{out}"],
+                     id="misshaped-plan"),
         pytest.param(["equilibrate", "--paper-example", "--T", "2", "--out", "{missing}/x"],
                      id="out-prefix-in-missing-directory"),
         pytest.param(["simulate", "{reference}", "{zero_plans}", "--out", "{missing}/o.csv"],
@@ -542,6 +556,8 @@ class TestBadCommandInputs:
             "string_plans": {"plans": ["a", zero]},
             "nan_plans": {"plans": [[[float("nan"), 0.0, 0.0], [0.0] * 3], zero]},
             "bool_plans": {"plans": [[[True, 0.0, 0.0], [0.0] * 3], zero]},
+            "one_plan": {"plans": [zero]},
+            "misshaped_plans": {"plans": [[[0.0] * 2] * 3, zero]},
             "single": single_player_document(),
             "huge_T": {**reference, "solver": {"T": 10**15}},
         }
@@ -585,6 +601,22 @@ class TestVerifyCommand:
         parts = [run_suite(name, seed=0)["checks"] for name in ("lemmas", "gradients", "oracles")]
         assert report["checks"] == parts[0] + parts[1] + parts[2]
 
+    def test_nan_check_prints_a_failed_report_and_exits_1(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the suite fails a check whose value is NaN; the report writes the
+        # value as JSON null rather than refusing to print
+        monkeypatch.setattr(verification, "total_payoff",
+                            lambda spec, profile, j: np.full(profile.shape[:-3], np.nan))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "gradients", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report == json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["checks"] == [{"name": "analytic-vs-finite-difference", "passed": False,
+                                     "max_relative_error": None}]
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])
@@ -606,6 +638,14 @@ class TestAtomicWrites:
             atomic_write_text(target, "contents")
         assert target.is_dir()
         assert [p.name for p in tmp_path.iterdir()] == ["dir-in-the-way"]
+
+    def test_unencodable_text_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "a lone surrogate \udc80")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old"
 
     @pytest.mark.parametrize("umask, mode", [
         pytest.param(0o022, 0o644, id="umask-022"),

@@ -362,23 +362,23 @@ class TestPropagatorBuilds:
 
 class TestKernelConstants:
     def test_constants_are_read_only(self, two_player_spec):
-        constants = two_player_spec.linear_weights
-        arrays = [*constants[:5], *constants.gaps_transposed]
+        constants = two_player_spec.kernel
+        arrays = [*constants[:5], *constants.gaps, *constants.gaps_transposed]
         assert all(not array.flags.writeable for array in arrays)
         with pytest.raises(ValueError, match="read-only"):
             constants.opinion_gradient[0, 0, 0] = 1.0
 
     def test_reference_run_builds_them_once(self, two_player_spec, monkeypatch):
         builds = []
-        original = game_model.GameSpec.linear_weights.func
+        original = game_model.GameSpec.kernel.func
 
         def counting(spec):
             builds.append(spec)
             return original(spec)
 
         cached = functools.cached_property(counting)
-        cached.__set_name__(game_model.GameSpec, "linear_weights")
-        monkeypatch.setattr(game_model.GameSpec, "linear_weights", cached)
+        cached.__set_name__(game_model.GameSpec, "kernel")
+        monkeypatch.setattr(game_model.GameSpec, "kernel", cached)
         trace = run_no_regret(two_player_spec, 20)
         exploitability(two_player_spec, trace.averages[-1])
         for j in range(two_player_spec.m):
@@ -473,10 +473,9 @@ class TestMaximizeConcave:
             evaluations.append(x)
             return float(c @ x - 0.5 * x @ Q @ x), c - Q @ x
 
-        values = []
         monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-9)
-        point, value, residual = _maximize_concave(
-            evaluate, lambda v: project_budget_set(v, cap), np.zeros(d), values=values
+        point, value, residual, gradient, values = _maximize_concave(
+            evaluate, lambda v: project_budget_set(v, cap), np.zeros(d)
         )
         assert residual <= 1e-9
         # with curvature between mu = 1e-4 and L = 1 and a probe step s <= 1,
@@ -484,6 +483,9 @@ class TestMaximizeConcave:
         # times the residual
         assert np.linalg.norm(point - optimum) <= 2.0 / 1e-4 * residual
         assert value == pytest.approx(c @ optimum - 0.5 * optimum @ Q @ optimum, abs=1e-12)
+        # the gradient and value it returns are the ones it measured at the point
+        np.testing.assert_array_equal(gradient, evaluate(point)[1])
+        assert values[-1] == value
         assert np.diff(values).min() >= -1e-13 * max(1.0, abs(values[0]))
         assert len(evaluations) < 200
 
@@ -556,9 +558,9 @@ class TestBestResponseCertificate:
         residuals = []
 
         def recording(*args):
-            point, value, residual = ascent(*args)
-            residuals.append(residual)
-            return point, value, residual
+            result = ascent(*args)
+            residuals.append(result[2])
+            return result
 
         monkeypatch.setattr(equilibrium_solver, "_maximize_concave", recording)
         for j in range(spec.m):

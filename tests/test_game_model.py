@@ -271,7 +271,7 @@ class TestSimulateTrajectory:
         # gap were built in one call
         spec = random_linear_game(np.random.default_rng(0), 1, 60, 1)
         samples = np.linspace(spec.schedule.t0, spec.schedule.tf, 1000)
-        spec.gap_propagators  # built before tracing: only the samples' stacks count
+        spec.kernel  # built before tracing: only the samples' stacks count
         tracemalloc.start()
         try:
             points = simulate_trajectory(spec, np.zeros((1, 1, 60)), samples)
@@ -375,6 +375,15 @@ class TestSimulateTrajectory:
         # non-finite gap used to fail inside the matrix exponential
         with pytest.raises(ValueError, match="finite"):
             call(two_player_spec)
+
+    @pytest.mark.parametrize("times, match", [
+        pytest.param([[0.5, 1.0]], "flat list", id="two-dimensional"),
+        pytest.param([0.5, 3.5], "horizon", id="after-the-horizon"),
+        pytest.param([-0.5, 0.5], "horizon", id="before-the-horizon"),
+    ])
+    def test_bad_sample_times_refused(self, two_player_spec, times, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_trajectory(two_player_spec, np.zeros((2, 2, 3)), times)
 
     def test_infeasible_plan_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.9), [3.0])
@@ -637,6 +646,14 @@ class TestStageUtility:
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
             StageUtility(kind="linear-favor", rho=np.array([[-1.0]]))
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StageUtility(kind="linear-favor", rho=np.ones((2, 2)), cost_coefficient=-0.1)
+
+    def test_linear_needs_rho(self):
+        with pytest.raises(ValueError, match="rho"):
+            StageUtility(kind="linear-favor", cost_coefficient=0.5)
 
     def test_custom_needs_all_callables(self):
         with pytest.raises(ValueError):

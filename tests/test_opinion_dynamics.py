@@ -62,6 +62,16 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             build_network(np.array([[1.0, -0.1], [0.2, 0.8]]))
 
+    @pytest.mark.parametrize("adjacency, match", [
+        pytest.param(np.full((2, 3), 1.0 / 3.0), "square", id="non-square"),
+        pytest.param(np.array([[1.1, -0.1], [0.5, 0.5]]), "nonnegative", id="negative"),
+        pytest.param(np.array([[0.5, 0.25], [0.5, 0.5]]), "sum to 1", id="non-stochastic"),
+    ])
+    def test_network_refuses_bad_adjacency_directly(self, adjacency, match):
+        # build_network refuses the first two before a Network is made
+        with pytest.raises(ValueError, match=match):
+            Network(adjacency=adjacency)
+
 
 class TestPropagator:
     def test_zero_time_is_identity(self, path_network):
@@ -139,6 +149,12 @@ class TestPropagator:
                                            rtol=0, atol=1e-12)
 
 
+class TestCheckStochastic:
+    def test_non_square_matrix_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            check_stochastic(np.full((2, 3), 0.5))
+
+
 class TestStackedFlow:
     GAPS = np.array([0.0, 1e-300, 0.25, 1.0, 1e4, 1e300])
 
@@ -180,6 +196,14 @@ class TestJumps:
         with pytest.raises(InfeasiblePlanError):
             jump_single(np.array([0.9]), np.array([0.2]))
 
+    def test_single_negative_entry_refused(self):
+        with pytest.raises(InfeasiblePlanError, match="negative budget"):
+            jump_single(np.array([0.5, 0.5]), np.array([0.1, -0.1]))
+
+    def test_single_mismatched_shapes_refused(self):
+        with pytest.raises(ValueError, match="matching shape"):
+            jump_single(np.full(2, 0.5), np.zeros(3))
+
     def test_single_monotone(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -194,6 +218,10 @@ class TestOpinionState:
             OpinionState(np.array([[1.2]]))
         with pytest.raises(ValueError):
             OpinionState(np.array([[-0.2]]))
+
+    def test_three_dimensional_array_refused(self):
+        with pytest.raises(ValueError, match="n x m matrix"):
+            OpinionState(np.full((2, 2, 2), 0.5))
 
     def test_vector_promoted_to_column(self):
         state = OpinionState(np.array([0.1, 0.9]))

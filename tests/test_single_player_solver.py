@@ -26,7 +26,7 @@ from influencegame.verification import (
     random_linear_game,
 )
 import influencegame
-from influencegame import single_player_solver
+from influencegame import game_model, single_player_solver
 from influencegame.single_player_solver import _maximize_concave, _warm_projection
 from conftest import (cold_projection, count_linear_solves, load_bench_module,
                       single_player_spec)
@@ -122,13 +122,25 @@ class TestProjectFeasible:
         # at the corner: KKT solution is (1.0, 0.0)
         np.testing.assert_allclose(projected, [1.0, 0.0], atol=1e-9)
 
-    def test_empty_region_raises_convergence_error(self):
+    @pytest.mark.parametrize("normal, point, last_iterate", [
         # x <= -1 and x >= 0: the sign row depends on the cap row, and no
         # working row can leave to make room for it
-        region = FeasibleRegion(normals=np.ones((1, 1)), offsets=np.array([-1.0]))
+        pytest.param([1.0], [5.0], [-1.0], id="dependent"),
+        # x1 + 1e-8 x2 <= -1 and x >= 0: x1's sign row is independent of the
+        # cap row only by a residual of 1e-16 against its norm, so the
+        # dependence rule, not an exact zero, must stop the full step that
+        # would leave the cap row violated by 1 at the origin
+        pytest.param([1.0, 1e-8], [0.5, 0.5], [-1.0, 0.5], id="nearly-dependent"),
+    ])
+    def test_empty_region_raises_convergence_error(self, normal, point, last_iterate):
+        region = FeasibleRegion(normals=np.array([normal]), offsets=np.array([-1.0]))
         with pytest.raises(ConvergenceError) as excinfo:
-            cold_projection(np.array([5.0]), region)
-        np.testing.assert_allclose(excinfo.value.last_iterate, [-1.0])
+            cold_projection(np.array(point), region)
+        np.testing.assert_allclose(excinfo.value.last_iterate, last_iterate, atol=1e-7)
+
+    def test_more_normals_than_offsets_refused(self):
+        with pytest.raises(ValueError, match="a normal and an offset"):
+            FeasibleRegion(normals=np.ones((2, 2)), offsets=np.array([1.0]))
 
     def test_cycle_budget_exhaustion_reports_last_iterate(self, monkeypatch):
         region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
@@ -330,6 +342,20 @@ class TestWarmProjection:
             np.testing.assert_allclose(result, cold_projection(point, region),
                                        rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+    def test_far_points_meet_every_row_relative_to_their_size(self, scale):
+        # the working set's rows are met up to round-off at the point's
+        # scale, so a far point's projection can exceed a row by more than
+        # 1e-12 absolute (about 1e-6 at scale 1e8), never relative
+        rng = np.random.default_rng(7)
+        for spec in BENCH_GAMES:
+            region = build_region(spec)
+            project = _warm_projection(region)
+            for _ in range(10):
+                point = scale * rng.standard_normal(region.dim)
+                bound = 1e-12 * max(1.0, np.abs(point).max())
+                assert region.max_violation(project(point)) <= bound
+
     def test_repeated_solves_are_identical(self):
         first, second = solve_single(BENCH_GAMES[4]), solve_single(BENCH_GAMES[4])
         for field in dataclasses.fields(first):
@@ -375,7 +401,7 @@ class TestSolveSingle:
                                       int(rng.integers(1, 3)))
             report = solve_single(spec)
             region = build_region(spec)
-            assert region.contains(report.plan.ravel(), tol=1e-8)
+            assert region.contains(report.plan.ravel())
 
     def test_monotone_ascent(self):
         rng = np.random.default_rng(67)
@@ -468,7 +494,7 @@ class TestSolveSingle:
             spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
         )
         assert report.objective >= grid_value
-        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
+        assert build_region(spec).contains(report.plan.ravel())
 
     def test_convex_custom_utility_refused(self):
         spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
@@ -507,12 +533,35 @@ class TestSolveSingle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve_single(spec)
-        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
+        assert build_region(spec).contains(report.plan.ravel())
         assert report.kkt_residual <= 1e-8
+
+    def test_rejects_multiplayer(self, two_player_spec):
+        with pytest.raises(ValueError, match="single-player games only"):
+            solve_single(two_player_spec)
+
+    def test_kernel_runs_once_at_the_returned_plan(self, monkeypatch):
+        # the ascent returns the gradient it measured at its last point, so
+        # the KKT probe needs no second pass there
+        spec = BENCH_GAMES[0]
+        profiles = []
+        original = game_model._columns_pass
+
+        def recording(game, profile, *args):
+            profiles.append(profile.copy())
+            return original(game, profile, *args)
+
+        monkeypatch.setattr(game_model, "_columns_pass", recording)
+        report = solve_single(spec)
+        at_plan = [p for p in profiles if np.array_equal(np.maximum(p[0], 0.0), report.plan)]
+        assert len(at_plan) == 1
+        # a linear objective accepts every trial step: one pass at the start
+        # and one per accepted step
+        assert len(profiles) == report.iterations + 1
 
     def test_twenty_individuals_three_campaigns(self):
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
         spec = random_linear_game(np.random.default_rng(0), 1, 20, 3)
         report = solve_single(spec)
-        assert build_region(spec).contains(report.plan.ravel(), tol=1e-8)
+        assert build_region(spec).contains(report.plan.ravel())
         assert report.kkt_residual <= 1e-8

@@ -129,6 +129,21 @@ class TestFdGradient:
         np.testing.assert_allclose(result.gradient, [2.0, 12.0, 1.0], atol=1e-5)
         assert len(rows) == 9 and len(set(rows)) == 9
 
+    def test_plain_one_sided_quotient_when_the_two_step_point_fails(self):
+        # the domain is [1, 1 + 1.5 h]: from x = 1 only the + neighbour
+        # evaluates, so the gradient is (f(1 + h) - f(1)) / h = 2 + h, not
+        # the second-order stencil's 2
+        h = 1e-3
+
+        def narrow(x):
+            if np.any(x[:, 0] < 1.0) or np.any(x[:, 0] > 1.0 + 1.5 * h):
+                raise ValueError("outside domain")
+            return x[:, 0] ** 2
+
+        result = fd_gradient(narrow, np.array([1.0]), h=h)
+        assert result.one_sided == (0,)
+        assert result.gradient[0] == pytest.approx(2.0 + h, rel=1e-9)
+
     def test_both_sides_failing_is_refused(self):
         def nowhere_but_the_point(x):
             if np.any(x[:, 0] != 1.0):
@@ -149,7 +164,7 @@ def per_candidate_search(spec, profile, j, grid_step):
     best_plan, best_value = None, -np.inf
     for point in itertools.product(axis, repeat=spec.K * spec.n):
         point = np.array(point)
-        if point.sum() > cap + 1e-12 or (region and not region.contains(point, tol=1e-9)):
+        if point.sum() > cap + 1e-12 or (region and region.max_violation(point) > 1e-9):
             continue
         candidate = np.array(profile, dtype=float)
         candidate[j] = point.reshape(spec.K, spec.n)
