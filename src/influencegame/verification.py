@@ -255,8 +255,10 @@ def random_feasible_profile(rng: np.random.Generator, spec):
 # ---------------------------------------------------------------------------
 
 def _check(name: str, passed: bool, **details) -> dict:
+    # a NaN or inf value has failed its check; None keeps the record JSON-ready
     record = {"name": name, "passed": bool(passed)}
-    record.update({k: (float(v) if isinstance(v, (np.floating, float)) else v)
+    record.update({k: ((float(v) if np.isfinite(v) else None)
+                       if isinstance(v, (np.floating, float)) else v)
                    for k, v in details.items()})
     return record
 
