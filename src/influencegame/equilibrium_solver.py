@@ -3,14 +3,17 @@
 Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
-equilibrium.  One iteration is one game-kernel pass that carries every
-player's opinion column and yields every payoff and gradient, then one
-projection of the m stepped plans, stacked, onto their budget sets.  No
-stepsize is configured: the game fixes it, 10 / tau when every utility is
-linear and 1 / sqrt(tau), the general online-gradient rate, otherwise.  The
-trace records the iterates and the per-iteration payoffs (the running
-averages are derived from the iterates), and the diagnostics below quantify
-how close the averaged profile is to equilibrium:
+equilibrium.  A game has that shape by construction: linear utilities have
+it, and ``GameSpec`` refuses a custom utility not declared to have it when
+the game is built, so no entry point here checks a hypothesis.  One
+iteration is one game-kernel pass that carries every player's opinion
+column and yields every payoff and gradient, then one projection of the m
+stepped plans, stacked, onto their budget sets.  No stepsize is configured:
+the game fixes it, 10 / tau when every utility is linear and 1 / sqrt(tau),
+the general online-gradient rate, otherwise.  The trace records the
+iterates and the per-iteration payoffs (the running averages are derived
+from the iterates), and the diagnostics below quantify how close the
+averaged profile is to equilibrium:
 
 * regret -- gap between the best fixed strategy in hindsight and the payoff
   actually accumulated,
@@ -41,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisCheckError
 from .game_model import (
     GameSpec,
     total_payoff,
@@ -168,16 +170,6 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _require_own_concave(spec: GameSpec, *players: int):
-    """The listed players' best-response subproblems must be concave maximizations."""
-    for j in players:
-        utility = spec.utilities[j]
-        if not (utility.is_linear or utility.declared_own_concave):
-            raise HypothesisCheckError(
-                f"player {j}'s best-response subproblem is not attested concave"
-            )
-
-
 # Float-scale overflow inside the diagnostics is an error, not a NaN result.
 _RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
 
@@ -235,14 +227,14 @@ def best_response(spec: GameSpec, profile, j: int):
     ``profile``; returns (entries, payoff).
 
     Warm-started at player j's current plan, so the returned payoff is never
-    below the played one.  ``_maximize_concave`` stops by its scale-free rule,
-    which bounds the payoff's shortfall from the best, and raises
-    ConvergenceError if its step budget runs out first; a one-player game
-    raises ValueError, and a profile ``validate_plans`` refuses raises its
-    error.
+    below the played one.  The payoff is concave in j's own plan, a shape
+    ``GameSpec`` checked when the game was built.  ``_maximize_concave``
+    stops by its scale-free rule, which bounds the payoff's shortfall from
+    the best, and raises ConvergenceError if its step budget runs out first;
+    a one-player game raises ValueError, and a profile ``validate_plans``
+    refuses raises its error.
     """
     _require_multiplayer(spec)
-    _require_own_concave(spec, j)
     profile = _one_profile(spec, profile)
     point, value = _best_fixed_plan(spec, profile, j, profile[j])
     return point.reshape(spec.K, spec.n), value
@@ -254,11 +246,10 @@ def exploitability(spec: GameSpec, profile) -> float:
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
     distance from equilibrium in payoff terms.  A one-player game raises
-    ValueError and an unattested player's subproblem HypothesisCheckError,
-    before any work; a profile ``validate_plans`` refuses raises its error.
+    ValueError before any work; a profile ``validate_plans`` refuses raises
+    its error.
     """
     _require_multiplayer(spec)
-    _require_own_concave(spec, *range(spec.m))
     profile = _one_profile(spec, profile)
     return float(max(
         _best_fixed_plan(spec, profile, j, profile[j])[1] - total_payoff(spec, profile, j)
@@ -286,7 +277,6 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     if not (_is_count(T) and 1 <= T <= trace.iterations):
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "
                          f"recorded iterations, got {T!r}")
-    _require_own_concave(spec, j)
     _, value = _best_fixed_plan(spec, trace.iterates[:T], j, trace.averages[T - 1, j])
     return float(value - trace.payoffs[:T, j].sum())
 
@@ -295,10 +285,8 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
 def solve_equilibrium(spec: GameSpec, T: int):
     """Run T iterations of the learning dynamics (``run_no_regret``) and
     package the averaged profile with its diagnostics; returns (trace,
-    result).  A one-player game or a bad T raises ValueError and an
-    unattested player's subproblem HypothesisCheckError, before the run."""
+    result).  A one-player game or a bad T raises ValueError before the run."""
     _require_multiplayer(spec)
-    _require_own_concave(spec, *range(spec.m))
     trace = run_no_regret(spec, T)
     averaged = trace.averages[-1]
     result = EquilibriumResult(

@@ -73,9 +73,12 @@ class StageUtility:
     weights from the game's stack in the bundle ``GameSpec.kernel``.  Custom
     utilities supply a value and both partial gradients as callables of one
     length-n opinion vector x, budget vector b and stage k, which the kernel
-    applies column by column; to participate in a multiplayer game they must
-    additionally be declared increasing and convex in the opinion argument,
-    and to act as a best-response objective, concave in the own budget.
+    applies column by column.  ``GameSpec`` checks a custom utility once,
+    when the game is built, and raises HypothesisCheckError on a failure:
+    alone in a game it must pass a concavity spot check; in a game of m >= 2
+    players it must carry ``declared_multiplayer_shape``, which attests that
+    it is increasing and convex in the opinion argument and concave in the
+    own budget, and the increasing-and-convex part is spot-checked.
     """
 
     kind: str
@@ -84,8 +87,7 @@ class StageUtility:
     value_fn: Callable | None = None
     opinion_grad_fn: Callable | None = None
     budget_grad_fn: Callable | None = None
-    declared_increasing_convex: bool = False
-    declared_own_concave: bool = False
+    declared_multiplayer_shape: bool = False
 
     def __post_init__(self):
         if self.kind not in UTILITY_KINDS:
@@ -134,7 +136,10 @@ class GameSpec:
     opinions of each individual form a distribution, which the constant-sum
     identity and the normalized jump keep along the trajectory.  A linear
     utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
-    ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.
+    ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.  The budgets
+    are a flat vector of m entries.  Every custom utility is checked here
+    for the shape its game needs (see ``StageUtility``), so no solver checks
+    a hypothesis.
     """
 
     network: Network
@@ -151,8 +156,9 @@ class GameSpec:
         if self.x0.n != self.network.n:
             raise ValueError("initial opinions and network disagree on n")
         m = self.x0.m
-        if len(self.budgets) != m or len(self.utilities) != m:
-            raise ValueError("budgets, utilities and opinion columns must all count m")
+        if self.budgets.shape != (m,) or len(self.utilities) != m:
+            raise ValueError("budgets (a flat vector), utilities and opinion columns "
+                             "must all count m")
         if m >= 2 and np.max(np.abs(self.x0.values.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("initial opinions of each individual must sum to 1 across players")
         if not np.all(np.isfinite(self.budgets)):
@@ -170,10 +176,11 @@ class GameSpec:
                                       + utility.cost_coefficient / _MAX_GRADIENT) > stages:
                 raise ValueError(f"(sum(rho) + lambda) / (K + 1) above {_MAX_GRADIENT:g}: "
                                  "a solver step may overflow")
-        if m >= 2:
-            for j, utility in enumerate(self.utilities):
-                if utility.kind == "custom":
-                    _check_increasing_convex(utility, self.network.n, stages, player=j)
+        for j, utility in enumerate(self.utilities):
+            if not utility.is_linear and m == 1:
+                _check_concave_stages(utility, self.network.n, stages)
+            elif not utility.is_linear:
+                _check_increasing_convex(utility, self.network.n, stages, player=j)
 
     @property
     def m(self) -> int:
@@ -221,12 +228,23 @@ def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int
             f"{message} (worst violation {report.worst_violation:.3e})", report=report)
 
 
+def _check_concave_stages(utility: StageUtility, n: int, stages: int):
+    """Midpoint-concavity spot check of a lone player's custom utility."""
+    for k in (1, stages):
+        _require_midpoint_convex(
+            lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
+            lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]), samples=64, seed=11,
+            message="custom stage utility failed the concavity midpoint check")
+
+
 def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
-    """Spot-check a custom utility's declared shape on registration."""
-    if not utility.declared_increasing_convex:
+    """Require a multiplayer custom utility's declared shape and spot-check
+    its increasing-and-convex part."""
+    if not utility.declared_multiplayer_shape:
         raise HypothesisCheckError(
-            f"custom utility of player {player} must be declared increasing and "
-            "convex in the opinion argument to join a multiplayer game"
+            f"custom utility of player {player} must be declared increasing and convex "
+            "in the opinion argument and concave in the own budget to join a "
+            "multiplayer game"
         )
     rng = np.random.default_rng(0)
     for k in (1, stages):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .game_model import (GameSpec, validate_plans, _objective_for_player,
-                         _require_midpoint_convex, _rowwise)
+from .game_model import GameSpec, validate_plans, _objective_for_player
 from .opinion_dynamics import _readonly
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
@@ -36,7 +35,8 @@ ASCENT_MAX_STEPS = 100_000
 @dataclass(frozen=True, eq=False)
 class FeasibleRegion:
     """Nonnegative x in R^{Kn} with normal'x <= offset, sign constraints last in
-    ``violations``; every normal and offset must be finite (ValueError otherwise)."""
+    ``violations``; every normal and offset must be finite (ValueError otherwise).
+    A point with a non-finite entry violates the region by inf."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -61,6 +61,8 @@ class FeasibleRegion:
         return np.concatenate([self.normals @ x - self.offsets, -x])
 
     def max_violation(self, x: np.ndarray) -> float:
+        if not np.isfinite(x).all():
+            return np.inf
         return float(max(0.0, np.max(self.violations(x))))
 
     def contains(self, x: np.ndarray) -> bool:
@@ -77,7 +79,7 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     vector.
     """
     if spec.m != 1:
-        raise ValueError("the constraint polytope is defined for single-player games")
+        raise ValueError("build_region and solve_single handle single-player games only")
     K, n = spec.K, spec.n
     d = K * n
     x0 = spec.x0.values[:, 0]
@@ -303,19 +305,6 @@ class SolveReport:
     objectives: np.ndarray
 
 
-def _check_concave_stages(spec: GameSpec):
-    """Midpoint-concavity spot check for custom stage utilities."""
-    utility = spec.utilities[0]
-    if utility.is_linear:
-        return
-    n, stages = spec.n, spec.K + 1
-    for k in (1, stages):
-        _require_midpoint_convex(
-            lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
-            lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]), samples=64, seed=11,
-            message="custom stage utility failed the concavity midpoint check")
-
-
 def solve_single(spec: GameSpec) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
@@ -331,11 +320,9 @@ def solve_single(spec: GameSpec) -> SolveReport:
     final working set, a state held by this call alone, so two calls on one
     game return the same report.  The ascent returns the gradient it
     measured at the plan, which the KKT probe reuses.  A game with other
-    than one player raises ValueError.
+    than one player raises ValueError, from ``build_region``.  A custom
+    utility was checked for concavity when its game was built.
     """
-    if spec.m != 1:
-        raise ValueError("solve_single handles single-player games only")
-    _check_concave_stages(spec)
     region = build_region(spec)
     K, n = spec.K, spec.n
 

@@ -113,8 +113,11 @@ def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> Fini
     once and a raising evaluation read as a missing value: central where
     both sides evaluate, else a second-order one-sided stencil on the side
     that does (the + side first), degrading to the plain one-sided quotient
-    when the two-step point is missing too.
+    when the two-step point is missing too.  A step h that is not positive
+    and finite raises ValueError before any evaluation.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     point = np.asarray(point, dtype=float)
     flat = point.ravel()
 
@@ -174,8 +177,11 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     candidates, a lone player's first kept within ``build_region``'s rows
     to 1e-9.  Candidates are enumerated lexicographically and ties keep the
     earliest (lexicographically smallest) point, so the result is
-    deterministic.  Guarded to K*n <= 4 variables.
+    deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
+    positive and finite raises ValueError before any evaluation.
     """
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
     K, n = spec.K, spec.n
     if K * n > 4:
         raise ValueError("grid search is limited to K*n <= 4 variables")

@@ -79,7 +79,7 @@ SIGNATURES = {
     "SolveReport": "plan, objective, iterations, final_step_norm, kkt_residual, objectives",
     "StageUtility": (
         "kind, rho=None, cost_coefficient=0.0, value_fn=None, opinion_grad_fn=None, "
-        "budget_grad_fn=None, declared_increasing_convex=False, declared_own_concave=False"
+        "budget_grad_fn=None, declared_multiplayer_shape=False"
     ),
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
     "TrajectoryPoint": "time, state, post_jump=False",

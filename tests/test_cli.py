@@ -16,13 +16,10 @@ import pytest
 from influencegame import (
     CampaignSchedule,
     ConvergenceError,
-    HypothesisCheckError,
     OpinionState,
     ScenarioError,
     StageUtility,
     cli,
-    equilibrium_solver,
-    game_model,
     simulate_trajectory,
     verification,
 )
@@ -376,34 +373,6 @@ class TestEquilibrateCommand:
         assert completed.returncode == 2
         assert completed.stderr.startswith("error: ") and "Traceback" not in completed.stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
-
-    def test_unattested_player_refused_before_the_run(self, tmp_path, monkeypatch):
-        # player 0 declared increasing-convex but not own-concave
-        utility = StageUtility(
-            kind="custom",
-            value_fn=lambda x, b, k: float(x.sum() + 0.25 * x @ x - 0.5 * b.sum()),
-            opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
-            budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
-            declared_increasing_convex=True,
-        )
-        scenario = reference_scenario()
-        spec = dataclasses.replace(scenario.spec,
-                                   utilities=(utility, scenario.spec.utilities[1]))
-        monkeypatch.setattr(cli, "reference_scenario",
-                            lambda: dataclasses.replace(scenario, spec=spec))
-        passes = []
-        original = game_model._columns_pass
-
-        def counting(*args):
-            passes.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(game_model, "_columns_pass", counting)
-        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
-        with pytest.raises(HypothesisCheckError, match="player 0's best-response subproblem"):
-            main(["equilibrate", "--paper-example", "--T", "2000",
-                  "--out", str(tmp_path / "x")])
-        assert passes == [] and list(tmp_path.iterdir()) == []
 
     def test_failed_second_write_leaves_neither_file(self, tmp_path, capsys):
         (tmp_path / "half_result.json").mkdir()

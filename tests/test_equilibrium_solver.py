@@ -312,7 +312,7 @@ def utility_of_kind(kind, rho, cost):
         value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-        declared_increasing_convex=True,
+        declared_multiplayer_shape=True,
     )
 
 
@@ -578,41 +578,28 @@ class TestBestResponseCertificate:
 
 class TestCustomUtilities:
     @staticmethod
-    def custom_game(two_player_spec, declared_own_concave):
+    def custom_utility(declared_multiplayer_shape):
         # increasing and convex in opinions, linear in the own budget
-        utility = StageUtility(
+        return StageUtility(
             kind="custom",
             value_fn=lambda x, b, k: float(x.sum() + 0.25 * x @ x - 0.5 * b.sum()),
             opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
             budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
-            declared_increasing_convex=True,
-            declared_own_concave=declared_own_concave,
+            declared_multiplayer_shape=declared_multiplayer_shape,
         )
-        favor = two_player_spec.utilities[1]
-        return dataclasses.replace(two_player_spec, utilities=(utility, favor))
 
     def test_declared_own_concave_best_response_never_below_played(self, two_player_spec):
-        spec = self.custom_game(two_player_spec, declared_own_concave=True)
+        utility = self.custom_utility(declared_multiplayer_shape=True)
+        spec = dataclasses.replace(two_player_spec,
+                                   utilities=(utility, two_player_spec.utilities[1]))
         profile = random_feasible_profile(np.random.default_rng(3), spec)
         plan, value = best_response(spec, profile, 0)
         assert plan.sum() <= spec.budgets[0] + 1e-9
         assert value >= total_payoff(spec, profile, 0)
 
-    def test_undeclared_own_concavity_refused(self, two_player_spec):
-        spec = self.custom_game(two_player_spec, declared_own_concave=False)
-        with pytest.raises(HypothesisCheckError, match="not attested concave"):
-            best_response(spec, np.zeros((2, 2, 3)), 0)
-
-    @pytest.mark.parametrize("call, unattested", [
-        pytest.param(lambda spec: solve_equilibrium(spec, 2000), 0, id="solve_equilibrium"),
-        pytest.param(lambda spec: exploitability(spec, np.zeros((2, 2, 3))), 1,
-                     id="exploitability"),
-    ])
-    def test_unattested_player_refused_before_any_kernel_pass(self, two_player_spec,
-                                                              monkeypatch, call, unattested):
-        spec = self.custom_game(two_player_spec, declared_own_concave=False)
-        if unattested == 1:
-            spec = dataclasses.replace(spec, utilities=spec.utilities[::-1])
+    def test_undeclared_own_concavity_refused(self, two_player_spec, monkeypatch):
+        # refused when the game is built, before any kernel pass, whichever
+        # player holds the undeclared utility
         passes = []
         original = game_model._columns_pass
 
@@ -622,9 +609,13 @@ class TestCustomUtilities:
 
         monkeypatch.setattr(game_model, "_columns_pass", counting)
         monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
-        with pytest.raises(HypothesisCheckError,
-                           match=f"player {unattested}'s best-response subproblem"):
-            call(spec)
+        pair = (self.custom_utility(declared_multiplayer_shape=False),
+                two_player_spec.utilities[1])
+        for player, utilities in enumerate([pair, pair[::-1]]):
+            with pytest.raises(HypothesisCheckError,
+                               match=f"player {player} must be declared increasing and convex "
+                                     "in the opinion argument and concave in the own budget"):
+                dataclasses.replace(two_player_spec, utilities=utilities)
         assert passes == []
 
 

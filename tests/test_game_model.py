@@ -129,7 +129,7 @@ def mixed_game(rng):
         value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-        declared_increasing_convex=True,
+        declared_multiplayer_shape=True,
     )
     utilities = (game.utilities[0], custom, game.utilities[2])
     return dataclasses.replace(game, utilities=utilities)
@@ -682,7 +682,7 @@ class TestStageUtility:
         grad = lambda x, b, k: 0.5 / np.sqrt(x + 1e-9)
         zeros = lambda x, b, k: np.zeros_like(x)
         custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
-                              budget_grad_fn=zeros, declared_increasing_convex=True)
+                              budget_grad_fn=zeros, declared_multiplayer_shape=True)
         favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
                              cost_coefficient=1.0)
         with pytest.raises(HypothesisCheckError):
@@ -701,7 +701,7 @@ class TestStageUtility:
         grad = lambda x, b, k: -np.ones_like(x)
         zeros = lambda x, b, k: np.zeros_like(x)
         custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
-                              budget_grad_fn=zeros, declared_increasing_convex=True)
+                              budget_grad_fn=zeros, declared_multiplayer_shape=True)
         favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
                              cost_coefficient=1.0)
         with pytest.raises(HypothesisCheckError, match="not increasing"):
@@ -739,6 +739,12 @@ class TestGameSpec:
         else:
             with pytest.raises(ValueError, match="solver step may overflow"):
                 make()
+
+    @pytest.mark.parametrize("budgets", [np.full((2, 1), 4.0), np.full((1, 2), 4.0),
+                                         np.full(3, 4.0)], ids=["column", "row", "three"])
+    def test_budgets_must_be_a_flat_vector_of_m_entries(self, two_player_spec, budgets):
+        with pytest.raises(ValueError, match="flat vector"):
+            dataclasses.replace(two_player_spec, budgets=budgets)
 
     @pytest.mark.parametrize("first_row, accepted", [
         ([0.5 + 5e-10, 0.5], True),

@@ -92,6 +92,16 @@ class TestBuildRegion:
         with pytest.raises(ValueError):
             build_region(two_player_spec)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_outside(self, entry):
+        region = build_region(random_linear_game(np.random.default_rng(0), 1, 3, 2))
+        point = np.zeros(region.dim)
+        point[2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert region.max_violation(point) == np.inf
+            assert not region.contains(point)
+
 
 class TestProjectFeasible:
     def test_feasible_point_unchanged(self):
@@ -499,11 +509,11 @@ class TestSolveSingle:
     def test_convex_custom_utility_refused(self):
         spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
         cost = spec.utilities[0].cost_coefficient
-        spec = self.with_custom_utility(
-            spec, lambda x, b, k: x @ x - cost * b.sum(), lambda x, b, k: 2.0 * x
-        )
+        # refused when the game is built, before any solver runs
         with pytest.raises(HypothesisCheckError, match="concavity") as excinfo:
-            solve_single(spec)
+            self.with_custom_utility(
+                spec, lambda x, b, k: x @ x - cost * b.sum(), lambda x, b, k: 2.0 * x
+            )
         assert excinfo.value.report is not None
         assert not excinfo.value.report.passed
 

@@ -153,6 +153,18 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="both sides of coordinate 0"):
             fd_gradient(nowhere_but_the_point, np.array([1.0]))
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        calls = []
+
+        def evaluator(x):
+            calls.append(len(x))
+            return x[:, 0]
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            fd_gradient(evaluator, np.array([1.0]), h=h)
+        assert calls == []
+
 
 def per_candidate_search(spec, profile, j, grid_step):
     """The grid search one candidate at a time: the lexicographic grid of
@@ -220,6 +232,18 @@ class TestBruteForce:
         spec = single_player_spec(n=2, K=1, x0=0.5, budget=0.4, rho=0.0, cost=0.0)
         plan, _ = brute_force_best_response(spec, np.zeros((1, 1, 2)), 0, 0.1)
         np.testing.assert_array_equal(plan, 0.0)
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf])
+    def test_grid_step_must_be_positive_and_finite(self, monkeypatch, grid_step):
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the step was checked")
+
+        monkeypatch.setattr(verification, "_batched_single_player_search", no_evaluation)
+        monkeypatch.setattr(verification, "total_payoff", no_evaluation)
+        for spec in (single_player_spec(n=1, K=1), custom_single_player_game()):
+            profile = np.zeros((1, spec.K, spec.n))
+            with pytest.raises(ValueError, match="positive and finite"):
+                brute_force_best_response(spec, profile, 0, grid_step)
 
     def test_dimension_guard(self):
         spec = single_player_spec(n=3, K=2, x0=0.5, budget=1.0)
