@@ -72,32 +72,30 @@ class FeasibleRegion:
 def build_region(spec: GameSpec) -> FeasibleRegion:
     """Assemble the single-player constraint polytope.
 
-    The pairwise propagators exp(-L (t_k - t_s)) are products of the
-    adjacent-gap propagators in the game's bundle ``GameSpec.kernel``; the
-    diffusion of the initial opinions is folded into the cap offsets, so
+    The cap rows are the Jacobian of the stage recursion, carried forward
+    as one matrix of K + 1 blocks: block 0 takes x0 from t_0 and block s
+    stage s's investment to the current campaign.  At campaign k the
+    matrix takes one product with the adjacent-gap propagator
+    exp(-L (t_k - t_{k-1})) of the game's bundle ``GameSpec.kernel``, block
+    k becomes I, and blocks 1..K are stage k's cap rows; block 0 applied to
+    x0 folds the diffusion of the initial opinions into the cap offsets, so
     every constraint is affine in the flattened (stage-major) investment
     vector.
     """
     if spec.m != 1:
         raise ValueError("build_region and solve_single handle single-player games only")
     K, n = spec.K, spec.n
-    d = K * n
-    x0 = spec.x0.values[:, 0]
-    gaps = spec.kernel.gaps
+    carried = np.eye(n, (K + 1) * n)
 
     normals = []
     offsets = []
-    flows = []  # flows[s] carries opinions from t_s to t_k, s = 0, ..., k-1
-    for k in range(1, K + 1):
-        flows = [gaps[k - 1] @ flow for flow in flows] + [gaps[k - 1]]
-        block = np.zeros((n, d))
-        block[:, (k - 1) * n : k * n] = np.eye(n)
-        for s in range(1, k):
-            block[:, (s - 1) * n : s * n] = flows[s]
-        reach = flows[0] @ x0
-        normals.append(block)
+    for k, gap in enumerate(spec.kernel.gaps[:K], start=1):
+        carried = gap @ carried
+        carried[:, k * n : (k + 1) * n] = np.eye(n)
+        normals.append(carried[:, n:])
+        reach = carried[:, :n] @ spec.x0.values[:, 0]
         offsets.append(np.maximum(1.0 - reach, 0.0))  # reach <= 1 up to round-off
-    normals.append(np.ones((1, d)))
+    normals.append(np.ones((1, K * n)))
     offsets.append(np.array([float(spec.budgets[0])]))
     return FeasibleRegion(normals=np.vstack(normals), offsets=np.concatenate(offsets))
 
@@ -220,9 +218,13 @@ def _maximize_concave(evaluate, project, start):
     projected gradient of Birgin, Martinez and Raydan, SIAM J. Optim., 2000);
     where that is not a positive finite number (a linear objective gives
     s'y = 0), the accepted step grows by 1.5 instead.  Either is clamped to
-    [1e-12, 1e6], so 80 halvings still reach below 1e-12, and an unbounded
-    objective cannot push the candidate so far out that the projection's
-    round-off (about eps times the candidate's norm) leaves it infeasible.
+    [1e-12, 1e6], so 80 halvings still reach below 1e-12, and a candidate
+    lies at most 1e6 max|g| from the current point before its projection.
+    The clamp is absolute, so the projection's round-off (about eps times
+    the candidate's norm) stays below the caps' tolerances only while
+    max|g| is of order 1; ``solve_single`` keeps it so by ascending its
+    payoff divided by max(1, max|g|) at the zero plan, and multiplies the
+    ``SolveReport`` values back into payoff units.
 
     The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
     at the probe step s = min(step, 1).  Returns (point, value, residual,
@@ -294,7 +296,8 @@ class SolveReport:
     gradient at the returned plan (zero at an exact maximizer).
     ``objectives`` holds the objective value at the zero plan and after
     every accepted step, so it has ``iterations + 1`` entries and never
-    decreases beyond round-off.
+    decreases beyond round-off.  ``objective``, ``objectives``,
+    ``final_step_norm`` and ``kkt_residual`` are in payoff units.
     """
 
     plan: np.ndarray
@@ -308,11 +311,14 @@ class SolveReport:
 def solve_single(spec: GameSpec) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
-    Runs ``_maximize_concave`` from the zero plan, which is always feasible.  A
-    linear utility makes the gradient constant, so the trial steps grow by
-    1.5 after each acceptance, up to 1e6, instead of taking the
-    Barzilai-Borwein step.  It stops once ``final_step_norm`` is at most
-    ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan, and
+    Runs ``_maximize_concave`` from the zero plan, which is always feasible,
+    on the payoff and its gradient divided by c = max(1, max|g|), g the
+    gradient at the zero plan (the ascent's first evaluation), so the ascent
+    starts from a gradient of at most 1 however large the utility weights
+    are; the report multiplies its values back by c.  A linear utility
+    makes the gradient constant, so the trial steps grow by 1.5 after each
+    acceptance, up to 1e6, instead of taking the Barzilai-Borwein step.  It
+    stops once ``final_step_norm`` is at most ``ASCENT_TOL`` times c, and
     raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
     accepted steps do not get there.  Every projection meets the polytope's
     rows to ``PROJECTION_TOL`` times max(1, max|p|), p the projected point;
@@ -326,7 +332,16 @@ def solve_single(spec: GameSpec) -> SolveReport:
     region = build_region(spec)
     K, n = spec.K, spec.n
 
-    evaluate = _objective_for_player(spec, np.zeros((1, K, n)), 0)
+    payoff = _objective_for_player(spec, np.zeros((1, K, n)), 0)
+    scale = None
+
+    def evaluate(flat):
+        nonlocal scale
+        value, gradient = payoff(flat)
+        if scale is None:  # the ascent's first evaluation, at the zero plan
+            scale = max(1.0, float(np.max(np.abs(gradient))))
+        return value / scale, gradient / scale
+
     project = _warm_projection(region)
     b, objective, step_norm, g, objectives = _maximize_concave(
         evaluate, project, np.zeros(K * n))
@@ -339,9 +354,9 @@ def solve_single(spec: GameSpec) -> SolveReport:
     assert region.contains(b)
     return SolveReport(
         plan=plan,
-        objective=objective,
+        objective=objective * scale,
         iterations=len(objectives) - 1,
-        final_step_norm=step_norm,
-        kkt_residual=kkt_residual,
-        objectives=np.asarray(objectives),
+        final_step_norm=step_norm * scale,
+        kkt_residual=kkt_residual * scale,
+        objectives=np.asarray(objectives) * scale,
     )

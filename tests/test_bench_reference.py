@@ -12,18 +12,21 @@ temporary directory, so a propagator, kernel or solver change that would
 fail the benchmark's output check fails here first.  Each workload's
 operation 0 also runs traced, inside ``bench/tracing.py``'s
 ``Tracer().patched()`` as the benchmark's trace mode runs it, and must give
-the untraced run's bytes.  Nothing under ``bench/`` is written.
+the untraced run's bytes.  The benchmark's own tests, ``bench/test_bench.py``,
+run here too, in a child interpreter.  Nothing under ``bench/`` is written.
 """
 
 import contextlib
 import math
+import subprocess
+import sys
 
 import pytest
 
 import influencegame
 import influencegame.cli
 import influencegame.verification
-from conftest import load_bench_module
+from conftest import ROOT, load_bench_module, subprocess_env
 
 
 workloads = load_bench_module("workloads")
@@ -73,3 +76,14 @@ def test_traced_operation_gives_the_untraced_bytes(tmp_path, capsys, name):
     assert traced == plain
     medians = tracing.per_layer_medians(tracer.spans, [0])
     assert medians and all(math.isfinite(value) for value in medians.values())
+
+
+def test_bench_own_tests_pass():
+    # in a child interpreter, because ``bench/run.py``'s ``import_package()``
+    # deletes and re-imports ``influencegame``
+    env = subprocess_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/test_bench.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stdout + completed.stderr

@@ -19,6 +19,7 @@ from influencegame import (
     OpinionState,
     ScenarioError,
     StageUtility,
+    build_region,
     cli,
     simulate_trajectory,
     verification,
@@ -223,6 +224,16 @@ class TestSolveCommand:
             code = self.solve_game(tmp_path, spec, budgets=np.array([1e308]),
                                    utilities=(utility,))
         assert code == 0
+
+    def test_large_utility_weights_exit_0_with_a_feasible_plan(self, tmp_path):
+        # rho x 1e8: the ascent's candidates lay so far out that a projected
+        # plan overran a cap by 1.9e-8 and the command exited 3
+        spec = random_linear_game(np.random.default_rng(0), 1, 5, 3)
+        utility = dataclasses.replace(spec.utilities[0], rho=1e8 * spec.utilities[0].rho)
+        spec = dataclasses.replace(spec, budgets=np.array([3.0]), utilities=(utility,))
+        assert self.solve_game(tmp_path, spec) == 0
+        plan = json.loads((tmp_path / "report.json").read_text())["plan"]
+        assert build_region(spec).contains(np.ravel(plan))
 
     def test_multiplayer_scenario_exits_4(self, tmp_path, capsys):
         scenario = write_scenario(

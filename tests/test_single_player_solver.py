@@ -65,23 +65,33 @@ class TestBuildRegion:
     def test_reference_network_offsets_use_propagated_opinions(self, path_network):
         from influencegame import CampaignSchedule, GameSpec, OpinionState, StageUtility
 
-        spec = GameSpec(
-            network=path_network,
-            schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0])),
-            x0=OpinionState(np.full((3, 1), 0.5)),
-            budgets=np.array([3.0]),
-            utilities=(StageUtility(kind="linear-favor", rho=np.ones((3, 3)),
-                                    cost_coefficient=1.0),),
-        )
-        region = build_region(spec)
-        times = spec.schedule.times
-        for k in (1, 2):
-            reach = propagator(spec.network, times[k] - times[0]) @ spec.x0.values[:, 0]
-            np.testing.assert_allclose(region.offsets[(k - 1) * 3 : k * 3],
-                                       1.0 - reach, atol=1e-12)
-        # cross-stage coupling: the stage-2 cap rows carry the 1-step propagator
-        flow = propagator(spec.network, times[2] - times[1])
-        np.testing.assert_allclose(region.normals[3:6, 0:3], flow, atol=1e-12)
+        n = 3
+        for times in ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.25, 2.0, 3.5, 4.0]):
+            K = len(times) - 2
+            spec = GameSpec(
+                network=path_network,
+                schedule=CampaignSchedule(times=np.array(times)),
+                x0=OpinionState(np.full((n, 1), 0.5)),
+                budgets=np.array([3.0]),
+                utilities=(StageUtility(kind="linear-favor", rho=np.ones((K + 1, n)),
+                                        cost_coefficient=1.0),),
+            )
+            region = build_region(spec)
+            for k in range(1, K + 1):
+                rows = slice((k - 1) * n, k * n)
+                reach = propagator(path_network, times[k] - times[0]) @ spec.x0.values[:, 0]
+                np.testing.assert_allclose(region.offsets[rows], 1.0 - reach, rtol=0, atol=1e-12)
+                # cap block (k, s) carries stage s's investment to t_k: the
+                # propagator over t_k - t_s before stage k, I at k, 0 after
+                for s in range(1, K + 1):
+                    block = region.normals[rows, (s - 1) * n : s * n]
+                    if s < k:
+                        flow = propagator(path_network, times[k] - times[s])
+                        np.testing.assert_allclose(block, flow, rtol=0, atol=1e-12)
+                    elif s == k:
+                        assert np.array_equal(block, np.eye(n))
+                    else:
+                        assert np.all(block == 0.0)
 
     def test_zero_plan_always_feasible(self):
         spec = single_player_spec(n=2, K=2, x0=0.9, budget=0.5)
@@ -545,6 +555,25 @@ class TestSolveSingle:
             report = solve_single(spec)
         assert build_region(spec).contains(report.plan.ravel())
         assert report.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("budget", [None, 3.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_utility_weights_scale_the_objective_only(self, seed, budget):
+        # the ascent clamps its step in absolute terms: with weights of 1e6
+        # and more, unscaled candidates lay so far out that the projection's
+        # round-off overran a cap, or the ascent stopped short
+        spec = random_linear_game(np.random.default_rng(seed), 1, 5, 3)
+        if budget is not None:
+            spec = dataclasses.replace(spec, budgets=np.array([budget]))
+        base = solve_single(spec)
+        utility = spec.utilities[0]
+        for s in (1e6, 1e8, 1e12):
+            weighted = dataclasses.replace(utility, rho=s * utility.rho,
+                                           cost_coefficient=s * utility.cost_coefficient)
+            report = solve_single(dataclasses.replace(spec, utilities=(weighted,)))
+            assert report.objective == pytest.approx(s * base.objective, rel=1e-12, abs=0)
+            assert report.objectives[-1] == report.objective
+            np.testing.assert_allclose(report.plan, base.plan, rtol=0, atol=1e-12)
 
     def test_rejects_multiplayer(self, two_player_spec):
         with pytest.raises(ValueError, match="single-player games only"):
