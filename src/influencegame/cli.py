@@ -22,6 +22,7 @@ a random draw.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,7 +338,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="influence-game",
         description="Budget allocation and open-loop equilibria for "

@@ -6,10 +6,11 @@ stage utility is a concave program over a polytope: Kn cap constraints
 (investment plus already-accumulated opinion must stay at most 1, rowwise),
 one total-budget constraint, and Kn sign constraints, implied rather than
 stored.  The solver is ``_maximize_concave``, the package's one
-concave ascent (shared with the best-response and hindsight subproblems),
-and every Euclidean projection onto the polytope is computed exactly, in
-finitely many steps, by a dual active-set method whose working set stays
-linearly independent.  Within one ``solve_single`` call each projection
+concave ascent, run in units of its starting gradient by
+``_maximize_scaled`` (shared with the best-response and hindsight
+subproblems), and every Euclidean projection onto the polytope is computed
+exactly, in finitely many steps, by a dual active-set method whose working
+set stays linearly independent.  Within one ``solve_single`` call each projection
 starts warm from the previous one's working set, as successive ascent points
 share most active rows.
 """
@@ -222,9 +223,8 @@ def _maximize_concave(evaluate, project, start):
     lies at most 1e6 max|g| from the current point before its projection.
     The clamp is absolute, so the projection's round-off (about eps times
     the candidate's norm) stays below the caps' tolerances only while
-    max|g| is of order 1; ``solve_single`` keeps it so by ascending its
-    payoff divided by max(1, max|g|) at the zero plan, and multiplies the
-    ``SolveReport`` values back into payoff units.
+    max|g| is of order 1; every caller in the package keeps it so by
+    ascending through ``_maximize_scaled``.
 
     The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
     at the probe step s = min(step, 1).  Returns (point, value, residual,
@@ -283,6 +283,50 @@ def _maximize_concave(evaluate, project, start):
     )
 
 
+def _maximize_scaled(evaluate, project, start):
+    """``_maximize_concave`` in units of the starting gradient: the ascent
+    runs on the payoff and its gradient divided by c = max(1, max|g|), g the
+    gradient at the projected start (the ascent's first evaluation, so no
+    evaluation is added), and so starts from a gradient of at most 1 however
+    large the payoff's weights.  Its stopping rule in payoff units is the
+    ascent's own, r <= ``ASCENT_TOL`` c.  Returns (point, value, residual,
+    gradient, values, c) with the value, residual and values multiplied back
+    into payoff units and the gradient the ascent's, the payoff's divided
+    by c.  Multiplying the payoff by a power of two 2^k, with max|g| >= 1,
+    leaves every iterate bit-identical and multiplies the values by exactly
+    2^k.  The ascent's own ConvergenceError is re-raised with its residual
+    and its step norm bound in payoff units; a projection's, in the plan's
+    units already, passes as it is."""
+    scale = None
+    failed_projections = []
+
+    def scaled(point):
+        nonlocal scale
+        value, gradient = evaluate(point)
+        if scale is None:
+            scale = max(1.0, float(np.max(np.abs(gradient))))
+        return value / scale, gradient / scale
+
+    def checked(point):
+        try:
+            return project(point)
+        except ConvergenceError:
+            failed_projections.append(point)
+            raise
+
+    try:
+        x, value, residual, g, values = _maximize_concave(scaled, checked, start)
+    except ConvergenceError as exc:
+        if failed_projections:
+            raise
+        # the scaled bound is exactly ASCENT_TOL, since max|g / c| <= 1
+        message = str(exc).replace(f"step norm {ASCENT_TOL:g} ",
+                                   f"step norm {ASCENT_TOL * scale:g} ")
+        raise ConvergenceError(message, last_iterate=exc.last_iterate,
+                               residual=exc.residual * scale) from None
+    return x, value * scale, residual * scale, g, np.asarray(values) * scale, scale
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution summary: the plan, its objective, and first-order diagnostics.
@@ -311,15 +355,14 @@ class SolveReport:
 def solve_single(spec: GameSpec) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
-    Runs ``_maximize_concave`` from the zero plan, which is always feasible,
-    on the payoff and its gradient divided by c = max(1, max|g|), g the
-    gradient at the zero plan (the ascent's first evaluation), so the ascent
-    starts from a gradient of at most 1 however large the utility weights
-    are; the report multiplies its values back by c.  A linear utility
-    makes the gradient constant, so the trial steps grow by 1.5 after each
-    acceptance, up to 1e6, instead of taking the Barzilai-Borwein step.  It
-    stops once ``final_step_norm`` is at most ``ASCENT_TOL`` times c, and
-    raises ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
+    Runs ``_maximize_scaled`` from the zero plan, which is always feasible,
+    so the ascent starts from a gradient of at most 1 however large the
+    utility weights are and the report is in payoff units.  A linear
+    utility makes the gradient constant, so the trial steps grow by 1.5
+    after each acceptance, up to 1e6, instead of taking the Barzilai-Borwein
+    step.  It stops once ``final_step_norm`` is at most ``ASCENT_TOL``
+    times max(1, max|g|), g the gradient at the zero plan, and raises
+    ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
     accepted steps do not get there.  Every projection meets the polytope's
     rows to ``PROJECTION_TOL`` times max(1, max|p|), p the projected point;
     each starts the dual active-set method from the previous projection's
@@ -333,18 +376,9 @@ def solve_single(spec: GameSpec) -> SolveReport:
     K, n = spec.K, spec.n
 
     payoff = _objective_for_player(spec, np.zeros((1, K, n)), 0)
-    scale = None
-
-    def evaluate(flat):
-        nonlocal scale
-        value, gradient = payoff(flat)
-        if scale is None:  # the ascent's first evaluation, at the zero plan
-            scale = max(1.0, float(np.max(np.abs(gradient))))
-        return value / scale, gradient / scale
-
     project = _warm_projection(region)
-    b, objective, step_norm, g, objectives = _maximize_concave(
-        evaluate, project, np.zeros(K * n))
+    b, objective, step_norm, g, objectives, scale = _maximize_scaled(
+        payoff, project, np.zeros(K * n))
 
     probe = 1e-3
     projected_gradient = (project(b + probe * g) - b) / probe
@@ -354,9 +388,9 @@ def solve_single(spec: GameSpec) -> SolveReport:
     assert region.contains(b)
     return SolveReport(
         plan=plan,
-        objective=objective * scale,
+        objective=objective,
         iterations=len(objectives) - 1,
-        final_step_norm=step_norm * scale,
+        final_step_norm=step_norm,
         kkt_residual=kkt_residual * scale,
-        objectives=np.asarray(objectives) * scale,
+        objectives=objectives,
     )

@@ -12,7 +12,7 @@ from influencegame import (
     StageUtility,
     build_network,
 )
-from influencegame import opinion_dynamics
+from influencegame import equilibrium_solver, game_model, opinion_dynamics
 from influencegame.single_player_solver import _warm_projection
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +73,22 @@ def count_flow_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(opinion_dynamics, "_flow", counting)
     return builds
+
+
+def count_kernel_passes(monkeypatch) -> list:
+    """A list that gains a copy of the profile stack of every game-kernel
+    pass, ``game_model._columns_pass`` as ``game_model`` and
+    ``equilibrium_solver`` call it, until the monkeypatch is undone."""
+    profiles = []
+    original = game_model._columns_pass
+
+    def counting(spec, profile, *args):
+        profiles.append(np.array(profile))
+        return original(spec, profile, *args)
+
+    monkeypatch.setattr(game_model, "_columns_pass", counting)
+    monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
+    return profiles
 
 
 # Path network used by the reference two-player configuration.

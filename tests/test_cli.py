@@ -603,6 +603,33 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
 
+class TestParserBuiltOnce:
+    def test_repeated_calls_answer_as_fresh_interpreters_do(self, capsys):
+        # a call that argparse refuses (exit 2) must leave the shared parser
+        # as it was for the good call after it
+        calls = [["solve", "--bogus"], ["verify", "--suite", "gradients", "--seed", "2"],
+                 ["verify", "--suite", "bogus"], ["verify", "--suite", "gradients", "--seed", "2"],
+                 ["solve", "--bogus"]]
+        repeated = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            repeated.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in calls[:3]:
+            completed = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "influencegame.cli", *argv],
+                capture_output=True, text=True, env=subprocess_env(), timeout=120,
+            )
+            fresh.append((completed.returncode, completed.stdout, completed.stderr))
+        assert [code for code, _, _ in fresh] == [2, 0, 2]
+        assert repeated == fresh + fresh[1:2] + fresh[:1]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestAtomicWrites:
     def test_overwrite_is_all_or_nothing(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -30,7 +30,8 @@ from influencegame.cli import reference_scenario
 from influencegame.equilibrium_solver import LearningTrace, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region
 from influencegame.verification import random_feasible_profile, random_linear_game
-from conftest import cold_projection, count_flow_builds, count_linear_solves
+from conftest import (cold_projection, count_flow_builds, count_kernel_passes,
+                      count_linear_solves)
 
 
 def reference_variant(spec, cost):
@@ -221,20 +222,17 @@ class TestRunNoRegret:
     @pytest.mark.parametrize("m", [2, 3])
     def test_one_kernel_call_and_one_projection_per_iteration(self, monkeypatch, m):
         spec = random_linear_game(np.random.default_rng(5), m=m, n=4, K=3)
-        calls = {"kernel": 0, "projection": 0}
+        passes = count_kernel_passes(monkeypatch)
+        projections = []
+        project = equilibrium_solver._project_rows
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            projections.append(1)
+            return project(*args)
 
-        monkeypatch.setattr(equilibrium_solver, "_columns_pass",
-                            counted("kernel", game_model._columns_pass))
-        monkeypatch.setattr(equilibrium_solver, "_project_rows",
-                            counted("projection", equilibrium_solver._project_rows))
+        monkeypatch.setattr(equilibrium_solver, "_project_rows", counted)
         run_no_regret(spec, 17)
-        assert calls == {"kernel": 17, "projection": 17}
+        assert (len(passes), len(projections)) == (17, 17)
 
     def test_one_player_steps_are_exact_projections(self, monkeypatch):
         # each of the 31 projections starts warm from the one before, so they
@@ -401,9 +399,7 @@ class TestIterationCounts:
     @pytest.mark.parametrize("entry", [run_no_regret, solve_equilibrium])
     def test_non_integer_counts_refused_before_any_kernel_pass(self, two_player_spec,
                                                                monkeypatch, entry, T):
-        passes = []
-        monkeypatch.setattr(equilibrium_solver, "_columns_pass",
-                            lambda *args: passes.append(args))
+        passes = count_kernel_passes(monkeypatch)
         with pytest.raises(ValueError, match="iteration count must be an integer"):
             entry(two_player_spec, T)
         assert passes == []
@@ -531,20 +527,24 @@ class TestAscentPasses:
         # the n = 10 game and 13 635 on the n = 50 game with the x1.5 step rule
         spec = random_linear_game(np.random.default_rng(0), m=3, n=n, K=K)
         trace = run_no_regret(spec, T)
-        passes = []
-        original = game_model._columns_pass
-
-        def counting(*args):
-            passes.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(game_model, "_columns_pass", counting)
-        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
+        passes = count_kernel_passes(monkeypatch)
         gap = exploitability(spec, trace.averages[-1])
         regrets = [regret(trace, j) for j in range(spec.m)]
         assert gap >= -1e-8
         assert np.all(np.isfinite(regrets))
         assert len(passes) <= 300
+
+    def test_reference_game_regrets_kernel_passes(self, monkeypatch):
+        # each hindsight objective sums 400 payoff gradients; a first trial
+        # step of 1 in payoff units went about 400 times too far and took
+        # some ten halvings (13 + 15 passes), one in units of the starting
+        # gradient takes none (4 + 4)
+        spec = reference_scenario().spec
+        trace = run_no_regret(spec, 400)
+        passes = count_kernel_passes(monkeypatch)
+        regrets = [regret(trace, j) for j in range(spec.m)]
+        assert np.all(np.isfinite(regrets))
+        assert len(passes) <= 10
 
 
 class TestBestResponseCertificate:
@@ -554,7 +554,7 @@ class TestBestResponseCertificate:
         # D = sqrt(2) cap, the diameter of the budget set
         spec = random_linear_game(np.random.default_rng(seed), 3, 10, 3)
         profile = run_no_regret(spec, 20).averages[-1]
-        ascent = single_player_solver._maximize_concave
+        ascent = single_player_solver._maximize_scaled
         residuals = []
 
         def recording(*args):
@@ -562,7 +562,7 @@ class TestBestResponseCertificate:
             residuals.append(result[2])
             return result
 
-        monkeypatch.setattr(equilibrium_solver, "_maximize_concave", recording)
+        monkeypatch.setattr(equilibrium_solver, "_maximize_scaled", recording)
         for j in range(spec.m):
             monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-13)
             _, reference = best_response(spec, profile, j)
@@ -600,15 +600,7 @@ class TestCustomUtilities:
     def test_undeclared_own_concavity_refused(self, two_player_spec, monkeypatch):
         # refused when the game is built, before any kernel pass, whichever
         # player holds the undeclared utility
-        passes = []
-        original = game_model._columns_pass
-
-        def counting(*args):
-            passes.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(game_model, "_columns_pass", counting)
-        monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
+        passes = count_kernel_passes(monkeypatch)
         pair = (self.custom_utility(declared_multiplayer_shape=False),
                 two_player_spec.utilities[1])
         for player, utilities in enumerate([pair, pair[::-1]]):

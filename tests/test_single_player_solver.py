@@ -26,10 +26,11 @@ from influencegame.verification import (
     random_linear_game,
 )
 import influencegame
-from influencegame import game_model, single_player_solver
-from influencegame.single_player_solver import _maximize_concave, _warm_projection
-from conftest import (cold_projection, count_linear_solves, load_bench_module,
-                      single_player_spec)
+from influencegame import single_player_solver
+from influencegame.single_player_solver import (_maximize_concave, _maximize_scaled,
+                                                 _warm_projection)
+from conftest import (cold_projection, count_kernel_passes, count_linear_solves,
+                      load_bench_module, single_player_spec)
 
 # The benchmark's five single-player games; in games 3 and 4 the opinion caps
 # bind as well as the budget.
@@ -390,6 +391,40 @@ class TestWarmProjection:
         assert len(solves) <= 250
 
 
+class TestMaximizeScaled:
+    @staticmethod
+    def ascent(factor):
+        """``_maximize_scaled`` on factor (c'x - x'Qx/2) over the box [0, 4]^6
+        from the zero plan, where the gradient c has entries up to 8, and the
+        points it evaluated: 82 of them, 49 accepted, ending with free entries
+        and entries at 0."""
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        Q = basis @ np.diag(np.logspace(0, 1, 6)) @ basis.T
+        c = 8.0 * rng.uniform(-1, 1, 6)
+        points = []
+
+        def evaluate(x):
+            points.append(x)
+            return factor * float(c @ x - 0.5 * x @ Q @ x), factor * (c - Q @ x)
+
+        return _maximize_scaled(evaluate, lambda v: np.clip(v, 0.0, 4.0), np.zeros(6)), points
+
+    @pytest.mark.parametrize("k", [1, 20, 60])
+    def test_power_of_two_payoff_scale_is_exact(self, k):
+        # with max|g0| >= 1 the scale c = max|g0| takes the factor 2^k
+        # exactly, so the ascent sees the same payoff / c bit for bit
+        (x, value, residual, g, values, scale), points = self.ascent(1.0)
+        (x2, value2, residual2, g2, values2, scale2), points2 = self.ascent(2.0**k)
+        assert scale > 1.0 and scale2 == 2.0**k * scale
+        assert len(points2) == len(points)
+        for a, b in zip(points, points2):
+            assert a.tobytes() == b.tobytes()
+        assert x2.tobytes() == x.tobytes() and g2.tobytes() == g.tobytes()
+        assert value2 == 2.0**k * value and residual2 == 2.0**k * residual
+        assert np.array_equal(values2, 2.0**k * values)
+
+
 class TestSolveSingle:
     def test_hand_derived_scalar_instance(self):
         # u = x - 0.4 b at both stages, cap 1 - x0 = 0.5 binds
@@ -479,6 +514,42 @@ class TestSolveSingle:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_single(spec)
         assert build_region(spec).contains(excinfo.value.last_iterate)
+
+    def test_budget_exhaustion_reports_in_payoff_units(self, monkeypatch):
+        # weights 2^4 and 2^24 times a random game's: both start from
+        # max|g0| >= 1, so the ascent runs identically in units of payoff / c
+        # and only the payoff units differ, by exactly 2^20
+        spec = random_linear_game(np.random.default_rng(0), 1, 5, 3)
+        utility = spec.utilities[0]
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
+        errors, scales = [], []
+        for factor in (2.0**4, 2.0**24):
+            weighted = dataclasses.replace(utility, rho=factor * utility.rho,
+                                           cost_coefficient=factor * utility.cost_coefficient)
+            game = dataclasses.replace(spec, utilities=(weighted,))
+            g0 = payoff_gradient(game, np.zeros((1, 3, 5)), 0)
+            scales.append(float(np.max(np.abs(g0))))
+            with pytest.raises(ConvergenceError) as excinfo:
+                solve_single(game)
+            errors.append(excinfo.value)
+            assert f"step norm {1e-9 * scales[-1]:g} " in str(excinfo.value)
+        assert scales[0] >= 1.0
+        assert errors[1].residual == 2.0**20 * errors[0].residual > 0.0
+        np.testing.assert_array_equal(errors[1].last_iterate, errors[0].last_iterate)
+
+    def test_projection_failure_keeps_its_plan_units(self, monkeypatch):
+        # the caps bind, so a later projection needs more than one cycle; its
+        # residual is a violation of the polytope, not a payoff quantity
+        spec = BENCH_GAMES[3]
+        utility = spec.utilities[0]
+        weighted = dataclasses.replace(utility, rho=2.0**10 * utility.rho,
+                                       cost_coefficient=2.0**10 * utility.cost_coefficient)
+        spec = dataclasses.replace(spec, utilities=(weighted,))
+        monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
+        with pytest.raises(ConvergenceError, match="dual active-set projection") as excinfo:
+            solve_single(spec)
+        error = excinfo.value
+        assert error.residual == build_region(spec).max_violation(error.last_iterate) > 0.0
 
     def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self, monkeypatch):
         # a linear objective grows the step by 1.5 per acceptance; past about
@@ -583,14 +654,7 @@ class TestSolveSingle:
         # the ascent returns the gradient it measured at its last point, so
         # the KKT probe needs no second pass there
         spec = BENCH_GAMES[0]
-        profiles = []
-        original = game_model._columns_pass
-
-        def recording(game, profile, *args):
-            profiles.append(profile.copy())
-            return original(game, profile, *args)
-
-        monkeypatch.setattr(game_model, "_columns_pass", recording)
+        profiles = count_kernel_passes(monkeypatch)
         report = solve_single(spec)
         at_plan = [p for p in profiles if np.array_equal(np.maximum(p[0], 0.0), report.plan)]
         assert len(at_plan) == 1
