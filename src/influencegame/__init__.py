@@ -43,7 +43,6 @@ from .single_player_solver import (
 from .equilibrium_solver import (
     EquilibriumResult,
     LearningTrace,
-    best_response,
     exploitability,
     project_budget_set,
     regret,

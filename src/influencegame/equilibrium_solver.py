@@ -21,22 +21,21 @@ averaged profile is to equilibrium:
   find against the averaged profile.
 
 The diagnostics need two or more players; a single player's optimum is
-``single_player_solver.solve_single``.  A best response, exploitability and
-regret all solve one subproblem, ``_best_fixed_plan``: player j's best fixed
-plan against a batch of the others' profiles (one profile for a best
-response and for exploitability, the played iterates for regret), a concave
-maximization over j's budget set by the package's one ascent,
-``single_player_solver._maximize_concave``, run in units of its starting
-gradient by ``single_player_solver._maximize_scaled``.  Its stopping
-residual bounds the value gap, so exploitability and regret carry an
-absolute error bound.  Each subproblem takes a few kernel passes: on the
-paper's game at T = 400, 2 and 4 for the best responses behind
-exploitability and 4 for each regret; on the bench's 3-player game of 10
-individuals at T = 100, 10 to 16 for either.
+``single_player_solver.solve_single``.  Exploitability and regret both
+solve one subproblem, ``_best_fixed_plan``: player j's best fixed plan
+against a batch of the others' profiles (one profile for exploitability's
+best responses, the played iterates for regret), a concave maximization
+over j's budget set by the package's one ascent,
+``single_player_solver._maximize_concave``, which runs in units of its
+starting gradient.  Its stopping residual bounds the value gap, so
+exploitability and regret carry an absolute error bound.  Each subproblem
+takes a few kernel passes: on the paper's game at T = 400, 2 and 4 for the
+best responses behind exploitability and 4 for each regret; on the bench's
+3-player game of 10 individuals at T = 100, 10 to 16 for either.
 
-``solve_equilibrium``, ``best_response``, ``exploitability`` and ``regret``
-run under ``np.errstate(over="raise", invalid="raise")``: a float-scale game
-(budgets near 1e308, say) whose payoffs or hindsight sums overflow raises
+``solve_equilibrium``, ``exploitability`` and ``regret`` run under
+``np.errstate(over="raise", invalid="raise")``: a float-scale game (budgets
+near 1e308, say) whose payoffs or hindsight sums overflow raises
 FloatingPointError instead of returning NaN.
 """
 
@@ -56,7 +55,7 @@ from .game_model import (
     _one_profile,
 )
 from .opinion_dynamics import _readonly
-from .single_player_solver import _maximize_scaled, _warm_projection, build_region
+from .single_player_solver import _maximize_concave, _warm_projection, build_region
 
 
 def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray:
@@ -161,7 +160,7 @@ class EquilibriumResult:
 
 
 def _require_multiplayer(spec: GameSpec):
-    """Best responses, exploitability and regret are multiplayer diagnostics."""
+    """Exploitability and regret are multiplayer diagnostics."""
     if spec.m < 2:
         raise ValueError(
             "the equilibrium diagnostics need two or more players; "
@@ -181,14 +180,14 @@ _RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
 def _best_fixed_plan(spec: GameSpec, profiles: np.ndarray, j: int, start):
     """Player j's best fixed plan against ``profiles`` (one (m, K, n) profile
     or a batch of them) and its payoff summed over the batch, by
-    ``_maximize_scaled`` from ``start`` over j's budget set; returns the flat
-    plan and the value.  The ascent runs in units of its starting gradient,
-    which for a batch of T profiles sums T payoff gradients, so its first
-    trial step moves each entry by at most 1 rather than by up to T times a
-    payoff gradient."""
+    ``_maximize_concave`` from ``start`` over j's budget set; returns the
+    flat plan and the payoff ``evaluate`` measured there.  The ascent runs
+    in units of its starting gradient, which for a batch of T profiles sums
+    T payoff gradients, so its first trial step moves each entry by at most
+    1 rather than by up to T times a payoff gradient."""
     cap = spec.budgets[[j]]  # a list index keeps a negative j on its player
     evaluate = _objective_for_player(spec, profiles, j)
-    return _maximize_scaled(evaluate, lambda v: _project_rows(v[None], cap)[0], start)[:2]
+    return _maximize_concave(evaluate, lambda v: _project_rows(v[None], cap)[0], start)[:2]
 
 
 def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
@@ -229,25 +228,6 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
 
 
 @_RAISE_ON_OVERFLOW
-def best_response(spec: GameSpec, profile, j: int):
-    """Best response of player j to the others' plans in the (m, K, n)
-    ``profile``; returns (entries, payoff).
-
-    Warm-started at player j's current plan, so the returned payoff is never
-    below the played one.  The payoff is concave in j's own plan, a shape
-    ``GameSpec`` checked when the game was built.  ``_maximize_scaled``
-    stops by its scale-free rule, which bounds the payoff's shortfall from
-    the best, and raises ConvergenceError if its step budget runs out first;
-    a one-player game raises ValueError, and a profile ``validate_plans``
-    refuses raises its error.
-    """
-    _require_multiplayer(spec)
-    profile = _one_profile(spec, profile)
-    point, value = _best_fixed_plan(spec, profile, j, profile[j])
-    return point.reshape(spec.K, spec.n), value
-
-
-@_RAISE_ON_OVERFLOW
 def exploitability(spec: GameSpec, profile) -> float:
     """Largest unilateral payoff improvement available at the profile.
 
@@ -271,7 +251,7 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
 
     The hindsight objective is player j's payoff summed over the played
     profiles with one fixed own plan substituted, ``_objective_for_player``
-    on the batch of the first ``horizon`` iterates.  ``_maximize_scaled``
+    on the batch of the first ``horizon`` iterates.  ``_best_fixed_plan``
     climbs it from the average played plan; its step and its stopping rule
     scale with the starting gradient, which sums ``horizon`` payoff
     gradients.  It raises ConvergenceError if the step budget runs out

@@ -5,14 +5,13 @@ linear in the investment variables, so the problem of maximizing the average
 stage utility is a concave program over a polytope: Kn cap constraints
 (investment plus already-accumulated opinion must stay at most 1, rowwise),
 one total-budget constraint, and Kn sign constraints, implied rather than
-stored.  The solver is ``_maximize_concave``, the package's one
-concave ascent, run in units of its starting gradient by
-``_maximize_scaled`` (shared with the best-response and hindsight
-subproblems), and every Euclidean projection onto the polytope is computed
-exactly, in finitely many steps, by a dual active-set method whose working
-set stays linearly independent.  Within one ``solve_single`` call each projection
-starts warm from the previous one's working set, as successive ascent points
-share most active rows.
+stored.  The solver is ``_maximize_concave``, the package's one concave
+ascent, which runs in units of its starting gradient and also solves the
+best-response and hindsight subproblems.  Every Euclidean projection onto
+the polytope is computed exactly, in finitely many steps, by a dual
+active-set method whose working set stays linearly independent.  Within one
+``solve_single`` call each projection starts warm from the previous one's
+working set, as successive ascent points share most active rows.
 """
 
 from __future__ import annotations
@@ -208,32 +207,40 @@ def _warm_projection(region: FeasibleRegion):
 
 
 def _maximize_concave(evaluate, project, start):
-    """Monotone projected gradient ascent with backtracking line search.
+    """Monotone projected gradient ascent with backtracking line search, in
+    units of the starting gradient.
 
-    ``evaluate`` maps a point to its (value, gradient).  The step is halved
-    until the candidate clears the quadratic ascent model (so every accepted
-    move is an ascent up to round-off); if 80 halvings find no such
-    candidate, ConvergenceError carries the current point.  After each
-    accepted move s = x_new - x_old, with gradient change y = g_old - g_new,
-    the next trial step is the Barzilai-Borwein step s's / s'y (the spectral
-    projected gradient of Birgin, Martinez and Raydan, SIAM J. Optim., 2000);
-    where that is not a positive finite number (a linear objective gives
-    s'y = 0), the accepted step grows by 1.5 instead.  Either is clamped to
-    [1e-12, 1e6], so 80 halvings still reach below 1e-12, and a candidate
-    lies at most 1e6 max|g| from the current point before its projection.
-    The clamp is absolute, so the projection's round-off (about eps times
-    the candidate's norm) stays below the caps' tolerances only while
-    max|g| is of order 1; every caller in the package keeps it so by
-    ascending through ``_maximize_scaled``.
+    ``evaluate`` maps a point to its (value, gradient).  The ascent divides
+    every value and gradient by c = max(1, max|g0|), g0 the gradient at the
+    projected start (its first evaluation, so no evaluation is added), and so
+    starts from a gradient of at most 1 however large the payoff's weights.
+    Multiplying the payoff by a power of two 2^k, with max|g0| >= 1, leaves
+    every iterate bit-identical and multiplies c by exactly 2^k.
+
+    The step is halved until the candidate clears the quadratic ascent model
+    (so every accepted move is an ascent up to round-off); if 80 halvings
+    find no such candidate, ConvergenceError carries the current point.
+    After each accepted move s = x_new - x_old, with gradient change
+    y = g_old - g_new, the next trial step is the Barzilai-Borwein step
+    s's / s'y (the spectral projected gradient of Birgin, Martinez and
+    Raydan, SIAM J. Optim., 2000); where that is not a positive finite
+    number (a linear objective gives s'y = 0), the accepted step grows by
+    1.5 instead.  Either is clamped to [1e-12, 1e6], so 80 halvings still
+    reach below 1e-12, and a candidate lies at most 1e6 from the current
+    point before its projection, since the scaled gradient is of order 1.
 
     The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
-    at the probe step s = min(step, 1).  Returns (point, value, residual,
-    gradient, values) at the first accepted point with r <= ``ASCENT_TOL``
-    max(1, max|g(x0)|), g(x0) the gradient at the projected start, a rule free
-    of the objective's scale: the gradient is the one ``evaluate`` gave at
-    that point, and ``values`` lists the value at the start and after every
-    accepted step.  If ``ASCENT_MAX_STEPS`` accepted steps do not get there,
-    ConvergenceError carries the last accepted point and its residual.
+    at the probe step s = min(step, 1), with g the scaled gradient, and
+    reported times c.  Returns (point, value, residual, gradient, values, c)
+    at the first accepted point with r <= ``ASCENT_TOL`` c, a rule free of
+    the objective's scale.  The value and ``values`` (the value at the start
+    and after every accepted step) are the payoffs ``evaluate`` returned and
+    the residual is in payoff units; the gradient is the one ``evaluate``
+    gave at the point, divided by c.  If ``ASCENT_MAX_STEPS`` accepted steps
+    do not get there, ConvergenceError carries the last accepted point and
+    its residual.  Both of the ascent's errors carry the residual, and the
+    step norm bound named in the message, in payoff units; a projection's
+    ConvergenceError, in the plan's units, passes through unchanged.
 
     The residual certifies the value: for a concave objective over a feasible
     set of diameter D, f* - f(x) <= r (D + s ||g(x)||), since the projection
@@ -241,13 +248,14 @@ def _maximize_concave(evaluate, project, start):
     set, so exploitability and regret are exact to that absolute error.
     """
     x = project(np.asarray(start, dtype=float).ravel())
-    fx, g = evaluate(x)
-    values = [fx]
-    tol = ASCENT_TOL * max(1.0, float(np.max(np.abs(g))))
+    value, g = evaluate(x)
+    scale = max(1.0, float(np.max(np.abs(g))))
+    values = [value]
+    fx, g = value / scale, g / scale
     step = 1.0
     noise = 1e-13 * max(1.0, abs(fx))
 
-    def residual_at(point, gradient):
+    def residual_at(point, gradient):  # in the ascent's units
         probe = min(step, 1.0)
         move = project(point + probe * gradient) - point
         return float(np.linalg.norm(move)) / probe
@@ -255,7 +263,8 @@ def _maximize_concave(evaluate, project, start):
     for _ in range(ASCENT_MAX_STEPS):
         for _ in range(80):
             candidate = project(x + step * g)
-            f_candidate, g_candidate = evaluate(candidate)
+            value, g_candidate = evaluate(candidate)
+            f_candidate, g_candidate = value / scale, g_candidate / scale
             delta = candidate - x
             model = float(g @ delta) - float(delta @ delta) / (2.0 * step)
             if f_candidate >= fx + model - noise:
@@ -265,66 +274,22 @@ def _maximize_concave(evaluate, project, start):
             raise ConvergenceError(
                 "line search found no ascent step in 80 halvings",
                 last_iterate=x,
-                residual=residual_at(x, g),
+                residual=residual_at(x, g) * scale,
             )
         curvature = float(delta @ (g - g_candidate))
         x, fx, g = candidate, f_candidate, g_candidate
-        values.append(fx)
+        values.append(value)
         residual = residual_at(x, g)
-        if residual <= tol:
-            return x, fx, residual, g, values
+        if residual <= ASCENT_TOL:
+            return x, value, residual * scale, g, np.array(values), scale
         spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
         step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
     raise ConvergenceError(
-        f"projected gradient ascent did not reach step norm {tol:g} "
+        f"projected gradient ascent did not reach step norm {ASCENT_TOL * scale:g} "
         f"within {ASCENT_MAX_STEPS} accepted steps",
         last_iterate=x,
-        residual=residual_at(x, g),
+        residual=residual_at(x, g) * scale,
     )
-
-
-def _maximize_scaled(evaluate, project, start):
-    """``_maximize_concave`` in units of the starting gradient: the ascent
-    runs on the payoff and its gradient divided by c = max(1, max|g|), g the
-    gradient at the projected start (the ascent's first evaluation, so no
-    evaluation is added), and so starts from a gradient of at most 1 however
-    large the payoff's weights.  Its stopping rule in payoff units is the
-    ascent's own, r <= ``ASCENT_TOL`` c.  Returns (point, value, residual,
-    gradient, values, c) with the value, residual and values multiplied back
-    into payoff units and the gradient the ascent's, the payoff's divided
-    by c.  Multiplying the payoff by a power of two 2^k, with max|g| >= 1,
-    leaves every iterate bit-identical and multiplies the values by exactly
-    2^k.  The ascent's own ConvergenceError is re-raised with its residual
-    and its step norm bound in payoff units; a projection's, in the plan's
-    units already, passes as it is."""
-    scale = None
-    failed_projections = []
-
-    def scaled(point):
-        nonlocal scale
-        value, gradient = evaluate(point)
-        if scale is None:
-            scale = max(1.0, float(np.max(np.abs(gradient))))
-        return value / scale, gradient / scale
-
-    def checked(point):
-        try:
-            return project(point)
-        except ConvergenceError:
-            failed_projections.append(point)
-            raise
-
-    try:
-        x, value, residual, g, values = _maximize_concave(scaled, checked, start)
-    except ConvergenceError as exc:
-        if failed_projections:
-            raise
-        # the scaled bound is exactly ASCENT_TOL, since max|g / c| <= 1
-        message = str(exc).replace(f"step norm {ASCENT_TOL:g} ",
-                                   f"step norm {ASCENT_TOL * scale:g} ")
-        raise ConvergenceError(message, last_iterate=exc.last_iterate,
-                               residual=exc.residual * scale) from None
-    return x, value * scale, residual * scale, g, np.asarray(values) * scale, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,20 +320,21 @@ class SolveReport:
 def solve_single(spec: GameSpec) -> SolveReport:
     """Maximize the single-player payoff over the constraint polytope.
 
-    Runs ``_maximize_scaled`` from the zero plan, which is always feasible,
-    so the ascent starts from a gradient of at most 1 however large the
-    utility weights are and the report is in payoff units.  A linear
-    utility makes the gradient constant, so the trial steps grow by 1.5
-    after each acceptance, up to 1e6, instead of taking the Barzilai-Borwein
-    step.  It stops once ``final_step_norm`` is at most ``ASCENT_TOL``
-    times max(1, max|g|), g the gradient at the zero plan, and raises
-    ConvergenceError, carrying the last plan, if ``ASCENT_MAX_STEPS``
-    accepted steps do not get there.  Every projection meets the polytope's
-    rows to ``PROJECTION_TOL`` times max(1, max|p|), p the projected point;
-    each starts the dual active-set method from the previous projection's
-    final working set, a state held by this call alone, so two calls on one
-    game return the same report.  The ascent returns the gradient it
-    measured at the plan, which the KKT probe reuses.  A game with other
+    Runs ``_maximize_concave`` from the zero plan, which is always
+    feasible, so the ascent starts from a gradient of at most 1 however
+    large the utility weights are and the report is in payoff units.  A
+    linear utility makes the gradient constant, so the trial steps grow by
+    1.5 after each acceptance, up to 1e6, instead of taking the
+    Barzilai-Borwein step.  It stops once ``final_step_norm`` is at most
+    ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan,
+    and raises ConvergenceError, carrying the last plan, if
+    ``ASCENT_MAX_STEPS`` accepted steps do not get there.  Every projection
+    meets the polytope's rows to ``PROJECTION_TOL`` times max(1, max|p|), p
+    the projected point; each starts the dual active-set method from the
+    previous projection's final working set, a state held by this call
+    alone, so two calls on one game return the same report.  The ascent returns the gradient it
+    measured at the plan, in its own units, which the KKT probe reuses
+    before scaling its residual back to payoff units.  A game with other
     than one player raises ValueError, from ``build_region``.  A custom
     utility was checked for concavity when its game was built.
     """
@@ -377,7 +343,7 @@ def solve_single(spec: GameSpec) -> SolveReport:
 
     payoff = _objective_for_player(spec, np.zeros((1, K, n)), 0)
     project = _warm_projection(region)
-    b, objective, step_norm, g, objectives, scale = _maximize_scaled(
+    b, objective, step_norm, g, objectives, scale = _maximize_concave(
         payoff, project, np.zeros(K * n))
 
     probe = 1e-3

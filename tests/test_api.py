@@ -28,7 +28,6 @@ EXPORTS = [
     "StageUtility",
     "StochasticityReport",
     "TrajectoryPoint",
-    "best_response",
     "brute_force_best_response",
     "build_network",
     "build_region",
@@ -83,7 +82,6 @@ SIGNATURES = {
     ),
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
     "TrajectoryPoint": "time, state, post_jump=False",
-    "best_response": "spec, profile, j",
     "brute_force_best_response": "spec, profile, j, grid_step",
     "build_network": "adjacency",
     "build_region": "spec",

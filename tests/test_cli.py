@@ -22,6 +22,7 @@ from influencegame import (
     build_region,
     cli,
     simulate_trajectory,
+    single_player_solver,
     verification,
 )
 from influencegame.cli import (
@@ -467,6 +468,47 @@ class TestMalformedScenarios:
             if code not in (0, 2, 3, 4, 6) or "Traceback" in err:
                 problems.append(f"{command} with {what}: {code}")
         assert problems == []
+
+
+class TestWeightScaleSweep:
+    """Utility weights scaled by powers of two up to 2^189, with the budgets
+    as given or all zero, exit 0 as ``equilibrate --T 5`` on the reference
+    game and as ``solve`` on a one-player game.  A zero-budget two-player
+    game at 2^27 or more once reported a best response one ulp below the
+    played payoff, an exploitability of -3e-8, and exited 2."""
+
+    GAMES = {
+        "equilibrate": lambda: scenario_to_dict(reference_scenario()),
+        "solve": lambda: scenario_to_dict(cli.Scenario(
+            spec=random_linear_game(np.random.default_rng(0), 1, 5, 3),
+            solver=cli.SolverSettings())),
+    }
+
+    @pytest.mark.parametrize("command", ["equilibrate", "solve"])
+    @pytest.mark.parametrize("scaled", [("rho",), ("rho", "lambda")], ids=["rho", "rho-lambda"])
+    @pytest.mark.parametrize("zero_budgets", [False, True], ids=["budgets", "zero-budgets"])
+    def test_every_scale_exits_0(self, tmp_path, monkeypatch, command, scaled, zero_budgets):
+        # a spinning ascent fails fast with ConvergenceError (exit 6)
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 2000)
+        codes = {}
+        for i in range(22):
+            document = self.GAMES[command]()
+            for player in document["players"]:
+                utility = player["utility"]
+                if "rho" in scaled:
+                    utility["rho"] = (2.0 ** (9 * i) * np.array(utility["rho"])).tolist()
+                if "lambda" in scaled:
+                    utility["lambda"] *= 2.0 ** (9 * i)
+                if zero_budgets:
+                    player["budget"] = 0.0
+            scenario = write_scenario(tmp_path / "s.json", document)
+            argv = [command, scenario, "--out", str(tmp_path / "out")]
+            if command == "equilibrate":
+                argv += ["--T", "5"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes[f"2^{9 * i}"] = main(argv)
+        assert {scale: code for scale, code in codes.items() if code != 0} == {}
 
 
 def without_campaigns(document):

@@ -11,7 +11,6 @@ from influencegame import (
     InfeasiblePlanError,
     OpinionState,
     StageUtility,
-    best_response,
     build_network,
     exploitability,
     opinions_at_campaigns,
@@ -445,7 +444,6 @@ class TestValidatePlans:
         pytest.param(lambda spec, p: simulate_trajectory(spec, p, [1.0]), id="simulate"),
         pytest.param(lambda spec, p: total_payoff(spec, p, 0), id="payoff"),
         pytest.param(lambda spec, p: payoff_gradient(spec, p, 0), id="gradient"),
-        pytest.param(lambda spec, p: best_response(spec, p, 0), id="best-response"),
         pytest.param(lambda spec, p: exploitability(spec, p), id="exploitability"),
         pytest.param(lambda spec, p: brute_force_best_response(spec, p, 0, grid_step=1.0),
                      id="grid-search"),
@@ -476,7 +474,6 @@ class TestValidatePlans:
         pytest.param(lambda spec, p: opinions_at_campaigns_closed_form(spec, p),
                      id="closed-form"),
         pytest.param(lambda spec, p: simulate_trajectory(spec, p, [1.0]), id="simulate"),
-        pytest.param(lambda spec, p: best_response(spec, p, 0), id="best-response"),
         pytest.param(lambda spec, p: exploitability(spec, p), id="exploitability"),
         pytest.param(lambda spec, p: brute_force_best_response(spec, p, 0, grid_step=1.0),
                      id="grid-search"),

@@ -27,8 +27,7 @@ from influencegame.verification import (
 )
 import influencegame
 from influencegame import single_player_solver
-from influencegame.single_player_solver import (_maximize_concave, _maximize_scaled,
-                                                 _warm_projection)
+from influencegame.single_player_solver import _maximize_concave, _warm_projection
 from conftest import (cold_projection, count_kernel_passes, count_linear_solves,
                       load_bench_module, single_player_spec)
 
@@ -391,31 +390,33 @@ class TestWarmProjection:
         assert len(solves) <= 250
 
 
-class TestMaximizeScaled:
+class TestMaximizeConcaveScale:
     @staticmethod
     def ascent(factor):
-        """``_maximize_scaled`` on factor (c'x - x'Qx/2) over the box [0, 4]^6
+        """``_maximize_concave`` on factor (c'x - x'Qx/2) over the box [0, 4]^6
         from the zero plan, where the gradient c has entries up to 8, and the
         points it evaluated: 82 of them, 49 accepted, ending with free entries
-        and entries at 0."""
+        and entries at 0, and the values it measured there."""
         rng = np.random.default_rng(3)
         basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         Q = basis @ np.diag(np.logspace(0, 1, 6)) @ basis.T
         c = 8.0 * rng.uniform(-1, 1, 6)
-        points = []
+        points, measured = [], []
 
         def evaluate(x):
             points.append(x)
-            return factor * float(c @ x - 0.5 * x @ Q @ x), factor * (c - Q @ x)
+            measured.append(factor * float(c @ x - 0.5 * x @ Q @ x))
+            return measured[-1], factor * (c - Q @ x)
 
-        return _maximize_scaled(evaluate, lambda v: np.clip(v, 0.0, 4.0), np.zeros(6)), points
+        result = _maximize_concave(evaluate, lambda v: np.clip(v, 0.0, 4.0), np.zeros(6))
+        return result, points, measured
 
     @pytest.mark.parametrize("k", [1, 20, 60])
     def test_power_of_two_payoff_scale_is_exact(self, k):
         # with max|g0| >= 1 the scale c = max|g0| takes the factor 2^k
         # exactly, so the ascent sees the same payoff / c bit for bit
-        (x, value, residual, g, values, scale), points = self.ascent(1.0)
-        (x2, value2, residual2, g2, values2, scale2), points2 = self.ascent(2.0**k)
+        (x, value, residual, g, values, scale), points, _ = self.ascent(1.0)
+        (x2, value2, residual2, g2, values2, scale2), points2, _ = self.ascent(2.0**k)
         assert scale > 1.0 and scale2 == 2.0**k * scale
         assert len(points2) == len(points)
         for a, b in zip(points, points2):
@@ -423,6 +424,16 @@ class TestMaximizeScaled:
         assert x2.tobytes() == x.tobytes() and g2.tobytes() == g.tobytes()
         assert value2 == 2.0**k * value and residual2 == 2.0**k * residual
         assert np.array_equal(values2, 2.0**k * values)
+
+    def test_values_are_the_payoffs_it_measured(self):
+        # with c = max|g0| > 1, (f / c) c need not give f back; the ascent
+        # reports what ``evaluate`` returned, bit for bit
+        (x, value, _, _, values, scale), points, measured = self.ascent(0.3)
+        assert scale > 1.0
+        last = max(i for i, point in enumerate(points) if point.tobytes() == x.tobytes())
+        assert value == measured[last] == values[-1]
+        assert values[0] == measured[0]
+        assert set(values.tolist()) <= set(measured)
 
 
 class TestSolveSingle:
