@@ -299,10 +299,12 @@ def cmd_equilibrate(args) -> int:
     T = args.T if args.T is not None else scenario.solver.T
     if T < 1:
         raise ScenarioError("--T must be at least 1")
-    try:  # as for --samples: the (T, m, K, n) iterates may be too large
+    try:  # the (T, m, K, n) iterates may not fit in memory
         trace, result = solve_equilibrium(spec, T)
-    except (MemoryError, ValueError) as exc:
+    except MemoryError as exc:
         raise ScenarioError(f"iteration count {T} is too large: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     trace_text = trace_to_csv(trace)

@@ -55,7 +55,12 @@ from .game_model import (
     _one_profile,
 )
 from .opinion_dynamics import _readonly
-from .single_player_solver import _maximize_concave, _warm_projection, build_region
+from .single_player_solver import (
+    _maximize_concave,
+    _project_rows,
+    _warm_projection,
+    build_region,
+)
 
 
 def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray:
@@ -82,31 +87,6 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     if not (caps >= 0).all():
         raise ValueError("budget cap must be nonnegative")
     return _project_rows(v.reshape(caps.size, v.shape[-1]), caps.reshape(-1)).reshape(v.shape)
-
-
-def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """``project_budget_set`` of (r, d) rows onto r caps known to be
-    nonnegative; a non-finite entry raises ValueError."""
-    if not np.isfinite(rows).all():
-        raise ValueError("the point to project must be finite")
-    d = rows.shape[-1]
-    projected = np.maximum(rows, 0.0)
-    # Overflow is harmless here: a clamped sum past the largest float is over
-    # any finite cap, and a shift past it is an entry far below -cap.
-    with np.errstate(over="ignore"):
-        over = projected.sum(axis=-1) > caps
-        if over.any():
-            v, caps = rows[over], caps[over, None]
-            v = v - v.max(axis=-1, keepdims=True)
-            u = np.maximum(np.sort(v, axis=-1)[:, ::-1], -caps)
-            cumulative = u.cumsum(axis=-1) - caps
-            feasible = (u > -caps) & (u - cumulative / np.arange(1, d + 1) > 0)
-            # the top entry is always in the support, but the strict tests
-            # drop it when the cap is zero
-            rho = np.maximum(1, feasible.sum(axis=-1))
-            theta = cumulative[np.arange(len(v)), rho - 1] / rho
-            projected[over] = np.maximum(v - theta[:, None], 0.0)
-    return projected
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +180,8 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     over all players' columns and one projection of the (m, K n) stack of
     stepped plans, by ``_project_rows`` on the caps ``GameSpec`` checked.
     The run draws no random numbers: the spec and T determine it.  T must be
-    an integer (not a bool) of at least 1, else ValueError before any pass.
+    an integer (not a bool) of at least 1, else ValueError before any pass;
+    a T whose (T, m, K, n) iterates cannot be allocated raises MemoryError.
     """
     if not (_is_count(T) and T >= 1):
         raise ValueError(f"iteration count must be an integer of at least 1, got {T!r}")
@@ -215,7 +196,10 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
         project = lambda rows: _project_rows(rows, spec.budgets)
     current = current.reshape(m, K, n)
 
-    iterates = np.empty((T, m, K, n))
+    try:  # numpy refuses an array past the address space with ValueError
+        iterates = np.empty((T, m, K, n))
+    except ValueError as exc:
+        raise MemoryError(f"cannot allocate the ({T}, {m}, {K}, {n}) iterates: {exc}") from exc
     payoffs = np.empty((T, m))
 
     for tau in range(1, T + 1):

@@ -11,7 +11,12 @@ best-response and hindsight subproblems.  Every Euclidean projection onto
 the polytope is computed exactly, in finitely many steps, by a dual
 active-set method whose working set stays linearly independent.  Within one
 ``solve_single`` call each projection starts warm from the previous one's
-working set, as successive ascent points share most active rows.
+working set, as successive ascent points share most active rows.  A call
+with no such set (the first, or one after a call that ended with none, as
+the zero plan's does) starts from the working set of the point's projection
+onto the budget set alone, ``_project_rows``, the routine the multiplayer
+solver projects by; where that answer meets every cap, one linear solve
+returns it.
 """
 
 from __future__ import annotations
@@ -100,17 +105,76 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     return FeasibleRegion(normals=np.vstack(normals), offsets=np.concatenate(offsets))
 
 
+def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The projection onto the budget set {b >= 0, sum(b) <= cap}, of (r, d)
+    rows onto r caps known to be nonnegative, by the water-filling that
+    ``equilibrium_solver.project_budget_set`` describes; a non-finite entry
+    raises ValueError."""
+    if not np.isfinite(rows).all():
+        raise ValueError("the point to project must be finite")
+    d = rows.shape[-1]
+    projected = np.maximum(rows, 0.0)
+    # Overflow is harmless here: a clamped sum past the largest float is over
+    # any finite cap, and a shift past it is an entry far below -cap.
+    with np.errstate(over="ignore"):
+        over = projected.sum(axis=-1) > caps
+        if over.any():
+            v, caps = rows[over], caps[over, None]
+            v = v - v.max(axis=-1, keepdims=True)
+            u = np.maximum(np.sort(v, axis=-1)[:, ::-1], -caps)
+            cumulative = u.cumsum(axis=-1) - caps
+            feasible = (u > -caps) & (u - cumulative / np.arange(1, d + 1) > 0)
+            # the top entry is always in the support, but the strict tests
+            # drop it when the cap is zero
+            rho = np.maximum(1, feasible.sum(axis=-1))
+            theta = cumulative[np.arange(len(v)), rho - 1] / rho
+            projected[over] = np.maximum(v - theta[:, None], 0.0)
+    return projected
+
+
+def _budget_start(p, region: FeasibleRegion) -> np.ndarray:
+    """The working set at which ``_active_set`` starts a cold call: empty,
+    unless the region's last row is the all-ones budget row that
+    ``build_region`` puts last, with a cap c >= 0.  Then it is the working
+    set of the projection of ``p`` onto the budget set {x >= 0, sum(x) <= c}
+    alone.  If the clamped sum of p exceeds c, the budget row is held and so
+    is every entry ``_project_rows`` sends to 0, save the top entry of p when
+    it sends every one there (a zero cap), so that a column stays free;
+    otherwise every entry with p_i < 0 is held.  This set is independent and
+    dual feasible: the budget row's multiplier is the water-filling
+    threshold theta >= 0 (max p at a zero cap) and a held entry's is
+    theta - p_i >= 0, or -p_i > 0 without the budget row.  So a point whose
+    budget-set projection meets every cap takes one linear solve, and the
+    zero plan starts, and ends, with the empty set."""
+    start = np.zeros(region.count + region.dim, dtype=bool)
+    cap = region.offsets[-1:]
+    if not (cap[0] >= 0.0 and (region.normals[-1] == 1.0).all()):
+        return start
+    with np.errstate(over="ignore"):  # a clamped sum past the float range is over c
+        over = np.maximum(p, 0.0).sum() > cap[0]
+    if over:
+        free = _project_rows(p[None], cap)[0] > 0.0
+        if not free.any():
+            free[p.argmax()] = True
+        start[region.count - 1] = True
+        start[region.count:] = ~free
+    else:
+        start[region.count:] = p < 0.0
+    return start
+
+
 def _active_set(point, region: FeasibleRegion, working: np.ndarray):
     """The dual active-set loop of ``_warm_projection``: returns the
     projection of ``point`` and only then stores its final working set in
     ``working``, a boolean mask over the halfspaces and then the variables.
-    The constraints it holds must be linearly independent over the free
-    columns; the stored set is, so it may start the next call.
+    It starts from ``working``, or from ``_budget_start`` when that is
+    empty.  The constraints it holds must be linearly independent over the
+    free columns; the stored set is, so it may start the next call.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
-    trial = working.copy()
+    trial = working.copy() if working.any() else _budget_start(p, region)
     held, fixed = trial[: region.count], trial[region.count :]
     # row 0: the point less the entering row's normal times that row's
     # multiplier so far; row 1: the entering row's normal
@@ -163,13 +227,17 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
 
 def _warm_projection(region: FeasibleRegion):
     """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
-    and x >= 0, as a closure whose first call starts cold with an empty
-    working set W, and is thus independent of every other, and whose later
-    calls start from the previous call's final W.  Successive points of one
-    ascent lie close together, so a call adds or drops only a few
-    constraints where a cold start adds every active one.  W changes only
-    when a call returns, so a ConvergenceError leaves the next call's start
-    as it was.
+    and x >= 0, as a closure whose first call starts cold, and is thus
+    independent of every other, and whose later calls start from the
+    previous call's final working set W.  Successive points of one ascent
+    lie close together, so a call adds or drops only a few constraints where
+    a cold start adds every active one.  A cold call, and a later one whose
+    W is empty, starts from ``_budget_start``: with the budget row of
+    ``build_region`` last, the W of the point's projection onto the budget
+    set alone, so a point whose budget-set answer meets every cap takes one
+    linear solve; on any other region, the empty W.  W changes only when a
+    call returns, so a ConvergenceError leaves the next call's start as it
+    was.
 
     Dual active-set method for a quadratic program with identity Hessian
     (Goldfarb & Idnani, Math. Programming 27, 1983): W holds halfspaces as
@@ -195,7 +263,9 @@ def _warm_projection(region: FeasibleRegion):
     up to round-off at the point's scale: every row to tol max(1, max|p|)
     for a point p, so a point of scale 1e8 may exceed a row of W by about
     1e-6.  Its KKT multipliers are met to tol, and from a cold start a point
-    already feasible to tol comes back unchanged.  Here tol is
+    already feasible to tol comes back unchanged (on a region with the
+    budget row last, if it is also nonnegative and within the budget
+    exactly, as ``_budget_start`` holds the rest).  Here tol is
     ``PROJECTION_TOL``, and ``PROJECTION_MAX_CYCLES`` bounds the iterations
     (one linear solve each).
     When they run out, or a dependent q has no row of W to drop (an empty
@@ -332,11 +402,15 @@ def solve_single(spec: GameSpec) -> SolveReport:
     meets the polytope's rows to ``PROJECTION_TOL`` times max(1, max|p|), p
     the projected point; each starts the dual active-set method from the
     previous projection's final working set, a state held by this call
-    alone, so two calls on one game return the same report.  The ascent returns the gradient it
-    measured at the plan, in its own units, which the KKT probe reuses
-    before scaling its residual back to payoff units.  A game with other
-    than one player raises ValueError, from ``build_region``.  A custom
-    utility was checked for concavity when its game was built.
+    alone, so two calls on one game return the same report.  The zero
+    plan's projection ends with an empty working set, so the next one starts
+    from that of its point's budget-set projection (``_budget_start``),
+    which meets every cap at once on a game where only the budget binds.
+    The ascent returns the gradient it measured at the plan, in its own
+    units, which the KKT probe reuses before scaling its residual back to
+    payoff units.  A game with other than one player raises ValueError, from
+    ``build_region``.  A custom utility was checked for concavity when its
+    game was built.
     """
     region = build_region(spec)
     K, n = spec.K, spec.n

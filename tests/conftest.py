@@ -42,7 +42,10 @@ def load_bench_module(stem):
 
 def cold_projection(point, region):
     """The projection onto ``region`` as a fresh closure's first call, which
-    starts the dual active-set method cold with an empty working set."""
+    starts the dual active-set method cold: from the working set of the
+    point's budget-set projection when the region's last row is the
+    all-ones budget row with a nonnegative cap (as ``build_region`` makes
+    it), else from the empty working set."""
     return _warm_projection(region)(point)
 
 

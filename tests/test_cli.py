@@ -256,6 +256,27 @@ class TestEquilibrateCommand:
         assert len(result["regrets"]) == 2
         assert trace.splitlines()[0].startswith("iteration,player,stage")
 
+    def test_solver_value_error_keeps_its_message(self, tmp_path, capsys, monkeypatch):
+        # only an iterate stack that cannot be allocated makes T too large
+        def refused(spec, T):
+            raise ValueError("exploitability cannot be materially negative")
+
+        monkeypatch.setattr(cli, "solve_equilibrium", refused)
+        code = main(["equilibrate", "--paper-example", "--T", "5",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: exploitability cannot be materially negative\n"
+        assert "too large" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("T", [10**15, 10**18, 10**20])
+    def test_unallocatable_T_is_too_large(self, tmp_path, capsys, T):
+        code = main(["equilibrate", "--paper-example", "--T", str(T),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: iteration count {T} is too large: ")
+
     def test_single_iteration(self, tmp_path):
         prefix = str(tmp_path / "one")
         assert main(["equilibrate", "--paper-example", "--T", "1",

@@ -27,7 +27,8 @@ from influencegame.verification import (
 )
 import influencegame
 from influencegame import single_player_solver
-from influencegame.single_player_solver import _maximize_concave, _warm_projection
+from influencegame.single_player_solver import (_maximize_concave, _project_rows,
+                                                _warm_projection)
 from conftest import (cold_projection, count_kernel_passes, count_linear_solves,
                       load_bench_module, single_player_spec)
 
@@ -163,7 +164,9 @@ class TestProjectFeasible:
             FeasibleRegion(normals=np.ones((2, 2)), offsets=np.array([1.0]))
 
     def test_cycle_budget_exhaustion_reports_last_iterate(self, monkeypatch):
-        region = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
+        # the last row is not all ones, so the call starts from an empty
+        # working set and needs more than one iteration
+        region = FeasibleRegion(normals=np.array([[2.0, 1.0]]), offsets=np.array([1.0]))
         monkeypatch.setattr(single_player_solver, "PROJECTION_TOL", 1e-15)
         monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
         with pytest.raises(ConvergenceError) as excinfo:
@@ -383,11 +386,68 @@ class TestWarmProjection:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_bench_games_linear_solve_count(self, monkeypatch):
-        # a cold start at every projection took 809
+        # a cold start at every projection took 809, and warm starts after a
+        # first call from the empty working set took 163
         solves = count_linear_solves(monkeypatch)
         for spec in BENCH_GAMES:
             solve_single(spec)
-        assert len(solves) <= 250
+        assert len(solves) <= 100
+
+
+class TestBudgetStart:
+    """A cold call on a region whose last row is the budget row starts from
+    the working set of the budget set's projection."""
+
+    @pytest.mark.parametrize("shift", [
+        pytest.param(0.3, id="budget-binds"),
+        pytest.param(-0.5, id="budget-slack"),
+    ])
+    def test_budget_set_answer_takes_one_solve(self, monkeypatch, shift):
+        spec = BENCH_GAMES[0]
+        region = build_region(spec)
+        point = np.random.default_rng(5).standard_normal(region.dim) * 0.1 + shift
+        cap = spec.budgets[:1]
+        expected = _project_rows(point[None], cap)[0]
+        assert region.contains(expected)
+        assert (np.maximum(point, 0.0).sum() > cap[0]) == (shift > 0)
+        solves = count_linear_solves(monkeypatch)
+        projected = cold_projection(point, region)
+        assert len(solves) == 1
+        np.testing.assert_allclose(projected, expected, rtol=0, atol=1e-12)
+
+    def test_zero_plan_leaves_the_next_call_seeded(self, monkeypatch):
+        # the zero plan holds nothing, so the ascent's second projection
+        # starts from the budget set's answer as a fresh closure's would
+        region = build_region(BENCH_GAMES[0])
+        point = np.random.default_rng(5).standard_normal(region.dim) * 0.1 + 0.3
+        project = _warm_projection(region)
+        solves = count_linear_solves(monkeypatch)
+        project(np.zeros(region.dim))
+        assert len(solves) == 1
+        project(point)
+        assert len(solves) == 2
+
+    def test_zero_budget_far_points_take_one_solve(self, monkeypatch):
+        # at a zero cap the budget row is held with every entry but the top
+        # one, a dual feasible start; from the empty working set 18 of these
+        # 40 points ran out of iterations
+        spec = random_linear_game(np.random.default_rng(0), 1, 4, 4)
+        region = build_region(dataclasses.replace(spec, budgets=np.array([0.0])))
+        points = 1e4 * np.random.default_rng(1).standard_normal((40, region.dim))
+        solves = count_linear_solves(monkeypatch)
+        for point in points:
+            solves.clear()
+            np.testing.assert_array_equal(cold_projection(point, region), 0.0)
+            assert len(solves) == 1
+
+    def test_large_single_player_game_solve_count(self, monkeypatch):
+        # from an empty working set the ascent's second projection alone
+        # took 707 of 826 linear solves
+        spec = random_linear_game(np.random.default_rng(0), 1, 200, 4)
+        spec = dataclasses.replace(spec, budgets=np.array([3.0]))
+        solves = count_linear_solves(monkeypatch)
+        solve_single(spec)
+        assert len(solves) <= 200
 
 
 class TestMaximizeConcaveScale:
