@@ -49,7 +49,6 @@ import numpy as np
 
 from .game_model import (
     GameSpec,
-    total_payoff,
     _objective_for_player,
     _columns_pass,
     _one_profile,
@@ -161,13 +160,16 @@ def _best_fixed_plan(spec: GameSpec, profiles: np.ndarray, j: int, start):
     """Player j's best fixed plan against ``profiles`` (one (m, K, n) profile
     or a batch of them) and its payoff summed over the batch, by
     ``_maximize_concave`` from ``start`` over j's budget set; returns the
-    flat plan and the payoff ``evaluate`` measured there.  The ascent runs
-    in units of its starting gradient, which for a batch of T profiles sums
-    T payoff gradients, so its first trial step moves each entry by at most
-    1 rather than by up to T times a payoff gradient."""
+    flat plan, the payoff ``evaluate`` measured there and the payoff it
+    measured at the projected start.  The ascent runs in units of its
+    starting gradient, which for a batch of T profiles sums T payoff
+    gradients, so its first trial step moves each entry by at most 1 rather
+    than by up to T times a payoff gradient."""
     cap = spec.budgets[[j]]  # a list index keeps a negative j on its player
     evaluate = _objective_for_player(spec, profiles, j)
-    return _maximize_concave(evaluate, lambda v: _project_rows(v[None], cap)[0], start)[:2]
+    plan, value, _, _, values, _ = _maximize_concave(
+        evaluate, lambda v: _project_rows(v[None], cap)[0], start)
+    return plan, value, values[0]
 
 
 def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
@@ -216,15 +218,19 @@ def exploitability(spec: GameSpec, profile) -> float:
     """Largest unilateral payoff improvement available at the profile.
 
     Zero exactly at an open-loop equilibrium; small positive values bound the
-    distance from equilibrium in payoff terms.  A one-player game raises
-    ValueError before any work; a profile ``validate_plans`` refuses raises
-    its error.
+    distance from equilibrium in payoff terms.  Each player's ascent starts
+    at its played plan, so its best fixed plan earns at least the start's
+    payoff: the gain is measured against that payoff, from the same kernel
+    pass, and an ascent that ends within round-off below its start gains 0.
+    A one-player game raises ValueError before any work; a profile
+    ``validate_plans`` refuses raises its error.
     """
     _require_multiplayer(spec)
     profile = _one_profile(spec, profile)
     return float(max(
-        _best_fixed_plan(spec, profile, j, profile[j])[1] - total_payoff(spec, profile, j)
-        for j in range(spec.m)
+        max(value, played) - played
+        for _, value, played in (_best_fixed_plan(spec, profile, j, profile[j])
+                                 for j in range(spec.m))
     ))
 
 
@@ -248,7 +254,7 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     if not (_is_count(T) and 1 <= T <= trace.iterations):
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "
                          f"recorded iterations, got {T!r}")
-    _, value = _best_fixed_plan(spec, trace.iterates[:T], j, trace.averages[T - 1, j])
+    _, value, _ = _best_fixed_plan(spec, trace.iterates[:T], j, trace.averages[T - 1, j])
     return float(value - trace.payoffs[:T, j].sum())
 
 

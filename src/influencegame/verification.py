@@ -5,8 +5,11 @@ check.  Finite differences validate the exact payoff gradients, exhaustive
 grid search validates the solvers on tiny instances, and the midpoint
 samplers turn the structural facts the algorithms rely on (payoffs are
 convex in opponents' strategies, the single-player objective is concave)
-into executable checks.  The midpoint bound is ``midpoint_convexity_check``'s
-alone, and propagators are judged by ``propagator``'s rule, ``check_stochastic``.
+into executable checks.  One bound, ``_MIDPOINT_TOL``, judges every midpoint
+check, and propagators are judged by ``propagator``'s rule, ``check_stochastic``.
+The suites draw a probe's pairs and a profile's players in one generator
+call each and normalize each size's networks in one expression, with the
+stream and the values of drawing and building them one at a time.
 
 Every point-wise oracle evaluates all its points in one call.  The function
 handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
@@ -208,12 +211,18 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
 # ---------------------------------------------------------------------------
 
 
-def random_network(rng: np.random.Generator, n: int):
-    """Random dense weighted graph with guaranteed positive row sums."""
+def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Raw (n, n) weights of a random dense graph, drawn in two (n, n) calls;
+    the self-loops keep every row sum positive."""
     weights = rng.random((n, n)) + 0.05
     mask = rng.random((n, n)) < 0.75
-    weights = weights * mask + np.eye(n)  # self-loops keep every row alive
-    return build_network(weights)
+    return weights * mask + np.eye(n)
+
+
+def random_network(rng: np.random.Generator, n: int):
+    """Random dense weighted graph with guaranteed positive row sums: the
+    weights ``_random_weights`` draws, normalized by ``build_network``."""
+    return build_network(_random_weights(rng, n))
 
 
 def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
@@ -247,13 +256,17 @@ def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
 
 
 def random_feasible_profile(rng: np.random.Generator, spec):
-    """Strictly feasible joint profile with entries bounded away from zero."""
-    profile = np.empty((spec.m, spec.K, spec.n))
-    for j in range(spec.m):
-        raw = rng.random((spec.K, spec.n)) + _PROFILE_MARGIN
-        target = float(spec.budgets[j]) * (0.3 + 0.5 * rng.random())
-        profile[j] = raw / raw.sum() * target
-    return profile
+    """Strictly feasible joint profile with entries bounded away from zero.
+
+    One (m, K n + 1) draw gives each player a row: K n raw weights and then
+    the fraction, in [0.3, 0.8), of its budget that the plan spends.  The
+    stream and the values are those of drawing each player's weights and
+    fraction in turn."""
+    draws = rng.random((spec.m, spec.K * spec.n + 1))
+    raw = draws[:, :-1] + _PROFILE_MARGIN
+    targets = spec.budgets * (0.3 + 0.5 * draws[:, -1])
+    return (raw / raw.sum(axis=1, keepdims=True) * targets[:, None]).reshape(
+        spec.m, spec.K, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +286,19 @@ def _suite_lemmas(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    by_size = defaultdict(lambda: ([], []))  # n -> (adjacencies, times)
+    # n -> (raw weights, times); each size's stack is normalized in one
+    # expression, as ``build_network`` would normalize each draw
+    by_size = defaultdict(lambda: ([], []))
     for _ in range(500):
-        network = random_network(rng, int(rng.integers(2, 9)))
-        adjacencies, times = by_size[network.n]
-        adjacencies.append(network.adjacency)
+        n = int(rng.integers(2, 9))
+        weights, times = by_size[n]
+        weights.append(_random_weights(rng, n))
         times.append(float(rng.random() * 100.0))
-    reports = [check_stochastic(_flow(np.stack(adjacencies), np.array(times)))
-               for adjacencies, times in by_size.values()]
+    reports = []
+    for weights, times in by_size.values():
+        weights = np.stack(weights)
+        adjacencies = weights / weights.sum(axis=-1, keepdims=True)
+        reports.append(check_stochastic(_flow(adjacencies, np.array(times))))
     worst_row = _worst([report.row_sum_violation for report in reports])
     worst_neg = _worst([report.negativity_violation for report in reports])
     checks.append(_check(
@@ -290,7 +308,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
         worst_negativity=worst_neg,
     ))
 
-    reports = []
+    violations = []
     for _ in range(200):
         d = int(rng.integers(1, 6))
         width = int(rng.integers(1, 5))
@@ -301,14 +319,11 @@ def _suite_lemmas(seed: int) -> list[dict]:
             y = y.reshape(-1, d, width)
             return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
 
-        probe = ConvexityProbe(
-            function=product_of_reciprocals,
-            sampler=lambda r, d=d, width=width: r.random(d * width) * 3.0,
-            samples=20,
-        )
-        reports.append(midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30))))
-    worst = _worst([report.worst_violation for report in reports])
-    checks.append(_check("reciprocal-product-convexity", all(report.passed for report in reports),
+        # 20 pairs (y, y_hat) from one call of the probe's own generator
+        draws = np.random.default_rng(int(rng.integers(1 << 30))).random((40, d * width)) * 3.0
+        violations.append(_midpoint_violations(product_of_reciprocals, draws[0::2], draws[1::2]))
+    worst = _worst(violations)
+    checks.append(_check("reciprocal-product-convexity", worst <= _MIDPOINT_TOL,
                          worst_violation=worst))
 
     payoff_violations, opinion_violations = [], []

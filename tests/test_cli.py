@@ -660,6 +660,14 @@ class TestVerifyCommand:
         assert report["checks"] == [{"name": "analytic-vs-finite-difference", "passed": False,
                                      "max_relative_error": None}]
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_seed_byte_identical(self, capsys, seed):
+        printed = []
+        for _ in range(2):
+            assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])

@@ -37,7 +37,7 @@ def best_fixed_plan(spec, profile, j):
     """Player j's best response to the validated ``profile``, warm-started
     at j's own plan: the (K, n) plan and its payoff."""
     profile = game_model._one_profile(spec, profile)
-    plan, value = equilibrium_solver._best_fixed_plan(spec, profile, j, profile[j])
+    plan, value, _ = equilibrium_solver._best_fixed_plan(spec, profile, j, profile[j])
     return plan.reshape(spec.K, spec.n), value
 
 
@@ -633,6 +633,16 @@ class TestExploitability:
         gradient = payoff_gradient(spec, zero, 0)
         assert gradient[0].max() > 0  # investing at the first campaign pays
         assert exploitability(spec, zero) > 1e-4
+
+    @pytest.mark.parametrize("power", [26, 37])
+    def test_not_negative_at_large_weights(self, two_player_spec, power):
+        # each ascent here ends within an ulp of its start, the played plan,
+        # which the best fixed plan earns at least
+        scale = 3.0 ** power
+        spec = dataclasses.replace(two_player_spec, utilities=tuple(
+            dataclasses.replace(u, rho=u.rho * scale, cost_coefficient=u.cost_coefficient * scale)
+            for u in two_player_spec.utilities))
+        assert exploitability(spec, np.zeros((2, 2, 3))) >= 0.0
 
     def test_decreases_along_averaging(self, two_player_spec):
         trace = run_no_regret(two_player_spec, 400)

@@ -422,6 +422,29 @@ class TestMidpointConvexity:
         assert len(stacks) == 1 and stacks[0].shape == (15, 2)
 
 
+class TestRandomFeasibleProfile:
+    @staticmethod
+    def per_player(rng, spec):
+        """Each player's weights and budget fraction drawn in turn."""
+        profile = np.empty((spec.m, spec.K, spec.n))
+        for j in range(spec.m):
+            raw = rng.random((spec.K, spec.n)) + 1e-3
+            target = float(spec.budgets[j]) * (0.3 + 0.5 * rng.random())
+            profile[j] = raw / raw.sum() * target
+        return profile
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n, K", [(1, 1), (3, 2), (10, 3)])
+    def test_equals_the_per_player_draws(self, m, n, K):
+        spec = random_linear_game(np.random.default_rng(m), m, n, K)
+        for seed in range(5):
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                np.testing.assert_array_equal(random_feasible_profile(block, spec),
+                                              self.per_player(loop, spec))
+            assert block.random() == loop.random()  # the stream goes on as before
+
+
 class TestSuites:
     @pytest.mark.parametrize("name", ["gradients", "oracles"])
     def test_suites_pass(self, name):
@@ -431,6 +454,35 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reciprocal_record_equals_the_probe_reports(self, seed):
+        # the suite draws each probe's 20 pairs in one call; its record must
+        # equal running the same 200 probes through the public check
+        rng = np.random.default_rng(seed)
+        for _ in range(500):  # the stochasticity check's draws come first
+            verification.random_network(rng, int(rng.integers(2, 9)))
+            rng.random()
+        reports = []
+        for _ in range(200):
+            d, width = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            a = rng.random(d) * 2.0 + 0.1
+            w = rng.random((d, width)) * 2.0
+
+            def function(y, a=a, w=w, d=d, width=width):
+                y = y.reshape(-1, d, width)
+                return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
+
+            probe = ConvexityProbe(function=function,
+                                   sampler=lambda r, k=d * width: r.random(k) * 3.0,
+                                   samples=20)
+            reports.append(midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30))))
+        record = run_suite("lemmas", seed=seed)["checks"][1]
+        assert record == {
+            "name": "reciprocal-product-convexity",
+            "passed": all(report.passed for report in reports),
+            "worst_violation": max(report.worst_violation for report in reports),
+        }
 
     def test_over_budget_projection_fails_projection_vs_grid(self, monkeypatch):
         # clamping alone is never farther from the point than the projection,
@@ -459,8 +511,8 @@ class TestSuites:
         pytest.param("_flow", stacked(lambda n: np.full((n, n), np.nan)),
                      "lemmas", "propagator-stochasticity", "worst_row_sum_violation",
                      id="propagator-stochasticity"),
-        pytest.param("midpoint_convexity_check",
-                     lambda probe, seed: verification.ConvexityReport(False, float("nan")),
+        pytest.param("_midpoint_violations",
+                     lambda function, y, y_hat: np.full(len(y), np.nan),
                      "lemmas", "reciprocal-product-convexity", "worst_violation",
                      id="reciprocal-product-convexity"),
     ])
