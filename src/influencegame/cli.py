@@ -243,11 +243,12 @@ def _json_text(document) -> str:
 
 def _trajectory_csv(points) -> str:
     rows = ["time,individual,player,opinion\n"]
-    for point in points:
-        n, m = point.state.values.shape
+    if points:
+        n, m = points[0].state.values.shape
         keys = [f"{i},{j}" for i in range(n) for j in range(m)]
-        opinions = _float_reprs(point.state.values)
-        rows.extend(f"{point.time!r},{key},{x}\n" for key, x in zip(keys, opinions))
+        opinions = iter(_float_reprs(np.stack([point.state.values for point in points])))
+        rows.extend(f"{point.time!r},{key},{next(opinions)}\n"
+                    for point in points for key in keys)
     return "".join(rows)
 
 

@@ -94,6 +94,8 @@ class LearningTrace:
 
     ``iterates[tau-1]`` is the joint profile played at iteration tau (shape
     (m, K, n)) and ``payoffs[tau-1, j]`` player j's payoff at that iterate.
+    Iterates not shaped (T, m, K, n) for the spec, or payoffs not shaped
+    (T, m) with the same T, raise ValueError.
     """
 
     spec: GameSpec
@@ -103,6 +105,13 @@ class LearningTrace:
     def __post_init__(self):
         object.__setattr__(self, "iterates", _readonly(self.iterates))
         object.__setattr__(self, "payoffs", _readonly(self.payoffs))
+        spec, shape = self.spec, self.iterates.shape
+        if len(shape) != 4 or shape[1:] != (spec.m, spec.K, spec.n):
+            raise ValueError(f"iterates must be shaped (T, {spec.m}, {spec.K}, {spec.n}) "
+                             f"for the spec, got {shape}")
+        if self.payoffs.shape != (shape[0], spec.m):
+            raise ValueError(f"payoffs must be shaped ({shape[0]}, {spec.m}) to match "
+                             f"the iterates, got {self.payoffs.shape}")
 
     @property
     def iterations(self) -> int:
@@ -275,28 +284,49 @@ def solve_equilibrium(spec: GameSpec, T: int):
     return trace, result
 
 
-TRACE_BLOCK = 32  # iterations whose floats ``trace_to_csv`` converts in one call
+# Iterations ``trace_to_csv`` renders together: one ``_float_reprs`` call per
+# array and one join per block, so the transient strings stay bounded in T.
+TRACE_BLOCK = 32
 
 
 def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every float in ``values``, in C order, from one call."""
-    return repr(values.ravel().tolist())[1:-1].split(", ")
+    """``repr(float(x))`` of every x in ``values``, in C order.
+
+    Each distinct bit pattern is formatted once, by one ``repr`` of the list
+    of them, and its string is mapped back to every place it occurs.  The
+    key is the int64 view of the values as C-contiguous float64s, so 0.0
+    and -0.0, and NaNs of different payloads, keep their own strings.  A
+    trace repeats exact zeros often, and the shortest round-trip ``repr`` is
+    the cost of rendering it."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = flat.view(np.int64).tolist()
+    distinct = dict(zip(bits, flat.tolist()))
+    strings = repr(list(distinct.values()))[1:-1].split(", ")
+    return list(map(dict(zip(distinct, strings)).__getitem__, bits))
 
 
 def trace_to_csv(trace: LearningTrace) -> str:
-    """Render a trace as CSV with one row per (iteration, player, stage, individual)."""
+    """Render a trace as CSV with one row per (iteration, player, stage,
+    individual); every float is its ``repr``, the shortest string that reads
+    back to the same double.
+
+    Each block of ``TRACE_BLOCK`` iterations is laid out as eight strings
+    per row (iteration, ``,player,stage,individual,``, iterate, comma,
+    average, comma, payoff, newline), filled a column at a time by slice
+    assignment and joined once."""
     T, m, K, n = trace.iterates.shape
-    keys = [f"{j},{k},{i}" for j in range(m) for k in range(1, K + 1) for i in range(n)]
-    owners = np.repeat(np.arange(m), K * n).tolist()
+    keys = [f",{j},{k},{i}," for j in range(m) for k in range(1, K + 1) for i in range(n)]
     chunks = ["iteration,player,stage,individual,iterate_value,average_value,payoff\n"]
     for first in range(0, T, TRACE_BLOCK):
         block = slice(first, first + TRACE_BLOCK)
-        xs = iter(_float_reprs(trace.iterates[block]))
-        ys = iter(_float_reprs(trace.averages[block]))
-        payoffs = _float_reprs(trace.payoffs[block])
-        chunks.append("".join([
-            f"{tau},{key},{next(xs)},{next(ys)},{payoffs[b * m + j]}\n"
-            for b, tau in enumerate(range(first + 1, min(first + TRACE_BLOCK, T) + 1))
-            for key, j in zip(keys, owners)
-        ]))
+        taus = range(first + 1, min(first + TRACE_BLOCK, T) + 1)
+        rows = len(taus) * len(keys)
+        parts = [","] * (8 * rows)
+        parts[0::8] = [tau for tau in map(str, taus) for _ in keys]
+        parts[1::8] = keys * len(taus)
+        parts[2::8] = _float_reprs(trace.iterates[block])
+        parts[4::8] = _float_reprs(trace.averages[block])
+        parts[6::8] = [p for p in _float_reprs(trace.payoffs[block]) for _ in range(K * n)]
+        parts[7::8] = ["\n"] * rows
+        chunks.append("".join(parts))
     return "".join(chunks)

@@ -94,6 +94,19 @@ def count_kernel_passes(monkeypatch) -> list:
     return profiles
 
 
+def nested_loop_csv(trace):
+    """``trace_to_csv``'s rendering, one f-string per row in nested loops:
+    the reference the per-iteration rendering must match byte for byte."""
+    lines = ["iteration,player,stage,individual,iterate_value,average_value,payoff"]
+    rows = zip(trace.iterates.tolist(), trace.averages.tolist(), trace.payoffs.tolist())
+    for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
+        for j, (plan, mean, payoff) in enumerate(zip(iterate, average, payoffs)):
+            for k, (stage, stage_mean) in enumerate(zip(plan, mean), start=1):
+                for i, (x, y) in enumerate(zip(stage, stage_mean)):
+                    lines.append(f"{tau},{j},{k},{i},{x!r},{y!r},{payoff!r}")
+    return "\n".join(lines) + "\n"
+
+
 # Path network used by the reference two-player configuration.
 PATH_LAPLACIAN = np.array([
     [1 / 3, -1 / 3, 0.0],

@@ -21,6 +21,7 @@ from influencegame import (
     StageUtility,
     build_region,
     cli,
+    run_no_regret,
     simulate_trajectory,
     single_player_solver,
     verification,
@@ -33,7 +34,7 @@ from influencegame.cli import (
 )
 from influencegame.verification import random_linear_game, run_suite
 from influencegame.fileio import atomic_write_text
-from conftest import star_adjacency, subprocess_env
+from conftest import nested_loop_csv, star_adjacency, subprocess_env
 
 
 def write_scenario(path, document):
@@ -292,6 +293,21 @@ class TestEquilibrateCommand:
         assert main(["equilibrate", "--paper-example", "--T", "8", "--out", second]) == 0
         assert (tmp_path / "a_trace.csv").read_bytes() == (tmp_path / "b_trace.csv").read_bytes()
         assert (tmp_path / "a_result.json").read_bytes() == (tmp_path / "b_result.json").read_bytes()
+
+    @pytest.mark.parametrize("game", ["paper-example", "network"])
+    def test_benchmarked_traces_match_the_nested_loop_rendering(self, tmp_path, game):
+        # the paper game at T = 400 and the bench's 3-player game on 10
+        # individuals at T = 100, pinned byte for byte
+        if game == "paper-example":
+            spec, T, source = reference_scenario().spec, 400, "--paper-example"
+        else:
+            game_spec = random_linear_game(np.random.default_rng(0), 3, 10, 3)
+            source = write_scenario(tmp_path / "network.json", scenario_to_dict(
+                cli.Scenario(spec=game_spec, solver=cli.SolverSettings())))
+            spec, T = cli.load_scenario(source).spec, 100  # the game the file holds
+        assert main(["equilibrate", source, "--T", str(T), "--out", str(tmp_path / "run")]) == 0
+        trace = (tmp_path / "run_trace.csv").read_text()
+        assert trace == nested_loop_csv(run_no_regret(spec, T))
 
     def test_star_with_long_gaps_runs(self, tmp_path):
         # the propagators of a 200-individual star across gaps of 1e4 pass

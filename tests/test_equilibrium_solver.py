@@ -26,11 +26,11 @@ from influencegame import (
 )
 from influencegame import equilibrium_solver, game_model, single_player_solver
 from influencegame.cli import reference_scenario
-from influencegame.equilibrium_solver import LearningTrace, trace_to_csv
+from influencegame.equilibrium_solver import LearningTrace, _float_reprs, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region
 from influencegame.verification import random_feasible_profile, random_linear_game
 from conftest import (cold_projection, count_flow_builds, count_kernel_passes,
-                      count_linear_solves)
+                      count_linear_solves, nested_loop_csv)
 
 
 def best_fixed_plan(spec, profile, j):
@@ -731,19 +731,6 @@ class TestSolveEquilibrium:
         assert first.startswith("1,0,1,0,")
 
 
-def nested_loop_csv(trace):
-    """``trace_to_csv``'s rendering, one f-string per row in nested loops:
-    the reference the per-iteration rendering must match byte for byte."""
-    lines = ["iteration,player,stage,individual,iterate_value,average_value,payoff"]
-    rows = zip(trace.iterates.tolist(), trace.averages.tolist(), trace.payoffs.tolist())
-    for tau, (iterate, average, payoffs) in enumerate(rows, start=1):
-        for j, (plan, mean, payoff) in enumerate(zip(iterate, average, payoffs)):
-            for k, (stage, stage_mean) in enumerate(zip(plan, mean), start=1):
-                for i, (x, y) in enumerate(zip(stage, stage_mean)):
-                    lines.append(f"{tau},{j},{k},{i},{x!r},{y!r},{payoff!r}")
-    return "\n".join(lines) + "\n"
-
-
 class TestTraceToCsv:
     # one past the block size, so a block edge is rendered too
     @pytest.mark.parametrize("T", [1, 9, equilibrium_solver.TRACE_BLOCK + 1])
@@ -760,3 +747,63 @@ class TestTraceToCsv:
         payoffs = np.array([[np.nan, -np.inf], [1e-310, -2.5]])
         trace = LearningTrace(spec=two_player_spec, iterates=iterates, payoffs=payoffs)
         assert trace_to_csv(trace) == nested_loop_csv(trace)
+
+    def test_signed_zeros_and_repeats_across_a_block_edge(self, two_player_spec):
+        # 0.0 and -0.0 share one column of the first block, and one value
+        # and one payoff recur on either side of the block edge
+        T = equilibrium_solver.TRACE_BLOCK + 1
+        trace = run_no_regret(two_player_spec, T)
+        iterates, payoffs = trace.iterates.copy(), trace.payoffs.copy()
+        iterates[0, 0, 0, :2] = [0.0, -0.0]
+        iterates[T - 2, 1, 1, 2] = iterates[T - 1, 0, 0, 1] = 0.1 + 0.2
+        payoffs[T - 2, 0] = payoffs[T - 1, 1] = 1 / 3
+        trace = LearningTrace(spec=two_player_spec, iterates=iterates, payoffs=payoffs)
+        csv_text, payoff = trace_to_csv(trace), float(payoffs[0, 0])
+        assert csv_text.splitlines()[1:3] == [f"1,0,1,0,0.0,0.0,{payoff!r}",
+                                              f"1,0,1,1,-0.0,-0.0,{payoff!r}"]
+        assert csv_text == nested_loop_csv(trace)
+
+    def test_zero_iterations_render_the_header_alone(self, two_player_spec):
+        spec = two_player_spec
+        trace = LearningTrace(spec=spec, iterates=np.empty((0, spec.m, spec.K, spec.n)),
+                              payoffs=np.empty((0, spec.m)))
+        header = "iteration,player,stage,individual,iterate_value,average_value,payoff\n"
+        assert trace_to_csv(trace) == nested_loop_csv(trace) == header
+
+
+class TestFloatReprs:
+    """``_float_reprs`` is ``repr(float(x))`` over the array in C order,
+    however often a bit pattern repeats."""
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.array([0.0, -0.0, 0.0, -0.0]), id="signed-zeros"),
+        # nan, -nan and a signalling NaN: three keys, each formatted "nan"
+        pytest.param(np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                               0x7FF8000000000000], dtype=np.uint64).view(np.float64),
+                     id="nan-payloads"),
+        pytest.param(np.array([np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e-310,
+                               0.1, 0.1, 1 / 3, 1 / 3, -0.0, 0.1]), id="inf-subnormal-repeats"),
+        pytest.param(np.array([[0.1, 1 / 3], [0.1, -2.5]], dtype=np.float32), id="float32"),
+        pytest.param(np.arange(24.0).reshape(2, 3, 4)[:, ::2, 1::2] / 7, id="non-contiguous"),
+        pytest.param(np.empty((0, 3)), id="empty"),
+    ])
+    def test_each_entry_is_its_repr(self, values):
+        assert _float_reprs(values) == [repr(float(x)) for x in np.ravel(values)]
+
+
+class TestLearningTraceShapes:
+    """A trace refuses arrays that disagree with its spec."""
+
+    # the first has one stage where the K = 2 spec has two
+    @pytest.mark.parametrize("shape", [(3, 2, 1, 3), (2, 2, 3), (3, 2, 2, 3, 1), (3, 3, 2, 3)])
+    def test_iterates_not_shaped_for_the_spec_raise(self, two_player_spec, shape):
+        with pytest.raises(ValueError, match=r"iterates must be shaped \(T, 2, 2, 3\)"):
+            LearningTrace(spec=two_player_spec, iterates=np.zeros(shape),
+                          payoffs=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3,), (3, 2, 1)])
+    def test_payoffs_not_matching_the_iterates_raise(self, two_player_spec, shape):
+        trace = run_no_regret(two_player_spec, 3)
+        with pytest.raises(ValueError, match=r"payoffs must be shaped \(3, 2\)"):
+            LearningTrace(spec=two_player_spec, iterates=trace.iterates,
+                          payoffs=np.zeros(shape))
