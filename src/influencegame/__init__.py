@@ -28,7 +28,6 @@ from .game_model import (
     GameSpec,
     StageUtility,
     opinions_at_campaigns,
-    opinions_at_campaigns_closed_form,
     payoff_gradient,
     simulate_trajectory,
     total_payoff,
@@ -56,6 +55,7 @@ from .verification import (
     brute_force_best_response,
     fd_gradient,
     midpoint_convexity_check,
+    opinions_at_campaigns_closed_form,
     run_suite,
 )
 

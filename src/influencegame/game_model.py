@@ -17,15 +17,10 @@ once; a payoff, gradient or best-response objective of one player passes
 that player's column.  What the kernel reads of the game (the gap
 propagators and their transposes, x0's columns, the linear utilities'
 weights and scaled gradients) is built once per game into one read-only
-bundle, ``GameSpec.kernel``.  ``simulate_trajectory`` samples the hybrid
-process from the kernel's campaign-time states, carrying each state into
-the gap that follows it.
-
-Campaign-time opinions also admit a closed form: with damping matrices
-D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
-t_k is the sum over earlier stages s of (A_k D(k-1) ... A_{s+1} D(s)) B(s),
-seeded with D(0) = I and B(0) = x0.  That summation is kept separate from the
-kernel as an independent check; the two agree to round-off.
+bundle, ``GameSpec.kernel``.  A custom utility's callables are called once
+per stage on the whole stack of the kernel's states.  ``simulate_trajectory``
+samples the hybrid process from the kernel's campaign-time states, carrying
+each state into the gap that follows it.
 """
 
 from __future__ import annotations
@@ -71,14 +66,19 @@ class StageUtility:
 
     ``linear-favor`` scores rho(k)'x - lambda 1'b; the game kernel reads its
     weights from the game's stack in the bundle ``GameSpec.kernel``.  Custom
-    utilities supply a value and both partial gradients as callables of one
-    length-n opinion vector x, budget vector b and stage k, which the kernel
-    applies column by column.  ``GameSpec`` checks a custom utility once,
-    when the game is built, and raises HypothesisCheckError on a failure:
-    alone in a game it must pass a concavity spot check; in a game of m >= 2
-    players it must carry ``declared_multiplayer_shape``, which attests that
-    it is increasing and convex in the opinion argument and concave in the
-    own budget, and the increasing-and-convex part is spot-checked.
+    utilities supply a value and both partial gradients as callables
+    fn(x, b, k) of opinions x and budgets b shaped (..., n), a stack of
+    length-n vectors, and an int stage k: ``value_fn`` returns the (...)
+    values, ``opinion_grad_fn`` and ``budget_grad_fn`` the (..., n)
+    gradients.  The kernel calls each once per stage on its whole stack.
+    ``GameSpec`` checks a custom utility once, when the game is built: each
+    callable must answer a stack of the right shape (ValueError otherwise),
+    and the utility must have the shape its game needs (HypothesisCheckError
+    otherwise).  Alone in a game it must pass a concavity spot check; in a
+    game of m >= 2 players it must carry ``declared_multiplayer_shape``,
+    which attests that it is increasing and convex in the opinion argument
+    and concave in the own budget, and the increasing-and-convex part is
+    spot-checked.
     """
 
     kind: str
@@ -97,7 +97,8 @@ class StageUtility:
         if self.cost_coefficient < 0:
             raise ValueError("cost coefficient must be nonnegative")
         if self.kind == "custom":
-            if not (self.value_fn and self.opinion_grad_fn and self.budget_grad_fn):
+            if not all(map(callable, (self.value_fn, self.opinion_grad_fn,
+                                      self.budget_grad_fn))):
                 raise ValueError("custom utilities need value, opinion-gradient and "
                                  "budget-gradient callables")
         else:
@@ -115,14 +116,6 @@ class StageUtility:
         return self.kind == "linear-favor"
 
 
-def _rowwise(fn: Callable, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Apply a custom utility's per-vector callable fn(x, b, k) to one
-    length-n vector or to each row of a (batch, n) array."""
-    if x.ndim == 1:
-        return np.asarray(fn(x, b, k), dtype=float)
-    return np.array([fn(x_row, b_row, k) for x_row, b_row in zip(x, b)], dtype=float)
-
-
 _KernelConstants = namedtuple(  # see GameSpec.kernel
     "_KernelConstants", "rho cost opinion_gradient budget_gradient x0 gaps gaps_transposed")
 
@@ -137,9 +130,10 @@ class GameSpec:
     identity and the normalized jump keep along the trajectory.  A linear
     utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
     ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.  The budgets
-    are a flat vector of m entries.  Every custom utility is checked here
-    for the shape its game needs (see ``StageUtility``), so no solver checks
-    a hypothesis.
+    are a flat vector of m entries.  Every custom utility's callables are
+    probed here on a stack, and the utility is checked for the shape its
+    game needs (see ``StageUtility``), so no solver checks a hypothesis or
+    meets a callable that cannot take its stacks.
     """
 
     network: Network
@@ -177,9 +171,12 @@ class GameSpec:
                 raise ValueError(f"(sum(rho) + lambda) / (K + 1) above {_MAX_GRADIENT:g}: "
                                  "a solver step may overflow")
         for j, utility in enumerate(self.utilities):
-            if not utility.is_linear and m == 1:
+            if utility.is_linear:
+                continue
+            _probe_stacked(utility, self.network.n, stages, player=j)
+            if m == 1:
                 _check_concave_stages(utility, self.network.n, stages)
-            elif not utility.is_linear:
+            else:
                 _check_increasing_convex(utility, self.network.n, stages, player=j)
 
     @property
@@ -215,6 +212,27 @@ class GameSpec:
         return _KernelConstants(*arrays, gaps, tuple(gap.T for gap in gaps))
 
 
+def _probe_stacked(utility: StageUtility, n: int, stages: int, player: int):
+    """Call each of a custom utility's callables at k = 1 and k = K+1 on a
+    (2, n+1, n) stack, whose batch axes differ from n so that a callable
+    written for a single vector cannot pass by broadcasting; raise
+    ValueError naming the player and the callable if one raises TypeError or
+    ValueError or returns the wrong shape."""
+    x = np.full((2, n + 1, n), 0.5)
+    b = np.full(x.shape, 0.25)
+    for k in (1, stages):
+        for name, shape in (("value_fn", x.shape[:-1]), ("opinion_grad_fn", x.shape),
+                            ("budget_grad_fn", x.shape)):
+            try:
+                answer = np.shape(getattr(utility, name)(x, b, k))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} of player {player} failed on opinions and budgets "
+                                 f"shaped {x.shape} at stage {k}: {exc}") from exc
+            if answer != shape:
+                raise ValueError(f"{name} of player {player} returned shape {answer} for "
+                                 f"opinions and budgets shaped {x.shape}, not {shape}")
+
+
 def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
                              seed: int, message: str):
     """Midpoint-convexity spot check by ``midpoint_convexity_check``; a failure
@@ -232,7 +250,7 @@ def _check_concave_stages(utility: StageUtility, n: int, stages: int):
     """Midpoint-concavity spot check of a lone player's custom utility."""
     for k in (1, stages):
         _require_midpoint_convex(
-            lambda z, k=k: -_rowwise(utility.value_fn, z[:, :n], z[:, n:], k),
+            lambda z, k=k: -utility.value_fn(z[:, :n], z[:, n:], k),
             lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]), samples=64, seed=11,
             message="custom stage utility failed the concavity midpoint check")
 
@@ -250,12 +268,12 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
     for k in (1, stages):
         b = rng.random(n) * 0.5
         _require_midpoint_convex(
-            lambda x, b=b, k=k: _rowwise(utility.value_fn, x, np.broadcast_to(b, x.shape), k),
+            lambda x, b=b, k=k: utility.value_fn(x, np.broadcast_to(b, x.shape), k),
             lambda r: r.random(n), samples=32, seed=7,
             message=f"custom utility of player {player} failed the convexity midpoint check")
         # the point itself, then one step of 0.1 up each opinion, in one stack
         x = rng.random(n) * 0.8 + np.vstack([np.zeros(n), 0.1 * np.eye(n)])
-        values = _rowwise(utility.value_fn, x, np.broadcast_to(b, x.shape), k)
+        values = np.asarray(utility.value_fn(x, np.broadcast_to(b, x.shape), k))
         if np.any(values[1:] < values[0] - 1e-9):
             raise HypothesisCheckError(
                 f"custom utility of player {player} is not increasing in opinions"
@@ -385,7 +403,8 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
     stage invests nothing.  Linear columns are scored at once through the
     game's weights; their gradients do not depend on the state and come
     cached as (p, K+1, n) and (p, 1, 1) arrays that broadcast over the stack.
-    Custom utilities apply their callables column by column.
+    A custom utility's callables are called once per stage on the column's
+    whole (..., n) slice of the stack.
     """
     K = spec.K
     constants = spec.kernel
@@ -400,10 +419,10 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
         for k in range(1, K + 2):
             x = pre[..., c, k - 1, :]
             b = own[..., c, k - 1, :] if k <= K else np.zeros(x.shape)
-            values[..., c, k - 1] = _rowwise(utility.value_fn, x, b, k)
-            opinion[..., c, k - 1, :] = _rowwise(utility.opinion_grad_fn, x, b, k)
+            values[..., c, k - 1] = utility.value_fn(x, b, k)
+            opinion[..., c, k - 1, :] = utility.opinion_grad_fn(x, b, k)
             if k <= K:
-                budget[..., c, k - 1, :] = _rowwise(utility.budget_grad_fn, x, b, k)
+                budget[..., c, k - 1, :] = utility.budget_grad_fn(x, b, k)
     scale = 1.0 / (K + 1)
     return values, scale * opinion, scale * budget
 
@@ -494,37 +513,6 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
                 points.append(TrajectoryPoint(t_end, OpinionState(leaving[k]), post_jump=True))
             si += 1
     return points
-
-
-def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
-    """Same states via the explicit summation over investment stages.
-
-    Exists as an independent evaluation route; agrees with the recursion to
-    round-off.  Single-player games have no damping, so every D(r) is the
-    identity there."""
-    profile = _one_profile(spec, profile)
-    gaps = spec.kernel.gaps
-    K, n, m = spec.K, spec.n, spec.m
-
-    def damping_diag(r: int) -> np.ndarray:
-        if r == 0 or m == 1:
-            return np.ones(n)
-        return 1.0 / (1.0 + profile[:, r - 1].sum(axis=0))
-
-    out = np.zeros((K + 1, n, m))
-    for k in range(1, K + 2):
-        total = np.zeros((n, m))
-        for s in range(0, k):
-            block = profile[:, s - 1].T if s >= 1 else np.array(spec.x0.values)
-            # apply A_{r+1} D(r) factors from the inside out, leftmost last
-            term = damping_diag(s)[:, None] * block
-            for r in range(s, k):
-                term = gaps[r] @ term
-                if r + 1 < k:
-                    term = damping_diag(r + 1)[:, None] * term
-            total += term
-        out[k - 1] = total
-    return out
 
 
 def total_payoff(spec: GameSpec, profile, j: int):

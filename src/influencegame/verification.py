@@ -1,11 +1,19 @@
-"""Independent numerical oracles: finite differences, grid search, and shape checks.
+"""Independent numerical oracles: finite differences, grid search, the
+closed-form opinion sum, and shape checks.
 
 These routines deliberately avoid the analytic code paths they are used to
 check.  Finite differences validate the exact payoff gradients, exhaustive
 grid search validates the solvers on tiny instances, and the midpoint
 samplers turn the structural facts the algorithms rely on (payoffs are
 convex in opponents' strategies, the single-player objective is concave)
-into executable checks.  One bound, ``_MIDPOINT_TOL``, judges every midpoint
+into executable checks.
+
+Campaign-time opinions also admit a closed form: with damping matrices
+D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
+t_k is the sum over earlier stages s of (A_k D(k-1) ... A_{s+1} D(s)) B(s),
+seeded with D(0) = I and B(0) = x0.  ``opinions_at_campaigns_closed_form``
+evaluates that summation apart from the game kernel's stage recursion; the
+two agree to round-off.  One bound, ``_MIDPOINT_TOL``, judges every midpoint
 check, and propagators are judged by ``propagator``'s rule, ``check_stochastic``.
 The suites draw a probe's pairs and a profile's players in one generator
 call each and normalize each size's networks in one expression, with the
@@ -204,6 +212,39 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
         values = total_payoff(spec, stack, j)
     best_index = int(np.argmax(values))  # argmax keeps the first (lex smallest) tie
     return candidates[best_index].reshape(K, n), float(values[best_index])
+
+
+def opinions_at_campaigns_closed_form(spec: GameSpec, profile) -> np.ndarray:
+    """The (K+1, n, m) states of ``opinions_at_campaigns`` for one profile,
+    via the explicit summation over investment stages.
+
+    Exists as an independent evaluation route; agrees with the recursion to
+    round-off.  Single-player games have no damping, so every D(r) is the
+    identity there."""
+    profile = _one_profile(spec, profile)
+    gaps = spec.kernel.gaps
+    K, n, m = spec.K, spec.n, spec.m
+
+    def damping_diag(r: int) -> np.ndarray:
+        if r == 0 or m == 1:
+            return np.ones(n)
+        return 1.0 / (1.0 + profile[:, r - 1].sum(axis=0))
+
+    out = np.zeros((K + 1, n, m))
+    for k in range(1, K + 2):
+        total = np.zeros((n, m))
+        for s in range(0, k):
+            block = profile[:, s - 1].T if s >= 1 else np.array(spec.x0.values)
+            # apply A_{r+1} D(r) factors from the inside out, leftmost last
+            term = damping_diag(s)[:, None] * block
+            for r in range(s, k):
+                term = gaps[r] @ term
+                if r + 1 < k:
+                    term = damping_diag(r + 1)[:, None] * term
+            total += term
+        out[k - 1] = total
+    return out
+
 
 
 # ---------------------------------------------------------------------------

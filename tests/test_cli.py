@@ -74,9 +74,9 @@ class TestScenarioRoundTrip:
 
     def test_custom_utility_not_serialized(self):
         spec = random_linear_game(np.random.default_rng(0), 1, 2, 1)
-        custom = StageUtility(kind="custom", value_fn=lambda x, b, k: 0.0,
-                              opinion_grad_fn=lambda x, b, k: np.zeros(2),
-                              budget_grad_fn=lambda x, b, k: np.zeros(2))
+        custom = StageUtility(kind="custom", value_fn=lambda x, b, k: np.zeros(x.shape[:-1]),
+                              opinion_grad_fn=lambda x, b, k: np.zeros(x.shape),
+                              budget_grad_fn=lambda x, b, k: np.zeros(x.shape))
         spec = dataclasses.replace(spec, utilities=(custom,))
         with pytest.raises(ScenarioError, match="custom utilities"):
             scenario_to_dict(cli.Scenario(spec=spec, solver=cli.SolverSettings()))

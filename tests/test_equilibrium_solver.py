@@ -314,7 +314,7 @@ def utility_of_kind(kind, rho, cost):
     # increasing and convex in opinions on [0, 1]: rho'x + |x|^2 / 2 - cost 1'b
     return StageUtility(
         kind="custom",
-        value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
+        value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
         declared_multiplayer_shape=True,
@@ -591,7 +591,7 @@ class TestCustomUtilities:
         # increasing and convex in opinions, linear in the own budget
         return StageUtility(
             kind="custom",
-            value_fn=lambda x, b, k: float(x.sum() + 0.25 * x @ x - 0.5 * b.sum()),
+            value_fn=lambda x, b, k: x.sum(-1) + 0.25 * (x * x).sum(-1) - 0.5 * b.sum(-1),
             opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
             budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
             declared_multiplayer_shape=declared_multiplayer_shape,

@@ -125,7 +125,7 @@ def mixed_game(rng):
     rho, cost = game.utilities[1].rho, game.utilities[1].cost_coefficient
     custom = StageUtility(
         kind="custom",
-        value_fn=lambda x, b, k: float(rho[k - 1] @ x + 0.5 * x @ x - cost * b.sum()),
+        value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
         declared_multiplayer_shape=True,
@@ -201,6 +201,32 @@ class TestColumnsPass:
         for b, profile in enumerate(stack):
             for joint, single in zip(together, game_model._columns_pass(spec, profile)):
                 np.testing.assert_allclose(single, joint[b], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+    def test_custom_callables_are_called_once_per_stage_whatever_the_batch(self, batch):
+        # value and opinion gradient at each of the K + 1 stages, budget
+        # gradient at each of the K investing ones
+        rng = np.random.default_rng(71)
+        spec = mixed_game(rng)
+        calls = []
+
+        def counted(fn):
+            def call(x, b, k):
+                calls.append(x.shape)
+                return fn(x, b, k)
+            return call
+
+        custom = spec.utilities[1]
+        custom = dataclasses.replace(custom, **{
+            name: counted(getattr(custom, name))
+            for name in ("value_fn", "opinion_grad_fn", "budget_grad_fn")})
+        spec = dataclasses.replace(spec, utilities=(spec.utilities[0], custom, spec.utilities[2]))
+        profiles = np.stack([random_feasible_profile(rng, spec)
+                             for _ in range(int(np.prod(batch)))]).reshape(batch + (spec.m, spec.K, spec.n))
+        for players in (slice(None), slice(1, 2)):
+            calls.clear()
+            game_model._columns_pass(spec, profiles, players)
+            assert calls == [batch + (spec.n,)] * (3 * spec.K + 2)
 
 
 class TestSimulateTrajectory:
@@ -652,12 +678,48 @@ class TestStageUtility:
         with pytest.raises(ValueError, match="rho"):
             StageUtility(kind="linear-favor", cost_coefficient=0.5)
 
-    def test_custom_needs_all_callables(self):
-        with pytest.raises(ValueError):
-            StageUtility(kind="custom", value_fn=lambda x, b, k: 0.0)
+    @pytest.mark.parametrize("callables", [
+        pytest.param({"value_fn": lambda x, b, k: 0.0}, id="missing"),
+        pytest.param({"value_fn": 1, "opinion_grad_fn": "x", "budget_grad_fn": 2.0},
+                     id="none-callable"),
+        *(pytest.param({**dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
+                                        lambda x, b, k: x), name: 1.0}, id=name)
+          for name in ("value_fn", "opinion_grad_fn", "budget_grad_fn")),
+    ])
+    def test_custom_needs_all_callables(self, callables):
+        with pytest.raises(ValueError, match="callables"):
+            StageUtility(kind="custom", **callables)
+
+    @pytest.mark.parametrize("name, per_vector", [
+        pytest.param("value_fn", lambda rho, cost: (
+            lambda x, b, k: float(x @ rho[k - 1] - cost * b.sum())), id="float-value"),
+        pytest.param("value_fn", lambda rho, cost: (
+            lambda x, b, k: rho[k - 1] @ x - cost * b.sum(-1)), id="vector-first-product"),
+        pytest.param("opinion_grad_fn", lambda rho, cost: (lambda x, b, k: 1.0),
+                     id="scalar-gradient"),
+    ])
+    def test_per_vector_callables_refused_when_the_game_is_built(self, name, per_vector):
+        # written for one length-n vector, they broadcast or fail deep inside
+        # a solver's batched pass unless the game probes them on a stack
+        game = random_linear_game(np.random.default_rng(0), 2, 4, 2)
+        for player in range(2):
+            rho, cost = game.utilities[player].rho, game.utilities[player].cost_coefficient
+            stacked = StageUtility(
+                kind="custom",
+                value_fn=lambda x, b, k: x @ rho[k - 1] - cost * b.sum(-1),
+                opinion_grad_fn=lambda x, b, k: rho[k - 1] + 0.0 * x,
+                budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
+                declared_multiplayer_shape=True,
+            )
+            utilities = list(game.utilities)
+            utilities[player] = stacked
+            dataclasses.replace(game, utilities=utilities)  # the stacked form is accepted
+            utilities[player] = dataclasses.replace(stacked, **{name: per_vector(rho, cost)})
+            with pytest.raises(ValueError, match=f"{name} of player {player}"):
+                dataclasses.replace(game, utilities=utilities)
 
     def test_undeclared_custom_rejected_in_multiplayer(self, path_network):
-        flat = lambda x, b, k: float(x.sum())
+        flat = lambda x, b, k: x.sum(-1)
         ones = lambda x, b, k: np.ones_like(x)
         zeros = lambda x, b, k: np.zeros_like(x)
         custom = StageUtility(kind="custom", value_fn=flat, opinion_grad_fn=ones,
@@ -675,7 +737,7 @@ class TestStageUtility:
 
     def test_concave_custom_fails_registration_check(self, path_network):
         # declared increasing+convex but actually strictly concave in opinions
-        value = lambda x, b, k: float(np.sqrt(x + 1e-9).sum())
+        value = lambda x, b, k: np.sqrt(x + 1e-9).sum(-1)
         grad = lambda x, b, k: 0.5 / np.sqrt(x + 1e-9)
         zeros = lambda x, b, k: np.zeros_like(x)
         custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
@@ -694,7 +756,7 @@ class TestStageUtility:
 
     def test_decreasing_custom_fails_registration_check(self, path_network):
         # declared increasing+convex and linear, so convex, but decreasing
-        value = lambda x, b, k: float(-x.sum())
+        value = lambda x, b, k: -x.sum(-1)
         grad = lambda x, b, k: -np.ones_like(x)
         zeros = lambda x, b, k: np.zeros_like(x)
         custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,

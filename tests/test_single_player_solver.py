@@ -648,7 +648,7 @@ class TestSolveSingle:
         rho, cost = spec.utilities[0].rho, spec.utilities[0].cost_coefficient
         spec = self.with_custom_utility(
             spec,
-            lambda x, b, k: rho[k - 1] @ x - 0.5 * x @ x - cost * b.sum(),
+            lambda x, b, k: x @ rho[k - 1] - 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
             lambda x, b, k: rho[k - 1] - x,
         )
         report = solve_single(spec)
@@ -664,7 +664,7 @@ class TestSolveSingle:
         # refused when the game is built, before any solver runs
         with pytest.raises(HypothesisCheckError, match="concavity") as excinfo:
             self.with_custom_utility(
-                spec, lambda x, b, k: x @ x - cost * b.sum(), lambda x, b, k: 2.0 * x
+                spec, lambda x, b, k: (x * x).sum(-1) - cost * b.sum(-1), lambda x, b, k: 2.0 * x
             )
         assert excinfo.value.report is not None
         assert not excinfo.value.report.passed

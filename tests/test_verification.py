@@ -191,7 +191,7 @@ def custom_single_player_game():
     spec = random_linear_game(np.random.default_rng(4), 1, 2, 2)
     utility = StageUtility(
         kind="custom",
-        value_fn=lambda x, b, k: float(np.sqrt(x).sum() - 0.3 * b.sum()),
+        value_fn=lambda x, b, k: np.sqrt(x).sum(-1) - 0.3 * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: 0.5 / np.sqrt(x),
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.3),
     )
