@@ -49,12 +49,9 @@ from .equilibrium_solver import (
     solve_equilibrium,
 )
 from .verification import (
-    ConvexityProbe,
-    ConvexityReport,
     FiniteDifferenceResult,
     brute_force_best_response,
     fd_gradient,
-    midpoint_convexity_check,
     opinions_at_campaigns_closed_form,
     run_suite,
 )

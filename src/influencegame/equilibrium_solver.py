@@ -27,11 +27,12 @@ against a batch of the others' profiles (one profile for exploitability's
 best responses, the played iterates for regret), a concave maximization
 over j's budget set by the package's one ascent,
 ``single_player_solver._maximize_concave``, which runs in units of its
-starting gradient.  Its stopping residual bounds the value gap, so
-exploitability and regret carry an absolute error bound.  Each subproblem
-takes a few kernel passes: on the paper's game at T = 400, 2 and 4 for the
-best responses behind exploitability and 4 for each regret; on the bench's
-3-player game of 10 individuals at T = 100, 10 to 16 for either.
+starting gradient and, here, of the budget max(1, beta_j).  Its stopping
+residual bounds the value gap, so exploitability and regret carry an
+absolute error bound.  Each subproblem takes a few kernel passes: on the
+paper's game at T = 400, 5 and 11 for the best responses behind
+exploitability and 2 for each regret; on the bench's 3-player game of 10
+individuals at T = 100, 10 to 16 for either.
 
 ``solve_equilibrium``, ``exploitability`` and ``regret`` run under
 ``np.errstate(over="raise", invalid="raise")``: a float-scale game (budgets
@@ -170,15 +171,28 @@ def _best_fixed_plan(spec: GameSpec, profiles: np.ndarray, j: int, start):
     or a batch of them) and its payoff summed over the batch, by
     ``_maximize_concave`` from ``start`` over j's budget set; returns the
     flat plan, the payoff ``evaluate`` measured there and the payoff it
-    measured at the projected start.  The ascent runs in units of its
-    starting gradient, which for a batch of T profiles sums T payoff
-    gradients, so its first trial step moves each entry by at most 1 rather
-    than by up to T times a payoff gradient."""
-    cap = spec.budgets[[j]]  # a list index keeps a negative j on its player
+    measured at the projected start.
+
+    The ascent runs in budget units: it climbs y = b / u, u = max(1, beta_j),
+    over the budget set of cap beta_j / u, and the plan returned is u y.
+    Its step clamp and stopping rule are thus relative to the budget, so a
+    budget of 1e16 ends as a budget of 1 does, and a budget of at most 1
+    ascends exactly as in plan units.  A ConvergenceError carries its point
+    in budget units.  The ascent also runs in units of its starting
+    gradient, which for a batch of T profiles sums T payoff gradients, so
+    its first trial step moves each entry by at most u rather than by up to
+    T times a payoff gradient."""
+    u = max(1.0, float(spec.budgets[j]))
+    cap = spec.budgets[[j]] / u  # a list index keeps a negative j on its player
     evaluate = _objective_for_player(spec, profiles, j)
-    plan, value, _, _, values, _ = _maximize_concave(
-        evaluate, lambda v: _project_rows(v[None], cap)[0], start)
-    return plan, value, values[0]
+
+    def in_budget_units(y):
+        value, gradient = evaluate(u * y)
+        return value, u * gradient
+
+    y, value, _, _, values, _ = _maximize_concave(
+        in_budget_units, lambda v: _project_rows(v[None], cap)[0], start / u)
+    return u * y, value, values[0]
 
 
 def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
@@ -251,11 +265,13 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     The hindsight objective is player j's payoff summed over the played
     profiles with one fixed own plan substituted, ``_objective_for_player``
     on the batch of the first ``horizon`` iterates.  ``_best_fixed_plan``
-    climbs it from the average played plan; its step and its stopping rule
-    scale with the starting gradient, which sums ``horizon`` payoff
-    gradients.  It raises ConvergenceError if the step budget runs out
-    first.  A one-player game or a horizon that is not an integer (a bool is
-    not one) within the recorded iterations raises ValueError.
+    climbs it from the last played plan, iterate ``horizon``, a start that
+    took fewer kernel passes than the average played plan on every game
+    tried; its step and its stopping rule scale with the budget and with the
+    starting gradient, which sums ``horizon`` payoff gradients.  It raises
+    ConvergenceError if the step budget runs out first.  A one-player game
+    or a horizon that is not an integer (a bool is not one) within the
+    recorded iterations raises ValueError.
     """
     spec = trace.spec
     _require_multiplayer(spec)
@@ -263,7 +279,7 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     if not (_is_count(T) and 1 <= T <= trace.iterations):
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "
                          f"recorded iterations, got {T!r}")
-    _, value, _ = _best_fixed_plan(spec, trace.iterates[:T], j, trace.averages[T - 1, j])
+    _, value, _ = _best_fixed_plan(spec, trace.iterates[:T], j, trace.iterates[T - 1, j])
     return float(value - trace.payoffs[:T, j].sum())
 
 

@@ -17,10 +17,6 @@ class HypothesisCheckError(InfluenceGameError):
     """A declared structural hypothesis (concavity, convexity, monotonicity) failed
     its numerical spot check."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ConvergenceError(InfluenceGameError):
     """An iterative routine ran out of its iteration budget.

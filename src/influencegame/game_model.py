@@ -21,6 +21,12 @@ bundle, ``GameSpec.kernel``.  A custom utility's callables are called once
 per stage on the whole stack of the kernel's states.  ``simulate_trajectory``
 samples the hybrid process from the kernel's campaign-time states, carrying
 each state into the gap that follows it.
+
+A custom utility is admitted when its game is built, by midpoint spot
+checks on pairs drawn in one block from fixed seeds.  The midpoint rule,
+``_midpoint_violations`` with its one bound ``_MIDPOINT_TOL``, lives here,
+the lowest module that judges midpoints; the verify suites import it, so
+this module imports nothing from ``verification``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ _MAX_GRADIENT = 1e288
 # (1 MiB of floats): the builder holds a few arrays of the stack's size, so a
 # block keeps a long sampling at a few MiB however many samples a gap holds.
 _SAMPLE_BLOCK = 2 ** 17
+
+# How far f(midpoint) may exceed the mean of the endpoint values: the one
+# bound of the midpoint rule, for custom-utility admission and the verify suites.
+_MIDPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,31 +243,40 @@ def _probe_stacked(utility: StageUtility, n: int, stages: int, player: int):
                                  f"opinions and budgets shaped {x.shape}, not {shape}")
 
 
-def _require_midpoint_convex(function: Callable, sampler: Callable, samples: int,
-                             seed: int, message: str):
-    """Midpoint-convexity spot check by ``midpoint_convexity_check``; a failure
-    raises HypothesisCheckError carrying the report, after ``message``."""
-    from .verification import ConvexityProbe, midpoint_convexity_check
+def _midpoint_violations(function: Callable, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """f((y + y_hat) / 2) - (f(y) + f(y_hat)) / 2 for each row of the stacks y
+    and y_hat, from one call of the stacked ``function`` on all 3B points.
+    A value above ``_MIDPOINT_TOL``, or a NaN, refutes convexity."""
+    values = np.asarray(function(np.concatenate([(y + y_hat) / 2.0, y, y_hat])), dtype=float)
+    midpoint, left, right = values.reshape(3, len(y))
+    return midpoint - (left + right) / 2.0
 
-    probe = ConvexityProbe(function=function, sampler=sampler, samples=samples)
-    report = midpoint_convexity_check(probe, seed=seed)
-    if not report.passed:
-        raise HypothesisCheckError(
-            f"{message} (worst violation {report.worst_violation:.3e})", report=report)
+
+def _require_midpoint_convex(function: Callable, points: np.ndarray, message: str):
+    """Midpoint rule on the pairs (points[2i], points[2i+1]) of a block of
+    points; a violation above ``_MIDPOINT_TOL`` or a NaN raises
+    HypothesisCheckError, after ``message``, naming the worst violation."""
+    worst = float(np.max(_midpoint_violations(function, points[0::2], points[1::2])))
+    if not worst <= _MIDPOINT_TOL:
+        raise HypothesisCheckError(f"{message} (worst violation {worst:.3e})")
 
 
 def _check_concave_stages(utility: StageUtility, n: int, stages: int):
-    """Midpoint-concavity spot check of a lone player's custom utility."""
+    """Midpoint-concavity spot check of a lone player's custom utility at
+    k = 1 and k = K+1, on the same 64 pairs of (opinions, budgets) points,
+    the budgets in [0, 0.5)."""
+    points = np.random.default_rng(11).random((128, 2, n))
+    points[:, 1] *= 0.5
     for k in (1, stages):
         _require_midpoint_convex(
-            lambda z, k=k: -utility.value_fn(z[:, :n], z[:, n:], k),
-            lambda r: np.concatenate([r.random(n), r.random(n) * 0.5]), samples=64, seed=11,
-            message="custom stage utility failed the concavity midpoint check")
+            lambda z, k=k: -utility.value_fn(z[:, 0], z[:, 1], k), points,
+            "custom stage utility failed the concavity midpoint check")
 
 
 def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
     """Require a multiplayer custom utility's declared shape and spot-check
-    its increasing-and-convex part."""
+    its increasing-and-convex part at k = 1 and k = K+1: midpoint convexity
+    in the opinions on the same 32 pairs, at a budget drawn per stage."""
     if not utility.declared_multiplayer_shape:
         raise HypothesisCheckError(
             f"custom utility of player {player} must be declared increasing and convex "
@@ -265,12 +284,12 @@ def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player:
             "multiplayer game"
         )
     rng = np.random.default_rng(0)
+    points = np.random.default_rng(7).random((64, n))
     for k in (1, stages):
         b = rng.random(n) * 0.5
         _require_midpoint_convex(
-            lambda x, b=b, k=k: utility.value_fn(x, np.broadcast_to(b, x.shape), k),
-            lambda r: r.random(n), samples=32, seed=7,
-            message=f"custom utility of player {player} failed the convexity midpoint check")
+            lambda x, b=b, k=k: utility.value_fn(x, np.broadcast_to(b, x.shape), k), points,
+            f"custom utility of player {player} failed the convexity midpoint check")
         # the point itself, then one step of 0.1 up each opinion, in one stack
         x = rng.random(n) * 0.8 + np.vstack([np.zeros(n), 0.1 * np.eye(n)])
         values = np.asarray(utility.value_fn(x, np.broadcast_to(b, x.shape), k))

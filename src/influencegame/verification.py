@@ -3,24 +3,26 @@ closed-form opinion sum, and shape checks.
 
 These routines deliberately avoid the analytic code paths they are used to
 check.  Finite differences validate the exact payoff gradients, exhaustive
-grid search validates the solvers on tiny instances, and the midpoint
-samplers turn the structural facts the algorithms rely on (payoffs are
-convex in opponents' strategies, the single-player objective is concave)
-into executable checks.
+grid search validates the solvers on tiny instances, and midpoint checks
+turn the structural facts the algorithms rely on (payoffs are convex in
+opponents' strategies, the single-player objective is concave) into
+executable checks.
 
 Campaign-time opinions also admit a closed form: with damping matrices
 D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
 t_k is the sum over earlier stages s of (A_k D(k-1) ... A_{s+1} D(s)) B(s),
 seeded with D(0) = I and B(0) = x0.  ``opinions_at_campaigns_closed_form``
 evaluates that summation apart from the game kernel's stage recursion; the
-two agree to round-off.  One bound, ``_MIDPOINT_TOL``, judges every midpoint
-check, and propagators are judged by ``propagator``'s rule, ``check_stochastic``.
-The suites draw a probe's pairs and a profile's players in one generator
-call each and normalize each size's networks in one expression, with the
-stream and the values of drawing and building them one at a time.
+two agree to round-off.  Every midpoint check is judged by the rule that
+admits custom utilities, ``game_model._midpoint_violations`` and its one
+bound ``_MIDPOINT_TOL``, and propagators by ``propagator``'s rule,
+``check_stochastic``.  The suites draw a check's pairs and a profile's
+players in one generator call each and normalize each size's networks in
+one expression, with the stream and the values of drawing and building
+them one at a time.
 
 Every point-wise oracle evaluates all its points in one call.  The function
-handed to ``fd_gradient`` or held by a ``ConvexityProbe`` takes a stack of
+handed to ``fd_gradient`` or judged by the midpoint rule takes a stack of
 points shaped (B, *shape) and returns B values, so a game payoff goes
 through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
 profiles, as do a grid search's candidates.  A check reports its own
@@ -39,69 +41,19 @@ import numpy as np
 
 from .equilibrium_solver import project_budget_set
 from .game_model import (GameSpec, StageUtility, opinions_at_campaigns, payoff_gradient,
-                         total_payoff, _one_profile)
+                         total_payoff, _MIDPOINT_TOL, _midpoint_violations, _one_profile)
 from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
                                check_stochastic, _flow)
 from .single_player_solver import build_region, solve_single
 
-# How far f(midpoint) may exceed the mean of the endpoint values.
-_MIDPOINT_TOL = 1e-9
 # Added to every raw weight of ``random_feasible_profile``, so that no entry is 0.
 _PROFILE_MARGIN = 1e-3
-
-
-@dataclass(frozen=True)
-class ConvexityProbe:
-    """A function and a sampler for points of its convex domain, judged by
-    ``midpoint_convexity_check``'s one bound.
-
-    ``sampler(rng)`` draws one point; ``function`` takes a stack (B, *shape)
-    of such points and returns their B values.  A probe draws at least one
-    pair (ValueError otherwise): a check on no points would pass vacuously.
-    """
-
-    function: Callable
-    sampler: Callable
-    samples: int = 100
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("a convexity probe needs at least one sample")
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    passed: bool
-    worst_violation: float
-
-
-def _midpoint_violations(function: Callable, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-    """f((y + y_hat) / 2) - (f(y) + f(y_hat)) / 2 for each row of the stacks y
-    and y_hat, from one call of the stacked ``function`` on all 3B points."""
-    values = np.asarray(function(np.concatenate([(y + y_hat) / 2.0, y, y_hat])), dtype=float)
-    midpoint, left, right = values.reshape(3, len(y))
-    return midpoint - (left + right) / 2.0
 
 
 def _worst(values) -> float:
     """Largest of the values; a NaN among them makes it NaN, which fails any
     ``worst <= bound`` check."""
     return float(np.max(np.hstack(values), initial=-np.inf))
-
-
-def midpoint_convexity_check(probe: ConvexityProbe, seed: int = 0) -> ConvexityReport:
-    """Sample point pairs and check f(midpoint) <= mean of endpoint values.
-
-    The sampler draws y, then y_hat, for each sample in turn; the midpoints
-    and both endpoints of all pairs are then evaluated in one call.  Returns
-    the worst signed violation; the check fails when it exceeds 1e-9 (the
-    function bulged above a chord somewhere) or is NaN.
-    """
-    rng = np.random.default_rng(seed)
-    draws = [np.asarray(probe.sampler(rng), dtype=float) for _ in range(2 * probe.samples)]
-    worst = _worst(_midpoint_violations(probe.function, np.array(draws[0::2]),
-                                        np.array(draws[1::2])))
-    return ConvexityReport(passed=worst <= _MIDPOINT_TOL, worst_violation=worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +312,7 @@ def _suite_lemmas(seed: int) -> list[dict]:
             y = y.reshape(-1, d, width)
             return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
 
-        # 20 pairs (y, y_hat) from one call of the probe's own generator
+        # 20 pairs (y, y_hat) from one call of this function's own generator
         draws = np.random.default_rng(int(rng.integers(1 << 30))).random((40, d * width)) * 3.0
         violations.append(_midpoint_violations(product_of_reciprocals, draws[0::2], draws[1::2]))
     worst = _worst(violations)

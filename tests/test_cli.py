@@ -508,11 +508,15 @@ class TestMalformedScenarios:
 
 
 class TestWeightScaleSweep:
-    """Utility weights scaled by powers of two up to 2^189, with the budgets
-    as given or all zero, exit 0 as ``equilibrate --T 5`` on the reference
-    game and as ``solve`` on a one-player game.  A zero-budget two-player
-    game at 2^27 or more once reported a best response one ulp below the
-    played payoff, an exploitability of -3e-8, and exited 2."""
+    """Utility weights, or the budgets, scaled by powers of two up to 2^189,
+    with the budgets as given or all zero, exit 0 as ``equilibrate --T 5``
+    on the reference game and as ``solve`` on a one-player game.  A
+    zero-budget two-player game at 2^27 or more once reported a best
+    response one ulp below the played payoff, an exploitability of -3e-8,
+    and exited 2.  The diagnostics' best fixed plans once ascended in plan
+    units, out of reach of their absolute stopping rule for large plans, and
+    the reference game with its budgets scaled by 2^36, 2^45 or 2^54 exited
+    6.  Zeroed budgets leave the budget scaling nothing to scale."""
 
     GAMES = {
         "equilibrate": lambda: scenario_to_dict(reference_scenario()),
@@ -522,7 +526,8 @@ class TestWeightScaleSweep:
     }
 
     @pytest.mark.parametrize("command", ["equilibrate", "solve"])
-    @pytest.mark.parametrize("scaled", [("rho",), ("rho", "lambda")], ids=["rho", "rho-lambda"])
+    @pytest.mark.parametrize("scaled", [("rho",), ("rho", "lambda"), ("budget",)],
+                             ids=["rho", "rho-lambda", "budget"])
     @pytest.mark.parametrize("zero_budgets", [False, True], ids=["budgets", "zero-budgets"])
     def test_every_scale_exits_0(self, tmp_path, monkeypatch, command, scaled, zero_budgets):
         # a spinning ascent fails fast with ConvergenceError (exit 6)
@@ -536,6 +541,8 @@ class TestWeightScaleSweep:
                     utility["rho"] = (2.0 ** (9 * i) * np.array(utility["rho"])).tolist()
                 if "lambda" in scaled:
                     utility["lambda"] *= 2.0 ** (9 * i)
+                if "budget" in scaled:
+                    player["budget"] *= 2.0 ** (9 * i)
                 if zero_budgets:
                     player["budget"] = 0.0
             scenario = write_scenario(tmp_path / "s.json", document)

@@ -772,6 +772,32 @@ class TestStageUtility:
                 utilities=(custom, favor),
             )
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_refusal_names_the_worst_violation_of_the_point_by_point_draws(self, m):
+        # the admission draws its pairs as one block; they are the points a
+        # point-by-point sampler draws from the same seed, so the message of a
+        # refusal names the worst violation over those pairs
+        n = 3
+        rng = np.random.default_rng(11 if m == 1 else 7)
+        if m == 1:  # convex, so not concave; each point is opinions then budgets
+            points = [np.concatenate([rng.random(n), rng.random(n) * 0.5]) for _ in range(128)]
+            value = lambda x, b, k: (x * x).sum(-1) - b.sum(-1)
+            opinion_gradient = lambda x, b, k: 2.0 * x
+            scalar = lambda z: -value(z[:n], z[n:], 1)
+        else:  # increasing but concave in the opinions
+            points = [rng.random(n) for _ in range(64)]
+            value = lambda x, b, k: np.sqrt(x + 1.0).sum(-1)
+            opinion_gradient = lambda x, b, k: 0.5 / np.sqrt(x + 1.0)
+            scalar = lambda x: value(x, 0.0, 1)
+        worst = max(scalar((y + y_hat) / 2.0) - (scalar(y) + scalar(y_hat)) / 2.0
+                    for y, y_hat in zip(points[0::2], points[1::2]))
+        custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=opinion_gradient,
+                              budget_grad_fn=lambda x, b, k: -np.ones_like(x),
+                              declared_multiplayer_shape=True)
+        game = random_linear_game(np.random.default_rng(0), m, n, 2)
+        with pytest.raises(HypothesisCheckError, match=rf"worst violation {worst:.3e}\)$"):
+            dataclasses.replace(game, utilities=(custom,) + game.utilities[1:])
+
 
 class TestGameSpec:
     def test_game_objects_compare_and_hash_by_identity(self, two_player_spec):

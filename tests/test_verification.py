@@ -6,7 +6,6 @@ import pytest
 
 from influencegame import (
     CampaignSchedule,
-    ConvexityProbe,
     GameSpec,
     OpinionState,
     StageUtility,
@@ -15,12 +14,12 @@ from influencegame import (
     build_region,
     check_stochastic,
     fd_gradient,
-    midpoint_convexity_check,
     propagator,
     solve_single,
     total_payoff,
 )
-from influencegame import opinion_dynamics, verification
+from influencegame import game_model, opinion_dynamics, verification
+from influencegame.game_model import _MIDPOINT_TOL, _midpoint_violations
 from influencegame.verification import random_feasible_profile, random_linear_game, run_suite
 from conftest import single_player_spec
 
@@ -357,30 +356,26 @@ class TestCheckStochastic:
         assert record["passed"] is passed
 
 
+def worst_violation(function, points):
+    """The midpoint rule's worst violation over the pairs (points[2i], points[2i+1])."""
+    return float(np.max(_midpoint_violations(function, points[0::2], points[1::2])))
+
+
 class TestMidpointConvexity:
     def test_reciprocal_is_convex(self):
-        probe = ConvexityProbe(function=lambda y: 1.0 / (1.0 + y[:, 0]),
-                               sampler=lambda rng: rng.random(1) * 5.0,
-                               samples=100)
-        assert midpoint_convexity_check(probe).passed
+        points = np.random.default_rng(0).random((200, 1)) * 5.0
+        assert worst_violation(lambda y: 1.0 / (1.0 + y[:, 0]), points) <= _MIDPOINT_TOL
 
     def test_two_factor_product_is_convex(self):
         # h(y) = 1 / ((1 + y1)(2 + y2)): Hessian determinant is
         # 3 / ((1+y1)^4 (2+y2)^4) > 0 with positive diagonal, so h is convex
-        probe = ConvexityProbe(
-            function=lambda y: 1.0 / ((1.0 + y[:, 0]) * (2.0 + y[:, 1])),
-            sampler=lambda rng: rng.random(2) * 4.0,
-            samples=200,
-        )
-        assert midpoint_convexity_check(probe).passed
+        points = np.random.default_rng(0).random((400, 2)) * 4.0
+        function = lambda y: 1.0 / ((1.0 + y[:, 0]) * (2.0 + y[:, 1]))
+        assert worst_violation(function, points) <= _MIDPOINT_TOL
 
     def test_concave_function_fails(self):
-        probe = ConvexityProbe(function=lambda y: -(y[:, 0] ** 2),
-                               sampler=lambda rng: rng.random(1) * 2.0 + 0.5,
-                               samples=50)
-        report = midpoint_convexity_check(probe)
-        assert not report.passed
-        assert report.worst_violation > 0
+        points = np.random.default_rng(0).random((100, 1)) * 2.0 + 0.5
+        assert worst_violation(lambda y: -(y[:, 0] ** 2), points) > _MIDPOINT_TOL
 
     @pytest.mark.parametrize("function", [
         pytest.param(lambda y: np.full(len(y), np.nan), id="all-nan"),
@@ -388,38 +383,13 @@ class TestMidpointConvexity:
                      id="one-nan"),
     ])
     def test_nan_value_fails(self, function):
-        probe = ConvexityProbe(function=function, sampler=lambda rng: rng.random(1),
-                               samples=10)
-        report = midpoint_convexity_check(probe)
-        assert not report.passed
-        assert np.isnan(report.worst_violation)
+        worst = worst_violation(function, np.random.default_rng(0).random((20, 1)))
+        assert not worst <= _MIDPOINT_TOL
+        assert np.isnan(worst)
 
-    def test_probe_without_samples_refused(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            ConvexityProbe(function=lambda y: y[:, 0], sampler=lambda rng: rng.random(1),
-                           samples=0)
-
-    def test_sampler_draws_each_pair_in_turn(self):
-        drawn, stacks = [], []
-
-        def sampler(rng):
-            drawn.append(rng.random(2))
-            return drawn[-1]
-
-        def function(y):
-            stacks.append(y.copy())
-            return 1.0 / (1.0 + y[:, 0] * y[:, 1])
-
-        report = midpoint_convexity_check(
-            ConvexityProbe(function=function, sampler=sampler, samples=5), seed=3)
-        rng = np.random.default_rng(3)
-        np.testing.assert_array_equal(drawn, [rng.random(2) for _ in range(10)])
-        # sample s pairs draw 2s with draw 2s + 1, as the one-pair-at-a-time loop did
-        scalar = lambda y: 1.0 / (1.0 + y[0] * y[1])
-        worst = max(scalar((y + y_hat) / 2.0) - (scalar(y) + scalar(y_hat)) / 2.0
-                    for y, y_hat in zip(drawn[0::2], drawn[1::2]))
-        assert report.worst_violation == pytest.approx(worst, abs=1e-15)
-        assert len(stacks) == 1 and stacks[0].shape == (15, 2)
+    def test_one_rule_judges_the_suites_and_the_admission(self):
+        assert verification._midpoint_violations is game_model._midpoint_violations
+        assert verification._MIDPOINT_TOL is game_model._MIDPOINT_TOL
 
 
 class TestRandomFeasibleProfile:
@@ -457,13 +427,13 @@ class TestSuites:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reciprocal_record_equals_the_probe_reports(self, seed):
-        # the suite draws each probe's 20 pairs in one call; its record must
-        # equal running the same 200 probes through the public check
+        # the suite's record must equal judging the same 200 probe functions,
+        # each on the 20 pairs its own seed draws as one block
         rng = np.random.default_rng(seed)
         for _ in range(500):  # the stochasticity check's draws come first
             verification.random_network(rng, int(rng.integers(2, 9)))
             rng.random()
-        reports = []
+        worst = []
         for _ in range(200):
             d, width = int(rng.integers(1, 6)), int(rng.integers(1, 5))
             a = rng.random(d) * 2.0 + 0.1
@@ -473,15 +443,13 @@ class TestSuites:
                 y = y.reshape(-1, d, width)
                 return np.prod(1.0 / (a + np.einsum("ij,bij->bi", w, y)), axis=-1)
 
-            probe = ConvexityProbe(function=function,
-                                   sampler=lambda r, k=d * width: r.random(k) * 3.0,
-                                   samples=20)
-            reports.append(midpoint_convexity_check(probe, seed=int(rng.integers(1 << 30))))
+            points = np.random.default_rng(int(rng.integers(1 << 30))).random((40, d * width))
+            worst.append(worst_violation(function, points * 3.0))
         record = run_suite("lemmas", seed=seed)["checks"][1]
         assert record == {
             "name": "reciprocal-product-convexity",
-            "passed": all(report.passed for report in reports),
-            "worst_violation": max(report.worst_violation for report in reports),
+            "passed": max(worst) <= _MIDPOINT_TOL,
+            "worst_violation": max(worst),
         }
 
     def test_over_budget_projection_fails_projection_vs_grid(self, monkeypatch):
