@@ -55,7 +55,7 @@ def cheaper_advertising(spec):
         x0=spec.x0,
         budgets=spec.budgets,
         utilities=tuple(
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=0.5)
+            StageUtility(rho=rho, cost_coefficient=0.5)
             for _ in range(2)
         ),
     )

@@ -54,8 +54,8 @@ def main():
         schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0])),
         x0=OpinionState(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])),
         budgets=np.array([3.0, 1.0]),
-        utilities=tuple(StageUtility(kind="linear-favor", rho=np.ones((3, 3)),
-                                     cost_coefficient=1.0) for _ in range(2)),
+        utilities=tuple(StageUtility(rho=np.ones((3, 3)), cost_coefficient=1.0)
+                        for _ in range(2)),
     )
     profile = np.stack([np.full((2, 3), 0.4), np.full((2, 3), 0.1)])
     pre, post = simulate_trajectory(spec, profile, [1.0])

@@ -33,8 +33,7 @@ def scalar_story():
         schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
         x0=OpinionState(np.array([[0.5]])),
         budgets=np.array([1.0]),
-        utilities=(StageUtility(kind="linear-favor", rho=np.ones((2, 1)),
-                                cost_coefficient=0.4),),
+        utilities=(StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.4),),
     )
     report = solve_single(spec)
     print(f"optimal investment: {report.plan.ravel()}  (hand value: 0.5)")
@@ -62,8 +61,7 @@ def network_story():
         schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0])),
         x0=OpinionState(np.array([[0.2], [0.3], [0.4]])),
         budgets=np.array([0.8]),
-        utilities=(StageUtility(kind="linear-favor",
-                                rho=np.array([[1.0, 2.0, 1.0]] * 3),
+        utilities=(StageUtility(rho=np.array([[1.0, 2.0, 1.0]] * 3),
                                 cost_coefficient=0.3),),
     )
     region = build_region(spec)

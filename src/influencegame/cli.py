@@ -127,7 +127,6 @@ def scenario_from_dict(document: dict) -> Scenario:
         budgets.append(_json_number(player["budget"], float, f"players[{idx}].budget"))
         try:
             utilities.append(StageUtility(
-                kind="linear-favor",
                 rho=_json_array(utility_doc["rho"], f"players[{idx}].utility.rho"),
                 cost_coefficient=cost,
             ))
@@ -153,12 +152,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     spec = scenario.spec
     players = []
     for j, utility in enumerate(spec.utilities):
-        if utility.kind == "custom":
+        if not utility.is_linear:
             raise ScenarioError("custom utilities cannot be serialized to a scenario file")
         players.append({
             "budget": float(spec.budgets[j]),
             "utility": {
-                "kind": utility.kind,
+                "kind": "linear-favor",
                 "rho": utility.rho.tolist(),
                 "lambda": float(utility.cost_coefficient),
             },
@@ -202,8 +201,8 @@ def reference_scenario() -> Scenario:
         x0=OpinionState(np.full((3, 2), 0.5)),
         budgets=np.array([3.0, 5.0]),
         utilities=(
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
+            StageUtility(rho=rho, cost_coefficient=1.0),
+            StageUtility(rho=rho, cost_coefficient=1.0),
         ),
     )
     return Scenario(spec=spec, solver=SolverSettings(T=100))
@@ -298,8 +297,6 @@ def cmd_equilibrate(args) -> int:
               "single-player games", file=sys.stderr)
         return EXIT_WRONG_MODE
     T = args.T if args.T is not None else scenario.solver.T
-    if T < 1:
-        raise ScenarioError("--T must be at least 1")
     try:  # the (T, m, K, n) iterates may not fit in memory
         trace, result = solve_equilibrium(spec, T)
     except MemoryError as exc:

@@ -4,9 +4,9 @@ Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
 equilibrium.  A game has that shape by construction: linear utilities have
-it, and ``GameSpec`` refuses a custom utility not declared to have it when
-the game is built, so no entry point here checks a hypothesis.  One
-iteration is one game-kernel pass that carries every player's opinion
+it, and ``GameSpec`` refuses a custom utility that fails its spot checks
+for it when the game is built, so no entry point here checks a hypothesis.
+One iteration is one game-kernel pass that carries every player's opinion
 column and yields every payoff and gradient, then one projection of the m
 stepped plans, stacked, onto their budget sets.  No stepsize is configured:
 the game fixes it, 10 / tau when every utility is linear and 1 / sqrt(tau),
@@ -269,12 +269,14 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     took fewer kernel passes than the average played plan on every game
     tried; its step and its stopping rule scale with the budget and with the
     starting gradient, which sums ``horizon`` payoff gradients.  It raises
-    ConvergenceError if the step budget runs out first.  A one-player game
-    or a horizon that is not an integer (a bool is not one) within the
-    recorded iterations raises ValueError.
+    ConvergenceError if the step budget runs out first.  A one-player game,
+    a trace with no iterations, or a horizon that is not an integer (a bool
+    is not one) within the recorded iterations raises ValueError.
     """
     spec = trace.spec
     _require_multiplayer(spec)
+    if trace.iterations == 0:
+        raise ValueError("the trace records no iterations, so it has no regret")
     T = trace.iterations if horizon is None else horizon
     if not (_is_count(T) and 1 <= T <= trace.iterations):
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "

@@ -14,8 +14,8 @@ class InfeasiblePlanError(InfluenceGameError):
 
 
 class HypothesisCheckError(InfluenceGameError):
-    """A declared structural hypothesis (concavity, convexity, monotonicity) failed
-    its numerical spot check."""
+    """A structural hypothesis of a stage utility (concavity, convexity,
+    monotonicity) failed its numerical spot check."""
 
 
 class ConvergenceError(InfluenceGameError):

@@ -51,8 +51,6 @@ from .opinion_dynamics import (
     _readonly,
 )
 
-UTILITY_KINDS = ("linear-favor", "custom")
-
 # Bound on (sum(rho) + lambda) / (K + 1), which bounds a linear utility's
 # payoff gradient entries.  No solver steps further than 1e6 along a gradient
 # (the ascent's clamp; the no-regret stepsize is at most 10) and a hindsight
@@ -72,58 +70,60 @@ _MIDPOINT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class StageUtility:
-    """Per-stage utility u(x, b, k) of one player.
+    """Per-stage utility u(x, b, k) of one player, linear or custom by what it
+    holds.
 
-    ``linear-favor`` scores rho(k)'x - lambda 1'b; the game kernel reads its
-    weights from the game's stack in the bundle ``GameSpec.kernel``.  Custom
-    utilities supply a value and both partial gradients as callables
-    fn(x, b, k) of opinions x and budgets b shaped (..., n), a stack of
-    length-n vectors, and an int stage k: ``value_fn`` returns the (...)
-    values, ``opinion_grad_fn`` and ``budget_grad_fn`` the (..., n)
-    gradients.  The kernel calls each once per stage on its whole stack.
+    A linear utility holds weights ``rho`` and scores rho(k)'x - lambda 1'b,
+    lambda the ``cost_coefficient``; the game kernel reads its weights from
+    the game's stack in the bundle ``GameSpec.kernel``.  A custom utility
+    holds a value and both partial gradients as callables fn(x, b, k) of
+    opinions x and budgets b shaped (..., n), a stack of length-n vectors,
+    and an int stage k: ``value_fn`` returns the (...) values,
+    ``opinion_grad_fn`` and ``budget_grad_fn`` the (..., n) gradients.  The
+    kernel calls each once per stage on its whole stack.  Weights together
+    with a callable, a custom utility with a nonzero cost coefficient (its
+    callables price the budget), and neither weights nor all three
+    callables raise ValueError, so no field is held and then ignored.
     ``GameSpec`` checks a custom utility once, when the game is built: each
     callable must answer a stack of the right shape (ValueError otherwise),
-    and the utility must have the shape its game needs (HypothesisCheckError
-    otherwise).  Alone in a game it must pass a concavity spot check; in a
-    game of m >= 2 players it must carry ``declared_multiplayer_shape``,
-    which attests that it is increasing and convex in the opinion argument
-    and concave in the own budget, and the increasing-and-convex part is
-    spot-checked.
+    and the utility must pass the midpoint spot checks of the shape its game
+    needs (HypothesisCheckError otherwise).  Alone in a game it must be
+    concave; in a game of m >= 2 players it must be increasing and convex in
+    the opinion argument and concave in the own budget.
     """
 
-    kind: str
     rho: np.ndarray | None = None
     cost_coefficient: float = 0.0
     value_fn: Callable | None = None
     opinion_grad_fn: Callable | None = None
     budget_grad_fn: Callable | None = None
-    declared_multiplayer_shape: bool = False
 
     def __post_init__(self):
-        if self.kind not in UTILITY_KINDS:
-            raise ValueError(f"unknown stage-utility kind {self.kind!r}")
         if not np.isfinite(self.cost_coefficient):
             raise ValueError("cost coefficient must be finite")
         if self.cost_coefficient < 0:
             raise ValueError("cost coefficient must be nonnegative")
-        if self.kind == "custom":
-            if not all(map(callable, (self.value_fn, self.opinion_grad_fn,
-                                      self.budget_grad_fn))):
-                raise ValueError("custom utilities need value, opinion-gradient and "
-                                 "budget-gradient callables")
-        else:
-            if self.rho is None:
-                raise ValueError("linear utilities need per-stage weights rho")
-            rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
-            if not np.all(np.isfinite(rho)):
-                raise ValueError("stage weights rho must be finite")
-            if np.any(rho < 0):
-                raise ValueError("stage weights rho must be nonnegative")
-            object.__setattr__(self, "rho", _readonly(rho))
+        callables = (self.value_fn, self.opinion_grad_fn, self.budget_grad_fn)
+        if self.rho is None:
+            if not all(map(callable, callables)):
+                raise ValueError("a stage utility needs weights rho or value, opinion-gradient "
+                                 "and budget-gradient callables")
+            if self.cost_coefficient != 0:
+                raise ValueError("a custom utility prices the budget in its callables: "
+                                 "its cost coefficient must be 0")
+            return
+        if any(fn is not None for fn in callables):
+            raise ValueError("a utility holds weights rho or callables, not both")
+        rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("stage weights rho must be finite")
+        if np.any(rho < 0):
+            raise ValueError("stage weights rho must be nonnegative")
+        object.__setattr__(self, "rho", _readonly(rho))
 
     @property
     def is_linear(self) -> bool:
-        return self.kind == "linear-favor"
+        return self.rho is not None
 
 
 _KernelConstants = namedtuple(  # see GameSpec.kernel
@@ -170,24 +170,18 @@ class GameSpec:
         if np.any(self.budgets < 0):
             raise ValueError("budgets must be nonnegative")
         stages = self.schedule.K + 1
-        for utility in self.utilities:
-            if utility.is_linear and utility.rho.shape != (stages, self.network.n):
+        for j, utility in enumerate(self.utilities):
+            if not utility.is_linear:
+                _admit_custom(utility, self.network.n, stages, player=j, multiplayer=m >= 2)
+            elif utility.rho.shape != (stages, self.network.n):
                 raise ValueError(
                     f"rho must supply all {stages} stages for {self.network.n} individuals"
                 )
             # scaled before summing, so that the sum cannot overflow
-            if utility.is_linear and (np.sum(utility.rho / _MAX_GRADIENT)
-                                      + utility.cost_coefficient / _MAX_GRADIENT) > stages:
+            elif (np.sum(utility.rho / _MAX_GRADIENT)
+                  + utility.cost_coefficient / _MAX_GRADIENT) > stages:
                 raise ValueError(f"(sum(rho) + lambda) / (K + 1) above {_MAX_GRADIENT:g}: "
                                  "a solver step may overflow")
-        for j, utility in enumerate(self.utilities):
-            if utility.is_linear:
-                continue
-            _probe_stacked(utility, self.network.n, stages, player=j)
-            if m == 1:
-                _check_concave_stages(utility, self.network.n, stages)
-            else:
-                _check_increasing_convex(utility, self.network.n, stages, player=j)
 
     @property
     def m(self) -> int:
@@ -261,42 +255,43 @@ def _require_midpoint_convex(function: Callable, points: np.ndarray, message: st
         raise HypothesisCheckError(f"{message} (worst violation {worst:.3e})")
 
 
-def _check_concave_stages(utility: StageUtility, n: int, stages: int):
-    """Midpoint-concavity spot check of a lone player's custom utility at
-    k = 1 and k = K+1, on the same 64 pairs of (opinions, budgets) points,
-    the budgets in [0, 0.5)."""
-    points = np.random.default_rng(11).random((128, 2, n))
-    points[:, 1] *= 0.5
-    for k in (1, stages):
-        _require_midpoint_convex(
-            lambda z, k=k: -utility.value_fn(z[:, 0], z[:, 1], k), points,
-            "custom stage utility failed the concavity midpoint check")
-
-
-def _check_increasing_convex(utility: StageUtility, n: int, stages: int, player: int):
-    """Require a multiplayer custom utility's declared shape and spot-check
-    its increasing-and-convex part at k = 1 and k = K+1: midpoint convexity
-    in the opinions on the same 32 pairs, at a budget drawn per stage."""
-    if not utility.declared_multiplayer_shape:
-        raise HypothesisCheckError(
-            f"custom utility of player {player} must be declared increasing and convex "
-            "in the opinion argument and concave in the own budget to join a "
-            "multiplayer game"
-        )
+def _admit_custom(utility: StageUtility, n: int, stages: int, player: int,
+                  multiplayer: bool):
+    """Admit a custom utility: ``_probe_stacked``, then midpoint spot checks
+    of the shape its game needs at k = 1 and k = K+1.  Alone in a game it
+    must be concave in (opinions, budgets) on the same 64 pairs of points,
+    the budgets in [0, 0.5).  In a game of m >= 2 players, on the same 32
+    pairs of points y in [0, 1)^n, it must be convex in the opinions y at a
+    budget drawn per stage, not fall by more than 1e-9 over one step of 0.1
+    up any opinion from an opinion point drawn per stage, and concave in the
+    own budgets y / 2 at that opinion point."""
+    _probe_stacked(utility, n, stages, player)
+    value = utility.value_fn
+    if not multiplayer:
+        points = np.random.default_rng(11).random((128, 2, n))
+        points[:, 1] *= 0.5
+        for k in (1, stages):
+            _require_midpoint_convex(lambda z: -value(z[:, 0], z[:, 1], k), points,
+                                     "custom stage utility failed the concavity midpoint check")
+        return
     rng = np.random.default_rng(0)
     points = np.random.default_rng(7).random((64, n))
     for k in (1, stages):
         b = rng.random(n) * 0.5
         _require_midpoint_convex(
-            lambda x, b=b, k=k: utility.value_fn(x, np.broadcast_to(b, x.shape), k), points,
+            lambda x: value(x, np.broadcast_to(b, x.shape), k), points,
             f"custom utility of player {player} failed the convexity midpoint check")
         # the point itself, then one step of 0.1 up each opinion, in one stack
         x = rng.random(n) * 0.8 + np.vstack([np.zeros(n), 0.1 * np.eye(n)])
-        values = np.asarray(utility.value_fn(x, np.broadcast_to(b, x.shape), k))
+        values = np.asarray(value(x, np.broadcast_to(b, x.shape), k))
         if np.any(values[1:] < values[0] - 1e-9):
             raise HypothesisCheckError(
                 f"custom utility of player {player} is not increasing in opinions"
             )
+        _require_midpoint_convex(
+            lambda budgets: -value(np.broadcast_to(x[0], budgets.shape), budgets, k),
+            0.5 * points,
+            f"custom utility of player {player} failed the own-budget concavity midpoint check")
 
 
 def validate_plans(spec: GameSpec, profile) -> np.ndarray:

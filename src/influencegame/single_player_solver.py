@@ -148,7 +148,7 @@ def _budget_start(p, region: FeasibleRegion) -> np.ndarray:
     zero plan starts, and ends, with the empty set."""
     start = np.zeros(region.count + region.dim, dtype=bool)
     cap = region.offsets[-1:]
-    if not (cap[0] >= 0.0 and (region.normals[-1] == 1.0).all()):
+    if not (region.count and cap[0] >= 0.0 and (region.normals[-1] == 1.0).all()):
         return start
     with np.errstate(over="ignore"):  # a clamped sum past the float range is over c
         over = np.maximum(p, 0.0).sum() > cap[0]
@@ -425,7 +425,6 @@ def solve_single(spec: GameSpec) -> SolveReport:
     kkt_residual = float(max(0.0, projected_gradient.max()))
 
     plan = _readonly(validate_plans(spec, b.reshape(1, K, n))[0])
-    assert region.contains(b)
     return SolveReport(
         plan=plan,
         objective=objective,

@@ -238,7 +238,6 @@ def random_linear_game(rng: np.random.Generator, m: int, n: int, K: int):
         budgets = rng.random(m) + 0.3
     utilities = tuple(
         StageUtility(
-            kind="linear-favor",
             rho=rng.random((K + 1, n)) * 1.5 + 0.1,
             cost_coefficient=float(rng.random() * 0.8 + 0.1),
         )

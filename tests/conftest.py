@@ -142,8 +142,8 @@ def two_player_spec(path_network):
         x0=OpinionState(np.full((3, 2), 0.5)),
         budgets=np.array([3.0, 5.0]),
         utilities=(
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=1.0),
+            StageUtility(rho=rho, cost_coefficient=1.0),
+            StageUtility(rho=rho, cost_coefficient=1.0),
         ),
     )
 
@@ -157,7 +157,5 @@ def single_player_spec(n=1, K=1, x0=0.5, budget=1.0, rho=1.0, cost=0.4, times=No
         schedule=CampaignSchedule(times=np.asarray(times, dtype=float)),
         x0=OpinionState(np.full((n, 1), x0)),
         budgets=np.array([budget]),
-        utilities=(StageUtility(kind="linear-favor",
-                                rho=np.full((K + 1, n), rho),
-                                cost_coefficient=cost),),
+        utilities=(StageUtility(rho=np.full((K + 1, n), rho), cost_coefficient=cost),),
     )

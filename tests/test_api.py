@@ -74,8 +74,8 @@ SIGNATURES = {
     "ScenarioError": None,
     "SolveReport": "plan, objective, iterations, final_step_norm, kkt_residual, objectives",
     "StageUtility": (
-        "kind, rho=None, cost_coefficient=0.0, value_fn=None, opinion_grad_fn=None, "
-        "budget_grad_fn=None, declared_multiplayer_shape=False"
+        "rho=None, cost_coefficient=0.0, value_fn=None, opinion_grad_fn=None, "
+        "budget_grad_fn=None"
     ),
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
     "TrajectoryPoint": "time, state, post_jump=False",
@@ -166,6 +166,17 @@ def _imports_package(node):
         return node.level > 0 or (node.module or "").split(".")[0] == "influencegame"
     return isinstance(node, ast.Import) and any(
         alias.name.split(".")[0] == "influencegame" for alias in node.names)
+
+
+def test_no_assert_statement_in_the_package():
+    # an assert vanishes under python -O, and its AssertionError would escape
+    # the CLI's exit-code mapping as a traceback
+    asserts = []
+    for path in sorted(Path(influencegame.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_no_package_import_inside_a_function():

@@ -66,7 +66,7 @@ class TestScenarioRoundTrip:
         assert np.array_equal(parsed.spec.x0.values, scenario.spec.x0.values)
         assert np.array_equal(parsed.spec.budgets, scenario.spec.budgets)
         for left, right in zip(parsed.spec.utilities, scenario.spec.utilities):
-            assert left.kind == right.kind
+            assert left.is_linear and right.is_linear
             assert left.cost_coefficient == right.cost_coefficient
             assert np.array_equal(left.rho, right.rho)
         assert parsed.solver == scenario.solver
@@ -74,7 +74,7 @@ class TestScenarioRoundTrip:
 
     def test_custom_utility_not_serialized(self):
         spec = random_linear_game(np.random.default_rng(0), 1, 2, 1)
-        custom = StageUtility(kind="custom", value_fn=lambda x, b, k: np.zeros(x.shape[:-1]),
+        custom = StageUtility(value_fn=lambda x, b, k: np.zeros(x.shape[:-1]),
                               opinion_grad_fn=lambda x, b, k: np.zeros(x.shape),
                               budget_grad_fn=lambda x, b, k: np.zeros(x.shape))
         spec = dataclasses.replace(spec, utilities=(custom,))

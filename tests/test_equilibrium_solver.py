@@ -50,8 +50,8 @@ def reference_variant(spec, cost):
         x0=spec.x0,
         budgets=spec.budgets,
         utilities=(
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=cost),
-            StageUtility(kind="linear-favor", rho=rho, cost_coefficient=cost),
+            StageUtility(rho=rho, cost_coefficient=cost),
+            StageUtility(rho=rho, cost_coefficient=cost),
         ),
     )
 
@@ -294,8 +294,8 @@ class TestRegret:
             x0=OpinionState(np.full((3, 2), 0.5)),
             budgets=np.array([1.0, 1.0]),
             utilities=(
-                StageUtility(kind="linear-favor", rho=rho, cost_coefficient=0.0),
-                StageUtility(kind="linear-favor", rho=rho, cost_coefficient=0.0),
+                StageUtility(rho=rho, cost_coefficient=0.0),
+                StageUtility(rho=rho, cost_coefficient=0.0),
             ),
         )
         trace = run_no_regret(spec, 5)
@@ -310,14 +310,12 @@ class TestRegret:
 
 def utility_of_kind(kind, rho, cost):
     if kind != "custom":
-        return StageUtility(kind=kind, rho=rho, cost_coefficient=cost)
+        return StageUtility(rho=rho, cost_coefficient=cost)
     # increasing and convex in opinions on [0, 1]: rho'x + |x|^2 / 2 - cost 1'b
     return StageUtility(
-        kind="custom",
         value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-        declared_multiplayer_shape=True,
     )
 
 
@@ -415,6 +413,12 @@ class TestIterationCounts:
     def test_non_integer_horizon_refused(self, two_player_spec, horizon):
         trace = run_no_regret(two_player_spec, 4)
         with pytest.raises(ValueError, match="horizon must be an integer"):
+            regret(trace, 0, horizon)
+
+    @pytest.mark.parametrize("horizon", [None, 0, 1])
+    def test_empty_trace_refused_before_its_horizon(self, two_player_spec, horizon):
+        trace = LearningTrace(two_player_spec, np.zeros((0, 2, 2, 3)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="^the trace records no iterations"):
             regret(trace, 0, horizon)
 
     def test_numpy_integers_accepted(self, two_player_spec):
@@ -587,36 +591,42 @@ class TestBestResponseCertificate:
 
 
 class TestCustomUtilities:
-    @staticmethod
-    def custom_utility(declared_multiplayer_shape):
-        # increasing and convex in opinions, linear in the own budget
-        return StageUtility(
-            kind="custom",
-            value_fn=lambda x, b, k: x.sum(-1) + 0.25 * (x * x).sum(-1) - 0.5 * b.sum(-1),
-            opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
-            budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
-            declared_multiplayer_shape=declared_multiplayer_shape,
-        )
+    # increasing and convex in opinions, linear in the own budget
+    utility = StageUtility(
+        value_fn=lambda x, b, k: x.sum(-1) + 0.25 * (x * x).sum(-1) - 0.5 * b.sum(-1),
+        opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
+        budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
+    )
 
-    def test_declared_own_concave_best_response_never_below_played(self, two_player_spec):
-        utility = self.custom_utility(declared_multiplayer_shape=True)
+    def test_own_concave_best_response_never_below_played(self, two_player_spec):
         spec = dataclasses.replace(two_player_spec,
-                                   utilities=(utility, two_player_spec.utilities[1]))
+                                   utilities=(self.utility, two_player_spec.utilities[1]))
         profile = random_feasible_profile(np.random.default_rng(3), spec)
         plan, value = best_fixed_plan(spec, profile, 0)
         assert plan.sum() <= spec.budgets[0] + 1e-9
         assert value >= total_payoff(spec, profile, 0)
 
-    def test_undeclared_own_concavity_refused(self, two_player_spec, monkeypatch):
+    def test_measured_shape_admitted_without_declaration(self, two_player_spec):
+        # every spot check passes, so the shape is measured, not attested
+        for utilities in [(self.utility, self.utility),
+                          (self.utility, two_player_spec.utilities[1]),
+                          (two_player_spec.utilities[0], self.utility)]:
+            spec = dataclasses.replace(two_player_spec, utilities=utilities)
+            assert spec.utilities == utilities
+
+    def test_convex_in_the_own_budget_refused(self, two_player_spec, monkeypatch):
+        # increasing and convex in opinions but convex in the own budget:
         # refused when the game is built, before any kernel pass, whichever
-        # player holds the undeclared utility
+        # player holds it, naming the worst midpoint violation
         passes = count_kernel_passes(monkeypatch)
-        pair = (self.custom_utility(declared_multiplayer_shape=False),
-                two_player_spec.utilities[1])
+        convex = StageUtility(value_fn=lambda x, b, k: x.sum(-1) + (b * b).sum(-1),
+                              opinion_grad_fn=lambda x, b, k: np.ones_like(x),
+                              budget_grad_fn=lambda x, b, k: 2.0 * b)
+        pair = (convex, two_player_spec.utilities[1])
         for player, utilities in enumerate([pair, pair[::-1]]):
             with pytest.raises(HypothesisCheckError,
-                               match=f"player {player} must be declared increasing and convex "
-                                     "in the opinion argument and concave in the own budget"):
+                               match=rf"custom utility of player {player} failed the own-budget "
+                                     r"concavity midpoint check \(worst violation 6\.828e-02\)"):
                 dataclasses.replace(two_player_spec, utilities=utilities)
         assert passes == []
 

@@ -111,11 +111,15 @@ def unit_linear_game(network, times, x0, budgets):
         x0=OpinionState(np.asarray(x0, dtype=float)),
         budgets=np.asarray(budgets, dtype=float),
         utilities=tuple(
-            StageUtility(kind="linear-favor", rho=np.ones((len(times) - 1, network.n)),
-                         cost_coefficient=1.0)
+            StageUtility(rho=np.ones((len(times) - 1, network.n)), cost_coefficient=1.0)
             for _ in budgets
         ),
     )
+
+
+# A custom utility's three callables, each answering zeros.
+ZERO_CALLABLES = dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
+                               lambda x, b, k: np.zeros(x.shape))
 
 
 def mixed_game(rng):
@@ -124,11 +128,9 @@ def mixed_game(rng):
     game = random_linear_game(rng, 3, 4, 3)
     rho, cost = game.utilities[1].rho, game.utilities[1].cost_coefficient
     custom = StageUtility(
-        kind="custom",
         value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-        declared_multiplayer_shape=True,
     )
     utilities = (game.utilities[0], custom, game.utilities[2])
     return dataclasses.replace(game, utilities=utilities)
@@ -560,8 +562,7 @@ class TestTotalPayoff:
         rho = np.ones((3, 3))
         spec = GameSpec(network=path_network, schedule=schedule, x0=x0,
                         budgets=np.array([3.0]),
-                        utilities=(StageUtility(kind="linear-favor", rho=rho,
-                                                cost_coefficient=0.0),))
+                        utilities=(StageUtility(rho=rho, cost_coefficient=0.0),))
         pre = eig_expm(path_network.laplacian, 1.0) @ x0.values
         entries = np.zeros((2, 3))
         entries[0] = 1.0 - pre[:, 0]
@@ -602,8 +603,8 @@ class TestPayoffGradient:
             x0=OpinionState(np.array([[0.5, 0.5]])),
             budgets=np.array([1.0, 1.0]),
             utilities=(
-                StageUtility(kind="linear-favor", rho=np.ones((2, 1)), cost_coefficient=0.0),
-                StageUtility(kind="linear-favor", rho=np.ones((2, 1)), cost_coefficient=0.0),
+                StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.0),
+                StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.0),
             ),
         )
         plans = np.zeros((2, 1, 1))
@@ -662,21 +663,30 @@ class TestConvexityInOpponents:
 
 
 class TestStageUtility:
-    def test_complement_kind_is_unknown(self):
-        with pytest.raises(ValueError, match="unknown stage-utility kind"):
-            StageUtility(kind="linear-complement", rho=np.ones((2, 2)), cost_coefficient=0.5)
-
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
-            StageUtility(kind="linear-favor", rho=np.array([[-1.0]]))
+            StageUtility(rho=np.array([[-1.0]]))
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            StageUtility(kind="linear-favor", rho=np.ones((2, 2)), cost_coefficient=-0.1)
+            StageUtility(rho=np.ones((2, 2)), cost_coefficient=-0.1)
 
     def test_linear_needs_rho(self):
-        with pytest.raises(ValueError, match="rho"):
-            StageUtility(kind="linear-favor", cost_coefficient=0.5)
+        with pytest.raises(ValueError, match="needs weights rho or"):
+            StageUtility(cost_coefficient=0.5)
+
+    @pytest.mark.parametrize("fields, message", [
+        *(pytest.param({"rho": np.ones((3, 3)), name: ZERO_CALLABLES[name]}, "not both",
+                       id=f"weights-and-{name}") for name in ZERO_CALLABLES),
+        pytest.param({**ZERO_CALLABLES, "rho": 7.0}, "not both", id="custom-with-rho"),
+        pytest.param({**ZERO_CALLABLES, "cost_coefficient": 50.0}, "cost coefficient must be 0",
+                     id="custom-with-cost"),
+    ])
+    def test_fields_the_utility_would_ignore_refused(self, fields, message):
+        # a linear utility reads no callable, a custom one neither weights
+        # nor a cost coefficient: each would be held and never read
+        with pytest.raises(ValueError, match=message):
+            StageUtility(**fields)
 
     @pytest.mark.parametrize("callables", [
         pytest.param({"value_fn": lambda x, b, k: 0.0}, id="missing"),
@@ -688,7 +698,7 @@ class TestStageUtility:
     ])
     def test_custom_needs_all_callables(self, callables):
         with pytest.raises(ValueError, match="callables"):
-            StageUtility(kind="custom", **callables)
+            StageUtility(**callables)
 
     @pytest.mark.parametrize("name, per_vector", [
         pytest.param("value_fn", lambda rho, cost: (
@@ -705,11 +715,9 @@ class TestStageUtility:
         for player in range(2):
             rho, cost = game.utilities[player].rho, game.utilities[player].cost_coefficient
             stacked = StageUtility(
-                kind="custom",
                 value_fn=lambda x, b, k: x @ rho[k - 1] - cost * b.sum(-1),
                 opinion_grad_fn=lambda x, b, k: rho[k - 1] + 0.0 * x,
                 budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-                declared_multiplayer_shape=True,
             )
             utilities = list(game.utilities)
             utilities[player] = stacked
@@ -718,32 +726,13 @@ class TestStageUtility:
             with pytest.raises(ValueError, match=f"{name} of player {player}"):
                 dataclasses.replace(game, utilities=utilities)
 
-    def test_undeclared_custom_rejected_in_multiplayer(self, path_network):
-        flat = lambda x, b, k: x.sum(-1)
-        ones = lambda x, b, k: np.ones_like(x)
-        zeros = lambda x, b, k: np.zeros_like(x)
-        custom = StageUtility(kind="custom", value_fn=flat, opinion_grad_fn=ones,
-                              budget_grad_fn=zeros)
-        favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
-                             cost_coefficient=1.0)
-        with pytest.raises(HypothesisCheckError):
-            GameSpec(
-                network=path_network,
-                schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
-                x0=OpinionState(np.full((3, 2), 0.5)),
-                budgets=np.array([1.0, 1.0]),
-                utilities=(custom, favor),
-            )
-
     def test_concave_custom_fails_registration_check(self, path_network):
-        # declared increasing+convex but actually strictly concave in opinions
+        # increasing but strictly concave in opinions
         value = lambda x, b, k: np.sqrt(x + 1e-9).sum(-1)
         grad = lambda x, b, k: 0.5 / np.sqrt(x + 1e-9)
         zeros = lambda x, b, k: np.zeros_like(x)
-        custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
-                              budget_grad_fn=zeros, declared_multiplayer_shape=True)
-        favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
-                             cost_coefficient=1.0)
+        custom = StageUtility(value_fn=value, opinion_grad_fn=grad, budget_grad_fn=zeros)
+        favor = StageUtility(rho=np.ones((2, 3)), cost_coefficient=1.0)
         with pytest.raises(HypothesisCheckError):
             GameSpec(
                 network=path_network,
@@ -755,14 +744,12 @@ class TestStageUtility:
 
 
     def test_decreasing_custom_fails_registration_check(self, path_network):
-        # declared increasing+convex and linear, so convex, but decreasing
+        # linear, so convex, but decreasing
         value = lambda x, b, k: -x.sum(-1)
         grad = lambda x, b, k: -np.ones_like(x)
         zeros = lambda x, b, k: np.zeros_like(x)
-        custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=grad,
-                              budget_grad_fn=zeros, declared_multiplayer_shape=True)
-        favor = StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
-                             cost_coefficient=1.0)
+        custom = StageUtility(value_fn=value, opinion_grad_fn=grad, budget_grad_fn=zeros)
+        favor = StageUtility(rho=np.ones((2, 3)), cost_coefficient=1.0)
         with pytest.raises(HypothesisCheckError, match="not increasing"):
             GameSpec(
                 network=path_network,
@@ -791,9 +778,8 @@ class TestStageUtility:
             scalar = lambda x: value(x, 0.0, 1)
         worst = max(scalar((y + y_hat) / 2.0) - (scalar(y) + scalar(y_hat)) / 2.0
                     for y, y_hat in zip(points[0::2], points[1::2]))
-        custom = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=opinion_gradient,
-                              budget_grad_fn=lambda x, b, k: -np.ones_like(x),
-                              declared_multiplayer_shape=True)
+        custom = StageUtility(value_fn=value, opinion_grad_fn=opinion_gradient,
+                              budget_grad_fn=lambda x, b, k: -np.ones_like(x))
         game = random_linear_game(np.random.default_rng(0), m, n, 2)
         with pytest.raises(HypothesisCheckError, match=rf"worst violation {worst:.3e}\)$"):
             dataclasses.replace(game, utilities=(custom,) + game.utilities[1:])
@@ -816,8 +802,7 @@ class TestGameSpec:
                                                                cost, accepted):
         # (sum(rho) + lambda) / (K + 1) bounds every gradient entry; over 1e288
         # a solver step may overflow
-        utility = StageUtility(kind="linear-favor", rho=np.full((3, 3), rho),
-                               cost_coefficient=cost)
+        utility = StageUtility(rho=np.full((3, 3), rho), cost_coefficient=cost)
         make = lambda: dataclasses.replace(two_player_spec, utilities=(utility, utility))
         if accepted:
             assert make().utilities[0] is utility

@@ -75,8 +75,7 @@ class TestBuildRegion:
                 schedule=CampaignSchedule(times=np.array(times)),
                 x0=OpinionState(np.full((n, 1), 0.5)),
                 budgets=np.array([3.0]),
-                utilities=(StageUtility(kind="linear-favor", rho=np.ones((K + 1, n)),
-                                        cost_coefficient=1.0),),
+                utilities=(StageUtility(rho=np.ones((K + 1, n)), cost_coefficient=1.0),),
             )
             region = build_region(spec)
             for k in range(1, K + 1):
@@ -231,8 +230,7 @@ def _oracle_regions():
         schedule=CampaignSchedule(times=np.arange(4.0)),
         x0=OpinionState(np.array([[1.0], [0.3]])),
         budgets=np.array([1.0]),
-        utilities=(StageUtility(kind="linear-favor", rho=np.ones((3, 2)),
-                                cost_coefficient=0.4),),
+        utilities=(StageUtility(rho=np.ones((3, 2)), cost_coefficient=0.4),),
     )
     yield pytest.param(build_region(saturated), id="saturated-individual")
 
@@ -427,6 +425,16 @@ class TestBudgetStart:
         assert len(solves) == 1
         project(point)
         assert len(solves) == 2
+
+    def test_region_without_halfspaces_projects_onto_the_orthant(self):
+        # no budget row: a cold call starts from the empty working set, and
+        # a warm one from the previous call's
+        region = FeasibleRegion(np.zeros((0, 3)), np.zeros(0))
+        points = np.array([[1.0, -2.0, 3.0], [-1.0, 2.0, -3.0], [0.5, -0.5, 0.0]])
+        project = _warm_projection(region)
+        for point in np.concatenate([points, points]):
+            np.testing.assert_array_equal(cold_projection(point, region), np.maximum(point, 0))
+            np.testing.assert_array_equal(project(point), np.maximum(point, 0))
 
     def test_zero_budget_far_points_take_one_solve(self, monkeypatch):
         # at a zero cap the budget row is held with every entry but the top
@@ -639,7 +647,7 @@ class TestSolveSingle:
         """The game with its utility replaced by a custom one whose budget
         gradient is the linear utility's cost per unit."""
         cost = spec.utilities[0].cost_coefficient
-        utility = StageUtility(kind="custom", value_fn=value, opinion_grad_fn=opinion_gradient,
+        utility = StageUtility(value_fn=value, opinion_grad_fn=opinion_gradient,
                                budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost))
         return dataclasses.replace(spec, utilities=(utility,))
 

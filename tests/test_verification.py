@@ -53,8 +53,8 @@ class TestFdGradient:
             x0=OpinionState(np.array([[0.5, 0.5]])),
             budgets=np.array([1.0, 1.0]),
             utilities=(
-                StageUtility(kind="linear-favor", rho=np.ones((2, 1)), cost_coefficient=0.0),
-                StageUtility(kind="linear-favor", rho=np.ones((2, 1)), cost_coefficient=0.0),
+                StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.0),
+                StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.0),
             ),
         )
 
@@ -189,7 +189,6 @@ def custom_single_player_game():
     # concave in the opinions, budgets up to 1.5 so the opinion caps bind
     spec = random_linear_game(np.random.default_rng(4), 1, 2, 2)
     utility = StageUtility(
-        kind="custom",
         value_fn=lambda x, b, k: np.sqrt(x).sum(-1) - 0.3 * b.sum(-1),
         opinion_grad_fn=lambda x, b, k: 0.5 / np.sqrt(x),
         budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.3),
@@ -259,9 +258,7 @@ class TestBruteForce:
             x0=OpinionState(np.full((3, 2), 0.5)),
             budgets=np.array([1.0, 1.0]),
             utilities=tuple(
-                StageUtility(kind="linear-favor", rho=np.ones((2, 3)),
-                             cost_coefficient=0.5)
-                for _ in range(2)
+                StageUtility(rho=np.ones((2, 3)), cost_coefficient=0.5) for _ in range(2)
             ),
         )
         plan, value = brute_force_best_response(spec, np.zeros((2, 1, 3)), 0, 0.25)
