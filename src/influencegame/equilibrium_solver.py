@@ -42,7 +42,6 @@ FloatingPointError instead of returning NaN.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +49,10 @@ import numpy as np
 
 from .game_model import (
     GameSpec,
+    _column,
+    _is_integer,
     _objective_for_player,
-    _columns_pass,
+    _profile_pass,
     _one_profile,
 )
 from .opinion_dynamics import _readonly
@@ -157,11 +158,6 @@ def _require_multiplayer(spec: GameSpec):
         )
 
 
-def _is_count(value) -> bool:
-    """An iteration count is an integer, and a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 # Float-scale overflow inside the diagnostics is an error, not a NaN result.
 _RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
 
@@ -208,7 +204,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     an integer (not a bool) of at least 1, else ValueError before any pass;
     a T whose (T, m, K, n) iterates cannot be allocated raises MemoryError.
     """
-    if not (_is_count(T) and T >= 1):
+    if not (_is_integer(T) and T >= 1):
         raise ValueError(f"iteration count must be an integer of at least 1, got {T!r}")
     linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
@@ -230,7 +226,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     for tau in range(1, T + 1):
         iterates[tau - 1] = current
         eta = 10.0 / tau if linear else 1.0 / np.sqrt(tau)
-        _, _, payoffs[tau - 1], gradient = _columns_pass(spec, current)
+        _, _, payoffs[tau - 1], gradient = _profile_pass(spec, current)
         current = project((current + eta * gradient).reshape(m, K * n)).reshape(m, K, n)
 
     return LearningTrace(spec=spec, iterates=iterates, payoffs=payoffs)
@@ -270,15 +266,18 @@ def regret(trace: LearningTrace, j: int, horizon: int | None = None) -> float:
     tried; its step and its stopping rule scale with the budget and with the
     starting gradient, which sums ``horizon`` payoff gradients.  It raises
     ConvergenceError if the step budget runs out first.  A one-player game,
-    a trace with no iterations, or a horizon that is not an integer (a bool
-    is not one) within the recorded iterations raises ValueError.
+    a player index j that is not an integer (a bool is not one), a trace
+    with no iterations, or a horizon that is not an integer within the
+    recorded iterations raises ValueError; a negative j counts from the
+    last player.
     """
     spec = trace.spec
     _require_multiplayer(spec)
+    j = _column(spec, j).start
     if trace.iterations == 0:
         raise ValueError("the trace records no iterations, so it has no regret")
     T = trace.iterations if horizon is None else horizon
-    if not (_is_count(T) and 1 <= T <= trace.iterations):
+    if not (_is_integer(T) and 1 <= T <= trace.iterations):
         raise ValueError(f"horizon must be an integer within the {trace.iterations} "
                          f"recorded iterations, got {T!r}")
     _, value, _ = _best_fixed_plan(spec, trace.iterates[:T], j, trace.iterates[T - 1, j])
@@ -302,25 +301,30 @@ def solve_equilibrium(spec: GameSpec, T: int):
     return trace, result
 
 
-# Iterations ``trace_to_csv`` renders together: one ``_float_reprs`` call per
-# array and one join per block, so the transient strings stay bounded in T.
+# Iterations ``trace_to_csv`` renders together: one ``_distinct_reprs`` call
+# and one join per block, so the transient strings stay bounded in T.
 TRACE_BLOCK = 32
 
 
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr(float(x))`` of every x in ``values``, in C order.
+def _distinct_reprs(values: np.ndarray) -> tuple[list[str], list[int]]:
+    """The ``repr(float(x))`` of each distinct bit pattern in ``values`` and,
+    for every value in C order, the index of its string.
 
-    Each distinct bit pattern is formatted once, by one ``repr`` of the list
-    of them, and its string is mapped back to every place it occurs.  The
-    key is the int64 view of the values as C-contiguous float64s, so 0.0
-    and -0.0, and NaNs of different payloads, keep their own strings.  A
-    trace repeats exact zeros often, and the shortest round-trip ``repr`` is
-    the cost of rendering it."""
+    The key is the int64 view of the values as C-contiguous float64s, so
+    0.0 and -0.0, and NaNs of different payloads, keep their own strings.
+    ``np.unique`` finds the patterns and one ``repr`` of their list formats
+    them: a trace repeats exact zeros often, and the shortest round-trip
+    ``repr`` is the cost of rendering it."""
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    bits = flat.view(np.int64).tolist()
-    distinct = dict(zip(bits, flat.tolist()))
-    strings = repr(list(distinct.values()))[1:-1].split(", ")
-    return list(map(dict(zip(distinct, strings)).__getitem__, bits))
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    return repr(bits.view(np.float64).tolist())[1:-1].split(", "), where.tolist()
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr(float(x))`` of every x in ``values``, in C order, each distinct
+    bit pattern formatted once (``_distinct_reprs``)."""
+    strings, where = _distinct_reprs(values)
+    return list(map(strings.__getitem__, where))
 
 
 def trace_to_csv(trace: LearningTrace) -> str:
@@ -328,10 +332,11 @@ def trace_to_csv(trace: LearningTrace) -> str:
     individual); every float is its ``repr``, the shortest string that reads
     back to the same double.
 
-    Each block of ``TRACE_BLOCK`` iterations is laid out as eight strings
-    per row (iteration, ``,player,stage,individual,``, iterate, comma,
-    average, comma, payoff, newline), filled a column at a time by slice
-    assignment and joined once."""
+    Each block of ``TRACE_BLOCK`` iterations formats its iterate, average
+    and payoff values in one ``_distinct_reprs`` pass and is laid out as
+    five strings per row (iteration, ``,player,stage,individual,``, iterate
+    and ``,``, average and ``,``, payoff and newline), filled a column at a
+    time by slice assignment and joined once."""
     T, m, K, n = trace.iterates.shape
     keys = [f",{j},{k},{i}," for j in range(m) for k in range(1, K + 1) for i in range(n)]
     chunks = ["iteration,player,stage,individual,iterate_value,average_value,payoff\n"]
@@ -339,12 +344,16 @@ def trace_to_csv(trace: LearningTrace) -> str:
         block = slice(first, first + TRACE_BLOCK)
         taus = range(first + 1, min(first + TRACE_BLOCK, T) + 1)
         rows = len(taus) * len(keys)
-        parts = [","] * (8 * rows)
-        parts[0::8] = [tau for tau in map(str, taus) for _ in keys]
-        parts[1::8] = keys * len(taus)
-        parts[2::8] = _float_reprs(trace.iterates[block])
-        parts[4::8] = _float_reprs(trace.averages[block])
-        parts[6::8] = [p for p in _float_reprs(trace.payoffs[block]) for _ in range(K * n)]
-        parts[7::8] = ["\n"] * rows
+        strings, where = _distinct_reprs(np.concatenate(
+            [trace.iterates[block].ravel(), trace.averages[block].ravel(),
+             trace.payoffs[block].ravel()]))
+        valued = [s + "," for s in strings]
+        parts = [""] * (5 * rows)
+        parts[0::5] = [tau for tau in map(str, taus) for _ in keys]
+        parts[1::5] = keys * len(taus)
+        parts[2::5] = map(valued.__getitem__, where[:rows])
+        parts[3::5] = map(valued.__getitem__, where[rows:2 * rows])
+        parts[4::5] = [p for p in (strings[i] + "\n" for i in where[2 * rows:])
+                       for _ in range(K * n)]
         chunks.append("".join(parts))
     return "".join(chunks)

@@ -12,15 +12,18 @@ Every payoff, gradient and opinion state comes from one kernel,
 ``_columns_pass``: a forward pass of the stage recursion (diffuse across a
 gap by the propagator A_k, then jump) that carries a set of players' opinion
 columns as one state, followed by its reverse-mode sweep for each column's
-exact own-investment gradient.  The learning dynamics pass every column at
-once; a payoff, gradient or best-response objective of one player passes
-that player's column.  What the kernel reads of the game (the gap
-propagators and their transposes, x0's columns, the linear utilities'
-weights and scaled gradients) is built once per game into one read-only
-bundle, ``GameSpec.kernel``.  A custom utility's callables are called once
-per stage on the whole stack of the kernel's states.  ``simulate_trajectory``
-samples the hybrid process from the kernel's campaign-time states, carrying
-each state into the gap that follows it.
+exact own-investment gradient.  It takes the columns' own plans and the
+damping totals, through which alone other players reach a column: whole
+profiles give both (``_profile_pass``), and a best-response or hindsight
+objective one own plan, without a batch axis, against the totals of every
+profile it scores.  The kernel stores its states stage-major.  What it
+reads of the game (the gap propagators and their transposes, x0's columns,
+the linear utilities' weights and scaled gradients) is built once per game
+into one read-only bundle, ``GameSpec.kernel``.  A custom utility's
+callables are called once per stage on the whole stack of the kernel's
+states.  ``simulate_trajectory`` samples the hybrid process from the
+kernel's campaign-time states, carrying each state into the gap that
+follows it.
 
 A custom utility is admitted when its game is built, by midpoint spot
 checks on pairs drawn in one block from fixed seeds.  The midpoint rule,
@@ -31,6 +34,8 @@ this module imports nothing from ``verification``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,7 +88,8 @@ class StageUtility:
     kernel calls each once per stage on its whole stack.  Weights together
     with a callable, a custom utility with a nonzero cost coefficient (its
     callables price the budget), and neither weights nor all three
-    callables raise ValueError, so no field is held and then ignored.
+    callables raise ValueError, so no field is held and then ignored, as
+    does a cost coefficient that is not a real number (a bool is not one).
     ``GameSpec`` checks a custom utility once, when the game is built: each
     callable must answer a stack of the right shape (ValueError otherwise),
     and the utility must pass the midpoint spot checks of the shape its game
@@ -99,6 +105,10 @@ class StageUtility:
     budget_grad_fn: Callable | None = None
 
     def __post_init__(self):
+        cost = self.cost_coefficient
+        if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+            raise ValueError(f"cost coefficient must be a real number, got {cost!r}")
+        object.__setattr__(self, "cost_coefficient", float(cost))
         if not np.isfinite(self.cost_coefficient):
             raise ValueError("cost coefficient must be finite")
         if self.cost_coefficient < 0:
@@ -199,19 +209,19 @@ class GameSpec:
     def kernel(self) -> _KernelConstants:
         """What the kernel reads of the game, read-only, built on first use and
         kept for the game's life (not a field: ``replace`` returns a game
-        without it): the linear utilities' (m, K+1, n) weights rho and (m, 1)
-        costs lambda (zero for custom utilities), their gradients rho / (K+1)
-        and -lambda / (K+1) (m, 1, 1), x0 as (m, n) columns, and the
+        without it): the linear utilities' stage-major (K+1, m, n) weights
+        rho and (m,) costs lambda (zero for custom utilities), their gradients
+        rho / (K+1) and -lambda / (K+1) (m, 1), x0 as (m, n) columns, and the
         adjacent-gap propagators, one ``propagator`` call per gap, with their
         transposes.  Building it runs the propagators' stochasticity gate."""
-        rho = np.zeros((self.m, self.K + 1, self.n))
-        cost = np.zeros((self.m, 1))
+        rho = np.zeros((self.K + 1, self.m, self.n))
+        cost = np.zeros(self.m)
         for j, utility in enumerate(self.utilities):
             if utility.is_linear:
-                rho[j], cost[j] = utility.rho, utility.cost_coefficient
+                rho[:, j], cost[j] = utility.rho, utility.cost_coefficient
         scale = 1.0 / (self.K + 1)
         x0 = np.ascontiguousarray(self.x0.values.T) + 0.0  # a -0.0 opinion becomes 0.0
-        arrays = map(_readonly, (rho, cost, scale * rho, scale * -cost[:, :, None], x0))
+        arrays = map(_readonly, (rho, cost, scale * rho, scale * -cost[:, None], x0))
         gaps = tuple(interval_propagators(self.network, self.schedule))
         return _KernelConstants(*arrays, gaps, tuple(gap.T for gap in gaps))
 
@@ -220,8 +230,9 @@ def _probe_stacked(utility: StageUtility, n: int, stages: int, player: int):
     """Call each of a custom utility's callables at k = 1 and k = K+1 on a
     (2, n+1, n) stack, whose batch axes differ from n so that a callable
     written for a single vector cannot pass by broadcasting; raise
-    ValueError naming the player and the callable if one raises TypeError or
-    ValueError or returns the wrong shape."""
+    ValueError naming the player and the callable if one raises TypeError,
+    ValueError or IndexError (a table short of K+1 stages) or returns the
+    wrong shape."""
     x = np.full((2, n + 1, n), 0.5)
     b = np.full(x.shape, 0.25)
     for k in (1, stages):
@@ -229,7 +240,7 @@ def _probe_stacked(utility: StageUtility, n: int, stages: int, player: int):
                             ("budget_grad_fn", x.shape)):
             try:
                 answer = np.shape(getattr(utility, name)(x, b, k))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 raise ValueError(f"{name} of player {player} failed on opinions and budgets "
                                  f"shaped {x.shape} at stage {k}: {exc}") from exc
             if answer != shape:
@@ -343,106 +354,149 @@ def _one_profile(spec: GameSpec, profile) -> np.ndarray:
     return profile
 
 
-def _columns_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(None)):
+def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray | None,
+                  players: slice = slice(None)):
     """Forward pass and adjoint sweep of the opinion columns of ``players``
-    (a slice of range(m), every player by default) over an (..., m, K, n)
-    profile or stack of profiles.
+    (a slice of range(m), every player by default).
 
-    The p selected columns travel as one (..., p, n) state: per stage one
-    product with the gap propagator, one jump and, in reverse, one adjoint
-    product, whatever p and the stack.  x0's columns, the propagators and
-    their transposes and the linear gradients come from the per-game bundle
-    ``GameSpec.kernel``; only a stack is reshaped for a product.
-    Other players reach a column solely through the per-individual total
-    investment, whose damping 1/(1 + sigma) scales the multiplayer jump
+    ``totals`` (..., K, n) is every player's investment per individual,
+    ``_ordered_total``, or None in a one-player game; ``own`` holds the p
+    columns' plans, (..., p, K, n), with the totals' batch axes or none (one
+    plan for every profile).  Other players reach a column solely through
+    the totals, whose damping 1/(1 + sigma) scales the multiplayer jump
     (x + b) / (1 + sigma).  A single player jumps additively, with
-    ``jump_single``'s headroom check over the whole stack.  The sweep runs
-    the recursion backwards (reverse mode), so each gradient is exact: own
-    investments enter both linearly and through every damping denominator.
+    ``jump_single``'s headroom check over the whole stack.
 
-    Returns the columns' pre-jump opinions (..., p, K+1, n), post-jump
-    opinions (..., p, K, n), payoffs (..., p) and own-investment gradients
-    (..., p, K, n).
+    The p columns travel as one state, stored stage-major, the batch
+    flattened into rows: per stage one product with the gap propagator, one
+    jump and, in reverse, one adjoint product, whatever p and the batch.
+    The constants come from the per-game bundle ``GameSpec.kernel``.  The
+    sweep runs the recursion backwards (reverse mode), so each gradient is
+    exact: own investments enter both linearly and through every damping
+    denominator.
+
+    Returns views of the columns' pre-jump opinions (..., p, K+1, n),
+    post-jump opinions (..., p, K, n), payoffs (..., p) and own-investment
+    gradients (..., p, K, n).
     """
     constants = spec.kernel
-    K, n, single = spec.K, spec.n, spec.m == 1
-    own = profile[..., players, :, :]
+    K, n, p = spec.K, spec.n, own.shape[-3]
+    single = totals is None
+    batch = own.shape[:-3] if single else totals.shape[:-2]
+    # stage-major views, the batch in one lead axis, if any, after the stage
+    if batch:
+        lead, axes = (math.prod(batch),), (1, 2, 0, 3)
+        own = own.reshape(-1, p, K, n).transpose(2, 0, 1, 3)
+        if not single:
+            totals = totals.reshape(-1, K, n).transpose(1, 0, 2)
+    else:
+        lead, axes = (), (1, 0, 2)
+        own = own.transpose(1, 0, 2)
     if not single:
-        # (..., 1, K, n): every column of a profile shares its damping
-        denominators = 1.0 + profile.sum(axis=-3)[..., None, :, :]
-    pre = np.empty(own.shape[:-2] + (K + 1, n))
-    post = np.empty(own.shape)
+        denominators = 1.0 + totals[..., None, :]  # (K, [rows,] 1, n)
+    pre = np.empty((K + 1,) + lead + (p, n))
+    post = np.empty((K,) + lead + (p, n))
 
-    def product(x, matrix):
+    def product(x, matrix, out=None):
         # ndarray.dot: the same BLAS product as @ at a third of the call cost
-        return x.dot(matrix) if x.ndim == 2 else x.reshape(-1, n).dot(matrix).reshape(x.shape)
+        if x.ndim == 2:
+            return x.dot(matrix, out)
+        rows = None if out is None else out.reshape(-1, n)
+        return x.reshape(-1, n).dot(matrix, rows).reshape(x.shape)
 
     state = constants.x0[players]
-    if own.ndim > 3:
-        state = state + np.zeros(own.shape[:-2] + (n,))
+    if batch:
+        state = np.repeat(state[None], lead[0], axis=0)
     for k in range(1, K + 2):
-        state = product(state, constants.gaps_transposed[k - 1])
-        pre[..., k - 1, :] = state
+        state = product(state, constants.gaps_transposed[k - 1], pre[k - 1])
         if k <= K:
-            b_k = own[..., k - 1, :]
             if single:
-                state = jump_single(state, b_k)
+                post[k - 1] = state = jump_single(state, own[k - 1])
             else:
-                state = (state + b_k) / denominators[..., k - 1, :]
-            post[..., k - 1, :] = state
+                state = np.divide(state + own[k - 1], denominators[k - 1], out=post[k - 1])
 
-    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own)
+    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own, batch)
     # summed stage after stage, in the order the recursion visits them
-    payoff = values.cumsum(axis=-1)[..., K] / (K + 1)
+    payoff = values.cumsum(axis=0)[K] / (K + 1)
     if not single:
         damp = 1.0 / denominators
         sensitivity = damp * (1.0 - post)
 
-    gradient = np.empty(own.shape)
-    v = opinion_gradients[..., K, :]
+    gradient = np.empty(post.shape)
+    v = opinion_gradients[K]
     for k in range(K, 0, -1):
         w = product(v, constants.gaps[k])
-        # the additive single-player jump passes opinions and investments 1:1
-        gradient[..., k - 1, :] = w if single else sensitivity[..., k - 1, :] * w
-        v = opinion_gradients[..., k - 1, :] + (w if single else damp[..., k - 1, :] * w)
+        if single:  # the additive jump passes opinions and investments 1:1
+            gradient[k - 1] = w
+        else:
+            np.multiply(sensitivity[k - 1], w, out=gradient[k - 1])
+            w = damp[k - 1] * w
+        v = opinion_gradients[k - 1] + w
     gradient += budget_gradients
-    return pre, post, payoff, gradient
+
+    # stage-major (S, [rows,] p, n) -> ([rows,] p, S, n)
+    arrays = pre.transpose(axes), post.transpose(axes), payoff, gradient.transpose(axes)
+    if len(batch) < 2:  # the lead axis, if any, is the batch
+        return arrays
+    return tuple(array.reshape(batch + array.shape[1:]) for array in arrays)
 
 
-def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray):
-    """Stage utilities of the columns ``players`` at the kernel's states.
+def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray, batch: tuple):
+    """Stage utilities of the columns ``players`` at the kernel's
+    stage-major states pre (K+1, [rows,] p, n) and own plans.
 
-    Returns values (..., p, K+1), opinion gradients (..., p, K+1, n) and
-    budget gradients (..., p, K, n), both scaled by 1/(K+1); the terminal
-    stage invests nothing.  Linear columns are scored at once through the
-    game's weights; their gradients do not depend on the state and come
-    cached as (p, K+1, n) and (p, 1, 1) arrays that broadcast over the stack.
-    A custom utility's callables are called once per stage on the column's
-    whole (..., n) slice of the stack.
+    Returns values (K+1, [rows,] p), opinion gradients (K+1, [rows,] p, n)
+    and budget gradients (K, [rows,] p, n), both scaled by 1/(K+1); the
+    terminal stage invests nothing.  Linear columns are scored at once
+    through the game's weights, their state-free gradients cached.  A custom
+    utility's callables are called once per stage on the column's whole
+    stack, shaped (..., n) by the kernel's batch.
     """
     K = spec.K
     constants = spec.kernel
-    values = (pre * constants.rho[players]).sum(axis=-1)
-    values[..., :K] -= constants.cost[players] * own.sum(axis=-1)
+    weights = constants.rho[:, players]
+    lead = pre.shape[1:-2]
+    if lead:
+        weights = weights[:, None]
+    values = (pre * weights).sum(axis=-1)
+    values[:K] -= constants.cost[players] * own.sum(axis=-1)
     custom = [(c, u) for c, u in enumerate(spec.utilities[players]) if not u.is_linear]
     if not custom:
-        return values, constants.opinion_gradient[players], constants.budget_gradient[players]
-    opinion = constants.rho[players] + np.zeros(pre.shape)
-    budget = -constants.cost[players, :, None] + np.zeros(own.shape)
+        return (values, constants.opinion_gradient[:, players],
+                constants.budget_gradient[players])
+    opinion = weights + np.zeros(pre.shape)
+    budget = -constants.cost[players, None] + np.zeros(pre[:K].shape)
+
+    own = np.broadcast_to(own, budget.shape)  # one plan may serve every profile
+
+    def stack(column):  # a ([rows,] ...) slice as a (batch, ...) view, to read or fill
+        return column.reshape(batch + column.shape[len(lead):])
+
     for c, utility in custom:
         for k in range(1, K + 2):
-            x = pre[..., c, k - 1, :]
-            b = own[..., c, k - 1, :] if k <= K else np.zeros(x.shape)
-            values[..., c, k - 1] = utility.value_fn(x, b, k)
-            opinion[..., c, k - 1, :] = utility.opinion_grad_fn(x, b, k)
+            x = stack(pre[k - 1, ..., c, :])
+            b = stack(own[k - 1, ..., c, :]) if k <= K else np.zeros(x.shape)
+            stack(values[k - 1, ..., c])[...] = utility.value_fn(x, b, k)
+            stack(opinion[k - 1, ..., c, :])[...] = utility.opinion_grad_fn(x, b, k)
             if k <= K:
-                budget[..., c, k - 1, :] = utility.budget_grad_fn(x, b, k)
+                stack(budget[k - 1, ..., c, :])[...] = utility.budget_grad_fn(x, b, k)
     scale = 1.0 / (K + 1)
     return values, scale * opinion, scale * budget
 
 
+def _is_integer(value) -> bool:
+    """A count or an index is an integer, and a bool is not one (an int is
+    tested first: the ``numbers.Integral`` check costs it half a microsecond)."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 def _column(spec: GameSpec, j: int) -> slice:
-    """Player j's opinion column as the one-player slice ``_columns_pass`` takes."""
+    """Player j's column as the one-player slice ``_columns_pass`` takes; a
+    negative j counts from the last player, a j that is not an integer
+    raises ValueError, and one out of range IndexError."""
+    if not _is_integer(j):
+        raise ValueError(f"player index must be an integer, got {j!r}")
     j = range(spec.m)[j]
     return slice(j, j + 1)
 
@@ -451,20 +505,58 @@ def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
     """Player j's payoff and gradient as a function of its own flat plan, the
     other players' plans fixed at ``profiles``; the plan is not validated.
 
-    ``profiles`` is one (m, K, n) profile or a batch (..., m, K, n) of them.
-    The own plan is substituted into every profile and the payoffs and
-    gradients are summed over the batch in one kernel pass: the hindsight
-    objective of ``regret`` is this sum over the played iterates.
+    ``profiles`` is one (m, K, n) profile or a batch (..., m, K, n) of them,
+    over which one kernel pass sums the payoffs and gradients: the
+    hindsight objective of ``regret`` is this sum over the played iterates.
+    The pass gets the plan once, without the batch axes, and the totals of
+    the substituted profiles: the fixed players, stored stage-major, those
+    before j summed once, and each pass adds the plan and then the players
+    after j, in ``_ordered_total``'s order, so the bits are the same.
     """
-    profiles = np.array(profiles, dtype=float)
+    profiles = np.asarray(profiles, dtype=float)
     column = _column(spec, j)
+    batch = profiles.shape[:-3]
+
+    def stage_major(plans):  # the same (..., K, n) array, stored stage after stage
+        return np.ascontiguousarray(plans.swapaxes(0, -2)).swapaxes(0, -2)
+
+    if column.start:
+        before = stage_major(_ordered_total(profiles[..., :column.start, :, :]))
+    after = [stage_major(profiles[..., i, :, :]) for i in range(column.stop, spec.m)]
 
     def evaluate(flat: np.ndarray):
-        profiles[..., j, :, :] = flat.reshape(spec.K, spec.n)
-        _, _, payoff, gradient = _columns_pass(spec, profiles, column)
-        return float(np.sum(payoff)), gradient.reshape(-1, flat.size).sum(axis=0)
+        own = flat.reshape(1, spec.K, spec.n)
+        if spec.m == 1:  # no damping: the plan is carried over the batch
+            totals = None
+            if batch:
+                own = np.broadcast_to(own, batch + own.shape)
+        else:
+            totals = before + own[0] if column.start else own[0]  # then after j, in order
+            for plan in after:
+                totals = totals + plan
+        _, _, payoff, gradient = _columns_pass(spec, own, totals, column)
+        # summed over the batch in C order, profile after profile
+        gradient = np.ascontiguousarray(gradient).reshape(-1, flat.size)
+        return float(np.sum(payoff)), gradient.sum(axis=0)
 
     return evaluate
+
+
+def _ordered_total(plans: np.ndarray) -> np.ndarray:
+    """The (..., q, K, n) plans of q >= 1 players summed in player order, the
+    one order of every damping total: ``plans.sum(axis=-3)`` bit for bit
+    unless K n = 1, where numpy sums eight or more players pairwise."""
+    total = plans[..., 0, :, :]
+    for i in range(1, plans.shape[-3]):
+        total = total + plans[..., i, :, :]
+    return total
+
+
+def _profile_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(None)):
+    """``_columns_pass`` of the columns ``players`` over whole (..., m, K, n)
+    profiles: their own plans and the damping totals ``_ordered_total``."""
+    totals = _ordered_total(profile) if spec.m > 1 else None
+    return _columns_pass(spec, profile[..., players, :, :], totals, players)
 
 
 def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
@@ -474,7 +566,7 @@ def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
     Evaluated by the stage recursion: diffuse across each gap, then apply the
     jump for the budgets invested at that campaign."""
     profile = validate_plans(spec, profile)
-    return np.moveaxis(_columns_pass(spec, profile)[0], -3, -1)
+    return np.moveaxis(_profile_pass(spec, profile)[0], -3, -1)
 
 
 def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[TrajectoryPoint]:
@@ -501,7 +593,7 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
         raise ValueError("sample times must lie within the schedule horizon")
 
     profile = _one_profile(spec, profile)
-    pre, post, _, _ = _columns_pass(spec, profile)
+    pre, post, _, _ = _profile_pass(spec, profile)
     pre = np.moveaxis(pre, 0, -1)
     # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
     leaving = np.concatenate([spec.x0.values[None], np.moveaxis(post, 0, -1)])
@@ -534,12 +626,12 @@ def total_payoff(spec: GameSpec, profile, j: int):
     one (m, K, n) profile, an array of shape (...) for a stack (..., m, K, n)
     of them, evaluated in one kernel pass."""
     profile = validate_plans(spec, profile)
-    payoff = _columns_pass(spec, profile, _column(spec, j))[2][..., 0]
+    payoff = _profile_pass(spec, profile, _column(spec, j))[2][..., 0]
     return float(payoff) if profile.ndim == 3 else payoff
 
 
 def payoff_gradient(spec: GameSpec, profile, j: int) -> np.ndarray:
     """Exact gradient of total_payoff with respect to player j's own entries,
-    shaped like ``profile[..., j, :, :]``."""
+    shaped like ``profile[..., j, :, :]`` and stored in C order."""
     profile = validate_plans(spec, profile)
-    return _columns_pass(spec, profile, _column(spec, j))[3][..., 0, :, :]
+    return np.ascontiguousarray(_profile_pass(spec, profile, _column(spec, j))[3][..., 0, :, :])

@@ -79,19 +79,18 @@ def count_flow_builds(monkeypatch) -> list:
 
 
 def count_kernel_passes(monkeypatch) -> list:
-    """A list that gains a copy of the profile stack of every game-kernel
-    pass, ``game_model._columns_pass`` as ``game_model`` and
-    ``equilibrium_solver`` call it, until the monkeypatch is undone."""
-    profiles = []
+    """A list that gains a copy of the own plans, (..., p, K, n), of every
+    game-kernel pass, ``game_model._columns_pass`` as ``game_model`` calls
+    it, until the monkeypatch is undone."""
+    plans = []
     original = game_model._columns_pass
 
-    def counting(spec, profile, *args):
-        profiles.append(np.array(profile))
-        return original(spec, profile, *args)
+    def counting(spec, own, *args):
+        plans.append(np.array(own))
+        return original(spec, own, *args)
 
     monkeypatch.setattr(game_model, "_columns_pass", counting)
-    monkeypatch.setattr(equilibrium_solver, "_columns_pass", counting)
-    return profiles
+    return plans
 
 
 def nested_loop_csv(trace):

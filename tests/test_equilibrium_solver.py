@@ -409,6 +409,19 @@ class TestIterationCounts:
             entry(two_player_spec, T)
         assert passes == []
 
+    @pytest.mark.parametrize("j", [True, False, 1.0, np.float64(0.0)])
+    def test_non_integer_player_refused_before_any_kernel_pass(self, two_player_spec,
+                                                               monkeypatch, j):
+        trace = run_no_regret(two_player_spec, 4)
+        passes = count_kernel_passes(monkeypatch)
+        with pytest.raises(ValueError, match="player index must be an integer"):
+            regret(trace, j)
+        assert passes == []
+
+    def test_negative_player_counts_from_the_last(self, two_player_spec):
+        trace = run_no_regret(two_player_spec, 4)
+        assert regret(trace, -1) == regret(trace, np.int64(1)) == regret(trace, 1)
+
     @pytest.mark.parametrize("horizon", [2.7, 2.0, True, np.float64(1.0)])
     def test_non_integer_horizon_refused(self, two_player_spec, horizon):
         trace = run_no_regret(two_player_spec, 4)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,8 @@ from influencegame.verification import (
     random_feasible_profile,
     random_linear_game,
 )
-from conftest import count_flow_builds, single_player_spec
+from influencegame.equilibrium_solver import regret, run_no_regret
+from conftest import count_flow_builds, count_kernel_passes, single_player_spec
 
 
 def eig_expm(sym: np.ndarray, t: float) -> np.ndarray:
@@ -166,7 +168,7 @@ class TestColumnsPass:
         for _ in range(3):
             spec = game(rng)
             profile = random_feasible_profile(rng, spec)
-            pre, _, payoffs, _ = game_model._columns_pass(spec, profile)
+            pre, _, payoffs, _ = game_model._profile_pass(spec, profile)
             closed = opinions_at_campaigns_closed_form(spec, profile)
             for j in range(spec.m):
                 np.testing.assert_allclose(pre[j], closed[..., j], rtol=0, atol=1e-12)
@@ -178,7 +180,7 @@ class TestColumnsPass:
         rng = np.random.default_rng(61)
         spec = game(rng)
         profile = random_feasible_profile(rng, spec)
-        _, _, payoffs, gradients = game_model._columns_pass(spec, profile)
+        _, _, payoffs, gradients = game_model._profile_pass(spec, profile)
         for j in range(spec.m):
             def payoff_of_own(own, j=j):
                 candidates = np.repeat(profile[None], len(own), axis=0)
@@ -195,13 +197,13 @@ class TestColumnsPass:
         rng = np.random.default_rng(67)
         spec = game(rng)
         stack = np.stack([random_feasible_profile(rng, spec) for _ in range(4)])
-        together = game_model._columns_pass(spec, stack)
+        together = game_model._profile_pass(spec, stack)
         for j in range(spec.m):
-            alone = game_model._columns_pass(spec, stack, slice(j, j + 1))
+            alone = game_model._profile_pass(spec, stack, slice(j, j + 1))
             for joint, single in zip(together, alone):
                 np.testing.assert_allclose(single[:, 0], joint[:, j], rtol=0, atol=1e-14)
         for b, profile in enumerate(stack):
-            for joint, single in zip(together, game_model._columns_pass(spec, profile)):
+            for joint, single in zip(together, game_model._profile_pass(spec, profile)):
                 np.testing.assert_allclose(single, joint[b], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
@@ -227,8 +229,81 @@ class TestColumnsPass:
                              for _ in range(int(np.prod(batch)))]).reshape(batch + (spec.m, spec.K, spec.n))
         for players in (slice(None), slice(1, 2)):
             calls.clear()
-            game_model._columns_pass(spec, profiles, players)
+            game_model._profile_pass(spec, profiles, players)
             assert calls == [batch + (spec.n,)] * (3 * spec.K + 2)
+
+
+HINDSIGHT_GAMES = [
+    *(pytest.param(lambda rng, m=m: random_linear_game(rng, m, 4, 3), id=f"{m}-player")
+      for m in (2, 3, 4)),
+    pytest.param(lambda rng: random_linear_game(rng, 3, 1, 3), id="3-player-one-individual"),
+    # one entry per plan, where numpy would sum nine players pairwise
+    pytest.param(lambda rng: random_linear_game(rng, 9, 1, 1), id="9-player-one-entry"),
+    pytest.param(mixed_game, id="linear-and-custom"),
+]
+
+
+class TestOwnPlansAndTotals:
+    """A hindsight pass hands the kernel one own plan, without the batch
+    axes, and the damping totals of the substituted profiles."""
+
+    @pytest.mark.parametrize("game", HINDSIGHT_GAMES)
+    def test_objective_is_the_substituted_stack_bit_for_bit(self, game):
+        rng = np.random.default_rng(73)
+        spec = game(rng)
+        own = random_feasible_profile(rng, spec)
+        batch = np.stack([random_feasible_profile(rng, spec) for _ in range(9)])
+        for profiles in (batch, batch[0]):
+            for j in range(spec.m):
+                evaluate = game_model._objective_for_player(spec, profiles, j)
+                value, gradient = evaluate(own[j].ravel())
+                stack = profiles.copy()
+                stack[..., j, :, :] = own[j]
+                assert value == float(np.sum(total_payoff(spec, stack, j)))
+                summed = payoff_gradient(spec, stack, j).reshape(-1, spec.K * spec.n).sum(axis=0)
+                np.testing.assert_array_equal(gradient, summed)
+
+    def test_objective_pass_takes_one_own_plan_without_a_batch_axis(self, monkeypatch):
+        spec = random_linear_game(np.random.default_rng(79), 3, 4, 3)
+        trace = run_no_regret(spec, 12)
+        plans = count_kernel_passes(monkeypatch)
+        for j in range(spec.m):
+            regret(trace, j)
+        assert plans and {plan.shape for plan in plans} == {(1, spec.K, spec.n)}
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_ordered_totals_equal_the_profile_sum(self, m):
+        # numpy's sum over the players adds them in order, as the kernel's
+        # totals do, except over one entry per plan (K n = 1), where it sums
+        # eight or more players pairwise
+        rng = np.random.default_rng(m)
+        for shape in [(3, 10), (4, 1), (1, 2), (1, 1)]:
+            for batch in [(), (1,), (7,), (2, 3)]:
+                scales = 10.0 ** rng.integers(-6, 7, size=batch + (m, 1, 1))
+                plans = rng.random(batch + (m,) + shape) * scales
+                total = game_model._ordered_total(plans)
+                in_order = functools.reduce(np.add, [plans[..., i, :, :] for i in range(m)])
+                assert np.array_equal(total, in_order)
+                if shape != (1, 1) or m < 8:
+                    assert np.array_equal(total, plans.sum(axis=-3))
+
+
+class TestPlayerIndex:
+    @pytest.mark.parametrize("j", [True, False, 1.0, np.float64(0.0), "1", None])
+    @pytest.mark.parametrize("entry", [total_payoff, payoff_gradient])
+    def test_non_integer_index_refused(self, two_player_spec, entry, j):
+        with pytest.raises(ValueError, match="player index must be an integer"):
+            entry(two_player_spec, np.zeros((2, 2, 3)), j)
+
+    def test_negative_and_numpy_indices_keep_their_meaning(self, two_player_spec):
+        spec = two_player_spec
+        profile = random_feasible_profile(np.random.default_rng(83), spec)
+        assert total_payoff(spec, profile, -1) == total_payoff(spec, profile, np.int64(1))
+        assert total_payoff(spec, profile, -1) == total_payoff(spec, profile, 1)
+        np.testing.assert_array_equal(payoff_gradient(spec, profile, -2),
+                                      payoff_gradient(spec, profile, 0))
+        with pytest.raises(IndexError):
+            total_payoff(spec, profile, 2)
 
 
 class TestSimulateTrajectory:
@@ -725,6 +800,30 @@ class TestStageUtility:
             utilities[player] = dataclasses.replace(stacked, **{name: per_vector(rho, cost)})
             with pytest.raises(ValueError, match=f"{name} of player {player}"):
                 dataclasses.replace(game, utilities=utilities)
+
+    @pytest.mark.parametrize("cost", ["1.0", None, True, np.bool_(True)],
+                             ids=["string", "none", "bool", "numpy-bool"])
+    def test_cost_coefficient_must_be_a_real_number(self, cost):
+        with pytest.raises(ValueError, match="cost coefficient must be a real number"):
+            StageUtility(rho=np.ones((3, 3)), cost_coefficient=cost)
+
+    @pytest.mark.parametrize("cost", [2, np.float64(0.5), np.int64(3), np.float32(0.25)])
+    def test_real_cost_coefficients_are_held_as_floats(self, cost):
+        utility = StageUtility(rho=np.ones((3, 3)), cost_coefficient=cost)
+        assert type(utility.cost_coefficient) is float
+        assert utility.cost_coefficient == cost
+
+    def test_weight_table_a_stage_short_refused_by_name(self, two_player_spec):
+        # the README's custom example with rho one stage short of K + 1 = 3
+        rho, cost = np.ones((2, 3)), 1.0
+        short = StageUtility(
+            value_fn=lambda x, b, k: x @ rho[k-1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
+            opinion_grad_fn=lambda x, b, k: rho[k-1] + x,
+            budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
+        )
+        with pytest.raises(ValueError, match=r"value_fn of player 0 failed on opinions and budgets "
+                                             r"shaped \(2, 4, 3\) at stage 3: index 2 is out of"):
+            dataclasses.replace(two_player_spec, utilities=(short, two_player_spec.utilities[1]))
 
     def test_concave_custom_fails_registration_check(self, path_network):
         # increasing but strictly concave in opinions
