@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasiblePlanError, ScenarioError
-from .equilibrium_solver import solve_equilibrium, trace_to_csv, _float_reprs
+from .equilibrium_solver import solve_equilibrium, trace_to_csv, _distinct_reprs
 from .fileio import atomic_write_text
 from .game_model import GameSpec, StageUtility, simulate_trajectory, validate_plans
 from .opinion_dynamics import CampaignSchedule, OpinionState, build_network
@@ -245,7 +245,8 @@ def _trajectory_csv(points) -> str:
     if points:
         n, m = points[0].state.values.shape
         keys = [f"{i},{j}" for i in range(n) for j in range(m)]
-        opinions = iter(_float_reprs(np.stack([point.state.values for point in points])))
+        strings, where = _distinct_reprs(np.stack([point.state.values for point in points]))
+        opinions = map(strings.__getitem__, where)
         rows.extend(f"{point.time!r},{key},{next(opinions)}\n"
                     for point in points for key in keys)
     return "".join(rows)

@@ -320,13 +320,6 @@ def _distinct_reprs(values: np.ndarray) -> tuple[list[str], list[int]]:
     return repr(bits.view(np.float64).tolist())[1:-1].split(", "), where.tolist()
 
 
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr(float(x))`` of every x in ``values``, in C order, each distinct
-    bit pattern formatted once (``_distinct_reprs``)."""
-    strings, where = _distinct_reprs(values)
-    return list(map(strings.__getitem__, where))
-
-
 def trace_to_csv(trace: LearningTrace) -> str:
     """Render a trace as CSV with one row per (iteration, player, stage,
     individual); every float is its ``repr``, the shortest string that reads

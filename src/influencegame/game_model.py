@@ -12,18 +12,20 @@ Every payoff, gradient and opinion state comes from one kernel,
 ``_columns_pass``: a forward pass of the stage recursion (diffuse across a
 gap by the propagator A_k, then jump) that carries a set of players' opinion
 columns as one state, followed by its reverse-mode sweep for each column's
-exact own-investment gradient.  It takes the columns' own plans and the
-damping totals, through which alone other players reach a column: whole
+exact own-investment gradient.  It always takes the columns' own plans and
+the damping totals, which set its batch and through which alone other
+players reach a column; in a one-player game the totals are the plan
+itself, and the game's player count picks the additive jump.  Whole
 profiles give both (``_profile_pass``), and a best-response or hindsight
 objective one own plan, without a batch axis, against the totals of every
 profile it scores.  The kernel stores its states stage-major.  What it
 reads of the game (the gap propagators and their transposes, x0's columns,
 the linear utilities' weights and scaled gradients) is built once per game
 into one read-only bundle, ``GameSpec.kernel``.  A custom utility's
-callables are called once per stage on the whole stack of the kernel's
-states.  ``simulate_trajectory`` samples the hybrid process from the
-kernel's campaign-time states, carrying each state into the gap that
-follows it.
+callables are called once per stage on the column's slice of the kernel's
+stack: (n,) for one profile, (rows, n) for a batch.
+``simulate_trajectory`` samples the hybrid process from the kernel's
+campaign-time states, carrying each state into the gap that follows it.
 
 A custom utility is admitted when its game is built, by midpoint spot
 checks on pairs drawn in one block from fixed seeds.  The midpoint rule,
@@ -354,18 +356,19 @@ def _one_profile(spec: GameSpec, profile) -> np.ndarray:
     return profile
 
 
-def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray | None,
+def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
                   players: slice = slice(None)):
     """Forward pass and adjoint sweep of the opinion columns of ``players``
     (a slice of range(m), every player by default).
 
     ``totals`` (..., K, n) is every player's investment per individual,
-    ``_ordered_total``, or None in a one-player game; ``own`` holds the p
-    columns' plans, (..., p, K, n), with the totals' batch axes or none (one
-    plan for every profile).  Other players reach a column solely through
-    the totals, whose damping 1/(1 + sigma) scales the multiplayer jump
-    (x + b) / (1 + sigma).  A single player jumps additively, with
-    ``jump_single``'s headroom check over the whole stack.
+    ``_ordered_total``, and sets the batch; ``own`` holds the p columns'
+    plans, (..., p, K, n), with the totals' batch axes or none (one plan
+    for every profile).  Other players reach a column solely through the
+    totals, whose damping 1/(1 + sigma) scales the multiplayer jump
+    (x + b) / (1 + sigma).  In a one-player game the totals are the plan
+    itself, and the jump adds them to the opinions, with ``jump_single``'s
+    headroom check over the whole stack, and passes its adjoint on 1:1.
 
     The p columns travel as one state, stored stage-major, the batch
     flattened into rows: per stage one product with the gap propagator, one
@@ -381,19 +384,19 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray | None,
     """
     constants = spec.kernel
     K, n, p = spec.K, spec.n, own.shape[-3]
-    single = totals is None
-    batch = own.shape[:-3] if single else totals.shape[:-2]
+    single = spec.m == 1
+    batch = totals.shape[:-2]
     # stage-major views, the batch in one lead axis, if any, after the stage
     if batch:
         lead, axes = (math.prod(batch),), (1, 2, 0, 3)
         own = own.reshape(-1, p, K, n).transpose(2, 0, 1, 3)
-        if not single:
-            totals = totals.reshape(-1, K, n).transpose(1, 0, 2)
+        totals = totals.reshape(-1, K, n).transpose(1, 0, 2)
     else:
         lead, axes = (), (1, 0, 2)
         own = own.transpose(1, 0, 2)
+    totals = totals[..., None, :]  # (K, [rows,] 1, n), against the columns
     if not single:
-        denominators = 1.0 + totals[..., None, :]  # (K, [rows,] 1, n)
+        denominators = 1.0 + totals
     pre = np.empty((K + 1,) + lead + (p, n))
     post = np.empty((K,) + lead + (p, n))
 
@@ -411,11 +414,11 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray | None,
         state = product(state, constants.gaps_transposed[k - 1], pre[k - 1])
         if k <= K:
             if single:
-                post[k - 1] = state = jump_single(state, own[k - 1])
+                post[k - 1] = state = jump_single(state, totals[k - 1])
             else:
                 state = np.divide(state + own[k - 1], denominators[k - 1], out=post[k - 1])
 
-    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own, batch)
+    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own)
     # summed stage after stage, in the order the recursion visits them
     payoff = values.cumsum(axis=0)[K] / (K + 1)
     if not single:
@@ -441,7 +444,7 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray | None,
     return tuple(array.reshape(batch + array.shape[1:]) for array in arrays)
 
 
-def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray, batch: tuple):
+def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray):
     """Stage utilities of the columns ``players`` at the kernel's
     stage-major states pre (K+1, [rows,] p, n) and own plans.
 
@@ -449,14 +452,14 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
     and budget gradients (K, [rows,] p, n), both scaled by 1/(K+1); the
     terminal stage invests nothing.  Linear columns are scored at once
     through the game's weights, their state-free gradients cached.  A custom
-    utility's callables are called once per stage on the column's whole
-    stack, shaped (..., n) by the kernel's batch.
+    utility's callables are called once per stage on the column's slice of
+    the kernel's stack: opinions and budgets shaped (n,) for one profile,
+    (rows, n) for a batch.
     """
     K = spec.K
     constants = spec.kernel
     weights = constants.rho[:, players]
-    lead = pre.shape[1:-2]
-    if lead:
+    if pre.ndim == 4:  # a batch: the weights serve every row
         weights = weights[:, None]
     values = (pre * weights).sum(axis=-1)
     values[:K] -= constants.cost[players] * own.sum(axis=-1)
@@ -468,18 +471,14 @@ def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarra
     budget = -constants.cost[players, None] + np.zeros(pre[:K].shape)
 
     own = np.broadcast_to(own, budget.shape)  # one plan may serve every profile
-
-    def stack(column):  # a ([rows,] ...) slice as a (batch, ...) view, to read or fill
-        return column.reshape(batch + column.shape[len(lead):])
-
     for c, utility in custom:
         for k in range(1, K + 2):
-            x = stack(pre[k - 1, ..., c, :])
-            b = stack(own[k - 1, ..., c, :]) if k <= K else np.zeros(x.shape)
-            stack(values[k - 1, ..., c])[...] = utility.value_fn(x, b, k)
-            stack(opinion[k - 1, ..., c, :])[...] = utility.opinion_grad_fn(x, b, k)
+            x = pre[k - 1, ..., c, :]
+            b = own[k - 1, ..., c, :] if k <= K else np.zeros(x.shape)
+            values[k - 1, ..., c] = utility.value_fn(x, b, k)
+            opinion[k - 1, ..., c, :] = utility.opinion_grad_fn(x, b, k)
             if k <= K:
-                stack(budget[k - 1, ..., c, :])[...] = utility.budget_grad_fn(x, b, k)
+                budget[k - 1, ..., c, :] = utility.budget_grad_fn(x, b, k)
     scale = 1.0 / (K + 1)
     return values, scale * opinion, scale * budget
 
@@ -509,31 +508,23 @@ def _objective_for_player(spec: GameSpec, profiles: np.ndarray, j: int):
     over which one kernel pass sums the payoffs and gradients: the
     hindsight objective of ``regret`` is this sum over the played iterates.
     The pass gets the plan once, without the batch axes, and the totals of
-    the substituted profiles: the fixed players, stored stage-major, those
-    before j summed once, and each pass adds the plan and then the players
-    after j, in ``_ordered_total``'s order, so the bits are the same.
+    the substituted profiles, which carry the batch: those before j are
+    summed once, and each pass adds the plan and then the players after j,
+    in ``_ordered_total``'s order, so the bits are the same.  The batch
+    lives in the fixed players' plans, so in a one-player game, where no
+    plan is fixed, the objective is the plan's own payoff and gradient.
     """
     profiles = np.asarray(profiles, dtype=float)
     column = _column(spec, j)
-    batch = profiles.shape[:-3]
-
-    def stage_major(plans):  # the same (..., K, n) array, stored stage after stage
-        return np.ascontiguousarray(plans.swapaxes(0, -2)).swapaxes(0, -2)
-
     if column.start:
-        before = stage_major(_ordered_total(profiles[..., :column.start, :, :]))
-    after = [stage_major(profiles[..., i, :, :]) for i in range(column.stop, spec.m)]
+        before = _ordered_total(profiles[..., :column.start, :, :])
+    after = [profiles[..., i, :, :] for i in range(column.stop, spec.m)]
 
     def evaluate(flat: np.ndarray):
         own = flat.reshape(1, spec.K, spec.n)
-        if spec.m == 1:  # no damping: the plan is carried over the batch
-            totals = None
-            if batch:
-                own = np.broadcast_to(own, batch + own.shape)
-        else:
-            totals = before + own[0] if column.start else own[0]  # then after j, in order
-            for plan in after:
-                totals = totals + plan
+        totals = before + own[0] if column.start else own[0]  # then after j, in order
+        for plan in after:
+            totals = totals + plan
         _, _, payoff, gradient = _columns_pass(spec, own, totals, column)
         # summed over the batch in C order, profile after profile
         gradient = np.ascontiguousarray(gradient).reshape(-1, flat.size)
@@ -555,8 +546,7 @@ def _ordered_total(plans: np.ndarray) -> np.ndarray:
 def _profile_pass(spec: GameSpec, profile: np.ndarray, players: slice = slice(None)):
     """``_columns_pass`` of the columns ``players`` over whole (..., m, K, n)
     profiles: their own plans and the damping totals ``_ordered_total``."""
-    totals = _ordered_total(profile) if spec.m > 1 else None
-    return _columns_pass(spec, profile[..., players, :, :], totals, players)
+    return _columns_pass(spec, profile[..., players, :, :], _ordered_total(profile), players)
 
 
 def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:

@@ -35,6 +35,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_square(adjacency: np.ndarray):
+    """Refuse an adjacency that is not a square matrix of at least one
+    individual, before any reduction over its rows."""
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if adjacency.shape[0] == 0:
+        raise ValueError("a network needs at least one individual")
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Weighted social graph given by its row-stochastic adjacency A alone;
@@ -45,8 +54,7 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "adjacency", _readonly(self.adjacency))
         a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
+        _check_square(a)
         if not np.all(np.isfinite(a)):
             raise ValueError("network weights must be finite")
         if np.any(a < 0):
@@ -125,8 +133,7 @@ def build_network(adjacency) -> Network:
     a row of all zeros (an individual listening to nobody) is rejected.
     """
     a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
+    _check_square(a)
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
     row_sums = a.sum(axis=1)
@@ -219,15 +226,23 @@ def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[n
 
 
 def jump_single(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Additive single-player jump x + b, requiring 0 <= b <= 1 - x to ``FEASIBILITY_TOL``."""
+    """Additive single-player jump x + b, requiring 0 <= b <= 1 - x to
+    ``FEASIBILITY_TOL``.  Each check is written so that a NaN fails it, and
+    a failure caused by a non-finite entry raises ValueError, an infeasible
+    one InfeasiblePlanError."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != b.shape:
         raise ValueError("opinion and budget vectors must have matching shape")
-    if np.min(b) < -FEASIBILITY_TOL:
+    low = np.min(b)
+    if not low >= -FEASIBILITY_TOL:
+        if not np.isfinite(low):
+            raise ValueError("single-player jump has a non-finite budget entry")
         raise InfeasiblePlanError("negative budget entry in single-player jump")
     excess = np.max(b - (1.0 - x))
-    if excess > FEASIBILITY_TOL:
+    if not excess <= FEASIBILITY_TOL:
+        if not np.isfinite(excess):
+            raise ValueError("single-player jump has a non-finite opinion or budget entry")
         raise InfeasiblePlanError(
             f"infeasible jump: investment exceeds remaining opinion headroom by {excess:.3e}"
         )

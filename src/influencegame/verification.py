@@ -41,7 +41,8 @@ import numpy as np
 
 from .equilibrium_solver import project_budget_set
 from .game_model import (GameSpec, StageUtility, opinions_at_campaigns, payoff_gradient,
-                         total_payoff, _MIDPOINT_TOL, _midpoint_violations, _one_profile)
+                         total_payoff, _MIDPOINT_TOL, _column, _midpoint_violations,
+                         _one_profile)
 from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
                                check_stochastic, _flow)
 from .single_player_solver import build_region, solve_single
@@ -141,8 +142,11 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     to 1e-9.  Candidates are enumerated lexicographically and ties keep the
     earliest (lexicographically smallest) point, so the result is
     deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
-    positive and finite raises ValueError before any evaluation.
+    positive and finite raises ValueError before any evaluation, and a
+    player index is checked as ``total_payoff`` checks it, before any grid
+    is built.
     """
+    j = _column(spec, j).start
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
     K, n = spec.K, spec.n

@@ -26,7 +26,7 @@ from influencegame import (
 )
 from influencegame import equilibrium_solver, game_model, single_player_solver
 from influencegame.cli import reference_scenario
-from influencegame.equilibrium_solver import LearningTrace, _float_reprs, trace_to_csv
+from influencegame.equilibrium_solver import LearningTrace, _distinct_reprs, trace_to_csv
 from influencegame.single_player_solver import _maximize_concave, build_region
 from influencegame.verification import random_feasible_profile, random_linear_game
 from conftest import (cold_projection, count_flow_builds, count_kernel_passes,
@@ -826,7 +826,7 @@ class TestTraceToCsv:
 
 
 class TestFloatReprs:
-    """``_float_reprs`` is ``repr(float(x))`` over the array in C order,
+    """``_distinct_reprs`` maps each entry, in C order, to ``repr(float(x))``,
     however often a bit pattern repeats."""
 
     @pytest.mark.parametrize("values", [
@@ -842,7 +842,8 @@ class TestFloatReprs:
         pytest.param(np.empty((0, 3)), id="empty"),
     ])
     def test_each_entry_is_its_repr(self, values):
-        assert _float_reprs(values) == [repr(float(x)) for x in np.ravel(values)]
+        strings, where = _distinct_reprs(values)
+        assert [strings[i] for i in where] == [repr(float(x)) for x in np.ravel(values)]
 
 
 class TestLearningTraceShapes:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,7 @@ def mixed_game(rng):
 
 
 KERNEL_GAMES = [
+    pytest.param(lambda rng: random_linear_game(rng, 1, 4, 3), id="one-player"),
     pytest.param(lambda rng: random_linear_game(rng, 2, 4, 3), id="two-player"),
     pytest.param(lambda rng: random_linear_game(rng, 3, 5, 2), id="three-player"),
     pytest.param(mixed_game, id="linear-and-custom"),
@@ -230,7 +232,9 @@ class TestColumnsPass:
         for players in (slice(None), slice(1, 2)):
             calls.clear()
             game_model._profile_pass(spec, profiles, players)
-            assert calls == [batch + (spec.n,)] * (3 * spec.K + 2)
+            # the kernel's own slice: one vector, or the batch flattened into rows
+            rows = (math.prod(batch),) if batch else ()
+            assert calls == [rows + (spec.n,)] * (3 * spec.K + 2)
 
 
 HINDSIGHT_GAMES = [
@@ -262,6 +266,19 @@ class TestOwnPlansAndTotals:
                 assert value == float(np.sum(total_payoff(spec, stack, j)))
                 summed = payoff_gradient(spec, stack, j).reshape(-1, spec.K * spec.n).sum(axis=0)
                 np.testing.assert_array_equal(gradient, summed)
+
+    def test_one_player_objective_is_the_plans_own_payoff_whatever_the_batch(self):
+        # no plan is fixed, so the profiles hold no batch for the totals to carry
+        rng = np.random.default_rng(89)
+        spec = random_linear_game(rng, 1, 4, 3)
+        own = random_feasible_profile(rng, spec)
+        expected = total_payoff(spec, own, 0), payoff_gradient(spec, own, 0).ravel()
+        for batch in [(), (5,), (2, 3)]:
+            profiles = np.stack([random_feasible_profile(rng, spec)
+                                 for _ in range(math.prod(batch))]).reshape(batch + own.shape)
+            value, gradient = game_model._objective_for_player(spec, profiles, 0)(own.ravel())
+            assert value == expected[0]
+            np.testing.assert_array_equal(gradient, expected[1])
 
     def test_objective_pass_takes_one_own_plan_without_a_batch_axis(self, monkeypatch):
         spec = random_linear_game(np.random.default_rng(79), 3, 4, 3)

@@ -72,6 +72,11 @@ class TestBuildNetwork:
         with pytest.raises(ValueError, match=match):
             Network(adjacency=adjacency)
 
+    @pytest.mark.parametrize("build", [Network, build_network])
+    def test_empty_adjacency_is_a_named_error(self, build):
+        with pytest.raises(ValueError, match="at least one individual"):
+            build(np.zeros((0, 0)))
+
 
 class TestPropagator:
     def test_zero_time_is_identity(self, path_network):
@@ -199,6 +204,17 @@ class TestJumps:
     def test_single_negative_entry_refused(self):
         with pytest.raises(InfeasiblePlanError, match="negative budget"):
             jump_single(np.array([0.5, 0.5]), np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize("x, b", [
+        pytest.param([0.0, 0.0], [np.nan, 0.0], id="nan-budget"),
+        pytest.param([np.nan, 0.0], [0.0, 0.0], id="nan-opinion"),
+        pytest.param([0.0, 0.0], [0.0, np.inf], id="infinite-budget"),
+        pytest.param([0.0, 0.0], [-np.inf, 0.0], id="minus-infinite-budget"),
+        pytest.param([np.inf, 0.0], [0.0, 0.0], id="infinite-opinion"),
+    ])
+    def test_single_non_finite_entry_refused(self, x, b):
+        with pytest.raises(ValueError, match="non-finite"):
+            jump_single(np.array(x), np.array(b))
 
     def test_single_mismatched_shapes_refused(self):
         with pytest.raises(ValueError, match="matching shape"):

@@ -243,6 +243,21 @@ class TestBruteForce:
             with pytest.raises(ValueError, match="positive and finite"):
                 brute_force_best_response(spec, profile, 0, grid_step)
 
+    @pytest.mark.parametrize("j, error, match", [
+        *(pytest.param(j, ValueError, "player index must be an integer", id=repr(j))
+          for j in (True, False, 1.0, np.float64(0.0), "1", None)),
+        pytest.param(2, IndexError, None, id="past-the-last"),
+        pytest.param(-3, IndexError, None, id="before-the-first"),
+    ])
+    def test_player_index_checked_before_any_grid(self, monkeypatch, j, error, match):
+        def no_grid(*args):
+            raise AssertionError("grid built before the player index was checked")
+
+        monkeypatch.setattr(verification, "_grid_candidates", no_grid)
+        spec = random_linear_game(np.random.default_rng(0), 2, 2, 1)
+        with pytest.raises(error, match=match):
+            brute_force_best_response(spec, np.zeros((2, 1, 2)), j, 0.5)
+
     def test_dimension_guard(self):
         spec = single_player_spec(n=3, K=2, x0=0.5, budget=1.0)
         with pytest.raises(ValueError):
