@@ -49,7 +49,6 @@ from .equilibrium_solver import (
     solve_equilibrium,
 )
 from .verification import (
-    FiniteDifferenceResult,
     brute_force_best_response,
     fd_gradient,
     opinions_at_campaigns_closed_form,

@@ -226,14 +226,20 @@ def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[n
 
 
 def jump_single(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Additive single-player jump x + b, requiring 0 <= b <= 1 - x to
-    ``FEASIBILITY_TOL``.  Each check is written so that a NaN fails it, and
-    a failure caused by a non-finite entry raises ValueError, an infeasible
-    one InfeasiblePlanError."""
+    """Additive single-player jump x + b, requiring x >= 0 and
+    0 <= b <= 1 - x to ``FEASIBILITY_TOL``.  Each check is written so that a
+    NaN fails it.  An opinion below 0 is no opinion state, whatever the
+    plan, so it raises ValueError, as does a failure caused by a non-finite
+    entry; a budget outside its bounds raises InfeasiblePlanError."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != b.shape:
         raise ValueError("opinion and budget vectors must have matching shape")
+    lowest = np.min(x)
+    if not lowest >= -FEASIBILITY_TOL:
+        if not np.isfinite(lowest):
+            raise ValueError("single-player jump has a non-finite opinion entry")
+        raise ValueError(f"single-player jump has an opinion below 0 ({lowest:.3e})")
     low = np.min(b)
     if not low >= -FEASIBILITY_TOL:
         if not np.isfinite(low):

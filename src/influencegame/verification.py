@@ -22,19 +22,22 @@ one expression, with the stream and the values of drawing and building
 them one at a time.
 
 Every point-wise oracle evaluates all its points in one call.  The function
-handed to ``fd_gradient`` or judged by the midpoint rule takes a stack of
-points shaped (B, *shape) and returns B values, so a game payoff goes
-through the kernel's batch axis: ``total_payoff`` on a (B, m, K, n) stack of
-profiles, as do a grid search's candidates.  A check reports its own
-failure: the stochasticity check measures ``_flow``, the matrices
-``propagator`` builds and would refuse, as one stack per network size, and a
-NaN value fails every check.
+judged by the midpoint rule takes a stack of points shaped (B, *shape) and
+returns B values; the one handed to ``fd_gradient`` takes the 2d perturbed
+points of B points at once, shaped (2d, B, *shape), and returns (2d, B)
+values.  So a game payoff goes through the kernel's batch axes:
+``total_payoff`` on a (B, m, K, n) or (2d, B, m, K, n) stack of profiles, as
+do a grid search's candidates.  The gradients suite makes one
+finite-difference call per scenario and player, on all the profiles drawn
+for that player, beside one analytic gradient per profile.  A check reports
+its own failure: the stochasticity check measures ``_flow``, the matrices
+``propagator`` builds and would refuse, as one stack per network size, and
+a NaN value fails every check.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,71 +60,34 @@ def _worst(values) -> float:
     return float(np.max(np.hstack(values), initial=-np.inf))
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteDifferenceResult:
-    """Central-difference gradient; ``one_sided`` lists coordinates where a
-    perturbed evaluation failed and a one-sided difference was used instead."""
+def fd_gradient(evaluator: Callable, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradients of a scalar function at a stack of
+    points shaped (B, *shape); returns the (B, *shape) gradients.
 
-    gradient: np.ndarray
-    one_sided: tuple[int, ...] = ()
-
-
-def fd_gradient(evaluator: Callable, point: np.ndarray, h: float = 1e-5) -> FiniteDifferenceResult:
-    """Finite-difference gradient of a scalar function.
-
-    ``evaluator`` takes a stack of points shaped (B, *point.shape) and
-    returns their B values.  All 2d central-difference points go in one
-    call.  When that call raises (for instance because a perturbed point
-    leaves the feasible set), the gradient is rebuilt coordinate by
-    coordinate from 1-row stacks, each perturbed point evaluated at most
-    once and a raising evaluation read as a missing value: central where
-    both sides evaluate, else a second-order one-sided stencil on the side
-    that does (the + side first), degrading to the plain one-sided quotient
-    when the two-step point is missing too.  A step h that is not positive
-    and finite raises ValueError before any evaluation.
+    ``evaluator`` gets all 2d perturbed points of every row, d the size of
+    one point, in one call: a (2d, B, *shape) stack holding the d forward
+    points x + h e_i and then the d backward ones, whose (2d, B) values it
+    returns.  Row b's gradient is read from row b's values alone, so a
+    B-row stack gives the B one-row results bit for bit when the evaluator
+    scores each point on its own.  A step h that is not positive and
+    finite, points without a stack axis, or a point that is not finite
+    raise ValueError before any evaluation; an error the evaluator raises
+    propagates.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
-    point = np.asarray(point, dtype=float)
-    flat = point.ravel()
-
-    def evaluate(rows):
-        return np.asarray(evaluator(rows.reshape((-1,) + point.shape)), dtype=float)
-
-    steps = h * np.eye(flat.size)
-    try:
-        values = evaluate(np.concatenate([flat + steps, flat - steps]))
-    except Exception:
-        pass
-    else:
-        gradient = (values[: flat.size] - values[flat.size :]) / (2.0 * h)
-        return FiniteDifferenceResult(gradient=gradient.reshape(point.shape))
-
-    def value_at(row):
-        try:
-            return evaluate(row)[0]
-        except Exception:
-            return None
-
-    gradient, one_sided, center = np.empty(flat.size), [], None
-    for i, step in enumerate(steps):
-        plus, minus = value_at(flat + step), value_at(flat - step)
-        if plus is not None and minus is not None:
-            gradient[i] = (plus - minus) / (2.0 * h)
-            continue
-        if plus is None and minus is None:
-            raise ValueError(f"evaluator failed on both sides of coordinate {i}")
-        sign, near = (1.0, plus) if plus is not None else (-1.0, minus)
-        if center is None:
-            center = evaluate(flat)[0]
-        far = value_at(flat + 2.0 * sign * step)
-        if far is None:
-            gradient[i] = sign * (near - center) / h
-        else:
-            gradient[i] = sign * (-3.0 * center + 4.0 * near - far) / (2.0 * h)
-        one_sided.append(i)
-    return FiniteDifferenceResult(gradient=gradient.reshape(point.shape),
-                                  one_sided=tuple(one_sided))
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 0:
+        raise ValueError("finite-difference points must be stacked as (B, *shape)")
+    if not np.isfinite(points).all():
+        raise ValueError("finite-difference points must be finite")
+    flat = points.reshape(len(points), -1)
+    d = flat.shape[1]
+    steps = h * np.eye(d)[:, None]  # (d, 1, d): step i for every row
+    stack = np.concatenate([flat + steps, flat - steps])
+    values = np.asarray(evaluator(stack.reshape((2 * d,) + points.shape)), dtype=float)
+    plus, minus = values.reshape(2, d, len(flat))
+    return ((plus - minus) / (2.0 * h)).T.reshape(points.shape)
 
 
 def _grid_candidates(cap: float, dims: int, grid_step: float) -> np.ndarray:
@@ -377,19 +343,26 @@ def _suite_gradients(seed: int) -> list[dict]:
     for scenario in range(10):
         m = int(rng.integers(1, 4))
         spec = random_linear_game(rng, m, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        # j -> (profiles, analytic gradients), drawn profile after profile;
+        # each player's profiles then share one finite-difference call
+        by_player = defaultdict(lambda: ([], []))
         for _ in range(20):
             profile = random_feasible_profile(rng, spec)
             j = int(rng.integers(m))
-            analytic = payoff_gradient(spec, profile, j)
+            profiles, analytic = by_player[j]
+            profiles.append(profile)
+            analytic.append(payoff_gradient(spec, profile, j))
+        for j, (profiles, analytic) in by_player.items():
+            profiles = np.array(profiles)
 
-            def payoff_of_own(own, spec=spec, profile=profile, j=j):
-                candidates = np.repeat(profile[None], len(own), axis=0)
-                candidates[:, j] = own
+            def payoff_of_own(own, spec=spec, profiles=profiles, j=j):
+                candidates = np.broadcast_to(profiles, own.shape[:1] + profiles.shape).copy()
+                candidates[..., j, :, :] = own
                 return total_payoff(spec, candidates, j)
 
-            numeric = fd_gradient(payoff_of_own, profile[j], h=1e-5).gradient
-            scale = max(float(np.max(np.abs(numeric))), 1e-12)
-            errors.append(float(np.max(np.abs(analytic - numeric))) / scale)
+            numeric = fd_gradient(payoff_of_own, profiles[:, j], h=1e-5)
+            scale = np.maximum(np.abs(numeric).max(axis=(1, 2)), 1e-12)
+            errors.append(np.abs(np.array(analytic) - numeric).max(axis=(1, 2)) / scale)
     worst = _worst(errors)
     return [_check("analytic-vs-finite-difference", worst < 1e-6,
                    max_relative_error=worst)]

@@ -11,6 +11,8 @@ from influencegame import (
     OpinionState,
     StageUtility,
     build_network,
+    fd_gradient,
+    total_payoff,
 )
 from influencegame import equilibrium_solver, game_model, opinion_dynamics
 from influencegame.single_player_solver import _warm_projection
@@ -91,6 +93,18 @@ def count_kernel_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(game_model, "_columns_pass", counting)
     return plans
+
+
+def payoff_fd_gradients(spec, profiles, j, h=1e-5):
+    """Central differences of player j's payoff in its own plan at each
+    profile of the (B, m, K, n) stack, from one ``fd_gradient`` call: the
+    perturbed plans of row b are scored in profile b."""
+    def payoff_of_own(own):
+        candidates = np.broadcast_to(profiles, own.shape[:1] + profiles.shape).copy()
+        candidates[..., j, :, :] = own
+        return total_payoff(spec, candidates, j)
+
+    return fd_gradient(payoff_of_own, profiles[:, j], h)
 
 
 def nested_loop_csv(trace):

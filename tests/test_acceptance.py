@@ -25,12 +25,11 @@ from influencegame.cli import reference_scenario
 from influencegame.game_model import _midpoint_violations
 from influencegame.verification import (
     brute_force_best_response,
-    fd_gradient,
     random_feasible_profile,
     random_linear_game,
     random_network,
 )
-from conftest import subprocess_env
+from conftest import payoff_fd_gradients, subprocess_env
 
 HORIZONS = (25, 50, 100, 200, 400)
 
@@ -202,13 +201,7 @@ def test_criterion_6_gradient_oracle():
             profile = random_feasible_profile(rng, spec)
             j = int(rng.integers(m))
             analytic = payoff_gradient(spec, profile, j)
-
-            def payoff_of_own(own, spec=spec, profile=profile, j=j):
-                candidates = np.repeat(profile[None], len(own), axis=0)
-                candidates[:, j] = own
-                return total_payoff(spec, candidates, j)
-
-            numeric = fd_gradient(payoff_of_own, profile[j]).gradient
+            numeric = payoff_fd_gradients(spec, profile[None], j)[0]
             scale = max(float(np.max(np.abs(numeric))), 1e-12)
             worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
     report(6, worst < 1e-6,

@@ -15,7 +15,6 @@ EXPORTS = [
     "ConvergenceError",
     "EquilibriumResult",
     "FeasibleRegion",
-    "FiniteDifferenceResult",
     "GameSpec",
     "HypothesisCheckError",
     "InfeasiblePlanError",
@@ -63,7 +62,6 @@ SIGNATURES = {
     "ConvergenceError": "message, last_iterate=None, residual=None",
     "EquilibriumResult": "profile, exploitability, regrets, iterations",
     "FeasibleRegion": "normals, offsets",
-    "FiniteDifferenceResult": "gradient, one_sided=()",
     "GameSpec": "network, schedule, x0, budgets, utilities",
     "HypothesisCheckError": None,
     "InfeasiblePlanError": None,
@@ -84,7 +82,7 @@ SIGNATURES = {
     "build_region": "spec",
     "check_stochastic": "matrix",
     "exploitability": "spec, profile",
-    "fd_gradient": "evaluator, point, h=1e-05",
+    "fd_gradient": "evaluator, points, h=1e-05",
     "jump_single": "x, b",
     "opinions_at_campaigns": "spec, profile",
     "opinions_at_campaigns_closed_form": "spec, profile",

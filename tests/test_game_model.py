@@ -26,12 +26,12 @@ from influencegame import (
 from influencegame import game_model
 from influencegame.verification import (
     brute_force_best_response,
-    fd_gradient,
     random_feasible_profile,
     random_linear_game,
 )
 from influencegame.equilibrium_solver import regret, run_no_regret
-from conftest import count_flow_builds, count_kernel_passes, single_player_spec
+from conftest import (count_flow_builds, count_kernel_passes, payoff_fd_gradients,
+                      single_player_spec)
 
 
 def eig_expm(sym: np.ndarray, t: float) -> np.ndarray:
@@ -184,12 +184,7 @@ class TestColumnsPass:
         profile = random_feasible_profile(rng, spec)
         _, _, payoffs, gradients = game_model._profile_pass(spec, profile)
         for j in range(spec.m):
-            def payoff_of_own(own, j=j):
-                candidates = np.repeat(profile[None], len(own), axis=0)
-                candidates[:, j] = own
-                return total_payoff(spec, candidates, j)
-
-            numeric = fd_gradient(payoff_of_own, profile[j]).gradient
+            numeric = payoff_fd_gradients(spec, profile[None], j)[0]
             scale = max(np.max(np.abs(numeric)), 1e-12)
             assert np.max(np.abs(gradients[j] - numeric)) / scale < 1e-6
             assert payoffs[j] == pytest.approx(total_payoff(spec, profile, j), abs=1e-14)
@@ -723,13 +718,7 @@ class TestPayoffGradient:
                 profile = random_feasible_profile(rng, spec)
                 j = int(rng.integers(spec.m))
                 analytic = payoff_gradient(spec, profile, j)
-
-                def payoff_of_own(own, profile=profile, j=j, spec=spec):
-                    candidates = np.repeat(profile[None], len(own), axis=0)
-                    candidates[:, j] = own
-                    return total_payoff(spec, candidates, j)
-
-                numeric = fd_gradient(payoff_of_own, profile[j]).gradient
+                numeric = payoff_fd_gradients(spec, profile[None], j)[0]
                 scale = max(np.max(np.abs(numeric)), 1e-12)
                 worst = max(worst, np.max(np.abs(analytic - numeric)) / scale)
         assert worst < 1e-6

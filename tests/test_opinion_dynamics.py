@@ -125,7 +125,7 @@ class TestPropagator:
             direct = propagator(net, dt1 + dt2)
             assert np.max(np.abs(combined - direct)) <= 1e-8
 
-    def test_matrix_exponential_against_series(self):
+    def test_flow_against_series(self):
         # the builder against the plain series of exp(-L t), which converges
         # fast at these times (||L t|| <= 2)
         rng = np.random.default_rng(3)
@@ -215,6 +215,20 @@ class TestJumps:
     def test_single_non_finite_entry_refused(self, x, b):
         with pytest.raises(ValueError, match="non-finite"):
             jump_single(np.array(x), np.array(b))
+
+    @pytest.mark.parametrize("x, match", [
+        pytest.param([-np.inf, 0.5], "non-finite opinion", id="minus-infinite-opinion"),
+        pytest.param([-5.0, 0.5], "opinion below 0", id="negative-opinion"),
+        pytest.param([0.5, -2e-9], "opinion below 0", id="just-beyond-the-tolerance"),
+    ])
+    def test_single_opinion_below_zero_refused(self, x, match):
+        # a zero budget passes both budget checks, so only the opinion check can refuse
+        with pytest.raises(ValueError, match=match):
+            jump_single(np.array(x), np.zeros(2))
+
+    def test_single_opinion_within_the_tolerance_below_zero_accepted(self):
+        np.testing.assert_array_equal(jump_single(np.array([-1e-10, 0.5]), np.zeros(2)),
+                                      [0.0, 0.5])
 
     def test_single_mismatched_shapes_refused(self):
         with pytest.raises(ValueError, match="matching shape"):

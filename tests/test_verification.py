@@ -14,6 +14,7 @@ from influencegame import (
     build_region,
     check_stochastic,
     fd_gradient,
+    payoff_gradient,
     propagator,
     solve_single,
     total_payoff,
@@ -21,7 +22,7 @@ from influencegame import (
 from influencegame import game_model, opinion_dynamics, verification
 from influencegame.game_model import _MIDPOINT_TOL, _midpoint_violations
 from influencegame.verification import random_feasible_profile, random_linear_game, run_suite
-from conftest import single_player_spec
+from conftest import count_kernel_passes, payoff_fd_gradients, single_player_spec
 
 
 def stacked(matrix):
@@ -35,18 +36,32 @@ def stacked(matrix):
 
 class TestFdGradient:
     def test_quadratic(self):
-        result = fd_gradient(lambda x: x[:, 0] ** 2, np.array([3.0]))
-        assert result.gradient[0] == pytest.approx(6.0, abs=1e-9)
-        assert result.one_sided == ()
+        gradient = fd_gradient(lambda x: x[..., 0] ** 2, np.array([[3.0]]))
+        assert gradient.shape == (1, 1)
+        assert gradient[0, 0] == pytest.approx(6.0, abs=1e-9)
 
     def test_linear_is_exact(self):
         c = np.array([2.0, -1.5, 0.25])
-        result = fd_gradient(lambda x: x @ c, np.array([0.3, 0.7, 0.1]))
-        np.testing.assert_allclose(result.gradient, c, atol=1e-9)
+        gradient = fd_gradient(lambda x: x @ c, np.array([[0.3, 0.7, 0.1], [0.0, -4.0, 9.0]]))
+        np.testing.assert_allclose(gradient, [c, c], atol=1e-9)
+
+    def test_evaluator_gets_the_forward_then_the_backward_points(self):
+        points = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])  # B = 2 points shaped (1, 2)
+        h = 0.5
+        seen = []
+
+        def evaluator(x):
+            seen.append(x.copy())
+            return x.sum(axis=(-2, -1))
+
+        fd_gradient(evaluator, points, h=h)
+        steps = h * np.eye(2).reshape(2, 1, 1, 2)
+        np.testing.assert_array_equal(seen[0], np.concatenate([points + steps, points - steps]))
 
     def test_game_payoff_hand_value(self):
-        # one individual, two players, static network, free budgets: the
-        # marginal value of the first player's first-stage unit is 1/4
+        # one individual, two players, static network, free budgets, the
+        # second player idle: the first player's payoff is (1/2 + x1) / 2 with
+        # x1 = (1/2 + b) / (1 + b), so its marginal value at b is 1 / (4 (1 + b)^2)
         spec = GameSpec(
             network=build_network(np.array([[1.0]])),
             schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
@@ -57,40 +72,17 @@ class TestFdGradient:
                 StageUtility(rho=np.ones((2, 1)), cost_coefficient=0.0),
             ),
         )
+        profiles = np.zeros((2, 2, 1, 1))
+        profiles[:, 0, 0, 0] = [0.1, 0.5]
+        gradient = payoff_fd_gradients(spec, profiles, 0)
+        np.testing.assert_allclose(gradient.ravel(), 0.25 / np.array([1.1, 1.5]) ** 2,
+                                   rtol=0, atol=1e-7)
 
-        def payoff(own):
-            profiles = np.zeros((len(own), 2, 1, 1))
-            profiles[:, 0] = own.reshape(-1, 1, 1)
-            return total_payoff(spec, profiles, 0)
-
-        result = fd_gradient(payoff, np.zeros((1, 1)))
-        assert result.gradient[0, 0] == pytest.approx(0.25, abs=1e-7)
-
-    def test_one_sided_fallback_recorded(self):
-        def half_line(x):
-            if np.any(x[:, 0] < 1.0):
-                raise ValueError("outside domain")
-            return x[:, 0] ** 2
-
-        result = fd_gradient(half_line, np.array([1.0]), h=1e-6)
-        assert result.one_sided == (0,)
-        assert result.gradient[0] == pytest.approx(2.0, abs=1e-4)
-
-    @pytest.mark.parametrize("at_zero", [False, True])
-    def test_stack_matches_a_per_coordinate_loop(self, at_zero):
-        # h = 1e-2 keeps round-off (about eps / h) far below the 1e-12 bound;
-        # with player 0's last entry at zero its backward point is infeasible,
-        # so the stacked call raises and that coordinate goes one-sided
+    def test_stack_matches_a_per_coordinate_loop(self):
+        # h = 1e-2 keeps round-off (about eps / h) far below the 1e-12 bound
         spec = random_linear_game(np.random.default_rng(29), 2, 3, 2)
         profile = np.full((2, 2, 3), 0.03)
-        if at_zero:
-            profile[0, 1, 2] = 0.0
         h = 1e-2
-
-        def stacked(own):
-            candidates = np.repeat(profile[None], len(own), axis=0)
-            candidates[:, 0] = own
-            return total_payoff(spec, candidates, 0)
 
         def one(flat):
             candidate = profile.copy()
@@ -98,59 +90,38 @@ class TestFdGradient:
             return total_payoff(spec, candidate, 0)
 
         flat = profile[0].ravel()
-        expected = []
-        for step, entry in zip(h * np.eye(6), flat):
-            if entry >= h:
-                expected.append((one(flat + step) - one(flat - step)) / (2.0 * h))
-            else:
-                expected.append((-3.0 * one(flat) + 4.0 * one(flat + step)
-                                 - one(flat + 2.0 * step)) / (2.0 * h))
-        result = fd_gradient(stacked, profile[0], h=h)
-        assert result.one_sided == ((5,) if at_zero else ())
-        np.testing.assert_allclose(result.gradient.ravel(), expected, rtol=0, atol=1e-12)
+        expected = [(one(flat + step) - one(flat - step)) / (2.0 * h) for step in h * np.eye(6)]
+        gradient = payoff_fd_gradients(spec, profile[None], 0, h=h)
+        np.testing.assert_allclose(gradient.ravel(), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_one_row_calls_on_the_suites_games(self, seed):
+        # the gradients suite's own games and draws: a B-row stack gives the
+        # B one-row results bit for bit
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            m = int(rng.integers(1, 4))
+            spec = random_linear_game(rng, m, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+            draws = [(random_feasible_profile(rng, spec), int(rng.integers(m))) for _ in range(20)]
+            for j in range(m):
+                profiles = np.array([profile for profile, player in draws if player == j])
+                if len(profiles):
+                    stacked = payoff_fd_gradients(spec, profiles, j)
+                    rows = [payoff_fd_gradients(spec, profile[None], j)[0] for profile in profiles]
+                    np.testing.assert_array_equal(stacked, rows)
 
-    def test_fallback_evaluates_each_point_at_most_once(self):
-        # coordinate 0 sits on the lower edge of the domain, coordinate 1 on
-        # the upper one, coordinate 2 inside: the stacked call raises and the
-        # fallback needs 4 + 3 + 2 one-row evaluations, the centre only once
-        rows = []
+    def test_raising_evaluator_propagates_after_one_call(self):
+        calls = []
 
-        def boxed(x):
-            if len(x) == 1:
-                rows.append(tuple(x[0]))
-            if np.any(x[:, 0] < 1.0) or np.any(x[:, 1] > 2.0):
+        def half_line(x):
+            calls.append(x.shape)
+            if np.any(x[..., 0] < 1.0):
                 raise ValueError("outside domain")
-            return x[:, 0] ** 2 + x[:, 1] ** 3 + x[:, 2]
+            return x[..., 0] ** 2
 
-        result = fd_gradient(boxed, np.array([1.0, 2.0, 0.5]), h=1e-6)
-        assert result.one_sided == (0, 1)
-        np.testing.assert_allclose(result.gradient, [2.0, 12.0, 1.0], atol=1e-5)
-        assert len(rows) == 9 and len(set(rows)) == 9
-
-    def test_plain_one_sided_quotient_when_the_two_step_point_fails(self):
-        # the domain is [1, 1 + 1.5 h]: from x = 1 only the + neighbour
-        # evaluates, so the gradient is (f(1 + h) - f(1)) / h = 2 + h, not
-        # the second-order stencil's 2
-        h = 1e-3
-
-        def narrow(x):
-            if np.any(x[:, 0] < 1.0) or np.any(x[:, 0] > 1.0 + 1.5 * h):
-                raise ValueError("outside domain")
-            return x[:, 0] ** 2
-
-        result = fd_gradient(narrow, np.array([1.0]), h=h)
-        assert result.one_sided == (0,)
-        assert result.gradient[0] == pytest.approx(2.0 + h, rel=1e-9)
-
-    def test_both_sides_failing_is_refused(self):
-        def nowhere_but_the_point(x):
-            if np.any(x[:, 0] != 1.0):
-                raise ValueError("outside domain")
-            return x[:, 0]
-
-        with pytest.raises(ValueError, match="both sides of coordinate 0"):
-            fd_gradient(nowhere_but_the_point, np.array([1.0]))
+        with pytest.raises(ValueError, match="outside domain"):
+            fd_gradient(half_line, np.array([[1.0], [2.0]]), h=1e-6)
+        assert calls == [(2, 2, 1)]
 
     @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
     def test_step_must_be_positive_and_finite(self, h):
@@ -158,10 +129,27 @@ class TestFdGradient:
 
         def evaluator(x):
             calls.append(len(x))
-            return x[:, 0]
+            return x[..., 0]
 
         with pytest.raises(ValueError, match="positive and finite"):
-            fd_gradient(evaluator, np.array([1.0]), h=h)
+            fd_gradient(evaluator, np.array([[1.0]]), h=h)
+        assert calls == []
+
+    @pytest.mark.parametrize("points, match", [
+        pytest.param([[1.0, 2.0], [3.0, np.nan]], "points must be finite", id="nan"),
+        pytest.param([[1.0, 2.0], [3.0, np.inf]], "points must be finite", id="inf"),
+        pytest.param([[1.0, 2.0], [3.0, -np.inf]], "points must be finite", id="minus-inf"),
+        pytest.param(1.0, "stacked as", id="no-stack-axis"),
+    ])
+    def test_bad_points_refused_before_any_evaluation(self, points, match):
+        calls = []
+
+        def evaluator(x):
+            calls.append(len(x))
+            return x[..., 0]
+
+        with pytest.raises(ValueError, match=match):
+            fd_gradient(evaluator, np.array(points))
         assert calls == []
 
 
@@ -432,6 +420,60 @@ class TestSuites:
     def test_suites_pass(self, name):
         report = run_suite(name, seed=1)
         assert report["passed"], report
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_record_equals_a_one_row_reference_loop(self, seed):
+        # the suite one profile at a time: one one-row finite-difference
+        # call beside each analytic gradient
+        rng = np.random.default_rng(seed)
+        errors = []
+        for _ in range(10):
+            m = int(rng.integers(1, 4))
+            spec = random_linear_game(rng, m, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+            for _ in range(20):
+                profile = random_feasible_profile(rng, spec)
+                j = int(rng.integers(m))
+                analytic = payoff_gradient(spec, profile, j)
+                numeric = payoff_fd_gradients(spec, profile[None], j)[0]
+                scale = max(float(np.max(np.abs(numeric))), 1e-12)
+                errors.append(float(np.max(np.abs(analytic - numeric))) / scale)
+        worst = max(errors)
+        check = {"name": "analytic-vs-finite-difference", "passed": worst < 1e-6,
+                 "max_relative_error": worst}
+        assert run_suite("gradients", seed) == {
+            "suite": "gradients", "seed": seed, "passed": worst < 1e-6, "checks": [check]}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_finite_difference_call_per_scenario_and_player(self, monkeypatch, seed):
+        # per scenario: its player count, then its evaluator calls
+        scenarios, analytic = [], []
+        build, differences, gradient = (verification.random_linear_game,
+                                        verification.fd_gradient, verification.payoff_gradient)
+
+        def building(rng, m, n, K):
+            scenarios.append([m, 0])
+            return build(rng, m, n, K)
+
+        def differencing(evaluator, points, h=1e-5):
+            def counted(x):
+                scenarios[-1][1] += 1
+                return evaluator(x)
+            return differences(counted, points, h)
+
+        def analytic_pass(spec, profile, j):
+            analytic.append(profile.shape)
+            return gradient(spec, profile, j)
+
+        monkeypatch.setattr(verification, "random_linear_game", building)
+        monkeypatch.setattr(verification, "fd_gradient", differencing)
+        monkeypatch.setattr(verification, "payoff_gradient", analytic_pass)
+        passes = count_kernel_passes(monkeypatch)
+        assert run_suite("gradients", seed)["passed"]
+        assert len(scenarios) == 10
+        assert all(1 <= calls <= m for m, calls in scenarios)
+        assert len(analytic) == 200 and all(len(shape) == 3 for shape in analytic)
+        # each evaluator call and each analytic gradient is one kernel pass
+        assert len(passes) == 200 + sum(calls for _, calls in scenarios)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
