@@ -185,27 +185,29 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_read_json(path))
 
 
+# The built-in two-player configuration, the README's scenario file: three
+# individuals on a path, two campaigns at t = 1, 2 on a [0, 3] horizon,
+# budgets 3 and 5, unit opinion weights and unit advertising costs, everyone
+# starting undecided at 1/2.
+REFERENCE_DOCUMENT = """\
+{
+  "network": [[2, 1, 0], [1, 1, 1], [0, 1, 2]],
+  "schedule": [0.0, 1.0, 2.0, 3.0],
+  "players": [
+    {"budget": 3.0,
+     "utility": {"kind": "linear-favor", "rho": [[1,1,1],[1,1,1],[1,1,1]], "lambda": 1.0}},
+    {"budget": 5.0,
+     "utility": {"kind": "linear-favor", "rho": [[1,1,1],[1,1,1],[1,1,1]], "lambda": 1.0}}
+  ],
+  "x0": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+  "solver": {"T": 100}
+}
+"""
+
+
 def reference_scenario() -> Scenario:
-    """Built-in two-player configuration: three individuals on a path, two
-    campaigns at t = 1, 2 on a [0, 3] horizon, budgets 3 and 5, unit opinion
-    weights and unit advertising costs, everyone starting undecided at 1/2."""
-    adjacency = np.array([
-        [2 / 3, 1 / 3, 0.0],
-        [1 / 3, 1 / 3, 1 / 3],
-        [0.0, 1 / 3, 2 / 3],
-    ])
-    rho = np.ones((3, 3))
-    spec = GameSpec(
-        network=build_network(adjacency),
-        schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0, 3.0])),
-        x0=OpinionState(np.full((3, 2), 0.5)),
-        budgets=np.array([3.0, 5.0]),
-        utilities=(
-            StageUtility(rho=rho, cost_coefficient=1.0),
-            StageUtility(rho=rho, cost_coefficient=1.0),
-        ),
-    )
-    return Scenario(spec=spec, solver=SolverSettings(T=100))
+    """``REFERENCE_DOCUMENT``, parsed and checked as any scenario file is."""
+    return scenario_from_dict(json.loads(REFERENCE_DOCUMENT))
 
 
 def load_plans(path, spec: GameSpec) -> np.ndarray:
@@ -215,19 +217,12 @@ def load_plans(path, spec: GameSpec) -> np.ndarray:
     infeasible plan an InfeasiblePlanError."""
     document = _read_json(path)
     _strict_keys(document, ("plans",), ("plans",), "plans file")
-    entries = document["plans"]
-    if not isinstance(entries, list) or len(entries) != spec.m:
-        raise ScenarioError(f"plans file must list one K x n matrix per player ({spec.m})")
-    matrices = []
-    for j, matrix in enumerate(entries):
-        arr = _json_array(matrix, f"plan {j}")
-        if arr.shape != (spec.K, spec.n):
-            raise ScenarioError(
-                f"plan {j} must be shaped ({spec.K}, {spec.n}), got {arr.shape}"
-            )
-        matrices.append(arr)
+    plans = _json_array(document["plans"], "plans")
+    if plans.shape != (spec.m, spec.K, spec.n):
+        raise ScenarioError(f"plans must hold one ({spec.K}, {spec.n}) matrix per player "
+                            f"({spec.m}), got shape {plans.shape}")
     try:
-        return validate_plans(spec, matrices)
+        return validate_plans(spec, plans)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -258,9 +253,10 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     profile = load_plans(args.plans, spec)
-    try:  # numpy refuses too large an array with MemoryError or ValueError
+    try:  # numpy refuses too large an array with MemoryError or ValueError, and
+        # linspace near 2^63 samples with IndexError
         samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
-    except (MemoryError, ValueError) as exc:
+    except (MemoryError, ValueError, IndexError) as exc:
         raise ScenarioError(f"--samples {args.samples} is too large: {exc}") from exc
     points = simulate_trajectory(spec, profile, samples)
     atomic_write_text(args.out, _trajectory_csv(points))

@@ -174,6 +174,7 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
+    tol = PROJECTION_TOL * max(1.0, float(np.abs(p).max(initial=0.0)))
     trial = working.copy() if working.any() else _budget_start(p, region)
     held, fixed = trial[: region.count], trial[region.count :]
     # row 0: the point less the entering row's normal times that row's
@@ -189,8 +190,8 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
         gaps = pair - solution.T @ rows
         multipliers, rates = np.concatenate([solution.T, -gaps[:, fixed]], axis=1)
         x, residual = np.where(fixed, 0.0, gaps)
-        if multipliers.min(initial=0.0) < -PROJECTION_TOL:
-            trial[trial.nonzero()[0][multipliers < -PROJECTION_TOL]] = False
+        if multipliers.min(initial=0.0) < -tol:
+            trial[trial.nonzero()[0][multipliers < -tol]] = False
             continue
         if entering is not None:
             with np.errstate(all="ignore"):  # a ratio past the float range is no block
@@ -200,7 +201,10 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
             independent = squared > PROJECTION_TOL * float(pair[1] @ pair[1])
             full = violation / squared if independent else np.inf
             if partial == full == np.inf:
-                break
+                raise ConvergenceError(
+                    "dual active-set projection found a violated row that depends on "
+                    "its working set with no row to drop: the region is empty up to "
+                    "round-off", last_iterate=x, residual=region.max_violation(x))
             step = max(0.0, min(partial, full))
             if partial < full:
                 pair[0] -= step * pair[1]
@@ -213,7 +217,7 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
         excess = np.where(trial, -np.inf, region.violations(x))
         entering = int(excess.argmax())
         violation = excess[entering]
-        if violation <= PROJECTION_TOL:
+        if violation <= tol:
             working[:] = trial
             return x
         pair[1] = region.normals[entering] if entering < region.count else 0.0
@@ -252,26 +256,28 @@ def _warm_projection(region: FeasibleRegion):
     of n against W.  Each iteration first drops every row of W whose
     multiplier is below -tol, which makes a warm start's W dual feasible;
     then, with no q yet, it adds the most violated row as q.  When
-    ||z||^2 <= tol ||n||^2, q counts as dependent on W: the step is dual
-    only, and the row of W whose multiplier reaches 0 first leaves.
+    ||z||^2 <= ``PROJECTION_TOL`` ||n||^2, q counts as dependent on W: the
+    step is dual only, and the row of W whose multiplier reaches 0 first
+    leaves.
     Otherwise the iterate takes the full step that meets q, after which q
     joins W, unless a multiplier reaches 0 first: then the step is partial
     and that row leaves.  So W stays linearly independent by construction.
     A ratio past the float range blocks nothing.
 
-    The result meets the constraints outside W to tol and W's as equalities
-    up to round-off at the point's scale: every row to tol max(1, max|p|)
-    for a point p, so a point of scale 1e8 may exceed a row of W by about
-    1e-6.  Its KKT multipliers are met to tol, and from a cold start a point
+    The multiplier and violation tests use one scale: tol is
+    ``PROJECTION_TOL`` times max(1, max|p|) for the point p, so a far point
+    stops as a point of size 1 does.  The result meets the constraints
+    outside W to tol and W's as equalities up to round-off at that scale, so
+    every row to tol (a point of scale 1e8 may exceed a row by about 1e-6).
+    Its KKT multipliers are met to tol, and from a cold start a point
     already feasible to tol comes back unchanged (on a region with the
     budget row last, if it is also nonnegative and within the budget
-    exactly, as ``_budget_start`` holds the rest).  Here tol is
-    ``PROJECTION_TOL``, and ``PROJECTION_MAX_CYCLES`` bounds the iterations
-    (one linear solve each).
-    When they run out, or a dependent q has no row of W to drop (an empty
-    region, up to round-off), ConvergenceError carries the last dual iterate,
-    which need not be feasible, and its largest violation.  A point of the
-    wrong shape or with a non-finite entry raises ValueError."""
+    exactly, as ``_budget_start`` holds the rest).  ``PROJECTION_MAX_CYCLES`` bounds the iterations (one
+    linear solve each).  When they run out, or a dependent q has no row of
+    W to drop (the region is empty up to round-off, which the error says),
+    ConvergenceError carries the last dual iterate, which need not be
+    feasible, and its largest violation.  A point of the wrong shape or
+    with a non-finite entry raises ValueError."""
     working = np.zeros(region.count + region.dim, dtype=bool)
     return lambda point: _active_set(point, region, working)
 
@@ -399,10 +405,11 @@ def solve_single(spec: GameSpec) -> SolveReport:
     ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan,
     and raises ConvergenceError, carrying the last plan, if
     ``ASCENT_MAX_STEPS`` accepted steps do not get there.  Every projection
-    meets the polytope's rows to ``PROJECTION_TOL`` times max(1, max|p|), p
-    the projected point; each starts the dual active-set method from the
-    previous projection's final working set, a state held by this call
-    alone, so two calls on one game return the same report.  The zero
+    meets the polytope's rows and its KKT multipliers on one scale,
+    ``PROJECTION_TOL`` times max(1, max|p|), p the projected point; each
+    starts the dual active-set method from the previous projection's final
+    working set, a state held by this call alone, so two calls on one game
+    return the same report.  The zero
     plan's projection ends with an empty working set, so the next one starts
     from that of its point's budget-set projection (``_budget_start``),
     which meets every cap at once on a game where only the budget binds.

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from influencegame.cli import (
 )
 from influencegame.verification import random_linear_game, run_suite
 from influencegame.fileio import atomic_write_text
-from conftest import nested_loop_csv, star_adjacency, subprocess_env
+from conftest import ROOT, nested_loop_csv, star_adjacency, subprocess_env
 
 
 def write_scenario(path, document):
@@ -71,6 +72,14 @@ class TestScenarioRoundTrip:
             assert np.array_equal(left.rho, right.rho)
         assert parsed.solver == scenario.solver
         assert document["solver"] == {"T": 100}
+
+    def test_readme_scenario_file_is_the_reference_document(self):
+        readme = (ROOT / "README.md").read_text()
+        block = re.search(r"^### Scenario files\n\n```json\n(.*?)^```", readme,
+                          re.DOTALL | re.MULTILINE).group(1)
+        parsed = scenario_from_dict(json.loads(block))
+        assert scenario_to_dict(parsed) == scenario_to_dict(reference_scenario())
+        assert block == cli.REFERENCE_DOCUMENT
 
     def test_custom_utility_not_serialized(self):
         spec = random_linear_game(np.random.default_rng(0), 1, 2, 1)
@@ -277,6 +286,15 @@ class TestEquilibrateCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: iteration count {T} is too large: ")
+
+    def test_reference_document_file_runs_as_the_paper_example(self, tmp_path):
+        scenario = tmp_path / "reference.json"
+        scenario.write_text(cli.REFERENCE_DOCUMENT)
+        assert main(["equilibrate", str(scenario), "--out", str(tmp_path / "file")]) == 0
+        assert main(["equilibrate", "--paper-example", "--out", str(tmp_path / "flag")]) == 0
+        for suffix in ("_trace.csv", "_result.json"):
+            assert ((tmp_path / f"file{suffix}").read_bytes()
+                    == (tmp_path / f"flag{suffix}").read_bytes())
 
     def test_single_iteration(self, tmp_path):
         prefix = str(tmp_path / "one")
@@ -607,6 +625,11 @@ class TestBadCommandInputs:
                       "--out", "{out}"], id="samples-too-large-to-allocate"),
         pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", str(10**20),
                       "--out", "{out}"], id="samples-past-the-size-limit"),
+        # np.linspace raises IndexError, not ValueError, for counts near 2^63
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", str(2**63 - 1),
+                      "--out", "{out}"], id="samples-2^63-1"),
+        pytest.param(["simulate", "{reference}", "{zero_plans}", "--samples", str(2**63),
+                      "--out", "{out}"], id="samples-2^63"),
         pytest.param(["solve", "{deep}", "--out", "{out}"], id="deeply-nested-scenario"),
         pytest.param(["simulate", "{reference}", "{deep}", "--out", "{out}"],
                      id="deeply-nested-plans"),

@@ -155,7 +155,7 @@ class TestProjectFeasible:
     ])
     def test_empty_region_raises_convergence_error(self, normal, point, last_iterate):
         region = FeasibleRegion(normals=np.array([normal]), offsets=np.array([-1.0]))
-        with pytest.raises(ConvergenceError) as excinfo:
+        with pytest.raises(ConvergenceError, match="region is empty up to round-off") as excinfo:
             cold_projection(np.array(point), region)
         np.testing.assert_allclose(excinfo.value.last_iterate, last_iterate)
 
@@ -377,6 +377,19 @@ class TestWarmProjection:
                 point = scale * rng.standard_normal(region.dim)
                 bound = 1e-12 * max(1.0, np.abs(point).max())
                 assert region.max_violation(project(point)) <= bound
+
+    @pytest.mark.parametrize("seed, n, K", [(0, 4, 4), (0, 5, 3), (1, 6, 2)])
+    def test_warm_zero_budget_far_points_converge(self, seed, n, K):
+        # one closure, 40 successive far calls at the degenerate vertex {0},
+        # where Kn + 1 rows are active: with tolerances absolute rather than
+        # relative to the point, 17, 16 and 12 of them raised; the answer is
+        # the origin up to round-off at the point's scale
+        spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
+        region = build_region(dataclasses.replace(spec, budgets=np.array([0.0])))
+        project = _warm_projection(region)
+        for point in 1e4 * np.random.default_rng(1).standard_normal((40, region.dim)):
+            bound = 1e-12 * np.abs(point).max()
+            np.testing.assert_allclose(project(point), 0.0, rtol=0, atol=bound)
 
     def test_repeated_solves_are_identical(self):
         first, second = solve_single(BENCH_GAMES[4]), solve_single(BENCH_GAMES[4])
