@@ -21,7 +21,6 @@ from .opinion_dynamics import (
     TrajectoryPoint,
     build_network,
     check_stochastic,
-    jump_single,
     propagator,
 )
 from .game_model import (

@@ -10,9 +10,11 @@ with the terminal stage charged no investment.
 
 Every payoff, gradient and opinion state comes from one kernel,
 ``_columns_pass``: a forward pass of the stage recursion (diffuse across a
-gap by the propagator A_k, then jump) that carries a set of players' opinion
-columns as one state, followed by its reverse-mode sweep for each column's
-exact own-investment gradient.  It always takes the columns' own plans and
+gap by the propagator A_k, then jump: for one player additively, x + b,
+refusing an investment over the headroom 1 - x, and for several normalized,
+(x + b) / (1 + sigma)) that carries a set of players' opinion columns as one
+state, followed by its reverse-mode sweep for each column's exact
+own-investment gradient.  It always takes the columns' own plans and
 the damping totals, which set its batch and through which alone other
 players reach a column; in a one-player game the totals are the plan
 itself, and the game's player count picks the additive jump.  Whole
@@ -47,16 +49,19 @@ import numpy as np
 
 from .errors import HypothesisCheckError, InfeasiblePlanError
 from .opinion_dynamics import (
-    FEASIBILITY_TOL,
     CampaignSchedule,
     Network,
     OpinionState,
     TrajectoryPoint,
     interval_propagators,
-    jump_single,
     propagator,
     _readonly,
 )
+
+# Slack of every plan check: ``validate_plans``' signs and budgets, the
+# one-player jump's headroom, ``FeasibleRegion.contains`` and the grid
+# oracles' caps (absorbs projection round-off).
+FEASIBILITY_TOL = 1e-9
 
 # Bound on (sum(rho) + lambda) / (K + 1), which bounds a linear utility's
 # payoff gradient entries.  No solver steps further than 1e6 along a gradient
@@ -367,8 +372,13 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
     for every profile).  Other players reach a column solely through the
     totals, whose damping 1/(1 + sigma) scales the multiplayer jump
     (x + b) / (1 + sigma).  In a one-player game the totals are the plan
-    itself, and the jump adds them to the opinions, with ``jump_single``'s
-    headroom check over the whole stack, and passes its adjoint on 1:1.
+    itself, and the jump adds them to the opinions and passes its adjoint on
+    1:1.  Over the whole stack it refuses, by InfeasiblePlanError, an entry
+    below -``FEASIBILITY_TOL`` (a projection of a far point may leave one
+    inside an ascent) and an investment over the opinion headroom 1 - x by
+    more than ``FEASIBILITY_TOL``, a NaN failing both; it then clips the
+    opinions to [0, 1].  Its states come from a validated x0 through
+    stochastic propagators, so it checks no opinion.
 
     The p columns travel as one state, stored stage-major, the batch
     flattened into rows: per stage one product with the gap propagator, one
@@ -413,8 +423,15 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
     for k in range(1, K + 2):
         state = product(state, constants.gaps_transposed[k - 1], pre[k - 1])
         if k <= K:
-            if single:
-                post[k - 1] = state = jump_single(state, totals[k - 1])
+            if single:  # the additive jump x + b, within the opinion cap
+                b = totals[k - 1]
+                if not np.min(b) >= -FEASIBILITY_TOL:
+                    raise InfeasiblePlanError("negative budget entry in single-player jump")
+                excess = np.max(b - (1.0 - state))
+                if not excess <= FEASIBILITY_TOL:
+                    raise InfeasiblePlanError("infeasible jump: investment exceeds remaining "
+                                              f"opinion headroom by {excess:.3e}")
+                state = np.clip(state + b, 0.0, 1.0, out=post[k - 1])
             else:
                 state = np.divide(state + own[k - 1], denominators[k - 1], out=post[k - 1])
 

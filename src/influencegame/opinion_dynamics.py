@@ -8,11 +8,10 @@ it row-stochastic at any finite dt (a series of nonnegative terms, rows
 renormalized as it squares) and builds a whole stack (..., n, n) in one
 call, each matrix bit for bit as if built alone; ``propagator`` takes one
 gap or an array of them and refuses what ``check_stochastic`` fails, and the
-lemma suite measures the same builder, one stack per network size.  At a
-campaign time a single player's budget moves opinions additively
-(``jump_single``); the normalized multiplayer jump and the forward recursion
-that strings gaps and jumps together live in ``game_model``, whose kernel
-also samples trajectories.
+lemma suite measures the same builder, one stack per network size.  The
+jumps at campaign times, additive for one player and normalized for
+several, and the forward recursion that strings gaps and jumps together live
+in ``game_model``, whose kernel also samples trajectories.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .errors import InfeasiblePlanError
-
-# Slack allowed when checking jump feasibility (absorbs projection round-off).
-FEASIBILITY_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -223,36 +217,6 @@ def propagator(network: Network, dt) -> np.ndarray:
 def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[np.ndarray]:
     """Adjacent-gap propagators: entry k-1 carries opinions from t_{k-1}^+ to t_k."""
     return [propagator(network, dt) for dt in np.diff(schedule.times)]
-
-
-def jump_single(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Additive single-player jump x + b, requiring x >= 0 and
-    0 <= b <= 1 - x to ``FEASIBILITY_TOL``.  Each check is written so that a
-    NaN fails it.  An opinion below 0 is no opinion state, whatever the
-    plan, so it raises ValueError, as does a failure caused by a non-finite
-    entry; a budget outside its bounds raises InfeasiblePlanError."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != b.shape:
-        raise ValueError("opinion and budget vectors must have matching shape")
-    lowest = np.min(x)
-    if not lowest >= -FEASIBILITY_TOL:
-        if not np.isfinite(lowest):
-            raise ValueError("single-player jump has a non-finite opinion entry")
-        raise ValueError(f"single-player jump has an opinion below 0 ({lowest:.3e})")
-    low = np.min(b)
-    if not low >= -FEASIBILITY_TOL:
-        if not np.isfinite(low):
-            raise ValueError("single-player jump has a non-finite budget entry")
-        raise InfeasiblePlanError("negative budget entry in single-player jump")
-    excess = np.max(b - (1.0 - x))
-    if not excess <= FEASIBILITY_TOL:
-        if not np.isfinite(excess):
-            raise ValueError("single-player jump has a non-finite opinion or budget entry")
-        raise InfeasiblePlanError(
-            f"infeasible jump: investment exceeds remaining opinion headroom by {excess:.3e}"
-        )
-    return np.clip(x + b, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

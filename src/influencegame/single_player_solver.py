@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .game_model import GameSpec, validate_plans, _objective_for_player
+from .game_model import FEASIBILITY_TOL, GameSpec, validate_plans, _objective_for_player
 from .opinion_dynamics import _readonly
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
@@ -41,7 +41,8 @@ ASCENT_MAX_STEPS = 100_000
 class FeasibleRegion:
     """Nonnegative x in R^{Kn} with normal'x <= offset, sign constraints last in
     ``violations``; every normal and offset must be finite (ValueError otherwise).
-    A point with a non-finite entry violates the region by inf."""
+    A point with a non-finite entry violates the region by inf; ``contains``
+    allows the payoff functions' slack, ``FEASIBILITY_TOL``."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -71,7 +72,7 @@ class FeasibleRegion:
         return float(max(0.0, np.max(self.violations(x))))
 
     def contains(self, x: np.ndarray) -> bool:
-        return self.max_violation(x) <= 1e-8
+        return self.max_violation(x) <= FEASIBILITY_TOL
 
 
 def build_region(spec: GameSpec) -> FeasibleRegion:

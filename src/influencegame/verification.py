@@ -43,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .equilibrium_solver import project_budget_set
-from .game_model import (GameSpec, StageUtility, opinions_at_campaigns, payoff_gradient,
-                         total_payoff, _MIDPOINT_TOL, _column, _midpoint_violations,
-                         _one_profile)
+from .game_model import (FEASIBILITY_TOL, GameSpec, StageUtility, opinions_at_campaigns,
+                         payoff_gradient, total_payoff, _MIDPOINT_TOL, _column,
+                         _midpoint_violations, _one_profile)
 from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
                                check_stochastic, _flow)
 from .single_player_solver import build_region, solve_single
@@ -105,9 +105,9 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     A lone linear player is scored by ``_batched_single_player_search``;
     otherwise one ``total_payoff`` call scores the (C, m, K, n) stack of all
     candidates, a lone player's first kept within ``build_region``'s rows
-    to 1e-9.  Candidates are enumerated lexicographically and ties keep the
-    earliest (lexicographically smallest) point, so the result is
-    deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
+    to ``FEASIBILITY_TOL``.  Candidates are enumerated lexicographically and
+    ties keep the earliest (lexicographically smallest) point, so the result
+    is deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
     positive and finite raises ValueError before any evaluation, and a
     player index is checked as ``total_payoff`` checks it, before any grid
     is built.
@@ -128,7 +128,7 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
         if spec.m == 1:
             region = build_region(spec)
             excess = candidates @ region.normals.T - region.offsets
-            candidates = candidates[excess.max(axis=1) <= 1e-9]
+            candidates = candidates[excess.max(axis=1) <= FEASIBILITY_TOL]
         stack = np.repeat(entries[None], len(candidates), axis=0)
         stack[:, j] = candidates.reshape(-1, K, n)
         values = total_payoff(spec, stack, j)
@@ -446,7 +446,7 @@ def _batched_single_player_search(spec, candidates: np.ndarray) -> np.ndarray:
         stage = candidates[:, (k - 1) * n : k * n] if k <= K else np.zeros((count, n))
         values += states @ rho[k - 1] - lam * stage.sum(axis=1)
         if k <= K:
-            alive &= np.all(stage <= 1.0 - states + 1e-9, axis=1)
+            alive &= np.all(stage <= 1.0 - states + FEASIBILITY_TOL, axis=1)
             states = states + stage
     values /= K + 1
     values[~alive] = -np.inf

@@ -36,7 +36,6 @@ EXPORTS = [
     "exploitability",
     "fd_gradient",
     "game_model",
-    "jump_single",
     "opinion_dynamics",
     "opinions_at_campaigns",
     "opinions_at_campaigns_closed_form",
@@ -83,7 +82,6 @@ SIGNATURES = {
     "check_stochastic": "matrix",
     "exploitability": "spec, profile",
     "fd_gradient": "evaluator, points, h=1e-05",
-    "jump_single": "x, b",
     "opinions_at_campaigns": "spec, profile",
     "opinions_at_campaigns_closed_form": "spec, profile",
     "payoff_gradient": "spec, profile, j",

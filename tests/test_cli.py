@@ -164,6 +164,17 @@ class TestSimulateCommand:
         assert "player 0" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_one_player_plan_over_an_opinion_cap_exits_3(self, tmp_path, capsys):
+        # 0.8 is within the budget of 1 but over the headroom 1 - 0.5
+        scenario = write_scenario(tmp_path / "s.json", single_player_document())
+        plans = tmp_path / "p.json"
+        plans.write_text(json.dumps({"plans": [[[0.8]]]}))
+        code = main(["simulate", scenario, str(plans), "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert ("exceeds remaining opinion headroom by 3.000e-01"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestSolveCommand:
     def test_scalar_example(self, tmp_path):

@@ -120,6 +120,62 @@ def unit_linear_game(network, times, x0, budgets):
     )
 
 
+def static_one_player_game(x0, budget=1.0):
+    """Unit linear one-player game on isolated individuals, so that every
+    propagator is I, with one campaign at t = 1."""
+    x0 = np.asarray(x0, dtype=float)
+    return unit_linear_game(build_network(np.eye(x0.size)), [0.0, 1.0, 2.0], x0[:, None],
+                            [budget])
+
+
+class TestSinglePlayerJump:
+    """The kernel's additive one-player jump x + b, within the opinion cap."""
+
+    def test_zero_budget_is_the_identity(self):
+        spec = static_one_player_game([0.5, 0.25, 1.0])
+        pre, post = simulate_trajectory(spec, np.zeros((1, 1, 3)), [1.0])
+        assert post.post_jump
+        np.testing.assert_array_equal(post.state.values, pre.state.values)
+
+    def test_post_jump_row_by_hand(self):
+        spec = static_one_player_game([0.2, 0.9])
+        plan = np.array([[[0.3, 0.1]]])
+        _, post = simulate_trajectory(spec, plan, [1.0])
+        np.testing.assert_allclose(post.state.values[:, 0], [0.5, 1.0])
+        np.testing.assert_allclose(opinions_at_campaigns(spec, plan)[1, :, 0], [0.5, 1.0])
+
+    @pytest.mark.parametrize("entry_point", [
+        pytest.param(opinions_at_campaigns, id="opinions"),
+        pytest.param(lambda spec, p: simulate_trajectory(spec, p, [2.0]), id="simulate"),
+        pytest.param(lambda spec, p: total_payoff(spec, p, 0), id="payoff"),
+        pytest.param(lambda spec, p: payoff_gradient(spec, p, 0), id="gradient"),
+    ])
+    def test_headroom_overrun_refused(self, entry_point):
+        spec = static_one_player_game([0.9])
+        with pytest.raises(InfeasiblePlanError,
+                           match=r"exceeds remaining opinion headroom by 1\.000e-01"):
+            entry_point(spec, np.array([[[0.2]]]))
+
+    def test_jump_is_monotone(self):
+        rng = np.random.default_rng(5)
+        x0 = rng.random(200)
+        spec = static_one_player_game(x0, budget=200.0)
+        states = opinions_at_campaigns(spec, (rng.random(200) * (1.0 - x0))[None, None])
+        assert np.all(states[1] >= states[0])
+
+    @pytest.mark.parametrize("entry", [-0.1, np.nan])
+    def test_negative_or_nan_entry_refused_by_the_kernel(self, entry):
+        # ``validate_plans`` refuses both at every public entry point, but the
+        # ascents hand the kernel projections, which may leave an entry below 0
+        spec = static_one_player_game([0.5, 0.5])
+        own = np.array([[[0.1, entry]]])
+        with pytest.raises(InfeasiblePlanError, match="negative budget entry"):
+            game_model._columns_pass(spec, own, own[0])
+        own[0, 0, 1] = -1e-10  # within FEASIBILITY_TOL
+        np.testing.assert_array_equal(game_model._columns_pass(spec, own, own[0])[1],
+                                      [[[0.6, 0.4999999999]]])
+
+
 # A custom utility's three callables, each answering zeros.
 ZERO_CALLABLES = dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
                                lambda x, b, k: np.zeros(x.shape))

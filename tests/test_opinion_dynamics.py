@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from influencegame import (
-    InfeasiblePlanError,
     Network,
     OpinionState,
     build_network,
     check_stochastic,
-    jump_single,
     propagator,
 )
 from influencegame.opinion_dynamics import _flow
@@ -185,61 +183,6 @@ class TestStackedFlow:
         for row, column in np.ndindex(3, 2):
             assert np.array_equal(stack[row, column], _flow(adjacency[column], gaps[row, 0]))
         assert _flow(adjacency[0], np.zeros(0)).shape == (0, 3, 3)
-
-
-class TestJumps:
-    def test_single_zero_budget_is_identity(self):
-        x = np.array([0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(jump_single(x, np.zeros(3)), x)
-
-    def test_single_direct_evaluation(self):
-        np.testing.assert_allclose(
-            jump_single(np.array([0.2, 0.9]), np.array([0.3, 0.1])), [0.5, 1.0]
-        )
-
-    def test_single_infeasible(self):
-        with pytest.raises(InfeasiblePlanError):
-            jump_single(np.array([0.9]), np.array([0.2]))
-
-    def test_single_negative_entry_refused(self):
-        with pytest.raises(InfeasiblePlanError, match="negative budget"):
-            jump_single(np.array([0.5, 0.5]), np.array([0.1, -0.1]))
-
-    @pytest.mark.parametrize("x, b", [
-        pytest.param([0.0, 0.0], [np.nan, 0.0], id="nan-budget"),
-        pytest.param([np.nan, 0.0], [0.0, 0.0], id="nan-opinion"),
-        pytest.param([0.0, 0.0], [0.0, np.inf], id="infinite-budget"),
-        pytest.param([0.0, 0.0], [-np.inf, 0.0], id="minus-infinite-budget"),
-        pytest.param([np.inf, 0.0], [0.0, 0.0], id="infinite-opinion"),
-    ])
-    def test_single_non_finite_entry_refused(self, x, b):
-        with pytest.raises(ValueError, match="non-finite"):
-            jump_single(np.array(x), np.array(b))
-
-    @pytest.mark.parametrize("x, match", [
-        pytest.param([-np.inf, 0.5], "non-finite opinion", id="minus-infinite-opinion"),
-        pytest.param([-5.0, 0.5], "opinion below 0", id="negative-opinion"),
-        pytest.param([0.5, -2e-9], "opinion below 0", id="just-beyond-the-tolerance"),
-    ])
-    def test_single_opinion_below_zero_refused(self, x, match):
-        # a zero budget passes both budget checks, so only the opinion check can refuse
-        with pytest.raises(ValueError, match=match):
-            jump_single(np.array(x), np.zeros(2))
-
-    def test_single_opinion_within_the_tolerance_below_zero_accepted(self):
-        np.testing.assert_array_equal(jump_single(np.array([-1e-10, 0.5]), np.zeros(2)),
-                                      [0.0, 0.5])
-
-    def test_single_mismatched_shapes_refused(self):
-        with pytest.raises(ValueError, match="matching shape"):
-            jump_single(np.full(2, 0.5), np.zeros(3))
-
-    def test_single_monotone(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.random(4)
-            b = rng.random(4) * (1.0 - x)
-            assert np.all(jump_single(x, b) >= x - 1e-15)
 
 
 class TestOpinionState:

@@ -12,6 +12,7 @@ from influencegame import (
     FeasibleRegion,
     GameSpec,
     HypothesisCheckError,
+    InfeasiblePlanError,
     OpinionState,
     StageUtility,
     build_network,
@@ -112,6 +113,19 @@ class TestBuildRegion:
             warnings.simplefilter("error")
             assert region.max_violation(point) == np.inf
             assert not region.contains(point)
+
+    def test_contains_refuses_what_the_payoff_functions_refuse(self):
+        # a stage-1 entry 5e-9 over its opinion cap: between FEASIBILITY_TOL
+        # and the looser bound ``contains`` once allowed
+        spec = dataclasses.replace(random_linear_game(np.random.default_rng(0), 1, 3, 2),
+                                   budgets=np.array([5.0]))
+        region = build_region(spec)
+        plan = np.zeros(region.dim)
+        plan[0] = region.offsets[0] + 5e-9
+        assert region.max_violation(plan) == pytest.approx(5e-9, rel=1e-6)
+        assert not region.contains(plan)
+        with pytest.raises(InfeasiblePlanError, match="opinion headroom by 5.000e-09"):
+            total_payoff(spec, plan.reshape(1, spec.K, spec.n), 0)
 
 
 class TestProjectFeasible:

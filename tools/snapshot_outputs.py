@@ -1,0 +1,108 @@
+"""Write the CLI outputs that a behaviour-preserving change must leave
+byte-identical, all through one checkout's ``influencegame.cli.main``.
+
+    python tools/snapshot_outputs.py CHECKOUT OUTDIR
+
+CHECKOUT is a checkout of this repository; its ``src`` package and the games
+of its ``bench/workloads.py`` are used, and nothing is written inside it.
+OUTDIR receives, by relative paths, so that the outputs do not name it:
+
+- ``equilibrate --paper-example`` at the benchmark's T (``paper_*``);
+- ``equilibrate`` on the benchmark's network game at its T (``network*``);
+- ``solve`` on each benchmark single-player game (``single<i>*``), and
+  ``simulate --samples 200`` on each solved plan;
+- ``simulate --samples 200`` of the reference game at the paper example's
+  equilibrium (``reference*``);
+- ``verify --suite all`` at seeds 0-49 (``verify_seed<s>.stdout``);
+
+with every command's stdout in ``<name>.stdout`` and its exit code in
+``exit_codes.txt``.  Snapshot the parent and the change, each in a new
+process, then compare with ``diff -r``.
+"""
+
+import contextlib
+import importlib
+import io
+import json
+import sys
+import types
+from pathlib import Path
+
+SAMPLES = "200"
+VERIFY_SEEDS = range(50)
+
+
+def load_checkout(checkout: Path):
+    """The package and the benchmark workloads module of ``checkout``."""
+    src = (checkout / "src").resolve()
+    sys.path.insert(0, str(src))
+    ig = importlib.import_module("influencegame")
+    importlib.import_module("influencegame.cli")  # bound as ig.cli
+    if Path(ig.__file__).resolve().parent != src / "influencegame":
+        raise RuntimeError(f"influencegame is already imported from {ig.__file__}")
+    path = checkout / "bench" / "workloads.py"
+    workloads = types.ModuleType("bench_workloads")
+    workloads.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    return ig, workloads
+
+
+def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
+    """Write the outputs listed in the module docstring into ``outdir``."""
+    ig, workloads = load_checkout(Path(checkout))
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    codes = []
+
+    def run(name, argv):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            codes.append(f"{name} {ig.cli.main(argv)}\n")
+        Path(f"{name}.stdout").write_text(stdout.getvalue())
+
+    def write_json(name, document):
+        Path(name).write_text(json.dumps(document))
+        return name
+
+    def scenario(name, spec):
+        return write_json(name, workloads.scenario_document(ig, spec))
+
+    with contextlib.chdir(outdir):
+        run("paper", ["equilibrate", "--paper-example", "--T", str(workloads.PAPER_T),
+                      "--out", "paper"])
+        profile = json.loads(Path("paper_result.json").read_text())["profile"]
+        reference = write_json("reference.json",
+                               ig.cli.scenario_to_dict(ig.cli.reference_scenario()))
+        run("reference", ["simulate", reference, write_json("reference_plans.json",
+                                                            {"plans": profile}),
+                          "--samples", SAMPLES, "--out", "reference_trajectory.csv"])
+
+        network = scenario("network.json", workloads.network_spec(ig))
+        run("network", ["equilibrate", network, "--T", str(workloads.NETWORK_T),
+                        "--out", "network"])
+
+        for index, spec in enumerate(workloads.single_player_specs(ig)):
+            name = f"single{index}"
+            run(name, ["solve", scenario(f"{name}.json", spec), "--out", f"{name}_report.json"])
+            plan = json.loads(Path(f"{name}_report.json").read_text())["plan"]
+            run(f"{name}_simulate", ["simulate", f"{name}.json",
+                                     write_json(f"{name}_plans.json", {"plans": [plan]}),
+                                     "--samples", SAMPLES, "--out", f"{name}_trajectory.csv"])
+
+        for seed in verify_seeds:
+            run(f"verify_seed{seed}", ["verify", "--suite", "all", "--seed", str(seed)])
+        Path("exit_codes.txt").write_text("".join(codes))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True  # nothing is written inside the checkout
+    snapshot(*argv)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
