@@ -175,6 +175,37 @@ class TestSinglePlayerJump:
         np.testing.assert_array_equal(game_model._columns_pass(spec, own, own[0])[1],
                                       [[[0.6, 0.4999999999]]])
 
+    @pytest.mark.parametrize("entry", [
+        pytest.param(np.nan, id="nan-budget"),
+        pytest.param(np.inf, id="infinite-budget"),
+        pytest.param(-np.inf, id="minus-infinite-budget"),
+    ])
+    def test_non_finite_entry_refused_before_the_kernel(self, monkeypatch, entry):
+        # the kernel's jump has no finiteness check: validate_plans is its guard
+        spec = static_one_player_game([0.5, 0.5])
+        passes = count_kernel_passes(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            total_payoff(spec, np.array([[[0.1, entry]]]), 0)
+        assert passes == []
+
+    @pytest.mark.parametrize("x0, match", [
+        pytest.param([np.nan, 0.5], "finite", id="nan-opinion"),
+        pytest.param([np.inf, 0.5], "finite", id="infinite-opinion"),
+        pytest.param([-np.inf, 0.5], "finite", id="minus-infinite-opinion"),
+        pytest.param([-5.0, 0.5], r"\[0, 1\]", id="negative-opinion"),
+        pytest.param([0.5, -2e-9], r"\[0, 1\]", id="just-beyond-the-tolerance"),
+    ])
+    def test_bad_initial_opinion_refused_before_the_kernel(self, x0, match):
+        # the kernel's jump has no opinion check: the game's x0 is its guard
+        with pytest.raises(ValueError, match=match):
+            static_one_player_game(x0)
+
+    def test_initial_opinion_within_the_tolerance_below_zero_clipped(self):
+        spec = static_one_player_game([-1e-11, 0.5])
+        states = opinions_at_campaigns(spec, np.zeros((1, 1, 2)))
+        np.testing.assert_array_equal(states[:, :, 0], [[0.0, 0.5], [0.0, 0.5]])
+        assert not np.signbit(states[1, 0, 0])
+
 
 # A custom utility's three callables, each answering zeros.
 ZERO_CALLABLES = dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
