@@ -151,8 +151,9 @@ _KernelConstants = namedtuple(  # see GameSpec.kernel
 class GameSpec:
     """Immutable description of one game instance.
 
-    The schedule must hold at least one campaign time (K >= 1).  With m >= 2
-    players every row of ``x0`` must sum to 1 (within 1e-9): the players'
+    The schedule must hold at least one campaign time (K >= 1) and the
+    opinions at least one player's column (m >= 1).  With m >= 2 players
+    every row of ``x0`` must sum to 1 (within 1e-9): the players'
     opinions of each individual form a distribution, which the constant-sum
     identity and the normalized jump keep along the trajectory.  A linear
     utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
@@ -177,6 +178,8 @@ class GameSpec:
         if self.x0.n != self.network.n:
             raise ValueError("initial opinions and network disagree on n")
         m = self.x0.m
+        if m < 1:
+            raise ValueError("a game needs at least one player")
         if self.budgets.shape != (m,) or len(self.utilities) != m:
             raise ValueError("budgets (a flat vector), utilities and opinion columns "
                              "must all count m")

@@ -9,24 +9,46 @@ renormalized as it squares) and builds a whole stack (..., n, n) in one
 call, each matrix bit for bit as if built alone; ``propagator`` takes one
 gap or an array of them and refuses what ``check_stochastic`` fails, and the
 lemma suite measures the same builder, one stack per network size.  The
-jumps at campaign times, additive for one player and normalized for
-several, and the forward recursion that strings gaps and jumps together live
-in ``game_model``, whose kernel also samples trajectories.
+builder's products and divisions write two buffers in place, taking turns,
+so one small matrix costs little more than numpy's per-call floor times
+the calls its series and squarings need.  A game still builds its K + 1
+gaps with one ``propagator`` call each (``interval_propagators``): the
+bench tracer counts a call's flops from one gap length, so one stacked call
+per game waits for a bench change (ROADMAP item 4).  The network, the
+schedule, the opinions and ``propagator`` refuse bools, strings and complex
+numbers rather than coerce them to floats.  The jumps at campaign times,
+additive for one player and normalized for several, and the forward
+recursion that strings gaps and jumps together live in ``game_model``, whose
+kernel also samples trajectories.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 
+_SERIES_DIVISORS = tuple(float(k) for k in range(12, 0, -1))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as a float array.  Values whose numpy dtype is not an
+    integer or a float one (bools, strings, complex numbers, objects) raise
+    ValueError rather than being cast."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got {array.dtype} entries")
+    return array.astype(float, copy=False)
 
 
 def _check_square(adjacency: np.ndarray):
@@ -46,7 +68,7 @@ class Network:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", _readonly(self.adjacency))
+        object.__setattr__(self, "adjacency", _readonly(_real(self.adjacency, "network weights")))
         a = self.adjacency
         _check_square(a)
         if not np.all(np.isfinite(a)):
@@ -72,7 +94,8 @@ class CampaignSchedule:
     times: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(np.atleast_1d(self.times)))
+        times = np.atleast_1d(_real(self.times, "schedule times"))
+        object.__setattr__(self, "times", _readonly(times))
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("schedule needs at least initial and terminal times")
         if not np.all(np.isfinite(self.times)):
@@ -100,7 +123,7 @@ class OpinionState:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _real(self.values, "opinions")
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
@@ -126,7 +149,7 @@ def build_network(adjacency) -> Network:
     Rows are rescaled to sum to 1, so arbitrary weighted graphs are accepted;
     a row of all zeros (an individual listening to nobody) is rejected.
     """
-    a = np.asarray(adjacency, dtype=float)
+    a = _real(adjacency, "network weights")
     _check_square(a)
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
@@ -160,6 +183,18 @@ def check_stochastic(matrix: np.ndarray) -> StochasticityReport:
     return StochasticityReport(passed, row_sum_violation, negativity_violation)
 
 
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ y written into ``out``: ``ndarray.dot`` on one (n, n) matrix, the
+    same BLAS product as @ at a third of the call cost, and matmul on a
+    stack (..., n, n)."""
+    return x.dot(y, out) if x.ndim == 2 else np.matmul(x, y, out=out)
+
+
+def _renormalize(rows: np.ndarray):
+    """Divide each row of ``rows`` by its sum, in place."""
+    rows /= np.add.reduce(rows, axis=-1, keepdims=True)
+
+
 def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
     """exp(-L dt) for L = I - A, unchecked, for a stack of adjacencies
     (..., n, n) and gap lengths ``dt`` broadcasting to (...): the matrices
@@ -168,33 +203,73 @@ def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
     tau = dt / 2**s <= 1/4 has nonnegative terms; dividing its rows by their
     sums (exp(-L tau) 1 = 1) drops e^-tau and round-off.  Of an item's s
     squarings, which double that round-off, every 32nd and its last are
-    followed by the same renormalization, so nothing overflows.  Items are
-    squared in order of falling s, so the ones still squaring are a prefix."""
+    followed by the same renormalization, so nothing overflows.
+
+    The series and the squarings write two buffers in place, taking turns,
+    through ``_product``: one matrix is multiplied by ``ndarray.dot`` and a
+    stack (flattened to (N, n, n)) by matmul.  The series starts at
+    A tau / 13 + I, which equals I + (A tau I) / 13 bit for bit, as the
+    product with I is exact on finite, nonnegative entries; its divisors
+    are floats.  A stack's items are squared in order of falling s (sorted
+    first only if they are not; one matrix never is), so the ones still
+    squaring are a prefix; an item that is done is copied, once, into the
+    buffer the last squaring writes.  Every matrix comes out bit for bit as
+    if built alone, and as the builder with fresh arrays at every step that
+    the tests keep as its reference.  A game calls this once per gap, not
+    once for its K + 1 gaps, because the bench tracer's flop count reads one
+    gap (ROADMAP item 4)."""
     adjacency = np.asarray(adjacency, dtype=float)
     n = adjacency.shape[-1]
     shape = np.broadcast(adjacency[..., 0, 0], dt).shape
-    times = np.broadcast_to(np.asarray(dt, dtype=float), shape).ravel().tolist()
+    dt = np.asarray(dt, dtype=float)
+    times = (dt if dt.shape == shape else np.broadcast_to(dt, shape)).ravel().tolist()
     squarings = [max(0, math.ceil(math.log2(t)) + 2) if t > 0 else 0 for t in times]
-    scales = np.array([math.ldexp(t, -s) for t, s in zip(times, squarings)])
-    scaled = adjacency * scales.reshape(shape + (1, 1))
-    result = eye = np.eye(n)
-    for k in range(13, 0, -1):
-        result = eye + (scaled @ result) / k
-    result /= result.sum(axis=-1, keepdims=True)
-    order = sorted(range(len(times)), key=squarings.__getitem__, reverse=True)
-    counts = [squarings[i] for i in order]
-    result = result.reshape(-1, n, n)[order]
-    # at_least[c]: how many items take c squarings or more; they lead the stack
-    at_least = np.cumsum(np.bincount(counts, minlength=1)[::-1])[::-1].tolist() + [0]
-    for count in range(1, len(at_least) - 1):
-        active, staying = at_least[count], at_least[count + 1]
-        head = result[:active] @ result[:active]
-        done = head if count % 32 == 0 else head[staying:]
-        done /= done.sum(axis=-1, keepdims=True)
-        result[:active] = head
-    out = np.empty(shape + (n, n))
-    out.reshape(-1, n, n)[order] = result
-    return out
+    scales = [math.ldexp(t, -s) for t, s in zip(times, squarings)]
+    if shape:
+        scaled = adjacency * np.array(scales).reshape(shape + (1, 1))
+        scaled = scaled.reshape(-1, n, n)
+    else:
+        scaled = adjacency * scales[0]
+    order = None
+    if any(map(operator.lt, squarings, squarings[1:])):
+        order = sorted(range(len(times)), key=squarings.__getitem__, reverse=True)
+        scaled = scaled[order]
+        squarings = [squarings[i] for i in order]
+    eye = np.eye(n)
+    result = scaled / 13.0
+    result += eye
+    spare = np.empty_like(result)
+    for k in _SERIES_DIVISORS:
+        _product(scaled, result, spare)
+        spare /= k
+        spare += eye
+        result, spare = spare, result
+    _renormalize(result)
+    top = squarings[0] if squarings else 0
+    # the items taking count squarings or more, [:active], lead the stack;
+    # one matrix is never sliced, as it stays active until it is done
+    active = len(squarings)
+    for count in range(top + 1):
+        staying = active
+        while staying and squarings[staying - 1] == count:
+            staying -= 1
+        if count:
+            head, into = ((result, spare) if active == len(squarings)
+                          else (result[:active], spare[:active]))
+            _product(head, head, into)
+            if count % 32 == 0:
+                _renormalize(into)
+            elif staying < active:
+                _renormalize(into[staying:])
+            result, spare = spare, result
+        if (top - count) % 2 and staying < active:
+            spare[staying:active] = result[staying:active]
+        active = staying
+    if order is not None:
+        out = np.empty_like(result)
+        out[order] = result
+        result = out
+    return result.reshape(shape + (n, n))
 
 
 def propagator(network: Network, dt) -> np.ndarray:
@@ -202,8 +277,9 @@ def propagator(network: Network, dt) -> np.ndarray:
     campaign-free gap, or for an array of gap lengths the read-only stack
     (..., n, n) of them, built in one ``_flow`` call.  A stack
     ``check_stochastic`` fails raises ValueError, as does a negative or
-    non-finite gap anywhere in ``dt``."""
-    dt = np.asarray(dt, dtype=float)
+    non-finite gap anywhere in ``dt``, and so does a gap that is not a real
+    number (a bool, a string or a complex number)."""
+    dt = _real(dt, "propagation time")
     if not ((dt >= 0) & (dt < np.inf)).all():
         raise ValueError("propagation time must be finite and nonnegative")
     matrix = _flow(network.adjacency, dt)

@@ -1022,3 +1022,10 @@ class TestGameSpec:
         else:
             with pytest.raises(ValueError, match="sum to 1"):
                 make()
+
+    def test_game_without_players_refused(self, two_player_spec):
+        # with no opinion columns the kernel has nothing to carry; a payoff
+        # call would fail inside numpy on a (0, n) reshape
+        with pytest.raises(ValueError, match="at least one player"):
+            dataclasses.replace(two_player_spec, x0=OpinionState(np.zeros((3, 0))),
+                                budgets=np.zeros(0), utilities=())

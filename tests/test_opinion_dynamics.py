@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from influencegame import (
+    CampaignSchedule,
     Network,
     OpinionState,
     build_network,
@@ -23,6 +26,37 @@ PATH_PROPAGATOR_DT1 = np.array([
 def random_network(rng, n):
     weights = rng.random((n, n)) + 0.05 + np.eye(n)
     return build_network(weights)
+
+
+def reference_flow(adjacency, dt):
+    """The plain builder that ``_flow`` must match bit for bit: the same
+    series, squaring counts and renormalizations, written with a sort, a
+    bincount and a fresh array at every step rather than in place."""
+    adjacency = np.asarray(adjacency, dtype=float)
+    n = adjacency.shape[-1]
+    shape = np.broadcast(adjacency[..., 0, 0], dt).shape
+    times = np.broadcast_to(np.asarray(dt, dtype=float), shape).ravel().tolist()
+    squarings = [max(0, math.ceil(math.log2(t)) + 2) if t > 0 else 0 for t in times]
+    scales = np.array([math.ldexp(t, -s) for t, s in zip(times, squarings)])
+    scaled = adjacency * scales.reshape(shape + (1, 1))
+    result = eye = np.eye(n)
+    for k in range(13, 0, -1):
+        result = eye + (scaled @ result) / k
+    result /= result.sum(axis=-1, keepdims=True)
+    order = sorted(range(len(times)), key=squarings.__getitem__, reverse=True)
+    counts = [squarings[i] for i in order]
+    result = result.reshape(-1, n, n)[order]
+    # at_least[c]: how many items take c squarings or more; they lead the stack
+    at_least = np.cumsum(np.bincount(counts, minlength=1)[::-1])[::-1].tolist() + [0]
+    for count in range(1, len(at_least) - 1):
+        active, staying = at_least[count], at_least[count + 1]
+        head = result[:active] @ result[:active]
+        done = head if count % 32 == 0 else head[staying:]
+        done /= done.sum(axis=-1, keepdims=True)
+        result[:active] = head
+    out = np.empty(shape + (n, n))
+    out.reshape(-1, n, n)[order] = result
+    return out
 
 
 class TestBuildNetwork:
@@ -183,6 +217,79 @@ class TestStackedFlow:
         for row, column in np.ndindex(3, 2):
             assert np.array_equal(stack[row, column], _flow(adjacency[column], gaps[row, 0]))
         assert _flow(adjacency[0], np.zeros(0)).shape == (0, 3, 3)
+
+
+class TestFlowAgainstReference:
+    GAPS = [*TestStackedFlow.GAPS, 0.3, 1.7, 3.7]
+
+    @staticmethod
+    def assert_bit_equal(adjacency, dt):
+        with np.errstate(over="raise", invalid="raise"):
+            built, reference = _flow(adjacency, dt), reference_flow(adjacency, dt)
+        assert built.shape == reference.shape
+        assert np.array_equal(built, reference)
+        assert built.tobytes() == reference.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 200])
+    def test_one_matrix_per_gap(self, n):
+        adjacency = random_network(np.random.default_rng(n), n).adjacency
+        for dt in self.GAPS:
+            self.assert_bit_equal(adjacency, dt)
+
+    def test_stack_with_squaring_counts_out_of_order(self):
+        # counts 4, 0, 999, 0, 16, 3, 0, 1, 2: the builder sorts them, squares
+        # the prefix still active and puts every item back in its place
+        rng = np.random.default_rng(4)
+        gaps = np.array(self.GAPS)[[8, 0, 5, 1, 4, 7, 2, 6, 3]]
+        adjacency = np.stack([random_network(rng, 8).adjacency for _ in gaps])
+        self.assert_bit_equal(adjacency, gaps)
+
+    def test_one_adjacency_broadcast_over_gaps(self):
+        adjacency = random_network(np.random.default_rng(9), 8).adjacency
+        self.assert_bit_equal(adjacency, np.reshape(self.GAPS, (3, 3)))
+
+
+class TestNonRealInputRefused:
+    """Bools, strings and complex numbers are refused, not coerced to floats."""
+
+    @pytest.mark.parametrize("dt", [
+        pytest.param("1", id="string"),
+        pytest.param(True, id="bool"),
+        pytest.param(np.array(["1", "2"]), id="string-array"),
+        pytest.param(1.0 + 0j, id="complex"),
+        pytest.param(np.array([0.5, 1.0 + 1j]), id="complex-array"),
+    ])
+    def test_propagator(self, path_network, dt):
+        with pytest.raises(ValueError, match="propagation time must be real numbers"):
+            propagator(path_network, dt)
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.array(["0", "1.5"]), id="strings"),
+        pytest.param(np.array([False, True]), id="bools"),
+        pytest.param(np.array([0.0, 1.5 + 0j]), id="complex"),
+    ])
+    def test_schedule(self, times):
+        with pytest.raises(ValueError, match="schedule times must be real numbers"):
+            CampaignSchedule(times=times)
+
+    @pytest.mark.parametrize("build", [Network, build_network])
+    @pytest.mark.parametrize("adjacency", [
+        pytest.param(np.eye(2, dtype=bool), id="bools"),
+        pytest.param(np.array([["1", "0"], ["0", "1"]]), id="strings"),
+        pytest.param(np.eye(2) + 0j, id="complex"),
+    ])
+    def test_network(self, build, adjacency):
+        with pytest.raises(ValueError, match="network weights must be real numbers"):
+            build(adjacency)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.array([True, False]), id="bools"),
+        pytest.param(np.array(["0.5", "0.5"]), id="strings"),
+        pytest.param(np.array([0.5, 0.5 + 0j]), id="complex"),
+    ])
+    def test_opinion_state(self, values):
+        with pytest.raises(ValueError, match="opinions must be real numbers"):
+            OpinionState(values)
 
 
 class TestOpinionState:
