@@ -103,39 +103,36 @@ def scenario_from_dict(document: dict) -> Scenario:
     """Parse a scenario document; unknown keys are rejected to surface typos."""
     _strict_keys(document, ("network", "schedule", "players", "x0", "solver"),
                  ("network", "schedule", "players", "x0"), "scenario")
-    try:
+    try:  # the game is built in document order; a refusal is a ScenarioError
         network = build_network(_json_array(document["network"], "network"))
         schedule = CampaignSchedule(times=_json_array(document["schedule"], "schedule"))
         x0 = OpinionState(_json_array(document["x0"], "x0"))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
 
-    players = document["players"]
-    if not isinstance(players, list) or not players:
-        raise ScenarioError("players must be a nonempty list")
-    budgets, utilities = [], []
-    for idx, player in enumerate(players):
-        _strict_keys(player, ("budget", "utility"), ("budget", "utility"),
-                     f"players[{idx}]")
-        utility_doc = player["utility"]
-        _strict_keys(utility_doc, ("kind", "rho", "lambda"), ("kind", "rho", "lambda"),
-                     f"players[{idx}].utility")
-        if utility_doc["kind"] != "linear-favor":
-            raise ScenarioError(f"unknown utility kind {utility_doc['kind']!r} in "
-                                f"players[{idx}]; the scenario kind is linear-favor")
-        cost = _json_number(utility_doc["lambda"], float, f"players[{idx}].utility.lambda")
-        budgets.append(_json_number(player["budget"], float, f"players[{idx}].budget"))
-        try:
-            utilities.append(StageUtility(
-                rho=_json_array(utility_doc["rho"], f"players[{idx}].utility.rho"),
-                cost_coefficient=cost,
-            ))
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"players[{idx}]: {exc}") from exc
+        players = document["players"]
+        if not isinstance(players, list) or not players:
+            raise ScenarioError("players must be a nonempty list")
+        budgets, utilities = [], []
+        for idx, player in enumerate(players):
+            _strict_keys(player, ("budget", "utility"), ("budget", "utility"),
+                         f"players[{idx}]")
+            utility_doc = player["utility"]
+            _strict_keys(utility_doc, ("kind", "rho", "lambda"), ("kind", "rho", "lambda"),
+                         f"players[{idx}].utility")
+            if utility_doc["kind"] != "linear-favor":
+                raise ScenarioError(f"unknown utility kind {utility_doc['kind']!r} in "
+                                    f"players[{idx}]; the scenario kind is linear-favor")
+            cost = _json_number(utility_doc["lambda"], float, f"players[{idx}].utility.lambda")
+            budgets.append(_json_number(player["budget"], float, f"players[{idx}].budget"))
+            try:
+                utilities.append(StageUtility(
+                    rho=_json_array(utility_doc["rho"], f"players[{idx}].utility.rho"),
+                    cost_coefficient=cost,
+                ))
+            except ValueError as exc:
+                raise ScenarioError(f"players[{idx}]: {exc}") from exc
 
-    solver_doc = document.get("solver", {})
-    _strict_keys(solver_doc, ("T",), (), "solver")
-    try:
+        solver_doc = document.get("solver", {})
+        _strict_keys(solver_doc, ("T",), (), "solver")
         spec = GameSpec(network=network, schedule=schedule, x0=x0,
                         budgets=np.asarray(budgets), utilities=tuple(utilities))
         spec.kernel  # the propagators' stochasticity gate runs here

@@ -55,7 +55,7 @@ from .game_model import (
     _profile_pass,
     _one_profile,
 )
-from .opinion_dynamics import _readonly
+from .opinion_dynamics import _finite, _readonly, _real
 from .single_player_solver import (
     _maximize_concave,
     _project_rows,
@@ -77,14 +77,16 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     cannot be lost to round-off.  The threshold then lies in [-cap, 0], so an
     entry at or below -cap never enters the support; it is held at -cap in
     the sorted sums, which therefore cannot overflow however far down the
-    row reaches.  Exact in finitely many operations.  A scalar point, a NaN
-    or negative cap, or a point with a non-finite entry raises ValueError.
+    row reaches.  Exact in finitely many operations.  A point or a cap that
+    is not real numbers (``_real``), a scalar point, a NaN or negative cap,
+    or a point with a non-finite entry raises ValueError; an infinite cap
+    leaves its rows merely clamped.
     """
-    v = np.asarray(point, dtype=float)
+    v = _real(point, "the point to project")
     if v.ndim == 0:
         raise ValueError("the point to project must be a vector or a stack of them")
     caps = np.empty(v.shape[:-1])
-    caps[...] = cap
+    caps[...] = _real(cap, "budget cap")
     if not (caps >= 0).all():
         raise ValueError("budget cap must be nonnegative")
     return _project_rows(v.reshape(caps.size, v.shape[-1]), caps.reshape(-1)).reshape(v.shape)
@@ -96,8 +98,9 @@ class LearningTrace:
 
     ``iterates[tau-1]`` is the joint profile played at iteration tau (shape
     (m, K, n)) and ``payoffs[tau-1, j]`` player j's payoff at that iterate.
-    Iterates not shaped (T, m, K, n) for the spec, or payoffs not shaped
-    (T, m) with the same T, raise ValueError.
+    Entries that are not real numbers (``_real``), iterates not shaped
+    (T, m, K, n) for the spec, or payoffs not shaped (T, m) with the same T
+    raise ValueError.
     """
 
     spec: GameSpec
@@ -105,8 +108,8 @@ class LearningTrace:
     payoffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "iterates", _readonly(self.iterates))
-        object.__setattr__(self, "payoffs", _readonly(self.payoffs))
+        object.__setattr__(self, "iterates", _readonly(_real(self.iterates, "iterates")))
+        object.__setattr__(self, "payoffs", _readonly(_real(self.payoffs, "payoffs")))
         spec, shape = self.spec, self.iterates.shape
         if len(shape) != 4 or shape[1:] != (spec.m, spec.K, spec.n):
             raise ValueError(f"iterates must be shaped (T, {spec.m}, {spec.K}, {spec.n}) "
@@ -133,7 +136,9 @@ class LearningTrace:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Averaged profile plus closeness-to-equilibrium diagnostics."""
+    """Averaged profile plus closeness-to-equilibrium diagnostics; the
+    profile, the exploitability and the regrets pass ``_finite``, the
+    package's gate for finite real numbers (ValueError otherwise)."""
 
     profile: np.ndarray
     exploitability: float
@@ -141,11 +146,10 @@ class EquilibriumResult:
     iterations: int
 
     def __post_init__(self):
-        object.__setattr__(self, "profile", _readonly(self.profile))
-        object.__setattr__(self, "regrets", _readonly(np.atleast_1d(self.regrets)))
-        if not (np.isfinite(self.exploitability) and np.isfinite(self.regrets).all()):
-            raise ValueError("exploitability and regrets must be finite")
-        if self.exploitability < -1e-8:
+        object.__setattr__(self, "profile", _readonly(_finite(self.profile, "profile")))
+        object.__setattr__(self, "regrets",
+                           _readonly(np.atleast_1d(_finite(self.regrets, "regrets"))))
+        if _finite(self.exploitability, "exploitability") < -1e-8:
             raise ValueError("exploitability cannot be materially negative")
 
 

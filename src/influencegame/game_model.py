@@ -55,7 +55,9 @@ from .opinion_dynamics import (
     TrajectoryPoint,
     interval_propagators,
     propagator,
+    _finite,
     _readonly,
+    _real,
 )
 
 # Slack of every plan check: ``validate_plans``' signs and budgets, the
@@ -95,8 +97,10 @@ class StageUtility:
     kernel calls each once per stage on its whole stack.  Weights together
     with a callable, a custom utility with a nonzero cost coefficient (its
     callables price the budget), and neither weights nor all three
-    callables raise ValueError, so no field is held and then ignored, as
-    does a cost coefficient that is not a real number (a bool is not one).
+    callables raise ValueError, so no field is held and then ignored.  The
+    weights and the cost coefficient pass ``_finite``, the package's gate
+    for finite real numbers (a bool, a string or a complex number is not
+    one), and the cost must be a single nonnegative number.
     ``GameSpec`` checks a custom utility once, when the game is built: each
     callable must answer a stack of the right shape (ValueError otherwise),
     and the utility must pass the midpoint spot checks of the shape its game
@@ -112,12 +116,10 @@ class StageUtility:
     budget_grad_fn: Callable | None = None
 
     def __post_init__(self):
-        cost = self.cost_coefficient
-        if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
-            raise ValueError(f"cost coefficient must be a real number, got {cost!r}")
+        cost = _finite(self.cost_coefficient, "cost coefficient")
+        if cost.ndim:
+            raise ValueError(f"cost coefficient must be one number, got shape {cost.shape}")
         object.__setattr__(self, "cost_coefficient", float(cost))
-        if not np.isfinite(self.cost_coefficient):
-            raise ValueError("cost coefficient must be finite")
         if self.cost_coefficient < 0:
             raise ValueError("cost coefficient must be nonnegative")
         callables = (self.value_fn, self.opinion_grad_fn, self.budget_grad_fn)
@@ -131,9 +133,7 @@ class StageUtility:
             return
         if any(fn is not None for fn in callables):
             raise ValueError("a utility holds weights rho or callables, not both")
-        rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("stage weights rho must be finite")
+        rho = np.atleast_2d(_finite(self.rho, "stage weights rho"))
         if np.any(rho < 0):
             raise ValueError("stage weights rho must be nonnegative")
         object.__setattr__(self, "rho", _readonly(rho))
@@ -158,10 +158,11 @@ class GameSpec:
     identity and the normalized jump keep along the trajectory.  A linear
     utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
     ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.  The budgets
-    are a flat vector of m entries.  Every custom utility's callables are
-    probed here on a stack, and the utility is checked for the shape its
-    game needs (see ``StageUtility``), so no solver checks a hypothesis or
-    meets a callable that cannot take its stacks.
+    are a flat vector of m nonnegative entries that pass ``_finite``, the
+    package's gate for finite real numbers.  Every custom utility's
+    callables are probed here on a stack, and the utility is checked for the
+    shape its game needs (see ``StageUtility``), so no solver checks a
+    hypothesis or meets a callable that cannot take its stacks.
     """
 
     network: Network
@@ -171,7 +172,8 @@ class GameSpec:
     utilities: tuple[StageUtility, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", _readonly(np.atleast_1d(self.budgets)))
+        object.__setattr__(self, "budgets",
+                           _readonly(np.atleast_1d(_finite(self.budgets, "budgets"))))
         object.__setattr__(self, "utilities", tuple(self.utilities))
         if self.schedule.K < 1:
             raise ValueError("a game needs at least one campaign time")
@@ -185,8 +187,6 @@ class GameSpec:
                              "must all count m")
         if m >= 2 and np.max(np.abs(self.x0.values.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("initial opinions of each individual must sum to 1 across players")
-        if not np.all(np.isfinite(self.budgets)):
-            raise ValueError("budgets must be finite")
         if np.any(self.budgets < 0):
             raise ValueError("budgets must be nonnegative")
         stages = self.schedule.K + 1
@@ -322,14 +322,15 @@ def validate_plans(spec: GameSpec, profile) -> np.ndarray:
     A profile is an (m, K, n) array: ``profile[j]`` is player j's open-loop
     plan, whose row k holds its per-individual investments at campaign time
     t_k (the terminal stage invests nothing).  A stack (..., m, K, n) gets
-    the same checks on every profile at once.  Raises InfeasiblePlanError
-    for a wrong shape, an entry below -FEASIBILITY_TOL or a player spending
-    more than its budget plus FEASIBILITY_TOL, and ValueError for non-finite
-    entries; the message names the first player with a bad plan and that
-    plan's first failed check.  Returns ``np.maximum(profile, 0.0)``, a new
-    float array.
+    the same checks on every profile at once.  Entries that are not real
+    numbers raise ValueError from the package's gate, ``_real``.  Raises
+    InfeasiblePlanError for a wrong shape, an entry below -FEASIBILITY_TOL
+    or a player spending more than its budget plus FEASIBILITY_TOL, and
+    ValueError for non-finite entries; the message names the first player
+    with a bad plan and that plan's first failed check.  Returns
+    ``np.maximum(profile, 0.0)``, a new float array.
     """
-    profile = np.asarray(profile, dtype=float)
+    profile = _real(profile, "plans")
     if profile.shape[-3:] != (spec.m, spec.K, spec.n):
         raise InfeasiblePlanError(
             f"profile must be shaped ({spec.m}, {spec.K}, {spec.n}), got {profile.shape}"
@@ -592,11 +593,9 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
     only the pre-jump record.
     """
     times = spec.schedule.times
-    samples = np.asarray(sample_times, dtype=float)
+    samples = _finite(sample_times, "sample times")
     if samples.ndim != 1:
         raise ValueError("sample times must form a flat list")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("sample times must be finite")
     if samples.size and np.any(np.diff(samples) < 0):
         raise ValueError("sample times must be sorted")
     if samples.size and (samples[0] < times[0] - 1e-12 or samples[-1] > times[-1] + 1e-12):

@@ -14,9 +14,10 @@ so one small matrix costs little more than numpy's per-call floor times
 the calls its series and squarings need.  A game still builds its K + 1
 gaps with one ``propagator`` call each (``interval_propagators``): the
 bench tracer counts a call's flops from one gap length, so one stacked call
-per game waits for a bench change (ROADMAP item 4).  The network, the
-schedule, the opinions and ``propagator`` refuse bools, strings and complex
-numbers rather than coerce them to floats.  The jumps at campaign times,
+per game waits for a bench change (ROADMAP item 4).  Every number a caller
+hands the package passes one gate defined here, in the lowest layer:
+``_real`` refuses bools, strings, complex numbers and objects rather than
+cast them to floats, and ``_finite`` refuses NaN and inf as well.  The jumps at campaign times,
 additive for one player and normalized for several, and the forward
 recursion that strings gaps and jumps together live in ``game_model``, whose
 kernel also samples trajectories.
@@ -42,13 +43,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _real(values, name: str) -> np.ndarray:
-    """``values`` as a float array.  Values whose numpy dtype is not an
-    integer or a float one (bools, strings, complex numbers, objects) raise
-    ValueError rather than being cast."""
+    """``values`` as a float array: the package's one gate for the numbers a
+    caller hands it.  Values whose numpy dtype is not an integer or a float
+    one (bools, strings, complex numbers, objects, among them ``None`` and
+    Python integers past 64 bits) raise ValueError rather than being cast.
+    Entries that take only finite numbers use ``_finite``."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got {array.dtype} entries")
     return array.astype(float, copy=False)
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``_real``, and then ValueError if an entry is NaN or infinite."""
+    array = _real(values, name)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
 
 
 def _check_square(adjacency: np.ndarray):
@@ -68,11 +79,9 @@ class Network:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", _readonly(_real(self.adjacency, "network weights")))
-        a = self.adjacency
+        a = _readonly(_finite(self.adjacency, "network weights"))
+        object.__setattr__(self, "adjacency", a)
         _check_square(a)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("network weights must be finite")
         if np.any(a < 0):
             raise ValueError("adjacency entries must be nonnegative")
         if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
@@ -94,12 +103,10 @@ class CampaignSchedule:
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.atleast_1d(_real(self.times, "schedule times"))
+        times = np.atleast_1d(_finite(self.times, "schedule times"))
         object.__setattr__(self, "times", _readonly(times))
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("schedule needs at least initial and terminal times")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("schedule times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must be strictly increasing")
 
@@ -123,13 +130,11 @@ class OpinionState:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _real(self.values, "opinions")
+        v = _finite(self.values, "opinions")
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
             raise ValueError("opinions must form an n x m matrix")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("opinions must be finite")
         if np.any(v < -1e-10) or np.any(v > 1 + 1e-10):
             raise ValueError("opinions must lie in [0, 1]")
         object.__setattr__(self, "values", _readonly(np.clip(v, 0.0, 1.0)))
@@ -149,7 +154,7 @@ def build_network(adjacency) -> Network:
     Rows are rescaled to sum to 1, so arbitrary weighted graphs are accepted;
     a row of all zeros (an individual listening to nobody) is rejected.
     """
-    a = _real(adjacency, "network weights")
+    a = _finite(adjacency, "network weights")
     _check_square(a)
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
@@ -171,11 +176,15 @@ def check_stochastic(matrix: np.ndarray) -> StochasticityReport:
     them: it passes iff every row sums to 1 within 1e-10 and no entry lies
     below -1e-12, and reports the worst row sum and the worst entry over the
     stack.  A NaN entry makes its row sum NaN, which fails; as for one
-    matrix, a matrix holding NaN adds no negativity of its own.  A shape
-    whose last two axes are not square raises ValueError."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix, a matrix holding NaN adds no negativity of its own.  Entries
+    that are not real numbers (``_real``), a shape whose last two axes are
+    not square and matrices of no rows raise ValueError; a stack of no
+    matrices, (0, n, n), passes with nothing to report."""
+    matrix = _real(matrix, "stochasticity check entries")
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("stochasticity check needs a square matrix")
+    if matrix.shape[-1] == 0:
+        raise ValueError("stochasticity check needs matrices of at least one row")
     row_sum_violation = float(np.abs(matrix.sum(axis=-1) - 1.0).max(initial=0.0))
     lowest = matrix.min(axis=(-2, -1))  # NaN for a matrix holding NaN
     negativity_violation = float((-lowest[lowest < 0]).max(initial=0.0))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .game_model import FEASIBILITY_TOL, GameSpec, validate_plans, _objective_for_player
-from .opinion_dynamics import _readonly
+from .opinion_dynamics import _finite, _readonly, _real
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
 # iteration budget, the ascent's relative residual tolerance and step budget.
@@ -40,20 +40,22 @@ ASCENT_MAX_STEPS = 100_000
 @dataclass(frozen=True, eq=False)
 class FeasibleRegion:
     """Nonnegative x in R^{Kn} with normal'x <= offset, sign constraints last in
-    ``violations``; every normal and offset must be finite (ValueError otherwise).
-    A point with a non-finite entry violates the region by inf; ``contains``
-    allows the payoff functions' slack, ``FEASIBILITY_TOL``."""
+    ``violations``; the normals and offsets pass ``_finite``, the package's
+    gate for finite real numbers (ValueError otherwise).  A point with a
+    non-finite entry violates the region by inf, and one that is not real
+    numbers raises ValueError; ``contains`` allows the payoff functions'
+    slack, ``FEASIBILITY_TOL``."""
 
     normals: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "normals", _readonly(np.atleast_2d(self.normals)))
-        object.__setattr__(self, "offsets", _readonly(np.atleast_1d(self.offsets)))
+        normals = np.atleast_2d(_finite(self.normals, "halfspace normals"))
+        offsets = np.atleast_1d(_finite(self.offsets, "halfspace offsets"))
+        object.__setattr__(self, "normals", _readonly(normals))
+        object.__setattr__(self, "offsets", _readonly(offsets))
         if self.normals.shape[0] != self.offsets.shape[0]:
             raise ValueError("each halfspace needs a normal and an offset")
-        if not (np.isfinite(self.normals).all() and np.isfinite(self.offsets).all()):
-            raise ValueError("halfspace normals and offsets must be finite")
 
     @property
     def dim(self) -> int:
@@ -67,6 +69,7 @@ class FeasibleRegion:
         return np.concatenate([self.normals @ x - self.offsets, -x])
 
     def max_violation(self, x: np.ndarray) -> float:
+        x = _real(x, "the point")
         if not np.isfinite(x).all():
             return np.inf
         return float(max(0.0, np.max(self.violations(x))))

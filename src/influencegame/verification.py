@@ -47,7 +47,7 @@ from .game_model import (FEASIBILITY_TOL, GameSpec, StageUtility, opinions_at_ca
                          payoff_gradient, total_payoff, _MIDPOINT_TOL, _column,
                          _midpoint_violations, _one_profile)
 from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
-                               check_stochastic, _flow)
+                               check_stochastic, _finite, _flow, _real)
 from .single_player_solver import build_region, solve_single
 
 # Added to every raw weight of ``random_feasible_profile``, so that no entry is 0.
@@ -69,18 +69,16 @@ def fd_gradient(evaluator: Callable, points: np.ndarray, h: float = 1e-5) -> np.
     points x + h e_i and then the d backward ones, whose (2d, B) values it
     returns.  Row b's gradient is read from row b's values alone, so a
     B-row stack gives the B one-row results bit for bit when the evaluator
-    scores each point on its own.  A step h that is not positive and
-    finite, points without a stack axis, or a point that is not finite
+    scores each point on its own.  A step h that is not a positive and
+    finite real number, points that fail ``_finite`` or lack a stack axis
     raise ValueError before any evaluation; an error the evaluator raises
     propagates.
     """
-    if not (np.isfinite(h) and h > 0):
+    if not 0 < _real(h, "finite-difference step") < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
-    points = np.asarray(points, dtype=float)
+    points = _finite(points, "finite-difference points")
     if points.ndim == 0:
         raise ValueError("finite-difference points must be stacked as (B, *shape)")
-    if not np.isfinite(points).all():
-        raise ValueError("finite-difference points must be finite")
     flat = points.reshape(len(points), -1)
     d = flat.shape[1]
     steps = h * np.eye(d)[:, None]  # (d, 1, d): step i for every row
@@ -108,12 +106,12 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     to ``FEASIBILITY_TOL``.  Candidates are enumerated lexicographically and
     ties keep the earliest (lexicographically smallest) point, so the result
     is deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
-    positive and finite raises ValueError before any evaluation, and a
-    player index is checked as ``total_payoff`` checks it, before any grid
-    is built.
+    a positive and finite real number raises ValueError before any
+    evaluation, and a player index is checked as ``total_payoff`` checks
+    it, before any grid is built.
     """
     j = _column(spec, j).start
-    if not (np.isfinite(grid_step) and grid_step > 0):
+    if not 0 < _real(grid_step, "grid step") < np.inf:
         raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
     K, n = spec.K, spec.n
     if K * n > 4:

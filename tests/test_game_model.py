@@ -897,7 +897,7 @@ class TestStageUtility:
     @pytest.mark.parametrize("cost", ["1.0", None, True, np.bool_(True)],
                              ids=["string", "none", "bool", "numpy-bool"])
     def test_cost_coefficient_must_be_a_real_number(self, cost):
-        with pytest.raises(ValueError, match="cost coefficient must be a real number"):
+        with pytest.raises(ValueError, match="cost coefficient must be real numbers"):
             StageUtility(rho=np.ones((3, 3)), cost_coefficient=cost)
 
     @pytest.mark.parametrize("cost", [2, np.float64(0.5), np.int64(3), np.float32(0.25)])

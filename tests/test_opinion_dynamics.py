@@ -191,6 +191,17 @@ class TestCheckStochastic:
         with pytest.raises(ValueError, match="square"):
             check_stochastic(np.full((2, 3), 0.5))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 0, 0)])
+    def test_matrices_without_rows_refused(self, shape):
+        # like a network without individuals, before any reduction over rows
+        with pytest.raises(ValueError, match="matrices of at least one row"):
+            check_stochastic(np.zeros(shape))
+
+    def test_stack_of_no_matrices_passes_empty(self):
+        report = check_stochastic(np.zeros((0, 3, 3)))
+        assert report.passed
+        assert report.row_sum_violation == report.negativity_violation == 0.0
+
 
 class TestStackedFlow:
     GAPS = np.array([0.0, 1e-300, 0.25, 1.0, 1e4, 1e300])

@@ -135,6 +135,20 @@ class TestFdGradient:
             fd_gradient(evaluator, np.array([[1.0]]), h=h)
         assert calls == []
 
+    @pytest.mark.parametrize("h", [True, np.bool_(True), "1e-5", 1e-5 + 0j, None],
+                             ids=["bool", "numpy-bool", "string", "complex", "none"])
+    def test_step_must_be_a_real_number(self, h):
+        # a bool step once ran as 1.0 and a string one raised TypeError
+        calls = []
+
+        def evaluator(x):
+            calls.append(len(x))
+            return x[..., 0]
+
+        with pytest.raises(ValueError, match="finite-difference step must be real numbers"):
+            fd_gradient(evaluator, np.array([[1.0]]), h=h)
+        assert calls == []
+
     @pytest.mark.parametrize("points, match", [
         pytest.param([[1.0, 2.0], [3.0, np.nan]], "points must be finite", id="nan"),
         pytest.param([[1.0, 2.0], [3.0, np.inf]], "points must be finite", id="inf"),
@@ -229,6 +243,20 @@ class TestBruteForce:
         for spec in (single_player_spec(n=1, K=1), custom_single_player_game()):
             profile = np.zeros((1, spec.K, spec.n))
             with pytest.raises(ValueError, match="positive and finite"):
+                brute_force_best_response(spec, profile, 0, grid_step)
+
+    @pytest.mark.parametrize("grid_step", [True, np.bool_(True), "0.5", 0.5 + 0j, None],
+                             ids=["bool", "numpy-bool", "string", "complex", "none"])
+    def test_grid_step_must_be_a_real_number(self, monkeypatch, grid_step):
+        # a bool step once searched a grid of step 1.0 and a string one raised TypeError
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the step was checked")
+
+        monkeypatch.setattr(verification, "_batched_single_player_search", no_evaluation)
+        monkeypatch.setattr(verification, "total_payoff", no_evaluation)
+        for spec in (single_player_spec(n=1, K=1), custom_single_player_game()):
+            profile = np.zeros((1, spec.K, spec.n))
+            with pytest.raises(ValueError, match="grid step must be real numbers"):
                 brute_force_best_response(spec, profile, 0, grid_step)
 
     @pytest.mark.parametrize("j, error, match", [

@@ -14,9 +14,13 @@ OUTDIR receives, by relative paths, so that the outputs do not name it:
 - ``simulate --samples 200`` of the reference game at the paper example's
   equilibrium (``reference*``);
 - ``verify --suite all`` at seeds 0-49 (``verify_seed<s>.stdout``);
+- three refused invocations, which pin error text: the reference scenario
+  with a NaN budget (``refused_nan_budget*``, exit 2), ``simulate`` of a
+  plans file over player 0's budget (``refused_over_budget*``, exit 3) and
+  ``solve`` on the two-player reference scenario (``refused_solve*``, exit 4);
 
-with every command's stdout in ``<name>.stdout`` and its exit code in
-``exit_codes.txt``.  Snapshot the parent and the change, each in a new
+with every command's stdout in ``<name>.stdout``, its stderr in
+``<name>.stderr`` and its exit code in ``exit_codes.txt``.  Snapshot the parent and the change, each in a new
 process, then compare with ``diff -r``.
 """
 
@@ -55,10 +59,11 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
     codes = []
 
     def run(name, argv):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             codes.append(f"{name} {ig.cli.main(argv)}\n")
         Path(f"{name}.stdout").write_text(stdout.getvalue())
+        Path(f"{name}.stderr").write_text(stderr.getvalue())
 
     def write_json(name, document):
         Path(name).write_text(json.dumps(document))
@@ -91,6 +96,17 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
 
         for seed in verify_seeds:
             run(f"verify_seed{seed}", ["verify", "--suite", "all", "--seed", str(seed)])
+
+        document = json.loads(Path(reference).read_text())
+        document["players"][0]["budget"] = float("nan")
+        run("refused_nan_budget", ["equilibrate", write_json("refused_nan_budget.json", document),
+                                   "--out", "refused_nan_budget"])
+        over = json.loads(Path("reference_plans.json").read_text())
+        over["plans"][0] = [[1.0] * len(row) for row in over["plans"][0]]  # 6 of budget 3
+        run("refused_over_budget", ["simulate", reference,
+                                    write_json("refused_over_budget_plans.json", over),
+                                    "--samples", SAMPLES, "--out", "refused_over_budget.csv"])
+        run("refused_solve", ["solve", reference, "--out", "refused_solve_report.json"])
         Path("exit_codes.txt").write_text("".join(codes))
 
 
