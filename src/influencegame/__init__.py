@@ -8,7 +8,6 @@ equilibria are the limits of simultaneous no-regret gradient ascent.
 
 from .errors import (
     ConvergenceError,
-    HypothesisCheckError,
     InfeasiblePlanError,
     InfluenceGameError,
     ScenarioError,

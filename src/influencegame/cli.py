@@ -149,8 +149,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     spec = scenario.spec
     players = []
     for j, utility in enumerate(spec.utilities):
-        if not utility.is_linear:
-            raise ScenarioError("custom utilities cannot be serialized to a scenario file")
         players.append({
             "budget": float(spec.budgets[j]),
             "utility": {

@@ -3,17 +3,14 @@
 Every player repeatedly plays projected gradient ascent on its own payoff
 against the others' current strategies; for socially concave games the
 running average of the joint iterates converges to a pure open-loop
-equilibrium.  A game has that shape by construction: linear utilities have
-it, and ``GameSpec`` refuses a custom utility that fails its spot checks
-for it when the game is built, so no entry point here checks a hypothesis.
-One iteration is one game-kernel pass that carries every player's opinion
-column and yields every payoff and gradient, then one projection of the m
-stepped plans, stacked, onto their budget sets.  No stepsize is configured:
-the game fixes it, 10 / tau when every utility is linear and 1 / sqrt(tau),
-the general online-gradient rate, otherwise.  The trace records the
-iterates and the per-iteration payoffs (the running averages are derived
-from the iterates), and the diagnostics below quantify how close the
-averaged profile is to equilibrium:
+equilibrium.  A game has that shape by construction: its utilities are
+linear, so no entry point here checks a hypothesis.  One iteration is one
+game-kernel pass that carries every player's opinion column and yields every
+payoff and gradient, then one projection of the m stepped plans, stacked,
+onto their budget sets, with the one stepsize 10 / tau.  The trace records
+the iterates and the per-iteration payoffs (the running averages are
+derived from the iterates), and the diagnostics below quantify how close
+the averaged profile is to equilibrium:
 
 * regret -- gap between the best fixed strategy in hindsight and the payoff
   actually accumulated,
@@ -55,7 +52,7 @@ from .game_model import (
     _profile_pass,
     _one_profile,
 )
-from .opinion_dynamics import _finite, _readonly, _real
+from .opinion_dynamics import _finite, _one_number, _readonly, _real
 from .single_player_solver import (
     _maximize_concave,
     _project_rows,
@@ -138,7 +135,9 @@ class LearningTrace:
 class EquilibriumResult:
     """Averaged profile plus closeness-to-equilibrium diagnostics; the
     profile, the exploitability and the regrets pass ``_finite``, the
-    package's gate for finite real numbers (ValueError otherwise)."""
+    package's gate for finite real numbers, the exploitability is one number
+    held as a float (``_one_number``), and ``iterations`` is an integer, not
+    a bool, of at least 1 (ValueError otherwise)."""
 
     profile: np.ndarray
     exploitability: float
@@ -149,8 +148,13 @@ class EquilibriumResult:
         object.__setattr__(self, "profile", _readonly(_finite(self.profile, "profile")))
         object.__setattr__(self, "regrets",
                            _readonly(np.atleast_1d(_finite(self.regrets, "regrets"))))
-        if _finite(self.exploitability, "exploitability") < -1e-8:
+        exploitability = _one_number(self.exploitability, "exploitability", _finite)
+        if exploitability < -1e-8:
             raise ValueError("exploitability cannot be materially negative")
+        object.__setattr__(self, "exploitability", exploitability)
+        if not (_is_integer(self.iterations) and self.iterations >= 1):
+            raise ValueError(f"iterations must be an integer of at least 1, "
+                             f"got {self.iterations!r}")
 
 
 def _require_multiplayer(spec: GameSpec):
@@ -199,9 +203,8 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     """Simultaneous projected gradient ascent for all players, T iterations.
 
     Players start from the interior half-budget spread (each entry
-    beta_j / (2 K n)) and update together from the same joint iterate.  The
-    stepsize follows from the game: eta_tau = 10 / tau when every utility is
-    linear, 1 / sqrt(tau) otherwise.  Each iteration makes one kernel pass
+    beta_j / (2 K n)) and update together from the same joint iterate, with
+    stepsize eta_tau = 10 / tau.  Each iteration makes one kernel pass
     over all players' columns and one projection of the (m, K n) stack of
     stepped plans, by ``_project_rows`` on the caps ``GameSpec`` checked.
     The run draws no random numbers: the spec and T determine it.  T must be
@@ -210,7 +213,6 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     """
     if not (_is_integer(T) and T >= 1):
         raise ValueError(f"iteration count must be an integer of at least 1, got {T!r}")
-    linear = all(u.is_linear for u in spec.utilities)
     m, K, n = spec.m, spec.K, spec.n
     current = np.broadcast_to(spec.budgets[:, None] / (2 * K * n), (m, K * n))
     if m == 1:
@@ -229,7 +231,7 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
 
     for tau in range(1, T + 1):
         iterates[tau - 1] = current
-        eta = 10.0 / tau if linear else 1.0 / np.sqrt(tau)
+        eta = 10.0 / tau
         _, _, payoffs[tau - 1], gradient = _profile_pass(spec, current)
         current = project((current + eta * gradient).reshape(m, K * n)).reshape(m, K, n)
 

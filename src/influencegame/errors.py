@@ -13,11 +13,6 @@ class InfeasiblePlanError(InfluenceGameError):
     """A budget plan violates its constraints beyond tolerance."""
 
 
-class HypothesisCheckError(InfluenceGameError):
-    """A structural hypothesis of a stage utility (concavity, convexity,
-    monotonicity) failed its numerical spot check."""
-
-
 class ConvergenceError(InfluenceGameError):
     """An iterative routine ran out of its iteration budget.
 

@@ -23,17 +23,15 @@ objective one own plan, without a batch axis, against the totals of every
 profile it scores.  The kernel stores its states stage-major.  What it
 reads of the game (the gap propagators and their transposes, x0's columns,
 the linear utilities' weights and scaled gradients) is built once per game
-into one read-only bundle, ``GameSpec.kernel``.  A custom utility's
-callables are called once per stage on the column's slice of the kernel's
-stack: (n,) for one profile, (rows, n) for a batch.
+into one read-only bundle, ``GameSpec.kernel``.
 ``simulate_trajectory`` samples the hybrid process from the kernel's
 campaign-time states, carrying each state into the gap that follows it.
 
-A custom utility is admitted when its game is built, by midpoint spot
-checks on pairs drawn in one block from fixed seeds.  The midpoint rule,
-``_midpoint_violations`` with its one bound ``_MIDPOINT_TOL``, lives here,
-the lowest module that judges midpoints; the verify suites import it, so
-this module imports nothing from ``verification``.
+Every stage utility is linear, rho(k)'x - lambda 1'b: the utility of the
+paper's example and of the one scenario kind, ``linear-favor``.  So the
+kernel's stage terms are the bundle's constants, and every game has the
+shape the solvers rely on by construction.  The package reproduces the
+paper's claims for this family only.
 """
 
 from __future__ import annotations
@@ -43,11 +41,10 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisCheckError, InfeasiblePlanError
+from .errors import InfeasiblePlanError
 from .opinion_dynamics import (
     CampaignSchedule,
     Network,
@@ -56,6 +53,7 @@ from .opinion_dynamics import (
     interval_propagators,
     propagator,
     _finite,
+    _one_number,
     _readonly,
     _real,
 )
@@ -65,8 +63,8 @@ from .opinion_dynamics import (
 # oracles' caps (absorbs projection round-off).
 FEASIBILITY_TOL = 1e-9
 
-# Bound on (sum(rho) + lambda) / (K + 1), which bounds a linear utility's
-# payoff gradient entries.  No solver steps further than 1e6 along a gradient
+# Bound on (sum(rho) + lambda) / (K + 1), which bounds a utility's payoff
+# gradient entries.  No solver steps further than 1e6 along a gradient
 # (the ascent's clamp; the no-regret stepsize is at most 10) and a hindsight
 # objective sums one gradient per iteration, so over even 1e12 iterations a
 # step stays below 1e6 * 1e12 * 1e288 = 1e306 and cannot overflow a plan.
@@ -77,70 +75,31 @@ _MAX_GRADIENT = 1e288
 # block keeps a long sampling at a few MiB however many samples a gap holds.
 _SAMPLE_BLOCK = 2 ** 17
 
-# How far f(midpoint) may exceed the mean of the endpoint values: the one
-# bound of the midpoint rule, for custom-utility admission and the verify suites.
-_MIDPOINT_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class StageUtility:
-    """Per-stage utility u(x, b, k) of one player, linear or custom by what it
-    holds.
+    """Per-stage utility u(x, b, k) = rho(k)'x - lambda 1'b of one player,
+    lambda the ``cost_coefficient``.
 
-    A linear utility holds weights ``rho`` and scores rho(k)'x - lambda 1'b,
-    lambda the ``cost_coefficient``; the game kernel reads its weights from
-    the game's stack in the bundle ``GameSpec.kernel``.  A custom utility
-    holds a value and both partial gradients as callables fn(x, b, k) of
-    opinions x and budgets b shaped (..., n), a stack of length-n vectors,
-    and an int stage k: ``value_fn`` returns the (...) values,
-    ``opinion_grad_fn`` and ``budget_grad_fn`` the (..., n) gradients.  The
-    kernel calls each once per stage on its whole stack.  Weights together
-    with a callable, a custom utility with a nonzero cost coefficient (its
-    callables price the budget), and neither weights nor all three
-    callables raise ValueError, so no field is held and then ignored.  The
-    weights and the cost coefficient pass ``_finite``, the package's gate
-    for finite real numbers (a bool, a string or a complex number is not
-    one), and the cost must be a single nonnegative number.
-    ``GameSpec`` checks a custom utility once, when the game is built: each
-    callable must answer a stack of the right shape (ValueError otherwise),
-    and the utility must pass the midpoint spot checks of the shape its game
-    needs (HypothesisCheckError otherwise).  Alone in a game it must be
-    concave; in a game of m >= 2 players it must be increasing and convex in
-    the opinion argument and concave in the own budget.
+    The game kernel reads the weights ``rho`` from the game's stack in the
+    bundle ``GameSpec.kernel``.  The weights and the cost coefficient pass
+    ``_finite``, the package's gate for finite real numbers (a bool, a
+    string or a complex number is not one); the weights must be
+    nonnegative, and the cost one nonnegative number (``_one_number``).
     """
 
-    rho: np.ndarray | None = None
+    rho: np.ndarray
     cost_coefficient: float = 0.0
-    value_fn: Callable | None = None
-    opinion_grad_fn: Callable | None = None
-    budget_grad_fn: Callable | None = None
 
     def __post_init__(self):
-        cost = _finite(self.cost_coefficient, "cost coefficient")
-        if cost.ndim:
-            raise ValueError(f"cost coefficient must be one number, got shape {cost.shape}")
-        object.__setattr__(self, "cost_coefficient", float(cost))
-        if self.cost_coefficient < 0:
+        cost = _one_number(self.cost_coefficient, "cost coefficient", _finite)
+        if cost < 0:
             raise ValueError("cost coefficient must be nonnegative")
-        callables = (self.value_fn, self.opinion_grad_fn, self.budget_grad_fn)
-        if self.rho is None:
-            if not all(map(callable, callables)):
-                raise ValueError("a stage utility needs weights rho or value, opinion-gradient "
-                                 "and budget-gradient callables")
-            if self.cost_coefficient != 0:
-                raise ValueError("a custom utility prices the budget in its callables: "
-                                 "its cost coefficient must be 0")
-            return
-        if any(fn is not None for fn in callables):
-            raise ValueError("a utility holds weights rho or callables, not both")
+        object.__setattr__(self, "cost_coefficient", cost)
         rho = np.atleast_2d(_finite(self.rho, "stage weights rho"))
         if np.any(rho < 0):
             raise ValueError("stage weights rho must be nonnegative")
         object.__setattr__(self, "rho", _readonly(rho))
-
-    @property
-    def is_linear(self) -> bool:
-        return self.rho is not None
 
 
 _KernelConstants = namedtuple(  # see GameSpec.kernel
@@ -155,14 +114,12 @@ class GameSpec:
     opinions at least one player's column (m >= 1).  With m >= 2 players
     every row of ``x0`` must sum to 1 (within 1e-9): the players'
     opinions of each individual form a distribution, which the constant-sum
-    identity and the normalized jump keep along the trajectory.  A linear
-    utility's weights must keep (sum(rho) + lambda) / (K + 1) at most
-    ``_MAX_GRADIENT``, 1e288, so that no solver step overflows.  The budgets
-    are a flat vector of m nonnegative entries that pass ``_finite``, the
-    package's gate for finite real numbers.  Every custom utility's
-    callables are probed here on a stack, and the utility is checked for the
-    shape its game needs (see ``StageUtility``), so no solver checks a
-    hypothesis or meets a callable that cannot take its stacks.
+    identity and the normalized jump keep along the trajectory.  Each
+    utility must be a ``StageUtility`` whose weights supply all K + 1 stages
+    and keep (sum(rho) + lambda) / (K + 1) at most ``_MAX_GRADIENT``, 1e288,
+    so that no solver step overflows.  The budgets are a flat vector of m
+    nonnegative entries that pass ``_finite``, the package's gate for finite
+    real numbers.
     """
 
     network: Network
@@ -191,9 +148,10 @@ class GameSpec:
             raise ValueError("budgets must be nonnegative")
         stages = self.schedule.K + 1
         for j, utility in enumerate(self.utilities):
-            if not utility.is_linear:
-                _admit_custom(utility, self.network.n, stages, player=j, multiplayer=m >= 2)
-            elif utility.rho.shape != (stages, self.network.n):
+            if not isinstance(utility, StageUtility):
+                raise ValueError(f"utility of player {j} must be a StageUtility, "
+                                 f"got {type(utility).__name__}")
+            if utility.rho.shape != (stages, self.network.n):
                 raise ValueError(
                     f"rho must supply all {stages} stages for {self.network.n} individuals"
                 )
@@ -219,100 +177,18 @@ class GameSpec:
     def kernel(self) -> _KernelConstants:
         """What the kernel reads of the game, read-only, built on first use and
         kept for the game's life (not a field: ``replace`` returns a game
-        without it): the linear utilities' stage-major (K+1, m, n) weights
-        rho and (m,) costs lambda (zero for custom utilities), their gradients
-        rho / (K+1) and -lambda / (K+1) (m, 1), x0 as (m, n) columns, and the
-        adjacent-gap propagators, one ``propagator`` call per gap, with their
-        transposes.  Building it runs the propagators' stochasticity gate."""
-        rho = np.zeros((self.K + 1, self.m, self.n))
-        cost = np.zeros(self.m)
-        for j, utility in enumerate(self.utilities):
-            if utility.is_linear:
-                rho[:, j], cost[j] = utility.rho, utility.cost_coefficient
+        without it): the utilities' stage-major (K+1, m, n) weights rho and
+        (m,) costs lambda, their gradients rho / (K+1) and -lambda / (K+1)
+        (m, 1), x0 as (m, n) columns, and the adjacent-gap propagators, one
+        ``propagator`` call per gap, with their transposes.  Building it runs
+        the propagators' stochasticity gate."""
+        rho = np.stack([utility.rho for utility in self.utilities], axis=1)
+        cost = np.array([utility.cost_coefficient for utility in self.utilities])
         scale = 1.0 / (self.K + 1)
         x0 = np.ascontiguousarray(self.x0.values.T) + 0.0  # a -0.0 opinion becomes 0.0
         arrays = map(_readonly, (rho, cost, scale * rho, scale * -cost[:, None], x0))
         gaps = tuple(interval_propagators(self.network, self.schedule))
         return _KernelConstants(*arrays, gaps, tuple(gap.T for gap in gaps))
-
-
-def _probe_stacked(utility: StageUtility, n: int, stages: int, player: int):
-    """Call each of a custom utility's callables at k = 1 and k = K+1 on a
-    (2, n+1, n) stack, whose batch axes differ from n so that a callable
-    written for a single vector cannot pass by broadcasting; raise
-    ValueError naming the player and the callable if one raises TypeError,
-    ValueError or IndexError (a table short of K+1 stages) or returns the
-    wrong shape."""
-    x = np.full((2, n + 1, n), 0.5)
-    b = np.full(x.shape, 0.25)
-    for k in (1, stages):
-        for name, shape in (("value_fn", x.shape[:-1]), ("opinion_grad_fn", x.shape),
-                            ("budget_grad_fn", x.shape)):
-            try:
-                answer = np.shape(getattr(utility, name)(x, b, k))
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ValueError(f"{name} of player {player} failed on opinions and budgets "
-                                 f"shaped {x.shape} at stage {k}: {exc}") from exc
-            if answer != shape:
-                raise ValueError(f"{name} of player {player} returned shape {answer} for "
-                                 f"opinions and budgets shaped {x.shape}, not {shape}")
-
-
-def _midpoint_violations(function: Callable, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-    """f((y + y_hat) / 2) - (f(y) + f(y_hat)) / 2 for each row of the stacks y
-    and y_hat, from one call of the stacked ``function`` on all 3B points.
-    A value above ``_MIDPOINT_TOL``, or a NaN, refutes convexity."""
-    values = np.asarray(function(np.concatenate([(y + y_hat) / 2.0, y, y_hat])), dtype=float)
-    midpoint, left, right = values.reshape(3, len(y))
-    return midpoint - (left + right) / 2.0
-
-
-def _require_midpoint_convex(function: Callable, points: np.ndarray, message: str):
-    """Midpoint rule on the pairs (points[2i], points[2i+1]) of a block of
-    points; a violation above ``_MIDPOINT_TOL`` or a NaN raises
-    HypothesisCheckError, after ``message``, naming the worst violation."""
-    worst = float(np.max(_midpoint_violations(function, points[0::2], points[1::2])))
-    if not worst <= _MIDPOINT_TOL:
-        raise HypothesisCheckError(f"{message} (worst violation {worst:.3e})")
-
-
-def _admit_custom(utility: StageUtility, n: int, stages: int, player: int,
-                  multiplayer: bool):
-    """Admit a custom utility: ``_probe_stacked``, then midpoint spot checks
-    of the shape its game needs at k = 1 and k = K+1.  Alone in a game it
-    must be concave in (opinions, budgets) on the same 64 pairs of points,
-    the budgets in [0, 0.5).  In a game of m >= 2 players, on the same 32
-    pairs of points y in [0, 1)^n, it must be convex in the opinions y at a
-    budget drawn per stage, not fall by more than 1e-9 over one step of 0.1
-    up any opinion from an opinion point drawn per stage, and concave in the
-    own budgets y / 2 at that opinion point."""
-    _probe_stacked(utility, n, stages, player)
-    value = utility.value_fn
-    if not multiplayer:
-        points = np.random.default_rng(11).random((128, 2, n))
-        points[:, 1] *= 0.5
-        for k in (1, stages):
-            _require_midpoint_convex(lambda z: -value(z[:, 0], z[:, 1], k), points,
-                                     "custom stage utility failed the concavity midpoint check")
-        return
-    rng = np.random.default_rng(0)
-    points = np.random.default_rng(7).random((64, n))
-    for k in (1, stages):
-        b = rng.random(n) * 0.5
-        _require_midpoint_convex(
-            lambda x: value(x, np.broadcast_to(b, x.shape), k), points,
-            f"custom utility of player {player} failed the convexity midpoint check")
-        # the point itself, then one step of 0.1 up each opinion, in one stack
-        x = rng.random(n) * 0.8 + np.vstack([np.zeros(n), 0.1 * np.eye(n)])
-        values = np.asarray(value(x, np.broadcast_to(b, x.shape), k))
-        if np.any(values[1:] < values[0] - 1e-9):
-            raise HypothesisCheckError(
-                f"custom utility of player {player} is not increasing in opinions"
-            )
-        _require_midpoint_convex(
-            lambda budgets: -value(np.broadcast_to(x[0], budgets.shape), budgets, k),
-            0.5 * points,
-            f"custom utility of player {player} failed the own-budget concavity midpoint check")
 
 
 def validate_plans(spec: GameSpec, profile) -> np.ndarray:
@@ -387,8 +263,8 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
     The p columns travel as one state, stored stage-major, the batch
     flattened into rows: per stage one product with the gap propagator, one
     jump and, in reverse, one adjoint product, whatever p and the batch.
-    The constants come from the per-game bundle ``GameSpec.kernel``.  The
-    sweep runs the recursion backwards (reverse mode), so each gradient is
+    The constants come from the per-game bundle ``GameSpec.kernel``, the
+    linear utilities' state-free gradients among them.  The sweep runs the recursion backwards (reverse mode), so each gradient is
     exact: own investments enter both linearly and through every damping
     denominator.
 
@@ -439,9 +315,15 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
             else:
                 state = np.divide(state + own[k - 1], denominators[k - 1], out=post[k - 1])
 
-    values, opinion_gradients, budget_gradients = _stage_terms(spec, players, pre, own)
+    # the stage utilities rho(k)'x - lambda 1'b
+    weights = constants.rho[:, players]
+    if batch:  # the weights serve every row
+        weights = weights[:, None]
+    values = (pre * weights).sum(axis=-1)
+    values[:K] -= constants.cost[players] * own.sum(axis=-1)
     # summed stage after stage, in the order the recursion visits them
     payoff = values.cumsum(axis=0)[K] / (K + 1)
+    opinion_gradients = constants.opinion_gradient[:, players]
     if not single:
         damp = 1.0 / denominators
         sensitivity = damp * (1.0 - post)
@@ -456,52 +338,13 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
             np.multiply(sensitivity[k - 1], w, out=gradient[k - 1])
             w = damp[k - 1] * w
         v = opinion_gradients[k - 1] + w
-    gradient += budget_gradients
+    gradient += constants.budget_gradient[players]
 
     # stage-major (S, [rows,] p, n) -> ([rows,] p, S, n)
     arrays = pre.transpose(axes), post.transpose(axes), payoff, gradient.transpose(axes)
     if len(batch) < 2:  # the lead axis, if any, is the batch
         return arrays
     return tuple(array.reshape(batch + array.shape[1:]) for array in arrays)
-
-
-def _stage_terms(spec: GameSpec, players: slice, pre: np.ndarray, own: np.ndarray):
-    """Stage utilities of the columns ``players`` at the kernel's
-    stage-major states pre (K+1, [rows,] p, n) and own plans.
-
-    Returns values (K+1, [rows,] p), opinion gradients (K+1, [rows,] p, n)
-    and budget gradients (K, [rows,] p, n), both scaled by 1/(K+1); the
-    terminal stage invests nothing.  Linear columns are scored at once
-    through the game's weights, their state-free gradients cached.  A custom
-    utility's callables are called once per stage on the column's slice of
-    the kernel's stack: opinions and budgets shaped (n,) for one profile,
-    (rows, n) for a batch.
-    """
-    K = spec.K
-    constants = spec.kernel
-    weights = constants.rho[:, players]
-    if pre.ndim == 4:  # a batch: the weights serve every row
-        weights = weights[:, None]
-    values = (pre * weights).sum(axis=-1)
-    values[:K] -= constants.cost[players] * own.sum(axis=-1)
-    custom = [(c, u) for c, u in enumerate(spec.utilities[players]) if not u.is_linear]
-    if not custom:
-        return (values, constants.opinion_gradient[:, players],
-                constants.budget_gradient[players])
-    opinion = weights + np.zeros(pre.shape)
-    budget = -constants.cost[players, None] + np.zeros(pre[:K].shape)
-
-    own = np.broadcast_to(own, budget.shape)  # one plan may serve every profile
-    for c, utility in custom:
-        for k in range(1, K + 2):
-            x = pre[k - 1, ..., c, :]
-            b = own[k - 1, ..., c, :] if k <= K else np.zeros(x.shape)
-            values[k - 1, ..., c] = utility.value_fn(x, b, k)
-            opinion[k - 1, ..., c, :] = utility.opinion_grad_fn(x, b, k)
-            if k <= K:
-                budget[k - 1, ..., c, :] = utility.budget_grad_fn(x, b, k)
-    scale = 1.0 / (K + 1)
-    return values, scale * opinion, scale * budget
 
 
 def _is_integer(value) -> bool:

@@ -17,10 +17,11 @@ bench tracer counts a call's flops from one gap length, so one stacked call
 per game waits for a bench change (ROADMAP item 4).  Every number a caller
 hands the package passes one gate defined here, in the lowest layer:
 ``_real`` refuses bools, strings, complex numbers and objects rather than
-cast them to floats, and ``_finite`` refuses NaN and inf as well.  The jumps at campaign times,
-additive for one player and normalized for several, and the forward
-recursion that strings gaps and jumps together live in ``game_model``, whose
-kernel also samples trajectories.
+cast them to floats, ``_finite`` refuses NaN and inf as well, and
+``_one_number`` applies either to an argument that must be one number.  The
+jumps at campaign times, additive for one player and normalized for several,
+and the forward recursion that strings gaps and jumps together live in
+``game_model``, whose kernel also samples trajectories.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def _finite(values, name: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite")
     return array
+
+
+def _one_number(values, name: str, gate) -> float:
+    """``values`` passed through ``gate``, ``_real`` or ``_finite``, as one
+    float: an argument that holds more than one number raises ValueError."""
+    array = gate(values, name)
+    if array.ndim:
+        raise ValueError(f"{name} must be one number, got shape {array.shape}")
+    return float(array)
 
 
 def _check_square(adjacency: np.ndarray):

@@ -420,8 +420,7 @@ def solve_single(spec: GameSpec) -> SolveReport:
     The ascent returns the gradient it measured at the plan, in its own
     units, which the KKT probe reuses before scaling its residual back to
     payoff units.  A game with other than one player raises ValueError, from
-    ``build_region``.  A custom utility was checked for concavity when its
-    game was built.
+    ``build_region``.
     """
     region = build_region(spec)
     K, n = spec.K, spec.n

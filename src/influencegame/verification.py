@@ -13,13 +13,12 @@ D(k) = diag(1 / (1 + total budget on individual i)), the pre-jump state at
 t_k is the sum over earlier stages s of (A_k D(k-1) ... A_{s+1} D(s)) B(s),
 seeded with D(0) = I and B(0) = x0.  ``opinions_at_campaigns_closed_form``
 evaluates that summation apart from the game kernel's stage recursion; the
-two agree to round-off.  Every midpoint check is judged by the rule that
-admits custom utilities, ``game_model._midpoint_violations`` and its one
-bound ``_MIDPOINT_TOL``, and propagators by ``propagator``'s rule,
-``check_stochastic``.  The suites draw a check's pairs and a profile's
-players in one generator call each and normalize each size's networks in
-one expression, with the stream and the values of drawing and building
-them one at a time.
+two agree to round-off.  Every midpoint check is judged by one rule, defined
+here, ``_midpoint_violations`` with its one bound ``_MIDPOINT_TOL``, and
+propagators by ``propagator``'s rule, ``check_stochastic``.  The suites draw
+a check's pairs and a profile's players in one generator call each and
+normalize each size's networks in one expression, with the stream and the
+values of drawing and building them one at a time.
 
 Every point-wise oracle evaluates all its points in one call.  The function
 judged by the midpoint rule takes a stack of points shaped (B, *shape) and
@@ -44,20 +43,32 @@ import numpy as np
 
 from .equilibrium_solver import project_budget_set
 from .game_model import (FEASIBILITY_TOL, GameSpec, StageUtility, opinions_at_campaigns,
-                         payoff_gradient, total_payoff, _MIDPOINT_TOL, _column,
-                         _midpoint_violations, _one_profile)
+                         payoff_gradient, total_payoff, _column, _one_profile)
 from .opinion_dynamics import (CampaignSchedule, OpinionState, build_network,
-                               check_stochastic, _finite, _flow, _real)
-from .single_player_solver import build_region, solve_single
+                               check_stochastic, _finite, _flow, _one_number, _real)
+from .single_player_solver import solve_single
 
 # Added to every raw weight of ``random_feasible_profile``, so that no entry is 0.
 _PROFILE_MARGIN = 1e-3
+
+# How far f(midpoint) may exceed the mean of the endpoint values: the one
+# bound of the midpoint rule.
+_MIDPOINT_TOL = 1e-9
 
 
 def _worst(values) -> float:
     """Largest of the values; a NaN among them makes it NaN, which fails any
     ``worst <= bound`` check."""
     return float(np.max(np.hstack(values), initial=-np.inf))
+
+
+def _midpoint_violations(function: Callable, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """f((y + y_hat) / 2) - (f(y) + f(y_hat)) / 2 for each row of the stacks y
+    and y_hat, from one call of the stacked ``function`` on all 3B points.
+    A value above ``_MIDPOINT_TOL``, or a NaN, refutes convexity."""
+    values = np.asarray(function(np.concatenate([(y + y_hat) / 2.0, y, y_hat])), dtype=float)
+    midpoint, left, right = values.reshape(3, len(y))
+    return midpoint - (left + right) / 2.0
 
 
 def fd_gradient(evaluator: Callable, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -69,12 +80,12 @@ def fd_gradient(evaluator: Callable, points: np.ndarray, h: float = 1e-5) -> np.
     points x + h e_i and then the d backward ones, whose (2d, B) values it
     returns.  Row b's gradient is read from row b's values alone, so a
     B-row stack gives the B one-row results bit for bit when the evaluator
-    scores each point on its own.  A step h that is not a positive and
-    finite real number, points that fail ``_finite`` or lack a stack axis
-    raise ValueError before any evaluation; an error the evaluator raises
-    propagates.
+    scores each point on its own.  A step h that is not one positive and
+    finite real number (``_one_number``), points that fail ``_finite`` or
+    lack a stack axis raise ValueError before any evaluation; an error the
+    evaluator raises propagates.
     """
-    if not 0 < _real(h, "finite-difference step") < np.inf:
+    if not 0 < _one_number(h, "finite-difference step", _real) < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     points = _finite(points, "finite-difference points")
     if points.ndim == 0:
@@ -100,18 +111,17 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     """Exhaustive grid search for player j's best response to the others'
     plans in the (m, K, n) ``profile``; returns (entries, payoff).
 
-    A lone linear player is scored by ``_batched_single_player_search``;
-    otherwise one ``total_payoff`` call scores the (C, m, K, n) stack of all
-    candidates, a lone player's first kept within ``build_region``'s rows
-    to ``FEASIBILITY_TOL``.  Candidates are enumerated lexicographically and
-    ties keep the earliest (lexicographically smallest) point, so the result
-    is deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
-    a positive and finite real number raises ValueError before any
-    evaluation, and a player index is checked as ``total_payoff`` checks
-    it, before any grid is built.
+    A lone player is scored by ``_batched_single_player_search``; among
+    several, one ``total_payoff`` call scores the (C, m, K, n) stack of all
+    candidates.  Candidates are enumerated lexicographically and ties keep
+    the earliest (lexicographically smallest) point, so the result is
+    deterministic.  Guarded to K*n <= 4 variables; a grid step that is not
+    one positive and finite real number (``_one_number``) raises ValueError
+    before any evaluation, and a player index is checked as
+    ``total_payoff`` checks it, before any grid is built.
     """
     j = _column(spec, j).start
-    if not 0 < _real(grid_step, "grid step") < np.inf:
+    if not 0 < _one_number(grid_step, "grid step", _real) < np.inf:
         raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
     K, n = spec.K, spec.n
     if K * n > 4:
@@ -120,13 +130,9 @@ def brute_force_best_response(spec, profile, j: int, grid_step: float):
     entries = _one_profile(spec, profile)
     candidates = _grid_candidates(cap, K * n, grid_step)
 
-    if spec.m == 1 and spec.utilities[0].is_linear:
+    if spec.m == 1:
         values = _batched_single_player_search(spec, candidates)
     else:
-        if spec.m == 1:
-            region = build_region(spec)
-            excess = candidates @ region.normals.T - region.offsets
-            candidates = candidates[excess.max(axis=1) <= FEASIBILITY_TOL]
         stack = np.repeat(entries[None], len(candidates), axis=0)
         stack[:, j] = candidates.reshape(-1, K, n)
         values = total_payoff(spec, stack, j)

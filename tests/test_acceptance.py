@@ -22,7 +22,7 @@ from influencegame import (
     total_payoff,
 )
 from influencegame.cli import reference_scenario
-from influencegame.game_model import _midpoint_violations
+from influencegame.verification import _midpoint_violations
 from influencegame.verification import (
     brute_force_best_response,
     random_feasible_profile,

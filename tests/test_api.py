@@ -16,7 +16,6 @@ EXPORTS = [
     "EquilibriumResult",
     "FeasibleRegion",
     "GameSpec",
-    "HypothesisCheckError",
     "InfeasiblePlanError",
     "InfluenceGameError",
     "LearningTrace",
@@ -62,7 +61,6 @@ SIGNATURES = {
     "EquilibriumResult": "profile, exploitability, regrets, iterations",
     "FeasibleRegion": "normals, offsets",
     "GameSpec": "network, schedule, x0, budgets, utilities",
-    "HypothesisCheckError": None,
     "InfeasiblePlanError": None,
     "InfluenceGameError": None,
     "LearningTrace": "spec, iterates, payoffs",
@@ -70,10 +68,7 @@ SIGNATURES = {
     "OpinionState": "values",
     "ScenarioError": None,
     "SolveReport": "plan, objective, iterations, final_step_norm, kkt_residual, objectives",
-    "StageUtility": (
-        "rho=None, cost_coefficient=0.0, value_fn=None, opinion_grad_fn=None, "
-        "budget_grad_fn=None"
-    ),
+    "StageUtility": "rho, cost_coefficient=0.0",
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
     "TrajectoryPoint": "time, state, post_jump=False",
     "brute_force_best_response": "spec, profile, j, grid_step",
@@ -133,6 +128,11 @@ def test_exported_signatures():
         if not inspect.ismodule(getattr(influencegame, name))
     }
     assert callables == SIGNATURES
+
+
+def test_stage_utility_is_weights_and_a_cost():
+    utility = influencegame.StageUtility(rho=[[1.0]])
+    assert repr(utility) == "StageUtility(rho=array([[1.]]), cost_coefficient=0.0)"
 
 
 def test_one_concave_ascent_with_fixed_stopping_rules():

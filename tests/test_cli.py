@@ -19,7 +19,6 @@ from influencegame import (
     ConvergenceError,
     OpinionState,
     ScenarioError,
-    StageUtility,
     build_region,
     cli,
     run_no_regret,
@@ -67,7 +66,6 @@ class TestScenarioRoundTrip:
         assert np.array_equal(parsed.spec.x0.values, scenario.spec.x0.values)
         assert np.array_equal(parsed.spec.budgets, scenario.spec.budgets)
         for left, right in zip(parsed.spec.utilities, scenario.spec.utilities):
-            assert left.is_linear and right.is_linear
             assert left.cost_coefficient == right.cost_coefficient
             assert np.array_equal(left.rho, right.rho)
         assert parsed.solver == scenario.solver
@@ -80,15 +78,6 @@ class TestScenarioRoundTrip:
         parsed = scenario_from_dict(json.loads(block))
         assert scenario_to_dict(parsed) == scenario_to_dict(reference_scenario())
         assert block == cli.REFERENCE_DOCUMENT
-
-    def test_custom_utility_not_serialized(self):
-        spec = random_linear_game(np.random.default_rng(0), 1, 2, 1)
-        custom = StageUtility(value_fn=lambda x, b, k: np.zeros(x.shape[:-1]),
-                              opinion_grad_fn=lambda x, b, k: np.zeros(x.shape),
-                              budget_grad_fn=lambda x, b, k: np.zeros(x.shape))
-        spec = dataclasses.replace(spec, utilities=(custom,))
-        with pytest.raises(ScenarioError, match="custom utilities"):
-            scenario_to_dict(cli.Scenario(spec=spec, solver=cli.SolverSettings()))
 
     def test_unknown_keys_rejected(self):
         document = single_player_document()

@@ -12,7 +12,6 @@ from influencegame import (
     EquilibriumResult,
     FeasibleRegion,
     GameSpec,
-    HypothesisCheckError,
     OpinionState,
     StageUtility,
     exploitability,
@@ -210,16 +209,11 @@ class TestRunNoRegret:
         total = trace.payoffs.sum(axis=1)
         np.testing.assert_allclose(total, 3.0 - spend / 3.0, atol=1e-10)
 
-    @pytest.mark.parametrize("kind, etas", [
-        ("linear-favor", (10.0, 5.0)),
-        ("custom", (1.0, 1.0 / np.sqrt(2.0))),
-    ])
-    def test_stepsize_follows_from_the_utilities(self, two_player_spec, kind, etas):
-        # 10 / tau when every utility is linear, 1 / sqrt(tau) otherwise
+    def test_stepsize_is_ten_over_tau(self, two_player_spec):
         spec = dataclasses.replace(two_player_spec, utilities=tuple(
-            utility_of_kind(kind, np.ones((3, 3)), 0.5) for _ in range(2)))
+            StageUtility(rho=np.ones((3, 3)), cost_coefficient=0.5) for _ in range(2)))
         trace = run_no_regret(spec, 3)
-        for tau, eta in enumerate(etas, start=1):
+        for tau, eta in enumerate((10.0, 5.0), start=1):
             plans = trace.iterates[tau - 1]
             for j in range(2):
                 stepped = trace.iterates[tau - 1, j] + eta * payoff_gradient(spec, plans, j)
@@ -308,28 +302,11 @@ class TestRegret:
             assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
-def utility_of_kind(kind, rho, cost):
-    if kind != "custom":
-        return StageUtility(rho=rho, cost_coefficient=cost)
-    # increasing and convex in opinions on [0, 1]: rho'x + |x|^2 / 2 - cost 1'b
-    return StageUtility(
-        value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
-        opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
-        budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-    )
-
-
 class TestHindsightObjective:
     @pytest.mark.parametrize("horizon", [1, 7])
-    @pytest.mark.parametrize("kind", ["linear-favor", "custom"])
-    def test_batched_pass_equals_sum_over_played_profiles(self, horizon, kind):
+    def test_batched_pass_equals_sum_over_played_profiles(self, horizon):
         rng = np.random.default_rng(101)
-        game = random_linear_game(rng, 3, 4, 3)
-        spec = GameSpec(
-            network=game.network, schedule=game.schedule, x0=game.x0, budgets=game.budgets,
-            utilities=tuple(utility_of_kind(kind, u.rho, u.cost_coefficient)
-                            for u in game.utilities),
-        )
+        spec = random_linear_game(rng, 3, 4, 3)
         iterates = np.stack([random_feasible_profile(rng, spec) for _ in range(horizon)])
         own = random_feasible_profile(rng, spec)
         for j in range(spec.m):
@@ -601,47 +578,6 @@ class TestBestResponseCertificate:
             diameter = np.sqrt(2.0) * spec.budgets[j]
             bound = residuals[-1] * (diameter + np.linalg.norm(gradient))
             assert 0.0 <= reference - value <= bound
-
-
-class TestCustomUtilities:
-    # increasing and convex in opinions, linear in the own budget
-    utility = StageUtility(
-        value_fn=lambda x, b, k: x.sum(-1) + 0.25 * (x * x).sum(-1) - 0.5 * b.sum(-1),
-        opinion_grad_fn=lambda x, b, k: 1.0 + 0.5 * x,
-        budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.5),
-    )
-
-    def test_own_concave_best_response_never_below_played(self, two_player_spec):
-        spec = dataclasses.replace(two_player_spec,
-                                   utilities=(self.utility, two_player_spec.utilities[1]))
-        profile = random_feasible_profile(np.random.default_rng(3), spec)
-        plan, value = best_fixed_plan(spec, profile, 0)
-        assert plan.sum() <= spec.budgets[0] + 1e-9
-        assert value >= total_payoff(spec, profile, 0)
-
-    def test_measured_shape_admitted_without_declaration(self, two_player_spec):
-        # every spot check passes, so the shape is measured, not attested
-        for utilities in [(self.utility, self.utility),
-                          (self.utility, two_player_spec.utilities[1]),
-                          (two_player_spec.utilities[0], self.utility)]:
-            spec = dataclasses.replace(two_player_spec, utilities=utilities)
-            assert spec.utilities == utilities
-
-    def test_convex_in_the_own_budget_refused(self, two_player_spec, monkeypatch):
-        # increasing and convex in opinions but convex in the own budget:
-        # refused when the game is built, before any kernel pass, whichever
-        # player holds it, naming the worst midpoint violation
-        passes = count_kernel_passes(monkeypatch)
-        convex = StageUtility(value_fn=lambda x, b, k: x.sum(-1) + (b * b).sum(-1),
-                              opinion_grad_fn=lambda x, b, k: np.ones_like(x),
-                              budget_grad_fn=lambda x, b, k: 2.0 * b)
-        pair = (convex, two_player_spec.utilities[1])
-        for player, utilities in enumerate([pair, pair[::-1]]):
-            with pytest.raises(HypothesisCheckError,
-                               match=rf"custom utility of player {player} failed the own-budget "
-                                     r"concavity midpoint check \(worst violation 6\.828e-02\)"):
-                dataclasses.replace(two_player_spec, utilities=utilities)
-        assert passes == []
 
 
 class TestExploitability:

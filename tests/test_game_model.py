@@ -9,7 +9,6 @@ import pytest
 from influencegame import (
     CampaignSchedule,
     GameSpec,
-    HypothesisCheckError,
     InfeasiblePlanError,
     OpinionState,
     StageUtility,
@@ -207,30 +206,10 @@ class TestSinglePlayerJump:
         assert not np.signbit(states[1, 0, 0])
 
 
-# A custom utility's three callables, each answering zeros.
-ZERO_CALLABLES = dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
-                               lambda x, b, k: np.zeros(x.shape))
-
-
-def mixed_game(rng):
-    """A random three-player game whose middle player has a custom utility,
-    increasing and convex in opinions: rho'x + x'x / 2 - cost 1'b."""
-    game = random_linear_game(rng, 3, 4, 3)
-    rho, cost = game.utilities[1].rho, game.utilities[1].cost_coefficient
-    custom = StageUtility(
-        value_fn=lambda x, b, k: x @ rho[k - 1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
-        opinion_grad_fn=lambda x, b, k: rho[k - 1] + x,
-        budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-    )
-    utilities = (game.utilities[0], custom, game.utilities[2])
-    return dataclasses.replace(game, utilities=utilities)
-
-
 KERNEL_GAMES = [
     pytest.param(lambda rng: random_linear_game(rng, 1, 4, 3), id="one-player"),
     pytest.param(lambda rng: random_linear_game(rng, 2, 4, 3), id="two-player"),
     pytest.param(lambda rng: random_linear_game(rng, 3, 5, 2), id="three-player"),
-    pytest.param(mixed_game, id="linear-and-custom"),
 ]
 
 
@@ -241,10 +220,7 @@ def closed_form_payoff(spec, profile, j):
     for k in range(1, spec.K + 2):
         x = states[k - 1][:, j]
         b = profile[j, k - 1] if k <= spec.K else np.zeros(spec.n)
-        if utility.is_linear:
-            total += x @ utility.rho[k - 1] - utility.cost_coefficient * b.sum()
-        else:
-            total += utility.value_fn(x, b, k)
+        total += x @ utility.rho[k - 1] - utility.cost_coefficient * b.sum()
     return total / (spec.K + 1)
 
 
@@ -290,34 +266,6 @@ class TestColumnsPass:
             for joint, single in zip(together, game_model._profile_pass(spec, profile)):
                 np.testing.assert_allclose(single, joint[b], rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
-    def test_custom_callables_are_called_once_per_stage_whatever_the_batch(self, batch):
-        # value and opinion gradient at each of the K + 1 stages, budget
-        # gradient at each of the K investing ones
-        rng = np.random.default_rng(71)
-        spec = mixed_game(rng)
-        calls = []
-
-        def counted(fn):
-            def call(x, b, k):
-                calls.append(x.shape)
-                return fn(x, b, k)
-            return call
-
-        custom = spec.utilities[1]
-        custom = dataclasses.replace(custom, **{
-            name: counted(getattr(custom, name))
-            for name in ("value_fn", "opinion_grad_fn", "budget_grad_fn")})
-        spec = dataclasses.replace(spec, utilities=(spec.utilities[0], custom, spec.utilities[2]))
-        profiles = np.stack([random_feasible_profile(rng, spec)
-                             for _ in range(int(np.prod(batch)))]).reshape(batch + (spec.m, spec.K, spec.n))
-        for players in (slice(None), slice(1, 2)):
-            calls.clear()
-            game_model._profile_pass(spec, profiles, players)
-            # the kernel's own slice: one vector, or the batch flattened into rows
-            rows = (math.prod(batch),) if batch else ()
-            assert calls == [rows + (spec.n,)] * (3 * spec.K + 2)
-
 
 HINDSIGHT_GAMES = [
     *(pytest.param(lambda rng, m=m: random_linear_game(rng, m, 4, 3), id=f"{m}-player")
@@ -325,7 +273,6 @@ HINDSIGHT_GAMES = [
     pytest.param(lambda rng: random_linear_game(rng, 3, 1, 3), id="3-player-one-individual"),
     # one entry per plan, where numpy would sum nine players pairwise
     pytest.param(lambda rng: random_linear_game(rng, 9, 1, 1), id="9-player-one-entry"),
-    pytest.param(mixed_game, id="linear-and-custom"),
 ]
 
 
@@ -840,59 +787,8 @@ class TestStageUtility:
             StageUtility(rho=np.ones((2, 2)), cost_coefficient=-0.1)
 
     def test_linear_needs_rho(self):
-        with pytest.raises(ValueError, match="needs weights rho or"):
+        with pytest.raises(TypeError, match="rho"):
             StageUtility(cost_coefficient=0.5)
-
-    @pytest.mark.parametrize("fields, message", [
-        *(pytest.param({"rho": np.ones((3, 3)), name: ZERO_CALLABLES[name]}, "not both",
-                       id=f"weights-and-{name}") for name in ZERO_CALLABLES),
-        pytest.param({**ZERO_CALLABLES, "rho": 7.0}, "not both", id="custom-with-rho"),
-        pytest.param({**ZERO_CALLABLES, "cost_coefficient": 50.0}, "cost coefficient must be 0",
-                     id="custom-with-cost"),
-    ])
-    def test_fields_the_utility_would_ignore_refused(self, fields, message):
-        # a linear utility reads no callable, a custom one neither weights
-        # nor a cost coefficient: each would be held and never read
-        with pytest.raises(ValueError, match=message):
-            StageUtility(**fields)
-
-    @pytest.mark.parametrize("callables", [
-        pytest.param({"value_fn": lambda x, b, k: 0.0}, id="missing"),
-        pytest.param({"value_fn": 1, "opinion_grad_fn": "x", "budget_grad_fn": 2.0},
-                     id="none-callable"),
-        *(pytest.param({**dict.fromkeys(("value_fn", "opinion_grad_fn", "budget_grad_fn"),
-                                        lambda x, b, k: x), name: 1.0}, id=name)
-          for name in ("value_fn", "opinion_grad_fn", "budget_grad_fn")),
-    ])
-    def test_custom_needs_all_callables(self, callables):
-        with pytest.raises(ValueError, match="callables"):
-            StageUtility(**callables)
-
-    @pytest.mark.parametrize("name, per_vector", [
-        pytest.param("value_fn", lambda rho, cost: (
-            lambda x, b, k: float(x @ rho[k - 1] - cost * b.sum())), id="float-value"),
-        pytest.param("value_fn", lambda rho, cost: (
-            lambda x, b, k: rho[k - 1] @ x - cost * b.sum(-1)), id="vector-first-product"),
-        pytest.param("opinion_grad_fn", lambda rho, cost: (lambda x, b, k: 1.0),
-                     id="scalar-gradient"),
-    ])
-    def test_per_vector_callables_refused_when_the_game_is_built(self, name, per_vector):
-        # written for one length-n vector, they broadcast or fail deep inside
-        # a solver's batched pass unless the game probes them on a stack
-        game = random_linear_game(np.random.default_rng(0), 2, 4, 2)
-        for player in range(2):
-            rho, cost = game.utilities[player].rho, game.utilities[player].cost_coefficient
-            stacked = StageUtility(
-                value_fn=lambda x, b, k: x @ rho[k - 1] - cost * b.sum(-1),
-                opinion_grad_fn=lambda x, b, k: rho[k - 1] + 0.0 * x,
-                budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-            )
-            utilities = list(game.utilities)
-            utilities[player] = stacked
-            dataclasses.replace(game, utilities=utilities)  # the stacked form is accepted
-            utilities[player] = dataclasses.replace(stacked, **{name: per_vector(rho, cost)})
-            with pytest.raises(ValueError, match=f"{name} of player {player}"):
-                dataclasses.replace(game, utilities=utilities)
 
     @pytest.mark.parametrize("cost", ["1.0", None, True, np.bool_(True)],
                              ids=["string", "none", "bool", "numpy-bool"])
@@ -905,76 +801,6 @@ class TestStageUtility:
         utility = StageUtility(rho=np.ones((3, 3)), cost_coefficient=cost)
         assert type(utility.cost_coefficient) is float
         assert utility.cost_coefficient == cost
-
-    def test_weight_table_a_stage_short_refused_by_name(self, two_player_spec):
-        # the README's custom example with rho one stage short of K + 1 = 3
-        rho, cost = np.ones((2, 3)), 1.0
-        short = StageUtility(
-            value_fn=lambda x, b, k: x @ rho[k-1] + 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
-            opinion_grad_fn=lambda x, b, k: rho[k-1] + x,
-            budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost),
-        )
-        with pytest.raises(ValueError, match=r"value_fn of player 0 failed on opinions and budgets "
-                                             r"shaped \(2, 4, 3\) at stage 3: index 2 is out of"):
-            dataclasses.replace(two_player_spec, utilities=(short, two_player_spec.utilities[1]))
-
-    def test_concave_custom_fails_registration_check(self, path_network):
-        # increasing but strictly concave in opinions
-        value = lambda x, b, k: np.sqrt(x + 1e-9).sum(-1)
-        grad = lambda x, b, k: 0.5 / np.sqrt(x + 1e-9)
-        zeros = lambda x, b, k: np.zeros_like(x)
-        custom = StageUtility(value_fn=value, opinion_grad_fn=grad, budget_grad_fn=zeros)
-        favor = StageUtility(rho=np.ones((2, 3)), cost_coefficient=1.0)
-        with pytest.raises(HypothesisCheckError):
-            GameSpec(
-                network=path_network,
-                schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
-                x0=OpinionState(np.full((3, 2), 0.5)),
-                budgets=np.array([1.0, 1.0]),
-                utilities=(custom, favor),
-            )
-
-
-    def test_decreasing_custom_fails_registration_check(self, path_network):
-        # linear, so convex, but decreasing
-        value = lambda x, b, k: -x.sum(-1)
-        grad = lambda x, b, k: -np.ones_like(x)
-        zeros = lambda x, b, k: np.zeros_like(x)
-        custom = StageUtility(value_fn=value, opinion_grad_fn=grad, budget_grad_fn=zeros)
-        favor = StageUtility(rho=np.ones((2, 3)), cost_coefficient=1.0)
-        with pytest.raises(HypothesisCheckError, match="not increasing"):
-            GameSpec(
-                network=path_network,
-                schedule=CampaignSchedule(times=np.array([0.0, 1.0, 2.0])),
-                x0=OpinionState(np.full((3, 2), 0.5)),
-                budgets=np.array([1.0, 1.0]),
-                utilities=(custom, favor),
-            )
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_refusal_names_the_worst_violation_of_the_point_by_point_draws(self, m):
-        # the admission draws its pairs as one block; they are the points a
-        # point-by-point sampler draws from the same seed, so the message of a
-        # refusal names the worst violation over those pairs
-        n = 3
-        rng = np.random.default_rng(11 if m == 1 else 7)
-        if m == 1:  # convex, so not concave; each point is opinions then budgets
-            points = [np.concatenate([rng.random(n), rng.random(n) * 0.5]) for _ in range(128)]
-            value = lambda x, b, k: (x * x).sum(-1) - b.sum(-1)
-            opinion_gradient = lambda x, b, k: 2.0 * x
-            scalar = lambda z: -value(z[:n], z[n:], 1)
-        else:  # increasing but concave in the opinions
-            points = [rng.random(n) for _ in range(64)]
-            value = lambda x, b, k: np.sqrt(x + 1.0).sum(-1)
-            opinion_gradient = lambda x, b, k: 0.5 / np.sqrt(x + 1.0)
-            scalar = lambda x: value(x, 0.0, 1)
-        worst = max(scalar((y + y_hat) / 2.0) - (scalar(y) + scalar(y_hat)) / 2.0
-                    for y, y_hat in zip(points[0::2], points[1::2]))
-        custom = StageUtility(value_fn=value, opinion_grad_fn=opinion_gradient,
-                              budget_grad_fn=lambda x, b, k: -np.ones_like(x))
-        game = random_linear_game(np.random.default_rng(0), m, n, 2)
-        with pytest.raises(HypothesisCheckError, match=rf"worst violation {worst:.3e}\)$"):
-            dataclasses.replace(game, utilities=(custom,) + game.utilities[1:])
 
 
 class TestGameSpec:
@@ -1029,3 +855,20 @@ class TestGameSpec:
         with pytest.raises(ValueError, match="at least one player"):
             dataclasses.replace(two_player_spec, x0=OpinionState(np.zeros((3, 0))),
                                 budgets=np.zeros(0), utilities=())
+
+    @pytest.mark.parametrize("utility", [None, np.ones((3, 3)), "linear-favor", 1.0],
+                             ids=["none", "weights-array", "string", "number"])
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_utility_that_is_not_a_stage_utility_refused(self, two_player_spec, utility,
+                                                         player):
+        # each once failed on an attribute of the utility with AttributeError
+        utilities = list(two_player_spec.utilities)
+        utilities[player] = utility
+        with pytest.raises(ValueError,
+                           match=f"^utility of player {player} must be a StageUtility, got "):
+            dataclasses.replace(two_player_spec, utilities=utilities)
+
+    def test_weights_must_supply_every_stage(self, two_player_spec):
+        short = StageUtility(rho=np.ones((2, 3)), cost_coefficient=1.0)
+        with pytest.raises(ValueError, match=r"^rho must supply all 3 stages for 3 individuals$"):
+            dataclasses.replace(two_player_spec, utilities=(short, two_player_spec.utilities[1]))

@@ -11,7 +11,12 @@ or the entry's own named error; four entries judge them instead, as
 documented: ``check_stochastic`` reports them as a failed check,
 ``project_budget_set`` takes an infinite cap as no cap at all,
 ``FeasibleRegion.max_violation`` finds an infinite violation and a
-``LearningTrace`` records them as a run computed them."""
+``LearningTrace`` records them as a run computed them.
+
+An argument that must be one number refuses a list or an array of any
+other shape by name, and an ``EquilibriumResult`` holds its exploitability
+as a float and refuses an ``iterations`` count that is not an integer of
+at least 1, a bool among them."""
 
 import dataclasses
 import warnings
@@ -167,3 +172,43 @@ def test_entry_refuses_hostile_value(entry, value):
             with pytest.raises(ValueError, match=non_finite):
                 call(HOSTILE[value])
 
+
+
+# entry: (the name the gate gives, the call) for the arguments that must be one number
+ONE_NUMBER = {
+    "StageUtility.cost_coefficient": (
+        "cost coefficient", lambda v: StageUtility(rho=np.ones((3, 3)), cost_coefficient=v)),
+    "EquilibriumResult.exploitability": ("exploitability", lambda v: result(exploitability=v)),
+    "fd_gradient.h": ("finite-difference step",
+                      lambda v: fd_gradient(lambda x: x.sum(axis=-1), np.ones((1, 2)), h=v)),
+    "brute_force_best_response.grid_step": (
+        "grid step", lambda v: brute_force_best_response(single_player_spec(), np.zeros((1, 1, 1)),
+                                                         0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [[0.1, 0.2], [0.5], [[0.5]]],
+                         ids=["two-entries", "one-entry", "one-by-one"])
+@pytest.mark.parametrize("entry", ONE_NUMBER)
+def test_one_number_argument_refuses_an_array(entry, value):
+    name, call = ONE_NUMBER[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be one number, "
+                                             rf"got shape \({', '.join(map(str, np.shape(value)))},?\)$"):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [0, 2, np.float32(0.25), np.int64(3), np.array(0.5)],
+                         ids=["int", "two", "float32", "int64", "zero-dimensional"])
+def test_exploitability_held_as_a_float(value):
+    held = result(exploitability=value).exploitability
+    assert type(held) is float and held == value
+
+
+@pytest.mark.parametrize("iterations", [True, np.bool_(True), "x", 1.0, None, 0, -3],
+                         ids=["bool", "numpy-bool", "string", "float", "none", "zero", "negative"])
+def test_iterations_must_be_an_integer_of_at_least_one(iterations):
+    with pytest.raises(ValueError, match="^iterations must be an integer of at least 1, got "):
+        EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=0.0,
+                          regrets=np.zeros(2), iterations=iterations)

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import re
 import warnings
 
 import numpy as np
@@ -11,7 +10,6 @@ from influencegame import (
     ConvergenceError,
     FeasibleRegion,
     GameSpec,
-    HypothesisCheckError,
     InfeasiblePlanError,
     OpinionState,
     StageUtility,
@@ -668,42 +666,6 @@ class TestSolveSingle:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_single(spec)
         assert build_region(spec).contains(excinfo.value.last_iterate)
-
-    @staticmethod
-    def with_custom_utility(spec, value, opinion_gradient):
-        """The game with its utility replaced by a custom one whose budget
-        gradient is the linear utility's cost per unit."""
-        cost = spec.utilities[0].cost_coefficient
-        utility = StageUtility(value_fn=value, opinion_grad_fn=opinion_gradient,
-                               budget_grad_fn=lambda x, b, k: np.full(x.shape, -cost))
-        return dataclasses.replace(spec, utilities=(utility,))
-
-    def test_concave_custom_utility_reaches_grid_optimum(self):
-        # rho'x - |x|^2 / 2 - lambda 1'b, with the linear game's rho and lambda
-        spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
-        rho, cost = spec.utilities[0].rho, spec.utilities[0].cost_coefficient
-        spec = self.with_custom_utility(
-            spec,
-            lambda x, b, k: x @ rho[k - 1] - 0.5 * (x * x).sum(-1) - cost * b.sum(-1),
-            lambda x, b, k: rho[k - 1] - x,
-        )
-        report = solve_single(spec)
-        _, grid_value = brute_force_best_response(
-            spec, np.zeros((1, spec.K, spec.n)), 0, grid_step=0.01
-        )
-        assert report.objective >= grid_value
-        assert build_region(spec).contains(report.plan.ravel())
-
-    def test_convex_custom_utility_refused(self):
-        spec = random_linear_game(np.random.default_rng(0), 1, 2, 2)
-        cost = spec.utilities[0].cost_coefficient
-        # refused when the game is built, before any solver runs
-        with pytest.raises(HypothesisCheckError, match="concavity") as excinfo:
-            self.with_custom_utility(
-                spec, lambda x, b, k: (x * x).sum(-1) - cost * b.sum(-1), lambda x, b, k: 2.0 * x
-            )
-        worst = re.search(r"worst violation (\S+)\)$", str(excinfo.value)).group(1)
-        assert float(worst) > 1e-9
 
     @pytest.mark.parametrize("seed", [13, 124, 181, 193, 197, 248])
     def test_degenerate_vertices_do_not_cycle(self, seed):

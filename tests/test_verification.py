@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -19,9 +18,9 @@ from influencegame import (
     solve_single,
     total_payoff,
 )
-from influencegame import game_model, opinion_dynamics, verification
-from influencegame.game_model import _MIDPOINT_TOL, _midpoint_violations
-from influencegame.verification import random_feasible_profile, random_linear_game, run_suite
+from influencegame import opinion_dynamics, verification
+from influencegame.verification import (random_feasible_profile, random_linear_game, run_suite,
+                                        _MIDPOINT_TOL, _midpoint_violations)
 from conftest import count_kernel_passes, payoff_fd_gradients, single_player_spec
 
 
@@ -187,24 +186,12 @@ def per_candidate_search(spec, profile, j, grid_step):
     return best_plan, best_value
 
 
-def custom_single_player_game():
-    # concave in the opinions, budgets up to 1.5 so the opinion caps bind
-    spec = random_linear_game(np.random.default_rng(4), 1, 2, 2)
-    utility = StageUtility(
-        value_fn=lambda x, b, k: np.sqrt(x).sum(-1) - 0.3 * b.sum(-1),
-        opinion_grad_fn=lambda x, b, k: 0.5 / np.sqrt(x),
-        budget_grad_fn=lambda x, b, k: np.full(x.shape, -0.3),
-    )
-    return dataclasses.replace(spec, budgets=np.array([1.5]), utilities=(utility,))
-
-
 class TestBruteForce:
     @pytest.mark.parametrize("game, j, grid_step", [
         pytest.param(lambda: random_linear_game(np.random.default_rng(5), 2, 2, 2), 1, 0.1,
                      id="two-players"),
         pytest.param(lambda: random_linear_game(np.random.default_rng(6), 3, 3, 1), 2, 0.1,
                      id="three-players"),
-        pytest.param(custom_single_player_game, 0, 0.1, id="custom-one-player"),
     ])
     def test_stacked_search_matches_a_per_candidate_loop(self, game, j, grid_step):
         spec = game()
@@ -240,8 +227,9 @@ class TestBruteForce:
 
         monkeypatch.setattr(verification, "_batched_single_player_search", no_evaluation)
         monkeypatch.setattr(verification, "total_payoff", no_evaluation)
-        for spec in (single_player_spec(n=1, K=1), custom_single_player_game()):
-            profile = np.zeros((1, spec.K, spec.n))
+        for spec in (single_player_spec(n=1, K=1),
+                     random_linear_game(np.random.default_rng(5), 2, 2, 2)):
+            profile = np.zeros((spec.m, spec.K, spec.n))
             with pytest.raises(ValueError, match="positive and finite"):
                 brute_force_best_response(spec, profile, 0, grid_step)
 
@@ -254,8 +242,9 @@ class TestBruteForce:
 
         monkeypatch.setattr(verification, "_batched_single_player_search", no_evaluation)
         monkeypatch.setattr(verification, "total_payoff", no_evaluation)
-        for spec in (single_player_spec(n=1, K=1), custom_single_player_game()):
-            profile = np.zeros((1, spec.K, spec.n))
+        for spec in (single_player_spec(n=1, K=1),
+                     random_linear_game(np.random.default_rng(5), 2, 2, 2)):
+            profile = np.zeros((spec.m, spec.K, spec.n))
             with pytest.raises(ValueError, match="grid step must be real numbers"):
                 brute_force_best_response(spec, profile, 0, grid_step)
 
@@ -414,10 +403,6 @@ class TestMidpointConvexity:
         worst = worst_violation(function, np.random.default_rng(0).random((20, 1)))
         assert not worst <= _MIDPOINT_TOL
         assert np.isnan(worst)
-
-    def test_one_rule_judges_the_suites_and_the_admission(self):
-        assert verification._midpoint_violations is game_model._midpoint_violations
-        assert verification._MIDPOINT_TOL is game_model._MIDPOINT_TOL
 
 
 class TestRandomFeasibleProfile:
