@@ -135,9 +135,11 @@ class LearningTrace:
 class EquilibriumResult:
     """Averaged profile plus closeness-to-equilibrium diagnostics; the
     profile, the exploitability and the regrets pass ``_finite``, the
-    package's gate for finite real numbers, the exploitability is one number
-    held as a float (``_one_number``), and ``iterations`` is an integer, not
-    a bool, of at least 1 (ValueError otherwise)."""
+    package's gate for finite real numbers, the profile is one (m, K, n)
+    plan per player and the regrets are one per player, the exploitability
+    is one number held as a float (``_one_number``), and ``iterations`` is
+    an integer, not a bool, of at least 1, held as an int (ValueError
+    otherwise)."""
 
     profile: np.ndarray
     exploitability: float
@@ -145,9 +147,16 @@ class EquilibriumResult:
     iterations: int
 
     def __post_init__(self):
-        object.__setattr__(self, "profile", _readonly(_finite(self.profile, "profile")))
-        object.__setattr__(self, "regrets",
-                           _readonly(np.atleast_1d(_finite(self.regrets, "regrets"))))
+        profile = _finite(self.profile, "profile")
+        if profile.ndim != 3:
+            raise ValueError(f"profile must be one (K, n) plan per player, "
+                             f"got shape {profile.shape}")
+        regrets = _finite(self.regrets, "regrets")
+        if regrets.shape != profile.shape[:1]:
+            raise ValueError(f"regrets must be one per player, got shape {regrets.shape} "
+                             f"for {profile.shape[0]} players")
+        object.__setattr__(self, "profile", _readonly(profile))
+        object.__setattr__(self, "regrets", _readonly(regrets))
         exploitability = _one_number(self.exploitability, "exploitability", _finite)
         if exploitability < -1e-8:
             raise ValueError("exploitability cannot be materially negative")
@@ -155,6 +164,7 @@ class EquilibriumResult:
         if not (_is_integer(self.iterations) and self.iterations >= 1):
             raise ValueError(f"iterations must be an integer of at least 1, "
                              f"got {self.iterations!r}")
+        object.__setattr__(self, "iterations", int(self.iterations))
 
 
 def _require_multiplayer(spec: GameSpec):

@@ -212,3 +212,25 @@ def test_iterations_must_be_an_integer_of_at_least_one(iterations):
     with pytest.raises(ValueError, match="^iterations must be an integer of at least 1, got "):
         EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=0.0,
                           regrets=np.zeros(2), iterations=iterations)
+
+
+@pytest.mark.parametrize("profile", [np.zeros(7), np.zeros((2, 3)), np.zeros((2, 1, 1, 1))],
+                         ids=["flat", "two-dimensional", "four-dimensional"])
+def test_profile_must_be_one_plan_per_player(profile):
+    with pytest.raises(ValueError, match=r"^profile must be one \(K, n\) plan per player, got shape "):
+        result(profile=profile)
+
+
+@pytest.mark.parametrize("regrets", [np.zeros(5), np.zeros(1), 0.0, np.zeros((2, 1))],
+                         ids=["five", "one", "scalar", "column"])
+def test_regrets_must_be_one_per_player(regrets):
+    with pytest.raises(ValueError, match=r"^regrets must be one per player, got shape .* for 2 players$"):
+        result(regrets=regrets)
+
+
+@pytest.mark.parametrize("iterations", [np.int64(3), np.int32(3), 3],
+                         ids=["int64", "int32", "int"])
+def test_iterations_held_as_an_int(iterations):
+    held = EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=0.0,
+                             regrets=np.zeros(2), iterations=iterations).iterations
+    assert type(held) is int and held == 3
