@@ -2,8 +2,9 @@
 
 Walk through the building blocks: normalize a weighted graph, carry opinions
 across campaign-free intervals with the row-stochastic propagator, and sample
-a two-player game's trajectory, whose budget jumps at campaign times show as
-a pre-jump and a post-jump record.
+a two-player game's trajectory as arrays of record times, opinion states and
+post-jump flags, whose budget jumps at campaign times show as a pre-jump and
+a post-jump record.
 
 Usage: python demos/opinion_flow.py
 """
@@ -58,21 +59,21 @@ def main():
                         for _ in range(2)),
     )
     profile = np.stack([np.full((2, 3), 0.4), np.full((2, 3), 0.1)])
-    pre, post = simulate_trajectory(spec, profile, [1.0])
-    print("pre-jump rows at t = 1: ", pre.state.values.round(4).tolist())
+    pre, post = simulate_trajectory(spec, profile, [1.0])[1]  # the states
+    print("pre-jump rows at t = 1: ", pre.round(4).tolist())
     print("investments at t = 1:   ", profile[:, 0].T.tolist())
-    print("post-jump rows at t = 1:", post.state.values.round(4).tolist())
-    print("row sums stay 1:", post.state.values.sum(axis=1))
+    print("post-jump rows at t = 1:", post.round(4).tolist())
+    print("row sums stay 1:", post.sum(axis=1))
 
     print()
     print("=" * 64)
     print("4. A full hybrid trajectory: drift, jump, drift, jump, drift")
     print("=" * 64)
-    for point in simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13)):
-        tag = "post-jump" if point.post_jump else ""
-        first_opinions = point.state.values[:, 0]
-        print(f"t = {point.time:5.2f} {tag:>9}  opinions of player 0: "
-              f"{np.array2string(first_opinions, precision=4)}")
+    times, states, post_jump = simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13))
+    for time, state, jumped in zip(times, states, post_jump):
+        tag = "post-jump" if jumped else ""
+        print(f"t = {time:5.2f} {tag:>9}  opinions of player 0: "
+              f"{np.array2string(state[:, 0], precision=4)}")
 
 if __name__ == "__main__":
     main()

@@ -17,7 +17,6 @@ from .opinion_dynamics import (
     Network,
     OpinionState,
     StochasticityReport,
-    TrajectoryPoint,
     build_network,
     check_stochastic,
     propagator,

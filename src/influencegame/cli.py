@@ -230,15 +230,13 @@ def _json_text(document) -> str:
         raise ScenarioError(f"{exc}: the scenario's values overflow the float range") from exc
 
 
-def _trajectory_csv(points) -> str:
+def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     rows = ["time,individual,player,opinion\n"]
-    if points:
-        n, m = points[0].state.values.shape
-        keys = [f"{i},{j}" for i in range(n) for j in range(m)]
-        strings, where = _distinct_reprs(np.stack([point.state.values for point in points]))
-        opinions = map(strings.__getitem__, where)
-        rows.extend(f"{point.time!r},{key},{next(opinions)}\n"
-                    for point in points for key in keys)
+    _, n, m = states.shape
+    keys = [f"{i},{j}" for i in range(n) for j in range(m)]
+    strings, where = _distinct_reprs(states)
+    opinions = map(strings.__getitem__, where)
+    rows.extend(f"{time!r},{key},{next(opinions)}\n" for time in times.tolist() for key in keys)
     return "".join(rows)
 
 
@@ -253,9 +251,9 @@ def cmd_simulate(args) -> int:
         samples = np.linspace(spec.schedule.t0, spec.schedule.tf, args.samples)
     except (MemoryError, ValueError, IndexError) as exc:
         raise ScenarioError(f"--samples {args.samples} is too large: {exc}") from exc
-    points = simulate_trajectory(spec, profile, samples)
-    atomic_write_text(args.out, _trajectory_csv(points))
-    print(f"wrote {len(points)} trajectory records to {args.out}")
+    times, states, _ = simulate_trajectory(spec, profile, samples)
+    atomic_write_text(args.out, _trajectory_csv(times, states))
+    print(f"wrote {times.size} trajectory records to {args.out}")
     return EXIT_OK
 
 

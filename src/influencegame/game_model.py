@@ -25,7 +25,9 @@ reads of the game (the gap propagators and their transposes, x0's columns,
 the linear utilities' weights and scaled gradients) is built once per game
 into one read-only bundle, ``GameSpec.kernel``.
 ``simulate_trajectory`` samples the hybrid process from the kernel's
-campaign-time states, carrying each state into the gap that follows it.
+campaign-time states, carrying each state into the gap that follows it,
+and returns its records as three arrays: times, stacked states and
+post-jump flags.
 
 Every stage utility is linear, rho(k)'x - lambda 1'b: the utility of the
 paper's example and of the one scenario kind, ``linear-favor``.  So the
@@ -49,7 +51,6 @@ from .opinion_dynamics import (
     CampaignSchedule,
     Network,
     OpinionState,
-    TrajectoryPoint,
     interval_propagators,
     propagator,
     _finite,
@@ -423,17 +424,19 @@ def opinions_at_campaigns(spec: GameSpec, profile) -> np.ndarray:
     return np.moveaxis(_profile_pass(spec, profile)[0], -3, -1)
 
 
-def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[TrajectoryPoint]:
-    """Sample the hybrid opinion process of the game at sorted times.
+def simulate_trajectory(spec: GameSpec, profile, sample_times) -> tuple:
+    """Sample the hybrid opinion process of the game at sorted times, as
+    read-only arrays ``(times, states, post_jump)`` shaped (R,), (R, n, m)
+    and (R,), the last of bools marking the post-jump records.
 
     The pre-jump and post-jump states at campaign times come from the
     kernel; a sample inside the gap after t_{k-1} is carried there from the
-    post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})), the
-    gap's samples sharing stacked ``propagator`` calls of at most
-    ``_SAMPLE_BLOCK`` matrix entries each.  A sample landing on a campaign
-    time (within relative tolerance 1e-9) produces two records, the pre-jump
-    state and then the post-jump state; one on the terminal time produces
-    only the pre-jump record.
+    post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})), one
+    product per stacked ``propagator`` call of at most ``_SAMPLE_BLOCK``
+    matrix entries.  A sample landing on a campaign time (within relative
+    tolerance 1e-9) produces two records, the pre-jump state and then the
+    post-jump state; one on the terminal time produces only the pre-jump
+    record.  One clip to [0, 1] over the stack removes round-off.
     """
     times = spec.schedule.times
     samples = _finite(sample_times, "sample times")
@@ -450,27 +453,28 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> list[Trajector
     # leaving[k] is the state that starts the gap after t_k, with t_0's being x0
     leaving = np.concatenate([spec.x0.values[None], np.moveaxis(post, 0, -1)])
 
-    points: list[TrajectoryPoint] = []
+    pieces = []  # the records' times, states and post-jump flags, gap by gap
     block = max(1, _SAMPLE_BLOCK // spec.n ** 2)  # samples per propagator stack
     si = 0
     for k in range(1, spec.K + 2):
         t_start, t_end = float(times[k - 1]), float(times[k])
         match_tol = 1e-9 * max(1.0, abs(t_end))
-        first = si
-        while si < samples.size and samples[si] < t_end - match_tol:
-            si += 1
+        gap_end = max(si, int(np.searchsorted(samples, t_end - match_tol)))
         # the horizon check lets a sample sit up to 1e-12 before t_0
-        for lo in range(first, si, block):
-            inside = samples[lo:min(si, lo + block)]
+        for lo in range(si, gap_end, block):
+            inside = samples[lo:min(gap_end, lo + block)]
             flows = propagator(spec.network, np.maximum(inside - t_start, 0.0))
-            points.extend(TrajectoryPoint(float(t), OpinionState(flow @ leaving[k - 1]))
-                          for t, flow in zip(inside, flows))
-        while si < samples.size and samples[si] <= t_end + match_tol:
-            points.append(TrajectoryPoint(t_end, OpinionState(pre[k - 1])))
-            if k <= spec.K:
-                points.append(TrajectoryPoint(t_end, OpinionState(leaving[k]), post_jump=True))
-            si += 1
-    return points
+            pieces.append((inside, flows @ leaving[k - 1], np.zeros(inside.size, bool)))
+        si = max(gap_end, int(np.searchsorted(samples, t_end + match_tol, "right")))
+        matched = si - gap_end  # samples on t_k, each giving the records of jump
+        jump = (pre[k - 1], leaving[k]) if k <= spec.K else (pre[k - 1],)
+        pieces.append((np.full(matched * len(jump), t_end), np.tile(jump, (matched, 1, 1)),
+                       np.tile((False, True)[:len(jump)], matched)))
+    record_times, states, post_jump = map(np.concatenate, zip(*pieces))
+    trajectory = record_times, np.clip(states, 0.0, 1.0), post_jump
+    for array in trajectory:
+        array.flags.writeable = False
+    return trajectory
 
 
 def total_payoff(spec: GameSpec, profile, j: int):

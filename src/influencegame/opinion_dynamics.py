@@ -108,7 +108,8 @@ class Network:
 
 @dataclass(frozen=True, eq=False)
 class CampaignSchedule:
-    """Ordered times t_0 < t_1 < ... < t_K < t_{K+1} bracketing the K campaigns."""
+    """Ordered times t_0 < t_1 < ... < t_K < t_{K+1} bracketing the K campaigns;
+    finite times whose gap overflows the float range are refused."""
 
     times: np.ndarray
 
@@ -117,8 +118,12 @@ class CampaignSchedule:
         object.__setattr__(self, "times", _readonly(times))
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("schedule needs at least initial and terminal times")
-        if np.any(np.diff(self.times) <= 0):
+        with np.errstate(over="ignore"):  # an infinite gap is refused by name below
+            gaps = np.diff(self.times)
+        if np.any(gaps <= 0):
             raise ValueError("schedule times must be strictly increasing")
+        if not np.isfinite(gaps).all():
+            raise ValueError("schedule gaps must be finite")
 
     @property
     def K(self) -> int:
@@ -162,13 +167,17 @@ def build_network(adjacency) -> Network:
     """Normalize a nonnegative weight matrix into a Network.
 
     Rows are rescaled to sum to 1, so arbitrary weighted graphs are accepted;
-    a row of all zeros (an individual listening to nobody) is rejected.
+    a row of all zeros (an individual listening to nobody) is rejected, and
+    so is a row whose total weight overflows the float range.
     """
     a = _finite(adjacency, "network weights")
     _check_square(a)
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
-    row_sums = a.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite total is refused by name below
+        row_sums = a.sum(axis=1)
+    if not np.isfinite(row_sums).all():
+        raise ValueError("adjacency rows must have finite total weight")
     if np.any(row_sums <= 0):
         raise ValueError("every adjacency row needs positive total weight")
     return Network(adjacency=a / row_sums[:, None])
@@ -312,13 +321,3 @@ def propagator(network: Network, dt) -> np.ndarray:
 def interval_propagators(network: Network, schedule: CampaignSchedule) -> list[np.ndarray]:
     """Adjacent-gap propagators: entry k-1 carries opinions from t_{k-1}^+ to t_k."""
     return [propagator(network, dt) for dt in np.diff(schedule.times)]
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One sampled opinion state; ``post_jump`` marks the record taken just after
-    a campaign-time jump (a campaign-time sample yields a pre and a post record)."""
-
-    time: float
-    state: OpinionState
-    post_jump: bool = False

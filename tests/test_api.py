@@ -25,7 +25,6 @@ EXPORTS = [
     "SolveReport",
     "StageUtility",
     "StochasticityReport",
-    "TrajectoryPoint",
     "brute_force_best_response",
     "build_network",
     "build_region",
@@ -70,7 +69,6 @@ SIGNATURES = {
     "SolveReport": "plan, objective, iterations, final_step_norm, kkt_residual, objectives",
     "StageUtility": "rho, cost_coefficient=0.0",
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
-    "TrajectoryPoint": "time, state, post_jump=False",
     "brute_force_best_response": "spec, profile, j, grid_step",
     "build_network": "adjacency",
     "build_region": "spec",

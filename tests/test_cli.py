@@ -128,13 +128,22 @@ class TestSimulateCommand:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["time", "individual", "player", "opinion"])
-        for point in simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13)):
-            values = point.state.values
+        for time, values, _ in zip(*simulate_trajectory(spec, profile, np.linspace(0.0, 3.0, 13))):
             for i in range(values.shape[0]):
                 for j in range(values.shape[1]):
-                    writer.writerow([repr(point.time), i, j, repr(float(values[i, j]))])
+                    writer.writerow([repr(float(time)), i, j, repr(float(values[i, j]))])
         assert out.read_text() == buffer.getvalue()
         assert len(buffer.getvalue().splitlines()) == 1 + 6 * (13 + 2)
+
+    def test_no_samples_write_the_header_alone(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json", scenario_to_dict(reference_scenario()))
+        plans = tmp_path / "p.json"
+        plans.write_text(json.dumps({"plans": [[[0.0] * 3] * 2] * 2}))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", scenario, str(plans), "--samples", "0",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == b"time,individual,player,opinion\n"
+        assert capsys.readouterr().out == f"wrote 0 trajectory records to {out}\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.json"),
@@ -668,6 +677,22 @@ class TestBadCommandInputs:
         assert err.startswith("error: ") and "Traceback" not in err
         assert ".tmp-" not in err
         assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("schedule", [-1.7e308, 1.7e308, 1.705e308, 1.71e308],
+                 "schedule gaps must be finite", id="schedule-gap"),
+    pytest.param("network", [[1e308, 1e308, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+                 "adjacency rows must have finite total weight", id="network-row"),
+])
+def test_finite_numbers_whose_sum_overflows_exit_2_by_name(tmp_path, capsys, key, value,
+                                                           message):
+    document = {**scenario_to_dict(reference_scenario()), key: value}
+    scenario = write_scenario(tmp_path / "s.json", document)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["equilibrate", scenario, "--T", "2", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerifyCommand:

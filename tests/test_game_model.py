@@ -132,15 +132,15 @@ class TestSinglePlayerJump:
 
     def test_zero_budget_is_the_identity(self):
         spec = static_one_player_game([0.5, 0.25, 1.0])
-        pre, post = simulate_trajectory(spec, np.zeros((1, 1, 3)), [1.0])
-        assert post.post_jump
-        np.testing.assert_array_equal(post.state.values, pre.state.values)
+        _, states, post_jump = simulate_trajectory(spec, np.zeros((1, 1, 3)), [1.0])
+        assert post_jump[1]
+        np.testing.assert_array_equal(states[1], states[0])
 
     def test_post_jump_row_by_hand(self):
         spec = static_one_player_game([0.2, 0.9])
         plan = np.array([[[0.3, 0.1]]])
-        _, post = simulate_trajectory(spec, plan, [1.0])
-        np.testing.assert_allclose(post.state.values[:, 0], [0.5, 1.0])
+        states = simulate_trajectory(spec, plan, [1.0])[1]
+        np.testing.assert_allclose(states[1][:, 0], [0.5, 1.0])
         np.testing.assert_allclose(opinions_at_campaigns(spec, plan)[1, :, 0], [0.5, 1.0])
 
     @pytest.mark.parametrize("entry_point", [
@@ -360,45 +360,43 @@ class TestSimulateTrajectory:
                                 raw / raw.sum(axis=1, keepdims=True), [3.0, 5.0])
         plans = np.zeros((2, 2, 3))
         samples = np.linspace(0.0, 3.0, 17)
-        points = [p for p in simulate_trajectory(spec, plans, samples) if not p.post_jump]
-        assert len(points) == 17
-        for point in points:
-            direct = eig_expm(path_network.laplacian, point.time) @ spec.x0.values
-            assert np.max(np.abs(point.state.values - direct)) <= 1e-10
+        times, states, post_jump = simulate_trajectory(spec, plans, samples)
+        assert np.count_nonzero(~post_jump) == 17
+        for time, state in zip(times[~post_jump], states[~post_jump]):
+            direct = eig_expm(path_network.laplacian, time) @ spec.x0.values
+            assert np.max(np.abs(state - direct)) <= 1e-10
 
     def test_consensus_on_connected_graph(self, path_network):
         rng = np.random.default_rng(29)
         spec = unit_linear_game(path_network, [0.0, 50.0, 100.0], rng.random((3, 1)), [1.0])
-        points = simulate_trajectory(spec, np.zeros((1, 1, 3)),
-                                     [100.0])
-        final = points[-1].state.values
+        states = simulate_trajectory(spec, np.zeros((1, 1, 3)), [100.0])[1]
+        final = states[-1]
         assert final.max() - final.min() < 1e-4
 
     def test_saturating_single_player_jump(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
         pre = eig_expm(path_network.laplacian, 1.0) @ spec.x0.values
-        points = simulate_trajectory(spec, (1.0 - pre[:, 0])[None, None, :], [1.0, 2.0])
-        post = [p for p in points if p.post_jump][0]
-        np.testing.assert_allclose(post.state.values, 1.0, atol=1e-12)
-        np.testing.assert_allclose(points[-1].state.values, 1.0, atol=1e-10)
+        _, states, post_jump = simulate_trajectory(spec, (1.0 - pre[:, 0])[None, None, :],
+                                                   [1.0, 2.0])
+        np.testing.assert_allclose(states[post_jump][0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(states[-1], 1.0, atol=1e-10)
 
     def test_samples_in_a_gap_share_one_build(self, two_player_spec, monkeypatch):
         spec = two_player_spec
         plans = np.stack([np.full((2, 3), 0.3), np.full((2, 3), 0.5)])
         times = spec.schedule.times
-        leaving = [spec.x0.values] + [
-            p.state.values for p in simulate_trajectory(spec, plans, times[1:-1]) if p.post_jump
-        ]
+        _, states, post_jump = simulate_trajectory(spec, plans, times[1:-1])
+        leaving = [spec.x0.values, *states[post_jump]]
         builds = count_flow_builds(monkeypatch)
-        points = simulate_trajectory(spec, plans, np.linspace(0.0, 3.0, 200))
-        inside = [p for p in points if p.time not in times[1:]]  # t = 0 opens the first gap
+        sampled, states, _ = simulate_trajectory(spec, plans, np.linspace(0.0, 3.0, 200))
+        inside = ~np.isin(sampled, times[1:])  # t = 0 opens the first gap
         assert len(builds) <= spec.K + 1
-        assert sum(shape[0] for shape in builds) == len(inside) == 199
-        for point in inside:
-            k = int(np.searchsorted(times, point.time, side="right"))
-            flow = propagator(spec.network, point.time - times[k - 1])
+        assert sum(shape[0] for shape in builds) == np.count_nonzero(inside) == 199
+        for time, state in zip(sampled[inside], states[inside]):
+            k = int(np.searchsorted(times, time, side="right"))
+            flow = propagator(spec.network, time - times[k - 1])
             expected = OpinionState(flow @ leaving[k - 1]).values
-            assert np.array_equal(point.state.values, expected)
+            assert np.array_equal(state, expected)
 
     def test_a_gap_builds_in_blocks_of_bounded_size(self, two_player_spec, monkeypatch):
         spec = two_player_spec
@@ -410,9 +408,25 @@ class TestSimulateTrajectory:
         blocked = simulate_trajectory(spec, plans, samples)
         assert max(shape[0] for shape in builds) == 5
         assert sum(shape[0] for shape in builds) == 199
-        assert [(p.time, p.post_jump) for p in blocked] == [(p.time, p.post_jump) for p in whole]
-        for one, other in zip(blocked, whole):
-            assert np.array_equal(one.state.values, other.state.values)
+        for one, other in zip(blocked, whole, strict=True):
+            assert np.array_equal(one, other)
+
+    def test_records_are_three_read_only_arrays(self, two_player_spec):
+        # one record per sample, and one more per sample on an interior
+        # campaign time: 6 samples, three of them on t = 1 or t = 2
+        spec = two_player_spec
+        samples = np.array([0.0, 1.0, 1.0, 1.5, 2.0, 3.0])
+        times, states, post_jump = simulate_trajectory(spec, np.zeros((2, 2, 3)), samples)
+        assert (times.shape, states.shape, post_jump.shape) == ((9,), (9, 3, 2), (9,))
+        assert (times.dtype, states.dtype, post_jump.dtype) == (float, float, bool)
+        assert not any(array.flags.writeable for array in (times, states, post_jump))
+        assert samples.flags.writeable  # the records do not share the caller's array
+        assert post_jump.tolist() == [False, False, True, False, True, False, False, True, False]
+
+    def test_no_samples_give_no_records(self, two_player_spec):
+        times, states, post_jump = simulate_trajectory(two_player_spec, np.zeros((2, 2, 3)), [])
+        assert (times.shape, states.shape, post_jump.shape) == ((0,), (0, 3, 2), (0,))
+        assert post_jump.dtype == bool
 
     def test_many_samples_in_a_gap_keep_memory_bounded(self):
         # 500 samples per gap at n = 60 would be stacks of 14 MB each if a
@@ -422,21 +436,21 @@ class TestSimulateTrajectory:
         spec.kernel  # built before tracing: only the samples' stacks count
         tracemalloc.start()
         try:
-            points = simulate_trajectory(spec, np.zeros((1, 1, 60)), samples)
+            times = simulate_trajectory(spec, np.zeros((1, 1, 60)), samples)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(points) == 1000
+        assert times.size == 1000
         assert peak < 16 * 2 ** 20
 
     def test_campaign_time_sample_reports_pre_and_post(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 2), 0.5),
                                 [3.0, 5.0])
         plans = np.stack([np.full((1, 3), 0.2), np.full((1, 3), 0.4)])
-        points = simulate_trajectory(spec, plans, [0.0, 1.0, 2.0])
-        at_campaign = [p for p in points if p.time == 1.0]
-        assert [p.post_jump for p in at_campaign] == [False, True]
-        assert not np.allclose(at_campaign[0].state.values, at_campaign[1].state.values)
+        times, states, post_jump = simulate_trajectory(spec, plans, [0.0, 1.0, 2.0])
+        at_campaign = times == 1.0
+        assert post_jump[at_campaign].tolist() == [False, True]
+        assert not np.allclose(*states[at_campaign])
 
     def test_boundary_and_repeated_samples(self, path_network):
         # a sample within the horizon slack before t_0 records x0; every copy
@@ -444,12 +458,12 @@ class TestSimulateTrajectory:
         # terminal time has no jump, so only a pre-jump record
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.25), [3.0])
         plans = np.full((1, 1, 3), 0.1)
-        first, *points = simulate_trajectory(spec, plans, [-1e-13, 1.0, 1.0, 2.0])
-        np.testing.assert_array_equal(first.state.values, spec.x0.values)
-        assert [(p.time, p.post_jump) for p in points] == [
+        times, states, post_jump = simulate_trajectory(spec, plans, [-1e-13, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(states[0], spec.x0.values)
+        assert list(zip(times[1:].tolist(), post_jump[1:].tolist())) == [
             (1.0, False), (1.0, True), (1.0, False), (1.0, True), (2.0, False)]
-        np.testing.assert_array_equal(points[0].state.values, points[2].state.values)
-        np.testing.assert_array_equal(points[1].state.values, points[3].state.values)
+        np.testing.assert_array_equal(states[1], states[3])
+        np.testing.assert_array_equal(states[2], states[4])
 
     def test_multiplayer_jump_direct_evaluation(self):
         # one isolated individual: the post-jump row is (x + b) / (1 + sum b)
@@ -460,17 +474,16 @@ class TestSimulateTrajectory:
         ]:
             spec = unit_linear_game(network, [0.0, 1.0, 2.0], x0, [3.0, 3.0])
             plans = np.reshape(budgets, (2, 1, 1))
-            pre, post = simulate_trajectory(spec, plans, [1.0])
-            np.testing.assert_allclose(pre.state.values, x0, atol=1e-15)
-            np.testing.assert_allclose(post.state.values, expected, atol=1e-15)
+            pre, post = simulate_trajectory(spec, plans, [1.0])[1]
+            np.testing.assert_allclose(pre, x0, atol=1e-15)
+            np.testing.assert_allclose(post, expected, atol=1e-15)
 
     def test_multiplayer_zero_budget_jump_is_identity(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0],
                                 [[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]], [1.0, 1.0])
-        pre, post = simulate_trajectory(spec, np.zeros((2, 1, 3)),
-                                        [1.0])
-        assert (pre.post_jump, post.post_jump) == (False, True)
-        np.testing.assert_array_equal(post.state.values, pre.state.values)
+        _, states, post_jump = simulate_trajectory(spec, np.zeros((2, 1, 3)), [1.0])
+        assert post_jump.tolist() == [False, True]
+        np.testing.assert_array_equal(states[1], states[0])
 
     def test_multiplayer_negative_budget_rejected(self):
         network = build_network(np.array([[1.0]]))
@@ -486,12 +499,12 @@ class TestSimulateTrajectory:
             spec = unit_linear_game(path_network, [0.0, 0.5, 1.5, 2.0],
                                     raw / raw.sum(axis=1, keepdims=True), [6.0, 6.0, 6.0])
             profile = rng.random((3, 2, 3))
-            points = simulate_trajectory(spec, profile, [0.5, 1.5])
+            states = simulate_trajectory(spec, profile, [0.5, 1.5])[1]
             for k in range(2):
-                pre, post = points[2 * k], points[2 * k + 1]
+                pre, post = states[2 * k], states[2 * k + 1]
                 b = profile[:, k, :].T
-                expected = (pre.state.values + b) / (1.0 + b.sum(axis=1, keepdims=True))
-                np.testing.assert_allclose(post.state.values, expected, atol=1e-12)
+                expected = (pre + b) / (1.0 + b.sum(axis=1, keepdims=True))
+                np.testing.assert_allclose(post, expected, atol=1e-12)
 
     def test_multiplayer_jump_preserves_simplex(self):
         rng = np.random.default_rng(17)
@@ -501,10 +514,10 @@ class TestSimulateTrajectory:
         spec = unit_linear_game(network, [0.0, 1.0, 2.0], raw / raw.sum(axis=1, keepdims=True),
                                 [12.0, 12.0, 12.0])
         plans = rng.random((3, 1, 4)) * 3.0
-        points = simulate_trajectory(spec, plans, np.linspace(0.0, 2.0, 9))
-        assert any(p.post_jump for p in points)
-        for point in points:
-            np.testing.assert_allclose(point.state.values.sum(axis=1), 1.0, atol=1e-12)
+        _, states, post_jump = simulate_trajectory(spec, plans, np.linspace(0.0, 2.0, 9))
+        assert post_jump.any()
+        for state in states:
+            np.testing.assert_allclose(state.sum(axis=1), 1.0, atol=1e-12)
 
     def test_unsorted_samples_rejected(self, path_network):
         spec = unit_linear_game(path_network, [0.0, 1.0, 2.0], np.full((3, 1), 0.5), [1.0])
@@ -546,15 +559,13 @@ class TestSimulateTrajectory:
         profile = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.8)])
         plans = profile
         closed_form = opinions_at_campaigns_closed_form(spec, plans)
-        points = simulate_trajectory(spec, plans, [1.0, 2.0, 3.0])
-        pre = [p for p in points if not p.post_jump]
-        assert [p.time for p in pre] == [1.0, 2.0, 3.0]
-        for k, point in enumerate(pre):
-            assert np.max(np.abs(point.state.values - closed_form[k])) <= 1e-8
-        post = [p for p in points if p.post_jump]
-        assert [p.time for p in post] == [1.0, 2.0]
-        for point in post:
-            assert np.max(np.abs(point.state.values.sum(axis=1) - 1.0)) <= 1e-12
+        times, states, post_jump = simulate_trajectory(spec, plans, [1.0, 2.0, 3.0])
+        assert times[~post_jump].tolist() == [1.0, 2.0, 3.0]
+        for k, state in enumerate(states[~post_jump]):
+            assert np.max(np.abs(state - closed_form[k])) <= 1e-8
+        assert times[post_jump].tolist() == [1.0, 2.0]
+        for state in states[post_jump]:
+            assert np.max(np.abs(state.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def profile_with_entry(value):

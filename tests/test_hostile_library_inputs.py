@@ -16,7 +16,9 @@ documented: ``check_stochastic`` reports them as a failed check,
 An argument that must be one number refuses a list or an array of any
 other shape by name, and an ``EquilibriumResult`` holds its exploitability
 as a float and refuses an ``iterations`` count that is not an integer of
-at least 1, a bool among them."""
+at least 1, a bool among them.  Finite numbers whose sum overflows, a
+schedule gap or a network row's total weight, are refused by name, with no
+overflow warning."""
 
 import dataclasses
 import warnings
@@ -234,3 +236,16 @@ def test_iterations_held_as_an_int(iterations):
     held = EquilibriumResult(profile=np.zeros((2, 1, 1)), exploitability=0.0,
                              regrets=np.zeros(2), iterations=iterations).iterations
     assert type(held) is int and held == 3
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: CampaignSchedule(times=[-1.7e308, 1.7e308, 1.71e308]),
+                 "^schedule gaps must be finite$", id="schedule-gap"),
+    pytest.param(lambda: build_network([[1e308, 1e308], [1.0, 1.0]]),
+                 "^adjacency rows must have finite total weight$", id="network-row"),
+])
+def test_finite_numbers_whose_sum_overflows_refused_by_name(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()

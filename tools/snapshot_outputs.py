@@ -12,7 +12,9 @@ OUTDIR receives, by relative paths, so that the outputs do not name it:
 - ``solve`` on each benchmark single-player game (``single<i>*``), and
   ``simulate --samples 200`` on each solved plan;
 - ``simulate --samples 200`` of the reference game at the paper example's
-  equilibrium (``reference*``);
+  equilibrium (``reference*``), and ``simulate --samples 7``, whose grid
+  lands on both campaign times, so that it pins their pre- and post-jump
+  records (``reference_campaigns*``);
 - ``verify --suite all`` at seeds 0-49 (``verify_seed<s>.stdout``);
 - three refused invocations, which pin error text: the reference scenario
   with a NaN budget (``refused_nan_budget*``, exit 2), ``simulate`` of a
@@ -81,6 +83,9 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
         run("reference", ["simulate", reference, write_json("reference_plans.json",
                                                             {"plans": profile}),
                           "--samples", SAMPLES, "--out", "reference_trajectory.csv"])
+        run("reference_campaigns", ["simulate", reference, "reference_plans.json",
+                                    "--samples", "7",
+                                    "--out", "reference_campaigns_trajectory.csv"])
 
         network = scenario("network.json", workloads.network_spec(ig))
         run("network", ["equilibrate", network, "--T", str(workloads.NETWORK_T),
