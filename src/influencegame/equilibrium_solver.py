@@ -204,7 +204,7 @@ def _best_fixed_plan(spec: GameSpec, profiles: np.ndarray, j: int, start):
         value, gradient = evaluate(u * y)
         return value, u * gradient
 
-    y, value, _, _, values, _ = _maximize_concave(
+    y, value, _, values = _maximize_concave(
         in_budget_units, lambda v: _project_rows(v[None], cap)[0], start / u)
     return u * y, value, values[0]
 

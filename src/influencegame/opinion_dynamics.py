@@ -94,8 +94,9 @@ class Network:
         _check_square(a)
         if np.any(a < 0):
             raise ValueError("adjacency entries must be nonnegative")
-        if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("adjacency rows must sum to 1")
+        with np.errstate(over="ignore"):  # a row past the float range sums to inf
+            if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
+                raise ValueError("adjacency rows must sum to 1")
 
     @property
     def n(self) -> int:

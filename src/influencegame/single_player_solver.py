@@ -1,22 +1,18 @@
-"""Single-player optimal investment by monotone projected gradient ascent.
+"""Single-player optimal investment: a linear program solved by projection.
 
 With one player the jump is additive and the campaign-time opinions are
-linear in the investment variables, so the problem of maximizing the average
-stage utility is a concave program over a polytope: Kn cap constraints
-(investment plus already-accumulated opinion must stay at most 1, rowwise),
-one total-budget constraint, and Kn sign constraints, implied rather than
-stored.  The solver is ``_maximize_concave``, the package's one concave
-ascent, which runs in units of its starting gradient and also solves the
-best-response and hindsight subproblems.  Every Euclidean projection onto
-the polytope is computed exactly, in finitely many steps, by a dual
-active-set method whose working set stays linearly independent.  Within one
-``solve_single`` call each projection starts warm from the previous one's
-working set, as successive ascent points share most active rows.  A call
-with no such set (the first, or one after a call that ended with none, as
-the zero plan's does) starts from the working set of the point's projection
-onto the budget set alone, ``_project_rows``, the routine the multiplayer
-solver projects by; where that answer meets every cap, one linear solve
-returns it.
+affine in the investments, and utilities are linear, so the payoff is g'b
+plus a constant, g the gradient at the zero plan, over a polytope: Kn cap
+constraints (investment plus already-accumulated opinion must stay at most
+1, rowwise), one total-budget constraint, and Kn sign constraints, implied
+rather than stored.  Past a finite s, the projection of s g onto the
+polytope is the program's least-norm optimum (Mangasarian & Meyer, SIAM J.
+Control Optim. 17, 1979).  Every projection is exact, in finitely many
+steps, by a dual active-set method whose working set stays linearly
+independent; a call with no working set to start from starts from that of
+the point's projection onto the budget set alone, ``_project_rows``, the
+routine the multiplayer solver projects by.  ``_maximize_concave``, the
+package's one concave ascent, serves only best responses and hindsight.
 """
 
 from __future__ import annotations
@@ -30,11 +26,13 @@ from .game_model import FEASIBILITY_TOL, GameSpec, validate_plans, _objective_fo
 from .opinion_dynamics import _finite, _readonly, _real
 
 # Fixed stopping rules, read at call time: the projections' tolerance and
-# iteration budget, the ascent's relative residual tolerance and step budget.
+# iteration budget, the ascent's relative residual tolerance and step budget,
+# and the largest multiple of the scaled gradient ``solve_single`` projects.
 PROJECTION_TOL = 1e-12
 PROJECTION_MAX_CYCLES = 10_000
 ASCENT_TOL = 1e-9
-ASCENT_MAX_STEPS = 100_000
+ASCENT_MAX_STEPS = 2_000
+SEARCH_MAX_SCALE = 2.0**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +165,22 @@ def _budget_start(p, region: FeasibleRegion) -> np.ndarray:
     return start
 
 
+def _solve_working(region: FeasibleRegion, working: np.ndarray, pair: np.ndarray):
+    """The system of ``_warm_projection`` for the working set W and the
+    rows (y, n) of ``pair``: returns y's multipliers, n's, the projection of
+    y onto W's affine set with the held variables at 0, and n's residual."""
+    held, fixed = working[: region.count], working[region.count :]
+    rows = region.normals[held]
+    free = rows * ~fixed
+    targets = free @ pair.T
+    targets[:, 0] -= region.offsets[held]
+    solution = np.linalg.solve(free @ free.T, targets)
+    gaps = pair - solution.T @ rows
+    multipliers, rates = np.concatenate([solution.T, -gaps[:, fixed]], axis=1)
+    x, residual = np.where(fixed, 0.0, gaps)
+    return multipliers, rates, x, residual
+
+
 def _active_set(point, region: FeasibleRegion, working: np.ndarray):
     """The dual active-set loop of ``_warm_projection``: returns the
     projection of ``point`` and only then stores its final working set in
@@ -180,20 +194,12 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
         raise ValueError(f"point must be a finite vector in R^{region.dim}")
     tol = PROJECTION_TOL * max(1.0, float(np.abs(p).max(initial=0.0)))
     trial = working.copy() if working.any() else _budget_start(p, region)
-    held, fixed = trial[: region.count], trial[region.count :]
     # row 0: the point less the entering row's normal times that row's
     # multiplier so far; row 1: the entering row's normal
     pair = np.array([p, np.zeros(region.dim)])
     entering = None
     for _ in range(PROJECTION_MAX_CYCLES):
-        rows = region.normals[held]
-        free = rows * ~fixed
-        targets = free @ pair.T
-        targets[:, 0] -= region.offsets[held]
-        solution = np.linalg.solve(free @ free.T, targets)
-        gaps = pair - solution.T @ rows
-        multipliers, rates = np.concatenate([solution.T, -gaps[:, fixed]], axis=1)
-        x, residual = np.where(fixed, 0.0, gaps)
+        multipliers, rates, x, residual = _solve_working(region, trial, pair)
         if multipliers.min(initial=0.0) < -tol:
             trial[trial.nonzero()[0][multipliers < -tol]] = False
             continue
@@ -216,7 +222,7 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
                 trial[trial.nonzero()[0][ratios.argmin()]] = False
                 continue
             trial[entering] = True
-            x = np.where(fixed, 0.0, x - step * residual)
+            x = x - step * residual  # both are 0 at the held variables
             pair[0] = p
         excess = np.where(trial, -np.inf, region.violations(x))
         entering = int(excess.argmax())
@@ -237,9 +243,9 @@ def _warm_projection(region: FeasibleRegion):
     """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
     and x >= 0, as a closure whose first call starts cold, and is thus
     independent of every other, and whose later calls start from the
-    previous call's final working set W.  Successive points of one ascent
-    lie close together, so a call adds or drops only a few constraints where
-    a cold start adds every active one.  A cold call, and a later one whose
+    previous call's final working set W.  Successive iterates of one-player
+    learning lie close together, so a call adds or drops only a few
+    constraints where a cold start adds every active one.  A cold call, and a later one whose
     W is empty, starts from ``_budget_start``: with the budget row of
     ``build_region`` last, the W of the point's projection onto the budget
     set alone, so a point whose budget-set answer meets every cap takes one
@@ -253,7 +259,8 @@ def _warm_projection(region: FeasibleRegion):
     affine set of the point less t n, where n is the normal of the entering
     row q and t its multiplier so far, and every multiplier is at least
     -tol.  Held variables are eliminated, so each iteration is one linear
-    solve over the free variables F with two right-hand sides:
+    solve, ``_solve_working``, over the free variables F with two
+    right-hand sides:
     (A_F A_F') lam = A_F y_F - c_W gives the multipliers (a held variable's
     is (A' lam - y)_i), y the shifted point, and (A_F A_F') r = A_F n_F gives
     the rates r at which they fall as t grows and the residual z = n - A' r
@@ -311,12 +318,11 @@ def _maximize_concave(evaluate, project, start):
 
     The residual is the projected-gradient step norm r = ||P(x + s g) - x|| / s
     at the probe step s = min(step, 1), with g the scaled gradient, and
-    reported times c.  Returns (point, value, residual, gradient, values, c)
-    at the first accepted point with r <= ``ASCENT_TOL`` c, a rule free of
-    the objective's scale.  The value and ``values`` (the value at the start
+    reported times c.  Returns (point, value, residual, values) at the
+    first accepted point with r <= ``ASCENT_TOL`` c, a rule free of the
+    objective's scale.  The value and ``values`` (the value at the start
     and after every accepted step) are the payoffs ``evaluate`` returned and
-    the residual is in payoff units; the gradient is the one ``evaluate``
-    gave at the point, divided by c.  If ``ASCENT_MAX_STEPS`` accepted steps
+    the residual is in payoff units.  If ``ASCENT_MAX_STEPS`` accepted steps
     do not get there, ConvergenceError carries the last accepted point and
     its residual.  Both of the ascent's errors carry the residual, and the
     step norm bound named in the message, in payoff units; a projection's
@@ -361,7 +367,7 @@ def _maximize_concave(evaluate, project, start):
         values.append(value)
         residual = residual_at(x, g)
         if residual <= ASCENT_TOL:
-            return x, value, residual * scale, g, np.array(values), scale
+            return x, value, residual * scale, np.array(values)
         spectral = float(delta @ delta) / curvature if curvature > 0.0 else 0.0
         step = min(max(spectral if 0.0 < spectral < np.inf else 1.5 * step, 1e-12), 1e6)
     raise ConvergenceError(
@@ -374,72 +380,68 @@ def _maximize_concave(evaluate, project, start):
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solution summary: the plan, its objective, and first-order diagnostics.
+    """Solution summary: the plan, its objective, and a first-order check.
 
     ``plan`` is the read-only K x n investment matrix that ``validate_plans``
-    returns for the solved plan.  ``iterations`` counts the accepted ascent
-    steps.  ``final_step_norm`` is the stopping residual ||P(b + s g) - b|| / s
-    at the returned plan b, with g the gradient, P the projection and
-    s = min(line-search step, 1).
-    ``kkt_residual`` is the largest positive component of the projected
-    gradient at the returned plan (zero at an exact maximizer).
-    ``objectives`` holds the objective value at the zero plan and after
-    every accepted step, so it has ``iterations + 1`` entries and never
-    decreases beyond round-off.  ``objective``, ``objectives``,
-    ``final_step_norm`` and ``kkt_residual`` are in payoff units.
+    returns for the solved plan.  ``iterations`` counts the projections of
+    ``solve_single``'s search.  ``kkt_residual`` is the largest positive
+    component of the projected gradient at the plan (zero at an exact
+    maximizer).  ``objective`` and ``kkt_residual`` are in payoff units.  The
+    ascent's path fields ``final_step_norm`` and ``objectives`` are gone.
     """
 
     plan: np.ndarray
     objective: float
     iterations: int
-    final_step_norm: float
     kkt_residual: float
-    objectives: np.ndarray
+
+
+def _certified_plan(region: FeasibleRegion, working: np.ndarray, g: np.ndarray):
+    """The plan that the working set W gives for max g'b over the region, the
+    least-norm point of W's affine set with the held variables at 0, from
+    the solve that also expresses g on W.  Returns the plan, its largest
+    violation of the region, and the certificate's largest failure: that
+    violation, g's most negative multiplier or its largest residual on the
+    free columns.  At 0 the plan is optimal by the program's KKT conditions."""
+    _, lam, plan, residual = _solve_working(region, working, np.array([np.zeros(g.size), g]))
+    violation = region.max_violation(plan)
+    return plan, violation, max(violation, -lam.min(initial=0.0),
+                                float(np.abs(residual).max(initial=0.0)))
 
 
 def solve_single(spec: GameSpec) -> SolveReport:
-    """Maximize the single-player payoff over the constraint polytope.
+    """Maximize the single-player payoff, g'b plus a constant, over the
+    constraint polytope.
 
-    Runs ``_maximize_concave`` from the zero plan, which is always
-    feasible, so the ascent starts from a gradient of at most 1 however
-    large the utility weights are and the report is in payoff units.  A
-    linear utility makes the gradient constant, so the trial steps grow by
-    1.5 after each acceptance, up to 1e6, instead of taking the
-    Barzilai-Borwein step.  It stops once ``final_step_norm`` is at most
-    ``ASCENT_TOL`` times max(1, max|g|), g the gradient at the zero plan,
-    and raises ConvergenceError, carrying the last plan, if
-    ``ASCENT_MAX_STEPS`` accepted steps do not get there.  Every projection
-    meets the polytope's rows and its KKT multipliers on one scale,
-    ``PROJECTION_TOL`` times max(1, max|p|), p the projected point; each
-    starts the dual active-set method from the previous projection's final
-    working set, a state held by this call alone, so two calls on one game
-    return the same report.  The zero
-    plan's projection ends with an empty working set, so the next one starts
-    from that of its point's budget-set projection (``_budget_start``),
-    which meets every cap at once on a game where only the budget binds.
-    The ascent returns the gradient it measured at the plan, in its own
-    units, which the KKT probe reuses before scaling its residual back to
-    payoff units.  A game with other than one player raises ValueError, from
-    ``build_region``.
+    One kernel pass at the zero plan gives g.  The search projects
+    s g / max(1, max|g|) for s = 1, 4, 16, ..., each projection starting
+    from the previous one's working set W, held by this call alone.  After
+    each it solves for the plan from W alone, at unit scale, so a far
+    point's round-off never reaches it, and returns the first plan that
+    ``_certified_plan`` certifies to ``PROJECTION_TOL``.  Past
+    ``SEARCH_MAX_SCALE`` it raises ConvergenceError carrying the last plan
+    that met every row (else the zero plan) and the last certificate's
+    failure.  One more pass at the plan gives the objective and the gradient
+    that the KKT probe projects.  A game with other than one player raises
+    ValueError, from ``build_region``.
     """
     region = build_region(spec)
-    K, n = spec.K, spec.n
-
-    payoff = _objective_for_player(spec, np.zeros((1, K, n)), 0)
-    project = _warm_projection(region)
-    b, objective, step_norm, g, objectives, scale = _maximize_concave(
-        payoff, project, np.zeros(K * n))
-
-    probe = 1e-3
-    projected_gradient = (project(b + probe * g) - b) / probe
-    kkt_residual = float(max(0.0, projected_gradient.max()))
-
-    plan = _readonly(validate_plans(spec, b.reshape(1, K, n))[0])
-    return SolveReport(
-        plan=plan,
-        objective=objective,
-        iterations=len(objectives) - 1,
-        final_step_norm=step_norm,
-        kkt_residual=kkt_residual * scale,
-        objectives=objectives,
-    )
+    payoff = _objective_for_player(spec, np.zeros((1, spec.K, spec.n)), 0)
+    g = payoff(np.zeros(region.dim))[1]
+    scale = max(1.0, float(np.max(np.abs(g))))
+    g = g / scale
+    working = np.zeros(region.count + region.dim, dtype=bool)
+    last, shortfall, iterations = np.zeros(region.dim), np.inf, 0
+    while 4.0**iterations <= SEARCH_MAX_SCALE:
+        _active_set(4.0**iterations * g, region, working)
+        b, violation, shortfall = _certified_plan(region, working, g)
+        last, iterations = b if violation <= PROJECTION_TOL else last, iterations + 1
+        if shortfall <= PROJECTION_TOL:
+            break
+    else:
+        raise ConvergenceError(f"no projection of s g, s up to {SEARCH_MAX_SCALE:g}, left a "
+                               "working set that certifies its plan", last, shortfall)
+    objective, gradient = payoff(b)
+    probe = _active_set(b + 1e-3 * gradient / scale, region, working) - b
+    plan = _readonly(validate_plans(spec, b.reshape(1, spec.K, spec.n))[0])
+    return SolveReport(plan, objective, iterations, float(max(0.0, probe.max())) / 1e-3 * scale)

@@ -66,7 +66,7 @@ SIGNATURES = {
     "Network": "adjacency",
     "OpinionState": "values",
     "ScenarioError": None,
-    "SolveReport": "plan, objective, iterations, final_step_norm, kkt_residual, objectives",
+    "SolveReport": "plan, objective, iterations, kkt_residual",
     "StageUtility": "rho, cost_coefficient=0.0",
     "StochasticityReport": "passed, row_sum_violation, negativity_violation",
     "brute_force_best_response": "spec, profile, j, grid_step",
@@ -90,12 +90,14 @@ SIGNATURES = {
     "validate_plans": "spec, profile",
 }
 
-# The fixed stopping rules of the projections and of the one concave ascent.
+# The fixed stopping rules of the projections, of the one concave ascent and
+# of the single-player projection search.
 STOPPING_RULES = {
     "PROJECTION_TOL": 1e-12,
     "PROJECTION_MAX_CYCLES": 10_000,
     "ASCENT_TOL": 1e-9,
-    "ASCENT_MAX_STEPS": 100_000,
+    "ASCENT_MAX_STEPS": 2_000,
+    "SEARCH_MAX_SCALE": 2.0**20,
 }
 
 

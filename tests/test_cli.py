@@ -23,7 +23,6 @@ from influencegame import (
     cli,
     run_no_regret,
     simulate_trajectory,
-    single_player_solver,
     verification,
 )
 from influencegame.cli import (
@@ -556,9 +555,8 @@ class TestWeightScaleSweep:
     @pytest.mark.parametrize("scaled", [("rho",), ("rho", "lambda"), ("budget",)],
                              ids=["rho", "rho-lambda", "budget"])
     @pytest.mark.parametrize("zero_budgets", [False, True], ids=["budgets", "zero-budgets"])
-    def test_every_scale_exits_0(self, tmp_path, monkeypatch, command, scaled, zero_budgets):
+    def test_every_scale_exits_0(self, tmp_path, command, scaled, zero_budgets):
         # a spinning ascent fails fast with ConvergenceError (exit 6)
-        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 2000)
         codes = {}
         for i in range(22):
             document = self.GAMES[command]()

@@ -473,7 +473,7 @@ class TestMaximizeConcave:
             return float(c @ x - 0.5 * x @ Q @ x), c - Q @ x
 
         monkeypatch.setattr(single_player_solver, "ASCENT_TOL", 1e-9)
-        point, value, residual, gradient, values, _ = _maximize_concave(
+        point, value, residual, values = _maximize_concave(
             evaluate, lambda v: project_budget_set(v, cap), np.zeros(d)
         )
         assert residual <= 1e-9
@@ -482,9 +482,8 @@ class TestMaximizeConcave:
         # times the residual
         assert np.linalg.norm(point - optimum) <= 2.0 / 1e-4 * residual
         assert value == pytest.approx(c @ optimum - 0.5 * optimum @ Q @ optimum, abs=1e-12)
-        # the gradient and value it returns are the ones it measured at the point
-        np.testing.assert_array_equal(gradient, evaluate(point)[1])
-        assert values[-1] == value
+        # the value it returns is the one it measured at the point
+        assert values[-1] == value == evaluate(point)[0]
         assert np.diff(values).min() >= -1e-13 * max(1.0, abs(values[0]))
         assert len(evaluations) < 200
 
@@ -513,8 +512,8 @@ class TestMaximizeConcave:
         (0, 10, 3, None), (1, 10, 3, None), (2, 10, 3, None), (0, 5, 3, 3.0), (0, 6, 2, 3.0),
     ])
     def test_linear_single_player_gradient_is_constant(self, seed, n, K, budget):
-        # bit-equal gradients keep solve_single on the x1.5 path, so its
-        # reports on these games do not change with the trial-step rule
+        # the payoff is linear on the polytope, so solve_single reads its
+        # gradient once, at the zero plan
         spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
         if budget is not None:
             spec = dataclasses.replace(spec, budgets=np.array([budget]))
@@ -650,10 +649,9 @@ class TestBudgetUnits:
     """The best fixed plans ascend in units of max(1, budget)."""
 
     @pytest.mark.parametrize("player", [0, 1])
-    def test_budget_of_1e16_ends(self, monkeypatch, player):
+    def test_budget_of_1e16_ends(self, player):
         # in plan units the stopping rule asked a plan of 1e16 for a step
         # norm of 1e-9 and ran out of 2000 accepted steps
-        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 2000)
         spec = reference_scenario().spec
         budgets = spec.budgets.copy()
         budgets[player] = 1e16
@@ -673,7 +671,7 @@ class TestBudgetUnits:
                 game_model._objective_for_player(spec, trace.iterates, j),
                 lambda v: project_budget_set(v, spec.budgets[j]), trace.iterates[-1, j])
             np.testing.assert_array_equal(plan, direct[0])
-            assert (value, start) == (direct[1], direct[4][0])
+            assert (value, start) == (direct[1], direct[3][0])
 
 
 class TestFloatScale:

@@ -3,8 +3,8 @@ set to each of 16 hostile values, structural damage to a plans file, and
 hostile values of the integer options, each run through ``cli.main`` under
 warnings-as-errors.  Every case must exit 0, 2 or 3 (never 1, whose meaning
 is a failed verify check, nor an uncaught exception), print no traceback and
-end within a second; ``ASCENT_MAX_STEPS`` is cut to 2 000, so an ascent that
-spins fails fast instead of passing slowly."""
+end within a second, so an ascent that spins must fail fast within its 2 000
+accepted steps instead of passing slowly."""
 
 import copy
 import json
@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from influencegame import cli, single_player_solver
+from influencegame import cli
 from influencegame.cli import main
 
 HOSTILE = (float("nan"), float("inf"), -1, 0, 1e308, -1e308, 5e-324, 1e-300,
@@ -77,12 +77,10 @@ def damaged_plans():
 
 
 @pytest.fixture
-def run(tmp_path, capsys, monkeypatch):
+def run(tmp_path, capsys):
     """Write ``files`` (name to JSON document) and run one command line in
     ``tmp_path``; returns its problem, or None if it exited 0, 2 or 3
     within a second and printed no traceback."""
-    monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 2000)
-
     def run_case(argv, files):
         for name, document in files.items():
             (tmp_path / name).write_text(json.dumps(document))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ class TestBuildNetwork:
         # build_network refuses the first two before a Network is made
         with pytest.raises(ValueError, match=match):
             Network(adjacency=adjacency)
+
+    def test_row_sum_past_the_float_range_is_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="adjacency rows must sum to 1"):
+                Network(adjacency=[[1e308, 1e308], [0.5, 0.5]])
 
     @pytest.mark.parametrize("build", [Network, build_network])
     def test_empty_adjacency_is_a_named_error(self, build):

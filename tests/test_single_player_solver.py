@@ -19,6 +19,7 @@ from influencegame import (
     propagator,
     solve_single,
     total_payoff,
+    validate_plans,
 )
 from influencegame.verification import (
     brute_force_best_response,
@@ -27,8 +28,10 @@ from influencegame.verification import (
 )
 import influencegame
 from influencegame import single_player_solver
-from influencegame.single_player_solver import (_maximize_concave, _project_rows,
-                                                _warm_projection)
+from influencegame.game_model import _objective_for_player
+from influencegame.single_player_solver import (_active_set, _certified_plan,
+                                                _maximize_concave, _project_rows,
+                                                _solve_working, _warm_projection)
 from conftest import (cold_projection, count_kernel_passes, count_linear_solves,
                       load_bench_module, single_player_spec)
 
@@ -45,6 +48,38 @@ RECIPE_B_CYCLING = [(5, 3, 28), (5, 3, 30), (6, 4, 9), (6, 4, 32), (8, 4, 5),
 def recipe_b_game(n, K, seed):
     spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
     return dataclasses.replace(spec, budgets=np.array([10.0]))
+
+
+def budget_3_game(seed, n, K):
+    spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
+    return dataclasses.replace(spec, budgets=np.array([3.0]))
+
+
+def _exact_solve_gate_games():
+    """The bench games, a 200-individual game as drawn and at budget 3, and
+    twenty small games at budget 3."""
+    for index, spec in enumerate(BENCH_GAMES):
+        yield pytest.param(spec, id=f"bench-{index}")
+    yield pytest.param(random_linear_game(np.random.default_rng(0), 1, 200, 4), id="n200")
+    yield pytest.param(budget_3_game(0, 200, 4), id="n200-budget-3")
+    for seed in range(10, 30):
+        n, K = 3 + seed % 8, 1 + seed % 4
+        yield pytest.param(budget_3_game(seed, n, K), id=f"s{seed}-n{n}-K{K}")
+
+
+def linear_program_ascent(spec):
+    """``_maximize_concave`` from the zero plan on the payoff of a
+    single-player game over its polytope: the linear program that
+    ``solve_single`` solves, by the ascent of best responses and hindsight."""
+    payoff = _objective_for_player(spec, np.zeros((1, spec.K, spec.n)), 0)
+    return _maximize_concave(payoff, _warm_projection(build_region(spec)),
+                             np.zeros(spec.K * spec.n))
+
+
+def scaled_gradient(spec):
+    """The zero plan's payoff gradient divided by max(1, its largest entry)."""
+    g = payoff_gradient(spec, np.zeros((1, spec.K, spec.n)), 0).ravel()
+    return g / max(1.0, np.abs(g).max())
 
 
 class TestBuildRegion:
@@ -293,17 +328,12 @@ def solve_single_path(spec):
     """The points ``solve_single`` hands to its projection, in order."""
     path = []
 
-    def recording(region):
-        project = _warm_projection(region)
-
-        def record(point):
-            path.append(point)
-            return project(point)
-
-        return record
+    def record(point, region, working):
+        path.append(point)
+        return _active_set(point, region, working)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(single_player_solver, "_warm_projection", recording)
+        patch.setattr(single_player_solver, "_active_set", record)
         solve_single(spec)
     return path
 
@@ -410,8 +440,9 @@ class TestWarmProjection:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_bench_games_linear_solve_count(self, monkeypatch):
-        # a cold start at every projection took 809, and warm starts after a
-        # first call from the empty working set took 163
+        # a cold start at every projection of the former ascent took 809,
+        # warm starts after a first call from the empty working set 163, and
+        # from the budget set's working set 72; the projection search takes 57
         solves = count_linear_solves(monkeypatch)
         for spec in BENCH_GAMES:
             solve_single(spec)
@@ -490,7 +521,8 @@ class TestMaximizeConcaveScale:
         """``_maximize_concave`` on factor (c'x - x'Qx/2) over the box [0, 4]^6
         from the zero plan, where the gradient c has entries up to 8, and the
         points it evaluated: 82 of them, 49 accepted, ending with free entries
-        and entries at 0, and the values it measured there."""
+        and entries at 0, the values it measured there and the ascent's unit
+        c = max(1, max|g0|), g0 = factor c its first gradient."""
         rng = np.random.default_rng(3)
         basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         Q = basis @ np.diag(np.logspace(0, 1, 6)) @ basis.T
@@ -503,26 +535,26 @@ class TestMaximizeConcaveScale:
             return measured[-1], factor * (c - Q @ x)
 
         result = _maximize_concave(evaluate, lambda v: np.clip(v, 0.0, 4.0), np.zeros(6))
-        return result, points, measured
+        return result, points, measured, max(1.0, factor * np.abs(c).max())
 
     @pytest.mark.parametrize("k", [1, 20, 60])
     def test_power_of_two_payoff_scale_is_exact(self, k):
         # with max|g0| >= 1 the scale c = max|g0| takes the factor 2^k
         # exactly, so the ascent sees the same payoff / c bit for bit
-        (x, value, residual, g, values, scale), points, _ = self.ascent(1.0)
-        (x2, value2, residual2, g2, values2, scale2), points2, _ = self.ascent(2.0**k)
+        (x, value, residual, values), points, _, scale = self.ascent(1.0)
+        (x2, value2, residual2, values2), points2, _, scale2 = self.ascent(2.0**k)
         assert scale > 1.0 and scale2 == 2.0**k * scale
         assert len(points2) == len(points)
         for a, b in zip(points, points2):
             assert a.tobytes() == b.tobytes()
-        assert x2.tobytes() == x.tobytes() and g2.tobytes() == g.tobytes()
+        assert x2.tobytes() == x.tobytes()
         assert value2 == 2.0**k * value and residual2 == 2.0**k * residual
         assert np.array_equal(values2, 2.0**k * values)
 
     def test_values_are_the_payoffs_it_measured(self):
         # with c = max|g0| > 1, (f / c) c need not give f back; the ascent
         # reports what ``evaluate`` returned, bit for bit
-        (x, value, _, _, values, scale), points, measured = self.ascent(0.3)
+        (x, value, _, values), points, measured, scale = self.ascent(0.3)
         assert scale > 1.0
         last = max(i for i, point in enumerate(points) if point.tobytes() == x.tobytes())
         assert value == measured[last] == values[-1]
@@ -562,14 +594,6 @@ class TestSolveSingle:
             report = solve_single(spec)
             region = build_region(spec)
             assert region.contains(report.plan.ravel())
-
-    def test_monotone_ascent(self):
-        rng = np.random.default_rng(67)
-        spec = random_linear_game(rng, 1, 2, 2)
-        report = solve_single(spec)
-        assert len(report.objectives) == report.iterations + 1
-        diffs = np.diff(report.objectives)
-        assert diffs.min() >= -1e-12
 
     def test_first_order_certificate(self):
         rng = np.random.default_rng(71)
@@ -613,35 +637,6 @@ class TestSolveSingle:
             chord = (objective(a) + objective(b)) / 2.0
             assert chord <= midpoint + 1e-9
 
-    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
-        spec = random_linear_game(np.random.default_rng(0), 1, 10, 3)
-        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
-        with pytest.raises(ConvergenceError) as excinfo:
-            solve_single(spec)
-        assert build_region(spec).contains(excinfo.value.last_iterate)
-
-    def test_budget_exhaustion_reports_in_payoff_units(self, monkeypatch):
-        # weights 2^4 and 2^24 times a random game's: both start from
-        # max|g0| >= 1, so the ascent runs identically in units of payoff / c
-        # and only the payoff units differ, by exactly 2^20
-        spec = random_linear_game(np.random.default_rng(0), 1, 5, 3)
-        utility = spec.utilities[0]
-        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
-        errors, scales = [], []
-        for factor in (2.0**4, 2.0**24):
-            weighted = dataclasses.replace(utility, rho=factor * utility.rho,
-                                           cost_coefficient=factor * utility.cost_coefficient)
-            game = dataclasses.replace(spec, utilities=(weighted,))
-            g0 = payoff_gradient(game, np.zeros((1, 3, 5)), 0)
-            scales.append(float(np.max(np.abs(g0))))
-            with pytest.raises(ConvergenceError) as excinfo:
-                solve_single(game)
-            errors.append(excinfo.value)
-            assert f"step norm {1e-9 * scales[-1]:g} " in str(excinfo.value)
-        assert scales[0] >= 1.0
-        assert errors[1].residual == 2.0**20 * errors[0].residual > 0.0
-        np.testing.assert_array_equal(errors[1].last_iterate, errors[0].last_iterate)
-
     def test_projection_failure_keeps_its_plan_units(self, monkeypatch):
         # the caps bind, so a later projection needs more than one cycle; its
         # residual is a violation of the polytope, not a payoff quantity
@@ -655,17 +650,6 @@ class TestSolveSingle:
             solve_single(spec)
         error = excinfo.value
         assert error.residual == build_region(spec).max_violation(error.last_iterate) > 0.0
-
-    def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self, monkeypatch):
-        # a linear objective grows the step by 1.5 per acceptance; past about
-        # 1e10 the projection's round-off would leave the plan infeasible.  A
-        # negative tolerance is never met, not even by the exact residual 0
-        spec = random_linear_game(np.random.default_rng(1), 1, 10, 3)
-        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", -1.0)
-        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 100)
-        with pytest.raises(ConvergenceError) as excinfo:
-            solve_single(spec)
-        assert build_region(spec).contains(excinfo.value.last_iterate)
 
     @pytest.mark.parametrize("seed", [13, 124, 181, 193, 197, 248])
     def test_degenerate_vertices_do_not_cycle(self, seed):
@@ -712,24 +696,21 @@ class TestSolveSingle:
                                            cost_coefficient=s * utility.cost_coefficient)
             report = solve_single(dataclasses.replace(spec, utilities=(weighted,)))
             assert report.objective == pytest.approx(s * base.objective, rel=1e-12, abs=0)
-            assert report.objectives[-1] == report.objective
             np.testing.assert_allclose(report.plan, base.plan, rtol=0, atol=1e-12)
 
     def test_rejects_multiplayer(self, two_player_spec):
         with pytest.raises(ValueError, match="single-player games only"):
             solve_single(two_player_spec)
 
-    def test_kernel_runs_once_at_the_returned_plan(self, monkeypatch):
-        # the ascent returns the gradient it measured at its last point, so
-        # the KKT probe needs no second pass there
-        spec = BENCH_GAMES[0]
+    @pytest.mark.parametrize("index", range(len(BENCH_GAMES)))
+    def test_two_kernel_passes_at_the_zero_plan_and_the_plan(self, monkeypatch, index):
+        # the gradient is constant on the polytope, so the search needs none
+        # past the zero plan's, and the report one at the plan
         profiles = count_kernel_passes(monkeypatch)
-        report = solve_single(spec)
-        at_plan = [p for p in profiles if np.array_equal(np.maximum(p[0], 0.0), report.plan)]
-        assert len(at_plan) == 1
-        # a linear objective accepts every trial step: one pass at the start
-        # and one per accepted step
-        assert len(profiles) == report.iterations + 1
+        report = solve_single(BENCH_GAMES[index])
+        assert len(profiles) == 2
+        assert np.all(profiles[0] == 0.0)
+        assert np.array_equal(np.maximum(profiles[1][0], 0.0), report.plan)
 
     def test_twenty_individuals_three_campaigns(self):
         # the largest single-player size in the suite: 60 variables, 121 halfspaces
@@ -737,3 +718,115 @@ class TestSolveSingle:
         report = solve_single(spec)
         assert build_region(spec).contains(report.plan.ravel())
         assert report.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("spec", list(_exact_solve_gate_games()))
+    def test_no_worse_than_the_ascent(self, spec):
+        report = solve_single(spec)
+        ascent_value = linear_program_ascent(spec)[1]
+        assert report.objective >= ascent_value - 1e-12 * max(1.0, abs(report.objective))
+        assert report.kkt_residual <= 1e-8
+        validate_plans(spec, report.plan[None])
+
+    @pytest.mark.parametrize("cap", [0.5, 1.0, 4.0])
+    def test_exhausted_search_raises_with_a_feasible_plan(self, monkeypatch, cap):
+        # the caps bind in bench game 3, whose search certifies at s = 16
+        spec = BENCH_GAMES[3]
+        monkeypatch.setattr(single_player_solver, "SEARCH_MAX_SCALE", cap)
+        with pytest.raises(ConvergenceError, match="certifies its plan") as excinfo:
+            solve_single(spec)
+        assert build_region(spec).contains(excinfo.value.last_iterate)
+        assert excinfo.value.residual > single_player_solver.PROJECTION_TOL
+
+
+class TestCertificate:
+    """A working set W certifies its plan only if the plan meets every row
+    and the gradient is a nonnegative combination of W's rows."""
+
+    @staticmethod
+    def far_working_set(spec):
+        """The working set of one projection of 4^5 times the scaled gradient,
+        past the threshold on the bench games, with that gradient."""
+        region, g = build_region(spec), scaled_gradient(spec)
+        working = np.zeros(region.count + region.dim, dtype=bool)
+        _active_set(4.0**5 * g, region, working)
+        return region, working, g
+
+    @pytest.mark.parametrize("index", range(len(BENCH_GAMES)))
+    def test_far_working_set_certifies_the_optimum(self, index):
+        spec = BENCH_GAMES[index]
+        region, working, g = self.far_working_set(spec)
+        plan, violation, shortfall = _certified_plan(region, working, g)
+        assert violation <= shortfall <= single_player_solver.PROJECTION_TOL
+        np.testing.assert_allclose(plan, solve_single(spec).plan.ravel(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("index", range(len(BENCH_GAMES)))
+    def test_a_dropped_row_fails_the_certificate(self, index):
+        # every held entry of W carries a positive multiplier of g, so W
+        # without it leaves g a residual or the plan off a row
+        region, working, g = self.far_working_set(BENCH_GAMES[index])
+        _, multipliers, _, _ = _solve_working(
+            region, working, np.array([np.zeros(region.dim), g]))
+        held = working.nonzero()[0]
+        assert held.size and multipliers.min() > 1e-6
+        for entry in held:
+            planted = working.copy()
+            planted[entry] = False
+            assert _certified_plan(region, planted, g)[2] > 1e-6
+
+    @pytest.mark.parametrize("index", range(len(BENCH_GAMES)))
+    def test_a_flipped_gradient_fails_the_certificate(self, index):
+        region, working, g = self.far_working_set(BENCH_GAMES[index])
+        assert _certified_plan(region, working, -g)[2] > 1e-6
+
+
+class TestLinearProgramAscent:
+    """``_maximize_concave`` on a single-player game's linear program: the
+    ascent that best responses and hindsight run, and its step budget."""
+
+    def test_monotone_ascent(self):
+        rng = np.random.default_rng(67)
+        spec = random_linear_game(rng, 1, 2, 2)
+        values = linear_program_ascent(spec)[3]
+        assert len(values) >= 2
+        diffs = np.diff(values)
+        assert diffs.min() >= -1e-12
+
+    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
+        spec = random_linear_game(np.random.default_rng(0), 1, 10, 3)
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError) as excinfo:
+            linear_program_ascent(spec)
+        assert build_region(spec).contains(excinfo.value.last_iterate)
+
+    def test_budget_exhaustion_reports_in_payoff_units(self, monkeypatch):
+        # weights 2^4 and 2^24 times a random game's: both start from
+        # max|g0| >= 1, so the ascent runs identically in units of payoff / c
+        # and only the payoff units differ, by exactly 2^20
+        spec = random_linear_game(np.random.default_rng(0), 1, 5, 3)
+        utility = spec.utilities[0]
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 1)
+        errors, scales = [], []
+        for factor in (2.0**4, 2.0**24):
+            weighted = dataclasses.replace(utility, rho=factor * utility.rho,
+                                           cost_coefficient=factor * utility.cost_coefficient)
+            game = dataclasses.replace(spec, utilities=(weighted,))
+            g0 = payoff_gradient(game, np.zeros((1, 3, 5)), 0)
+            scales.append(float(np.max(np.abs(g0))))
+            with pytest.raises(ConvergenceError) as excinfo:
+                linear_program_ascent(game)
+            errors.append(excinfo.value)
+            assert f"step norm {1e-9 * scales[-1]:g} " in str(excinfo.value)
+        assert scales[0] >= 1.0
+        assert errors[1].residual == 2.0**20 * errors[0].residual > 0.0
+        np.testing.assert_array_equal(errors[1].last_iterate, errors[0].last_iterate)
+
+    def test_unreachable_tolerance_runs_out_of_iterations_not_feasibility(self, monkeypatch):
+        # a linear objective grows the step by 1.5 per acceptance; past about
+        # 1e10 the projection's round-off would leave the plan infeasible.  A
+        # negative tolerance is never met, not even by the exact residual 0
+        spec = random_linear_game(np.random.default_rng(1), 1, 10, 3)
+        monkeypatch.setattr(single_player_solver, "ASCENT_TOL", -1.0)
+        monkeypatch.setattr(single_player_solver, "ASCENT_MAX_STEPS", 100)
+        with pytest.raises(ConvergenceError) as excinfo:
+            linear_program_ascent(spec)
+        assert build_region(spec).contains(excinfo.value.last_iterate)
