@@ -265,7 +265,9 @@ def cmd_solve(args) -> int:
               f"this {spec.m}-player game", file=sys.stderr)
         return EXIT_WRONG_MODE
     report = solve_single(spec)
-    atomic_write_text(args.out, _json_text({**vars(report), "plan": report.plan.tolist()}))
+    atomic_write_text(args.out, _json_text({
+        "plan": report.plan.tolist(), "objective": report.objective,
+        "iterations": report.iterations, "kkt_residual": report.kkt_residual}))
     print(f"objective {report.objective!r} after {report.iterations} iterations "
           f"(kkt residual {report.kkt_residual:.3e})")
     return EXIT_OK
@@ -290,8 +292,12 @@ def cmd_equilibrate(args) -> int:
     trace_path = f"{args.out}_trace.csv"
     result_path = f"{args.out}_result.json"
     trace_text = trace_to_csv(trace)
-    result_text = _json_text({**vars(result), "regrets": result.regrets.tolist(),
-                              "profile": result.profile.tolist()})
+    result_text = _json_text({
+        "iterations": result.iterations,
+        "exploitability": result.exploitability,
+        "regrets": result.regrets.tolist(),
+        "profile": result.profile.tolist(),
+    })
     atomic_write_text(trace_path, trace_text)
     try:
         atomic_write_text(result_path, result_text)

@@ -94,8 +94,7 @@ def build_region(spec: GameSpec) -> FeasibleRegion:
     K, n = spec.K, spec.n
     carried = np.eye(n, (K + 1) * n)
 
-    normals = []
-    offsets = []
+    normals, offsets = [], []
     for k, gap in enumerate(spec.kernel.gaps[:K], start=1):
         carried = gap @ carried
         carried[:, k * n : (k + 1) * n] = np.eye(n)
@@ -222,7 +221,7 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
                 trial[trial.nonzero()[0][ratios.argmin()]] = False
                 continue
             trial[entering] = True
-            x = x - step * residual  # both are 0 at the held variables
+            x = np.where(trial[region.count :], 0.0, x - step * residual)
             pair[0] = p
         excess = np.where(trial, -np.inf, region.violations(x))
         entering = int(excess.argmax())
@@ -336,9 +335,7 @@ def _maximize_concave(evaluate, project, start):
     x = project(np.asarray(start, dtype=float).ravel())
     value, g = evaluate(x)
     scale = max(1.0, float(np.max(np.abs(g))))
-    values = [value]
-    fx, g = value / scale, g / scale
-    step = 1.0
+    values, fx, g, step = [value], value / scale, g / scale, 1.0
     noise = 1e-13 * max(1.0, abs(fx))
 
     def residual_at(point, gradient):  # in the ascent's units
@@ -403,10 +400,9 @@ def _certified_plan(region: FeasibleRegion, working: np.ndarray, g: np.ndarray):
     violation of the region, and the certificate's largest failure: that
     violation, g's most negative multiplier or its largest residual on the
     free columns.  At 0 the plan is optimal by the program's KKT conditions."""
-    _, lam, plan, residual = _solve_working(region, working, np.array([np.zeros(g.size), g]))
+    _, lam, plan, rest = _solve_working(region, working, np.array([np.zeros(g.size), g]))
     violation = region.max_violation(plan)
-    return plan, violation, max(violation, -lam.min(initial=0.0),
-                                float(np.abs(residual).max(initial=0.0)))
+    return plan, violation, max(violation, -lam.min(initial=0.0), np.abs(rest).max(initial=0.0))
 
 
 def solve_single(spec: GameSpec) -> SolveReport:
@@ -414,11 +410,13 @@ def solve_single(spec: GameSpec) -> SolveReport:
     constraint polytope.
 
     One kernel pass at the zero plan gives g.  The search projects
-    s g / max(1, max|g|) for s = 1, 4, 16, ..., each projection starting
-    from the previous one's working set W, held by this call alone.  After
-    each it solves for the plan from W alone, at unit scale, so a far
-    point's round-off never reaches it, and returns the first plan that
-    ``_certified_plan`` certifies to ``PROJECTION_TOL``.  Past
+    s g / max|g| for s = 1, 4, 16, ... (s g when g is 0, whose zero plan is
+    certified at once), so its plan does not depend on the scale of the
+    utility weights.  Each projection starts from the previous one's
+    working set W, held by this call alone.  After each it solves for the
+    plan from W alone, at unit scale, so a far point's round-off never
+    reaches it, and returns the first plan that ``_certified_plan``
+    certifies to ``PROJECTION_TOL``.  Past
     ``SEARCH_MAX_SCALE`` it raises ConvergenceError carrying the last plan
     that met every row (else the zero plan) and the last certificate's
     failure.  One more pass at the plan gives the objective and the gradient
@@ -428,19 +426,17 @@ def solve_single(spec: GameSpec) -> SolveReport:
     region = build_region(spec)
     payoff = _objective_for_player(spec, np.zeros((1, spec.K, spec.n)), 0)
     g = payoff(np.zeros(region.dim))[1]
-    scale = max(1.0, float(np.max(np.abs(g))))
+    scale = float(np.max(np.abs(g))) or 1.0
     g = g / scale
     working = np.zeros(region.count + region.dim, dtype=bool)
     last, shortfall, iterations = np.zeros(region.dim), np.inf, 0
-    while 4.0**iterations <= SEARCH_MAX_SCALE:
+    while shortfall > PROJECTION_TOL:
+        if 4.0**iterations > SEARCH_MAX_SCALE:
+            raise ConvergenceError(f"no projection of s g, s up to {SEARCH_MAX_SCALE:g}, left "
+                                   "a working set that certifies its plan", last, shortfall)
         _active_set(4.0**iterations * g, region, working)
         b, violation, shortfall = _certified_plan(region, working, g)
         last, iterations = b if violation <= PROJECTION_TOL else last, iterations + 1
-        if shortfall <= PROJECTION_TOL:
-            break
-    else:
-        raise ConvergenceError(f"no projection of s g, s up to {SEARCH_MAX_SCALE:g}, left a "
-                               "working set that certifies its plan", last, shortfall)
     objective, gradient = payoff(b)
     probe = _active_set(b + 1e-3 * gradient / scale, region, working) - b
     plan = _readonly(validate_plans(spec, b.reshape(1, spec.K, spec.n))[0])

@@ -372,6 +372,16 @@ class TestWarmProjection:
         np.testing.assert_allclose(results, enumerated_projections(np.array(points), region),
                                    rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("region", list(_oracle_regions()))
+    def test_held_variables_are_exactly_zero(self, region):
+        # the full step that adds a sign constraint leaves round-off at its
+        # variable unless the step zeroes it
+        rng = np.random.default_rng(103)
+        working = np.zeros(region.count + region.dim, dtype=bool)
+        for point in warm_sequence(region, linear_ascent_path(region, rng), rng):
+            x = _active_set(point, region, working)
+            assert np.all(x[working[region.count :]] == 0.0)
+
     @pytest.mark.parametrize("spec, seed", [
         pytest.param(BENCH_GAMES[3], 3, id="3"),
         pytest.param(BENCH_GAMES[4], 4, id="4"),
@@ -680,23 +690,35 @@ class TestSolveSingle:
         assert build_region(spec).contains(report.plan.ravel())
         assert report.kkt_residual <= 1e-8
 
+    @staticmethod
+    def _check_weights_scale_the_objective_only(seed, budget, scales):
+        spec = random_linear_game(np.random.default_rng(seed), 1, 5, 3)
+        if budget is not None:
+            spec = dataclasses.replace(spec, budgets=np.array([budget]))
+        base = solve_single(spec)
+        utility = spec.utilities[0]
+        for s in scales:
+            weighted = dataclasses.replace(utility, rho=s * utility.rho,
+                                           cost_coefficient=s * utility.cost_coefficient)
+            report = solve_single(dataclasses.replace(spec, utilities=(weighted,)))
+            assert report.objective == pytest.approx(s * base.objective, rel=1e-12, abs=0)
+            np.testing.assert_allclose(report.plan, base.plan, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("budget", [None, 3.0])
     @pytest.mark.parametrize("seed", range(6))
     def test_large_utility_weights_scale_the_objective_only(self, seed, budget):
         # the ascent clamps its step in absolute terms: with weights of 1e6
         # and more, unscaled candidates lay so far out that the projection's
         # round-off overran a cap, or the ascent stopped short
-        spec = random_linear_game(np.random.default_rng(seed), 1, 5, 3)
-        if budget is not None:
-            spec = dataclasses.replace(spec, budgets=np.array([budget]))
-        base = solve_single(spec)
-        utility = spec.utilities[0]
-        for s in (1e6, 1e8, 1e12):
-            weighted = dataclasses.replace(utility, rho=s * utility.rho,
-                                           cost_coefficient=s * utility.cost_coefficient)
-            report = solve_single(dataclasses.replace(spec, utilities=(weighted,)))
-            assert report.objective == pytest.approx(s * base.objective, rel=1e-12, abs=0)
-            np.testing.assert_allclose(report.plan, base.plan, rtol=0, atol=1e-12)
+        self._check_weights_scale_the_objective_only(seed, budget, (1e6, 1e8, 1e12))
+
+    @pytest.mark.parametrize("budget", [None, 3.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_utility_weights_scale_the_objective_only(self, seed, budget):
+        # a gradient divided by max(1, max|g|) stayed small, so no multiple up
+        # to SEARCH_MAX_SCALE reached the budget or a cap, and its residual on
+        # the free columns failed the certificate's absolute tolerance
+        self._check_weights_scale_the_objective_only(seed, budget, (1e-4, 1e-8, 1e-11))
 
     def test_rejects_multiplayer(self, two_player_spec):
         with pytest.raises(ValueError, match="single-player games only"):
