@@ -265,17 +265,21 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
     flattened into rows: per stage one product with the gap propagator, one
     jump and, in reverse, one adjoint product, whatever p and the batch.
     The constants come from the per-game bundle ``GameSpec.kernel``, the
-    linear utilities' state-free gradients among them.  The sweep runs the recursion backwards (reverse mode), so each gradient is
-    exact: own investments enter both linearly and through every damping
-    denominator.
+    linear utilities' state-free gradients among them, and so do the sizes
+    K + 1, m and n, the shape of its weights.  The sweep runs the recursion
+    backwards (reverse mode), so each gradient is exact: own investments
+    enter both linearly and through every damping denominator.  A
+    multiplayer sweep multiplies the jump's sensitivities (1 - x+) / (1 +
+    sigma), x+ the post-jump opinions, by the adjoints in place, stage by
+    stage, so that they become the gradients.
 
     Returns views of the columns' pre-jump opinions (..., p, K+1, n),
     post-jump opinions (..., p, K, n), payoffs (..., p) and own-investment
     gradients (..., p, K, n).
     """
     constants = spec.kernel
-    K, n, p = spec.K, spec.n, own.shape[-3]
-    single = spec.m == 1
+    stages, m, n = constants.rho.shape
+    K, p = stages - 1, own.shape[-3]
     batch = totals.shape[:-2]
     # stage-major views, the batch in one lead axis, if any, after the stage
     if batch:
@@ -286,25 +290,25 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
         lead, axes = (), (1, 0, 2)
         own = own.transpose(1, 0, 2)
     totals = totals[..., None, :]  # (K, [rows,] 1, n), against the columns
-    if not single:
+    if m > 1:
         denominators = 1.0 + totals
-    pre = np.empty((K + 1,) + lead + (p, n))
+    pre = np.empty((stages,) + lead + (p, n))
     post = np.empty((K,) + lead + (p, n))
 
-    def product(x, matrix, out=None):
-        # ndarray.dot: the same BLAS product as @ at a third of the call cost
-        if x.ndim == 2:
-            return x.dot(matrix, out)
-        rows = None if out is None else out.reshape(-1, n)
-        return x.reshape(-1, n).dot(matrix, rows).reshape(x.shape)
-
+    # The products use ndarray.dot, the same BLAS product as @ at a third of
+    # the call cost: on a one-profile pass's (p, n) states directly, on a
+    # batched pass's states reshaped to rows.
     state = constants.x0[players]
     if batch:
         state = np.repeat(state[None], lead[0], axis=0)
-    for k in range(1, K + 2):
-        state = product(state, constants.gaps_transposed[k - 1], pre[k - 1])
+    for k in range(1, stages + 1):
+        if batch:
+            state.reshape(-1, n).dot(constants.gaps_transposed[k - 1], pre[k - 1].reshape(-1, n))
+            state = pre[k - 1]
+        else:
+            state = state.dot(constants.gaps_transposed[k - 1], pre[k - 1])
         if k <= K:
-            if single:  # the additive jump x + b, within the opinion cap
+            if m == 1:  # the additive jump x + b, within the opinion cap
                 b = totals[k - 1]
                 if not np.min(b) >= -FEASIBILITY_TOL:
                     raise InfeasiblePlanError("negative budget entry in single-player jump")
@@ -325,18 +329,20 @@ def _columns_pass(spec: GameSpec, own: np.ndarray, totals: np.ndarray,
     # summed stage after stage, in the order the recursion visits them
     payoff = values.cumsum(axis=0)[K] / (K + 1)
     opinion_gradients = constants.opinion_gradient[:, players]
-    if not single:
+    if m == 1:
+        gradient = np.empty(post.shape)
+    else:  # the jump's sensitivities, times the adjoints stage by stage
         damp = 1.0 / denominators
-        sensitivity = damp * (1.0 - post)
+        gradient = damp * (1.0 - post)
 
-    gradient = np.empty(post.shape)
     v = opinion_gradients[K]
     for k in range(K, 0, -1):
-        w = product(v, constants.gaps[k])
-        if single:  # the additive jump passes opinions and investments 1:1
+        gap = constants.gaps[k]
+        w = v.reshape(-1, n).dot(gap).reshape(v.shape) if batch else v.dot(gap)
+        if m == 1:  # the additive jump passes opinions and investments 1:1
             gradient[k - 1] = w
         else:
-            np.multiply(sensitivity[k - 1], w, out=gradient[k - 1])
+            gradient[k - 1] *= w
             w = damp[k - 1] * w
         v = opinion_gradients[k - 1] + w
     gradient += constants.budget_gradient[players]

@@ -110,7 +110,12 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The projection onto the budget set {b >= 0, sum(b) <= cap}, of (r, d)
     rows onto r caps known to be nonnegative, by the water-filling that
     ``equilibrium_solver.project_budget_set`` describes; a non-finite entry
-    raises ValueError."""
+    raises ValueError.  Rows whose clamped sum fits under the cap come out
+    clamped.  When every row is over its cap, the water-filling runs on the
+    whole stack and its result is returned; otherwise it runs on the rows
+    over their caps alone and is written back into the clamped stack.  A
+    stack of no rows or of empty rows is never over its caps and comes out
+    as its empty projection."""
     if not np.isfinite(rows).all():
         raise ValueError("the point to project must be finite")
     d = rows.shape[-1]
@@ -119,17 +124,23 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
     # any finite cap, and a shift past it is an entry far below -cap.
     with np.errstate(over="ignore"):
         over = projected.sum(axis=-1) > caps
-        if over.any():
-            v, caps = rows[over], caps[over, None]
-            v = v - v.max(axis=-1, keepdims=True)
-            u = np.maximum(np.sort(v, axis=-1)[:, ::-1], -caps)
-            cumulative = u.cumsum(axis=-1) - caps
-            feasible = (u > -caps) & (u - cumulative / np.arange(1, d + 1) > 0)
-            # the top entry is always in the support, but the strict tests
-            # drop it when the cap is zero
-            rho = np.maximum(1, feasible.sum(axis=-1))
-            theta = cumulative[np.arange(len(v)), rho - 1] / rho
-            projected[over] = np.maximum(v - theta[:, None], 0.0)
+        if not over.any():
+            return projected
+        every = over.all()
+        v, caps = (rows, caps[:, None]) if every else (rows[over], caps[over, None])
+        floor = -caps
+        v = v - v.max(axis=-1, keepdims=True)
+        u = np.maximum(np.sort(v, axis=-1)[:, ::-1], floor)
+        cumulative = u.cumsum(axis=-1) - caps
+        feasible = (u > floor) & (u > cumulative / np.arange(1, d + 1))
+        # the top entry is always in the support, but the strict tests
+        # drop it when the cap is zero
+        rho = np.maximum(1, feasible.sum(axis=-1))
+        theta = cumulative[np.arange(len(v)), rho - 1] / rho
+        water = np.maximum(v - theta[:, None], 0.0)
+    if every:
+        return water
+    projected[over] = water
     return projected
 
 
@@ -383,8 +394,7 @@ class SolveReport:
     returns for the solved plan.  ``iterations`` counts the projections of
     ``solve_single``'s search.  ``kkt_residual`` is the largest positive
     component of the projected gradient at the plan (zero at an exact
-    maximizer).  ``objective`` and ``kkt_residual`` are in payoff units.  The
-    ascent's path fields ``final_step_norm`` and ``objectives`` are gone.
+    maximizer).  ``objective`` and ``kkt_residual`` are in payoff units.
     """
 
     plan: np.ndarray

@@ -129,12 +129,24 @@ class TestProjectBudgetSet:
         caps[-1] = 0.0
         over = np.maximum(points, 0.0).sum(axis=1) > caps
         assert 0 < over.sum() < len(points)
-        rows = np.stack([project_budget_set(p, c) for p, c in zip(points, caps)])
-        assert np.array_equal(project_budget_set(points, caps), rows)
-        nested = project_budget_set(points.reshape(2, 4, 5), caps.reshape(2, 4))
-        assert np.array_equal(nested, rows.reshape(2, 4, 5))
-        shared = np.stack([project_budget_set(p, 1.5) for p in points])
-        assert np.array_equal(project_budget_set(points, 1.5), shared)
+        # every row over its cap: a zero cap and a row of equal entries among them
+        binding = np.vstack([np.abs(points[:7]) + 0.5, np.full((1, 5), 0.7)])
+        binding_caps = np.array([0.0, 1e-300, 0.3, 1.0, 1.7, 2.0, 0.0, 2.0])
+        assert (binding.sum(axis=1) > binding_caps).all()
+        for stack, stack_caps in ((points, caps), (binding, binding_caps)):
+            rows = np.stack([project_budget_set(p, c) for p, c in zip(stack, stack_caps)])
+            assert np.array_equal(project_budget_set(stack, stack_caps), rows)
+            nested = project_budget_set(stack.reshape(2, 4, 5), stack_caps.reshape(2, 4))
+            assert np.array_equal(nested, rows.reshape(2, 4, 5))
+            shared = np.stack([project_budget_set(p, 1.5) for p in stack])
+            assert np.array_equal(project_budget_set(stack, 1.5), shared)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_stack_projects_to_empty(self, shape):
+        caps = np.ones(shape[0])
+        for projected in (project_budget_set(np.zeros(shape), caps),
+                          single_player_solver._project_rows(np.zeros(shape), caps)):
+            assert projected.shape == shape
 
     @pytest.mark.parametrize("caps", [[1.0, np.nan], [1.0, -0.5]], ids=["nan", "negative"])
     def test_one_bad_row_cap_rejected(self, caps):
