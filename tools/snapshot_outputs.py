@@ -1,5 +1,7 @@
-"""Write the CLI outputs that a behaviour-preserving change must leave
-byte-identical, all through one checkout's ``influencegame.cli.main``.
+"""Write the outputs that a behaviour-preserving change must leave
+byte-identical, all from one checkout's package: the CLI's through
+``influencegame.cli.main``, and the one-player learning traces, which the
+CLI does not write, through the library.
 
     python tools/snapshot_outputs.py CHECKOUT OUTDIR
 
@@ -11,6 +13,10 @@ OUTDIR receives, by relative paths, so that the outputs do not name it:
 - ``equilibrate`` on the benchmark's network game at its T (``network*``);
 - ``solve`` on each benchmark single-player game (``single<i>*``), and
   ``simulate --samples 200`` on each solved plan;
+- the learning trace of each benchmark single-player game,
+  ``equilibrium_solver.trace_to_csv(run_no_regret(spec, 50))``, called
+  through the library, since the CLI refuses a one-player ``equilibrate``
+  (``single<i>_learning_trace.csv``);
 - ``simulate --samples 200`` of the reference game at the paper example's
   equilibrium (``reference*``), and ``simulate --samples 7``, whose grid
   lands on both campaign times, so that it pins their pre- and post-jump
@@ -22,8 +28,8 @@ OUTDIR receives, by relative paths, so that the outputs do not name it:
   ``solve`` on the two-player reference scenario (``refused_solve*``, exit 4);
 
 with every command's stdout in ``<name>.stdout``, its stderr in
-``<name>.stderr`` and its exit code in ``exit_codes.txt``.  Snapshot the parent and the change, each in a new
-process, then compare with ``diff -r``.
+``<name>.stderr`` and its exit code in ``exit_codes.txt``.  Snapshot the
+parent and the change, each in a new process, then compare with ``diff -r``.
 """
 
 import contextlib
@@ -35,6 +41,7 @@ import types
 from pathlib import Path
 
 SAMPLES = "200"
+LEARNING_T = 50
 VERIFY_SEEDS = range(50)
 
 
@@ -98,6 +105,8 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
             run(f"{name}_simulate", ["simulate", f"{name}.json",
                                      write_json(f"{name}_plans.json", {"plans": [plan]}),
                                      "--samples", SAMPLES, "--out", f"{name}_trajectory.csv"])
+            trace = ig.equilibrium_solver.trace_to_csv(ig.run_no_regret(spec, LEARNING_T))
+            Path(f"{name}_learning_trace.csv").write_text(trace)
 
         for seed in verify_seeds:
             run(f"verify_seed{seed}", ["verify", "--suite", "all", "--seed", str(seed)])
