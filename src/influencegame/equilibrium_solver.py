@@ -54,9 +54,9 @@ from .game_model import (
 )
 from .opinion_dynamics import _finite, _one_number, _readonly, _real
 from .single_player_solver import (
+    _active_set,
     _maximize_concave,
     _project_rows,
-    _warm_projection,
     build_region,
 )
 
@@ -75,15 +75,19 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     entry at or below -cap never enters the support; it is held at -cap in
     the sorted sums, which therefore cannot overflow however far down the
     row reaches.  Exact in finitely many operations.  A point or a cap that
-    is not real numbers (``_real``), a scalar point, a NaN or negative cap,
-    or a point with a non-finite entry raises ValueError; an infinite cap
-    leaves its rows merely clamped.
+    is not real numbers (``_real``), a cap that numpy cannot assign into the
+    stack's shape (...), a scalar point, a NaN or negative cap, or a point
+    with a non-finite entry raises ValueError; an infinite cap leaves its
+    rows merely clamped.
     """
     v = _real(point, "the point to project")
     if v.ndim == 0:
         raise ValueError("the point to project must be a vector or a stack of them")
-    caps = np.empty(v.shape[:-1])
-    caps[...] = _real(cap, "budget cap")
+    cap, caps = _real(cap, "budget cap"), np.empty(v.shape[:-1])
+    try:
+        caps[...] = cap
+    except ValueError:  # numpy's message names no argument
+        raise ValueError(f"budget cap must be one number or one per row, not {cap.shape}") from None
     if not (caps >= 0).all():
         raise ValueError("budget cap must be nonnegative")
     return _project_rows(v.reshape(caps.size, v.shape[-1]), caps.reshape(-1)).reshape(v.shape)
@@ -216,7 +220,9 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     beta_j / (2 K n)) and update together from the same joint iterate, with
     stepsize eta_tau = 10 / tau.  Each iteration makes one kernel pass
     over all players' columns and one projection of the (m, K n) stack of
-    stepped plans, by ``_project_rows`` on the caps ``GameSpec`` checked.
+    stepped plans, by ``_project_rows`` on the caps ``GameSpec`` checked; a
+    lone player's plan goes onto its polytope by ``_active_set``, from the
+    working set of the iteration before.
     The run draws no random numbers: the spec and T determine it.  T must be
     an integer (not a bool) of at least 1, else ValueError before any pass;
     a T whose (T, m, K, n) iterates cannot be allocated raises MemoryError.
@@ -226,8 +232,9 @@ def run_no_regret(spec: GameSpec, T: int) -> LearningTrace:
     m, K, n = spec.m, spec.K, spec.n
     current = np.broadcast_to(spec.budgets[:, None] / (2 * K * n), (m, K * n))
     if m == 1:
-        alone = _warm_projection(build_region(spec))
-        project = lambda rows: alone(rows[0])[None]
+        region = build_region(spec)
+        working = np.zeros(region.count + region.dim, dtype=bool)
+        project = lambda rows: _active_set(rows[0], region, working)[None]
         current = project(current)
     else:
         project = lambda rows: _project_rows(rows, spec.budgets)

@@ -439,10 +439,12 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> tuple:
     kernel; a sample inside the gap after t_{k-1} is carried there from the
     post-jump state at t_{k-1} (x0 for k = 1) by exp(-L (t - t_{k-1})), one
     product per stacked ``propagator`` call of at most ``_SAMPLE_BLOCK``
-    matrix entries.  A sample landing on a campaign time (within relative
-    tolerance 1e-9) produces two records, the pre-jump state and then the
-    post-jump state; one on the terminal time produces only the pre-jump
-    record.  One clip to [0, 1] over the stack removes round-off.
+    matrix entries.  A sample landing on a campaign time t_k, within
+    1e-9 max(1, |t_k|) of it and at most a quarter of the way to the
+    schedule time next to it on its side, produces two records stamped t_k,
+    the pre-jump state and then the post-jump state; one on the terminal
+    time produces only the pre-jump record.  One clip to [0, 1] over the
+    stack removes round-off.
     """
     times = spec.schedule.times
     samples = _finite(sample_times, "sample times")
@@ -461,17 +463,19 @@ def simulate_trajectory(spec: GameSpec, profile, sample_times) -> tuple:
 
     pieces = []  # the records' times, states and post-jump flags, gap by gap
     block = max(1, _SAMPLE_BLOCK // spec.n ** 2)  # samples per propagator stack
+    quarters = np.append(np.diff(times), np.inf) / 4  # a quarter of the gap after each t_k
     si = 0
     for k in range(1, spec.K + 2):
         t_start, t_end = float(times[k - 1]), float(times[k])
-        match_tol = 1e-9 * max(1.0, abs(t_end))
-        gap_end = max(si, int(np.searchsorted(samples, t_end - match_tol)))
+        # t_k's matching window, each side within a quarter of the gap there
+        before, after = np.minimum(1e-9 * max(1.0, abs(t_end)), quarters[k - 1 : k + 1])
+        gap_end = max(si, int(np.searchsorted(samples, t_end - before)))
         # the horizon check lets a sample sit up to 1e-12 before t_0
         for lo in range(si, gap_end, block):
             inside = samples[lo:min(gap_end, lo + block)]
             flows = propagator(spec.network, np.maximum(inside - t_start, 0.0))
             pieces.append((inside, flows @ leaving[k - 1], np.zeros(inside.size, bool)))
-        si = max(gap_end, int(np.searchsorted(samples, t_end + match_tol, "right")))
+        si = max(gap_end, int(np.searchsorted(samples, t_end + after, "right")))
         matched = si - gap_end  # samples on t_k, each giving the records of jump
         jump = (pre[k - 1], leaving[k]) if k <= spec.K else (pre[k - 1],)
         pieces.append((np.full(matched * len(jump), t_end), np.tile(jump, (matched, 1, 1)),

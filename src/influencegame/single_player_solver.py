@@ -9,10 +9,12 @@ rather than stored.  Past a finite s, the projection of s g onto the
 polytope is the program's least-norm optimum (Mangasarian & Meyer, SIAM J.
 Control Optim. 17, 1979).  Every projection is exact, in finitely many
 steps, by a dual active-set method whose working set stays linearly
-independent; a call with no working set to start from starts from that of
-the point's projection onto the budget set alone, ``_project_rows``, the
-routine the multiplayer solver projects by.  ``_maximize_concave``, the
-package's one concave ascent, serves only best responses and hindsight.
+independent, ``_active_set``, the polytope projection's one entry: its
+caller holds the working set, and a call with none to start from starts
+from that of the point's projection onto the budget set alone,
+``_project_rows``, the routine the multiplayer solver projects by.
+``_maximize_concave``, the package's one concave ascent, serves only best
+responses and hindsight.
 """
 
 from __future__ import annotations
@@ -110,12 +112,12 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The projection onto the budget set {b >= 0, sum(b) <= cap}, of (r, d)
     rows onto r caps known to be nonnegative, by the water-filling that
     ``equilibrium_solver.project_budget_set`` describes; a non-finite entry
-    raises ValueError.  Rows whose clamped sum fits under the cap come out
-    clamped.  When every row is over its cap, the water-filling runs on the
-    whole stack and its result is returned; otherwise it runs on the rows
-    over their caps alone and is written back into the clamped stack.  A
-    stack of no rows or of empty rows is never over its caps and comes out
-    as its empty projection."""
+    raises ValueError.  A stack whose every row's clamped sum fits under its
+    cap comes out clamped.  Otherwise the water-filling runs on the whole
+    stack, every step row-local, so each row's bits are as if it were
+    projected alone, and a row under its cap is taken from the clamped
+    stack.  A stack of no rows or of empty rows is never over its caps and
+    comes out as its empty projection."""
     if not np.isfinite(rows).all():
         raise ValueError("the point to project must be finite")
     d = rows.shape[-1]
@@ -127,9 +129,11 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
         if not over.any():
             return projected
         every = over.all()
-        v, caps = (rows, caps[:, None]) if every else (rows[over], caps[over, None])
+        # a row under its cap is water-filled at cap 0, where nothing overflows
+        # into a NaN, and then discarded
+        caps = caps[:, None] if every else np.where(over, caps, 0.0)[:, None]
         floor = -caps
-        v = v - v.max(axis=-1, keepdims=True)
+        v = rows - rows.max(axis=-1, keepdims=True)
         u = np.maximum(np.sort(v, axis=-1)[:, ::-1], floor)
         cumulative = u.cumsum(axis=-1) - caps
         feasible = (u > floor) & (u > cumulative / np.arange(1, d + 1))
@@ -138,10 +142,7 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
         rho = np.maximum(1, feasible.sum(axis=-1))
         theta = cumulative[np.arange(len(v)), rho - 1] / rho
         water = np.maximum(v - theta[:, None], 0.0)
-    if every:
-        return water
-    projected[over] = water
-    return projected
+    return water if every else np.where(over[:, None], water, projected)
 
 
 def _budget_start(p, region: FeasibleRegion) -> np.ndarray:
@@ -176,7 +177,7 @@ def _budget_start(p, region: FeasibleRegion) -> np.ndarray:
 
 
 def _solve_working(region: FeasibleRegion, working: np.ndarray, pair: np.ndarray):
-    """The system of ``_warm_projection`` for the working set W and the
+    """The system of ``_active_set`` for the working set W and the
     rows (y, n) of ``pair``: returns y's multipliers, n's, the projection of
     y onto W's affine set with the held variables at 0, and n's residual."""
     held, fixed = working[: region.count], working[region.count :]
@@ -192,12 +193,52 @@ def _solve_working(region: FeasibleRegion, working: np.ndarray, pair: np.ndarray
 
 
 def _active_set(point, region: FeasibleRegion, working: np.ndarray):
-    """The dual active-set loop of ``_warm_projection``: returns the
-    projection of ``point`` and only then stores its final working set in
-    ``working``, a boolean mask over the halfspaces and then the variables.
-    It starts from ``working``, or from ``_budget_start`` when that is
-    empty.  The constraints it holds must be linearly independent over the
-    free columns; the stored set is, so it may start the next call.
+    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
+    and x >= 0, the one entry to the polytope projection.  ``working`` is a
+    boolean mask over the halfspaces and then the variables that the caller
+    holds: the call starts from the working set W it holds, or, when that is
+    empty, from ``_budget_start`` (a cold start, independent of every other
+    call), and stores its final W there only when it returns, so a
+    ConvergenceError leaves the next call's start as it was.  Successive
+    points of one caller lie close together, so a warm call adds or drops
+    only a few constraints where a cold one adds every active one.
+
+    Dual active-set method for a quadratic program with identity Hessian
+    (Goldfarb & Idnani, Math. Programming 27, 1983): W holds halfspaces as
+    equalities and variables at 0.  The iterate is the projection onto W's
+    affine set of the point less t n, where n is the normal of the entering
+    row q and t its multiplier so far, and every multiplier is at least
+    -tol.  Held variables are eliminated, so each iteration is one linear
+    solve, ``_solve_working``, over the free variables F with two
+    right-hand sides:
+    (A_F A_F') lam = A_F y_F - c_W gives the multipliers (a held variable's
+    is (A' lam - y)_i), y the shifted point, and (A_F A_F') r = A_F n_F gives
+    the rates r at which they fall as t grows and the residual z = n - A' r
+    of n against W.  Each iteration first drops every row of W whose
+    multiplier is below -tol, which makes a warm start's W dual feasible;
+    then, with no q yet, it adds the most violated row as q.  When
+    ||z||^2 <= ``PROJECTION_TOL`` ||n||^2, q counts as dependent on W: the
+    step is dual only, and the row of W whose multiplier reaches 0 first
+    leaves.  Otherwise the iterate takes the full step that meets q, after
+    which q joins W, unless a multiplier reaches 0 first: then the step is
+    partial and that row leaves.  So W stays linearly independent by
+    construction, and the stored W may start the next call.  A ratio past
+    the float range blocks nothing.
+
+    The multiplier and violation tests use one scale: tol is
+    ``PROJECTION_TOL`` times max(1, max|p|) for the point p, so a far point
+    stops as a point of size 1 does.  The result meets the constraints
+    outside W to tol and W's as equalities up to round-off at that scale, so
+    every row to tol (a point of scale 1e8 may exceed a row by about 1e-6).
+    Its KKT multipliers are met to tol, and from a cold start a point
+    already feasible to tol comes back unchanged (on a region with the
+    budget row last, if it is also nonnegative and within the budget
+    exactly, as ``_budget_start`` holds the rest).
+    ``PROJECTION_MAX_CYCLES`` bounds the iterations.  When they run out, or
+    a dependent q has no row of W to drop (the region is empty up to
+    round-off, which the error says), ConvergenceError carries the last dual
+    iterate, which need not be feasible, and its largest violation.  A point
+    of the wrong shape or with a non-finite entry raises ValueError.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (region.dim,) or not np.isfinite(p).all():
@@ -247,60 +288,6 @@ def _active_set(point, region: FeasibleRegion, working: np.ndarray):
         f"dual active-set projection did not reach tolerance {PROJECTION_TOL:g} within "
         f"{PROJECTION_MAX_CYCLES} iterations on independent working constraints",
         last_iterate=x, residual=region.max_violation(x))
-
-
-def _warm_projection(region: FeasibleRegion):
-    """Exact Euclidean projection argmin ||x - point|| subject to A x <= c
-    and x >= 0, as a closure whose first call starts cold, and is thus
-    independent of every other, and whose later calls start from the
-    previous call's final working set W.  Successive iterates of one-player
-    learning lie close together, so a call adds or drops only a few
-    constraints where a cold start adds every active one.  A cold call, and a later one whose
-    W is empty, starts from ``_budget_start``: with the budget row of
-    ``build_region`` last, the W of the point's projection onto the budget
-    set alone, so a point whose budget-set answer meets every cap takes one
-    linear solve; on any other region, the empty W.  W changes only when a
-    call returns, so a ConvergenceError leaves the next call's start as it
-    was.
-
-    Dual active-set method for a quadratic program with identity Hessian
-    (Goldfarb & Idnani, Math. Programming 27, 1983): W holds halfspaces as
-    equalities and variables at 0.  The iterate is the projection onto W's
-    affine set of the point less t n, where n is the normal of the entering
-    row q and t its multiplier so far, and every multiplier is at least
-    -tol.  Held variables are eliminated, so each iteration is one linear
-    solve, ``_solve_working``, over the free variables F with two
-    right-hand sides:
-    (A_F A_F') lam = A_F y_F - c_W gives the multipliers (a held variable's
-    is (A' lam - y)_i), y the shifted point, and (A_F A_F') r = A_F n_F gives
-    the rates r at which they fall as t grows and the residual z = n - A' r
-    of n against W.  Each iteration first drops every row of W whose
-    multiplier is below -tol, which makes a warm start's W dual feasible;
-    then, with no q yet, it adds the most violated row as q.  When
-    ||z||^2 <= ``PROJECTION_TOL`` ||n||^2, q counts as dependent on W: the
-    step is dual only, and the row of W whose multiplier reaches 0 first
-    leaves.
-    Otherwise the iterate takes the full step that meets q, after which q
-    joins W, unless a multiplier reaches 0 first: then the step is partial
-    and that row leaves.  So W stays linearly independent by construction.
-    A ratio past the float range blocks nothing.
-
-    The multiplier and violation tests use one scale: tol is
-    ``PROJECTION_TOL`` times max(1, max|p|) for the point p, so a far point
-    stops as a point of size 1 does.  The result meets the constraints
-    outside W to tol and W's as equalities up to round-off at that scale, so
-    every row to tol (a point of scale 1e8 may exceed a row by about 1e-6).
-    Its KKT multipliers are met to tol, and from a cold start a point
-    already feasible to tol comes back unchanged (on a region with the
-    budget row last, if it is also nonnegative and within the budget
-    exactly, as ``_budget_start`` holds the rest).  ``PROJECTION_MAX_CYCLES`` bounds the iterations (one
-    linear solve each).  When they run out, or a dependent q has no row of
-    W to drop (the region is empty up to round-off, which the error says),
-    ConvergenceError carries the last dual iterate, which need not be
-    feasible, and its largest violation.  A point of the wrong shape or
-    with a non-finite entry raises ValueError."""
-    working = np.zeros(region.count + region.dim, dtype=bool)
-    return lambda point: _active_set(point, region, working)
 
 
 def _maximize_concave(evaluate, project, start):
@@ -429,15 +416,16 @@ def solve_single(spec: GameSpec) -> SolveReport:
     certifies to ``PROJECTION_TOL``.  Past
     ``SEARCH_MAX_SCALE`` it raises ConvergenceError carrying the last plan
     that met every row (else the zero plan) and the last certificate's
-    failure.  One more pass at the plan gives the objective and the gradient
-    that the KKT probe projects.  A game with other than one player raises
-    ValueError, from ``build_region``.
+    failure.  One more pass at the plan gives the objective; the KKT probe
+    steps from the plan along the zero plan's gradient, since a one-player
+    gradient does not depend on the plan.  A game with other than one
+    player raises ValueError, from ``build_region``.
     """
     region = build_region(spec)
     payoff = _objective_for_player(spec, np.zeros((1, spec.K, spec.n)), 0)
-    g = payoff(np.zeros(region.dim))[1]
-    scale = float(np.max(np.abs(g))) or 1.0
-    g = g / scale
+    gradient = payoff(np.zeros(region.dim))[1]
+    scale = float(np.max(np.abs(gradient))) or 1.0
+    g = gradient / scale
     working = np.zeros(region.count + region.dim, dtype=bool)
     last, shortfall, iterations = np.zeros(region.dim), np.inf, 0
     while shortfall > PROJECTION_TOL:
@@ -447,7 +435,7 @@ def solve_single(spec: GameSpec) -> SolveReport:
         _active_set(4.0**iterations * g, region, working)
         b, violation, shortfall = _certified_plan(region, working, g)
         last, iterations = b if violation <= PROJECTION_TOL else last, iterations + 1
-    objective, gradient = payoff(b)
+    objective = payoff(b)[0]
     probe = _active_set(b + 1e-3 * gradient / scale, region, working) - b
     plan = _readonly(validate_plans(spec, b.reshape(1, spec.K, spec.n))[0])
     return SolveReport(plan, objective, iterations, float(max(0.0, probe.max())) / 1e-3 * scale)

@@ -15,7 +15,7 @@ from influencegame import (
     total_payoff,
 )
 from influencegame import equilibrium_solver, game_model, opinion_dynamics
-from influencegame.single_player_solver import _warm_projection
+from influencegame.single_player_solver import _active_set
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,13 +42,19 @@ def load_bench_module(stem):
     return module
 
 
+def empty_working_set(region):
+    """A working-set mask for ``_active_set`` over the halfspaces of
+    ``region`` and then its variables, holding nothing."""
+    return np.zeros(region.count + region.dim, dtype=bool)
+
+
 def cold_projection(point, region):
-    """The projection onto ``region`` as a fresh closure's first call, which
-    starts the dual active-set method cold: from the working set of the
-    point's budget-set projection when the region's last row is the
-    all-ones budget row with a nonnegative cap (as ``build_region`` makes
-    it), else from the empty working set."""
-    return _warm_projection(region)(point)
+    """The projection onto ``region`` by ``_active_set`` from an empty
+    working set, which starts the dual active-set method cold: from the
+    working set of the point's budget-set projection when the region's last
+    row is the all-ones budget row with a nonnegative cap (as
+    ``build_region`` makes it), else from the empty working set."""
+    return _active_set(point, region, empty_working_set(region))
 
 
 def count_linear_solves(monkeypatch) -> list:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -152,6 +153,36 @@ class TestProjectBudgetSet:
     def test_one_bad_row_cap_rejected(self, caps):
         with pytest.raises(ValueError, match="cap"):
             project_budget_set(np.ones((2, 3)), np.array(caps))
+
+
+    @pytest.mark.parametrize("point, cap", [
+        pytest.param(np.ones(3), np.ones(2), id="two-caps-for-one-vector"),
+        pytest.param(np.ones((2, 3)), np.ones(3), id="three-caps-for-two-rows"),
+        pytest.param(np.ones((2, 3)), np.ones((2, 1)), id="column-of-caps"),
+    ])
+    def test_cap_of_the_wrong_shape_named(self, point, cap):
+        # numpy's "could not broadcast input array" once came through
+        message = f"budget cap must be one number or one per row, not {np.shape(cap)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_budget_set(point, cap)
+
+    @pytest.mark.parametrize("point, cap", [
+        pytest.param(np.ones(3), 1.5, id="scalar"),
+        pytest.param(np.ones(3), [1.5], id="one-cap-for-a-vector"),
+        pytest.param(np.ones((2, 3)), [1.5], id="one-cap-for-a-stack"),
+        pytest.param(np.ones((2, 3)), [1.5, 1.5], id="one-per-row"),
+    ])
+    def test_caps_that_fit_the_rows_accepted(self, point, cap):
+        np.testing.assert_array_equal(project_budget_set(point, cap), np.full(point.shape, 0.5))
+
+    def test_mixed_stack_with_a_row_past_the_float_range(self):
+        # a row under its cap is discarded after the whole stack's
+        # water-filling, which must not make a NaN of it
+        points = np.array([[1e308, -1e308], [5.0, 5.0], [1.7e308, -1.7e308]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            projected = project_budget_set(points, [np.inf, 1.0, 1.7e308])
+        np.testing.assert_array_equal(projected, [[1e308, 0.0], [0.5, 0.5], [1.7e308, 0.0]])
 
 
 UNIT_BUDGET_REGION = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
@@ -445,6 +476,26 @@ class TestMaximizeConcave:
         with pytest.raises(ConvergenceError) as excinfo:
             _maximize_concave(evaluate, lambda v: v, np.zeros(2))
         assert evaluate(excinfo.value.last_iterate)[0] >= -3 * 1e-13 * 1e10
+
+    def test_line_search_exhaustion_carries_the_projected_start(self):
+        # every point but the projected start is worth -inf, so no candidate
+        # clears the ascent model and the 80 halvings run out there
+        def project(v):
+            return project_budget_set(v, 1.0)
+
+        first = project(np.array([2.0, -1.0, 0.5]))
+        evaluations = []
+
+        def evaluate(x):
+            evaluations.append(x)
+            return (1.0 if np.array_equal(x, first) else -np.inf), np.array([-1.0, 1.0, 0.0])
+
+        with pytest.raises(ConvergenceError,
+                           match="^line search found no ascent step in 80 halvings$") as excinfo:
+            _maximize_concave(evaluate, project, np.array([2.0, -1.0, 0.5]))
+        assert excinfo.value.last_iterate.tobytes() == first.tobytes()
+        assert np.isfinite(excinfo.value.residual) and excinfo.value.residual > 0.0
+        assert len(evaluations) == 81
 
     def test_ill_conditioned_quadratic_reaches_enumerated_optimum(self, monkeypatch):
         # c'b - b'Qb/2 with cond(Q) = 1e4 over {b >= 0, sum(b) <= cap}; the

@@ -465,6 +465,19 @@ class TestSimulateTrajectory:
         np.testing.assert_array_equal(states[1], states[3])
         np.testing.assert_array_equal(states[2], states[4])
 
+    def test_close_campaign_times_keep_their_own_samples(self):
+        # t_1 = 1e6's window of 1e-9 |t_1| = 1e-3 once reached past t_2 =
+        # t_1 + 1e-4: both samples came back stamped t_1 with t_1's states
+        network = build_network(np.array([[1.0]]))
+        t1, t2 = 1e6, 1e6 + 1e-4
+        spec = unit_linear_game(network, [0.0, t1, t2, 2e6], [[0.5, 0.5]], [3.0, 3.0])
+        plans = np.array([[[0.0], [0.5]], [[0.0], [0.0]]])  # player 0 invests at t_2
+        times, states, post_jump = simulate_trajectory(spec, plans, [t1 + 5e-5, t2])
+        assert times.tolist() == [t1 + 5e-5, t2, t2]
+        assert post_jump.tolist() == [False, False, True]
+        np.testing.assert_allclose(states[:2, 0], [[0.5, 0.5]] * 2, atol=1e-15)
+        np.testing.assert_allclose(states[2, 0], [2 / 3, 1 / 3], atol=1e-15)
+
     def test_multiplayer_jump_direct_evaluation(self):
         # one isolated individual: the post-jump row is (x + b) / (1 + sum b)
         network = build_network(np.array([[1.0]]))

@@ -31,9 +31,9 @@ from influencegame import single_player_solver
 from influencegame.game_model import _objective_for_player
 from influencegame.single_player_solver import (_active_set, _certified_plan,
                                                 _maximize_concave, _project_rows,
-                                                _solve_working, _warm_projection)
+                                                _solve_working)
 from conftest import (cold_projection, count_kernel_passes, count_linear_solves,
-                      load_bench_module, single_player_spec)
+                      empty_working_set, load_bench_module, single_player_spec)
 
 # The benchmark's five single-player games; in games 3 and 4 the opinion caps
 # bind as well as the budget.
@@ -72,7 +72,9 @@ def linear_program_ascent(spec):
     single-player game over its polytope: the linear program that
     ``solve_single`` solves, by the ascent of best responses and hindsight."""
     payoff = _objective_for_player(spec, np.zeros((1, spec.K, spec.n)), 0)
-    return _maximize_concave(payoff, _warm_projection(build_region(spec)),
+    region = build_region(spec)
+    working = empty_working_set(region)
+    return _maximize_concave(payoff, lambda point: _active_set(point, region, working),
                              np.zeros(spec.K * spec.n))
 
 
@@ -357,8 +359,8 @@ class TestWarmProjection:
 
     @staticmethod
     def check_sequence(region, points):
-        warm = _warm_projection(region)
-        results = np.array([warm(point) for point in points])
+        working = empty_working_set(region)
+        results = np.array([_active_set(point, region, working) for point in points])
         cold = np.array([cold_projection(point, region) for point in points])
         np.testing.assert_allclose(results, cold, rtol=0, atol=1e-10)
         assert max(region.max_violation(result) for result in results) <= 1e-10
@@ -377,7 +379,7 @@ class TestWarmProjection:
         # the full step that adds a sign constraint leaves round-off at its
         # variable unless the step zeroes it
         rng = np.random.default_rng(103)
-        working = np.zeros(region.count + region.dim, dtype=bool)
+        working = empty_working_set(region)
         for point in warm_sequence(region, linear_ascent_path(region, rng), rng):
             x = _active_set(point, region, working)
             assert np.all(x[working[region.count :]] == 0.0)
@@ -393,25 +395,26 @@ class TestWarmProjection:
         self.check_sequence(region, warm_sequence(region, path, np.random.default_rng(seed)))
 
     def test_convergence_error_leaves_the_start_intact(self, monkeypatch):
-        # a closure whose call failed must go on exactly as its twin that
+        # a working set whose call failed must go on exactly as its twin that
         # never made that call, linear solve for linear solve
         region = build_region(BENCH_GAMES[3])
         rng = np.random.default_rng(107)
         points = warm_sequence(region, solve_single_path(BENCH_GAMES[3])[:30], rng)
-        failed, twin = _warm_projection(region), _warm_projection(region)
+        failed, twin = empty_working_set(region), empty_working_set(region)
         for point in points[:25]:
-            failed(point)
-            twin(point)
+            _active_set(point, region, failed)
+            _active_set(point, region, twin)
         far = 10.0 * (rng.standard_normal(region.dim) + 0.5)
         monkeypatch.setattr(single_player_solver, "PROJECTION_MAX_CYCLES", 1)
         with pytest.raises(ConvergenceError):
-            failed(far)
+            _active_set(far, region, failed)
         monkeypatch.undo()
+        assert np.array_equal(failed, twin)
         solves = count_linear_solves(monkeypatch)
         for point in [far] + points[25:]:
             solves.clear()
-            result, failed_solves = failed(point), len(solves)
-            assert result.tobytes() == twin(point).tobytes()
+            result, failed_solves = _active_set(point, region, failed), len(solves)
+            assert result.tobytes() == _active_set(point, region, twin).tobytes()
             assert len(solves) == 2 * failed_solves
             np.testing.assert_allclose(result, cold_projection(point, region),
                                        rtol=0, atol=1e-10)
@@ -424,24 +427,25 @@ class TestWarmProjection:
         rng = np.random.default_rng(7)
         for spec in BENCH_GAMES:
             region = build_region(spec)
-            project = _warm_projection(region)
+            working = empty_working_set(region)
             for _ in range(10):
                 point = scale * rng.standard_normal(region.dim)
                 bound = 1e-12 * max(1.0, np.abs(point).max())
-                assert region.max_violation(project(point)) <= bound
+                assert region.max_violation(_active_set(point, region, working)) <= bound
 
     @pytest.mark.parametrize("seed, n, K", [(0, 4, 4), (0, 5, 3), (1, 6, 2)])
     def test_warm_zero_budget_far_points_converge(self, seed, n, K):
-        # one closure, 40 successive far calls at the degenerate vertex {0},
+        # one working set, 40 successive far calls at the degenerate vertex {0},
         # where Kn + 1 rows are active: with tolerances absolute rather than
         # relative to the point, 17, 16 and 12 of them raised; the answer is
         # the origin up to round-off at the point's scale
         spec = random_linear_game(np.random.default_rng(seed), 1, n, K)
         region = build_region(dataclasses.replace(spec, budgets=np.array([0.0])))
-        project = _warm_projection(region)
+        working = empty_working_set(region)
         for point in 1e4 * np.random.default_rng(1).standard_normal((40, region.dim)):
             bound = 1e-12 * np.abs(point).max()
-            np.testing.assert_allclose(project(point), 0.0, rtol=0, atol=bound)
+            np.testing.assert_allclose(_active_set(point, region, working), 0.0,
+                                       rtol=0, atol=bound)
 
     def test_repeated_solves_are_identical(self):
         first, second = solve_single(BENCH_GAMES[4]), solve_single(BENCH_GAMES[4])
@@ -482,14 +486,14 @@ class TestBudgetStart:
 
     def test_zero_plan_leaves_the_next_call_seeded(self, monkeypatch):
         # the zero plan holds nothing, so the ascent's second projection
-        # starts from the budget set's answer as a fresh closure's would
+        # starts from the budget set's answer as a cold call's would
         region = build_region(BENCH_GAMES[0])
         point = np.random.default_rng(5).standard_normal(region.dim) * 0.1 + 0.3
-        project = _warm_projection(region)
+        working = empty_working_set(region)
         solves = count_linear_solves(monkeypatch)
-        project(np.zeros(region.dim))
+        _active_set(np.zeros(region.dim), region, working)
         assert len(solves) == 1
-        project(point)
+        _active_set(point, region, working)
         assert len(solves) == 2
 
     def test_region_without_halfspaces_projects_onto_the_orthant(self):
@@ -497,10 +501,11 @@ class TestBudgetStart:
         # a warm one from the previous call's
         region = FeasibleRegion(np.zeros((0, 3)), np.zeros(0))
         points = np.array([[1.0, -2.0, 3.0], [-1.0, 2.0, -3.0], [0.5, -0.5, 0.0]])
-        project = _warm_projection(region)
+        working = empty_working_set(region)
         for point in np.concatenate([points, points]):
             np.testing.assert_array_equal(cold_projection(point, region), np.maximum(point, 0))
-            np.testing.assert_array_equal(project(point), np.maximum(point, 0))
+            np.testing.assert_array_equal(_active_set(point, region, working),
+                                          np.maximum(point, 0))
 
     def test_zero_budget_far_points_take_one_solve(self, monkeypatch):
         # at a zero cap the budget row is held with every entry but the top
@@ -769,7 +774,7 @@ class TestCertificate:
         """The working set of one projection of 4^5 times the scaled gradient,
         past the threshold on the bench games, with that gradient."""
         region, g = build_region(spec), scaled_gradient(spec)
-        working = np.zeros(region.count + region.dim, dtype=bool)
+        working = empty_working_set(region)
         _active_set(4.0**5 * g, region, working)
         return region, working, g
 

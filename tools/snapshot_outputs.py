@@ -10,7 +10,9 @@ of its ``bench/workloads.py`` are used, and nothing is written inside it.
 OUTDIR receives, by relative paths, so that the outputs do not name it:
 
 - ``equilibrate --paper-example`` at the benchmark's T (``paper_*``);
-- ``equilibrate`` on the benchmark's network game at its T (``network*``);
+- ``equilibrate`` on the benchmark's network game at its T (``network*``),
+  and again with budgets 0.3, 50 and 0.3, whose learning projections each
+  hold rows both over and under their caps (``network_mixed*``);
 - ``solve`` on each benchmark single-player game (``single<i>*``), and
   ``simulate --samples 200`` on each solved plan;
 - the learning trace of each benchmark single-player game,
@@ -43,6 +45,7 @@ from pathlib import Path
 SAMPLES = "200"
 LEARNING_T = 50
 VERIFY_SEEDS = range(50)
+MIXED_BUDGETS = (0.3, 50.0, 0.3)
 
 
 def load_checkout(checkout: Path):
@@ -97,6 +100,11 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
         network = scenario("network.json", workloads.network_spec(ig))
         run("network", ["equilibrate", network, "--T", str(workloads.NETWORK_T),
                         "--out", "network"])
+        document = json.loads(Path(network).read_text())
+        for player, budget in zip(document["players"], MIXED_BUDGETS, strict=True):
+            player["budget"] = budget
+        run("network_mixed", ["equilibrate", write_json("network_mixed.json", document),
+                              "--T", str(workloads.NETWORK_T), "--out", "network_mixed"])
 
         for index, spec in enumerate(workloads.single_player_specs(ig)):
             name = f"single{index}"
