@@ -73,12 +73,15 @@ def project_budget_set(point: np.ndarray, cap: float | np.ndarray) -> np.ndarray
     entry, so such a row is first shifted to a top entry of 0, where the cap
     cannot be lost to round-off.  The threshold then lies in [-cap, 0], so an
     entry at or below -cap never enters the support; it is held at -cap in
-    the sorted sums, which therefore cannot overflow however far down the
-    row reaches.  Exact in finitely many operations.  A point or a cap that
-    is not real numbers (``_real``), a cap that numpy cannot assign into the
-    stack's shape (...), a scalar point, a NaN or negative cap, or a point
-    with a non-finite entry raises ValueError; an infinite cap leaves its
-    rows merely clamped.
+    the sorted sums, which therefore stay within d + 1 caps of 0, d the
+    row's length, however far down it reaches.  A row whose d + 1 caps come
+    within a factor 2 of the largest float is projected scaled, with its
+    cap, by the power of two that brings the cap below 1, and scaled back;
+    both scalings are exact.  Exact in finitely many operations.  A point
+    or a cap that is not real numbers (``_real``), a cap that numpy cannot
+    assign into the stack's shape (...), a scalar point, a NaN or negative
+    cap, or a point with a non-finite entry raises ValueError; an infinite
+    cap leaves its rows merely clamped.
     """
     v = _real(point, "the point to project")
     if v.ndim == 0:

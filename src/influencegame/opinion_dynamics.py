@@ -6,8 +6,9 @@ x'(t) = -L x(t), so carrying opinions across a gap of length dt amounts to
 multiplying by the propagator exp(-L dt).  Its one builder, ``_flow``, keeps
 it row-stochastic at any finite dt (a series of nonnegative terms, rows
 renormalized as it squares) and builds a whole stack (..., n, n) in one
-call, each matrix bit for bit as if built alone; ``propagator`` takes one
-gap or an array of them and refuses what ``check_stochastic`` fails, and the
+call, the series over the whole stack and the squarings count by count,
+each matrix bit for bit as if built alone; ``propagator`` takes one gap or
+an array of them and refuses what ``check_stochastic`` fails, and the
 lemma suite measures the same builder, one stack per network size.  The
 builder's products and divisions write two buffers in place, taking turns,
 so one small matrix costs little more than numpy's per-call floor times
@@ -27,7 +28,6 @@ and the forward recursion that strings gaps and jumps together live in
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -224,6 +224,19 @@ def _renormalize(rows: np.ndarray):
     rows /= np.add.reduce(rows, axis=-1, keepdims=True)
 
 
+def _square(matrices: np.ndarray, count: int, spare: np.ndarray) -> np.ndarray:
+    """One matrix, or a stack of matrices that share one count, squared
+    ``count`` times through ``_product``, its rows renormalized after every
+    32nd squaring and after the last; ``spare``, shaped like ``matrices``,
+    takes turns with it as the product's output."""
+    for done in range(1, count + 1):
+        _product(matrices, matrices, spare)
+        if done % 32 == 0 or done == count:
+            _renormalize(spare)
+        matrices, spare = spare, matrices
+    return matrices
+
+
 def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
     """exp(-L dt) for L = I - A, unchecked, for a stack of adjacencies
     (..., n, n) and gap lengths ``dt`` broadcasting to (...): the matrices
@@ -234,19 +247,19 @@ def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
     squarings, which double that round-off, every 32nd and its last are
     followed by the same renormalization, so nothing overflows.
 
-    The series and the squarings write two buffers in place, taking turns,
-    through ``_product``: one matrix is multiplied by ``ndarray.dot`` and a
-    stack (flattened to (N, n, n)) by matmul.  The series starts at
-    A tau / 13 + I, which equals I + (A tau I) / 13 bit for bit, as the
-    product with I is exact on finite, nonnegative entries; its divisors
-    are floats.  A stack's items are squared in order of falling s (sorted
-    first only if they are not; one matrix never is), so the ones still
-    squaring are a prefix; an item that is done is copied, once, into the
-    buffer the last squaring writes.  Every matrix comes out bit for bit as
-    if built alone, and as the builder with fresh arrays at every step that
-    the tests keep as its reference.  A game calls this once per gap, not
-    once for its K + 1 gaps, because the bench tracer's flop count reads one
-    gap (ROADMAP item 4)."""
+    The series runs once over the whole stack (flattened to (N, n, n)),
+    writing two buffers in place, taking turns, through ``_product``: one
+    matrix is multiplied by ``ndarray.dot`` and a stack by matmul.  The
+    series starts at A tau / 13 + I, which equals I + (A tau I) / 13 bit for
+    bit, as the product with I is exact on finite, nonnegative entries; its
+    divisors are floats.  ``_square`` then squares one matrix in the same
+    two buffers, and a stack count by count: the items that share a nonzero
+    s are gathered, squared together and assigned back.
+    Every matrix comes out bit for bit as if built alone, and as the
+    builder with fresh arrays at every step that the tests keep as its
+    reference.  A game calls this once per gap, not once for its K + 1
+    gaps, because the bench tracer's flop count reads one gap (ROADMAP
+    item 4)."""
     adjacency = np.asarray(adjacency, dtype=float)
     n = adjacency.shape[-1]
     shape = np.broadcast(adjacency[..., 0, 0], dt).shape
@@ -259,11 +272,6 @@ def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
         scaled = scaled.reshape(-1, n, n)
     else:
         scaled = adjacency * scales[0]
-    order = None
-    if any(map(operator.lt, squarings, squarings[1:])):
-        order = sorted(range(len(times)), key=squarings.__getitem__, reverse=True)
-        scaled = scaled[order]
-        squarings = [squarings[i] for i in order]
     eye = np.eye(n)
     result = scaled / 13.0
     result += eye
@@ -274,30 +282,12 @@ def _flow(adjacency: np.ndarray, dt) -> np.ndarray:
         spare += eye
         result, spare = spare, result
     _renormalize(result)
-    top = squarings[0] if squarings else 0
-    # the items taking count squarings or more, [:active], lead the stack;
-    # one matrix is never sliced, as it stays active until it is done
-    active = len(squarings)
-    for count in range(top + 1):
-        staying = active
-        while staying and squarings[staying - 1] == count:
-            staying -= 1
-        if count:
-            head, into = ((result, spare) if active == len(squarings)
-                          else (result[:active], spare[:active]))
-            _product(head, head, into)
-            if count % 32 == 0:
-                _renormalize(into)
-            elif staying < active:
-                _renormalize(into[staying:])
-            result, spare = spare, result
-        if (top - count) % 2 and staying < active:
-            spare[staying:active] = result[staying:active]
-        active = staying
-    if order is not None:
-        out = np.empty_like(result)
-        out[order] = result
-        result = out
+    if not shape:
+        return _square(result, squarings[0], spare)
+    counts = np.array(squarings)
+    for count in set(squarings) - {0}:
+        chosen = counts == count
+        result[chosen] = _square(result[chosen], count, spare[: squarings.count(count)])
     return result.reshape(shape + (n, n))
 
 

@@ -19,6 +19,7 @@ responses and hindsight.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
     projected = np.maximum(rows, 0.0)
     # Overflow is harmless here: a clamped sum past the largest float is over
     # any finite cap, and a shift past it is an entry far below -cap.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         over = projected.sum(axis=-1) > caps
         if not over.any():
             return projected
@@ -132,6 +133,15 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
         # a row under its cap is water-filled at cap 0, where nothing overflows
         # into a NaN, and then discarded
         caps = caps[:, None] if every else np.where(over, caps, 0.0)[:, None]
+        # the sorted sums lie within (d + 1) caps of 0, plus round-off; a row
+        # whose (d + 1) caps come within a factor 2 of the largest float is
+        # water-filled scaled by the power of two that brings its cap below 1,
+        # which is exact, and scaled back
+        limit = sys.float_info.max / (2 * (d + 1))
+        large = max(caps.ravel().tolist()) > limit
+        if large:
+            exponents = np.where(caps > limit, np.frexp(caps)[1], 0)
+            rows, caps = np.ldexp(rows, -exponents), np.ldexp(caps, -exponents)
         floor = -caps
         v = rows - rows.max(axis=-1, keepdims=True)
         u = np.maximum(np.sort(v, axis=-1)[:, ::-1], floor)
@@ -142,6 +152,8 @@ def _project_rows(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
         rho = np.maximum(1, feasible.sum(axis=-1))
         theta = cumulative[np.arange(len(v)), rho - 1] / rho
         water = np.maximum(v - theta[:, None], 0.0)
+        if large:
+            water = np.ldexp(water, exponents)
     return water if every else np.where(over[:, None], water, projected)
 
 

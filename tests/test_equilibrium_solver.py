@@ -184,6 +184,28 @@ class TestProjectBudgetSet:
             projected = project_budget_set(points, [np.inf, 1.0, 1.7e308])
         np.testing.assert_array_equal(projected, [[1e308, 0.0], [0.5, 0.5], [1.7e308, 0.0]])
 
+    @pytest.mark.parametrize("point, cap", [
+        ([1.7e308, 1.5e308, -1.7e308], 1.7e308),
+        ([1.7e308, 1.5e308, 0.0], 1.7e308),
+        ([1e308, 9e307, 0.0], 1.7e308),
+        (np.linspace(3e307, 0.0, 12), 3e307),  # its sorted sums overflow at the 12th entry
+    ])
+    def test_cap_near_the_float_maximum(self, point, cap):
+        # the sorted sums reach (d + 1) caps, past the largest float, so the
+        # row is projected scaled by a power of two; an ordinary row beside
+        # it keeps the bits it has when projected alone
+        point = np.array(point)
+        ordinary = np.linspace(2.0, -1.0, point.size)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            projected = project_budget_set(point, cap)
+            stack = project_budget_set(np.stack([point, ordinary]), [cap, 1.0])
+            alone = project_budget_set(ordinary, 1.0)
+        assert np.isfinite(projected).all() and (projected >= 0).all()
+        assert projected.sum() <= cap
+        assert stack[0].tobytes() == projected.tobytes()
+        assert stack[1].tobytes() == alone.tobytes()
+
 
 UNIT_BUDGET_REGION = FeasibleRegion(normals=np.ones((1, 2)), offsets=np.array([1.0]))
 

@@ -255,12 +255,15 @@ class TestFlowAgainstReference:
             self.assert_bit_equal(adjacency, dt)
 
     def test_stack_with_squaring_counts_out_of_order(self):
-        # counts 4, 0, 999, 0, 16, 3, 0, 1, 2: the builder sorts them, squares
-        # the prefix still active and puts every item back in its place
+        # counts 4, 0, 999, 0, 16, 3, 0, 1, 2: the builder squares the items
+        # that share a nonzero count together, one count at a time, and
+        # assigns them back in their places; then stacks whose items all
+        # take 0 squarings, and all take 3
         rng = np.random.default_rng(4)
-        gaps = np.array(self.GAPS)[[8, 0, 5, 1, 4, 7, 2, 6, 3]]
-        adjacency = np.stack([random_network(rng, 8).adjacency for _ in gaps])
-        self.assert_bit_equal(adjacency, gaps)
+        for gaps in (np.array(self.GAPS)[[8, 0, 5, 1, 4, 7, 2, 6, 3]],
+                     np.array([0.0, 1e-300, 0.1, 0.25]), np.array([1.1, 1.5, 1.7, 2.0])):
+            adjacency = np.stack([random_network(rng, 8).adjacency for _ in gaps])
+            self.assert_bit_equal(adjacency, gaps)
 
     def test_one_adjacency_broadcast_over_gaps(self):
         adjacency = random_network(np.random.default_rng(9), 8).adjacency

@@ -40,8 +40,9 @@ def test_snapshot_outputs_are_the_listed_files_and_repeat_byte_for_byte(tmp_path
     snapshot = load_tool("snapshot_outputs").snapshot
     for run in ("first", "second"):
         snapshot(ROOT, tmp_path / run, verify_seeds=[0])
-    runs = ["paper", "network", "network_mixed", "reference", "reference_campaigns", "verify_seed0",
-            "refused_nan_budget", "refused_over_budget", "refused_solve"]
+    runs = ["paper", "network", "network_mixed", "reference", "reference_campaigns",
+            "reference_long", "verify_seed0", "refused_nan_budget", "refused_over_budget",
+            "refused_solve"]
     runs += [f"single{index}{suffix}" for index in range(5) for suffix in ("", "_simulate")]
     names = {"exit_codes.txt"} | {f"{run}{suffix}" for run in runs
                                   for suffix in (".stdout", ".stderr")}
@@ -49,6 +50,8 @@ def test_snapshot_outputs_are_the_listed_files_and_repeat_byte_for_byte(tmp_path
         names |= {f"{stem}_trace.csv", f"{stem}_result.json"}
     names |= {"network.json", "network_mixed.json", "reference.json", "reference_plans.json",
               "reference_trajectory.csv", "reference_campaigns_trajectory.csv",
+              "reference_long.json", "reference_long_plans.json",
+              "reference_long_trajectory.csv",
               "refused_nan_budget.json", "refused_over_budget_plans.json"}
     for index in range(5):
         names |= {f"single{index}{suffix}" for suffix in (
@@ -58,7 +61,7 @@ def test_snapshot_outputs_are_the_listed_files_and_repeat_byte_for_byte(tmp_path
     assert set(first) == names
     assert first == second
     codes = dict(line.split() for line in first["exit_codes.txt"].decode().splitlines())
-    assert len(codes) == 19
+    assert len(codes) == 20
     refused = {"refused_nan_budget": "2", "refused_over_budget": "3", "refused_solve": "4"}
     assert codes == {**dict.fromkeys(set(codes) - set(refused), "0"), **refused}
     assert first["refused_nan_budget.stderr"] == b"error: budgets must be finite\n"

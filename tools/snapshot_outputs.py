@@ -22,7 +22,10 @@ OUTDIR receives, by relative paths, so that the outputs do not name it:
 - ``simulate --samples 200`` of the reference game at the paper example's
   equilibrium (``reference*``), and ``simulate --samples 7``, whose grid
   lands on both campaign times, so that it pins their pre- and post-jump
-  records (``reference_campaigns*``);
+  records (``reference_campaigns*``), and ``simulate --samples 200`` of the
+  reference game with its schedule times 1e10 on the fixed plans
+  ``LONG_PLANS``, whose propagators take up to 36 squarings, most of them 28
+  to 36, across the renormalization after every 32nd (``reference_long*``);
 - ``verify --suite all`` at seeds 0-49 (``verify_seed<s>.stdout``);
 - three refused invocations, which pin error text: the reference scenario
   with a NaN budget (``refused_nan_budget*``, exit 2), ``simulate`` of a
@@ -46,6 +49,8 @@ SAMPLES = "200"
 LEARNING_T = 50
 VERIFY_SEEDS = range(50)
 MIXED_BUDGETS = (0.3, 50.0, 0.3)
+LONG_SCALE = 1e10
+LONG_PLANS = [[[1.0, 0.5, 0.0], [0.0, 0.5, 0.5]], [[0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]]
 
 
 def load_checkout(checkout: Path):
@@ -96,6 +101,11 @@ def snapshot(checkout, outdir, verify_seeds=VERIFY_SEEDS):
         run("reference_campaigns", ["simulate", reference, "reference_plans.json",
                                     "--samples", "7",
                                     "--out", "reference_campaigns_trajectory.csv"])
+        document = json.loads(Path(reference).read_text())
+        document["schedule"] = [time * LONG_SCALE for time in document["schedule"]]
+        run("reference_long", ["simulate", write_json("reference_long.json", document),
+                               write_json("reference_long_plans.json", {"plans": LONG_PLANS}),
+                               "--samples", SAMPLES, "--out", "reference_long_trajectory.csv"])
 
         network = scenario("network.json", workloads.network_spec(ig))
         run("network", ["equilibrate", network, "--T", str(workloads.NETWORK_T),
